@@ -15,10 +15,10 @@ BENCH_GATED = $(GO) test -run '^$$' -bench 'BenchmarkDDP|BenchmarkShard|Benchmar
 # is a reviewed decision, not a quick fix for a red build.
 COVER_FLOORS = internal/shard:85 internal/cluster:90 internal/graph:90 internal/core:85 internal/sparse:85 internal/autograd:80 internal/serve:85 internal/stream:85 internal/fault:95 .:75
 
-.PHONY: ci build vet fmt-check test race cover bench bench-smoke bench-json bench-baseline bench-check bench-ci trace-smoke stream-smoke chaos-smoke
+.PHONY: ci build vet fmt-check test race cover bench bench-smoke bench-host-smoke bench-json bench-baseline bench-check bench-ci trace-smoke stream-smoke chaos-smoke
 
 ## ci runs the exact tier-1 gate the CI workflow enforces.
-ci: build vet fmt-check test race bench-smoke
+ci: build vet fmt-check test race bench-smoke bench-host-smoke
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,13 @@ bench:
 ## bench-smoke runs every benchmark once, as a does-it-still-run gate.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
+
+## bench-host-smoke compiles and smoke-tests the nested host-measured
+## benchmark module. Root `go build ./...` does not reach it, yet it imports
+## internal packages by name, so this is where an internal refactor that
+## breaks the benchmark fails first.
+bench-host-smoke:
+	$(GO) test -C benchmark ./...
 
 ## bench-json emits a machine-readable perf snapshot (BENCH_* trajectory).
 ## Staged through a temp file so a benchmark failure fails the target

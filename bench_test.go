@@ -387,7 +387,7 @@ func BenchmarkAssembleBatchParallel(b *testing.B) { benchAssemble(b, 0) }
 // slow enough that the modeled metrics are communication-dominated and
 // stable, which is what the CI regression gate (make bench-check) compares
 // against bench/baseline.json.
-func benchDDPSync(b *testing.B, mutate func(*ddp.Config)) {
+func benchDDPSync(b *testing.B, mutate func(*shard.Config)) {
 	g, err := graph.RoadNetwork(16, 24, 4)
 	if err != nil {
 		b.Fatal(err)
@@ -400,21 +400,21 @@ func benchDDPSync(b *testing.B, mutate func(*ddp.Config)) {
 		b.Fatal(err)
 	}
 	split := batching.MakeSplit(data.NumSnapshots(), 0.7, 0.1)
-	factory := func(seed uint64) nn.SeqModel {
-		return nn.NewPGTDCRNN(tensor.NewRNG(seed), supports, 1, 1, 16, 3)
+	factory := func(seed uint64, props []nn.Propagator) nn.SeqModel {
+		return nn.NewPGTDCRNNOn(tensor.NewRNG(seed), props, 1, 1, 16, 3)
 	}
-	paramBytes := nn.ParameterBytes(factory(1))
-	cfg := ddp.Config{
-		Workers: 8, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 1,
+	paramBytes := nn.ParameterBytes(factory(1, nn.WrapSupports(supports)))
+	cfg := shard.Config{
+		Shards: 1, Replicas: 8, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 1,
 		BucketBytes: paramBytes / 4,
 		Net:         cluster.NetworkModel{Bandwidth: 1e7, Latency: 2 * time.Microsecond, DispatchOverhead: time.Millisecond},
 		ComputeCost: func(int) time.Duration { return 2 * time.Millisecond },
 	}
 	mutate(&cfg)
-	var res *ddp.Result
+	var res *shard.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = ddp.Train(data, split, factory, cfg)
+		res, err = shard.Train(data, split, g, supports, factory, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -425,28 +425,28 @@ func benchDDPSync(b *testing.B, mutate func(*ddp.Config)) {
 	b.ReportMetric(float64(res.BucketBytes)/1024, "bucket-KiB")
 }
 
-func BenchmarkDDPBucketedOverlap8(b *testing.B) { benchDDPSync(b, func(*ddp.Config) {}) }
+func BenchmarkDDPBucketedOverlap8(b *testing.B) { benchDDPSync(b, func(*shard.Config) {}) }
 func BenchmarkDDPFlatten8(b *testing.B) {
-	benchDDPSync(b, func(c *ddp.Config) { c.Algo = ddp.GradAlgoFlat })
+	benchDDPSync(b, func(c *shard.Config) { c.Algo = ddp.GradAlgoFlat })
 }
 func BenchmarkDDPHierarchical8(b *testing.B) {
-	benchDDPSync(b, func(c *ddp.Config) {
+	benchDDPSync(b, func(c *shard.Config) {
 		c.Algo = ddp.GradAlgoHierarchical
 		c.Topology = cluster.Topology{Nodes: 2, GPUsPerNode: 4}
 	})
 }
 func BenchmarkDDPFP16Ring8(b *testing.B) {
-	benchDDPSync(b, func(c *ddp.Config) { c.FP16 = true })
+	benchDDPSync(b, func(c *shard.Config) { c.FP16 = true })
 }
 func BenchmarkDDPFP16Hierarchical8(b *testing.B) {
-	benchDDPSync(b, func(c *ddp.Config) {
+	benchDDPSync(b, func(c *shard.Config) {
 		c.Algo = ddp.GradAlgoHierarchical
 		c.Topology = cluster.Topology{Nodes: 2, GPUsPerNode: 4}
 		c.FP16 = true
 	})
 }
 func BenchmarkDDPAutotune8(b *testing.B) {
-	benchDDPSync(b, func(c *ddp.Config) {
+	benchDDPSync(b, func(c *shard.Config) {
 		c.BucketBytes = 0
 		c.AutoTuneBuckets = true
 	})
@@ -507,7 +507,7 @@ func BenchmarkShardHybrid2x4(b *testing.B) { benchShard(b, 2, 4) }
 // compute and bucket cap throughout, so the virt-µs deltas are purely the
 // schedule. The halo-hidden / comm-hidden metrics expose how much of the
 // identical communication volume each schedule moved under compute.
-func benchShardOverlap(b *testing.B, shards, replicas int, halo shard.HaloSyncMode, sync ddp.SyncMode) {
+func benchShardOverlap(b *testing.B, shards, replicas int, halo shard.HaloSyncMode, algo ddp.GradAlgo) {
 	g, err := graph.RoadNetwork(16, 24, 4)
 	if err != nil {
 		b.Fatal(err)
@@ -526,7 +526,7 @@ func benchShardOverlap(b *testing.B, shards, replicas int, halo shard.HaloSyncMo
 	paramBytes := nn.ParameterBytes(factory(1, nn.WrapSupports(supports)))
 	cfg := shard.Config{
 		Shards: shards, Replicas: replicas, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 1,
-		HaloSync: halo, Sync: sync, BucketBytes: paramBytes / 4,
+		HaloSync: halo, Algo: algo, BucketBytes: paramBytes / 4,
 		Net:         cluster.NetworkModel{Bandwidth: 1e7, Latency: 2 * time.Microsecond, DispatchOverhead: time.Millisecond},
 		ComputeCost: func(int) time.Duration { return 2 * time.Millisecond },
 	}
@@ -546,28 +546,28 @@ func benchShardOverlap(b *testing.B, shards, replicas int, halo shard.HaloSyncMo
 }
 
 func BenchmarkShardOverlapBlocking2x2(b *testing.B) {
-	benchShardOverlap(b, 2, 2, shard.HaloSyncBlocking, ddp.SyncFlatten)
+	benchShardOverlap(b, 2, 2, shard.HaloSyncBlocking, ddp.GradAlgoFlat)
 }
 func BenchmarkShardOverlapHalo2x2(b *testing.B) {
-	benchShardOverlap(b, 2, 2, shard.HaloSyncOverlap, ddp.SyncFlatten)
+	benchShardOverlap(b, 2, 2, shard.HaloSyncOverlap, ddp.GradAlgoFlat)
 }
 func BenchmarkShardOverlapBucketed2x2(b *testing.B) {
-	benchShardOverlap(b, 2, 2, shard.HaloSyncBlocking, ddp.SyncBucketedOverlap)
+	benchShardOverlap(b, 2, 2, shard.HaloSyncBlocking, ddp.GradAlgoRing)
 }
 func BenchmarkShardOverlapFull2x2(b *testing.B) {
-	benchShardOverlap(b, 2, 2, shard.HaloSyncOverlap, ddp.SyncBucketedOverlap)
+	benchShardOverlap(b, 2, 2, shard.HaloSyncOverlap, ddp.GradAlgoRing)
 }
 func BenchmarkShardOverlapBlocking2x4(b *testing.B) {
-	benchShardOverlap(b, 2, 4, shard.HaloSyncBlocking, ddp.SyncFlatten)
+	benchShardOverlap(b, 2, 4, shard.HaloSyncBlocking, ddp.GradAlgoFlat)
 }
 func BenchmarkShardOverlapHalo2x4(b *testing.B) {
-	benchShardOverlap(b, 2, 4, shard.HaloSyncOverlap, ddp.SyncFlatten)
+	benchShardOverlap(b, 2, 4, shard.HaloSyncOverlap, ddp.GradAlgoFlat)
 }
 func BenchmarkShardOverlapBucketed2x4(b *testing.B) {
-	benchShardOverlap(b, 2, 4, shard.HaloSyncBlocking, ddp.SyncBucketedOverlap)
+	benchShardOverlap(b, 2, 4, shard.HaloSyncBlocking, ddp.GradAlgoRing)
 }
 func BenchmarkShardOverlapFull2x4(b *testing.B) {
-	benchShardOverlap(b, 2, 4, shard.HaloSyncOverlap, ddp.SyncBucketedOverlap)
+	benchShardOverlap(b, 2, 4, shard.HaloSyncOverlap, ddp.GradAlgoRing)
 }
 
 // --- gated: staleness-aware prefetch pipeline on the hybrid grid --------------
@@ -657,26 +657,26 @@ func benchIndexBatch(b *testing.B, store bool) {
 		b.Fatal(err)
 	}
 	split := batching.MakeSplit(data.NumSnapshots(), 0.7, 0.1)
-	factory := func(seed uint64) nn.SeqModel {
-		return nn.NewPGTDCRNN(tensor.NewRNG(seed), supports, 1, 1, 16, 3)
+	factory := func(seed uint64, props []nn.Propagator) nn.SeqModel {
+		return nn.NewPGTDCRNNOn(tensor.NewRNG(seed), props, 1, 1, 16, 3)
 	}
-	cfg := ddp.Config{
-		Workers: 4, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 1,
+	cfg := shard.Config{
+		Shards: 1, Replicas: 4, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 1,
 		Net:         cluster.NetworkModel{Bandwidth: 1e7, Latency: 2 * time.Microsecond, DispatchOverhead: time.Millisecond},
 		ComputeCost: func(int) time.Duration { return 2 * time.Millisecond },
 	}
 	if store {
-		st, err := batching.NewPartitionStore(data, cfg.Workers)
+		st, err := batching.NewPartitionStore(data, cfg.Replicas)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg.Store = st
 		cfg.Sampler = ddp.BatchShuffle
 	}
-	var res *ddp.Result
+	var res *shard.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = ddp.Train(data, split, factory, cfg)
+		res, err = shard.Train(data, split, g, supports, factory, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -710,11 +710,11 @@ func benchEventStream(b *testing.B, hook bool) {
 		b.Fatal(err)
 	}
 	split := batching.MakeSplit(data.NumSnapshots(), 0.7, 0.1)
-	factory := func(seed uint64) nn.SeqModel {
-		return nn.NewPGTDCRNN(tensor.NewRNG(seed), supports, 1, 1, 16, 3)
+	factory := func(seed uint64, props []nn.Propagator) nn.SeqModel {
+		return nn.NewPGTDCRNNOn(tensor.NewRNG(seed), props, 1, 1, 16, 3)
 	}
-	cfg := ddp.Config{
-		Workers: 4, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 1,
+	cfg := shard.Config{
+		Shards: 1, Replicas: 4, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 1,
 		Net:         cluster.NetworkModel{Bandwidth: 1e7, Latency: 2 * time.Microsecond, DispatchOverhead: time.Millisecond},
 		ComputeCost: func(int) time.Duration { return 2 * time.Millisecond },
 	}
@@ -723,11 +723,11 @@ func benchEventStream(b *testing.B, hook bool) {
 		cfg.OnEpoch = func(metrics.EpochRecord) { events++ }
 		cfg.OnAutotuneLock = func(int64) { events++ }
 	}
-	var res *ddp.Result
+	var res *shard.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		events = 0
-		res, err = ddp.Train(data, split, factory, cfg)
+		res, err = shard.Train(data, split, g, supports, factory, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -418,14 +418,14 @@ func (e *Experiment) Build() error { return e.eng.Build() }
 // experiment (see Report).
 func (e *Experiment) Fit(ctx context.Context) (*Report, error) {
 	err := e.eng.Fit(ctx)
-	return reportFromCore(e.eng.Report()), err
+	return e.Report(), err
 }
 
 // Eval computes post-training test metrics (test MSE; forecasts when
 // WithForecasts was given) and returns the updated report.
 func (e *Experiment) Eval() (*Report, error) {
 	err := e.eng.Eval()
-	return reportFromCore(e.eng.Report()), err
+	return e.Report(), err
 }
 
 // Predictor returns the warm, goroutine-safe inference handle over the
@@ -440,5 +440,14 @@ func (e *Experiment) Eval() (*Report, error) {
 // draining.
 func (e *Experiment) Predictor() (*Predictor, error) { return e.eng.Predictor() }
 
-// Report returns the run's (possibly partial) report, or nil before Open.
-func (e *Experiment) Report() *Report { return reportFromCore(e.eng.Report()) }
+// Report returns the run's (possibly partial) report, or nil before Open. It
+// is a shallow copy of the engine's: a report the caller holds is not
+// mutated by a later stage.
+func (e *Experiment) Report() *Report {
+	rep := e.eng.Report()
+	if rep == nil {
+		return nil
+	}
+	held := *rep
+	return &held
+}

@@ -140,13 +140,11 @@ type Config struct {
 	// samplerSet tracks whether Sampler was set explicitly.
 	SamplerSet bool
 
-	// GradSync selects the DDP gradient-exchange schedule (default bucketed
-	// overlapping AllReduce); GradBucketBytes caps one gradient bucket
-	// (0 = ddp.DefaultBucketBytes).
-	GradSync        ddp.SyncMode
+	// GradBucketBytes caps one gradient bucket of the bucketed overlapping
+	// AllReduce (0 = ddp.DefaultBucketBytes).
 	GradBucketBytes int64
 	// GradAlgo selects the collective algorithm (ring | flat |
-	// hierarchical); it supersedes GradSync when set.
+	// hierarchical).
 	GradAlgo ddp.GradAlgo
 	// Topology describes the simulated node layout for the hierarchical
 	// AllReduce (intra-node traffic priced at NVLink-class bandwidth).
@@ -301,7 +299,7 @@ func (c *Config) fillDefaults() {
 type Report struct {
 	Strategy    Strategy
 	Model       ModelKind
-	DatasetName string
+	Dataset     string
 	Workers     int
 	GlobalBatch int
 
@@ -362,7 +360,7 @@ type Report struct {
 
 	PeakSystemBytes int64
 	PeakGPUBytes    int64
-	SystemSeries    []memsim.Sample
+	MemorySeries    []memsim.Sample
 
 	// RetainedDataBytes is the post-preprocessing footprint of the data
 	// structures (eq. 1 for standard, eq. 2 for index).
@@ -416,17 +414,7 @@ func (f Forecast) MAE() float64 {
 
 // buildModel constructs the configured model over the dataset's graph.
 func buildModel(kind ModelKind, seed uint64, supports []*sparse.CSR, in, hidden, k, horizon, nodes int) nn.SeqModel {
-	rng := tensor.NewRNG(seed)
-	switch kind {
-	case ModelDCRNN:
-		return nn.NewDCRNN(rng, supports, nn.DCRNNConfig{In: in, Hidden: hidden, Layers: 2, K: k, Horizon: horizon})
-	case ModelA3TGCN:
-		return nn.NewA3TGCN(rng, supports[0], in, hidden, horizon)
-	case ModelSTLLM:
-		return nn.NewSTLLMLite(rng, nodes, horizon, in, hidden, horizon)
-	default:
-		return nn.NewPGTDCRNN(rng, supports, k, in, hidden, horizon)
-	}
+	return buildModelOn(kind, seed, nn.WrapSupports(supports), in, hidden, k, horizon, nodes)
 }
 
 // Run executes the configured strategy in measured mode, composing the
@@ -439,9 +427,10 @@ func Run(cfg Config) (*Report, error) {
 	return NewEngine(cfg).runAll(context.Background())
 }
 
-// buildModelOn constructs the configured model over explicit propagators
-// (the spatial-sharding path; ST-LLM has no sharded form).
-func buildModelOn(kind ModelKind, seed uint64, props []nn.Propagator, in, hidden, k, horizon int) nn.SeqModel {
+// buildModelOn constructs the configured model over explicit propagators —
+// full-graph supports or one shard's halo-exchanging blocks. ST-LLM attends
+// over all nodes and takes no propagators (it has no sharded form).
+func buildModelOn(kind ModelKind, seed uint64, props []nn.Propagator, in, hidden, k, horizon, nodes int) nn.SeqModel {
 	rng := tensor.NewRNG(seed)
 	switch kind {
 	case ModelDCRNN:
@@ -449,7 +438,7 @@ func buildModelOn(kind ModelKind, seed uint64, props []nn.Propagator, in, hidden
 	case ModelA3TGCN:
 		return nn.NewA3TGCNOn(rng, props[0], in, hidden, horizon)
 	case ModelSTLLM:
-		panic("core: spatial sharding is unsupported for st-llm")
+		return nn.NewSTLLMLite(rng, nodes, horizon, in, hidden, horizon)
 	default:
 		return nn.NewPGTDCRNNOn(rng, props, k, in, hidden, horizon)
 	}

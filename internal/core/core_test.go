@@ -64,7 +64,7 @@ func TestIndexSingleGPURuns(t *testing.T) {
 	if rep.PeakSystemBytes <= 0 || rep.PeakGPUBytes <= 0 {
 		t.Fatal("missing memory accounting")
 	}
-	if len(rep.SystemSeries) == 0 {
+	if len(rep.MemorySeries) == 0 {
 		t.Fatal("missing memory series")
 	}
 }
@@ -137,8 +137,8 @@ func TestGPUIndexTradesCPUForGPU(t *testing.T) {
 	}
 	// Steady-state CPU usage: the index run retains the host data copy,
 	// the GPU-resident run does not. Compare final series samples.
-	idxFinal := idx.SystemSeries[len(idx.SystemSeries)-1].Bytes
-	gidxFinal := gidx.SystemSeries[len(gidx.SystemSeries)-1].Bytes
+	idxFinal := idx.MemorySeries[len(idx.MemorySeries)-1].Bytes
+	gidxFinal := gidx.MemorySeries[len(gidx.MemorySeries)-1].Bytes
 	if gidxFinal >= idxFinal {
 		t.Fatalf("GPU-index steady CPU %d must be below index %d", gidxFinal, idxFinal)
 	}
@@ -322,9 +322,9 @@ func TestReportSeriesMonotonicProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := -1.0
-	for _, s := range rep.SystemSeries {
+	for _, s := range rep.MemorySeries {
 		if s.Progress < prev {
-			t.Fatalf("series progress must be non-decreasing: %v", rep.SystemSeries)
+			t.Fatalf("series progress must be non-decreasing: %v", rep.MemorySeries)
 		}
 		prev = s.Progress
 	}

@@ -68,18 +68,16 @@ type Engine struct {
 	src         batchSource
 	gpuResident bool
 
-	// Distributed pipeline.
+	// Distributed pipeline: the Shards x Workers grid (Shards == 1 unless
+	// Config.Spatial asks for more).
 	idx           *batching.IndexDataset
-	factory       ddp.ModelFactory
-	ddpCfg        ddp.Config
-	shardCfg      shard.Config
-	hybrid        bool
-	shardFactory  shard.ModelFactory
-	shardSupports []*sparse.CSR // supports trimmed for the sharded model
+	factory       shard.ModelFactory
+	trainCfg      shard.Config
+	trainSupports []*sparse.CSR // supports trimmed to what the model diffuses over
 
 	// Built state. After Fit, model/opt hold the trained parameters and
-	// optimizer — rank 0's replica for distributed strategies, a rebuilt
-	// full-graph model for spatially sharded ones.
+	// optimizer — for distributed strategies a full-graph model carrying
+	// rank 0's parameters (identical on every worker).
 	model        nn.SeqModel
 	opt          *nn.Adam
 	split        batching.Split
@@ -128,7 +126,7 @@ func (e *Engine) syncMem() {
 	}
 	e.report.PeakSystemBytes = e.sys.Peak()
 	e.report.PeakGPUBytes = e.gpu.Peak()
-	e.report.SystemSeries = e.sys.Series()
+	e.report.MemorySeries = e.sys.Series()
 	if e.cfg.Trace != nil {
 		e.cfg.Trace.Gauge("memsim.system.peak.bytes", e.sys.Peak())
 		e.cfg.Trace.Gauge("memsim.gpu.peak.bytes", e.gpu.Peak())
@@ -171,13 +169,13 @@ func (e *Engine) validate() error {
 		if cfg.Model == ModelSTLLM {
 			return invalidf("Spatial", "spatial sharding is unsupported for %v (full spatial attention has no node partition)", cfg.Model)
 		}
-		// The hybrid trainer's bucketed two-stage sync composes with fp16
+		// A sharded grid's bucketed two-stage sync composes with fp16
 		// compression, bucket-size caps and the first-epoch autotuner, but
 		// its collective algorithm is fixed (grouped replica-sum →
 		// shard-mean, topology-priced): an explicit GradAlgo has nothing to
 		// select and is rejected rather than silently ignored.
 		if cfg.GradAlgo != ddp.GradAlgoRing {
-			return invalidf("Spatial", "GradAlgo is not supported with spatial sharding (the two-stage grouped collective is fixed); use GradSync to pick the flatten baseline")
+			return invalidf("Spatial", "GradAlgo is not supported with spatial sharding (the two-stage grouped collective is fixed)")
 		}
 	}
 	if cfg.Resume && cfg.LoadCheckpoint == "" {
@@ -276,7 +274,7 @@ func (e *Engine) open() error {
 	e.report = &Report{
 		Strategy:    cfg.Strategy,
 		Model:       cfg.Model,
-		DatasetName: meta.Name,
+		Dataset:     meta.Name,
 		Workers:     cfg.Workers,
 		GlobalBatch: cfg.BatchSize * cfg.Workers,
 	}
@@ -374,16 +372,11 @@ func (e *Engine) Build() error {
 		return err
 	}
 	start := time.Now()
-	var err error
-	switch {
-	case !e.cfg.Strategy.IsDistributed():
-		err = e.buildSingle()
-	case e.cfg.Spatial.Enabled():
-		err = e.buildHybrid()
-	default:
-		err = e.buildDistributed()
+	build := e.buildSingle
+	if e.cfg.Strategy.IsDistributed() {
+		build = e.buildGrid
 	}
-	if err = e.seal(start, err); err != nil {
+	if err := e.seal(start, build()); err != nil {
 		return err
 	}
 	e.stage = stageBuilt
@@ -412,8 +405,7 @@ func (e *Engine) loadInto(model nn.SeqModel) (*nn.TrainState, error) {
 
 func (e *Engine) buildSingle() error {
 	cfg := &e.cfg
-	factory := e.singleFactory()
-	model := factory(cfg.Seed)
+	model := e.fullModel()
 	if len(cfg.WarmParams) > 0 {
 		if err := nn.RestoreParams(model, cfg.WarmParams); err != nil {
 			return err
@@ -444,13 +436,10 @@ func (e *Engine) buildSingle() error {
 	return nil
 }
 
-func (e *Engine) singleFactory() ddp.ModelFactory {
+// fullModel builds a freshly-initialized model over the whole graph.
+func (e *Engine) fullModel() nn.SeqModel {
 	cfg := &e.cfg
-	meta := e.meta
-	supports := e.supports
-	return func(seed uint64) nn.SeqModel {
-		return buildModel(cfg.Model, seed, supports, e.in, cfg.Hidden, cfg.K, meta.Horizon, meta.Nodes)
-	}
+	return buildModel(cfg.Model, cfg.Seed, e.supports, e.in, cfg.Hidden, cfg.K, e.meta.Horizon, e.meta.Nodes)
 }
 
 // checkpointInit loads the configured checkpoint (or in-memory WarmParams
@@ -491,102 +480,31 @@ func (e *Engine) checkpointInit(probe nn.SeqModel) (func(nn.SeqModel, *nn.Adam) 
 	return init, startEpoch, nil
 }
 
-func (e *Engine) buildDistributed() error {
+// buildGrid prepares the Shards x Workers process grid every distributed
+// strategy trains on: the partition (one whole-graph part unless
+// Config.Spatial shards the node set), per-worker memory accounting, and the
+// trainer configuration.
+func (e *Engine) buildGrid() error {
 	cfg := &e.cfg
 	meta := e.meta
 	sys, gpu := e.sys, e.gpu
-	e.factory = e.singleFactory()
-
-	// Per-worker replica + staging accounting. In-process all workers share
-	// one address space; the tracker reflects what a real deployment holds
-	// per strategy: DistIndex replicates the dataset per worker, the
-	// partitioned strategies hold one share each.
-	model := e.factory(cfg.Seed)
-	init, startEpoch, err := e.checkpointInit(model)
-	if err != nil {
-		return err
-	}
-	e.startEpoch = startEpoch
-	paramBytes := nn.ParameterBytes(model)
-	batchBytes := 2 * int64(cfg.BatchSize) * int64(meta.Horizon) * int64(meta.Nodes) * int64(meta.Features()) * 8
-	perWorkerData := int64(0)
-	if cfg.Strategy == DistIndex {
-		perWorkerData = e.idx.RetainedBytes() // full local copy per worker
-	} else {
-		perWorkerData = e.idx.RetainedBytes() / int64(cfg.Workers)
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		if err := sys.Alloc("worker.replica", paramBytes+batchBytes); err != nil {
-			return err
-		}
-		if w > 0 { // worker 0's share is the tracked "data" allocation
-			if err := sys.Alloc("worker.data", perWorkerData); err != nil {
-				return err
-			}
-		}
-		if err := gpu.Alloc("worker.gpu", paramBytes+batchBytes); err != nil {
-			return err
-		}
-	}
-	e.report.SpatialShards = 1
-	e.report.PerWorkerBytes = paramBytes + batchBytes + perWorkerData
-	sys.Record(0.10)
-
-	e.ddpCfg = ddp.Config{
-		Workers:         cfg.Workers,
-		BatchSize:       cfg.BatchSize,
-		Epochs:          cfg.Epochs,
-		StartEpoch:      e.startEpoch,
-		LR:              cfg.LR,
-		UseLRScaling:    cfg.UseLRScaling,
-		ClipNorm:        cfg.ClipNorm,
-		Sampler:         cfg.Sampler,
-		Seed:            cfg.Seed,
-		RemoteFetch:     cfg.Strategy == BaselineDDP,
-		Sync:            cfg.GradSync,
-		BucketBytes:     cfg.GradBucketBytes,
-		Algo:            cfg.GradAlgo,
-		Topology:        cfg.Topology,
-		FP16:            cfg.GradFP16,
-		AutoTuneBuckets: cfg.GradAutoTune,
-		Prefetch:        cfg.Prefetch,
-		AssembleCost:    cfg.AssembleCost,
-		ComputeCost:     cfg.ComputeCost,
-		Init:            init,
-		Trace:           cfg.Trace,
-		Faults:          cfg.Faults,
-	}
-	if cfg.Staleness > 0 {
-		return fmt.Errorf("core: bounded staleness requires spatial sharding (Spatial.Shards >= 2), got strategy %v without shards", cfg.Strategy)
-	}
-	if cfg.Strategy == GenDistIndex && cfg.Workers > 1 {
-		// The larger-than-memory layout: rows partitioned across workers;
-		// only boundary rows travel.
-		store, err := batching.NewPartitionStore(e.idx, cfg.Workers)
-		if err != nil {
-			return err
-		}
-		e.ddpCfg.Store = store
-	}
-	return nil
-}
-
-func (e *Engine) buildHybrid() error {
-	cfg := &e.cfg
-	meta := e.meta
-	sys, gpu := e.sys, e.gpu
-	e.hybrid = true
 	supports := e.supports
 	if cfg.Model == ModelA3TGCN {
 		supports = supports[:1] // A3T-GCN diffuses over the forward support only
 	}
-	shards := cfg.Spatial.Shards
-	var plan *shard.Plan
-	var err error
+	shards := 1
+	if cfg.Spatial.Enabled() {
+		shards = cfg.Spatial.Shards
+	}
 	if len(cfg.NodeWeights) > 0 && len(cfg.NodeWeights) != e.g.N {
 		return invalidf("NodeWeights", "got %d weights for a %d-node graph", len(cfg.NodeWeights), e.g.N)
 	}
-	if len(cfg.NodeWeights) > 0 && !cfg.StaticPartition {
+	var plan *shard.Plan
+	var err error
+	switch {
+	case shards == 1:
+		plan = shard.WholeGraph(e.g.N)
+	case len(cfg.NodeWeights) > 0 && !cfg.StaticPartition:
 		// Weighted initial partition: balance modeled compute, not node
 		// count, so a degree- or cost-skewed graph starts load-balanced.
 		owner, werr := graph.PartitionWeighted(e.g, shards, cfg.NodeWeights)
@@ -594,7 +512,7 @@ func (e *Engine) buildHybrid() error {
 			return werr
 		}
 		plan, err = shard.ReplanFrom(e.g, supports, shards, owner)
-	} else {
+	default:
 		plan, err = shard.BuildPlan(e.g, supports, shards)
 	}
 	if err != nil {
@@ -603,25 +521,32 @@ func (e *Engine) buildHybrid() error {
 	e.report.SpatialShards = shards
 	e.report.EdgeCut = plan.EdgeCut
 
-	// Per-worker accounting on the 2D grid: replica parameters, the owned
-	// slice of batch staging, the ~N/P node-feature share, and the halo
-	// staging slab (kept under its own label so the overhead stays visible
-	// next to the N/P claim).
 	in := meta.Features()
-	e.shardSupports = supports
-	e.shardFactory = func(seed uint64, props []nn.Propagator) nn.SeqModel {
-		return buildModelOn(cfg.Model, seed, props, in, cfg.Hidden, cfg.K, meta.Horizon)
+	e.trainSupports = supports
+	e.factory = func(seed uint64, props []nn.Propagator) nn.SeqModel {
+		return buildModelOn(cfg.Model, seed, props, in, cfg.Hidden, cfg.K, meta.Horizon, meta.Nodes)
 	}
-	model := e.shardFactory(cfg.Seed, nn.WrapSupports(supports))
+	model := e.factory(cfg.Seed, nn.WrapSupports(supports))
 	init, startEpoch, err := e.checkpointInit(model)
 	if err != nil {
 		return err
 	}
 	e.startEpoch = startEpoch
+
+	// Per-worker accounting on the grid. In-process all workers share one
+	// address space; the tracker reflects what a real deployment holds:
+	// replica parameters, the owned slice of batch staging, the data share,
+	// and the halo staging slab (kept under its own label so the overhead
+	// stays visible next to the N/P claim). DistIndex keeps the full history
+	// of its ~N/P node share on every worker; the partitioned strategies
+	// (never sharded) hold one row share each.
 	paramBytes := nn.ParameterBytes(model)
 	maxOwn, maxHalo := plan.MaxOwn(), plan.MaxHalo()
 	batchBytes := 2 * int64(cfg.BatchSize) * int64(meta.Horizon) * int64(maxOwn) * int64(in) * 8
 	dataShare := e.idx.RetainedBytes() * int64(maxOwn) / int64(meta.Nodes)
+	if cfg.Strategy != DistIndex {
+		dataShare = e.idx.RetainedBytes() / int64(cfg.Workers)
+	}
 	haloSlab := perfmodel.HaloSlabBytes(maxHalo, cfg.BatchSize, in, cfg.Hidden)
 	// Worker 0's share is the tracked "data" allocation, but under spatial
 	// sharding no worker holds the full node axis: release the non-owned
@@ -650,7 +575,7 @@ func (e *Engine) buildHybrid() error {
 	e.report.PerWorkerBytes = paramBytes + batchBytes + dataShare + haloSlab
 	sys.Record(0.10)
 
-	e.shardCfg = shard.Config{
+	e.trainCfg = shard.Config{
 		Shards:          shards,
 		Replicas:        cfg.Workers,
 		BatchSize:       cfg.BatchSize,
@@ -662,7 +587,8 @@ func (e *Engine) buildHybrid() error {
 		Sampler:         cfg.Sampler,
 		Seed:            cfg.Seed,
 		Topology:        cfg.Topology,
-		Sync:            cfg.GradSync,
+		RemoteFetch:     cfg.Strategy == BaselineDDP,
+		Algo:            cfg.GradAlgo,
 		FP16:            cfg.GradFP16,
 		BucketBytes:     cfg.GradBucketBytes,
 		AutoTuneBuckets: cfg.GradAutoTune,
@@ -676,6 +602,16 @@ func (e *Engine) buildHybrid() error {
 		Init:            init,
 		Trace:           cfg.Trace,
 		Faults:          cfg.Faults,
+	}
+	if cfg.Staleness > 0 && shards == 1 {
+		return fmt.Errorf("core: bounded staleness requires spatial sharding (Spatial.Shards >= 2), got strategy %v without shards", cfg.Strategy)
+	}
+	if cfg.Strategy == GenDistIndex && cfg.Workers > 1 {
+		// The larger-than-memory layout: rows partitioned across workers;
+		// only boundary rows travel.
+		if e.trainCfg.Store, err = batching.NewPartitionStore(e.idx, cfg.Workers); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -702,16 +638,11 @@ func (e *Engine) Fit(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	var err error
-	switch {
-	case !e.cfg.Strategy.IsDistributed():
-		err = e.fitSingle(ctx)
-	case e.hybrid:
-		err = e.fitHybrid(ctx)
-	default:
-		err = e.fitDistributed(ctx)
+	fit := e.fitSingle
+	if e.cfg.Strategy.IsDistributed() {
+		fit = e.fitGrid
 	}
-	if err = e.seal(start, err); err != nil {
+	if err := e.seal(start, fit(ctx)); err != nil {
 		return err
 	}
 	e.stage = stageFitted
@@ -725,7 +656,11 @@ func (e *Engine) Fit(ctx context.Context) error {
 // ones. A checkpoint from a completed run resumes bitwise-equal to a
 // straight-through run; one from a cancelled run redoes the interrupted
 // epoch on state that already absorbed part of it (a warm continuation,
-// not a bitwise replay).
+// not a bitwise replay). It is also the single write-on-abnormal-exit path:
+// a Fit that ends before its epoch budget — context cancellation or an
+// unrecoverable worker loss — persists the last consistent epoch state
+// through it, so SaveCheckpoint is honored under the same contract either
+// way.
 func (e *Engine) saveState(nextEpoch int) error {
 	if e.cfg.SaveCheckpoint == "" {
 		return nil
@@ -738,23 +673,16 @@ func (e *Engine) saveState(nextEpoch int) error {
 	return nn.SaveTrainStateFile(e.cfg.SaveCheckpoint, e.model, e.opt, nextEpoch)
 }
 
-// saveInterrupted is the single write-on-abnormal-exit path: every Fit that
-// ends before its epoch budget — context cancellation or an unrecoverable
-// worker loss — persists the last consistent epoch state through it, so
-// SaveCheckpoint is honored under the same contract either way.
-func (e *Engine) saveInterrupted(nextEpoch int) error { return e.saveState(nextEpoch) }
-
 // restoreSnapshot rebuilds a full-graph model and optimizer from an
 // epoch-boundary recovery snapshot (parameters are propagator-independent,
 // so a sharded capture loads into the full-graph architecture) and installs
 // them as the engine's trained state.
 func (e *Engine) restoreSnapshot(params [][]float64, st *nn.TrainState) error {
-	cfg := &e.cfg
-	model := buildModel(cfg.Model, cfg.Seed, e.supports, e.in, cfg.Hidden, cfg.K, e.meta.Horizon, e.meta.Nodes)
+	model := e.fullModel()
 	if err := nn.RestoreParams(model, params); err != nil {
 		return err
 	}
-	opt := nn.NewAdam(model, cfg.LR)
+	opt := nn.NewAdam(model, e.cfg.LR)
 	if err := opt.RestoreMoments(st.M, st.V, st.Step); err != nil {
 		return err
 	}
@@ -848,7 +776,7 @@ func (e *Engine) fitSingle(ctx context.Context) error {
 				// Persist the interrupted run's state so the completed
 				// epochs survive Ctrl-C: the resumed run redoes the
 				// interrupted epoch (see saveState's contract).
-				if err := e.saveInterrupted(epoch); err != nil {
+				if err := e.saveState(epoch); err != nil {
 					return err
 				}
 				return fmt.Errorf("core: fit cancelled in epoch %d: %w", epoch, ctx.Err())
@@ -904,136 +832,28 @@ func (e *Engine) fitSingle(ctx context.Context) error {
 	return e.saveState(cfg.Epochs)
 }
 
-// fitDistributed drives the three DDP strategies through internal/ddp.
-// With a fault plan armed it is also the flat recovery loop: each detected
-// worker loss rolls back to the last epoch-boundary snapshot, drops the dead
-// rank from the world, charges detection + re-fill on the stitched clock,
-// and re-runs the trainer from the snapshot on the survivors — so the
-// post-recovery curve is bitwise identical to a fresh run started from that
-// snapshot on the surviving grid.
-func (e *Engine) fitDistributed(ctx context.Context) error {
-	cfg := &e.cfg
+// fitGrid drives every distributed strategy through the grid trainer:
+// Spatial.Shards node blocks (one when unsharded) times Workers data
+// replicas. Under spatial sharding each worker's tracked footprint is only
+// its ~N/P share of the node features plus a transient halo slab, the memory
+// axis sharding exists to shrink. With a fault plan armed it is also the
+// recovery loop: each detected worker loss rolls back to the last
+// epoch-boundary snapshot, rebuilds the grid from the survivors, charges
+// detection + re-fill on the stitched clock, and re-runs the trainer from the
+// snapshot — so the post-recovery curve is bitwise identical to a fresh run
+// started from that snapshot on the surviving grid.
+func (e *Engine) fitGrid(ctx context.Context) error {
 	report := e.report
-	ddpCfg := e.ddpCfg
-	ddpCfg.Ctx = ctx
+	cfg := e.trainCfg
+	cfg.Ctx = ctx
 	if e.cfg.Events != nil {
-		ddpCfg.OnEpoch = func(rec metrics.EpochRecord) {
+		cfg.OnEpoch = func(rec metrics.EpochRecord) {
 			e.emit(EpochEvent{Epoch: rec.Epoch, TrainMAE: rec.TrainMAE, ValMAE: rec.ValMAE})
 		}
-		ddpCfg.OnAutotuneLock = func(bucketBytes int64) {
+		cfg.OnAutotuneLock = func(bucketBytes int64) {
 			e.emit(AutotuneEvent{BucketBytes: bucketBytes})
 		}
-	}
-	var (
-		prefix metrics.Curve
-		offset time.Duration
-	)
-	net := resolvedNet(ddpCfg.Net)
-	for {
-		var snap *ddp.Snapshot
-		if ddpCfg.Faults != nil {
-			ddpCfg.OnSnapshot = func(s ddp.Snapshot) { snap = &s }
-		}
-		res, err := ddp.Train(e.idx, e.split, e.factory, ddpCfg)
-		if err != nil {
-			var lost *cluster.WorkerLostError
-			if !errors.As(err, &lost) || snap == nil {
-				return err
-			}
-			// Rebuild from the survivors: the dead rank drops out, ranks
-			// above it renumber down one, and the remaining fault schedule
-			// shifts onto the new attempt's clock.
-			survivors := ddpCfg.Workers - 1
-			refill := net.FetchTime(snapshotBytes(snap.Params))
-			ranks := make(map[int]int, survivors)
-			for r := 0; r < ddpCfg.Workers; r++ {
-				if r == lost.Rank {
-					continue
-				}
-				nr := r
-				if r > lost.Rank {
-					nr = r - 1
-				}
-				ranks[r] = nr
-			}
-			next := ddpCfg.Faults.Remap(ranks).Shift(lost.Detected + refill)
-			if survivors < 1 || next.Validate(survivors) != nil {
-				// Unrecoverable: the remaining schedule leaves no survivor.
-				// Honor SaveCheckpoint with the last consistent epoch state
-				// through the same abnormal-exit path cancellation uses.
-				if rerr := e.restoreSnapshot(snap.Params, snap.State); rerr != nil {
-					return rerr
-				}
-				if serr := e.saveInterrupted(snap.NextEpoch); serr != nil {
-					return serr
-				}
-				return fmt.Errorf("core: fit unrecoverable in epoch %d: %w", snap.NextEpoch, lost)
-			}
-			prefix = append(prefix, snap.Curve...)
-			offset = e.bookRecovery(offset, recovery{
-				lost: lost, refill: refill, epoch: snap.NextEpoch,
-				snapVT: snap.VirtualTime, shards: 1, replicas: survivors,
-			})
-			ddpCfg.Workers = survivors
-			ddpCfg.StartEpoch = snap.NextEpoch
-			ddpCfg.Init = snapshotInit(snap.Params, snap.State)
-			ddpCfg.Faults = next
-			if ddpCfg.Store != nil {
-				// The partitioned layout re-splits the rows over the
-				// survivors (the dead worker's partition re-fills from its
-				// peers; the clock charge is covered by refill).
-				store, serr := batching.NewPartitionStore(e.idx, survivors)
-				if serr != nil {
-					return serr
-				}
-				ddpCfg.Store = store
-			}
-			continue
-		}
-		e.sys.Record(1.0)
-		report.Workers = ddpCfg.Workers
-		report.GlobalBatch = ddpCfg.BatchSize * ddpCfg.Workers
-		report.Curve = append(prefix, res.Curve...)
-		report.VirtualTime = offset + res.VirtualTime
-		report.CommTime = res.CommTime
-		report.CommHiddenTime = res.CommHiddenTime
-		// A flat (unsharded) world has no intra-node channel: all exposed
-		// gradient traffic rides the inter fabric.
-		report.CommExposedInter = res.CommTime
-		report.GradBuckets = res.GradBuckets
-		report.GradBucketBytes = res.BucketBytes
-		report.CommBytesSaved = res.CommBytesSaved
-		report.Steps = res.Steps
-		report.GradSyncBytes = res.GradSyncBytes
-		e.model, e.opt = res.Model, res.Opt
-		if res.Cancelled {
-			if err := e.saveInterrupted(ddpCfg.StartEpoch + len(res.Curve)); err != nil {
-				return err
-			}
-			return fmt.Errorf("core: fit cancelled after %d epochs: %w", len(prefix)+len(res.Curve), ctx.Err())
-		}
-		return e.saveState(cfg.Epochs)
-	}
-}
-
-// fitHybrid drives the 2D (spatial x data) grid: cfg.Spatial.Shards node
-// blocks times cfg.Workers data replicas. Each worker's tracked footprint is
-// only its ~N/P share of the node features plus a transient halo slab, the
-// memory axis spatial sharding exists to shrink.
-func (e *Engine) fitHybrid(ctx context.Context) error {
-	cfg := &e.cfg
-	meta := e.meta
-	report := e.report
-	shardCfg := e.shardCfg
-	shardCfg.Ctx = ctx
-	if e.cfg.Events != nil {
-		shardCfg.OnEpoch = func(rec metrics.EpochRecord) {
-			e.emit(EpochEvent{Epoch: rec.Epoch, TrainMAE: rec.TrainMAE, ValMAE: rec.ValMAE})
-		}
-		shardCfg.OnAutotuneLock = func(bucketBytes int64) {
-			e.emit(AutotuneEvent{BucketBytes: bucketBytes})
-		}
-		shardCfg.OnRepartition = func(ev shard.RepartitionEvent) {
+		cfg.OnRepartition = func(ev shard.RepartitionEvent) {
 			e.emit(RepartitionEvent{
 				Epoch: ev.Epoch, From: ev.From, To: ev.To,
 				Nodes: len(ev.Nodes), EdgeCut: ev.EdgeCut,
@@ -1044,25 +864,26 @@ func (e *Engine) fitHybrid(ctx context.Context) error {
 		prefix metrics.Curve
 		offset time.Duration
 	)
-	net := resolvedNet(shardCfg.Net)
+	net := resolvedNet(cfg.Net)
 	for {
 		var snap *shard.Snapshot
-		if shardCfg.Faults != nil {
-			shardCfg.OnSnapshot = func(s shard.Snapshot) { snap = &s }
+		if cfg.Faults != nil {
+			cfg.OnSnapshot = func(s shard.Snapshot) { snap = &s }
 		}
-		res, err := shard.Train(e.idx, e.split, e.g, e.shardSupports, e.shardFactory, shardCfg)
+		res, err := shard.Train(e.idx, e.split, e.g, e.trainSupports, e.factory, cfg)
 		if err != nil {
 			var lost *cluster.WorkerLostError
 			if !errors.As(err, &lost) || snap == nil {
 				return err
 			}
-			shards, replicas := shardCfg.Shards, shardCfg.Replicas
+			shards, replicas := cfg.Shards, cfg.Replicas
 			repDead, shDead := lost.Rank/shards, lost.Rank%shards
 			refill := net.FetchTime(snapshotBytes(snap.Params))
 			newShards, newReplicas := shards, replicas
 			owner := snap.Owner
 			ranks := make(map[int]int)
-			if replicas > 1 {
+			switch {
+			case replicas > 1:
 				// Replica loss: the whole replica group containing the dead
 				// rank drops (its shards cannot finish a batch without it);
 				// the partition is untouched and the surviving replica rows
@@ -1080,7 +901,7 @@ func (e *Engine) fitHybrid(ctx context.Context) error {
 						ranks[q*shards+s] = nq*shards + s
 					}
 				}
-			} else {
+			case shards > 1:
 				// Shard loss on a single-replica grid: the dead shard's nodes
 				// re-split round-robin across the survivors (a deterministic
 				// function of the snapshot's owner vector), the row blocks
@@ -1112,9 +933,11 @@ func (e *Engine) fitHybrid(ctx context.Context) error {
 					}
 					ranks[s] = ns
 				}
+			default:
+				newReplicas = 0 // the grid's only worker died
 			}
 			world := newShards * newReplicas
-			next := shardCfg.Faults.Remap(ranks).Shift(lost.Detected + refill)
+			next := cfg.Faults.Remap(ranks).Shift(lost.Detected + refill)
 			if world < 1 || next.Validate(world) != nil {
 				// Unrecoverable: the remaining schedule leaves no survivor;
 				// persist the last consistent epoch state through the shared
@@ -1122,29 +945,37 @@ func (e *Engine) fitHybrid(ctx context.Context) error {
 				if rerr := e.restoreSnapshot(snap.Params, snap.State); rerr != nil {
 					return rerr
 				}
-				if serr := e.saveInterrupted(snap.NextEpoch); serr != nil {
+				if serr := e.saveState(snap.NextEpoch); serr != nil {
 					return serr
 				}
 				return fmt.Errorf("core: fit unrecoverable in epoch %d: %w", snap.NextEpoch, lost)
 			}
-			plan, perr := shard.ReplanFrom(e.g, e.shardSupports, newShards, owner)
+			plan, perr := shard.ReplanFrom(e.g, e.trainSupports, newShards, owner)
 			if perr != nil {
 				return perr
+			}
+			if cfg.Store != nil {
+				// The partitioned layout re-splits the rows over the
+				// survivors (the dead worker's partition re-fills from its
+				// peers; the clock charge is covered by refill).
+				if cfg.Store, err = batching.NewPartitionStore(e.idx, newReplicas); err != nil {
+					return err
+				}
 			}
 			prefix = append(prefix, snap.Curve...)
 			offset = e.bookRecovery(offset, recovery{
 				lost: lost, refill: refill, epoch: snap.NextEpoch,
 				snapVT: snap.VirtualTime, shards: newShards, replicas: newReplicas,
 			})
-			shardCfg.Shards, shardCfg.Replicas = newShards, newReplicas
-			shardCfg.Plan = plan
-			shardCfg.StartEpoch = snap.NextEpoch
-			shardCfg.Init = snapshotInit(snap.Params, snap.State)
-			shardCfg.Faults = next
+			cfg.Shards, cfg.Replicas = newShards, newReplicas
+			cfg.Plan = plan
+			cfg.StartEpoch = snap.NextEpoch
+			cfg.Init = snapshotInit(snap.Params, snap.State)
+			cfg.Faults = next
 			continue
 		}
 		e.sys.Record(1.0)
-		report.Workers = shardCfg.Shards * shardCfg.Replicas
+		report.Workers = cfg.Shards * cfg.Replicas
 		report.GlobalBatch = res.GlobalBatch
 		report.Curve = append(prefix, res.Curve...)
 		report.VirtualTime = offset + res.VirtualTime
@@ -1166,19 +997,19 @@ func (e *Engine) fitHybrid(ctx context.Context) error {
 		// The trained parameters are identical on every worker and independent
 		// of the propagators, so they load straight into a full-graph model —
 		// the servable artifact checkpoints and the Predictor hold.
-		full := buildModel(cfg.Model, cfg.Seed, e.supports, e.in, cfg.Hidden, cfg.K, meta.Horizon, meta.Nodes)
+		full := e.fullModel()
 		if err := nn.RestoreParams(full, nn.SnapshotParams(res.Model)); err != nil {
 			return err
 		}
 		e.model = full
 		e.opt = res.Opt
 		if res.Cancelled {
-			if err := e.saveInterrupted(shardCfg.StartEpoch + len(res.Curve)); err != nil {
+			if err := e.saveState(cfg.StartEpoch + len(res.Curve)); err != nil {
 				return err
 			}
 			return fmt.Errorf("core: fit cancelled after %d epochs: %w", len(prefix)+len(res.Curve), ctx.Err())
 		}
-		return e.saveState(cfg.Epochs)
+		return e.saveState(e.cfg.Epochs)
 	}
 }
 

@@ -82,8 +82,7 @@ func (t *BucketTuner) Winner() int64 {
 	return t.candidates[best]
 }
 
-// BucketSweep is the per-worker sweep driver shared by ddp.Train and
-// shard.Train: it owns the tuner, the reference compute span every candidate
+// BucketSweep is the grid trainer's per-worker sweep driver: it owns the tuner, the reference compute span every candidate
 // is scored against, and the syncer rebuilds — one candidate per optimizer
 // step, scored on the measurement-free modeled step time agreed across
 // workers (OpMax), so a noisy measured step cannot mis-rank a candidate and

@@ -1,4 +1,4 @@
-package ddp
+package ddp_test
 
 import (
 	"math"
@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"pgti/internal/cluster"
+	"pgti/internal/ddp"
 	"pgti/internal/nn"
+	"pgti/internal/shard"
 )
 
 // slowFabric is a bandwidth-constrained inter-node network that makes the
@@ -21,17 +23,17 @@ var slowFabric = cluster.NetworkModel{Bandwidth: 1e7, Latency: 2 * time.Microsec
 // order-independent — the flat, ring, and hierarchical algorithms must
 // produce bitwise-identical curves.
 func TestDeterminismAcrossAlgosAndWorkers(t *testing.T) {
-	data, split, factory := testSetup(t, 90, 6, 3)
+	fw := testSetup(t, 90, 6, 3)
 	for _, workers := range []int{2, 3, 4} {
-		cfg := Config{
-			Workers: workers, BatchSize: 3, Epochs: 2, LR: 0.01, Seed: 17,
+		cfg := shard.Config{
+			Replicas: workers, BatchSize: 3, Epochs: 2, LR: 0.01, Seed: 17,
 			BucketBytes: 512, // force several buckets
 		}
-		a, err := Train(data, split, factory, cfg)
+		a, err := fw.train(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		b, err := Train(data, split, factory, cfg)
+		b, err := fw.train(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d rerun: %v", workers, err)
 		}
@@ -45,27 +47,24 @@ func TestDeterminismAcrossAlgosAndWorkers(t *testing.T) {
 	// Two-worker cross-algorithm equivalence at fp64: averaging two replicas
 	// is the same sum in any order, so the collective algorithm must not
 	// change a single bit of the trajectory.
-	curves := map[GradAlgo][]float64{}
-	for _, algo := range []GradAlgo{GradAlgoFlat, GradAlgoRing, GradAlgoHierarchical} {
-		cfg := Config{
-			Workers: 2, BatchSize: 3, Epochs: 2, LR: 0.01, Seed: 17,
+	curves := map[ddp.GradAlgo][]float64{}
+	for _, algo := range []ddp.GradAlgo{ddp.GradAlgoFlat, ddp.GradAlgoRing, ddp.GradAlgoHierarchical} {
+		cfg := shard.Config{
+			Replicas: 2, BatchSize: 3, Epochs: 2, LR: 0.01, Seed: 17,
 			Algo: algo, Topology: cluster.Topology{GPUsPerNode: 2}, BucketBytes: 512,
 		}
-		res, err := Train(data, split, factory, cfg)
+		res, err := fw.train(cfg)
 		if err != nil {
 			t.Fatalf("algo=%v: %v", algo, err)
 		}
 		for _, rec := range res.Curve {
 			curves[algo] = append(curves[algo], rec.TrainMAE, rec.ValMAE)
 		}
-		if res.Algo != algo {
-			t.Fatalf("result reports algo %v, want %v", res.Algo, algo)
-		}
 	}
 	for algo, c := range curves {
 		for i := range c {
-			if c[i] != curves[GradAlgoFlat][i] {
-				t.Fatalf("algo %v diverges from flat at curve point %d: %v vs %v", algo, i, c[i], curves[GradAlgoFlat][i])
+			if c[i] != curves[ddp.GradAlgoFlat][i] {
+				t.Fatalf("algo %v diverges from flat at curve point %d: %v vs %v", algo, i, c[i], curves[ddp.GradAlgoFlat][i])
 			}
 		}
 	}
@@ -76,24 +75,24 @@ func TestDeterminismAcrossAlgosAndWorkers(t *testing.T) {
 // communication cost — and with it the epoch virtual time — must undercut
 // the flat ring, which pays every hop at fabric bandwidth.
 func TestHierarchicalBeatsRingDDP(t *testing.T) {
-	data, split, factory := testSetup(t, 120, 6, 3)
-	paramBytes := nn.ParameterBytes(factory(9))
-	base := Config{
-		Workers: 8, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 9, Net: slowFabric,
+	fw := testSetup(t, 120, 6, 3)
+	paramBytes := nn.ParameterBytes(fw.model(9))
+	base := shard.Config{
+		Replicas: 8, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 9, Net: slowFabric,
 		ComputeCost: func(int) time.Duration { return 2 * time.Millisecond },
 		BucketBytes: paramBytes / 4,
 	}
 
 	ringCfg := base
-	ringCfg.Algo = GradAlgoRing
-	ring, err := Train(data, split, factory, ringCfg)
+	ringCfg.Algo = ddp.GradAlgoRing
+	ring, err := fw.train(ringCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hierCfg := base
-	hierCfg.Algo = GradAlgoHierarchical
+	hierCfg.Algo = ddp.GradAlgoHierarchical
 	hierCfg.Topology = cluster.Topology{Nodes: 2, GPUsPerNode: 4}
-	hier, err := Train(data, split, factory, hierCfg)
+	hier, err := fw.train(hierCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,19 +121,19 @@ func TestHierarchicalBeatsRingDDP(t *testing.T) {
 // Train), learning within quantization noise of fp64, and bit-reproducible
 // across reruns.
 func TestFP16BucketsHalveTrafficAndStayAccurate(t *testing.T) {
-	data, split, factory := testSetup(t, 100, 6, 3)
-	base := Config{
-		Workers: 4, BatchSize: 3, Epochs: 2, LR: 0.01, Seed: 21, Net: slowFabric,
+	fw := testSetup(t, 100, 6, 3)
+	base := shard.Config{
+		Replicas: 4, BatchSize: 3, Epochs: 2, LR: 0.01, Seed: 21, Net: slowFabric,
 		ComputeCost: func(int) time.Duration { return 2 * time.Millisecond },
 		BucketBytes: 512,
 	}
-	full, err := Train(data, split, factory, base)
+	full, err := fw.train(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	halfCfg := base
 	halfCfg.FP16 = true
-	half, err := Train(data, split, factory, halfCfg)
+	half, err := fw.train(halfCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestFP16BucketsHalveTrafficAndStayAccurate(t *testing.T) {
 		}
 	}
 	// Quantization is deterministic: reruns are bit-identical.
-	again, err := Train(data, split, factory, halfCfg)
+	again, err := fw.train(halfCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +172,8 @@ func TestFP16BucketsHalveTrafficAndStayAccurate(t *testing.T) {
 	// The flat baseline ships compressed too.
 	flatCfg := base
 	flatCfg.FP16 = true
-	flatCfg.Algo = GradAlgoFlat
-	flat, err := Train(data, split, factory, flatCfg)
+	flatCfg.Algo = ddp.GradAlgoFlat
+	flat, err := fw.train(flatCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestFP16BucketsHalveTrafficAndStayAccurate(t *testing.T) {
 
 func TestAutotuneCandidatesLadder(t *testing.T) {
 	// Slingshot: 20 GB/s * 2 us = 40 KB knee, floored to 32 KiB.
-	c := AutotuneCandidates(cluster.SlingshotModel(), 100<<20)
+	c := ddp.AutotuneCandidates(cluster.SlingshotModel(), 100<<20)
 	if len(c) < 2 || c[0] != 32<<10 {
 		t.Fatalf("Slingshot ladder starts at %d with %d rungs, want 32768 start", c[0], len(c))
 	}
@@ -201,7 +200,7 @@ func TestAutotuneCandidatesLadder(t *testing.T) {
 		t.Fatalf("ladder too long: %d", len(c))
 	}
 	// A gradient smaller than the knee gets a single candidate.
-	if c := AutotuneCandidates(cluster.SlingshotModel(), 1000); len(c) != 1 || c[0] != 1000 {
+	if c := ddp.AutotuneCandidates(cluster.SlingshotModel(), 1000); len(c) != 1 || c[0] != 1000 {
 		t.Fatalf("tiny gradient ladder %v", c)
 	}
 }
@@ -211,18 +210,18 @@ func TestAutotuneCandidatesLadder(t *testing.T) {
 // (checked inside Train), and — with a modeled compute cost — makes the
 // same choice on every rerun.
 func TestAutotunerLocksACandidate(t *testing.T) {
-	data, split, factory := testSetup(t, 120, 6, 3)
-	paramBytes := nn.ParameterBytes(factory(1))
-	cfg := Config{
-		Workers: 4, BatchSize: 2, Epochs: 2, LR: 0.01, Seed: 23, Net: slowFabric,
+	fw := testSetup(t, 120, 6, 3)
+	paramBytes := nn.ParameterBytes(fw.model(1))
+	cfg := shard.Config{
+		Replicas: 4, BatchSize: 2, Epochs: 2, LR: 0.01, Seed: 23, Net: slowFabric,
 		ComputeCost:     func(int) time.Duration { return 2 * time.Millisecond },
 		AutoTuneBuckets: true,
 	}
-	res, err := Train(data, split, factory, cfg)
+	res, err := fw.train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := AutotuneCandidates(slowFabric, paramBytes)
+	candidates := ddp.AutotuneCandidates(slowFabric, paramBytes)
 	found := false
 	for _, c := range candidates {
 		if res.BucketBytes == c {
@@ -236,7 +235,7 @@ func TestAutotunerLocksACandidate(t *testing.T) {
 		t.Fatalf("bucket count %d", res.GradBuckets)
 	}
 
-	again, err := Train(data, split, factory, cfg)
+	again, err := fw.train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +252,7 @@ func TestAutotunerLocksACandidate(t *testing.T) {
 	fixed := cfg
 	fixed.AutoTuneBuckets = false
 	fixed.BucketBytes = 2048
-	fres, err := Train(data, split, factory, fixed)
+	fres, err := fw.train(fixed)
 	if err != nil {
 		t.Fatal(err)
 	}

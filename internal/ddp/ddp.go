@@ -1,24 +1,23 @@
-// Package ddp implements distributed data-parallel training over the
-// simulated cluster, mirroring the paper's Dask-DDP integration: every
-// worker holds a model replica, processes its shard of each (globally or
-// locally shuffled) epoch, and averages gradients with a ring AllReduce.
-// The gradient exchange is numerically real — replicas remain bitwise
-// identical — while virtual clocks accumulate the Polaris-scale runtime.
+// Package ddp holds the gradient-synchronization machinery of distributed
+// data-parallel training, mirroring the paper's Dask-DDP integration: the
+// epoch samplers, the flatten/unflatten wire layout, the size-capped gradient
+// buckets with their overlapped launch timeline (OverlapSyncer), the fp16
+// error-feedback codecs, and the first-epoch bucket autotuner. The step loop
+// that drives them is the grid trainer in internal/shard, where a 1 x R grid
+// is plain DDP. The gradient exchange is numerically real — replicas remain
+// bitwise identical — while virtual clocks accumulate the Polaris-scale
+// runtime.
 package ddp
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"pgti/internal/autograd"
 	"pgti/internal/batching"
 	"pgti/internal/cluster"
-	"pgti/internal/fault"
 	"pgti/internal/metrics"
 	"pgti/internal/nn"
 	"pgti/internal/tensor"
-	"pgti/internal/trace"
 )
 
 // SamplerKind selects the epoch shuffling strategy.
@@ -48,35 +47,6 @@ func (k SamplerKind) String() string {
 	}
 }
 
-// ModelFactory builds one model replica. It is called once per worker with
-// the shared seed, so replicas initialize identically.
-type ModelFactory func(seed uint64) nn.SeqModel
-
-// SyncMode selects the gradient synchronization strategy.
-type SyncMode int
-
-// The two gradient-exchange schedules.
-const (
-	// SyncBucketedOverlap (default) partitions the gradients into
-	// size-capped buckets and launches each bucket's ring AllReduce the
-	// moment its parameters' gradients are final during backward,
-	// overlapping communication with the remaining backward compute. The
-	// virtual clock charges max(compute, pipelined comm) per step.
-	SyncBucketedOverlap SyncMode = iota
-	// SyncFlatten is the pre-bucketing baseline: one monolithic flattened
-	// AllReduce after the whole backward pass, with its cost fully exposed
-	// (compute + comm). Kept for ablation benchmarks.
-	SyncFlatten
-)
-
-// String implements fmt.Stringer.
-func (m SyncMode) String() string {
-	if m == SyncFlatten {
-		return "flatten"
-	}
-	return "bucketed-overlap"
-}
-
 // GradAlgo selects the gradient AllReduce algorithm of the collective stack.
 type GradAlgo int
 
@@ -86,7 +56,7 @@ const (
 	// AllReduce: every hop crosses the fabric.
 	GradAlgoRing GradAlgo = iota
 	// GradAlgoFlat is the pre-bucketing baseline: one monolithic flattened
-	// AllReduce after backward, fully exposed. Equivalent to SyncFlatten.
+	// AllReduce after backward, fully exposed.
 	GradAlgoFlat
 	// GradAlgoHierarchical is the topology-aware bucketed overlap: buckets
 	// reduce within each node over the NVLink-class intra link, ring across
@@ -118,175 +88,6 @@ const DefaultBucketBytes int64 = 256 << 10
 // The overlap model normally uses the per-step measured forward/backward
 // timings captured via autograd's timed gradient hooks.
 const backwardShare = 2.0 / 3.0
-
-// Config parameterizes a distributed training run.
-type Config struct {
-	Workers   int
-	BatchSize int // per worker; global batch = BatchSize * Workers
-	Epochs    int
-	LR        float64
-	// UseLRScaling applies the linear scaling rule lr*Workers (§5.3.3's
-	// mitigation for large-global-batch accuracy loss).
-	UseLRScaling bool
-	// ClipNorm, when > 0, clips the gradient norm before the optimizer
-	// step. Note the clip point depends on Sync: SyncBucketedOverlap clips
-	// the globally *averaged* gradients (buckets are already exchanged when
-	// backward returns — torch-DDP semantics), while SyncFlatten preserves
-	// the legacy order of clipping local gradients before the AllReduce.
-	// With clipping enabled the two modes are therefore not bitwise
-	// ablations of each other; disable it when comparing schedules.
-	ClipNorm float64
-	Sampler  SamplerKind
-	Seed     uint64
-	Net      cluster.NetworkModel
-	// RemoteFetch models the baseline-DDP data path: every batch is fetched
-	// on demand through the data service (charged to the virtual clock).
-	// Distributed-index-batching leaves this false: data is worker-local.
-	RemoteFetch bool
-	// Store, when set, partitions the data across workers (generalized-
-	// distributed-index-batching, §5.4): batches are assembled through the
-	// store and only rows outside the worker's shard are charged as remote
-	// traffic. Mutually exclusive with RemoteFetch.
-	Store *batching.PartitionStore
-	// ComputeCost, when set, supplies the modeled per-batch compute time
-	// for the virtual clock (paper-scale runs). When nil, real elapsed time
-	// is charged.
-	ComputeCost func(batchItems int) time.Duration
-	// Prefetch pipelines batch assembly against the training step: a
-	// double-buffered background collator assembles batch T+1 while batch T
-	// runs forward/backward (exactly one batch deep). Batch contents are
-	// bitwise identical to the serial path, so training curves do not
-	// change. Ignored when Store supplies the data (its fetches are the
-	// pipeline's bottleneck, not local collation).
-	Prefetch bool
-	// AssembleCost, when set, supplies the modeled host-side collation time
-	// of one batch. Serial runs expose it ahead of every step; under
-	// Prefetch the next batch's assembly runs under the current step and
-	// only the epoch's leading assembly is exposed.
-	AssembleCost func(batchItems int) time.Duration
-	// Sync selects the gradient-exchange schedule (default bucketed
-	// overlapping AllReduce). Superseded by Algo; SyncFlatten maps to
-	// GradAlgoFlat when Algo is unset.
-	Sync SyncMode
-	// Algo selects the AllReduce algorithm of the collective stack:
-	// ring (default), flat, or hierarchical.
-	Algo GradAlgo
-	// Topology describes the simulated node layout for GradAlgoHierarchical
-	// (ignored by the other algorithms).
-	Topology cluster.Topology
-	// IntraNet overrides the intra-node interconnect model used by
-	// hierarchical collectives (default NVLink-class).
-	IntraNet cluster.NetworkModel
-	// FP16 ships gradient buckets quantized to half precision with
-	// error-feedback residual accumulation: 2 wire bytes per element
-	// instead of fp64's 8.
-	FP16 bool
-	// BucketBytes caps one gradient bucket for the bucketed algorithms
-	// (default DefaultBucketBytes).
-	BucketBytes int64
-	// AutoTuneBuckets sweeps candidate bucket sizes across the first
-	// epoch's steps and locks in the one minimizing the modeled step time
-	// (see AutotuneCandidates). Ignored by GradAlgoFlat.
-	AutoTuneBuckets bool
-
-	// Ctx, when cancellable (Ctx.Done() != nil), is polled once per step
-	// through an agreed scalar collective so every worker stops at the same
-	// step: training returns cleanly mid-epoch with Result.Cancelled set and
-	// the curve of completed epochs. A nil or non-cancellable context (e.g.
-	// context.Background) adds no per-step collective, keeping the legacy
-	// path's virtual timeline untouched.
-	Ctx context.Context
-	// StartEpoch is the absolute index of the first epoch to run (resume);
-	// the loop covers epochs [StartEpoch, Epochs). Zero for fresh runs, in
-	// which case Epochs keeps its legacy meaning as the epoch count.
-	StartEpoch int
-	// Init, when set, is invoked on every worker right after its replica and
-	// optimizer are constructed — the deterministic state-injection hook for
-	// checkpoint warm starts and resumes. It must apply the identical state
-	// on every rank (replicas must stay bitwise identical).
-	Init func(model nn.SeqModel, opt *nn.Adam) error
-	// OnEpoch streams each completed epoch's record from rank 0 (called on
-	// the training goroutine, after the epoch's metric reduction).
-	OnEpoch func(rec metrics.EpochRecord)
-	// Faults arms a deterministic fault schedule on the cluster (see
-	// internal/fault): crashes are detected at step boundaries and surface
-	// as *cluster.WorkerLostError from Train; stragglers and degraded links
-	// scale compute/transfer charges. Nil (and an armed-but-empty plan)
-	// keeps the timeline bitwise identical to today.
-	Faults *fault.Plan
-	// OnSnapshot, when set, streams rank 0's resumable state (params, Adam
-	// moments, completed curve, virtual clock) once before the first epoch
-	// and again at every epoch boundary — the in-memory recovery points an
-	// elastic caller rolls back to after a worker loss. Called on the
-	// training goroutine.
-	OnSnapshot func(snap Snapshot)
-	// OnAutotuneLock fires on rank 0 when the bucket autotuner locks in its
-	// winning bucket size.
-	OnAutotuneLock func(bucketBytes int64)
-	// Trace, when set, records every worker's spans and counters (see
-	// internal/trace). Recording never touches virtual clocks or
-	// collectives, so a traced run is bitwise identical to an untraced one.
-	Trace *trace.Recorder
-}
-
-// Snapshot is one epoch-boundary recovery point: everything a fresh Train
-// call needs (via Config.Init + Config.StartEpoch) to continue bitwise
-// identically from this boundary, plus the completed curve and the
-// synchronized virtual clock for the caller's stitching.
-type Snapshot struct {
-	// NextEpoch is the first epoch a run resumed from this snapshot executes.
-	NextEpoch int
-	// Params are deep copies of the replica parameters at the boundary.
-	Params [][]float64
-	// State carries the Adam moments and step count.
-	State *nn.TrainState
-	// Curve holds the epochs completed so far in this run.
-	Curve metrics.Curve
-	// VirtualTime is the synchronized clock at the boundary.
-	VirtualTime time.Duration
-}
-
-// Result summarizes a distributed run.
-type Result struct {
-	Curve metrics.Curve
-	// VirtualTime is the synchronized virtual clock at completion.
-	VirtualTime time.Duration
-	// CommTime is the portion of VirtualTime spent in *exposed* modeled
-	// communication (gradient AllReduce + remote fetches) from worker 0's
-	// perspective — comm hidden under backward compute by bucketed overlap
-	// does not appear here.
-	CommTime time.Duration
-	// CommHiddenTime is the modeled communication cost that bucketed
-	// overlap hid under backward compute (zero for SyncFlatten).
-	CommHiddenTime time.Duration
-	// GradSyncBytes is the total gradient wire traffic per worker (fp16
-	// buckets count at their compressed size).
-	GradSyncBytes int64
-	// CommBytesSaved is the gradient traffic avoided by fp16 compression
-	// (zero when FP16 is off).
-	CommBytesSaved int64
-	// GradBuckets is the number of gradient buckets per step (1 for
-	// GradAlgoFlat).
-	GradBuckets int
-	// Algo is the gradient AllReduce algorithm the run used.
-	Algo GradAlgo
-	// BucketBytes is the effective gradient bucket size cap: the autotuned
-	// winner when AutoTuneBuckets is set, the configured/default cap
-	// otherwise.
-	BucketBytes int64
-	// Steps is the number of optimizer steps taken.
-	Steps int
-	// GlobalBatch is BatchSize * Workers.
-	GlobalBatch int
-	// Model and Opt are rank 0's trained replica and optimizer. Replicas are
-	// bitwise identical, so this pair is the run's checkpointable state and
-	// the warm handle inference serves from.
-	Model nn.SeqModel
-	Opt   *nn.Adam
-	// Cancelled reports that Config.Ctx was cancelled and the run stopped at
-	// an agreed step; Curve holds the epochs completed before the stop.
-	Cancelled bool
-}
 
 // FlattenGrads packs every parameter gradient into one contiguous vector
 // (missing gradients contribute zeros), the unit of AllReduce traffic.
@@ -340,7 +141,7 @@ func ParameterGradBytes(params []*nn.Parameter) int64 {
 }
 
 // NewGradSync assembles one worker's bucketed-overlap gradient machinery —
-// the glue shared by ddp.Train and shard.Train: the per-parameter fp16
+// the glue the grid trainer (shard.Train) builds on: the per-parameter fp16
 // codec map (nil without compression), the initial OverlapSyncer over the
 // given collective, and, when autotune is set, the first-epoch BucketSweep.
 // bucketBytes <= 0 selects DefaultBucketBytes; the returned cap is the one
@@ -430,9 +231,9 @@ type LaunchFunc func(vec []float64, wireBytes int64) time.Duration
 // pluggable LaunchFunc, recording the measured backward offset of the
 // launch; after backward the syncer scatters the reduced buckets back and
 // converts the measured launch timeline into the overlapped virtual-time
-// charge. ddp.Train plugs in the flat-world ring/hierarchical AllReduce;
-// shard.Train plugs in the grouped two-stage (replica-sum then shard-mean)
-// collective of the hybrid grid.
+// charge. shard.Train plugs in the world ring/hierarchical AllReduce at
+// Shards == 1 and the grouped two-stage (replica-sum then shard-mean)
+// collective on a sharded grid.
 type OverlapSyncer struct {
 	launch  LaunchFunc
 	fp16    bool
@@ -665,527 +466,6 @@ func (s *OverlapSyncer) LaunchBuckets() []int { return s.order }
 // Reset.
 func (s *OverlapSyncer) LaunchWire() []int64 { return s.wire }
 
-// Train runs distributed data-parallel training of factory-built replicas
-// over the index dataset. All workers see identical initialization and the
-// deterministic sampler schedule, so the run is reproducible bit-for-bit.
-func Train(data *batching.IndexDataset, split batching.Split, factory ModelFactory, cfg Config) (*Result, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("ddp: need >= 1 worker, got %d", cfg.Workers)
-	}
-	if cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("ddp: need batch size >= 1, got %d", cfg.BatchSize)
-	}
-	if cfg.Epochs < 1 {
-		return nil, fmt.Errorf("ddp: need >= 1 epoch, got %d", cfg.Epochs)
-	}
-	if cfg.Store != nil && cfg.RemoteFetch {
-		return nil, fmt.Errorf("ddp: Store and RemoteFetch are mutually exclusive data paths")
-	}
-	if cfg.Store != nil && cfg.Store.Workers() != cfg.Workers {
-		return nil, fmt.Errorf("ddp: store partitioned for %d workers, run has %d", cfg.Store.Workers(), cfg.Workers)
-	}
-	if len(split.Train) < cfg.Workers {
-		return nil, fmt.Errorf("ddp: %d training snapshots cannot feed %d workers", len(split.Train), cfg.Workers)
-	}
-	if err := cfg.Faults.Validate(cfg.Workers); err != nil {
-		return nil, fmt.Errorf("ddp: %w", err)
-	}
-	clu, err := cluster.New(cluster.Config{Workers: cfg.Workers, Net: cfg.Net, IntraNet: cfg.IntraNet, Faults: cfg.Faults})
-	if err != nil {
-		return nil, err
-	}
-
-	// Resolve the collective algorithm: the legacy Sync knob maps onto the
-	// flat algorithm when Algo is unset.
-	algo := cfg.Algo
-	if algo == GradAlgoRing && cfg.Sync == SyncFlatten {
-		algo = GradAlgoFlat
-	}
-
-	lr := cfg.LR
-	if lr <= 0 {
-		lr = 0.01
-	}
-	if cfg.UseLRScaling {
-		lr = nn.ScaleLR(lr, cfg.Workers)
-	}
-
-	type workerOut struct {
-		curve       metrics.Curve
-		vt          time.Duration
-		comm        time.Duration
-		hidden      time.Duration
-		bytes       int64
-		saved       int64
-		steps       int
-		buckets     int
-		bucketBytes int64
-		checksum    float64
-		cancelled   bool
-		model       nn.SeqModel
-		opt         *nn.Adam
-	}
-	outs := make([]workerOut, cfg.Workers)
-	// A cancellable context is polled through an agreed per-step collective;
-	// plain contexts add nothing to the step so legacy timelines are
-	// untouched.
-	cancellable := cfg.Ctx != nil && cfg.Ctx.Done() != nil
-
-	net := clu.Net()
-	runErr := clu.Run(func(w *cluster.Worker) error {
-		rank := w.Rank()
-		tw := cfg.Trace.Worker(rank)
-		cfg.Trace.NameWorker(rank, fmt.Sprintf("ddp worker %d", rank))
-		model := factory(cfg.Seed)
-		params := model.Parameters()
-		opt := nn.NewAdam(model, lr)
-		if cfg.Init != nil {
-			if err := cfg.Init(model, opt); err != nil {
-				return fmt.Errorf("ddp: rank %d init: %w", rank, err)
-			}
-		}
-		sampler := NewSampler(cfg.Sampler, split.Train, cfg.BatchSize, cfg.Workers, rank, cfg.Seed)
-		// This worker's validation batches, fixed for the whole run.
-		evalLo, evalHi := batching.PartitionRange(len(split.Val), cfg.Workers, rank)
-		evalBatches := batching.Batches(split.Val[evalLo:evalHi], cfg.BatchSize)
-		// The train loop's batches live in the prefetcher's double buffer (or
-		// buf on the serial path); evaluation gets its own buffer so eval
-		// assembly never clobbers a slot the train pipeline still owns.
-		var buf, evalBuf batching.BatchBuffer
-		var gradBuf []float64
-
-		// One prefetcher per epoch; closed on every exit path (the deferred
-		// close covers error returns and cancellation). The eval prefetcher
-		// spins up under the epoch's last train step so the first validation
-		// batch is resident when the tail eval pass begins.
-		prefetch := cfg.Prefetch && cfg.Store == nil
-		var pf, evalPf *batching.Prefetcher
-		defer func() {
-			if pf != nil {
-				pf.Close()
-			}
-			if evalPf != nil {
-				evalPf.Close()
-			}
-		}()
-		// nextAsmOf prices what the background collator works on under step
-		// s: the next train batch, or — on the epoch's last step — the first
-		// eval batch the tail-overlap prefetcher is filling. Zero on the
-		// serial path.
-		nextAsmOf := func(s, stepsThisEpoch, items int) time.Duration {
-			if pf == nil || cfg.AssembleCost == nil || cfg.Store != nil {
-				return 0
-			}
-			if s+1 < stepsThisEpoch {
-				return cfg.AssembleCost(items)
-			}
-			if evalPf != nil {
-				return cfg.AssembleCost(len(evalBatches[0]))
-			}
-			return 0
-		}
-		// chargeAssemble folds the modeled collation cost into the step: the
-		// serial path pays it ahead of every step; the pipeline assembles the
-		// next batch (or the first eval batch) under this step
-		// (max(step, assemble)), exposing only the epoch's leading assembly
-		// (charged at s == 0 before the step).
-		chargeAssemble := func(s, stepsThisEpoch, items int, step time.Duration) time.Duration {
-			if cfg.AssembleCost == nil || cfg.Store != nil {
-				return step
-			}
-			if pf == nil {
-				return step + cfg.AssembleCost(items)
-			}
-			if s == 0 {
-				// Pipeline fill: the epoch's leading assembly has no
-				// previous step to hide under.
-				asm := cfg.AssembleCost(items)
-				tw.Span(trace.KindAssemble, "assemble.fill", trace.StreamAssembly, w.VirtualTime(), asm, 0)
-				w.AdvanceTime(asm)
-			}
-			if next := nextAsmOf(s, stepsThisEpoch, items); next > step {
-				return next
-			}
-			return step
-		}
-		// asmOf mirrors chargeAssemble's cost lookup for span rendering.
-		asmOf := func(items int) time.Duration {
-			if cfg.AssembleCost == nil || cfg.Store != nil {
-				return 0
-			}
-			return cfg.AssembleCost(items)
-		}
-		var flatCodec cluster.FP16Codec
-		var comm, hidden time.Duration
-		var curve metrics.Curve
-		var totalBytes, savedBytes int64
-		steps := 0
-
-		// Bucketed overlap only pays off with real peers; a single worker
-		// has nothing to exchange and keeps the plain path.
-		overlap := algo != GradAlgoFlat && cfg.Workers > 1
-		bucketBytes := cfg.BucketBytes
-		if bucketBytes <= 0 {
-			bucketBytes = DefaultBucketBytes
-		}
-		var syncer *OverlapSyncer
-		var sweep *BucketSweep
-		if overlap {
-			// The flat-world collective stack: ring or hierarchical.
-			launch := func(vec []float64, wireBytes int64) time.Duration {
-				if algo == GradAlgoHierarchical {
-					return w.AsyncHierarchicalAllReduceMeanSized(vec, cfg.Topology, wireBytes)
-				}
-				return w.AsyncRingAllReduceMeanSized(vec, wireBytes)
-			}
-			sweep, syncer, bucketBytes = NewGradSync(w, clu.Net(), params, launch, cfg.FP16, cfg.AutoTuneBuckets, cfg.BucketBytes, cfg.OnAutotuneLock)
-		}
-
-		// Per-batch byte volume for the baseline-DDP fetch path: x and y.
-		n, f := data.Data.Dim(1), data.Data.Dim(2)
-		batchBytes := int64(cfg.BatchSize) * int64(2*data.Horizon) * int64(n) * int64(f) * 8
-
-		// Epoch-boundary recovery points (rank 0, only when a consumer
-		// listens): the initial one covers a crash inside the first epoch.
-		capture := func(nextEpoch int, curve metrics.Curve) {
-			if rank != 0 || cfg.OnSnapshot == nil {
-				return
-			}
-			cfg.OnSnapshot(Snapshot{
-				NextEpoch:   nextEpoch,
-				Params:      nn.SnapshotParams(model),
-				State:       nn.CaptureTrainState(opt, nextEpoch),
-				Curve:       append(metrics.Curve(nil), curve...),
-				VirtualTime: w.VirtualTime(),
-			})
-		}
-		capture(cfg.StartEpoch, nil)
-
-		cancelled := false
-		for epoch := cfg.StartEpoch; epoch < cfg.Epochs; epoch++ {
-			batches := sampler.EpochBatches(epoch)
-			// Equalize step counts across workers so collectives line up.
-			stepsThisEpoch := int(w.AllReduceScalar(float64(len(batches)), cluster.OpMin))
-			if prefetch {
-				pf = batching.NewPrefetcher(data, batches[:stepsThisEpoch])
-			}
-			var trainAcc metrics.Running
-			for s := 0; s < stepsThisEpoch; s++ {
-				if cancellable {
-					// Agree on cancellation before the step starts: every
-					// worker stops at the same step, so no collective is
-					// left half-issued. The poll is clock-free, so a
-					// cancellable run keeps the exact modeled timeline of a
-					// plain one.
-					flag := 0.0
-					if cfg.Ctx.Err() != nil {
-						flag = 1
-					}
-					if w.AllReduceScalarFree(flag, cluster.OpMax) > 0 {
-						cancelled = true
-						break
-					}
-				}
-				// Crash detection rides the same agreed step boundary as the
-				// cancellation poll: every rank returns the same typed error,
-				// so no collective is left half-issued.
-				if err := w.FaultPoll(); err != nil {
-					return err
-				}
-				idx := batches[s]
-				var x, y *tensor.Tensor
-				if cfg.Store != nil {
-					var remote int64
-					x, y, _, remote = cfg.Store.FetchBatch(rank, idx, &buf)
-					if remote > 0 {
-						if tw != nil {
-							cost := net.FetchTime(remote)
-							tw.Span(trace.KindFetch, "fetch.boundary", trace.StreamCommInter, w.VirtualTime(), cost, remote)
-							tw.Span(trace.KindExposed, "fetch.boundary", trace.StreamExposed, w.VirtualTime(), cost, 0)
-						}
-						w.FetchRemote(remote)
-						comm += net.FetchTime(remote)
-					}
-				} else if cfg.RemoteFetch {
-					if tw != nil {
-						cost := net.FetchTime(batchBytes)
-						tw.Span(trace.KindFetch, "fetch.batch", trace.StreamCommInter, w.VirtualTime(), cost, batchBytes)
-						tw.Span(trace.KindExposed, "fetch.batch", trace.StreamExposed, w.VirtualTime(), cost, 0)
-					}
-					w.FetchRemote(batchBytes)
-					comm += net.FetchTime(batchBytes)
-				}
-				if pf != nil {
-					// Pipelined path: receive the pre-assembled batch before
-					// the timed span starts (waiting for the collator is
-					// assembly, not compute).
-					var ok bool
-					x, y, ok = pf.Next()
-					if !ok {
-						return fmt.Errorf("ddp: rank %d: prefetcher exhausted at step %d of %d", rank, s, stepsThisEpoch)
-					}
-					if s == stepsThisEpoch-1 && len(evalBatches) > 0 {
-						// Tail overlap: the epoch's last train step has no next
-						// train batch, so the collator assembles the first
-						// validation batch under it instead.
-						evalPf = batching.NewPrefetcher(data, evalBatches)
-					}
-				}
-				start := time.Now()
-				if cfg.Store == nil && pf == nil {
-					x, y = data.AssembleBatch(idx, &buf)
-				}
-				target := y.Slice(3, 0, 1).Contiguous()
-				pred := model.Forward(autograd.Constant(x))
-				loss := autograd.MAELoss(pred, target)
-				if overlap {
-					// Bucketed overlapping sync: bucket AllReduces launch
-					// from the timed gradient-ready hook while backward still
-					// runs; the clock charges max(compute, pipelined comm)
-					// on the measured forward/backward timeline.
-					syncer.Reset()
-					fwdWall := time.Since(start)
-					bwdWall, err := autograd.BackwardTimed(loss, syncer.OnGradReady)
-					if err != nil {
-						return fmt.Errorf("ddp: rank %d backward: %w", rank, err)
-					}
-					// Like the ReadyAt stamps, the backward span excludes
-					// time blocked inside collective launches.
-					bwdWall -= syncer.CommWall()
-					if bwdWall < 0 {
-						bwdWall = 0
-					}
-					syncer.Flush(bwdWall)
-					// Gradients are now globally averaged; clipping acts on
-					// the averaged gradients (torch-DDP semantics).
-					if cfg.ClipNorm > 0 {
-						nn.ClipGradNorm(model, cfg.ClipNorm)
-					}
-					var compute time.Duration
-					if cfg.ComputeCost != nil {
-						// Fully-modeled run (paper-scale estimates, bench
-						// regression gate): keep the timeline structural so
-						// the virtual clock is machine-independent — never
-						// mix measured wall fractions into modeled time.
-						compute = cfg.ComputeCost(len(idx))
-						fwdWall, bwdWall = 0, 0
-					} else {
-						// Real elapsed minus the wall time spent blocked in
-						// collective launches (that is comm, not compute).
-						compute = time.Since(start) - syncer.CommWall()
-						if compute < 0 {
-							compute = 0
-						}
-					}
-					compute = w.ScaleCompute(compute)
-					overlapStep, exposed := syncer.Finish(compute, fwdWall, bwdWall)
-					step := chargeAssemble(s, stepsThisEpoch, len(idx), overlapStep)
-					t0 := w.VirtualTime()
-					if tw != nil {
-						// The step body starts after the serially-exposed
-						// assembly; prefetch assembly is occupancy under it.
-						asm, base := asmOf(len(idx)), t0
-						name := "assemble"
-						if pf != nil {
-							asm = nextAsmOf(s, stepsThisEpoch, len(idx))
-							name = "assemble.next"
-							if s+1 >= stepsThisEpoch {
-								name = "assemble.eval"
-							}
-						} else {
-							base += asm
-						}
-						if asm > 0 {
-							tw.Span(trace.KindAssemble, name, trace.StreamAssembly, t0, asm, 0)
-						}
-						tw.Span(trace.KindCompute, "compute", trace.StreamCompute, base, compute, 0)
-						lb, lw := syncer.LaunchBuckets(), syncer.LaunchWire()
-						spans, _ := cluster.OverlapScheduleChannels(compute, syncer.Timeline(compute, fwdWall, bwdWall))
-						for i, sp := range spans {
-							tw.Span(trace.KindGrad, fmt.Sprintf("grad b%d", lb[i]), trace.StreamCommInter, base+sp.Start, sp.Finish-sp.Start, lw[i])
-						}
-						if exposed > 0 {
-							tw.Span(trace.KindExposed, "comm.tail", trace.StreamExposed, base+compute, exposed, 0)
-						}
-						tw.Span(trace.KindStep, fmt.Sprintf("step %d", steps), trace.StreamStep, t0, step, 0)
-					}
-					w.AdvanceTime(step)
-					w.Barrier() // straggler wait, as the synchronous step ends
-					comm += exposed
-					hidden += syncer.TotalCost() - exposed
-					totalBytes += syncer.StepBytes()
-					savedBytes += syncer.StepSaved()
-					if sweep.Active() {
-						syncer = sweep.Step(syncer, compute)
-						bucketBytes = sweep.BucketBytes()
-					}
-				} else {
-					// Flatten baseline: one monolithic AllReduce after
-					// backward, communication fully exposed.
-					if err := autograd.Backward(loss); err != nil {
-						return fmt.Errorf("ddp: rank %d backward: %w", rank, err)
-					}
-					if cfg.ClipNorm > 0 {
-						nn.ClipGradNorm(model, cfg.ClipNorm)
-					}
-					var compute, asm, step time.Duration
-					if cfg.ComputeCost != nil {
-						compute = w.ScaleCompute(cfg.ComputeCost(len(idx)))
-						asm = asmOf(len(idx))
-						step = chargeAssemble(s, stepsThisEpoch, len(idx), compute)
-					} else {
-						compute = w.ScaleCompute(time.Since(start))
-						step = compute
-					}
-					t0 := w.VirtualTime()
-					if tw != nil {
-						base := t0
-						name := "assemble"
-						if pf != nil {
-							asm = nextAsmOf(s, stepsThisEpoch, len(idx))
-							name = "assemble.next"
-							if s+1 >= stepsThisEpoch {
-								name = "assemble.eval"
-							}
-						} else {
-							base += asm
-						}
-						if asm > 0 {
-							tw.Span(trace.KindAssemble, name, trace.StreamAssembly, t0, asm, 0)
-						}
-						tw.Span(trace.KindCompute, "compute", trace.StreamCompute, base, compute, 0)
-					}
-					w.AdvanceTime(step)
-					gradBuf = FlattenGrads(params, gradBuf)
-					wire := int64(len(gradBuf)) * 8
-					// Quantize only when there are peers: a single worker
-					// ships nothing, so rounding its gradients to fp16
-					// would be pure accuracy loss for zero wire benefit.
-					if cfg.FP16 && cfg.Workers > 1 {
-						flatCodec.ApplyInPlace(gradBuf)
-						compressed := cluster.FP16WireBytes(len(gradBuf))
-						savedBytes += wire - compressed
-						wire = compressed
-					}
-					w.RingAllReduceMeanSized(gradBuf, wire)
-					// Attribute the modeled collective cost (the clock delta
-					// additionally contains straggler wait, which is compute
-					// imbalance, not communication).
-					if cfg.Workers > 1 {
-						cost := net.RingAllReduceTime(wire, cfg.Workers)
-						comm += cost
-						if tw != nil {
-							// The synchronized collective aligned the clock
-							// to the slowest worker plus the cost, so its
-							// window ends at the current virtual time.
-							at := w.VirtualTime() - cost
-							tw.Span(trace.KindGrad, "grad.flatten", trace.StreamCommInter, at, cost, wire)
-							tw.Span(trace.KindExposed, "grad.flatten", trace.StreamExposed, at, cost, 0)
-						}
-					}
-					totalBytes += wire
-					UnflattenGrads(params, gradBuf)
-					if tw != nil {
-						tw.Span(trace.KindStep, fmt.Sprintf("step %d", steps), trace.StreamStep, t0, w.VirtualTime()-t0, 0)
-					}
-				}
-				opt.Step()
-				steps++
-				// Report in the signal's original units, like validation.
-				trainAcc.Add(loss.Value.Item()*data.Std, len(idx))
-			}
-			if pf != nil {
-				// Drain the collator before eval (and before the next epoch
-				// builds a fresh one); on cancellation it may still be
-				// mid-stream, which Close handles.
-				pf.Close()
-				pf = nil
-			}
-			if cancelled {
-				// Mid-epoch stop (agreed above): drop the partial epoch's
-				// metrics — the curve holds completed epochs only.
-				break
-			}
-			// The sweep is confined to the first epoch: a short epoch locks
-			// in the best candidate tried so far.
-			if sweep.Active() {
-				syncer = sweep.EndEpoch(syncer)
-				bucketBytes = sweep.BucketBytes()
-			}
-			// Epoch metrics: weighted AllReduce of train loss and val MAE
-			// (the validation AllReduce the paper lists as DDP overhead).
-			trainMAE := ReduceWeighted(w, trainAcc)
-			valMAE := evaluateShard(w, model, data, evalBatches, evalPf, &evalBuf)
-			if evalPf != nil {
-				evalPf.Close()
-				evalPf = nil
-			}
-			rec := metrics.EpochRecord{Epoch: epoch, TrainMAE: trainMAE, ValMAE: valMAE}
-			curve = append(curve, rec)
-			if rank == 0 && cfg.OnEpoch != nil {
-				cfg.OnEpoch(rec)
-			}
-			capture(epoch+1, curve)
-		}
-		var checksum float64
-		for _, p := range params {
-			checksum += p.Tensor().SumAll()
-		}
-		w.Barrier()
-		buckets := 1
-		effectiveBucketBytes := int64(0)
-		if overlap {
-			buckets = syncer.NumBuckets()
-			effectiveBucketBytes = bucketBytes
-		}
-		if tw != nil {
-			tw.Add("grad.wire.bytes", totalBytes)
-			tw.Add("grad.wire.saved.bytes", savedBytes)
-			tw.Add("comm.exposed.ns", int64(comm))
-			tw.Add("comm.hidden.ns", int64(hidden))
-			// The flat world has no intra-node channel: every collective
-			// rides the fabric.
-			tw.Add("comm.exposed.inter.ns", int64(comm))
-		}
-		outs[rank] = workerOut{
-			curve: curve, vt: w.VirtualTime(), comm: comm, hidden: hidden,
-			bytes: totalBytes, saved: savedBytes, steps: steps,
-			buckets: buckets, bucketBytes: effectiveBucketBytes, checksum: checksum,
-			cancelled: cancelled,
-		}
-		if rank == 0 {
-			outs[rank].model, outs[rank].opt = model, opt
-		}
-		return nil
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	// Replicas must have remained identical.
-	for r := 1; r < cfg.Workers; r++ {
-		if outs[r].checksum != outs[0].checksum {
-			return nil, fmt.Errorf("ddp: replica divergence: rank %d checksum %v vs rank 0 %v", r, outs[r].checksum, outs[0].checksum)
-		}
-	}
-	return &Result{
-		Curve:          outs[0].curve,
-		VirtualTime:    outs[0].vt,
-		CommTime:       outs[0].comm,
-		CommHiddenTime: outs[0].hidden,
-		GradSyncBytes:  outs[0].bytes,
-		CommBytesSaved: outs[0].saved,
-		Steps:          outs[0].steps,
-		GradBuckets:    outs[0].buckets,
-		Algo:           algo,
-		BucketBytes:    outs[0].bucketBytes,
-		GlobalBatch:    cfg.BatchSize * cfg.Workers,
-		Model:          outs[0].model,
-		Opt:            outs[0].opt,
-		Cancelled:      outs[0].cancelled,
-	}, nil
-}
-
 // NewSampler builds one worker's deterministic batch sampler for the
 // shuffling strategy (shared with the spatial-sharding trainer, whose
 // replicas sample exactly like DDP workers).
@@ -1209,28 +489,4 @@ func ReduceWeighted(w *cluster.Worker, acc metrics.Running) float64 {
 		return 0
 	}
 	return sum / count
-}
-
-// evaluateShard computes this worker's share of the validation MAE and
-// AllReduces the weighted mean (in original units, un-z-scored). When a
-// tail-overlap prefetcher is handed in, batches stream from it (falling back
-// to serial assembly if it drains early, e.g. after a mid-run Close).
-func evaluateShard(w *cluster.Worker, model nn.SeqModel, data *batching.IndexDataset, batches [][]int, pf *batching.Prefetcher, buf *batching.BatchBuffer) float64 {
-	var acc metrics.Running
-	for _, batch := range batches {
-		var x, y *tensor.Tensor
-		if pf != nil {
-			var ok bool
-			if x, y, ok = pf.Next(); !ok {
-				x, y = data.AssembleBatch(batch, buf)
-			}
-		} else {
-			x, y = data.AssembleBatch(batch, buf)
-		}
-		target := y.Slice(3, 0, 1).Contiguous()
-		pred := model.Forward(autograd.Constant(x))
-		// Report MAE in the signal's original units.
-		acc.Add(metrics.MAE(pred.Value, target)*data.Std, len(batch))
-	}
-	return ReduceWeighted(w, acc)
 }

@@ -1,4 +1,4 @@
-package ddp
+package ddp_test
 
 import (
 	"math"
@@ -8,32 +8,60 @@ import (
 	"pgti/internal/autograd"
 	"pgti/internal/batching"
 	"pgti/internal/cluster"
+	"pgti/internal/ddp"
 	"pgti/internal/graph"
 	"pgti/internal/nn"
+	"pgti/internal/shard"
 	"pgti/internal/sparse"
 	"pgti/internal/tensor"
 )
 
-// testSetup builds a small index dataset and a model factory over a shared
-// sensor graph.
-func testSetup(t testing.TB, entries, nodes, horizon int) (*batching.IndexDataset, batching.Split, ModelFactory) {
+// flatWorld is the fixture of the trainer-behaviour tests in this package: a
+// small index dataset and a model over a shared sensor graph, trained by the
+// grid trainer on the flat 1 x Replicas world — plain DDP. The tests live
+// beside the sync machinery they exercise; shard imports ddp, so they reach
+// the trainer from the external test package.
+type flatWorld struct {
+	data     *batching.IndexDataset
+	split    batching.Split
+	g        *graph.Graph
+	supports []*sparse.CSR
+	horizon  int
+}
+
+// testSetup builds the flat-world fixture.
+func testSetup(t testing.TB, entries, nodes, horizon int) *flatWorld {
 	t.Helper()
 	g, err := graph.RoadNetwork(3, nodes, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fwd, bwd := g.TransitionMatrices()
-	supports := []*sparse.CSR{fwd, bwd}
 	raw := tensor.Randn(tensor.NewRNG(5), entries, nodes, 1)
 	data, err := batching.NewIndexDataset(raw, horizon, 0.7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	split := batching.MakeSplit(data.NumSnapshots(), 0.7, 0.1)
-	factory := func(seed uint64) nn.SeqModel {
-		return nn.NewPGTDCRNN(tensor.NewRNG(seed), supports, 1, 1, 6, horizon)
+	return &flatWorld{
+		data: data, split: batching.MakeSplit(data.NumSnapshots(), 0.7, 0.1),
+		g: g, supports: []*sparse.CSR{fwd, bwd}, horizon: horizon,
 	}
-	return data, split, factory
+}
+
+// factory builds one replica over the given propagators.
+func (fw *flatWorld) factory(seed uint64, props []nn.Propagator) nn.SeqModel {
+	return nn.NewPGTDCRNNOn(tensor.NewRNG(seed), props, 1, 1, 6, fw.horizon)
+}
+
+// model builds one full-graph replica.
+func (fw *flatWorld) model(seed uint64) nn.SeqModel {
+	return fw.factory(seed, nn.WrapSupports(fw.supports))
+}
+
+// train runs cfg on the flat world (Shards is fixed at 1).
+func (fw *flatWorld) train(cfg shard.Config) (*shard.Result, error) {
+	cfg.Shards = 1
+	return shard.Train(fw.data, fw.split, fw.g, fw.supports, fw.factory, cfg)
 }
 
 func TestFlattenUnflattenRoundTrip(t *testing.T) {
@@ -43,7 +71,7 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := l.Parameters()
-	vec := FlattenGrads(params, nil)
+	vec := ddp.FlattenGrads(params, nil)
 	if len(vec) != 8 {
 		t.Fatalf("flattened length %d want 8", len(vec))
 	}
@@ -51,13 +79,13 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	for i := range vec {
 		vec[i] = float64(i)
 	}
-	UnflattenGrads(params, vec)
+	ddp.UnflattenGrads(params, vec)
 	if params[0].V.Grad.At(1, 1) != 3 || params[1].V.Grad.At(1) != 7 {
 		t.Fatal("unflatten misplaced gradients")
 	}
 	// Missing gradients flatten to zeros.
 	nn.ZeroGrads(l)
-	vec = FlattenGrads(params, vec)
+	vec = ddp.FlattenGrads(params, vec)
 	for _, v := range vec {
 		if v != 0 {
 			t.Fatal("missing grads must flatten to zero")
@@ -66,24 +94,24 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	data, split, factory := testSetup(t, 60, 6, 3)
-	bad := []Config{
-		{Workers: 0, BatchSize: 4, Epochs: 1},
-		{Workers: 1, BatchSize: 0, Epochs: 1},
-		{Workers: 1, BatchSize: 4, Epochs: 0},
-		{Workers: 100, BatchSize: 4, Epochs: 1}, // more workers than samples
+	fw := testSetup(t, 60, 6, 3)
+	bad := []shard.Config{
+		{Replicas: 0, BatchSize: 4, Epochs: 1},
+		{Replicas: 1, BatchSize: 0, Epochs: 1},
+		{Replicas: 1, BatchSize: 4, Epochs: 0},
+		{Replicas: 100, BatchSize: 4, Epochs: 1}, // more workers than samples
 	}
 	for i, cfg := range bad {
-		if _, err := Train(data, split, factory, cfg); err == nil {
+		if _, err := fw.train(cfg); err == nil {
 			t.Fatalf("case %d: expected config error", i)
 		}
 	}
 }
 
 func TestSingleWorkerTrainingConverges(t *testing.T) {
-	data, split, factory := testSetup(t, 80, 6, 3)
-	res, err := Train(data, split, factory, Config{
-		Workers: 1, BatchSize: 4, Epochs: 4, LR: 0.01, ClipNorm: 5, Seed: 1,
+	fw := testSetup(t, 80, 6, 3)
+	res, err := fw.train(shard.Config{
+		Replicas: 1, BatchSize: 4, Epochs: 4, LR: 0.01, ClipNorm: 5, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,10 +131,10 @@ func TestSingleWorkerTrainingConverges(t *testing.T) {
 }
 
 func TestMultiWorkerReplicasStayIdentical(t *testing.T) {
-	data, split, factory := testSetup(t, 80, 6, 3)
+	fw := testSetup(t, 80, 6, 3)
 	// Train verifies replica checksums internally and errors on divergence.
-	res, err := Train(data, split, factory, Config{
-		Workers: 3, BatchSize: 3, Epochs: 2, LR: 0.01, ClipNorm: 5, Seed: 2,
+	res, err := fw.train(shard.Config{
+		Replicas: 3, BatchSize: 3, Epochs: 2, LR: 0.01, ClipNorm: 5, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,17 +164,18 @@ func TestDDPMatchesSequentialReference(t *testing.T) {
 	nodes := 6
 	// Train split sized to exactly 2 batches of 4.
 	entries := 2*horizon + 11 // 12 snapshots -> train split 8 = 2 batches of 4 (70% of 12 = 8)
-	data, split, factory := testSetup(t, entries, nodes, horizon)
+	fw := testSetup(t, entries, nodes, horizon)
+	data, split := fw.data, fw.split
 	if len(split.Train) != 8 {
 		t.Fatalf("train split %d, test assumes 8", len(split.Train))
 	}
 	batchSize := 4
 	const seed = 7
 
-	// Distributed run: 2 workers, BatchShuffle (fixed contiguous batches),
+	// Distributed run: 2 workers, ddp.BatchShuffle (fixed contiguous batches),
 	// 1 epoch = 1 step each.
-	res, err := Train(data, split, factory, Config{
-		Workers: 2, BatchSize: batchSize, Epochs: 1, LR: 0.01, Sampler: BatchShuffle, Seed: seed,
+	res, err := fw.train(shard.Config{
+		Replicas: 2, BatchSize: batchSize, Epochs: 1, LR: 0.01, Sampler: ddp.BatchShuffle, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +185,7 @@ func TestDDPMatchesSequentialReference(t *testing.T) {
 	}
 
 	// Sequential reference: same replicas, same two batches, averaged grads.
-	model := factory(seed)
+	model := fw.model(seed)
 	params := model.Parameters()
 	opt := nn.NewAdam(model, 0.01)
 	var gradSum []float64
@@ -170,7 +199,7 @@ func TestDDPMatchesSequentialReference(t *testing.T) {
 		if err := autograd.Backward(loss); err != nil {
 			t.Fatal(err)
 		}
-		g := FlattenGrads(params, nil)
+		g := ddp.FlattenGrads(params, nil)
 		if gradSum == nil {
 			gradSum = g
 		} else {
@@ -183,34 +212,21 @@ func TestDDPMatchesSequentialReference(t *testing.T) {
 	for i := range gradSum {
 		gradSum[i] /= 2
 	}
-	UnflattenGrads(params, gradSum)
+	ddp.UnflattenGrads(params, gradSum)
 	opt.Step()
 
-	// Compare against a fresh distributed replica's parameters by rerunning
-	// and checksumming: train a 1-worker run is not equivalent, so instead
-	// verify via the distributed model's training loss on the next forward.
-	distModel := factory(seed)
-	distParams := distModel.Parameters()
 	// Replay the distributed update deterministically.
-	res2, err := Train(data, split, func(s uint64) nn.SeqModel {
-		m := factory(s)
-		return m
-	}, Config{Workers: 2, BatchSize: batchSize, Epochs: 1, LR: 0.01, Sampler: BatchShuffle, Seed: seed})
+	res2, err := fw.train(shard.Config{Replicas: 2, BatchSize: batchSize, Epochs: 1, LR: 0.01, Sampler: ddp.BatchShuffle, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Curve[0].TrainMAE != res.Curve[0].TrainMAE {
 		t.Fatal("distributed run must be deterministic")
 	}
-	_ = distParams
 
-	// The reference model's parameters after the averaged step must produce
-	// the same training loss as the distributed run reported for epoch 0
-	// when re-evaluated on the same two batches pre-update. Instead of
-	// indirect loss comparison, check the parameter update directly by
-	// re-deriving the distributed step below.
+	// Check the parameter update directly against the trainer's own replica.
 	ref := FlattenParams(params)
-	distAfter := trainOneStepDistributed(t, data, split, factory, batchSize, seed)
+	distAfter := FlattenParams(res.Model.Parameters())
 	if len(ref) != len(distAfter) {
 		t.Fatal("parameter vector lengths differ")
 	}
@@ -230,49 +246,14 @@ func FlattenParams(params []*nn.Parameter) []float64 {
 	return out
 }
 
-// trainOneStepDistributed runs the 2-worker 1-epoch schedule and returns
-// worker 0's post-step parameter vector.
-func trainOneStepDistributed(t *testing.T, data *batching.IndexDataset, split batching.Split, factory ModelFactory, batchSize int, seed uint64) []float64 {
-	t.Helper()
-	clu, err := cluster.New(cluster.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([][]float64, 2)
-	err = clu.Run(func(w *cluster.Worker) error {
-		model := factory(seed)
-		params := model.Parameters()
-		opt := nn.NewAdam(model, 0.01)
-		sampler := batching.NewBatchShuffler(split.Train, batchSize, 2, w.Rank(), seed)
-		batch := sampler.EpochBatches(0)[0]
-		var buf batching.BatchBuffer
-		x, y := data.AssembleBatch(batch, &buf)
-		target := y.Slice(3, 0, 1).Contiguous()
-		loss := autograd.MAELoss(model.Forward(autograd.Constant(x)), target)
-		if err := autograd.Backward(loss); err != nil {
-			return err
-		}
-		g := FlattenGrads(params, nil)
-		w.RingAllReduceMean(g)
-		UnflattenGrads(params, g)
-		opt.Step()
-		out[w.Rank()] = FlattenParams(params)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out[0]
-}
-
 func TestDeterministicRuns(t *testing.T) {
-	data, split, factory := testSetup(t, 70, 6, 3)
-	cfg := Config{Workers: 2, BatchSize: 4, Epochs: 2, LR: 0.01, Seed: 11}
-	a, err := Train(data, split, factory, cfg)
+	fw := testSetup(t, 70, 6, 3)
+	cfg := shard.Config{Replicas: 2, BatchSize: 4, Epochs: 2, LR: 0.01, Seed: 11}
+	a, err := fw.train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(data, split, factory, cfg)
+	b, err := fw.train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,16 +265,16 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestRemoteFetchChargesCommTime(t *testing.T) {
-	data, split, factory := testSetup(t, 70, 6, 3)
-	base, err := Train(data, split, factory, Config{
-		Workers: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 3,
+	fw := testSetup(t, 70, 6, 3)
+	base, err := fw.train(shard.Config{
+		Replicas: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 3,
 		ComputeCost: func(int) time.Duration { return time.Millisecond },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetch, err := Train(data, split, factory, Config{
-		Workers: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 3, RemoteFetch: true,
+	fetch, err := fw.train(shard.Config{
+		Replicas: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 3, RemoteFetch: true,
 		ComputeCost: func(int) time.Duration { return time.Millisecond },
 	})
 	if err != nil {
@@ -312,16 +293,16 @@ func TestRemoteFetchChargesCommTime(t *testing.T) {
 }
 
 func TestModeledComputeCostDrivesClock(t *testing.T) {
-	data, split, factory := testSetup(t, 70, 6, 3)
-	slow, err := Train(data, split, factory, Config{
-		Workers: 1, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 4,
+	fw := testSetup(t, 70, 6, 3)
+	slow, err := fw.train(shard.Config{
+		Replicas: 1, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 4,
 		ComputeCost: func(int) time.Duration { return 100 * time.Millisecond },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Train(data, split, factory, Config{
-		Workers: 1, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 4,
+	fast, err := fw.train(shard.Config{
+		Replicas: 1, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 4,
 		ComputeCost: func(int) time.Duration { return time.Millisecond },
 	})
 	if err != nil {
@@ -333,10 +314,10 @@ func TestModeledComputeCostDrivesClock(t *testing.T) {
 }
 
 func TestSamplerKindsTrain(t *testing.T) {
-	data, split, factory := testSetup(t, 80, 6, 3)
-	for _, kind := range []SamplerKind{GlobalShuffle, LocalShuffle, BatchShuffle} {
-		res, err := Train(data, split, factory, Config{
-			Workers: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Sampler: kind, Seed: 5,
+	fw := testSetup(t, 80, 6, 3)
+	for _, kind := range []ddp.SamplerKind{ddp.GlobalShuffle, ddp.LocalShuffle, ddp.BatchShuffle} {
+		res, err := fw.train(shard.Config{
+			Replicas: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Sampler: kind, Seed: 5,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -345,18 +326,18 @@ func TestSamplerKindsTrain(t *testing.T) {
 			t.Fatalf("%v: curve length %d", kind, len(res.Curve))
 		}
 	}
-	if GlobalShuffle.String() != "global" || LocalShuffle.String() != "local" || BatchShuffle.String() != "batch" {
-		t.Fatal("SamplerKind strings wrong")
+	if ddp.GlobalShuffle.String() != "global" || ddp.LocalShuffle.String() != "local" || ddp.BatchShuffle.String() != "batch" {
+		t.Fatal("ddp.SamplerKind strings wrong")
 	}
 }
 
 func TestLRScalingChangesTrajectory(t *testing.T) {
-	data, split, factory := testSetup(t, 70, 6, 3)
-	plain, err := Train(data, split, factory, Config{Workers: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 6})
+	fw := testSetup(t, 70, 6, 3)
+	plain, err := fw.train(shard.Config{Replicas: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := Train(data, split, factory, Config{Workers: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 6, UseLRScaling: true})
+	scaled, err := fw.train(shard.Config{Replicas: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 6, UseLRScaling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +355,7 @@ func TestBucketGrads(t *testing.T) {
 	}
 
 	// A huge cap yields one bucket holding everything.
-	one := BucketGrads(params, 1<<30)
+	one := ddp.BucketGrads(params, 1<<30)
 	if len(one) != 1 || one[0].Elems != total {
 		t.Fatalf("huge cap: %d buckets, %d elems (want 1 bucket, %d elems)", len(one), one[0].Elems, total)
 	}
@@ -383,7 +364,7 @@ func TestBucketGrads(t *testing.T) {
 	// parameter alone exceeds it, and together covering every parameter in
 	// reverse order.
 	const capBytes = 256
-	buckets := BucketGrads(params, capBytes)
+	buckets := ddp.BucketGrads(params, capBytes)
 	if len(buckets) < 2 {
 		t.Fatalf("small cap produced %d buckets", len(buckets))
 	}
@@ -409,8 +390,8 @@ func TestBucketGrads(t *testing.T) {
 	}
 
 	// Zero/negative caps fall back to the default.
-	if got := BucketGrads(params, 0); len(got) != len(BucketGrads(params, DefaultBucketBytes)) {
-		t.Fatal("zero cap must use DefaultBucketBytes")
+	if got := ddp.BucketGrads(params, 0); len(got) != len(ddp.BucketGrads(params, ddp.DefaultBucketBytes)) {
+		t.Fatal("zero cap must use ddp.DefaultBucketBytes")
 	}
 }
 
@@ -431,24 +412,24 @@ func testSupports(t testing.TB, nodes int) []*sparse.CSR {
 // virtual time than the flatten-then-AllReduce baseline, with identical
 // learning dynamics.
 func TestBucketedOverlapBeatsFlatten(t *testing.T) {
-	data, split, factory := testSetup(t, 120, 6, 3)
-	paramBytes := nn.ParameterBytes(factory(9))
+	fw := testSetup(t, 120, 6, 3)
+	paramBytes := nn.ParameterBytes(fw.model(9))
 	slowNet := cluster.NetworkModel{Bandwidth: 1e8, Latency: 2 * time.Microsecond, DispatchOverhead: time.Millisecond}
-	base := Config{
-		Workers: 8, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 9, Net: slowNet,
+	base := shard.Config{
+		Replicas: 8, BatchSize: 2, Epochs: 1, LR: 0.01, Seed: 9, Net: slowNet,
 		ComputeCost: func(int) time.Duration { return 5 * time.Millisecond },
 		BucketBytes: paramBytes / 4,
 	}
 
 	overlapCfg := base
-	overlapCfg.Sync = SyncBucketedOverlap
-	overlap, err := Train(data, split, factory, overlapCfg)
+	overlapCfg.Algo = ddp.GradAlgoRing
+	overlap, err := fw.train(overlapCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flatCfg := base
-	flatCfg.Sync = SyncFlatten
-	flat, err := Train(data, split, factory, flatCfg)
+	flatCfg.Algo = ddp.GradAlgoFlat
+	flat, err := fw.train(flatCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,17 +463,17 @@ func TestBucketedOverlapBeatsFlatten(t *testing.T) {
 // identical (Train checks checksums internally) and repeated bucketed runs
 // are bit-reproducible across several worker counts.
 func TestBucketedOverlapDeterministicAndConsistent(t *testing.T) {
-	data, split, factory := testSetup(t, 90, 6, 3)
+	fw := testSetup(t, 90, 6, 3)
 	for _, workers := range []int{2, 4} {
-		cfg := Config{
-			Workers: workers, BatchSize: 3, Epochs: 2, LR: 0.01, ClipNorm: 5, Seed: 13,
+		cfg := shard.Config{
+			Replicas: workers, BatchSize: 3, Epochs: 2, LR: 0.01, ClipNorm: 5, Seed: 13,
 			BucketBytes: 512, // force several buckets
 		}
-		a, err := Train(data, split, factory, cfg)
+		a, err := fw.train(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		b, err := Train(data, split, factory, cfg)
+		b, err := fw.train(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d rerun: %v", workers, err)
 		}

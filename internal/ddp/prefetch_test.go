@@ -1,4 +1,4 @@
-package ddp
+package ddp_test
 
 import (
 	"context"
@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"pgti/internal/ddp"
 	"pgti/internal/metrics"
+	"pgti/internal/shard"
 	"pgti/internal/trace"
 )
 
@@ -14,10 +16,10 @@ import (
 // DDP curves bitwise identical to the serial assembly path at every worker
 // count, with and without a modeled collation cost.
 func TestPrefetchMatchesSerialBitwise(t *testing.T) {
-	data, split, factory := testSetup(t, 90, 12, 3)
+	fw := testSetup(t, 90, 12, 3)
 	run := func(workers int, prefetch bool, asm func(int) time.Duration) metrics.Curve {
-		res, err := Train(data, split, factory, Config{
-			Workers: workers, BatchSize: 4, Epochs: 2, LR: 0.02, Seed: 7,
+		res, err := fw.train(shard.Config{
+			Replicas: workers, BatchSize: 4, Epochs: 2, LR: 0.02, Seed: 7,
 			Prefetch: prefetch, AssembleCost: asm,
 		})
 		if err != nil {
@@ -47,11 +49,11 @@ func TestPrefetchMatchesSerialBitwise(t *testing.T) {
 // only each epoch's leading assembly while the serial path pays one per
 // step.
 func TestPrefetchHidesAssemblyDDP(t *testing.T) {
-	data, split, factory := testSetup(t, 90, 12, 3)
+	fw := testSetup(t, 90, 12, 3)
 	asm := func(int) time.Duration { return time.Millisecond }
-	run := func(prefetch bool) *Result {
-		res, err := Train(data, split, factory, Config{
-			Workers: 2, BatchSize: 4, Epochs: 1, LR: 0.02, Seed: 7,
+	run := func(prefetch bool) *shard.Result {
+		res, err := fw.train(shard.Config{
+			Replicas: 2, BatchSize: 4, Epochs: 1, LR: 0.02, Seed: 7,
 			ComputeCost:  func(int) time.Duration { return 2 * time.Millisecond },
 			AssembleCost: asm, Prefetch: prefetch,
 		})
@@ -69,6 +71,31 @@ func TestPrefetchHidesAssemblyDDP(t *testing.T) {
 	stepsPerEpoch := serial.Steps
 	if hidden, want := serial.VirtualTime-pipelined.VirtualTime, time.Duration(stepsPerEpoch-1)*asm(4); hidden != want {
 		t.Fatalf("pipeline hid %v of assembly, want %v (%d steps)", hidden, want, stepsPerEpoch)
+	}
+}
+
+// TestAssembleCostChargedOnMeasuredClock: the modeled collation cost is
+// charged whether or not compute is modeled too. The retired flat-world loop
+// dropped it on its flatten path (every single-worker run, every
+// GradAlgoFlat run) whenever ComputeCost was nil; the serial path must pay
+// one assembly ahead of every step on either sync schedule.
+func TestAssembleCostChargedOnMeasuredClock(t *testing.T) {
+	fw := testSetup(t, 60, 6, 3)
+	const asm = 20 * time.Millisecond
+	for _, cfg := range []shard.Config{
+		{Replicas: 1},
+		{Replicas: 2, Algo: ddp.GradAlgoFlat},
+		{Replicas: 2},
+	} {
+		cfg.BatchSize, cfg.Epochs, cfg.LR, cfg.Seed = 4, 1, 0.02, 7
+		cfg.AssembleCost = func(int) time.Duration { return asm }
+		res, err := fw.train(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if min := time.Duration(res.Steps) * asm; res.VirtualTime < min {
+			t.Fatalf("W=%d algo=%v: virtual time %v below %d steps x %v of assembly", cfg.Replicas, cfg.Algo, res.VirtualTime, res.Steps, asm)
+		}
 	}
 }
 
@@ -95,13 +122,13 @@ func TestPrefetchHidesAssemblyDDP(t *testing.T) {
 // 60ms. The serial path pays 14*(C+asm(4)) = 70ms. Also asserts the
 // "assemble.eval" span renders once per epoch at the eval batch's cost.
 func TestEvalAssemblyOverlapsLastStep(t *testing.T) {
-	data, split, factory := testSetup(t, 90, 12, 3)
-	split.Train = split.Train[:56]
-	split.Val = split.Val[:3]
+	fw := testSetup(t, 90, 12, 3)
+	fw.split.Train = fw.split.Train[:56]
+	fw.split.Val = fw.split.Val[:3]
 	asm := func(items int) time.Duration { return time.Duration(items) * time.Millisecond }
-	run := func(prefetch bool, rec *trace.Recorder) *Result {
-		res, err := Train(data, split, factory, Config{
-			Workers: 1, BatchSize: 4, Epochs: 2, LR: 0.02, Seed: 7,
+	run := func(prefetch bool, rec *trace.Recorder) *shard.Result {
+		res, err := fw.train(shard.Config{
+			Replicas: 1, BatchSize: 4, Epochs: 2, LR: 0.02, Seed: 7,
 			ComputeCost:  func(int) time.Duration { return time.Millisecond },
 			AssembleCost: asm, Prefetch: prefetch, Trace: rec,
 		})
@@ -137,12 +164,12 @@ func TestEvalAssemblyOverlapsLastStep(t *testing.T) {
 // TestPrefetchCancellationDrainsDDP: a cancelled pipelined run returns the
 // partial curve and reaps every collator goroutine.
 func TestPrefetchCancellationDrainsDDP(t *testing.T) {
-	data, split, factory := testSetup(t, 90, 12, 3)
+	fw := testSetup(t, 90, 12, 3)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := Train(data, split, factory, Config{
-		Workers: 2, BatchSize: 4, Epochs: 6, LR: 0.02, Seed: 7,
+	res, err := fw.train(shard.Config{
+		Replicas: 2, BatchSize: 4, Epochs: 6, LR: 0.02, Seed: 7,
 		Prefetch: true, Ctx: ctx,
 		OnEpoch: func(rec metrics.EpochRecord) {
 			if rec.Epoch == 0 {

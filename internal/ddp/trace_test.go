@@ -1,10 +1,12 @@
-package ddp
+package ddp_test
 
 import (
 	"bytes"
 	"testing"
 	"time"
 
+	"pgti/internal/ddp"
+	"pgti/internal/shard"
 	"pgti/internal/trace"
 )
 
@@ -16,22 +18,22 @@ import (
 // byte-identical JSON. Modeled compute pins the clock so the assertions are
 // exact, across world sizes and both sync modes.
 func TestTraceObserverInvisible(t *testing.T) {
-	data, split, factory := testSetup(t, 40, 12, 3)
+	fw := testSetup(t, 40, 12, 3)
 	for _, workers := range []int{1, 2, 4} {
-		for _, sync := range []SyncMode{SyncBucketedOverlap, SyncFlatten} {
-			cfg := Config{
-				Workers: workers, BatchSize: 4, Epochs: 2, LR: 0.02, Seed: 7,
-				Sync:        sync,
+		for _, sync := range []ddp.GradAlgo{ddp.GradAlgoRing, ddp.GradAlgoFlat} {
+			cfg := shard.Config{
+				Replicas: workers, BatchSize: 4, Epochs: 2, LR: 0.02, Seed: 7,
+				Algo:        sync,
 				ComputeCost: func(int) time.Duration { return 2 * time.Millisecond },
 			}
-			plain, err := Train(data, split, factory, cfg)
+			plain, err := fw.train(cfg)
 			if err != nil {
 				t.Fatalf("W=%d sync=%d untraced: %v", workers, sync, err)
 			}
 
 			rec := trace.New()
 			cfg.Trace = rec
-			traced, err := Train(data, split, factory, cfg)
+			traced, err := fw.train(cfg)
 			if err != nil {
 				t.Fatalf("W=%d sync=%d traced: %v", workers, sync, err)
 			}
@@ -71,7 +73,7 @@ func TestTraceObserverInvisible(t *testing.T) {
 			// Byte-identical export run-to-run under the modeled clock.
 			rec2 := trace.New()
 			cfg.Trace = rec2
-			if _, err := Train(data, split, factory, cfg); err != nil {
+			if _, err := fw.train(cfg); err != nil {
 				t.Fatalf("W=%d sync=%d rerun: %v", workers, sync, err)
 			}
 			var a, b bytes.Buffer
@@ -96,11 +98,11 @@ func TestTraceObserverInvisible(t *testing.T) {
 // counter is exactly workers x GradSyncBytes. The summed exposed-comm
 // counter must likewise equal the all-worker exposed span total.
 func TestTraceCountersMatchResult(t *testing.T) {
-	data, split, factory := testSetup(t, 40, 12, 3)
+	fw := testSetup(t, 40, 12, 3)
 	const workers = 2
 	rec := trace.New()
-	res, err := Train(data, split, factory, Config{
-		Workers: workers, BatchSize: 4, Epochs: 1, LR: 0.02, Seed: 7,
+	res, err := fw.train(shard.Config{
+		Replicas: workers, BatchSize: 4, Epochs: 1, LR: 0.02, Seed: 7,
 		ComputeCost: func(int) time.Duration { return time.Millisecond },
 		Trace:       rec,
 	})

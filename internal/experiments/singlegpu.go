@@ -56,7 +56,7 @@ func Table2(opt Options) error {
 	}
 	ratio := float64(repD.WallTime) / float64(repP.WallTime)
 	fmt.Fprintf(w, "measured (%s): DCRNN %.2fs vs PGT-DCRNN %.2fs -> %.1fx slower (paper 15.3x at full scale)\n",
-		repP.DatasetName, repD.WallTime.Seconds(), repP.WallTime.Seconds(), ratio)
+		repP.Dataset, repD.WallTime.Seconds(), repP.WallTime.Seconds(), ratio)
 	if ratio <= 1.5 {
 		return fmt.Errorf("table2: DCRNN must be substantially slower than PGT-DCRNN (got %.2fx)", ratio)
 	}
@@ -118,10 +118,10 @@ func Table3(opt Options) error {
 			return err
 		}
 		row(w, fmt.Sprintf("%-28s %12.2f %12.4f %14s %g / %g / %g",
-			"Base-"+repB.DatasetName, repB.WallTime.Seconds(), repB.Curve.BestVal(),
+			"Base-"+repB.Dataset, repB.WallTime.Seconds(), repB.Curve.BestVal(),
 			memsim.FormatBytes(repB.PeakSystemBytes), c.paperBase[0], c.paperBase[1], c.paperBase[2]))
 		row(w, fmt.Sprintf("%-28s %12.2f %12.4f %14s %g / %g / %g",
-			"Index-"+repI.DatasetName, repI.WallTime.Seconds(), repI.Curve.BestVal(),
+			"Index-"+repI.Dataset, repI.WallTime.Seconds(), repI.Curve.BestVal(),
 			memsim.FormatBytes(repI.PeakSystemBytes), c.paperIndex[0], c.paperIndex[1], c.paperIndex[2]))
 		// The paper's claims: identical accuracy, comparable runtime, lower
 		// memory for index-batching.
@@ -206,7 +206,7 @@ func Table4(opt Options) error {
 		return err
 	}
 	fmt.Fprintf(w, "measured (%s): GPU peak %s -> %s, steady CPU %s -> %s\n",
-		repI.DatasetName,
+		repI.Dataset,
 		memsim.FormatBytes(repI.PeakGPUBytes), memsim.FormatBytes(repG.PeakGPUBytes),
 		memsim.FormatBytes(lastBytes(repI)), memsim.FormatBytes(lastBytes(repG)))
 	if repG.PeakGPUBytes <= repI.PeakGPUBytes || lastBytes(repG) >= lastBytes(repI) {
@@ -216,10 +216,10 @@ func Table4(opt Options) error {
 }
 
 func lastBytes(r *core.Report) int64 {
-	if len(r.SystemSeries) == 0 {
+	if len(r.MemorySeries) == 0 {
 		return 0
 	}
-	return r.SystemSeries[len(r.SystemSeries)-1].Bytes
+	return r.MemorySeries[len(r.MemorySeries)-1].Bytes
 }
 
 // Table6 regenerates the A3T-GCN broader-applicability study on METR-LA:

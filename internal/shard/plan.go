@@ -1,11 +1,15 @@
-// Package shard implements spatial graph parallelism: the sensor graph is
-// partitioned into node blocks, every worker holds only its block's rows of
-// the support matrices and its block's slice of the node features, and each
-// diffusion hop gathers just the boundary ("halo") rows from peer shards.
-// Spatial shards compose with DDP replicas into a 2D (spatial x data)
-// process grid — gradient AllReduce runs within a shard group, halo exchange
-// within a replica group — so the node dimension N scales beyond one
-// worker's memory, the axis index-batching alone cannot shrink.
+// Package shard is the distributed trainer: one step loop (Train) over a
+// Shards x Replicas process grid whose axes degenerate at 1. The shard axis
+// is spatial graph parallelism: the sensor graph is partitioned into node
+// blocks, every worker holds only its block's rows of the support matrices
+// and its block's slice of the node features, and each diffusion hop gathers
+// just the boundary ("halo") rows from peer shards — so the node dimension N
+// scales beyond one worker's memory, the axis index-batching alone cannot
+// shrink. The replica axis is data parallelism over internal/ddp's sync
+// machinery. On the full grid gradient AllReduce runs within a shard group
+// and halo exchange within a replica group; a 1 x R grid is plain DDP over
+// the world ring, an S x 1 grid pure spatial sharding, 1 x 1 a single
+// worker.
 package shard
 
 import (
@@ -183,4 +187,15 @@ func localRowOf(own []int, node int) int {
 		panic(fmt.Sprintf("shard: node %d not owned by its assigned shard", node))
 	}
 	return i
+}
+
+// WholeGraph is the one-part plan of an unsharded grid (Shards == 1): the
+// part owns every node and routes no halo, so it carries no support blocks —
+// the trainer propagates over the full CSR supports directly.
+func WholeGraph(n int) *Plan {
+	own := make([]int, n)
+	for i := range own {
+		own[i] = i
+	}
+	return &Plan{Shards: 1, GlobalN: n, Owner: make([]int, n), Parts: []*ShardPlan{{Own: own}}}
 }

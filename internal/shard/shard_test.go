@@ -158,12 +158,11 @@ func gatherRows(x *tensor.Tensor, rows []int) *tensor.Tensor {
 	return out
 }
 
-// referenceRun trains the unsharded single-worker baseline via ddp.Train.
-func referenceRun(t *testing.T, data *batching.IndexDataset, split batching.Split, supports []*sparse.CSR, model func(seed uint64, props []nn.Propagator) nn.SeqModel, epochs int) *ddp.Result {
+// referenceRun trains the unsharded single-worker baseline: the same loop
+// on the 1x1 grid.
+func referenceRun(t *testing.T, data *batching.IndexDataset, split batching.Split, g *graph.Graph, supports []*sparse.CSR, model ModelFactory, epochs int) *Result {
 	t.Helper()
-	res, err := ddp.Train(data, split, func(seed uint64) nn.SeqModel {
-		return model(seed, nn.WrapSupports(supports))
-	}, ddp.Config{Workers: 1, BatchSize: 4, Epochs: epochs, LR: 0.02, Seed: 5})
+	res, err := Train(data, split, g, supports, model, Config{Shards: 1, Replicas: 1, BatchSize: 4, Epochs: epochs, LR: 0.02, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,7 @@ func TestHybridEquivalence(t *testing.T) {
 		{2, 1}, {3, 1}, {4, 1}, {2, 2}, {4, 2},
 	}
 	for name, model := range models {
-		ref := referenceRun(t, data, split, supports, model, 2)
+		ref := referenceRun(t, data, split, g, supports, model, 2)
 		for _, grid := range grids {
 			if grid.replicas > 1 && name == "dcrnn" {
 				continue // one hybrid model family suffices for the grid sweep
@@ -218,9 +217,9 @@ func TestHybridEquivalence(t *testing.T) {
 			} else {
 				// With replicas the global batch changes; check the hybrid
 				// run against the pure-DDP run at the same replica count.
-				ddpRef, err := ddp.Train(data, split, func(seed uint64) nn.SeqModel {
-					return model(seed, nn.WrapSupports(supports))
-				}, ddp.Config{Workers: grid.replicas, BatchSize: 4, Epochs: 2, LR: 0.02, Seed: 5, ClipNorm: 0})
+				ddpRef, err := Train(data, split, g, supports, model, Config{
+					Shards: 1, Replicas: grid.replicas, BatchSize: 4, Epochs: 2, LR: 0.02, Seed: 5,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -249,7 +248,7 @@ func TestHybridA3TGCNEquivalence(t *testing.T) {
 	model := func(seed uint64, props []nn.Propagator) nn.SeqModel {
 		return nn.NewA3TGCNOn(tensor.NewRNG(seed), props[0], 1, 6, 3)
 	}
-	ref := referenceRun(t, data, split, supports, model, 1)
+	ref := referenceRun(t, data, split, g, supports, model, 1)
 	res, err := Train(data, split, g, supports, model, Config{
 		Shards: 3, Replicas: 1, BatchSize: 4, Epochs: 1, LR: 0.02, Seed: 5,
 	})
@@ -336,20 +335,20 @@ func TestOverlapMatchesBlockingBitwise(t *testing.T) {
 		return nn.NewPGTDCRNNOn(tensor.NewRNG(seed), props, 1, 1, 6, 3)
 	}
 	base := Config{BatchSize: 4, Epochs: 2, LR: 0.02, Seed: 5}
-	run := func(shards, replicas int, halo HaloSyncMode, sync ddp.SyncMode) metrics.Curve {
+	run := func(shards, replicas int, halo HaloSyncMode, algo ddp.GradAlgo) metrics.Curve {
 		cfg := base
 		cfg.Shards, cfg.Replicas = shards, replicas
-		cfg.HaloSync, cfg.Sync = halo, sync
+		cfg.HaloSync, cfg.Algo = halo, algo
 		res, err := Train(data, split, g, supports, model, cfg)
 		if err != nil {
-			t.Fatalf("%dx%d halo=%v sync=%v: %v", shards, replicas, halo, sync, err)
+			t.Fatalf("%dx%d halo=%v algo=%v: %v", shards, replicas, halo, algo, err)
 		}
 		return res.Curve
 	}
 	// Halo overlap alone is bitwise-transparent at any shard count.
 	for _, shards := range []int{2, 3, 4} {
-		blocking := run(shards, 1, HaloSyncBlocking, ddp.SyncFlatten)
-		overlapped := run(shards, 1, HaloSyncOverlap, ddp.SyncFlatten)
+		blocking := run(shards, 1, HaloSyncBlocking, ddp.GradAlgoFlat)
+		overlapped := run(shards, 1, HaloSyncOverlap, ddp.GradAlgoFlat)
 		for i := range blocking {
 			if blocking[i] != overlapped[i] {
 				t.Fatalf("shards=%d epoch %d: overlapped curve %+v != blocking %+v", shards, i, overlapped[i], blocking[i])
@@ -359,8 +358,8 @@ func TestOverlapMatchesBlockingBitwise(t *testing.T) {
 	// Fully-overlapped default vs fully-blocking at 2x2: every collective
 	// reduces over 2-member groups, so even the bucketed two-stage sync is
 	// association-free and the curves stay bitwise equal.
-	blocking := run(2, 2, HaloSyncBlocking, ddp.SyncFlatten)
-	overlapped := run(2, 2, HaloSyncOverlap, ddp.SyncBucketedOverlap)
+	blocking := run(2, 2, HaloSyncBlocking, ddp.GradAlgoFlat)
+	overlapped := run(2, 2, HaloSyncOverlap, ddp.GradAlgoRing)
 	for i := range blocking {
 		if blocking[i] != overlapped[i] {
 			t.Fatalf("2x2 epoch %d: overlapped curve %+v != blocking %+v", i, overlapped[i], blocking[i])
@@ -379,19 +378,19 @@ func TestOverlapHidesCommunication(t *testing.T) {
 		return nn.NewPGTDCRNNOn(tensor.NewRNG(seed), props, 1, 1, 6, 3)
 	}
 	net := cluster.NetworkModel{Bandwidth: 1e7, Latency: 2 * time.Microsecond, DispatchOverhead: time.Millisecond}
-	run := func(halo HaloSyncMode, sync ddp.SyncMode) *Result {
+	run := func(halo HaloSyncMode, algo ddp.GradAlgo) *Result {
 		res, err := Train(data, split, g, supports, model, Config{
 			Shards: 2, Replicas: 2, BatchSize: 4, Epochs: 1, LR: 0.02, Seed: 9,
 			Net: net, ComputeCost: func(int) time.Duration { return 2 * time.Millisecond },
-			HaloSync: halo, Sync: sync,
+			HaloSync: halo, Algo: algo,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	blocking := run(HaloSyncBlocking, ddp.SyncFlatten)
-	overlapped := run(HaloSyncOverlap, ddp.SyncBucketedOverlap)
+	blocking := run(HaloSyncBlocking, ddp.GradAlgoFlat)
+	overlapped := run(HaloSyncOverlap, ddp.GradAlgoRing)
 
 	if overlapped.VirtualTime >= blocking.VirtualTime {
 		t.Fatalf("overlap did not shrink the modeled epoch: %v vs blocking %v", overlapped.VirtualTime, blocking.VirtualTime)

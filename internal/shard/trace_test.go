@@ -25,7 +25,7 @@ func TestTraceObserverInvisibleHybrid(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"overlap", func(*Config) {}},
-		{"flatten", func(c *Config) { c.Sync = ddp.SyncFlatten }},
+		{"flatten", func(c *Config) { c.Algo = ddp.GradAlgoFlat }},
 		{"blocking-halo", func(c *Config) { c.HaloSync = HaloSyncBlocking }},
 		{"prefetch-stale2", func(c *Config) { c.Prefetch = true; c.Staleness = 2 }},
 	}

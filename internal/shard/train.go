@@ -52,11 +52,13 @@ func (m HaloSyncMode) String() string {
 	return "overlap"
 }
 
-// Config parameterizes a hybrid (spatial x data) training run on a
-// Shards x Replicas process grid. Rank layout: rank = replica*Shards +
-// shard, so each replica group is a contiguous rank block (halo neighbours
-// land on the same simulated node under a matching Topology) and each shard
-// group is a stride-Shards comb.
+// Config parameterizes a training run on a Shards x Replicas process grid.
+// Either axis degenerates at 1: a 1 x R grid is plain data-parallel training
+// (no halo traffic, the world ring or hierarchical AllReduce), an S x 1 grid
+// is pure spatial sharding, and 1 x 1 is a single worker. Rank layout: rank =
+// replica*Shards + shard, so each replica group is a contiguous rank block
+// (halo neighbours land on the same simulated node under a matching
+// Topology) and each shard group is a stride-Shards comb.
 type Config struct {
 	Shards   int
 	Replicas int
@@ -75,11 +77,20 @@ type Config struct {
 	Sampler  ddp.SamplerKind
 	Seed     uint64
 	Net      cluster.NetworkModel
-	// IntraNet prices intra-node halo hops (default NVLink-class).
-	IntraNet cluster.NetworkModel
-	// Topology lays the 2D grid onto simulated nodes; halo messages between
-	// ranks on one node ride IntraNet.
+	// Topology lays the grid onto simulated nodes: halo messages and group
+	// collectives between ranks on one node ride the NVLink-class intra
+	// link, and ddp.GradAlgoHierarchical reduces per node first.
 	Topology cluster.Topology
+	// RemoteFetch models the baseline-DDP data path: every batch is fetched
+	// on demand through the data service (charged to the virtual clock).
+	// Needs Shards == 1.
+	RemoteFetch bool
+	// Store, when set, partitions the data rows across the replicas
+	// (generalized-distributed-index-batching, §5.4): batches are assembled
+	// through the store and only rows outside the replica's partition are
+	// charged as remote traffic. Needs Shards == 1; mutually exclusive with
+	// RemoteFetch.
+	Store *batching.PartitionStore
 	// ComputeCost, when set, supplies the modeled full-graph per-batch
 	// compute time; each shard is charged its owned-node share. When nil,
 	// real elapsed time is charged.
@@ -90,21 +101,22 @@ type Config struct {
 	// bitwise identical to the serial path, so training curves do not
 	// change; with the windows resident at step start, the first forward
 	// halo exchange also launches immediately instead of at its measured
-	// compute offset.
+	// compute offset. Ignored when Store supplies the data (its fetches are
+	// the pipeline's bottleneck, not local collation).
 	Prefetch bool
 	// AssembleCost, when set, supplies the modeled host-side collation time
 	// of one batch. Serial runs expose it ahead of every step; under
 	// Prefetch the next batch's assembly runs under the current step and
-	// only the epoch's leading assembly is exposed.
+	// only the epoch's leading assembly is exposed. Ignored with Store.
 	AssembleCost func(batchItems int) time.Duration
 	// Staleness bounds the gradient pipeline depth: when K > 0 (bucketed
-	// sync only), the two-stage collective still launches every step, but
-	// the optimizer applies each synchronized gradient up to K steps late
-	// with the staleness-compensated extrapolation g + K*(g - g_prev), so
-	// the sync cost hides under the following K steps' compute instead of
-	// the step's own tail. The queue drains at epoch end (and on
-	// cancellation), so every gradient is applied exactly once and replicas
-	// stay bitwise identical; zero keeps the synchronous schedule.
+	// sync only), the collective still launches every step, but the
+	// optimizer applies each synchronized gradient up to K steps late with
+	// the staleness-compensated extrapolation g + K*(g - g_prev), so the
+	// sync cost hides under the following K steps' compute instead of the
+	// step's own tail. The queue drains at epoch end (and on cancellation),
+	// so every gradient is applied exactly once and replicas stay bitwise
+	// identical; zero keeps the synchronous schedule.
 	Staleness int
 	// Plan, when set, supplies a prebuilt partition (callers that need the
 	// shard sizes up front, e.g. for memory accounting, build it once and
@@ -126,26 +138,30 @@ type Config struct {
 	// OnRepartition fires on rank 0 after each applied chunk migration.
 	OnRepartition func(ev RepartitionEvent)
 
-	// Sync selects the gradient-exchange schedule. SyncBucketedOverlap
-	// (default) partitions the gradients into size-capped buckets and
-	// launches each bucket's two-stage collective — replica-group sum, then
-	// shard-group mean over the reduce-scattered chunk — from the timed
-	// gradient-ready hooks mid-backward, folding the modeled cost into the
-	// step's overlap timeline. SyncFlatten is the blocking baseline: one
-	// flattened two-ring exchange after backward, fully exposed.
-	Sync ddp.SyncMode
+	// Algo selects the gradient exchange. ddp.GradAlgoRing (default)
+	// partitions the gradients into size-capped buckets and launches each
+	// bucket's collective from the timed gradient-ready hooks mid-backward,
+	// folding the modeled cost into the step's overlap timeline; the grid
+	// shape picks the collective — the world ring at Shards == 1, the
+	// two-stage replica-group sum then shard-group mean otherwise.
+	// ddp.GradAlgoHierarchical is the same schedule over the node-aware
+	// world AllReduce (Shards == 1 only; the two-stage collective is already
+	// topology-priced). ddp.GradAlgoFlat is the blocking baseline: one
+	// flattened exchange after backward, fully exposed.
+	Algo ddp.GradAlgo
 	// HaloSync selects the halo-exchange schedule (default interior-first
 	// overlap; see HaloSyncMode).
 	HaloSync HaloSyncMode
 	// FP16 ships gradient buckets quantized to half precision with
-	// error-feedback residual accumulation (see ddp.Config.FP16).
+	// error-feedback residual accumulation: 2 wire bytes per element instead
+	// of fp64's 8.
 	FP16 bool
 	// BucketBytes caps one gradient bucket for the bucketed schedule
 	// (default ddp.DefaultBucketBytes).
 	BucketBytes int64
 	// AutoTuneBuckets sweeps candidate bucket sizes across the first
 	// epoch's steps and locks in the one minimizing the modeled step time
-	// (ddp.AutotuneCandidates ladder). Ignored by SyncFlatten.
+	// (ddp.AutotuneCandidates ladder). Ignored by ddp.GradAlgoFlat.
 	AutoTuneBuckets bool
 	// OnAutotuneLock fires on rank 0 when the bucket autotuner locks in its
 	// winning bucket size.
@@ -156,8 +172,11 @@ type Config struct {
 	Trace *trace.Recorder
 
 	// Ctx, when cancellable (Ctx.Done() != nil), is polled once per step
-	// through an agreed scalar collective so every worker of the 2D grid
-	// stops at the same step (see ddp.Config.Ctx for the contract).
+	// through an agreed scalar collective so every worker of the grid stops
+	// at the same step: training returns cleanly mid-epoch with
+	// Result.Cancelled set and the curve of completed epochs. A nil or
+	// non-cancellable context (e.g. context.Background) adds no per-step
+	// collective, keeping the plain path's virtual timeline untouched.
 	Ctx context.Context
 	// StartEpoch is the absolute index of the first epoch to run (resume);
 	// the loop covers epochs [StartEpoch, Epochs).
@@ -203,18 +222,18 @@ type Snapshot struct {
 	VirtualTime time.Duration
 }
 
-// Result summarizes a hybrid run.
+// Result summarizes a grid run.
 type Result struct {
 	Curve metrics.Curve
 	// VirtualTime is worker 0's synchronized virtual clock at completion.
 	VirtualTime time.Duration
-	// CommTime is the *exposed* modeled gradient-synchronization cost (both
-	// stages) from worker 0's perspective — bucketed-overlap cost hidden
-	// under compute does not appear here; halo traffic is reported
-	// separately.
+	// CommTime is the *exposed* modeled communication (gradient
+	// synchronization plus remote data fetches) from worker 0's perspective
+	// — bucketed-overlap cost hidden under compute does not appear here;
+	// halo traffic is reported separately.
 	CommTime time.Duration
 	// CommHiddenTime is the modeled gradient-sync cost the bucketed overlap
-	// hid under step compute (zero for SyncFlatten).
+	// hid under step compute (zero for ddp.GradAlgoFlat).
 	CommHiddenTime time.Duration
 	// HaloTime / HaloBytes are worker 0's modeled halo-exchange cost and
 	// wire traffic across forward and backward passes; HaloHiddenTime is
@@ -232,13 +251,13 @@ type Result struct {
 	CommExposedInter time.Duration
 	// GradSyncBytes is worker 0's gradient wire traffic (per bucketed
 	// collective: the bucket's wire size, compressed under FP16; per
-	// flatten stage: the full vector's wire size).
+	// flatten collective: the full vector's wire size).
 	GradSyncBytes int64
 	// CommBytesSaved is the gradient traffic avoided by fp16 compression.
 	CommBytesSaved int64
 	// GradBuckets is the per-step gradient bucket count (1 for
-	// SyncFlatten); BucketBytes is the effective bucket cap (the autotuned
-	// winner when AutoTuneBuckets is set, 0 for SyncFlatten).
+	// ddp.GradAlgoFlat); BucketBytes is the effective bucket cap (the
+	// autotuned winner when AutoTuneBuckets is set, 0 for ddp.GradAlgoFlat).
 	GradBuckets int
 	BucketBytes int64
 	Steps       int
@@ -253,7 +272,7 @@ type Result struct {
 	Repartitions int
 	// ShardLoads is the final per-shard structural compute share
 	// (NodeWeights-weighted when weights are set, node-count otherwise,
-	// summing to 1). The spread max/min over this vector is the
+	// summing to 1; nil at Shards == 1). The spread max/min over it is the
 	// load-balance figure the gated repartition bench reports: elastic
 	// migration must leave it tighter than the loads it started from.
 	ShardLoads []float64
@@ -268,17 +287,20 @@ type Result struct {
 	Cancelled bool
 }
 
-// Train runs hybrid spatial x data parallel training: the graph is
-// partitioned into cfg.Shards node blocks, each of cfg.Replicas data
+// Train runs the grid trainer, the repo's one distributed step loop: the
+// graph is partitioned into cfg.Shards node blocks, each of cfg.Replicas data
 // replicas is spread over one replica group of shard workers, halo rows
 // travel within replica groups during forward/backward, and gradients are
-// summed across each replica group then averaged across shard groups. The
-// result matches the unsharded run within floating-point reassociation.
+// summed across each replica group then averaged across shard groups. At
+// Shards == 1 the spatial stages vanish — one part owns every node, the
+// model propagates over the full CSR supports, and the gradient collective is
+// the world ring (or hierarchical) AllReduce: plain DDP. A sharded run
+// matches the unsharded one within floating-point reassociation.
 //
 // By default both communication legs overlap with compute: halo exchanges
 // run interior-first (HaloSyncOverlap) and gradient buckets launch
-// mid-backward (SyncBucketedOverlap); the virtual clock charges each step
-// max(compute, pipelined comm) with every launch serialized on one modeled
+// mid-backward (ddp.GradAlgoRing); the virtual clock charges each step
+// max(compute, pipelined comm) with every launch serialized on its modeled
 // communication channel. The blocking schedules remain selectable for
 // ablation and are bitwise-equivalent in training results where the
 // collective chunking coincides (the halo schedules always are).
@@ -301,6 +323,16 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 	if data.Data.Dim(1) != g.N {
 		return nil, fmt.Errorf("shard: data has %d nodes, graph %d", data.Data.Dim(1), g.N)
 	}
+	if cfg.Store != nil && cfg.RemoteFetch {
+		return nil, fmt.Errorf("shard: Store and RemoteFetch are mutually exclusive data paths")
+	}
+	if cfg.Store != nil && cfg.Store.Workers() != cfg.Replicas {
+		return nil, fmt.Errorf("shard: store partitioned for %d workers, run has %d replicas", cfg.Store.Workers(), cfg.Replicas)
+	}
+	sharded := cfg.Shards > 1
+	if sharded && (cfg.Store != nil || cfg.RemoteFetch || cfg.Algo == ddp.GradAlgoHierarchical) {
+		return nil, fmt.Errorf("shard: Store, RemoteFetch and the hierarchical AllReduce need Shards == 1, got %d", cfg.Shards)
+	}
 	if err := cfg.Repartition.Validate(); err != nil {
 		return nil, err
 	}
@@ -308,20 +340,24 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 		return nil, fmt.Errorf("shard: %d node weights for %d nodes", len(cfg.NodeWeights), g.N)
 	}
 	plan := cfg.Plan
-	if plan == nil {
+	switch {
+	case plan != nil:
+		if plan.Shards != cfg.Shards || plan.GlobalN != g.N {
+			return nil, fmt.Errorf("shard: plan is %d shards over %d nodes, config wants %d over %d", plan.Shards, plan.GlobalN, cfg.Shards, g.N)
+		}
+	case sharded:
 		var err error
-		plan, err = BuildPlan(g, supports, cfg.Shards)
-		if err != nil {
+		if plan, err = BuildPlan(g, supports, cfg.Shards); err != nil {
 			return nil, err
 		}
-	} else if plan.Shards != cfg.Shards || plan.GlobalN != g.N {
-		return nil, fmt.Errorf("shard: plan is %d shards over %d nodes, config wants %d over %d", plan.Shards, plan.GlobalN, cfg.Shards, g.N)
+	default:
+		plan = WholeGraph(g.N)
 	}
 	world := cfg.Shards * cfg.Replicas
 	if err := cfg.Faults.Validate(world); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	clu, err := cluster.New(cluster.Config{Workers: world, Net: cfg.Net, IntraNet: cfg.IntraNet, Faults: cfg.Faults})
+	clu, err := cluster.New(cluster.Config{Workers: world, Net: cfg.Net, Faults: cfg.Faults})
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +394,9 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 	haloOverlap := cfg.HaloSync == HaloSyncOverlap
 	// Bucketed overlap only pays off with real peers; a single worker has
 	// nothing to exchange and keeps the plain path.
-	bucketed := cfg.Sync != ddp.SyncFlatten && world > 1
+	bucketed := cfg.Algo != ddp.GradAlgoFlat && world > 1
+	prefetch := cfg.Prefetch && cfg.Store == nil
+	net := clu.Net()
 
 	runErr := clu.Run(func(w *cluster.Worker) error {
 		rank := w.Rank()
@@ -399,7 +437,20 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 		tw := cfg.Trace.Worker(rank)
 		cfg.Trace.NameWorker(rank, fmt.Sprintf("train rank %d (replica %d, shard %d)", rank, rep, sh))
 		stats := &Stats{PinFirstLaunch: cfg.Prefetch, Trace: tw}
-		props := Propagators(w, replicaGroup, sp, cfg.Topology, stats, haloOverlap)
+		// A part that owns the whole graph has no halo to route: it
+		// propagates over the full supports, batches feed the model without
+		// the owned-node gather, and metrics weigh samples alone. A shard
+		// weighs each sample by the nodes it saw of it, so unequal shards
+		// average correctly (on the whole graph the node count would cancel,
+		// though not bitwise).
+		props := nn.WrapSupports(supports)
+		own := func(t *tensor.Tensor) *tensor.Tensor { return t }
+		weight := func(items int) int { return items }
+		if sharded {
+			props = Propagators(w, replicaGroup, sp, cfg.Topology, stats, haloOverlap)
+			own = func(t *tensor.Tensor) *tensor.Tensor { return gatherNodeAxis(t, sp.Own) }
+			weight = func(items int) int { return items * len(sp.Own) }
+		}
 		model := factory(cfg.Seed, props)
 		params := model.Parameters()
 		opt := nn.NewAdam(model, lr)
@@ -451,8 +502,25 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 		// channel and the step charge degenerates to the legacy serialized
 		// timeline.
 		haloCh := cfg.Topology.GroupChannel(world, replicaGroup)
-		gradCh := cfg.Topology.GroupChannel(world, shardGroup)
 		stats.Channel = haloCh
+		// The gradient collective follows from the grid shape: a whole-graph
+		// grid reduces over the world ring (or its node-aware hierarchical
+		// form), both priced on the fabric; a sharded grid sums across the
+		// replica group (reduce-scatter), means across the shard group (chunk
+		// allreduce) and allgathers back.
+		gradCh := cluster.ChannelInter
+		collective := w.AsyncRingAllReduceMeanSized
+		switch {
+		case sharded:
+			gradCh = cfg.Topology.GroupChannel(world, shardGroup)
+			collective = func(vec []float64, wireBytes int64) time.Duration {
+				return w.AsyncTwoStageAllReduce(vec, replicaGroup, shardGroup, wireBytes, cfg.Topology)
+			}
+		case cfg.Algo == ddp.GradAlgoHierarchical:
+			collective = func(vec []float64, wireBytes int64) time.Duration {
+				return w.AsyncHierarchicalAllReduceMeanSized(vec, cfg.Topology, wireBytes)
+			}
+		}
 		// Per-channel exposed communication (the Result split and the
 		// comm.exposed.{intra,inter} counters).
 		var expCh [cluster.NumChannels]time.Duration
@@ -461,6 +529,8 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 		// close covers error returns and cancellation). The eval prefetcher
 		// spins up under the epoch's last train step so the first validation
 		// batch is resident when the tail eval pass begins.
+		// Per-batch byte volume of the RemoteFetch data path: x and y.
+		remoteBatchBytes := int64(cfg.BatchSize) * int64(2*data.Horizon) * int64(data.Data.Dim(1)) * int64(data.Data.Dim(2)) * 8
 		var pf, evalPf *batching.Prefetcher
 		defer func() {
 			if pf != nil {
@@ -471,15 +541,13 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 			}
 		}()
 
-		// The grouped two-stage collective the bucketed syncer launches per
-		// bucket: sum across the replica group (reduce-scatter), mean across
-		// the shard group (chunk allreduce), allgather back. The wall time
-		// spent blocked inside it is booked against the step so the halo
+		// The bucketed syncer launches the collective per bucket. The wall
+		// time spent blocked inside it is booked against the step so the halo
 		// launch offsets measure compute only (the syncer's own CommWall
 		// symmetrically keeps bucket offsets clean of halo blocking below).
 		launch := func(vec []float64, wireBytes int64) time.Duration {
 			t0 := time.Now()
-			cost := w.AsyncTwoStageAllReduce(vec, replicaGroup, shardGroup, wireBytes, cfg.Topology)
+			cost := collective(vec, wireBytes)
 			stats.stepBlocked += time.Since(t0)
 			return cost
 		}
@@ -487,7 +555,7 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 		var syncer *ddp.OverlapSyncer
 		var sweep *ddp.BucketSweep
 		if bucketed {
-			sweep, syncer, bucketBytes = ddp.NewGradSync(w, clu.Net(), params, launch, cfg.FP16, cfg.AutoTuneBuckets, cfg.BucketBytes, cfg.OnAutotuneLock)
+			sweep, syncer, bucketBytes = ddp.NewGradSync(w, net, params, launch, cfg.FP16, cfg.AutoTuneBuckets, cfg.BucketBytes, cfg.OnAutotuneLock)
 		}
 
 		// Bounded-staleness pipeline state (see Config.Staleness): each step's
@@ -539,7 +607,7 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 		for epoch := cfg.StartEpoch; epoch < cfg.Epochs; epoch++ {
 			batches := sampler.EpochBatches(epoch)
 			stepsThisEpoch := int(w.AllReduceScalar(float64(len(batches)), cluster.OpMin))
-			if cfg.Prefetch {
+			if prefetch {
 				pf = batching.NewPrefetcher(data, batches[:stepsThisEpoch])
 			}
 			var trainAcc metrics.Running
@@ -551,8 +619,10 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 			var epochCompute, epochMeasured time.Duration
 			for s := 0; s < stepsThisEpoch; s++ {
 				if cancellable {
-					// Clock-free agreed stop (see ddp.Train): cancellable
-					// runs keep the plain runs' modeled timeline.
+					// Agree on cancellation before the step starts: every
+					// worker stops at the same step, so no collective is
+					// left half-issued. The poll is clock-free, so a
+					// cancellable run keeps a plain run's modeled timeline.
 					flag := 0.0
 					if cfg.Ctx.Err() != nil {
 						flag = 1
@@ -562,11 +632,30 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 						break
 					}
 				}
+				// Crash detection rides the same agreed step boundary: every
+				// rank returns the same typed error.
 				if err := w.FaultPoll(); err != nil {
 					return err
 				}
 				idx := batches[s]
 				var x, y *tensor.Tensor
+				// The remote data paths charge their fetch inline, fully
+				// exposed on the fabric, ahead of the step.
+				fetchBytes, fetchName := int64(0), "fetch.batch"
+				if cfg.Store != nil {
+					fetchName = "fetch.boundary"
+					x, y, _, fetchBytes = cfg.Store.FetchBatch(rep, idx, &buf)
+				} else if cfg.RemoteFetch {
+					fetchBytes = remoteBatchBytes
+				}
+				if fetchBytes > 0 {
+					cost := net.FetchTime(fetchBytes)
+					tw.Span(trace.KindFetch, fetchName, trace.StreamCommInter, w.VirtualTime(), cost, fetchBytes)
+					tw.Span(trace.KindExposed, fetchName, trace.StreamExposed, w.VirtualTime(), cost, 0)
+					w.FetchRemote(fetchBytes)
+					comm += cost
+					expCh[cluster.ChannelInter] += cost
+				}
 				if pf != nil {
 					// Pipelined path: receive the pre-assembled batch before
 					// the timed span starts (waiting for the collator is
@@ -587,17 +676,19 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 				start := time.Now()
 				stats.BeginStep()
 				haloWall := stats.Wall
-				if pf == nil {
+				if pf == nil && cfg.Store == nil {
 					x, y = data.AssembleBatch(idx, &buf)
 				}
-				xOwn := gatherNodeAxis(x, sp.Own)
-				target := gatherNodeAxis(y.Slice(3, 0, 1).Contiguous(), sp.Own)
-				pred := model.Forward(autograd.Constant(xOwn))
+				target := own(y.Slice(3, 0, 1).Contiguous())
+				pred := model.Forward(autograd.Constant(own(x)))
 				lossLocal := autograd.MAELoss(pred, target)
 				// The sum of the shard losses equals the global-mean loss, so
 				// summing the backward gradients across the replica group
 				// reproduces the unsharded gradient exactly.
-				loss := autograd.ScalarMul(lossLocal, ownFrac)
+				loss := lossLocal
+				if sharded {
+					loss = autograd.ScalarMul(lossLocal, ownFrac)
+				}
 				var fwdWall, bwdWall time.Duration
 				if bucketed {
 					// Bucketed overlapping two-stage sync: bucket collectives
@@ -675,7 +766,7 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 				// train batch, or (on the epoch's last step) the first eval
 				// batch the tail-overlap prefetcher is filling.
 				var asm, nextAsm time.Duration
-				if cfg.AssembleCost != nil {
+				if cfg.AssembleCost != nil && cfg.Store == nil {
 					asm = cfg.AssembleCost(len(idx))
 					if pf != nil {
 						if s+1 < stepsThisEpoch {
@@ -831,48 +922,52 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 					savedBytes += syncer.StepSaved()
 				} else {
 					w.AdvanceTime(stepEnd - t0)
-					// Flatten baseline: sum over the replica group (the
-					// spatial reduction), then average over the shard group
-					// (the data-parallel mean), both blocking and fully
-					// exposed. Every worker ends with the bitwise-identical
-					// global gradient.
+					// Flatten baseline: one flattened exchange after backward,
+					// blocking and fully exposed. Every worker ends with the
+					// bitwise-identical global gradient.
 					gradBuf = ddp.FlattenGrads(params, gradBuf)
 					wire := int64(len(gradBuf)) * 8
 					var saved int64
+					// Quantize only when there are peers: a single worker
+					// ships nothing, so rounding its gradients to fp16 would
+					// be pure accuracy loss for zero wire benefit.
 					if cfg.FP16 && world > 1 {
 						flatCodec.ApplyInPlace(gradBuf)
 						compressed := cluster.FP16WireBytes(len(gradBuf))
 						saved = wire - compressed
 						wire = compressed
 					}
-					// Saved and shipped bytes stay on the same per-collective
-					// basis: each stage ships (and so each stage saves).
-					if cfg.Shards > 1 {
-						cost := w.GroupRingAllReduceSized(gradBuf, replicaGroup, wire, false, cfg.Topology)
+					// flattenSpan books one blocking collective. The group
+					// barrier aligned the clock to the slowest member plus
+					// the cost, so its window ends at the current virtual
+					// time. Saved and shipped bytes stay on the same
+					// per-collective basis: each stage ships (and so saves).
+					flattenSpan := func(name string, ch cluster.Channel, cost time.Duration) {
 						comm += cost
-						expCh[haloCh] += cost
-						if tw != nil {
-							// The group barrier aligned the clock to the
-							// slowest member plus the cost, so the collective
-							// window ends at the current virtual time.
+						expCh[ch] += cost
+						if cost > 0 {
 							at := w.VirtualTime() - cost
-							tw.Span(trace.KindGrad, "grad.flatten.replica-sum", commStream(haloCh), at, cost, wire)
-							tw.Span(trace.KindExposed, "grad.flatten.replica-sum", trace.StreamExposed, at, cost, 0)
+							tw.Span(trace.KindGrad, name, commStream(ch), at, cost, wire)
+							tw.Span(trace.KindExposed, name, trace.StreamExposed, at, cost, 0)
 						}
 						gradBytes += wire
 						savedBytes += saved
 					}
-					if cfg.Replicas > 1 {
-						cost := w.GroupRingAllReduceSized(gradBuf, shardGroup, wire, true, cfg.Topology)
-						comm += cost
-						expCh[gradCh] += cost
-						if tw != nil {
-							at := w.VirtualTime() - cost
-							tw.Span(trace.KindGrad, "grad.flatten.shard-mean", commStream(gradCh), at, cost, wire)
-							tw.Span(trace.KindExposed, "grad.flatten.shard-mean", trace.StreamExposed, at, cost, 0)
+					if !sharded {
+						// The world ring. Attribute the modeled collective
+						// cost: the clock delta additionally contains
+						// straggler wait, which is compute imbalance, not
+						// communication.
+						w.RingAllReduceMeanSized(gradBuf, wire)
+						flattenSpan("grad.flatten", gradCh, net.RingAllReduceTime(wire, world))
+					} else {
+						// Sum over the replica group (the spatial reduction),
+						// then average over the shard group (the
+						// data-parallel mean).
+						flattenSpan("grad.flatten.replica-sum", haloCh, w.GroupRingAllReduceSized(gradBuf, replicaGroup, wire, false, cfg.Topology))
+						if cfg.Replicas > 1 {
+							flattenSpan("grad.flatten.shard-mean", gradCh, w.GroupRingAllReduceSized(gradBuf, shardGroup, wire, true, cfg.Topology))
 						}
-						gradBytes += wire
-						savedBytes += saved
 					}
 					ddp.UnflattenGrads(params, gradBuf)
 					if cfg.ClipNorm > 0 {
@@ -893,9 +988,8 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 					syncer = sweep.Step(syncer, compute)
 					bucketBytes = sweep.BucketBytes()
 				}
-				// Weight by elements seen so the global weighted mean matches
-				// the unsharded per-batch accounting.
-				trainAcc.Add(lossLocal.Value.Item()*data.Std, len(idx)*len(sp.Own))
+				// Report in the signal's original units, like validation.
+				trainAcc.Add(lossLocal.Value.Item()*data.Std, weight(len(idx)))
 			}
 			if pf != nil {
 				// Cancellation (or a short schedule) leaves the collator
@@ -929,7 +1023,7 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 				bucketBytes = sweep.BucketBytes()
 			}
 			trainMAE := ddp.ReduceWeighted(w, trainAcc)
-			valMAE := evaluateShard(w, model, data, evalBatches, evalPf, sp.Own, &evalBuf, stats)
+			valMAE := evaluateShard(w, model, data, evalBatches, evalPf, own, weight, &evalBuf, stats)
 			if evalPf != nil {
 				evalPf.Close()
 				evalPf = nil
@@ -939,7 +1033,7 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 			if rank == 0 && cfg.OnEpoch != nil {
 				cfg.OnEpoch(rec)
 			}
-			if cfg.Repartition.Enabled() && cfg.Shards > 1 && epoch+1 < cfg.Epochs &&
+			if cfg.Repartition.Enabled() && sharded && epoch+1 < cfg.Epochs &&
 				(cfg.Repartition.MaxMoves == 0 || moves < cfg.Repartition.MaxMoves) {
 				// Agree on the per-shard load vector without touching the
 				// clock: each entry is the max over that shard's replicas of
@@ -1024,11 +1118,13 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 		}
 		if rank == 0 {
 			outs[rank].model, outs[rank].opt = model, opt
-			loads := make([]float64, cfg.Shards)
-			for p := range loads {
-				_, loads[p] = fracOf(myPlan.Parts[p].Own)
+			if sharded {
+				loads := make([]float64, cfg.Shards)
+				for p := range loads {
+					_, loads[p] = fracOf(myPlan.Parts[p].Own)
+				}
+				outs[rank].loads = loads
 			}
-			outs[rank].loads = loads
 		}
 		return nil
 	})
@@ -1072,7 +1168,8 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 }
 
 // evaluateShard computes this worker's share of the validation MAE — its
-// replica's slice of the validation batches restricted to its own nodes —
+// replica's slice of the validation batches restricted to its own nodes (own
+// and weight are the trainer's owned-node gather and metric weight) —
 // and reduces the globally weighted mean (original signal units). Under the
 // overlapped halo schedule the evaluation exchanges record step events
 // nobody overlaps (there is no modeled eval compute to hide under), so
@@ -1081,7 +1178,7 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 // tail-overlap prefetcher is supplied, batches arrive pre-assembled (the
 // first one collated under the epoch's last train step, the rest under the
 // preceding eval forwards), so eval collation leaves the wall-clock path.
-func evaluateShard(w *cluster.Worker, model nn.SeqModel, data *batching.IndexDataset, batches [][]int, pf *batching.Prefetcher, own []int, buf *batching.BatchBuffer, stats *Stats) float64 {
+func evaluateShard(w *cluster.Worker, model nn.SeqModel, data *batching.IndexDataset, batches [][]int, pf *batching.Prefetcher, own func(*tensor.Tensor) *tensor.Tensor, weight func(items int) int, buf *batching.BatchBuffer, stats *Stats) float64 {
 	var acc metrics.Running
 	for _, batch := range batches {
 		stats.BeginStep()
@@ -1096,9 +1193,8 @@ func evaluateShard(w *cluster.Worker, model nn.SeqModel, data *batching.IndexDat
 		} else {
 			x, y = data.AssembleBatch(batch, buf)
 		}
-		xOwn := gatherNodeAxis(x, own)
-		target := gatherNodeAxis(y.Slice(3, 0, 1).Contiguous(), own)
-		pred := model.Forward(autograd.Constant(xOwn))
+		target := own(y.Slice(3, 0, 1).Contiguous())
+		pred := model.Forward(autograd.Constant(own(x)))
 		if cost := stats.StepCost(); cost > 0 {
 			stats.ChannelExposed[stats.Channel] += cost
 			if tw := stats.Trace; tw != nil {
@@ -1111,7 +1207,7 @@ func evaluateShard(w *cluster.Worker, model nn.SeqModel, data *batching.IndexDat
 			}
 			w.AdvanceTime(cost)
 		}
-		acc.Add(metrics.MAE(pred.Value, target)*data.Std, len(batch)*len(own))
+		acc.Add(metrics.MAE(pred.Value, target)*data.Std, weight(len(batch)))
 	}
 	// Weighted-mean over all workers of the 2D grid: each (snapshot, node)
 	// pair is seen by exactly one worker.

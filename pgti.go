@@ -109,14 +109,12 @@ package pgti
 
 import (
 	"fmt"
-	"time"
 
 	"pgti/internal/cluster"
 	"pgti/internal/core"
 	"pgti/internal/dataset"
 	"pgti/internal/ddp"
 	"pgti/internal/memsim"
-	"pgti/internal/metrics"
 	"pgti/internal/shard"
 )
 
@@ -270,89 +268,13 @@ type Config struct {
 // from the core engine).
 type Forecast = core.Forecast
 
-// Report is the outcome of a run.
-type Report struct {
-	Dataset     string
-	Strategy    Strategy
-	Model       Model
-	Workers     int
-	GlobalBatch int
-
-	// Curve holds per-epoch train/validation MAE in original signal units.
-	Curve metrics.Curve
-	// TestMSE is the post-training test-split MSE (single-GPU runs).
-	TestMSE float64
-	// Forecasts holds test-window predictions when Config.EmitForecasts > 0.
-	Forecasts []Forecast
-
-	// WallTime is the real elapsed time of this (scaled) run; VirtualTime
-	// is the modeled Polaris time including transfer/collective costs.
-	// CommTime is the exposed communication; CommHiddenTime is the modeled
-	// communication hidden under backward compute by bucketed overlap.
-	// CommExposedIntra / CommExposedInter split the exposed time by fabric
-	// channel (intra-node replica traffic vs inter-node shard traffic);
-	// the channels drain concurrently, so each is that channel's own tail
-	// past compute and their sum can exceed the total.
-	WallTime         time.Duration
-	VirtualTime      time.Duration
-	CommTime         time.Duration
-	CommHiddenTime   time.Duration
-	CommExposedIntra time.Duration
-	CommExposedInter time.Duration
-
-	// GradBuckets and GradBucketBytes describe the gradient bucketing the
-	// run used (bucket count per step, effective size cap — the autotuned
-	// winner under GradAutoTune). CommBytesSaved is the gradient traffic
-	// avoided by fp16 compression.
-	GradBuckets     int
-	GradBucketBytes int64
-	CommBytesSaved  int64
-
-	// SpatialShards is the spatial shard count (1 = unsharded); HaloBytes /
-	// HaloTime are one worker's halo-exchange traffic and modeled cost,
-	// HaloHiddenTime the portion of HaloTime the interior-first overlapped
-	// exchange hid under step compute, and EdgeCut counts support entries
-	// crossing shards. PerWorkerBytes is one worker's modeled host
-	// footprint (replica + staging + data share) for distributed
-	// strategies — the N/P memory claim, per worker.
-	SpatialShards  int
-	HaloBytes      int64
-	HaloTime       time.Duration
-	HaloHiddenTime time.Duration
-	EdgeCut        int
-	PerWorkerBytes int64
-	// Repartitions counts the elastic chunk migrations applied by
-	// WithRepartition (0 when disabled or never triggered).
-	Repartitions int
-	// Recoveries counts elastic recoveries from scheduled worker crashes
-	// (WithFaultPlan); RecoveryTime is their total modeled overhead — the
-	// rolled-back progress since the last snapshot plus detection, re-plan,
-	// and state re-fill charges.
-	Recoveries   int
-	RecoveryTime time.Duration
-	// ShardLoads is the final per-shard structural compute share (weighted
-	// by WithNodeWeights when set, sums to 1; nil when unsharded) — after
-	// any repartitioning, so its max/min spread measures residual skew.
-	ShardLoads []float64
-
-	// PeakSystemBytes/PeakGPUBytes are byte-exact high-water marks;
-	// RetainedDataBytes is eq. (1) or eq. (2) depending on strategy.
-	PeakSystemBytes   int64
-	PeakGPUBytes      int64
-	RetainedDataBytes int64
-	MemorySeries      []memsim.Sample
-
-	OOM      bool
-	OOMError string
-
-	Steps         int
-	GradSyncBytes int64
-
-	// Trace is the aggregated span/counter summary of the run when a
-	// recorder was attached with WithTrace (nil otherwise). The full event
-	// stream stays in the recorder for WriteTrace export.
-	Trace *TraceSummary
-}
+// Report is the outcome of a run: the per-epoch curve in original signal
+// units, wall and modeled (virtual) time with the exposed/hidden
+// communication split, gradient-bucketing and halo accounting, recovery and
+// repartition counts, byte-exact memory peaks, and the optional trace
+// summary. It is the engine's report, re-exported; see core.Report for the
+// per-field documentation.
+type Report = core.Report
 
 // Datasets lists the available dataset names in ascending size order.
 func Datasets() []string {
@@ -402,52 +324,6 @@ func coreConfig(cfg Config, meta dataset.Meta) core.Config {
 	}
 }
 
-// reportFromCore converts the engine's report to the public one (nil-safe,
-// so partial-failure paths can hand back whatever exists).
-func reportFromCore(rep *core.Report) *Report {
-	if rep == nil {
-		return nil
-	}
-	return &Report{
-		Dataset:           rep.DatasetName,
-		Strategy:          rep.Strategy,
-		Model:             rep.Model,
-		Workers:           rep.Workers,
-		GlobalBatch:       rep.GlobalBatch,
-		Curve:             rep.Curve,
-		TestMSE:           rep.TestMSE,
-		Forecasts:         rep.Forecasts,
-		WallTime:          rep.WallTime,
-		VirtualTime:       rep.VirtualTime,
-		CommTime:          rep.CommTime,
-		CommHiddenTime:    rep.CommHiddenTime,
-		CommExposedIntra:  rep.CommExposedIntra,
-		CommExposedInter:  rep.CommExposedInter,
-		GradBuckets:       rep.GradBuckets,
-		GradBucketBytes:   rep.GradBucketBytes,
-		CommBytesSaved:    rep.CommBytesSaved,
-		SpatialShards:     rep.SpatialShards,
-		HaloBytes:         rep.HaloBytes,
-		HaloTime:          rep.HaloTime,
-		HaloHiddenTime:    rep.HaloHiddenTime,
-		EdgeCut:           rep.EdgeCut,
-		Repartitions:      rep.Repartitions,
-		Recoveries:        rep.Recoveries,
-		RecoveryTime:      rep.RecoveryTime,
-		ShardLoads:        rep.ShardLoads,
-		PerWorkerBytes:    rep.PerWorkerBytes,
-		PeakSystemBytes:   rep.PeakSystemBytes,
-		PeakGPUBytes:      rep.PeakGPUBytes,
-		RetainedDataBytes: rep.RetainedDataBytes,
-		MemorySeries:      rep.SystemSeries,
-		OOM:               rep.OOM,
-		OOMError:          rep.OOMError,
-		Steps:             rep.Steps,
-		GradSyncBytes:     rep.GradSyncBytes,
-		Trace:             rep.Trace,
-	}
-}
-
 // Run executes a training run per cfg. It is the compatibility shim over
 // the staged Experiment lifecycle: the Config maps onto the identical
 // engine path NewExperiment drives, so Run's training curves are pinned
@@ -460,11 +336,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pgti: %w (available: %v)", err, Datasets())
 	}
-	rep, err := core.Run(coreConfig(cfg, meta))
-	if err != nil {
-		return nil, err
-	}
-	return reportFromCore(rep), nil
+	return core.Run(coreConfig(cfg, meta))
 }
 
 // FormatBytes renders a byte count with binary prefixes (convenience

@@ -203,6 +203,6 @@ func (s *Stream) Retrain(ctx context.Context, ro RetrainOptions, opts ...Option)
 
 func publicRound(r stream.Round) StreamRound {
 	return StreamRound{Round: r.Round, Lo: r.Lo, Hi: r.Hi,
-		Report: reportFromCore(r.Report), Swapped: r.Swapped,
+		Report: r.Report, Swapped: r.Swapped,
 		Attempts: r.Attempts, RetryDelay: r.RetryDelay}
 }

@@ -15,10 +15,10 @@ BENCH_GATED = $(GO) test -run '^$$' -bench 'BenchmarkDDP|BenchmarkShard|Benchmar
 # is a reviewed decision, not a quick fix for a red build.
 COVER_FLOORS = internal/shard:85 internal/cluster:90 internal/graph:90 internal/core:85 internal/sparse:85 internal/autograd:80 internal/serve:85 internal/stream:85 internal/fault:95 .:75
 
-.PHONY: ci build vet fmt-check test race cover bench bench-smoke bench-host-smoke bench-json bench-baseline bench-check bench-ci trace-smoke stream-smoke chaos-smoke
+.PHONY: ci build vet fmt-check test race fuzz-smoke cover bench bench-smoke bench-host-smoke bench-json bench-baseline bench-check bench-ci trace-smoke stream-smoke chaos-smoke
 
 ## ci runs the exact tier-1 gate the CI workflow enforces.
-ci: build vet fmt-check test race bench-smoke bench-host-smoke
+ci: build vet fmt-check test race fuzz-smoke bench-smoke bench-host-smoke
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,11 @@ test:
 ## exceeds go test's 10m default on single-core machines (no race, just slow).
 race:
 	$(GO) test -race -timeout 30m ./...
+
+## fuzz-smoke gives the configuration-table fuzz target ten seconds of fresh
+## inputs on top of the committed seed corpus that `make test` replays.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/core
 
 ## cover fails when any floor package's statement coverage drops below its
 ## checked-in COVER_FLOORS threshold.

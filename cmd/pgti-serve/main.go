@@ -174,15 +174,7 @@ func run(ds string, scale float64, epochs, retrain, replicas, maxBatch int,
 		return err
 	}
 	if rec != nil {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := pgti.WriteTrace(f, rec); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := pgti.WriteTraceFile(traceOut, rec); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s (load at ui.perfetto.dev)\n", traceOut)

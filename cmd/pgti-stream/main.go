@@ -186,28 +186,16 @@ func run(c cfg) error {
 		return err
 	}
 	if fitRec != nil {
-		if err := writeTrace(c.fitTrace, fitRec); err != nil {
+		if err := pgti.WriteTraceFile(c.fitTrace, fitRec); err != nil {
 			return err
 		}
 		fmt.Printf("final-round training trace written to %s\n", c.fitTrace)
 	}
 	if serveRec != nil {
-		if err := writeTrace(c.serveTrace, serveRec); err != nil {
+		if err := pgti.WriteTraceFile(c.serveTrace, serveRec); err != nil {
 			return err
 		}
 		fmt.Printf("serve-burst trace written to %s\n", c.serveTrace)
 	}
 	return nil
-}
-
-func writeTrace(path string, rec *pgti.TraceRecorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := pgti.WriteTrace(f, rec); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

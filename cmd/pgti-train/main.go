@@ -73,7 +73,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	sysMem := flag.Float64("sysmem", 0, "system memory cap in GB (0 = unlimited)")
 	gpuMem := flag.Float64("gpumem", 0, "GPU memory cap in GB (0 = unlimited)")
-	missing := flag.Float64("missing", 0, "fraction of sensor readings to drop (masked training)")
+	missing := flag.Float64("missing", 0, "fraction of sensor readings to drop (masked-MAE training; single-GPU strategies only)")
 	load := flag.String("load", "", "checkpoint to warm-start parameters from")
 	resume := flag.String("resume", "", "train-state checkpoint to resume deterministically from")
 	save := flag.String("save", "", "train-state checkpoint to write after training")
@@ -224,17 +224,7 @@ func main() {
 	fmt.Printf("peak system %s | peak GPU %s | retained data %s\n",
 		pgti.FormatBytes(rep.PeakSystemBytes), pgti.FormatBytes(rep.PeakGPUBytes), pgti.FormatBytes(rep.RetainedDataBytes))
 	if rec != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pgti-train: trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pgti.WriteTrace(f, rec); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
+		if err := pgti.WriteTraceFile(*traceOut, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "pgti-train: trace: %v\n", err)
 			os.Exit(1)
 		}

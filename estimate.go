@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"pgti/internal/core"
-	"pgti/internal/dataset"
 	"pgti/internal/memsim"
 	"pgti/internal/perfmodel"
 )
@@ -37,15 +36,19 @@ type PolarisEstimate struct {
 	OOMDetail string
 }
 
-// EstimatePolaris models cfg at full dataset scale on Polaris hardware
-// without running anything. Scale is ignored (estimates are full-scale);
+// EstimatePolaris models the named dataset under the given experiment
+// options at full dataset scale on Polaris hardware, without running
+// anything. It reads the strategy, model, worker count, batch size, epoch
+// budget and hidden width; WithScale is ignored (estimates are full-scale).
 // Workers defaults to 1, BatchSize to 32, Epochs to 30 (the paper's
-// settings), Hidden to 64.
-func EstimatePolaris(cfg Config) (*PolarisEstimate, error) {
-	meta, err := dataset.ByName(cfg.Dataset)
+// settings), Hidden to 64. Illegal option combinations are rejected with
+// the same typed *InvalidConfigError NewExperiment returns.
+func EstimatePolaris(datasetName string, opts ...Option) (*PolarisEstimate, error) {
+	cfg, err := configure(datasetName, opts)
 	if err != nil {
-		return nil, fmt.Errorf("pgti: %w (available: %v)", err, Datasets())
+		return nil, err
 	}
+	meta := cfg.Meta
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -145,8 +148,6 @@ func EstimatePolaris(cfg Config) (*PolarisEstimate, error) {
 		node := perfmodel.NodeBytes(perfmodel.GenDistIndexWorkerBytes(meta, workers), workers)
 		est.PeakNodeGiB = gib(node)
 		est.PeakGPUGiB = gib(perfmodel.TrainingGPUBytes(meta, batch, hidden, false))
-	default:
-		return nil, fmt.Errorf("pgti: unknown strategy %v", cfg.Strategy)
 	}
 
 	est.TotalMinutes = run.Total.Minutes()

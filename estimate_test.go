@@ -6,14 +6,14 @@ import (
 )
 
 func TestEstimatePolarisTable4Anchors(t *testing.T) {
-	idx, err := EstimatePolaris(Config{Dataset: "PeMS", Strategy: StrategyIndex, Epochs: 30})
+	idx, err := EstimatePolaris("PeMS", WithStrategy(StrategyIndex), WithEpochs(30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(idx.TotalMinutes-333.58)/333.58 > 0.05 {
 		t.Fatalf("index estimate %.1f min, paper 333.58", idx.TotalMinutes)
 	}
-	gidx, err := EstimatePolaris(Config{Dataset: "PeMS", Strategy: StrategyGPUIndex, Epochs: 30})
+	gidx, err := EstimatePolaris("PeMS", WithStrategy(StrategyGPUIndex), WithEpochs(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestEstimatePolarisTable4Anchors(t *testing.T) {
 }
 
 func TestEstimatePolarisBaselineOOMsOnPeMS(t *testing.T) {
-	base, err := EstimatePolaris(Config{Dataset: "PeMS", Strategy: StrategyBaseline, Epochs: 1})
+	base, err := EstimatePolaris("PeMS", WithStrategy(StrategyBaseline), WithEpochs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestEstimatePolarisBaselineOOMsOnPeMS(t *testing.T) {
 		t.Fatalf("standard preprocessing of PeMS must OOM a 512 GB node: %+v", base)
 	}
 	// All-LA fits, for both model variants with their Table 2 peaks.
-	la, err := EstimatePolaris(Config{Dataset: "PeMS-All-LA", Strategy: StrategyBaseline, Model: ModelDCRNN, Epochs: 1})
+	la, err := EstimatePolaris("PeMS-All-LA", WithStrategy(StrategyBaseline), WithModel(ModelDCRNN), WithEpochs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestEstimatePolarisBaselineOOMsOnPeMS(t *testing.T) {
 	if math.Abs(la.PeakNodeGiB-371.24) > 5 {
 		t.Fatalf("DCRNN All-LA node peak %.1f, paper 371.25", la.PeakNodeGiB)
 	}
-	laPGT, err := EstimatePolaris(Config{Dataset: "PeMS-All-LA", Strategy: StrategyBaseline, Model: ModelPGTDCRNN, Epochs: 1})
+	laPGT, err := EstimatePolaris("PeMS-All-LA", WithStrategy(StrategyBaseline), WithModel(ModelPGTDCRNN), WithEpochs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestEstimatePolarisBaselineOOMsOnPeMS(t *testing.T) {
 
 func TestEstimatePolarisFig7Ratios(t *testing.T) {
 	ratio := func(workers int) float64 {
-		di, err := EstimatePolaris(Config{Dataset: "PeMS", Strategy: StrategyDistIndex, Workers: workers, Epochs: 30})
+		di, err := EstimatePolaris("PeMS", WithStrategy(StrategyDistIndex), WithWorkers(workers), WithEpochs(30))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dd, err := EstimatePolaris(Config{Dataset: "PeMS", Strategy: StrategyBaselineDDP, Workers: workers, Epochs: 30})
+		dd, err := EstimatePolaris("PeMS", WithStrategy(StrategyBaselineDDP), WithWorkers(workers), WithEpochs(30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestEstimatePolarisFig7Ratios(t *testing.T) {
 }
 
 func TestEstimatePolarisGenDistIndex(t *testing.T) {
-	est, err := EstimatePolaris(Config{Dataset: "PeMS", Strategy: StrategyGenDistIndex, Workers: 4, Epochs: 1})
+	est, err := EstimatePolaris("PeMS", WithStrategy(StrategyGenDistIndex), WithWorkers(4), WithEpochs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestEstimatePolarisGenDistIndex(t *testing.T) {
 	if math.Abs(est.PeakNodeGiB-55.1) > 5 {
 		t.Fatalf("gen-dist-index node peak %.1f, expected ~55", est.PeakNodeGiB)
 	}
-	full, err := EstimatePolaris(Config{Dataset: "PeMS", Strategy: StrategyDistIndex, Workers: 4, Epochs: 1})
+	full, err := EstimatePolaris("PeMS", WithStrategy(StrategyDistIndex), WithWorkers(4), WithEpochs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestEstimatePolarisGenDistIndex(t *testing.T) {
 }
 
 func TestEstimatePolarisErrors(t *testing.T) {
-	if _, err := EstimatePolaris(Config{Dataset: "nope"}); err == nil {
+	if _, err := EstimatePolaris("nope"); err == nil {
 		t.Fatal("expected unknown-dataset error")
 	}
 }
 
 func TestEstimatePolarisDefaults(t *testing.T) {
-	est, err := EstimatePolaris(Config{Dataset: "PeMS-BAY", Strategy: StrategyIndex})
+	est, err := EstimatePolaris("PeMS-BAY", WithStrategy(StrategyIndex))
 	if err != nil {
 		t.Fatal(err)
 	}

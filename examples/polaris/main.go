@@ -18,8 +18,8 @@ import (
 	"pgti"
 )
 
-func estimate(cfg pgti.Config) *pgti.PolarisEstimate {
-	est, err := pgti.EstimatePolaris(cfg)
+func estimate(dataset string, opts ...pgti.Option) *pgti.PolarisEstimate {
+	est, err := pgti.EstimatePolaris(dataset, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func estimate(cfg pgti.Config) *pgti.PolarisEstimate {
 func main() {
 	fmt.Println("== single GPU, full PeMS (419 GB after standard preprocessing) ==")
 	for _, s := range []pgti.Strategy{pgti.StrategyBaseline, pgti.StrategyIndex, pgti.StrategyGPUIndex} {
-		est := estimate(pgti.Config{Dataset: "PeMS", Strategy: s, Epochs: 30})
+		est := estimate("PeMS", pgti.WithStrategy(s), pgti.WithEpochs(30))
 		status := fmt.Sprintf("%8.1f min | node %6.1f GiB | GPU %5.1f GiB", est.TotalMinutes, est.PeakNodeGiB, est.PeakGPUGiB)
 		if est.OOM {
 			status = "OOM — " + est.OOMDetail
@@ -40,15 +40,15 @@ func main() {
 	fmt.Println("\n== scaling distributed-index-batching vs baseline DDP (PeMS, 30 epochs) ==")
 	fmt.Printf("%5s | %-14s | %-14s | %s\n", "GPUs", "dist-index", "baseline DDP", "ratio")
 	for _, workers := range []int{4, 8, 16, 32, 64, 128} {
-		di := estimate(pgti.Config{Dataset: "PeMS", Strategy: pgti.StrategyDistIndex, Workers: workers, Epochs: 30})
-		dd := estimate(pgti.Config{Dataset: "PeMS", Strategy: pgti.StrategyBaselineDDP, Workers: workers, Epochs: 30})
+		di := estimate("PeMS", pgti.WithStrategy(pgti.StrategyDistIndex), pgti.WithWorkers(workers), pgti.WithEpochs(30))
+		dd := estimate("PeMS", pgti.WithStrategy(pgti.StrategyBaselineDDP), pgti.WithWorkers(workers), pgti.WithEpochs(30))
 		fmt.Printf("%5d | %10.1f min | %10.1f min | %.2fx\n",
 			workers, di.TotalMinutes, dd.TotalMinutes, dd.TotalMinutes/di.TotalMinutes)
 	}
 
 	fmt.Println("\n== what would it take to train your dataset? (PeMS-BAY, 100 epochs) ==")
 	for _, workers := range []int{1, 8, 32} {
-		est := estimate(pgti.Config{Dataset: "PeMS-BAY", Strategy: pgti.StrategyDistIndex, Workers: workers, Epochs: 100})
+		est := estimate("PeMS-BAY", pgti.WithStrategy(pgti.StrategyDistIndex), pgti.WithWorkers(workers), pgti.WithEpochs(100))
 		fmt.Printf("%3d GPU(s): %6.1f min total (%.1f min training, %.1f s preprocessing)\n",
 			workers, est.TotalMinutes, est.TrainMinutes, est.PreprocessSeconds)
 	}

@@ -35,7 +35,7 @@ type (
 // Predictor is the warm, goroutine-safe inference handle returned by
 // Experiment.Predictor after Fit: Predict forecasts from a raw input
 // Window, PredictTest serves the held-out test windows with ground truth —
-// byte-for-byte the same computation as Config.EmitForecasts.
+// byte-for-byte the same computation as WithForecasts.
 type Predictor = core.Predictor
 
 // Window is one raw input window for Predictor.Predict: Horizon time steps
@@ -43,10 +43,10 @@ type Predictor = core.Predictor
 // [step][node][feature].
 type Window = core.Window
 
-// Typed errors of the experiment API. Run and Fit wrap them, so callers
-// use errors.Is / errors.As rather than string matching.
+// Typed errors of the experiment API. The constructors and Fit wrap them,
+// so callers use errors.Is / errors.As rather than string matching.
 var (
-	// ErrUnknownDataset is wrapped by NewExperiment, Run and
+	// ErrUnknownDataset is wrapped by NewExperiment, NewStream and
 	// EstimatePolaris when the dataset name matches nothing.
 	ErrUnknownDataset = dataset.ErrUnknownDataset
 	// ErrNotFitted is wrapped by Predictor and Eval before Fit completed.
@@ -77,75 +77,69 @@ type GradStack struct {
 	BucketBytes int64
 }
 
-// expConfig accumulates option state before validation.
-type expConfig struct {
-	core       core.Config
-	shuffleSet bool
-	warmStart  bool
-	resume     bool
-}
-
-// Option configures an Experiment (see the With* constructors).
-type Option func(*expConfig)
+// Option configures an Experiment (see the With* constructors). Options
+// write the engine's own configuration — the struct the trainer reads and
+// the one validation table checks — so an option means the same thing
+// wherever it is applied: NewExperiment, Stream.Retrain, or a per-round
+// RetrainOptions.RoundOptions hook.
+type Option func(*core.Config)
 
 // WithModel selects the forecasting architecture (default ModelPGTDCRNN).
-func WithModel(m Model) Option { return func(c *expConfig) { c.core.Model = m } }
+func WithModel(m Model) Option { return func(c *core.Config) { c.Model = m } }
 
 // WithStrategy selects the training pipeline (default StrategyBaseline).
-func WithStrategy(s Strategy) Option { return func(c *expConfig) { c.core.Strategy = s } }
+func WithStrategy(s Strategy) Option { return func(c *core.Config) { c.Strategy = s } }
 
 // WithWorkers sets the data-parallel worker count for distributed
 // strategies.
-func WithWorkers(n int) Option { return func(c *expConfig) { c.core.Workers = n } }
+func WithWorkers(n int) Option { return func(c *core.Config) { c.Workers = n } }
 
 // WithScale shrinks the dataset to fit the host (0 < scale <= 1).
-func WithScale(scale float64) Option { return func(c *expConfig) { c.core.Scale = scale } }
+func WithScale(scale float64) Option { return func(c *core.Config) { c.Scale = scale } }
 
 // WithBatchSize sets the per-worker batch size (default 32).
-func WithBatchSize(n int) Option { return func(c *expConfig) { c.core.BatchSize = n } }
+func WithBatchSize(n int) Option { return func(c *core.Config) { c.BatchSize = n } }
 
 // WithEpochs sets the total epoch budget (default 1). Under WithResume the
 // budget counts from epoch 0: a run resumed at epoch k trains epochs
 // [k, n).
-func WithEpochs(n int) Option { return func(c *expConfig) { c.core.Epochs = n } }
+func WithEpochs(n int) Option { return func(c *core.Config) { c.Epochs = n } }
 
 // WithLR sets the learning rate (default 0.01).
-func WithLR(lr float64) Option { return func(c *expConfig) { c.core.LR = lr } }
+func WithLR(lr float64) Option { return func(c *core.Config) { c.LR = lr } }
 
 // WithLRScaling applies the linear learning-rate scaling rule for large
 // global batches.
-func WithLRScaling() Option { return func(c *expConfig) { c.core.UseLRScaling = true } }
+func WithLRScaling() Option { return func(c *core.Config) { c.UseLRScaling = true } }
 
 // WithHidden sets the hidden width (default 32).
-func WithHidden(n int) Option { return func(c *expConfig) { c.core.Hidden = n } }
+func WithHidden(n int) Option { return func(c *core.Config) { c.Hidden = n } }
 
 // WithDiffusionSteps sets the graph-diffusion hop count K (default 2).
-func WithDiffusionSteps(k int) Option { return func(c *expConfig) { c.core.K = k } }
+func WithDiffusionSteps(k int) Option { return func(c *core.Config) { c.K = k } }
 
 // WithSeed seeds all randomness (dataset generation, init, shuffling).
-func WithSeed(seed uint64) Option { return func(c *expConfig) { c.core.Seed = seed } }
+func WithSeed(seed uint64) Option { return func(c *core.Config) { c.Seed = seed } }
 
-// WithShuffle explicitly selects the distributed shuffling strategy.
-// Unlike the legacy Config.Shuffle field — whose ShuffleGlobal value is
-// indistinguishable from "unset", so GenDistIndex silently overrides it —
-// this option always wins: WithShuffle(ShuffleGlobal) forces global
+// WithShuffle explicitly selects the distributed shuffling strategy, and an
+// explicit choice always wins: WithShuffle(ShuffleGlobal) forces global
 // shuffling on any strategy. Omit it to accept the strategy's default
 // (global; batch for StrategyGenDistIndex).
 func WithShuffle(s Shuffle) Option {
-	return func(c *expConfig) {
-		c.core.Sampler = s
-		c.shuffleSet = true
+	return func(c *core.Config) {
+		c.Sampler = s
+		c.SamplerSet = true
 	}
 }
 
 // WithGradStack configures the gradient-exchange collective stack.
 func WithGradStack(gs GradStack) Option {
-	return func(c *expConfig) {
-		c.core.GradAlgo = gs.Algo
-		c.core.Topology = gs.Topology
-		c.core.GradFP16 = gs.FP16
-		c.core.GradAutoTune = gs.AutoTune
-		c.core.GradBucketBytes = gs.BucketBytes
+	return func(c *core.Config) {
+		c.GradAlgo = gs.Algo
+		c.Topology = gs.Topology
+		c.GradFP16 = gs.FP16
+		c.GradAutoTune = gs.AutoTune
+		c.GradBucketBytes = gs.BucketBytes
 	}
 }
 
@@ -153,7 +147,7 @@ func WithGradStack(gs GradStack) Option {
 // multiplying the worker grid into a 2D (spatial x data) layout. Requires
 // StrategyDistIndex and a graph-convolutional model.
 func WithSpatial(shards int) Option {
-	return func(c *expConfig) { c.core.Spatial = Spatial{Shards: shards} }
+	return func(c *core.Config) { c.Spatial = Spatial{Shards: shards} }
 }
 
 // WithRepartition enables elastic chunk-based repartitioning on the hybrid
@@ -167,9 +161,9 @@ func WithSpatial(shards int) Option {
 // preserved to fp64 tolerance (the moved loss weights reassociate the same
 // sums). Requires WithSpatial.
 func WithRepartition(chunkSize int, threshold float64) Option {
-	return func(c *expConfig) {
-		c.core.Repartition.ChunkSize = chunkSize
-		c.core.Repartition.Threshold = threshold
+	return func(c *core.Config) {
+		c.Repartition.ChunkSize = chunkSize
+		c.Repartition.Threshold = threshold
 	}
 }
 
@@ -181,7 +175,7 @@ func WithRepartition(chunkSize int, threshold float64) Option {
 // down); the measured vector sees the inflation and triggers the migration.
 // Requires WithRepartition.
 func WithMeasuredRepartition() Option {
-	return func(c *expConfig) { c.core.Repartition.Measured = true }
+	return func(c *core.Config) { c.Repartition.Measured = true }
 }
 
 // WithNodeWeights injects per-node structural compute weights (len must
@@ -192,7 +186,7 @@ func WithMeasuredRepartition() Option {
 // loss weighting keeps the node-count share, so curves are unchanged.
 // Requires WithSpatial.
 func WithNodeWeights(w []float64) Option {
-	return func(c *expConfig) { c.core.NodeWeights = w }
+	return func(c *core.Config) { c.NodeWeights = w }
 }
 
 // WithComputeCost replaces measured wall time with a modeled per-batch
@@ -201,7 +195,7 @@ func WithNodeWeights(w []float64) Option {
 // configuration — machine-independent and bitwise reproducible — which is
 // what the streaming replay contract and the gated benchmarks pin.
 func WithComputeCost(fn func(batchItems int) time.Duration) Option {
-	return func(c *expConfig) { c.core.ComputeCost = fn }
+	return func(c *core.Config) { c.ComputeCost = fn }
 }
 
 // WithAssembleCost supplies the modeled host-side batch collation cost.
@@ -209,7 +203,7 @@ func WithComputeCost(fn func(batchItems int) time.Duration) Option {
 // epoch's leading assembly stays exposed (the rest hides under compute, and
 // the epoch's last train step hides the first eval batch's assembly).
 func WithAssembleCost(fn func(batchItems int) time.Duration) Option {
-	return func(c *expConfig) { c.core.AssembleCost = fn }
+	return func(c *core.Config) { c.AssembleCost = fn }
 }
 
 // WithPrefetch double-buffers batch assembly on the training hot path: a
@@ -219,7 +213,7 @@ func WithAssembleCost(fn func(batchItems int) time.Duration) Option {
 // change. Ignored when a partition store supplies the data
 // (StrategyGenDistIndex with multiple workers), where fetch latency is
 // modeled instead.
-func WithPrefetch() Option { return func(c *expConfig) { c.core.Prefetch = true } }
+func WithPrefetch() Option { return func(c *core.Config) { c.Prefetch = true } }
 
 // WithStaleness opts into bounded-staleness gradient application: step s
 // applies step s-k's fully synced gradient with error compensation,
@@ -229,31 +223,29 @@ func WithPrefetch() Option { return func(c *expConfig) { c.core.Prefetch = true 
 // StrategyDistIndex); replicas stay bitwise identical — the queue drains
 // at every epoch end, so the update count matches the synchronous run.
 func WithStaleness(k int) Option {
-	return func(c *expConfig) { c.core.Staleness = k }
+	return func(c *core.Config) { c.Staleness = k }
 }
 
 // WithMemoryCaps caps the byte-exact memory trackers in GiB (0 =
 // unlimited). A run exceeding the system cap reports OOM.
 func WithMemoryCaps(systemGB, gpuGB float64) Option {
-	return func(c *expConfig) {
-		c.core.SystemMemory = int64(systemGB * float64(gib))
-		c.core.GPUMemory = int64(gpuGB * float64(gib))
+	return func(c *core.Config) {
+		c.SystemMemory = int64(systemGB * float64(gib))
+		c.GPUMemory = int64(gpuGB * float64(gib))
 	}
 }
 
 // WithMissingData zeroes each observation with probability frac and trains
-// with the masked-MAE loss.
+// with the masked-MAE loss. Single-GPU strategies only: the distributed
+// trainer has no masked loss, so the combination is rejected.
 func WithMissingData(frac float64) Option {
-	return func(c *expConfig) { c.core.MissingFrac = frac }
+	return func(c *core.Config) { c.MissingFrac = frac }
 }
 
 // WithWarmStart initializes the model parameters from a checkpoint before
 // training (optimizer state and epoch counter start fresh).
 func WithWarmStart(path string) Option {
-	return func(c *expConfig) {
-		c.core.LoadCheckpoint = path
-		c.warmStart = true
-	}
+	return func(c *core.Config) { c.LoadCheckpoint = path }
 }
 
 // WithResume restores the full training state — parameters, Adam moments,
@@ -261,111 +253,35 @@ func WithWarmStart(path string) Option {
 // and continues deterministically: the resumed curve matches a
 // straight-through run's tail bit for bit.
 func WithResume(path string) Option {
-	return func(c *expConfig) {
-		c.core.LoadCheckpoint = path
-		c.core.Resume = true
-		c.resume = true
-	}
+	return func(c *core.Config) { c.ResumeCheckpoint = path }
 }
 
 // WithSaveCheckpoint writes the trained parameters plus the resumable
 // optimizer trailer after Fit (rank 0's replica for distributed
 // strategies).
 func WithSaveCheckpoint(path string) Option {
-	return func(c *expConfig) { c.core.SaveCheckpoint = path }
+	return func(c *core.Config) { c.SaveCheckpoint = path }
 }
 
 // WithForecasts attaches predictions for the first n test windows to the
 // report at Eval.
 func WithForecasts(n int) Option {
-	return func(c *expConfig) { c.core.EmitForecasts = n }
+	return func(c *core.Config) { c.EmitForecasts = n }
 }
 
 // WithTestEval forces the post-training test-split MSE evaluation for
 // distributed strategies (single-GPU strategies always evaluate).
 func WithTestEval() Option {
-	return func(c *expConfig) { c.core.EvalTest = true }
+	return func(c *core.Config) { c.EvalTest = true }
 }
 
 // WithEvents streams typed Events (epoch end, autotune lock-in, memory
 // high-water, OOM) to fn while Fit runs.
 func WithEvents(fn func(Event)) Option {
-	return func(c *expConfig) { c.core.Events = core.EventFunc(fn) }
+	return func(c *core.Config) { c.Events = core.EventFunc(fn) }
 }
 
-// validate rejects illegal option combinations with typed errors before
-// any work happens. The engine re-checks the core invariants; the checks
-// here are the stricter API-boundary ones (the legacy Config shim stays
-// permissive where it always was).
-func (c *expConfig) validate() error {
-	cc := &c.core
-	dist := cc.Strategy.IsDistributed()
-	spatial := cc.Spatial.Enabled()
-	invalid := func(field, format string, args ...any) error {
-		return &InvalidConfigError{Field: field, Reason: fmt.Sprintf(format, args...)}
-	}
-	if cc.Scale < 0 || cc.Scale > 1 {
-		return invalid("Scale", "scale %v outside (0, 1] (0 selects full size)", cc.Scale)
-	}
-	if cc.MissingFrac < 0 || cc.MissingFrac >= 1 {
-		return invalid("MissingFrac", "missing fraction %v outside [0, 1)", cc.MissingFrac)
-	}
-	if cc.Workers > 1 && !dist {
-		return invalid("Workers", "%d workers need a distributed strategy, got %v", cc.Workers, cc.Strategy)
-	}
-	if spatial {
-		if cc.Strategy != StrategyDistIndex {
-			return invalid("Spatial", "spatial sharding requires StrategyDistIndex, got %v", cc.Strategy)
-		}
-		if cc.Model == ModelSTLLM {
-			return invalid("Spatial", "spatial sharding is unsupported for %v (full spatial attention has no node partition)", cc.Model)
-		}
-		// The hybrid grid's bucketed two-stage sync composes with fp16,
-		// bucket caps and the autotuner; only an explicit algorithm choice
-		// has nothing to select (the grouped replica-sum -> shard-mean
-		// collective is fixed).
-		if cc.GradAlgo != GradAlgoRing {
-			return invalid("Spatial", "WithGradStack Algo is not supported with spatial sharding (the two-stage grouped collective is fixed)")
-		}
-	}
-	if cc.GradFP16 && !dist {
-		return invalid("GradStack", "fp16 gradient compression needs a distributed strategy (a single GPU ships no gradients)")
-	}
-	if cc.GradAutoTune && cc.GradAlgo == GradAlgoFlat {
-		return invalid("GradStack", "the flat algorithm has no buckets to autotune")
-	}
-	if cc.Topology.Nodes > 0 && cc.Topology.GPUsPerNode > 0 {
-		world := cc.Workers
-		if world < 1 {
-			world = 1
-		}
-		if spatial {
-			world *= cc.Spatial.Shards
-		}
-		if declared := cc.Topology.Nodes * cc.Topology.GPUsPerNode; world < declared {
-			return invalid("Workers", "topology declares a %dx%d grid (%d slots) but the run has only %d workers",
-				cc.Topology.Nodes, cc.Topology.GPUsPerNode, declared, world)
-		}
-	}
-	if cc.Repartition.Enabled() && !spatial {
-		return invalid("Repartition", "elastic repartitioning requires spatial sharding (WithSpatial on StrategyDistIndex)")
-	}
-	if cc.NodeWeights != nil && !spatial {
-		return invalid("NodeWeights", "node weights scale per-shard compute and need spatial sharding (WithSpatial)")
-	}
-	if cc.Staleness < 0 {
-		return invalid("Staleness", "staleness bound %d is negative", cc.Staleness)
-	}
-	if cc.Staleness > 0 && !spatial {
-		return invalid("Staleness", "bounded staleness requires spatial sharding (WithSpatial on StrategyDistIndex), got %v", cc.Strategy)
-	}
-	if c.warmStart && c.resume {
-		return invalid("Resume", "WithWarmStart and WithResume are mutually exclusive (one checkpoint path)")
-	}
-	return nil
-}
-
-// Experiment is the staged, composable training lifecycle behind Run:
+// Experiment is the staged, composable training lifecycle:
 //
 //	exp, _ := pgti.NewExperiment("PeMS-BAY",
 //		pgti.WithStrategy(pgti.StrategyDistIndex),
@@ -377,8 +293,7 @@ func (c *expConfig) validate() error {
 // Stages auto-advance (Fit runs Open and Build if the caller has not), but
 // can be driven individually to recompose the engine: Open resolves the
 // dataset and pipeline, Build the model and distributed grid, Fit trains,
-// Eval computes test metrics, Predictor serves. The legacy Run(Config) is
-// a thin shim over this exact path and produces bitwise-identical curves.
+// Eval computes test metrics, Predictor serves.
 type Experiment struct {
 	eng *core.Engine
 }
@@ -387,20 +302,28 @@ type Experiment struct {
 // Illegal option combinations return typed errors (*InvalidConfigError,
 // ErrUnknownDataset) immediately — nothing runs until Open/Fit.
 func NewExperiment(datasetName string, opts ...Option) (*Experiment, error) {
+	cfg, err := configure(datasetName, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Experiment{eng: core.NewEngine(cfg)}, nil
+}
+
+// configure resolves the named dataset, applies opts to a fresh engine
+// configuration over it, and checks the result against the validation table.
+func configure(datasetName string, opts []Option) (core.Config, error) {
 	meta, err := dataset.ByName(datasetName)
 	if err != nil {
-		return nil, fmt.Errorf("pgti: %w (available: %v)", err, Datasets())
+		return core.Config{}, fmt.Errorf("pgti: %w (available: %v)", err, Datasets())
 	}
-	c := &expConfig{}
-	c.core.Meta = meta
+	cfg := core.Config{Meta: meta}
 	for _, opt := range opts {
-		opt(c)
+		opt(&cfg)
 	}
-	if err := c.validate(); err != nil {
-		return nil, fmt.Errorf("pgti: %w", err)
+	if err := cfg.Validate(); err != nil {
+		return core.Config{}, fmt.Errorf("pgti: %w", err)
 	}
-	c.core.SamplerSet = c.shuffleSet
-	return &Experiment{eng: core.NewEngine(c.core)}, nil
+	return cfg, nil
 }
 
 // Open resolves the dataset and data pipeline (generation, preprocessing,

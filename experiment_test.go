@@ -3,13 +3,19 @@ package pgti
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
+	"time"
+
+	"pgti/internal/core"
+	"pgti/internal/dataset"
 )
 
-// tinyOpts returns fast options matching tinyConfig below.
-func tinyConfig(strategy Strategy, workers int) Config {
-	return Config{
-		Dataset:   "PeMS-BAY",
+// tinyConfig is the engine configuration tinyOpts must build, written out as
+// a literal.
+func tinyConfig(strategy Strategy, workers int) core.Config {
+	return core.Config{
+		Meta:      dataset.PeMSBay,
 		Scale:     0.012,
 		Strategy:  strategy,
 		Workers:   workers,
@@ -21,6 +27,7 @@ func tinyConfig(strategy Strategy, workers int) Config {
 	}
 }
 
+// tinyOpts returns fast options matching tinyConfig above.
 func tinyOpts(strategy Strategy, workers int) []Option {
 	return []Option{
 		WithScale(0.012),
@@ -34,14 +41,22 @@ func tinyOpts(strategy Strategy, workers int) []Option {
 	}
 }
 
-// TestCompatShimBitwiseIdentical is the API-redesign acceptance gate: the
-// legacy Run(Config) shim and the staged NewExperiment(...).Fit path must
-// produce bitwise-identical training curves at W ∈ {1, 2, 4}.
+// TestCompatShimBitwiseIdentical: options build the same engine
+// configuration a literal does, so NewExperiment(...).Fit and core.Run on
+// the literal produce bitwise-identical training curves at W ∈ {1, 2, 4}.
 func TestCompatShimBitwiseIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		legacy, err := Run(tinyConfig(StrategyDistIndex, workers))
+		literal := tinyConfig(StrategyDistIndex, workers)
+		built := core.Config{Meta: dataset.PeMSBay}
+		for _, opt := range tinyOpts(StrategyDistIndex, workers) {
+			opt(&built)
+		}
+		if !reflect.DeepEqual(built, literal) {
+			t.Fatalf("W=%d: options built %+v, literal is %+v", workers, built, literal)
+		}
+		legacy, err := core.Run(literal)
 		if err != nil {
-			t.Fatalf("W=%d legacy: %v", workers, err)
+			t.Fatalf("W=%d literal: %v", workers, err)
 		}
 		exp, err := NewExperiment("PeMS-BAY", tinyOpts(StrategyDistIndex, workers)...)
 		if err != nil {
@@ -56,7 +71,7 @@ func TestCompatShimBitwiseIdentical(t *testing.T) {
 		}
 		for i := range staged.Curve {
 			if staged.Curve[i] != legacy.Curve[i] {
-				t.Fatalf("W=%d epoch %d: staged %+v != legacy %+v",
+				t.Fatalf("W=%d epoch %d: staged %+v != literal %+v",
 					workers, i, staged.Curve[i], legacy.Curve[i])
 			}
 		}
@@ -67,63 +82,85 @@ func TestCompatShimBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestOptionValidationTable drives the illegal combinations through
-// NewExperiment and asserts typed errors.
+// TestOptionValidationTable is the single source of illegal option rows. Each
+// row goes through all three entrances to the trainer — NewExperiment, a
+// per-round RoundOptions hook inside Stream.Retrain, and core.Run on the
+// configuration the options build — and must be rejected by the one
+// validation table with the same typed error every time.
 func TestOptionValidationTable(t *testing.T) {
+	const name = "Chickenpox-Hungary"
+	distIndex := []Option{WithStrategy(StrategyDistIndex), WithWorkers(2)}
+	with := func(base []Option, more ...Option) []Option {
+		return append(append([]Option(nil), base...), more...)
+	}
+	hier2x2 := GradStack{Algo: GradAlgoHierarchical, Topology: Topology{Nodes: 2, GPUsPerNode: 2}}
 	cases := []struct {
-		name string
-		opts []Option
+		name  string
+		field string
+		opts  []Option
 	}{
-		{"spatial+non-dist-index", []Option{
+		{"unknown strategy", "Strategy", []Option{WithStrategy(Strategy(99))}},
+		{"spatial+non-dist-index", "Spatial", []Option{
 			WithStrategy(StrategyGenDistIndex), WithWorkers(2), WithSpatial(2),
 		}},
-		{"spatial+st-llm", []Option{
-			WithStrategy(StrategyDistIndex), WithWorkers(2), WithSpatial(2), WithModel(ModelSTLLM),
-		}},
-		{"spatial+gradstack-algo", []Option{
-			WithStrategy(StrategyDistIndex), WithWorkers(2), WithSpatial(2),
-			WithGradStack(GradStack{Algo: GradAlgoHierarchical, Topology: Topology{Nodes: 2, GPUsPerNode: 2}}),
-		}},
-		{"autotune+flat", []Option{
-			WithStrategy(StrategyDistIndex), WithWorkers(2),
-			WithGradStack(GradStack{Algo: GradAlgoFlat, AutoTune: true}),
-		}},
-		{"workers below topology grid", []Option{
-			WithStrategy(StrategyDistIndex), WithWorkers(2),
-			WithGradStack(GradStack{Algo: GradAlgoHierarchical, Topology: Topology{Nodes: 2, GPUsPerNode: 2}}),
-		}},
-		{"fp16 on single-GPU", []Option{
+		{"spatial+st-llm", "Spatial", with(distIndex, WithSpatial(2), WithModel(ModelSTLLM))},
+		{"spatial+gradstack-algo", "Spatial", with(distIndex, WithSpatial(2), WithGradStack(hier2x2))},
+		{"autotune+flat", "GradStack", with(distIndex, WithGradStack(GradStack{Algo: GradAlgoFlat, AutoTune: true}))},
+		{"workers below topology grid", "Workers", with(distIndex, WithGradStack(hier2x2))},
+		{"fp16 on single-GPU", "GradStack", []Option{
 			WithStrategy(StrategyIndex), WithGradStack(GradStack{FP16: true}),
 		}},
-		{"workers without distribution", []Option{
+		{"workers without distribution", "Workers", []Option{
 			WithStrategy(StrategyIndex), WithWorkers(4),
 		}},
-		{"scale out of range", []Option{WithScale(1.5)}},
-		{"warm-start+resume", []Option{
+		{"scale out of range", "Scale", []Option{WithScale(1.5)}},
+		{"missing fraction out of range", "MissingFrac", []Option{WithMissingData(1)}},
+		// The grid trainer has no masked loss: it used to zero the readings
+		// and train the plain MAE on them.
+		{"missing data on a distributed strategy", "MissingFrac", with(distIndex, WithMissingData(0.1))},
+		{"warm-start+resume", "Resume", []Option{
 			WithWarmStart("a.pgtc"), WithResume("b.pgtc"),
 		}},
-		{"staleness without spatial", []Option{
-			WithStrategy(StrategyDistIndex), WithWorkers(2), WithStaleness(1),
+		{"staleness without spatial", "Staleness", with(distIndex, WithStaleness(1))},
+		{"negative staleness", "Staleness", with(distIndex, WithSpatial(2), WithStaleness(-1))},
+		{"repartition without spatial", "Repartition", with(distIndex, WithRepartition(4, 2))},
+		{"repartition threshold", "Repartition", with(distIndex, WithSpatial(2), WithRepartition(4, 0.5))},
+		{"node weights without spatial", "NodeWeights", with(distIndex, WithNodeWeights(make([]float64, 20)))},
+		{"faults on single-GPU", "Faults", []Option{
+			WithStrategy(StrategyIndex), WithFaultPlan(1, FaultCrash(0, time.Second)),
 		}},
-		{"negative staleness", []Option{
-			WithStrategy(StrategyDistIndex), WithWorkers(2), WithSpatial(2), WithStaleness(-1),
-		}},
+		{"fault rank outside the grid", "Faults", with(distIndex, WithFaultPlan(1, FaultCrash(5, time.Second)))},
 	}
+	st, err := NewStream(name, 1, StreamOptions{Window: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	for _, tc := range cases {
-		_, err := NewExperiment("PeMS-BAY", tc.opts...)
-		var ice *InvalidConfigError
-		if !errors.As(err, &ice) {
-			t.Fatalf("%s: want *InvalidConfigError, got %v", tc.name, err)
+		_, errNew := NewExperiment(name, tc.opts...)
+		// An empty base set is legal; the row arrives as round 0's options.
+		_, errRound := st.Retrain(context.Background(), RetrainOptions{
+			RoundOptions: func(int) []Option { return tc.opts },
+		})
+		cfg := core.Config{Meta: dataset.ChickenpoxHungary}
+		for _, opt := range tc.opts {
+			opt(&cfg)
 		}
-		if ice.Field == "" || ice.Reason == "" {
-			t.Fatalf("%s: typed error incomplete: %+v", tc.name, ice)
+		_, errRun := core.Run(cfg)
+		for door, err := range map[string]error{"NewExperiment": errNew, "RoundOptions": errRound, "core.Run": errRun} {
+			var ice *InvalidConfigError
+			if !errors.As(err, &ice) {
+				t.Fatalf("%s via %s: want *InvalidConfigError, got %v", tc.name, door, err)
+			}
+			if ice.Field != tc.field || ice.Reason == "" {
+				t.Fatalf("%s via %s: got %+v, want Field %q", tc.name, door, ice, tc.field)
+			}
 		}
 	}
 	// The legal variants of the near-miss combinations still construct.
 	legal := [][]Option{
 		{WithStrategy(StrategyDistIndex), WithWorkers(2), WithSpatial(2)},
-		{WithStrategy(StrategyDistIndex), WithWorkers(4),
-			WithGradStack(GradStack{Algo: GradAlgoHierarchical, Topology: Topology{Nodes: 2, GPUsPerNode: 2}})},
+		{WithStrategy(StrategyDistIndex), WithWorkers(4), WithGradStack(hier2x2)},
 		{WithStrategy(StrategyDistIndex), WithWorkers(2), WithGradStack(GradStack{FP16: true})},
 		// The hybrid grid's bucketed two-stage sync composes with the
 		// collective stack's fp16/bucket-cap/autotune knobs.
@@ -133,9 +170,14 @@ func TestOptionValidationTable(t *testing.T) {
 		// prefetch composes with any strategy.
 		{WithStrategy(StrategyDistIndex), WithWorkers(2), WithSpatial(2), WithStaleness(2)},
 		{WithStrategy(StrategyGenDistIndex), WithWorkers(2), WithPrefetch()},
+		{WithStrategy(StrategyIndex), WithMissingData(0.1)},
+		{WithWarmStart("a.pgtc")},
+		{WithResume("b.pgtc")},
+		{WithStrategy(StrategyDistIndex), WithWorkers(2), WithSpatial(2), WithRepartition(4, 2), WithNodeWeights(make([]float64, 20))},
+		{WithStrategy(StrategyDistIndex), WithWorkers(2), WithFaultPlan(1, FaultCrash(1, time.Second))},
 	}
 	for i, opts := range legal {
-		if _, err := NewExperiment("PeMS-BAY", opts...); err != nil {
+		if _, err := NewExperiment(name, opts...); err != nil {
 			t.Fatalf("legal combination %d rejected: %v", i, err)
 		}
 	}
@@ -146,16 +188,12 @@ func TestNewExperimentUnknownDataset(t *testing.T) {
 	if !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("want ErrUnknownDataset, got %v", err)
 	}
-	// The legacy shim wraps the same sentinel.
-	_, err = Run(Config{Dataset: "nope"})
-	if !errors.Is(err, ErrUnknownDataset) {
-		t.Fatalf("Run: want ErrUnknownDataset, got %v", err)
-	}
 }
 
 // TestWithShuffleExplicitGlobal: the options API distinguishes an explicit
 // ShuffleGlobal from "unset" — on GenDistIndex the former forces global
-// shuffling while the legacy shim (documented) falls back to batch.
+// shuffling, while a configuration literal that merely holds the zero value
+// (SamplerSet false) falls back to batch.
 func TestWithShuffleExplicitGlobal(t *testing.T) {
 	run := func(opts ...Option) *Report {
 		t.Helper()
@@ -190,16 +228,16 @@ func TestWithShuffleExplicitGlobal(t *testing.T) {
 	if sameCurve(unset, global) {
 		t.Fatal("explicit global shuffle must change the GenDistIndex schedule")
 	}
-	// And the legacy shim's documented fallback: Config.Shuffle =
-	// ShuffleGlobal reads as unset, i.e. batch.
+	// And the literal's fallback: Sampler = ShuffleGlobal without
+	// SamplerSet reads as unset, i.e. batch.
 	cfg := tinyConfig(StrategyGenDistIndex, 2)
-	cfg.Shuffle = ShuffleGlobal
-	legacy, err := Run(cfg)
+	cfg.Sampler = ShuffleGlobal
+	literal, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameCurve(legacy, unset) {
-		t.Fatal("shim's ShuffleGlobal-is-unset behavior changed")
+	if !sameCurve(literal, unset) {
+		t.Fatal("ShuffleGlobal-without-SamplerSet-is-unset behavior changed")
 	}
 }
 

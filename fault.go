@@ -90,7 +90,7 @@ func FaultRandomStragglers(n, world int, factor float64, dur time.Duration) Faul
 // Recovery is automatic (see the package comment above); the run's report
 // counts recoveries and their modeled overhead in Recoveries/RecoveryTime.
 func WithFaultPlan(seed uint64, opts ...FaultOption) Option {
-	return func(c *expConfig) { c.core.Faults = fault.New(seed, opts...) }
+	return func(c *core.Config) { c.Faults = fault.New(seed, opts...) }
 }
 
 // RecoveryEvent fires after each elastic recovery from a scheduled worker

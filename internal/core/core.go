@@ -137,7 +137,8 @@ type Config struct {
 	// Sampler overrides the shuffling strategy for distributed runs
 	// (defaults: global for DistIndex/BaselineDDP, batch for GenDistIndex).
 	Sampler ddp.SamplerKind
-	// samplerSet tracks whether Sampler was set explicitly.
+	// SamplerSet records that Sampler was chosen explicitly, so a deliberate
+	// GlobalShuffle (the zero value) is not replaced by the strategy default.
 	SamplerSet bool
 
 	// GradBucketBytes caps one gradient bucket of the bucketed overlapping
@@ -210,24 +211,28 @@ type Config struct {
 	// MissingFrac injects sensor dropouts: each (entry, node) observation
 	// is zeroed with this probability before preprocessing, and training
 	// switches to the masked-MAE loss so missing readings contribute no
-	// gradient (the METR-LA/PeMS missing-data convention).
+	// gradient (the METR-LA/PeMS missing-data convention). Single-GPU
+	// strategies only: the grid trainer has no masked loss, so Validate
+	// rejects it on a distributed strategy.
 	MissingFrac float64
 
-	// LoadCheckpoint initializes the model from a checkpoint file before
-	// training (distributed strategies load it into every replica, which
-	// stays bitwise identical); SaveCheckpoint writes the trained
-	// parameters plus the optimizer trailer afterwards (rank 0's replica
-	// for distributed strategies — replicas are identical, so rank 0 is the
-	// run). Resume additionally restores the optimizer moments and the
-	// epoch cursor from LoadCheckpoint, so training continues exactly where
-	// the saved run stopped: Epochs then means the TOTAL epoch budget, and
-	// the resumed curve matches a straight-through run's tail bit for bit.
-	// A cancelled Fit also writes SaveCheckpoint (completed epochs survive
-	// Ctrl-C); resuming such a checkpoint redoes the interrupted epoch as a
-	// warm continuation rather than a bitwise replay.
-	LoadCheckpoint string
-	SaveCheckpoint string
-	Resume         bool
+	// LoadCheckpoint initializes the model parameters from a checkpoint file
+	// before training — a warm start: optimizer state and the epoch cursor
+	// begin fresh (distributed strategies load it into every replica, which
+	// stays bitwise identical). ResumeCheckpoint instead restores the full
+	// training state — parameters, optimizer moments and the epoch cursor —
+	// so training continues exactly where the saved run stopped: Epochs then
+	// means the TOTAL epoch budget, and the resumed curve matches a
+	// straight-through run's tail bit for bit. The two are mutually exclusive
+	// initializers. SaveCheckpoint writes the trained parameters plus the
+	// optimizer trailer afterwards (rank 0's replica for distributed
+	// strategies — replicas are identical, so rank 0 is the run). A cancelled
+	// Fit also writes SaveCheckpoint (completed epochs survive Ctrl-C);
+	// resuming such a checkpoint redoes the interrupted epoch as a warm
+	// continuation rather than a bitwise replay.
+	LoadCheckpoint   string
+	ResumeCheckpoint string
+	SaveCheckpoint   string
 
 	// EmitForecasts, when > 0, runs inference on the first N test snapshots
 	// after training and attaches the predictions (in original signal
@@ -265,8 +270,108 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
+// Validate is the one table of illegal configurations: every entrance to the
+// trainer — the public options (NewExperiment, Stream.Retrain and its
+// per-round options), Run, and a hand-built Engine — rejects the same config
+// with the same typed *InvalidConfigError. It reads the config as given,
+// before defaulting, so a zero field means "use the default" and is legal.
+// The one rule left out needs the graph: buildGrid checks NodeWeights'
+// length against the node count.
+func (c *Config) Validate() error {
+	switch c.Strategy {
+	case Baseline, Index, GPUIndex, BaselineDDP, DistIndex, GenDistIndex:
+	default:
+		return invalidf("Strategy", "unknown strategy %v", c.Strategy)
+	}
+	dist := c.Strategy.IsDistributed()
+	spatial := c.Spatial.Enabled()
+	world := 1
+	if c.Workers > 1 {
+		world = c.Workers
+	}
+	if spatial {
+		world *= c.Spatial.Shards
+	}
+	if !(c.Scale >= 0 && c.Scale <= 1) { // also rejects NaN
+		return invalidf("Scale", "scale %v outside (0, 1] (0 selects full size)", c.Scale)
+	}
+	if !(c.MissingFrac >= 0 && c.MissingFrac < 1) {
+		return invalidf("MissingFrac", "missing fraction %v outside [0, 1)", c.MissingFrac)
+	}
+	if c.MissingFrac > 0 && dist {
+		return invalidf("MissingFrac", "missing-data training needs a single-GPU strategy (the grid trainer has no masked loss), got %v", c.Strategy)
+	}
+	if c.Workers > 1 && !dist {
+		return invalidf("Workers", "%d workers need a distributed strategy, got %v", c.Workers, c.Strategy)
+	}
+	if spatial {
+		if c.Strategy != DistIndex {
+			return invalidf("Spatial", "spatial sharding requires the dist-index strategy, got %v", c.Strategy)
+		}
+		if c.Model == ModelSTLLM {
+			return invalidf("Spatial", "spatial sharding is unsupported for %v (full spatial attention has no node partition)", c.Model)
+		}
+		// A sharded grid's bucketed two-stage sync composes with fp16
+		// compression, bucket-size caps and the first-epoch autotuner, but
+		// its collective algorithm is fixed (grouped replica-sum →
+		// shard-mean, topology-priced): an explicit GradAlgo has nothing to
+		// select and is rejected rather than silently ignored.
+		if c.GradAlgo != ddp.GradAlgoRing {
+			return invalidf("Spatial", "GradAlgo is not supported with spatial sharding (the two-stage grouped collective is fixed)")
+		}
+	}
+	if c.GradFP16 && !dist {
+		return invalidf("GradStack", "fp16 gradient compression needs a distributed strategy (a single GPU ships no gradients)")
+	}
+	if c.GradAutoTune && c.GradAlgo == ddp.GradAlgoFlat {
+		return invalidf("GradStack", "the flat algorithm has no buckets to autotune")
+	}
+	if t := c.Topology; t.Nodes > 0 && t.GPUsPerNode > 0 && world < t.Nodes*t.GPUsPerNode {
+		return invalidf("Workers", "topology declares a %dx%d grid (%d slots) but the run has only %d workers",
+			t.Nodes, t.GPUsPerNode, t.Nodes*t.GPUsPerNode, world)
+	}
+	if err := c.Repartition.Validate(); err != nil {
+		return invalidf("Repartition", "%v", err)
+	}
+	if c.Repartition.Enabled() && !spatial {
+		return invalidf("Repartition", "elastic repartitioning requires spatial sharding (Spatial.Shards >= 2 on dist-index)")
+	}
+	if len(c.NodeWeights) > 0 && !spatial {
+		return invalidf("NodeWeights", "node weights scale per-shard compute and need spatial sharding (Spatial.Shards >= 2)")
+	}
+	if c.Staleness < 0 {
+		return invalidf("Staleness", "staleness bound %d is negative", c.Staleness)
+	}
+	if c.Staleness > 0 && !spatial {
+		return invalidf("Staleness", "bounded staleness requires spatial sharding (Spatial.Shards >= 2 on dist-index), got %v", c.Strategy)
+	}
+	if c.LoadCheckpoint != "" && c.ResumeCheckpoint != "" {
+		return invalidf("Resume", "a warm start (LoadCheckpoint) and a resume (ResumeCheckpoint) are mutually exclusive initializers")
+	}
+	if len(c.WarmParams) > 0 && (c.LoadCheckpoint != "" || c.ResumeCheckpoint != "") {
+		return invalidf("WarmParams", "WarmParams and a checkpoint file are mutually exclusive initializers")
+	}
+	if c.Faults != nil {
+		if !dist {
+			return invalidf("Faults", "fault injection requires a distributed strategy, got %v", c.Strategy)
+		}
+		if err := c.Faults.Validate(world); err != nil {
+			return invalidf("Faults", "%v", err)
+		}
+	}
+	if c.Provided != nil {
+		if c.Scale > 0 && c.Scale < 1 {
+			return invalidf("Provided", "a provided dataset cannot be rescaled (Scale %g)", c.Scale)
+		}
+		if c.MissingFrac > 0 {
+			return invalidf("Provided", "missing-data injection would mutate the provided dataset; inject before providing it")
+		}
+	}
+	return nil
+}
+
 func (c *Config) fillDefaults() {
-	if c.Scale <= 0 || c.Scale > 1 {
+	if c.Scale == 0 {
 		c.Scale = 1
 	}
 	if c.Workers < 1 {
@@ -417,12 +522,10 @@ func buildModel(kind ModelKind, seed uint64, supports []*sparse.CSR, in, hidden,
 	return buildModelOn(kind, seed, nn.WrapSupports(supports), in, hidden, k, horizon, nodes)
 }
 
-// Run executes the configured strategy in measured mode, composing the
-// staged Engine exactly as the legacy monolith did (Open → Build → Fit →
-// Eval); it is the compatibility shim over the staged lifecycle and is
-// pinned bitwise-identical to it by construction. Out-of-memory is a result
-// (Report.OOM), not an error — the experiments observe it, exactly as the
-// paper's Figs. 2 and 6 plot crashed runs.
+// Run executes the configured strategy in measured mode: the staged Engine
+// driven straight through (Open → Build → Fit → Eval). Out-of-memory is a
+// result (Report.OOM), not an error — the experiments observe it, exactly as
+// the paper's Figs. 2 and 6 plot crashed runs.
 func Run(cfg Config) (*Report, error) {
 	return NewEngine(cfg).runAll(context.Background())
 }

@@ -10,7 +10,6 @@ import (
 	"pgti/internal/batching"
 	"pgti/internal/cluster"
 	"pgti/internal/dataset"
-	"pgti/internal/ddp"
 	"pgti/internal/device"
 	"pgti/internal/graph"
 	"pgti/internal/memsim"
@@ -46,8 +45,8 @@ const (
 //	        parameters and normalization statistics.
 //
 // Stages auto-advance (Fit runs Open and Build if the caller has not), so
-// Run is literally Open→Build→Fit→Eval — the compatibility shim and the
-// staged path share every instruction and produce bitwise-identical curves.
+// Run is literally Open→Build→Fit→Eval. Open is also where Config.Validate
+// runs for every entrance that did not already fail fast on it.
 // Any stage may return a typed *OOMError; Run converts it into a reported
 // outcome (Report.OOM), stage callers receive it as an error alongside the
 // partially-filled Report.
@@ -153,69 +152,6 @@ func (e *Engine) seal(start time.Time, err error) error {
 	return err
 }
 
-// validate rejects illegal configurations with typed errors. It runs after
-// fillDefaults, so zero values have already been resolved.
-func (e *Engine) validate() error {
-	cfg := &e.cfg
-	switch cfg.Strategy {
-	case Baseline, Index, GPUIndex, BaselineDDP, DistIndex, GenDistIndex:
-	default:
-		return invalidf("Strategy", "unknown strategy %v", cfg.Strategy)
-	}
-	if cfg.Spatial.Enabled() {
-		if cfg.Strategy != DistIndex {
-			return invalidf("Spatial", "spatial sharding requires the dist-index strategy, got %v", cfg.Strategy)
-		}
-		if cfg.Model == ModelSTLLM {
-			return invalidf("Spatial", "spatial sharding is unsupported for %v (full spatial attention has no node partition)", cfg.Model)
-		}
-		// A sharded grid's bucketed two-stage sync composes with fp16
-		// compression, bucket-size caps and the first-epoch autotuner, but
-		// its collective algorithm is fixed (grouped replica-sum →
-		// shard-mean, topology-priced): an explicit GradAlgo has nothing to
-		// select and is rejected rather than silently ignored.
-		if cfg.GradAlgo != ddp.GradAlgoRing {
-			return invalidf("Spatial", "GradAlgo is not supported with spatial sharding (the two-stage grouped collective is fixed)")
-		}
-	}
-	if cfg.Resume && cfg.LoadCheckpoint == "" {
-		return invalidf("Resume", "Resume requires LoadCheckpoint to name the train-state file")
-	}
-	if err := cfg.Repartition.Validate(); err != nil {
-		return invalidf("Repartition", "%v", err)
-	}
-	if cfg.Repartition.Enabled() && !cfg.Spatial.Enabled() {
-		return invalidf("Repartition", "elastic repartitioning requires spatial sharding (Spatial.Shards >= 2)")
-	}
-	if len(cfg.NodeWeights) > 0 && !cfg.Spatial.Enabled() {
-		return invalidf("NodeWeights", "node compute weights require spatial sharding (Spatial.Shards >= 2)")
-	}
-	if len(cfg.WarmParams) > 0 && cfg.LoadCheckpoint != "" {
-		return invalidf("WarmParams", "WarmParams and LoadCheckpoint are mutually exclusive initializers")
-	}
-	if cfg.Faults != nil {
-		if !cfg.Strategy.IsDistributed() {
-			return invalidf("Faults", "fault injection requires a distributed strategy, got %v", cfg.Strategy)
-		}
-		world := cfg.Workers
-		if cfg.Spatial.Enabled() {
-			world = cfg.Spatial.Shards * cfg.Workers
-		}
-		if err := cfg.Faults.Validate(world); err != nil {
-			return invalidf("Faults", "%v", err)
-		}
-	}
-	if cfg.Provided != nil {
-		if cfg.Scale > 0 && cfg.Scale < 1 {
-			return invalidf("Provided", "a provided dataset cannot be rescaled (Scale %g)", cfg.Scale)
-		}
-		if cfg.MissingFrac > 0 {
-			return invalidf("Provided", "missing-data injection would mutate the provided dataset; inject before providing it")
-		}
-	}
-	return nil
-}
-
 // Open resolves the dataset and the data pipeline: generation, optional
 // failure injection, memory trackers, augmentation, preprocessing
 // (standard or index-batched), and the train/val/test split. Idempotent.
@@ -241,10 +177,10 @@ func (e *Engine) Open() error {
 
 func (e *Engine) open() error {
 	cfg := &e.cfg
-	cfg.fillDefaults()
-	if err := e.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	cfg.fillDefaults()
 	meta := cfg.Meta
 	if cfg.Scale < 1 {
 		meta = meta.Scaled(cfg.Scale)
@@ -252,7 +188,7 @@ func (e *Engine) open() error {
 	var ds *dataset.Dataset
 	if cfg.Provided != nil {
 		// Injected dataset (streaming replay): the window's materialized
-		// rows and graph stand in for generation; validate() already
+		// rows and graph stand in for generation; Validate already
 		// rejected the transforms that would mutate them.
 		ds = cfg.Provided
 		meta = ds.Meta
@@ -385,20 +321,20 @@ func (e *Engine) Build() error {
 }
 
 // loadInto loads the configured checkpoint into model, returning the resume
-// state when Config.Resume asked for it (nil otherwise).
+// state when Config.ResumeCheckpoint asked for it (nil otherwise).
 func (e *Engine) loadInto(model nn.SeqModel) (*nn.TrainState, error) {
-	if e.cfg.LoadCheckpoint == "" {
-		return nil, nil
-	}
-	if e.cfg.Resume {
-		st, err := nn.LoadTrainStateFile(e.cfg.LoadCheckpoint, model)
+	if path := e.cfg.ResumeCheckpoint; path != "" {
+		st, err := nn.LoadTrainStateFile(path, model)
 		if err != nil {
 			return nil, err
 		}
 		if st == nil {
-			return nil, fmt.Errorf("core: %s is a params-only checkpoint; Resume needs the optimizer trailer (written by SaveCheckpoint)", e.cfg.LoadCheckpoint)
+			return nil, fmt.Errorf("core: %s is a params-only checkpoint; resuming needs the optimizer trailer (written by SaveCheckpoint)", path)
 		}
 		return st, nil
+	}
+	if e.cfg.LoadCheckpoint == "" {
+		return nil, nil
 	}
 	return nil, nn.LoadCheckpointFile(e.cfg.LoadCheckpoint, model)
 }
@@ -456,7 +392,7 @@ func (e *Engine) checkpointInit(probe nn.SeqModel) (func(nn.SeqModel, *nn.Adam) 
 			return nn.RestoreParams(m, snap)
 		}, 0, nil
 	}
-	if e.cfg.LoadCheckpoint == "" {
+	if e.cfg.LoadCheckpoint == "" && e.cfg.ResumeCheckpoint == "" {
 		return nil, 0, nil
 	}
 	state, err := e.loadInto(probe)
@@ -602,9 +538,6 @@ func (e *Engine) buildGrid() error {
 		Init:            init,
 		Trace:           cfg.Trace,
 		Faults:          cfg.Faults,
-	}
-	if cfg.Staleness > 0 && shards == 1 {
-		return fmt.Errorf("core: bounded staleness requires spatial sharding (Spatial.Shards >= 2), got strategy %v without shards", cfg.Strategy)
 	}
 	if cfg.Strategy == GenDistIndex && cfg.Workers > 1 {
 		// The larger-than-memory layout: rows partitioned across workers;

@@ -76,28 +76,33 @@ func TestEngineStageMisuse(t *testing.T) {
 func TestEngineTypedValidationErrors(t *testing.T) {
 	cases := []struct {
 		name   string
+		field  string
 		mutate func(*Config)
 	}{
-		{"spatial+gen-dist-index", func(c *Config) {
+		{"spatial+gen-dist-index", "Spatial", func(c *Config) {
 			c.Strategy = GenDistIndex
 			c.Spatial.Shards = 2
 		}},
-		{"spatial+st-llm", func(c *Config) {
-			c.Strategy = DistIndex
+		{"spatial+st-llm", "Spatial", func(c *Config) {
 			c.Model = ModelSTLLM
 			c.Spatial.Shards = 2
 		}},
-		{"spatial+algo", func(c *Config) {
-			c.Strategy = DistIndex
+		{"spatial+algo", "Spatial", func(c *Config) {
 			c.Spatial.Shards = 2
 			c.GradAlgo = ddp.GradAlgoHierarchical
 			c.Topology = cluster.Topology{Nodes: 2, GPUsPerNode: 2}
 		}},
-		{"unknown strategy", func(c *Config) { c.Strategy = Strategy(99) }},
-		{"resume without checkpoint", func(c *Config) { c.Resume = true }},
+		{"unknown strategy", "Strategy", func(c *Config) { c.Strategy = Strategy(99) }},
+		{"warm start + resume", "Resume", func(c *Config) {
+			c.LoadCheckpoint = "a.pgtc"
+			c.ResumeCheckpoint = "b.pgtc"
+		}},
+		{"workers on a single GPU", "Workers", func(c *Config) { c.Strategy = Index }},
+		{"missing data on the grid", "MissingFrac", func(c *Config) { c.MissingFrac = 0.1 }},
+		{"staleness without shards", "Staleness", func(c *Config) { c.Staleness = 1 }},
 	}
 	for _, tc := range cases {
-		cfg := tinyCfg(Index)
+		cfg := tinyCfg(DistIndex)
 		cfg.Workers = 2
 		tc.mutate(&cfg)
 		err := NewEngine(cfg).Open()
@@ -105,8 +110,8 @@ func TestEngineTypedValidationErrors(t *testing.T) {
 		if !errors.As(err, &ice) {
 			t.Fatalf("%s: want *InvalidConfigError, got %v", tc.name, err)
 		}
-		if ice.Field == "" || ice.Reason == "" {
-			t.Fatalf("%s: empty typed error %+v", tc.name, ice)
+		if ice.Field != tc.field || ice.Reason == "" {
+			t.Fatalf("%s: got %+v, want Field %q", tc.name, ice, tc.field)
 		}
 	}
 }
@@ -153,8 +158,7 @@ func TestFitCancellationSingleGPU(t *testing.T) {
 	// interrupted epoch and finishes the budget (warm continuation).
 	resumed := tinyCfg(Index)
 	resumed.Epochs = 4
-	resumed.LoadCheckpoint = ckpt
-	resumed.Resume = true
+	resumed.ResumeCheckpoint = ckpt
 	repR, err := Run(resumed)
 	if err != nil {
 		t.Fatal(err)
@@ -418,8 +422,7 @@ func TestResumeEqualsStraightThrough(t *testing.T) {
 
 		second := base
 		second.Epochs = 4
-		second.LoadCheckpoint = ckpt
-		second.Resume = true
+		second.ResumeCheckpoint = ckpt
 		repR, err := Run(second)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

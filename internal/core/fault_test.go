@@ -231,8 +231,7 @@ func TestUnrecoverableWorkerLossSavesCheckpoint(t *testing.T) {
 	}
 
 	resume := faultCfg(2, 2)
-	resume.LoadCheckpoint = ckpt
-	resume.Resume = true
+	resume.ResumeCheckpoint = ckpt
 	resumed, err := Run(resume)
 	if err != nil {
 		t.Fatalf("resume from interrupted checkpoint: %v", err)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 
+	"pgti/internal/atomicfile"
 	"pgti/internal/tensor"
 )
 
@@ -15,31 +16,29 @@ import (
 const signalMagic = uint32(0x50475449) // "PGTI"
 
 // SaveSignal writes a rank-3 signal tensor [entries, nodes, features] to a
-// simple little-endian binary format (magic, dims, float64 payload).
+// simple little-endian binary format (magic, dims, float64 payload). The file
+// is replaced atomically: an interrupted save leaves the previous one intact.
 func SaveSignal(path string, data *tensor.Tensor) error {
 	if data.Rank() != 3 {
 		return fmt.Errorf("dataset: SaveSignal expects rank 3, got %v", data.Shape())
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	header := []uint64{uint64(signalMagic), uint64(data.Dim(0)), uint64(data.Dim(1)), uint64(data.Dim(2))}
-	for _, h := range header {
-		if err := binary.Write(w, binary.LittleEndian, h); err != nil {
-			return err
+	return atomicfile.Write(path, func(f io.Writer) error {
+		w := bufio.NewWriter(f)
+		header := []uint64{uint64(signalMagic), uint64(data.Dim(0)), uint64(data.Dim(1)), uint64(data.Dim(2))}
+		for _, h := range header {
+			if err := binary.Write(w, binary.LittleEndian, h); err != nil {
+				return err
+			}
 		}
-	}
-	buf := make([]byte, 8)
-	for _, v := range data.Contiguous().Data() {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := w.Write(buf); err != nil {
-			return err
+		buf := make([]byte, 8)
+		for _, v := range data.Contiguous().Data() {
+			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
 		}
-	}
-	return w.Flush()
+		return w.Flush()
+	})
 }
 
 // LoadSignal reads a tensor written by SaveSignal.

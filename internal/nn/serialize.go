@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"pgti/internal/atomicfile"
 )
 
 // Checkpoint serialization: a minimal, dependency-free binary format for
@@ -124,14 +126,12 @@ func loadCheckpointReader(br *bufio.Reader, m Module) error {
 	return nil
 }
 
-// SaveCheckpointFile writes a checkpoint to path.
+// SaveCheckpointFile writes a checkpoint to path, atomically: an interrupted
+// save leaves the previous checkpoint intact.
 func SaveCheckpointFile(path string, m Module) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return SaveCheckpoint(f, m)
+	return atomicfile.Write(path, func(w io.Writer) error {
+		return SaveCheckpoint(w, m)
+	})
 }
 
 // LoadCheckpointFile reads a checkpoint from path.

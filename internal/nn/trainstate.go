@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"pgti/internal/atomicfile"
 )
 
 // Train-state checkpoints extend the parameter checkpoint with everything a
@@ -132,14 +134,12 @@ func LoadTrainState(r io.Reader, mod Module) (*TrainState, error) {
 	return st, nil
 }
 
-// SaveTrainStateFile writes a resumable checkpoint to path.
+// SaveTrainStateFile writes a resumable checkpoint to path, atomically: an
+// interrupted save leaves the previous checkpoint intact.
 func SaveTrainStateFile(path string, mod Module, opt *Adam, nextEpoch int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return SaveTrainState(f, mod, opt, nextEpoch)
+	return atomicfile.Write(path, func(w io.Writer) error {
+		return SaveTrainState(w, mod, opt, nextEpoch)
+	})
 }
 
 // LoadTrainStateFile reads a checkpoint (with or without the optimizer

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -31,7 +32,9 @@ type RetrainConfig struct {
 	// the window and warm-start state are injected and before the engine is
 	// built — the per-round hook for attaching a fresh trace recorder or
 	// decaying the learning rate across rounds. It must leave the managed
-	// fields (Provided, Meta, WarmParams, checkpointing) alone.
+	// fields (Provided, Meta, WarmParams) alone; the edited configuration is
+	// re-checked against the same rules as Base, and a round whose
+	// configuration is illegal ends the run without spending retries.
 	Configure func(round int, cfg *core.Config)
 	// Swap, when set, receives each round's trained parameter snapshot —
 	// wire it to a live server's Swap to publish weights without draining.
@@ -68,20 +71,33 @@ func (c *RetrainConfig) validate() error {
 	if c.Base.Provided != nil || len(c.Base.WarmParams) > 0 {
 		return fmt.Errorf("stream: Base.Provided and Base.WarmParams are managed by the retrainer")
 	}
-	if c.Base.LoadCheckpoint != "" || c.Base.SaveCheckpoint != "" || c.Base.Resume {
-		return fmt.Errorf("stream: checkpointing does not compose with rolling retraining")
-	}
-	if c.Base.Scale > 0 && c.Base.Scale < 1 {
-		return fmt.Errorf("stream: Base.Scale %g — scale the stream's Meta instead", c.Base.Scale)
-	}
-	if c.Base.MissingFrac > 0 {
-		return fmt.Errorf("stream: MissingFrac injection is not supported on streamed windows")
+	if err := composes(&c.Base); err != nil {
+		return err
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("stream: max retries %d must be >= 0", c.MaxRetries)
 	}
 	if c.RetryBackoff < 0 {
 		return fmt.Errorf("stream: negative retry backoff %v", c.RetryBackoff)
+	}
+	return nil
+}
+
+// composes checks a round's training configuration — Base up front, each
+// round's clone again after Configure edited it — against the engine's
+// validation table and then against what rolling retraining cannot honour.
+func composes(cfg *core.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.LoadCheckpoint != "" || cfg.ResumeCheckpoint != "" || cfg.SaveCheckpoint != "" {
+		return fmt.Errorf("stream: checkpointing does not compose with rolling retraining")
+	}
+	if cfg.Scale > 0 && cfg.Scale < 1 {
+		return fmt.Errorf("stream: Scale %g — scale the stream's Meta instead", cfg.Scale)
+	}
+	if cfg.MissingFrac > 0 {
+		return fmt.Errorf("stream: MissingFrac injection is not supported on streamed windows")
 	}
 	return nil
 }
@@ -96,9 +112,10 @@ type Round struct {
 	// memory accounting, repartitions).
 	Report *core.Report
 	// Swapped reports whether the round's parameters were published through
-	// RetrainConfig.Swap.
+	// RetrainConfig.Swap (into the live Server, on the public surface).
 	Swapped bool
-	// Attempts is how many Fit attempts the round took (1 = no retry).
+	// Attempts is how many Fit attempts the round took (1 = no retry; see
+	// MaxRetries).
 	Attempts int
 	// RetryDelay is the modeled backoff accumulated across the round's
 	// failed attempts (0 when Attempts is 1 or RetryBackoff unset).
@@ -186,6 +203,9 @@ func (r *Retrainer) Run(ctx context.Context) ([]Round, error) {
 			}
 			if r.cfg.Configure != nil {
 				r.cfg.Configure(k, &cfg)
+				if err := composes(&cfg); err != nil {
+					return rounds, fmt.Errorf("stream: round %d configuration: %w", k, err)
+				}
 			}
 			snap, report, err = r.fit(ctx, cfg)
 			if err == nil {
@@ -196,8 +216,10 @@ func (r *Retrainer) Run(ctx context.Context) ([]Round, error) {
 			// engine after a modeled (never slept) backoff, up to
 			// MaxRetries; nothing is published and no history released
 			// until an attempt succeeds, so a retry trains the identical
-			// window the failed attempt did.
-			if ctx.Err() != nil || attempts > r.cfg.MaxRetries {
+			// window the failed attempt did. An illegal configuration fails
+			// every attempt alike, so it is never retried either.
+			var illegal *core.InvalidConfigError
+			if ctx.Err() != nil || attempts > r.cfg.MaxRetries || errors.As(err, &illegal) {
 				return rounds, fmt.Errorf("stream: round %d fit (attempt %d): %w", k, attempts, err)
 			}
 			shift := uint(attempts - 1)

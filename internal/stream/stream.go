@@ -23,11 +23,12 @@ import (
 	"pgti/internal/tensor"
 )
 
-// Options parameterizes a streaming source.
+// Options parameterizes a streaming source's ingestion.
 type Options struct {
 	// Window is the ring capacity in timesteps — the bounded history the
 	// source retains. Must hold at least one training snapshot
-	// (2*meta.Horizon timesteps).
+	// (2*meta.Horizon timesteps). The producer never evicts an unreleased
+	// timestep: backpressure, not data loss, is the overflow behavior.
 	Window int
 	// Interval is the modeled arrival spacing: ingesting timestep t advances
 	// the ingest clock to (t+1)*Interval. Zero models an instantaneous

@@ -54,53 +54,13 @@
 // p50/p99/QPS under a deterministic virtual clock. Each replica holds a
 // private parameter clone, so serving never races a concurrent retrain.
 //
-// # The compatibility shim
+// # Migrating from Run(Config)
 //
-// Run(Config) is the original one-shot entry point, kept as a thin shim
-// that maps Config onto the exact staged path above — it composes the same
-// engine stages and is pinned bitwise-identical to NewExperiment(...).Fit
-// by the compatibility test suite. New code should prefer NewExperiment;
-// Run remains stable for existing callers.
-//
-// Migrating a Config literal to NewExperiment options is mechanical —
-// every field has an option:
-//
-//	Config field                  Option
-//	Dataset                       NewExperiment's first argument
-//	Scale                         WithScale
-//	Model / Strategy              WithModel / WithStrategy
-//	Workers                       WithWorkers
-//	BatchSize / Epochs            WithBatchSize / WithEpochs
-//	LR / ScaleLR                  WithLR / WithLRScaling
-//	Hidden / K                    WithHidden / WithDiffusionSteps
-//	Seed                          WithSeed
-//	Shuffle                       WithShuffle (semantic fix, see below)
-//	GradAlgo/Topology/GradFP16/
-//	GradAutoTune                  WithGradStack
-//	Spatial                       WithSpatial
-//	SystemMemoryGB / GPUMemoryGB  WithMemoryCaps
-//	MissingFrac                   WithMissingData
-//	LoadCheckpoint                WithWarmStart (WithResume to continue)
-//	SaveCheckpoint                WithSaveCheckpoint
-//	EmitForecasts                 WithForecasts
-//	Trace                         WithTrace
-//
-// The streaming-era capabilities exist only on the options surface — the
-// Config shim predates them and gains no new fields:
-//
-//	(no Config field)             WithRepartition (elastic chunk migration)
-//	(no Config field)             WithMeasuredRepartition (measured skew detection)
-//	(no Config field)             WithNodeWeights (weighted partition + skew)
-//	(no Config field)             WithComputeCost / WithAssembleCost
-//	(no Config field)             WithPrefetch / WithStaleness
-//	(no Config field)             NewStream / Stream.Retrain (online retraining)
-//	(no Config field)             WithFaultPlan (deterministic fault injection)
-//
-// The one semantic difference is Shuffle: ShuffleGlobal is the field's zero
-// value, so a Config literal cannot distinguish "explicitly global" from
-// "unset", and StrategyGenDistIndex silently upgrades the unset reading to
-// its batch-shuffling default. WithShuffle(ShuffleGlobal) has no such
-// ambiguity — an explicit option always wins.
+// The one-shot Run(Config) entry point and its Config literal are gone; the
+// options write the engine's own configuration and are the only surface.
+// Run(cfg) becomes NewExperiment(name, opts...).Fit(ctx) followed by Eval,
+// each Config field its With* option; EstimatePolaris(Config{...}) becomes
+// EstimatePolaris(name, opts...).
 //
 // The six strategies, four models, and six datasets mirror the paper; see
 // DESIGN.md for the experiment index and EXPERIMENTS.md for paper-vs-
@@ -108,8 +68,6 @@
 package pgti
 
 import (
-	"fmt"
-
 	"pgti/internal/cluster"
 	"pgti/internal/core"
 	"pgti/internal/dataset"
@@ -187,83 +145,6 @@ type Topology = cluster.Topology
 // graph-convolutional model (PGT-DCRNN, DCRNN, or A3T-GCN).
 type Spatial = shard.Spatial
 
-// Config configures a training run.
-type Config struct {
-	// Dataset names one of the paper's datasets: "Chickenpox-Hungary",
-	// "Windmill-Large", "METR-LA", "PeMS-BAY", "PeMS-All-LA", "PeMS".
-	Dataset string
-	// Scale optionally shrinks the dataset (0 < Scale <= 1) so runs fit the
-	// local machine; paper-scale estimates come from the bench harness.
-	Scale float64
-
-	Model    Model
-	Strategy Strategy
-
-	Workers   int // for distributed strategies
-	BatchSize int
-	Epochs    int
-	LR        float64
-	// ScaleLR applies the linear learning-rate scaling rule for large
-	// global batches.
-	ScaleLR bool
-	Hidden  int
-	K       int // diffusion hops
-	Seed    uint64
-	// Shuffle selects the distributed epoch-shuffling strategy. Shim
-	// caveat, kept for compatibility: ShuffleGlobal is the zero value, so
-	// an explicit ShuffleGlobal is indistinguishable from "unset" and
-	// StrategyGenDistIndex overrides it with its batch-shuffling default.
-	// The options API has the unambiguous story: WithShuffle(ShuffleGlobal)
-	// on a NewExperiment always forces global shuffling.
-	Shuffle Shuffle
-
-	// GradAlgo selects the DDP gradient AllReduce algorithm (ring | flat |
-	// hierarchical); Topology lays out the simulated nodes for the
-	// hierarchical algorithm (e.g. Topology{Nodes: 2, GPUsPerNode: 4}).
-	GradAlgo GradAlgo
-	Topology Topology
-	// GradFP16 ships gradient buckets quantized to half precision with
-	// error-feedback residual accumulation.
-	GradFP16 bool
-	// GradAutoTune sweeps gradient bucket sizes across the first epoch and
-	// locks in the size minimizing the modeled step time.
-	GradAutoTune bool
-
-	// Spatial enables spatial graph sharding (see the Spatial type); the
-	// zero value keeps the graph whole.
-	Spatial Spatial
-
-	// SystemMemoryGB / GPUMemoryGB cap the byte-exact memory trackers
-	// (0 = unlimited). A run exceeding the system cap reports OOM, like
-	// the paper's PeMS runs on a 512 GB node.
-	SystemMemoryGB float64
-	GPUMemoryGB    float64
-
-	// MissingFrac simulates sensor dropouts: observations are zeroed with
-	// this probability and training uses the masked-MAE loss.
-	MissingFrac float64
-
-	// LoadCheckpoint warm-starts the model parameters from a checkpoint
-	// (every replica for distributed strategies); SaveCheckpoint persists
-	// the trained parameters plus the resumable optimizer trailer (rank 0's
-	// replica — replicas are bitwise identical). Resume additionally
-	// restores the optimizer moments and epoch cursor from LoadCheckpoint
-	// so training continues exactly where the saved run stopped (Epochs
-	// then counts from epoch 0 — the total budget).
-	LoadCheckpoint string
-	SaveCheckpoint string
-	Resume         bool
-
-	// EmitForecasts attaches predictions for the first N test snapshots to
-	// the report (rank 0's replica for distributed strategies).
-	EmitForecasts int
-
-	// Trace, when non-nil, records virtual-clock spans and per-worker
-	// counters into the recorder during the run (see NewTraceRecorder and
-	// WithTrace). A traced run is bitwise identical to an untraced one.
-	Trace *TraceRecorder
-}
-
 // Forecast is one test-window prediction in original units (re-exported
 // from the core engine).
 type Forecast = core.Forecast
@@ -286,58 +167,8 @@ func Datasets() []string {
 	return names
 }
 
-// gib is the byte count of one GiB (shared by Config and WithMemoryCaps).
+// gib is the byte count of one GiB (WithMemoryCaps' unit).
 const gib = memsim.GiB
-
-// coreConfig maps the legacy Config onto the engine configuration. Note
-// the documented Shuffle caveat: SamplerSet can only be inferred from a
-// non-zero value, so an explicit ShuffleGlobal reads as unset.
-func coreConfig(cfg Config, meta dataset.Meta) core.Config {
-	return core.Config{
-		Meta:           meta,
-		Scale:          cfg.Scale,
-		Model:          cfg.Model,
-		Strategy:       cfg.Strategy,
-		Workers:        cfg.Workers,
-		BatchSize:      cfg.BatchSize,
-		Epochs:         cfg.Epochs,
-		LR:             cfg.LR,
-		UseLRScaling:   cfg.ScaleLR,
-		Hidden:         cfg.Hidden,
-		K:              cfg.K,
-		Seed:           cfg.Seed,
-		Sampler:        cfg.Shuffle,
-		SamplerSet:     cfg.Shuffle != ddp.GlobalShuffle,
-		SystemMemory:   int64(cfg.SystemMemoryGB * float64(gib)),
-		GPUMemory:      int64(cfg.GPUMemoryGB * float64(gib)),
-		MissingFrac:    cfg.MissingFrac,
-		LoadCheckpoint: cfg.LoadCheckpoint,
-		SaveCheckpoint: cfg.SaveCheckpoint,
-		Resume:         cfg.Resume,
-		EmitForecasts:  cfg.EmitForecasts,
-		GradAlgo:       cfg.GradAlgo,
-		Topology:       cfg.Topology,
-		GradFP16:       cfg.GradFP16,
-		GradAutoTune:   cfg.GradAutoTune,
-		Spatial:        cfg.Spatial,
-		Trace:          cfg.Trace,
-	}
-}
-
-// Run executes a training run per cfg. It is the compatibility shim over
-// the staged Experiment lifecycle: the Config maps onto the identical
-// engine path NewExperiment drives, so Run's training curves are pinned
-// bitwise-identical to NewExperiment(...).Fit's (asserted by the compat
-// test suite). Out-of-memory is a reported outcome (Report.OOM), not an
-// error. New code should prefer NewExperiment, which adds cancellation,
-// event streaming, typed validation, and the Predictor.
-func Run(cfg Config) (*Report, error) {
-	meta, err := dataset.ByName(cfg.Dataset)
-	if err != nil {
-		return nil, fmt.Errorf("pgti: %w (available: %v)", err, Datasets())
-	}
-	return core.Run(coreConfig(cfg, meta))
-}
 
 // FormatBytes renders a byte count with binary prefixes (convenience
 // re-export for report consumers).

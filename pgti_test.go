@@ -1,6 +1,8 @@
 package pgti
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -12,22 +14,38 @@ func TestDatasetsList(t *testing.T) {
 	}
 }
 
+// run is what the retired one-shot Run(Config) did, on options: Fit, then
+// Eval, with an out-of-memory run reported (Report.OOM) rather than failed.
+func run(datasetName string, opts ...Option) (*Report, error) {
+	exp, err := NewExperiment(datasetName, opts...)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := exp.Fit(context.Background())
+	if err == nil {
+		rep, err = exp.Eval()
+	}
+	var oom *OOMError
+	if errors.As(err, &oom) {
+		return rep, nil
+	}
+	return rep, err
+}
+
 func TestRunUnknownDataset(t *testing.T) {
-	if _, err := Run(Config{Dataset: "nope"}); err == nil {
+	if _, err := run("nope"); err == nil {
 		t.Fatal("expected error for unknown dataset")
 	}
 }
 
 func TestRunQuickstartShape(t *testing.T) {
-	rep, err := Run(Config{
-		Dataset:   "Chickenpox-Hungary",
-		Strategy:  StrategyIndex,
-		BatchSize: 4,
-		Epochs:    2,
-		Hidden:    8,
-		K:         1,
-		Seed:      1,
-	})
+	rep, err := run("Chickenpox-Hungary",
+		WithStrategy(StrategyIndex),
+		WithBatchSize(4),
+		WithEpochs(2),
+		WithHidden(8),
+		WithDiffusionSteps(1),
+		WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +61,15 @@ func TestRunQuickstartShape(t *testing.T) {
 }
 
 func TestRunMemoryCapProducesOOM(t *testing.T) {
-	rep, err := Run(Config{
-		Dataset:        "PeMS-BAY",
-		Scale:          0.012,
-		Strategy:       StrategyBaseline,
-		BatchSize:      4,
-		Epochs:         1,
-		Hidden:         8,
-		K:              1,
-		Seed:           2,
-		SystemMemoryGB: 0.001, // 1 MiB: below the standard pipeline's needs
-	})
+	rep, err := run("PeMS-BAY",
+		WithScale(0.012),
+		WithStrategy(StrategyBaseline),
+		WithBatchSize(4),
+		WithEpochs(1),
+		WithHidden(8),
+		WithDiffusionSteps(1),
+		WithSeed(2),
+		WithMemoryCaps(0.001, 0)) // 1 MiB: below the standard pipeline's needs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,17 +79,15 @@ func TestRunMemoryCapProducesOOM(t *testing.T) {
 }
 
 func TestRunDistributedFacade(t *testing.T) {
-	rep, err := Run(Config{
-		Dataset:   "PeMS-BAY",
-		Scale:     0.012,
-		Strategy:  StrategyDistIndex,
-		Workers:   2,
-		BatchSize: 4,
-		Epochs:    1,
-		Hidden:    8,
-		K:         1,
-		Seed:      3,
-	})
+	rep, err := run("PeMS-BAY",
+		WithScale(0.012),
+		WithStrategy(StrategyDistIndex),
+		WithWorkers(2),
+		WithBatchSize(4),
+		WithEpochs(1),
+		WithHidden(8),
+		WithDiffusionSteps(1),
+		WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,23 +101,23 @@ func TestRunDistributedFacade(t *testing.T) {
 
 // TestRunCollectiveStackFacade drives the public collective-stack knobs:
 // hierarchical AllReduce over a 2x2 topology with fp16 buckets and the
-// bucket-size autotuner, end to end through pgti.Run.
+// bucket-size autotuner, end to end through the public options.
 func TestRunCollectiveStackFacade(t *testing.T) {
-	rep, err := Run(Config{
-		Dataset:      "PeMS-BAY",
-		Scale:        0.012,
-		Strategy:     StrategyDistIndex,
-		Workers:      4,
-		BatchSize:    2,
-		Epochs:       1,
-		Hidden:       8,
-		K:            1,
-		Seed:         3,
-		GradAlgo:     GradAlgoHierarchical,
-		Topology:     Topology{Nodes: 2, GPUsPerNode: 2},
-		GradFP16:     true,
-		GradAutoTune: true,
-	})
+	rep, err := run("PeMS-BAY",
+		WithScale(0.012),
+		WithStrategy(StrategyDistIndex),
+		WithWorkers(4),
+		WithBatchSize(2),
+		WithEpochs(1),
+		WithHidden(8),
+		WithDiffusionSteps(1),
+		WithSeed(3),
+		WithGradStack(GradStack{
+			Algo:     GradAlgoHierarchical,
+			Topology: Topology{Nodes: 2, GPUsPerNode: 2},
+			FP16:     true,
+			AutoTune: true,
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

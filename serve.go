@@ -42,59 +42,55 @@ type ServeStats = serve.Stats
 // launch plus one window transfer per sample over the modeled PCIe link.
 type CostModel = serve.CostModel
 
-type serveConfig struct {
-	maxBatch     int
-	window       time.Duration
-	replicas     int
-	queueDepth   int
-	deadline     time.Duration
-	cost         CostModel
-	interarrival time.Duration
-	retryBackoff time.Duration
-	failAfter    map[int]int
-	trace        *TraceRecorder
+// serverSpec is what a ServeOption writes: the queue configuration exactly
+// as serve.New reads it, plus the two values NewServer spends building the
+// replica pool it hands over.
+type serverSpec struct {
+	serve.Config
+	replicas  int
+	failAfter map[int]int // replica -> first failing forward (WithReplicaFailure)
 }
 
 // ServeOption configures NewServer.
-type ServeOption func(*serveConfig)
+type ServeOption func(*serverSpec)
 
 // WithMaxBatch caps how many concurrent Predict calls coalesce into one
 // batched forward (default 8).
 func WithMaxBatch(n int) ServeOption {
-	return func(c *serveConfig) { c.maxBatch = n }
+	return func(c *serverSpec) { c.MaxBatch = n }
 }
 
 // WithBatchWindow sets how long the server holds a forming batch open for
 // stragglers before dispatching short (default 2ms). Larger windows trade
 // latency for bigger batches.
 func WithBatchWindow(d time.Duration) ServeOption {
-	return func(c *serveConfig) { c.window = d }
+	return func(c *serverSpec) { c.Window = d }
 }
 
 // WithReplicas sets the pool size: n warm, independent copies of the fitted
 // model served with least-loaded dispatch (default 1).
 func WithReplicas(n int) ServeOption {
-	return func(c *serveConfig) { c.replicas = n }
+	return func(c *serverSpec) { c.replicas = n }
 }
 
 // WithQueueDepth caps admitted-but-undispatched requests; beyond it Predict
 // sheds load with a typed *OverloadedError (default 4x max batch).
 func WithQueueDepth(n int) ServeOption {
-	return func(c *serveConfig) { c.queueDepth = n }
+	return func(c *serverSpec) { c.QueueDepth = n }
 }
 
 // WithDeadline bounds every Predict call: requests still queued or in
 // flight when the deadline lapses return context.DeadlineExceeded (default
 // none).
 func WithDeadline(d time.Duration) ServeOption {
-	return func(c *serveConfig) { c.deadline = d }
+	return func(c *serverSpec) { c.Deadline = d }
 }
 
 // WithCostModel overrides the modeled per-batch forward cost used for the
 // virtual-clock latency/QPS accounting and the overload retry hint.
 // Deterministic tests and benches pin explicit costs with this.
 func WithCostModel(m CostModel) ServeOption {
-	return func(c *serveConfig) { c.cost = m }
+	return func(c *serverSpec) { c.Cost = m }
 }
 
 // WithArrivalProcess switches the virtual-clock accounting to a modeled
@@ -103,7 +99,7 @@ func WithCostModel(m CostModel) ServeOption {
 // (1/d requests per second) independent of host scheduling. The gated
 // serving benchmarks pin their numbers with this.
 func WithArrivalProcess(d time.Duration) ServeOption {
-	return func(c *serveConfig) { c.interarrival = d }
+	return func(c *serverSpec) { c.Interarrival = d }
 }
 
 // WithServeRetryBackoff sets the modeled delay before a batch whose replica
@@ -111,7 +107,7 @@ func WithArrivalProcess(d time.Duration) ServeOption {
 // d·2^(k-1), capped at 2^6 times the base (default 1ms). Purely virtual —
 // retries dispatch immediately in real time, only the modeled start shifts.
 func WithServeRetryBackoff(d time.Duration) ServeOption {
-	return func(c *serveConfig) { c.retryBackoff = d }
+	return func(c *serverSpec) { c.RetryBackoff = d }
 }
 
 // WithReplicaFailure arms deterministic failure injection on one replica:
@@ -125,7 +121,7 @@ func WithServeRetryBackoff(d time.Duration) ServeOption {
 // evicted. The chaos harness and the failover benchmark use this;
 // production pools leave it unset.
 func WithReplicaFailure(replica, failAfter int) ServeOption {
-	return func(c *serveConfig) {
+	return func(c *serverSpec) {
 		if c.failAfter == nil {
 			c.failAfter = make(map[int]int)
 		}
@@ -146,15 +142,15 @@ type Server struct {
 // the fitted parameters, so a later exp.Fit (retrain) never races serving;
 // install retrained weights explicitly with Swap.
 func NewServer(exp *Experiment, opts ...ServeOption) (*Server, error) {
-	c := &serveConfig{}
+	c := &serverSpec{}
 	for _, opt := range opts {
 		opt(c)
 	}
-	if err := c.validate(); err != nil {
-		return nil, fmt.Errorf("pgti: %w", err)
-	}
 	if c.replicas == 0 {
 		c.replicas = 1
+	}
+	if err := c.validate(); err != nil {
+		return nil, fmt.Errorf("pgti: %w", err)
 	}
 	backends := make([]serve.Backend, c.replicas)
 	var first *core.InferCore
@@ -171,58 +167,41 @@ func NewServer(exp *Experiment, opts ...ServeOption) (*Server, error) {
 			backends[i] = serve.NewFlaky(ic, n)
 		}
 	}
-	cost := c.cost
-	if cost == nil {
+	if c.Cost == nil {
 		windowBytes := int64(first.Horizon()*first.Nodes()*first.Features()) * 8
-		cost = serve.DefaultCost(first.ParamBytes(), windowBytes)
+		c.Cost = serve.DefaultCost(first.ParamBytes(), windowBytes)
 	}
-	return &Server{
-		srv: serve.New(backends, serve.Config{
-			MaxBatch:     c.maxBatch,
-			Window:       c.window,
-			QueueDepth:   c.queueDepth,
-			Deadline:     c.deadline,
-			Cost:         cost,
-			Interarrival: c.interarrival,
-			RetryBackoff: c.retryBackoff,
-			Trace:        c.trace,
-		}),
-		core: first,
-	}, nil
+	return &Server{srv: serve.New(backends, c.Config), core: first}, nil
 }
 
-func (c *serveConfig) validate() error {
+func (c *serverSpec) validate() error {
 	invalid := func(field, format string, args ...any) error {
 		return &InvalidConfigError{Field: field, Reason: fmt.Sprintf(format, args...)}
 	}
-	if c.maxBatch < 0 {
-		return invalid("MaxBatch", "max batch %d must be positive", c.maxBatch)
+	if c.MaxBatch < 0 {
+		return invalid("MaxBatch", "max batch %d must be positive", c.MaxBatch)
 	}
 	if c.replicas < 0 {
 		return invalid("Replicas", "replica count %d must be positive", c.replicas)
 	}
-	if c.queueDepth < 0 {
-		return invalid("QueueDepth", "queue depth %d must be positive", c.queueDepth)
+	if c.QueueDepth < 0 {
+		return invalid("QueueDepth", "queue depth %d must be positive", c.QueueDepth)
 	}
-	if c.window < 0 {
-		return invalid("BatchWindow", "batch window %v must not be negative", c.window)
+	if c.Window < 0 {
+		return invalid("BatchWindow", "batch window %v must not be negative", c.Window)
 	}
-	if c.deadline < 0 {
-		return invalid("Deadline", "deadline %v must not be negative", c.deadline)
+	if c.Deadline < 0 {
+		return invalid("Deadline", "deadline %v must not be negative", c.Deadline)
 	}
-	if c.interarrival < 0 {
-		return invalid("ArrivalProcess", "interarrival %v must not be negative", c.interarrival)
+	if c.Interarrival < 0 {
+		return invalid("ArrivalProcess", "interarrival %v must not be negative", c.Interarrival)
 	}
-	if c.retryBackoff < 0 {
-		return invalid("ServeRetryBackoff", "retry backoff %v must not be negative", c.retryBackoff)
-	}
-	replicas := c.replicas
-	if replicas == 0 {
-		replicas = 1
+	if c.RetryBackoff < 0 {
+		return invalid("ServeRetryBackoff", "retry backoff %v must not be negative", c.RetryBackoff)
 	}
 	for r, n := range c.failAfter {
-		if r < 0 || r >= replicas {
-			return invalid("ReplicaFailure", "replica %d outside the pool of %d", r, replicas)
+		if r < 0 || r >= c.replicas {
+			return invalid("ReplicaFailure", "replica %d outside the pool of %d", r, c.replicas)
 		}
 		if n < 0 {
 			return invalid("ReplicaFailure", "fail-after %d must be >= 0", n)

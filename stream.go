@@ -31,21 +31,11 @@ import (
 // reproduces the offline experiment's curve — and, under modeled costs, its
 // virtual clock — bitwise.
 
-// StreamOptions parameterizes NewStream's ingestion.
-type StreamOptions struct {
-	// Window is the ring capacity in timesteps — the bounded history the
-	// stream retains. Must hold at least one training snapshot (2*horizon
-	// timesteps). The producer never evicts an unreleased timestep:
-	// backpressure, not data loss, is the overflow behavior.
-	Window int
-	// Interval is the modeled arrival spacing: ingesting timestep t
-	// advances the ingest clock to (t+1)*Interval. Zero models an
-	// instantaneous backfill.
-	Interval time.Duration
-	// Total caps the stream length in timesteps; 0 streams the dataset's
-	// full length, matching the offline run.
-	Total int
-}
+// StreamOptions parameterizes NewStream's ingestion: the ring capacity
+// Window, the modeled arrival spacing Interval, and the stream length cap
+// Total. It is the ingestion layer's own options struct, re-exported; see
+// stream.Options for the per-field documentation.
+type StreamOptions = stream.Options
 
 // Stream is a live ingestion handle over a named dataset's signal: a
 // background producer fills a bounded sliding-window ring that Retrain
@@ -63,9 +53,7 @@ func NewStream(datasetName string, seed uint64, o StreamOptions) (*Stream, error
 	if err != nil {
 		return nil, fmt.Errorf("pgti: %w (available: %v)", err, Datasets())
 	}
-	src, err := stream.NewSource(meta, seed, stream.Options{
-		Window: o.Window, Interval: o.Interval, Total: o.Total,
-	})
+	src, err := stream.NewSource(meta, seed, o)
 	if err != nil {
 		return nil, fmt.Errorf("pgti: %w", err)
 	}
@@ -87,23 +75,12 @@ func (s *Stream) Stats() (mean, std float64) { return s.src.Stats() }
 // its completed rounds alongside a "source closed" error. Idempotent.
 func (s *Stream) Close() { s.src.Close() }
 
-// StreamRound is one completed rolling-retrain round.
-type StreamRound struct {
-	// Round is the zero-based round index; the round trained on timesteps
-	// [Lo, Hi).
-	Round, Lo, Hi int
-	// Report is the round's full training report.
-	Report *Report
-	// Swapped reports that the round's weights were published into the
-	// Server.
-	Swapped bool
-	// Attempts is how many Fit attempts the round took (1 = no retry; see
-	// RetrainOptions.MaxRetries).
-	Attempts int
-	// RetryDelay is the modeled backoff accumulated across the round's
-	// failed attempts.
-	RetryDelay time.Duration
-}
+// StreamRound is one completed rolling-retrain round: its index and window
+// [Lo, Hi), the round's full training Report, whether its weights were
+// published into the Server, and the retry accounting (Attempts,
+// RetryDelay). It is the retrainer's own record, re-exported; see
+// stream.Round for the per-field documentation.
+type StreamRound = stream.Round
 
 // RetrainOptions parameterizes Stream.Retrain.
 type RetrainOptions struct {
@@ -128,7 +105,10 @@ type RetrainOptions struct {
 	// base option set for the given round — the hook for per-round state
 	// such as a fresh trace recorder (recorders cannot span rounds: each
 	// round's virtual clocks restart at zero) or a decaying learning rate.
-	// The returned options must keep the configuration legal.
+	// They mean what they mean in the base set, and the round's resulting
+	// configuration is re-checked: an illegal combination, or an option
+	// Retrain rejects (see below), ends the run with the same error the base
+	// set would have produced, without spending MaxRetries.
 	RoundOptions func(round int) []Option
 	// MaxRetries is how many extra attempts a round whose Fit fails gets —
 	// each on a fresh engine over the same materialized window — before
@@ -150,59 +130,43 @@ type RetrainOptions struct {
 // WithWarmStart, WithResume, WithSaveCheckpoint) do not compose with
 // streaming and are rejected.
 func (s *Stream) Retrain(ctx context.Context, ro RetrainOptions, opts ...Option) ([]StreamRound, error) {
-	c := &expConfig{}
+	var base core.Config
 	for _, opt := range opts {
-		opt(c)
+		opt(&base)
 	}
-	if err := c.validate(); err != nil {
-		return nil, fmt.Errorf("pgti: %w", err)
-	}
-	c.core.SamplerSet = c.shuffleSet
 	window := ro.Window
 	if window == 0 {
 		window = s.src.Window()
 	}
 	rc := stream.RetrainConfig{
-		Base:         c.core,
+		Base:         base,
 		Window:       window,
 		Advance:      ro.Advance,
 		Rounds:       ro.Rounds,
 		Cold:         ro.Cold,
+		OnRound:      ro.OnRound,
 		MaxRetries:   ro.MaxRetries,
 		RetryBackoff: ro.RetryBackoff,
 	}
 	if ro.Server != nil {
 		rc.Swap = ro.Server.srv.Swap
 	}
-	if ro.OnRound != nil {
-		rc.OnRound = func(r stream.Round) { ro.OnRound(publicRound(r)) }
-	}
 	if ro.RoundOptions != nil {
 		rc.Configure = func(round int, cfg *core.Config) {
-			tmp := &expConfig{core: *cfg}
 			for _, opt := range ro.RoundOptions(round) {
-				opt(tmp)
+				opt(cfg)
 			}
-			*cfg = tmp.core
 		}
 	}
+	// NewRetrainer fails fast on the base options through the engine's
+	// validation table, then on what streaming itself cannot compose with.
 	rt, err := stream.NewRetrainer(s.src, rc)
 	if err != nil {
 		return nil, fmt.Errorf("pgti: %w", err)
 	}
 	rounds, err := rt.Run(ctx)
-	out := make([]StreamRound, len(rounds))
-	for i, r := range rounds {
-		out[i] = publicRound(r)
-	}
 	if err != nil {
-		return out, fmt.Errorf("pgti: %w", err)
+		return rounds, fmt.Errorf("pgti: %w", err)
 	}
-	return out, nil
-}
-
-func publicRound(r stream.Round) StreamRound {
-	return StreamRound{Round: r.Round, Lo: r.Lo, Hi: r.Hi,
-		Report: r.Report, Swapped: r.Swapped,
-		Attempts: r.Attempts, RetryDelay: r.RetryDelay}
+	return rounds, nil
 }

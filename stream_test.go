@@ -3,6 +3,7 @@ package pgti
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -150,5 +151,77 @@ func TestStreamOptionValidation(t *testing.T) {
 	}
 	if _, err := NewExperiment("Chickenpox-Hungary", WithNodeWeights(make([]float64, 20))); !errors.As(err, &ice) {
 		t.Fatalf("node weights without spatial: %v", err)
+	}
+}
+
+// TestRoundOptionsKeepTheirMeaning: an option supplied per round means what
+// it means in the base set. WithShuffle(ShuffleGlobal) is the option whose
+// "explicitly set" bit used to live outside the configuration the hook
+// edited, so the per-round form silently fell back to GenDistIndex's batch
+// shuffling.
+func TestRoundOptionsKeepTheirMeaning(t *testing.T) {
+	opts := append(streamFitOpts(2), WithStrategy(StrategyGenDistIndex))
+	replay := func(ro RetrainOptions, opts ...Option) *Report {
+		t.Helper()
+		st, err := NewStream("Chickenpox-Hungary", 42, StreamOptions{Window: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		rounds, err := st.Retrain(context.Background(), ro, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rounds[0].Report
+	}
+	unset := replay(RetrainOptions{}, opts...)
+	base := replay(RetrainOptions{}, append(opts, WithShuffle(ShuffleGlobal))...)
+	perRound := replay(RetrainOptions{
+		RoundOptions: func(int) []Option { return []Option{WithShuffle(ShuffleGlobal)} },
+	}, opts...)
+	if !reflect.DeepEqual(perRound.Curve, base.Curve) {
+		t.Fatalf("per-round WithShuffle(ShuffleGlobal) %+v != base-set %+v", perRound.Curve, base.Curve)
+	}
+	if reflect.DeepEqual(perRound.Curve, unset.Curve) {
+		t.Fatal("per-round WithShuffle(ShuffleGlobal) was dropped: curve equals the batch-shuffle default")
+	}
+}
+
+// TestRoundOptionsAreRechecked: the round's configuration is re-checked after
+// the hook ran — the options Retrain rejects in the base set are rejected per
+// round too, and an illegal configuration never spends MaxRetries.
+func TestRoundOptionsAreRechecked(t *testing.T) {
+	st, err := NewStream("Chickenpox-Hungary", 1, StreamOptions{Window: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for name, opt := range map[string]Option{
+		"WithSaveCheckpoint": WithSaveCheckpoint(t.TempDir() + "/ck"),
+		"WithScale":          WithScale(0.5),
+	} {
+		rounds, err := st.Retrain(context.Background(), RetrainOptions{
+			RoundOptions: func(int) []Option { return []Option{opt} },
+		}, streamFitOpts(1)...)
+		if err == nil || len(rounds) != 0 {
+			t.Fatalf("per-round %s accepted (%d rounds, err %v)", name, len(rounds), err)
+		}
+	}
+	// Node weights of the wrong length are only discovered once the engine
+	// holds the graph, i.e. inside the attempt: still typed, still not retried.
+	calls := 0
+	_, err = st.Retrain(context.Background(), RetrainOptions{
+		MaxRetries: 3,
+		RoundOptions: func(int) []Option {
+			calls++
+			return []Option{WithSpatial(2), WithNodeWeights(make([]float64, 3))}
+		},
+	}, streamFitOpts(1)...)
+	var ice *InvalidConfigError
+	if !errors.As(err, &ice) || ice.Field != "NodeWeights" {
+		t.Fatalf("short node weights: %v, want *InvalidConfigError on NodeWeights", err)
+	}
+	if calls != 1 {
+		t.Fatalf("an illegal configuration was attempted %d times, want 1", calls)
 	}
 }

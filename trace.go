@@ -3,6 +3,8 @@ package pgti
 import (
 	"io"
 
+	"pgti/internal/atomicfile"
+	"pgti/internal/core"
 	"pgti/internal/trace"
 )
 
@@ -15,8 +17,7 @@ import (
 //		pgti.WithTrace(rec))
 //	report, _ := exp.Fit(ctx)
 //	fmt.Println(report.Trace)            // aggregated span/counter summary
-//	f, _ := os.Create("run.trace.json")
-//	rec.WriteJSON(f)                     // Chrome trace-event JSON (Perfetto)
+//	pgti.WriteTraceFile("run.trace.json", rec) // Chrome trace-event JSON (Perfetto)
 //
 // The recorder captures virtual-clock spans — per-step compute, batch
 // assembly and prefetch occupancy, halo exchange launch-to-finish,
@@ -52,14 +53,14 @@ func NewTraceRecorder() *TraceRecorder { return trace.New() }
 // one; Report.Trace carries the aggregated summary and rec retains the full
 // event stream for WriteJSON export.
 func WithTrace(rec *TraceRecorder) Option {
-	return func(c *expConfig) { c.core.Trace = rec }
+	return func(c *core.Config) { c.Trace = rec }
 }
 
 // WithServeTrace records per-replica forward spans, per-request queue-wait
 // spans, and serving counters into rec. Use a recorder separate from the
 // training one so replica IDs do not collide with trainer worker IDs.
 func WithServeTrace(rec *TraceRecorder) ServeOption {
-	return func(c *serveConfig) { c.trace = rec }
+	return func(c *serverSpec) { c.Trace = rec }
 }
 
 // WriteTrace exports rec as deterministic Chrome trace-event JSON — load it
@@ -67,3 +68,10 @@ func WithServeTrace(rec *TraceRecorder) ServeOption {
 // thread per stream (step, compute, assembly, intra/inter comm, gradient
 // engine, exposed tail, forward, queue).
 func WriteTrace(w io.Writer, rec *TraceRecorder) error { return rec.WriteJSON(w) }
+
+// WriteTraceFile exports rec to path as WriteTrace does, atomically: the file
+// appears complete or not at all, and write, sync and close errors are
+// returned.
+func WriteTraceFile(path string, rec *TraceRecorder) error {
+	return atomicfile.Write(path, rec.WriteJSON)
+}

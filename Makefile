@@ -98,13 +98,17 @@ bench-check:
 	$(GO) run ./cmd/pgti-benchjson -check bench/baseline.json < "$$tmp"
 
 ## trace-smoke exercises the observability layer end to end: a traced 2x2
-## hybrid fit and a traced serve burst, each schema-validated by pgti-trace
-## (well-formed Perfetto JSON, monotone per-thread timestamps, nested spans,
-## balanced async pairs). CI uploads both traces as artifacts.
+## hybrid fit, a traced single-GPU index-batching fit (the 1x1 grid) and a
+## traced serve burst, each schema-validated by pgti-trace (well-formed
+## Perfetto JSON, monotone per-thread timestamps, nested spans, balanced async
+## pairs). CI uploads the traces as artifacts.
 trace-smoke:
 	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
 		-strategy dist-index -workers 2 -shards 2 -quiet -trace train-trace.json
 	$(GO) run ./cmd/pgti-trace train-trace.json
+	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
+		-strategy index -quiet -trace index-trace.json
+	$(GO) run ./cmd/pgti-trace index-trace.json
 	$(GO) run ./cmd/pgti-serve -dataset Chickenpox-Hungary -epochs 2 \
 		-retrain-epochs 0 -clients 4 -requests 16 -trace serve-trace.json
 	$(GO) run ./cmd/pgti-trace serve-trace.json

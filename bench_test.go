@@ -670,7 +670,7 @@ func benchIndexBatch(b *testing.B, store bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg.Store = st
+		cfg.Feed.Store = st
 		cfg.Sampler = ddp.BatchShuffle
 	}
 	var res *shard.Result

@@ -121,9 +121,9 @@ func WithDiffusionSteps(k int) Option { return func(c *core.Config) { c.K = k } 
 // WithSeed seeds all randomness (dataset generation, init, shuffling).
 func WithSeed(seed uint64) Option { return func(c *core.Config) { c.Seed = seed } }
 
-// WithShuffle explicitly selects the distributed shuffling strategy, and an
-// explicit choice always wins: WithShuffle(ShuffleGlobal) forces global
-// shuffling on any strategy. Omit it to accept the strategy's default
+// WithShuffle explicitly selects the shuffling strategy — on every strategy,
+// single-GPU ones included — and an explicit choice always wins:
+// WithShuffle(ShuffleGlobal) forces global shuffling on any strategy. Omit it to accept the strategy's default
 // (global; batch for StrategyGenDistIndex).
 func WithShuffle(s Shuffle) Option {
 	return func(c *core.Config) {
@@ -190,7 +190,8 @@ func WithNodeWeights(w []float64) Option {
 }
 
 // WithComputeCost replaces measured wall time with a modeled per-batch
-// compute cost on the virtual clock. With WithAssembleCost also set, the
+// compute cost on the virtual clock, on every strategy (the single-GPU ones
+// train on the same loop as a 1x1 grid). With WithAssembleCost also set, the
 // run's entire modeled timeline becomes a pure function of the
 // configuration — machine-independent and bitwise reproducible — which is
 // what the streaming replay contract and the gated benchmarks pin.
@@ -236,8 +237,9 @@ func WithMemoryCaps(systemGB, gpuGB float64) Option {
 }
 
 // WithMissingData zeroes each observation with probability frac and trains
-// with the masked-MAE loss. Single-GPU strategies only: the distributed
-// trainer has no masked loss, so the combination is rejected.
+// with the masked-MAE loss. Single-GPU strategies only: a masked mean over
+// shards or replicas is not the mean of their masked means, so the
+// combination with a distributed strategy is rejected.
 func WithMissingData(frac float64) Option {
 	return func(c *core.Config) { c.MissingFrac = frac }
 }

@@ -119,8 +119,33 @@ func weightedTrainStats(data *tensor.Tensor, horizon, trainS int) (mean, std flo
 	return mean, math.Sqrt(variance)
 }
 
+// Source is a locally assembled batch source: what a trainer, an evaluator
+// or a Prefetcher reads batches from. IndexDataset (views collated on demand)
+// and StandardResult (rows gathered from the materialized arrays) are the two
+// implementations — the paper's two pipelines behind one seam.
+type Source interface {
+	// NumSnapshots returns the number of (x, y) pairs.
+	NumSnapshots() int
+	// AssembleBatch collates the given snapshots into x and y tensors of
+	// shape [B, horizon, N, F]. The result may alias buf and is valid until
+	// buf's next use.
+	AssembleBatch(indices []int, buf *BatchBuffer) (x, y *tensor.Tensor)
+	// Norm returns the training split's z-score statistics.
+	Norm() (mean, std float64)
+	// Dims returns the shape of the underlying signal and its windows.
+	Dims() (entries, horizon, nodes, features int)
+}
+
 // NumSnapshots returns the number of (x, y) pairs.
 func (d *IndexDataset) NumSnapshots() int { return len(d.Starts) }
+
+// Norm implements Source.
+func (d *IndexDataset) Norm() (mean, std float64) { return d.Mean, d.Std }
+
+// Dims implements Source.
+func (d *IndexDataset) Dims() (entries, horizon, nodes, features int) {
+	return d.Data.Dim(0), d.Horizon, d.Data.Dim(1), d.Data.Dim(2)
+}
 
 // Snapshot reconstructs snapshot i as zero-copy views (Fig. 4 of the
 // paper): x = data[start:start+h], y = data[start+h:start+2h].

@@ -12,7 +12,7 @@ type prefetched struct {
 	x, y *tensor.Tensor
 }
 
-// Prefetcher pipelines AssembleBatch against the training step: a single
+// Prefetcher pipelines a Source's AssembleBatch against the training step: a single
 // goroutine collates batch T+1 on the parallel pool while the consumer runs
 // forward/backward on batch T. The pipeline is exactly one batch deep — the
 // producer hands batches over an unbuffered channel, so it is never more
@@ -38,7 +38,7 @@ type Prefetcher struct {
 // NewPrefetcher starts assembling the given batch schedule from data.
 // Callers must Close the prefetcher on every exit path (including
 // cancellation mid-epoch) to reclaim the goroutine.
-func NewPrefetcher(data *IndexDataset, batches [][]int) *Prefetcher {
+func NewPrefetcher(data Source, batches [][]int) *Prefetcher {
 	p := &Prefetcher{
 		ch:   make(chan prefetched),
 		stop: make(chan struct{}),

@@ -132,3 +132,37 @@ func TestPrefetcherExhaustedThenClose(t *testing.T) {
 	}
 	p.Close()
 }
+
+// TestSourcesAgree: the standard and index pipelines are two Sources over the
+// same signal — same shape, same snapshot count — and a Prefetcher over the
+// materialized one hands out exactly what its Batch gathers.
+func TestSourcesAgree(t *testing.T) {
+	raw := tensor.Randn(tensor.NewRNG(99), 64, 8, 2)
+	std, err := StandardPreprocess(raw.Clone(), 3, 0.7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := NewIndexDataset(raw, 3, 0.7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b [4]int
+	a[0], a[1], a[2], a[3] = std.Dims()
+	b[0], b[1], b[2], b[3] = idx.Dims()
+	if a != b || a != [4]int{64, 3, 8, 2} || std.NumSnapshots() != idx.NumSnapshots() {
+		t.Fatalf("sources disagree: standard %v (%d snapshots), index %v (%d)", a, std.NumSnapshots(), b, idx.NumSnapshots())
+	}
+	if m, s := std.Norm(); m != std.Mean || s != std.Std {
+		t.Fatalf("Norm() = %v, %v", m, s)
+	}
+	batches := Batches(MakeSplit(std.NumSnapshots(), 0.7, 0.1).Train, 4)
+	p := NewPrefetcher(Source(std), batches)
+	defer p.Close()
+	for i, batch := range batches {
+		x, y, ok := p.Next()
+		rx, ry := std.Batch(batch)
+		if !ok || !x.Equal(rx) || !y.Equal(ry) {
+			t.Fatalf("batch %d: prefetched standard batch differs from Batch", i)
+		}
+	}
+}

@@ -50,6 +50,21 @@ func (r *StandardResult) Batch(indices []int) (x, y *tensor.Tensor) {
 	return r.X.GatherRows(indices), r.Y.GatherRows(indices)
 }
 
+// AssembleBatch implements Source: standard batching copies rows out of the
+// materialized arrays, so buf is unused.
+func (r *StandardResult) AssembleBatch(indices []int, _ *BatchBuffer) (x, y *tensor.Tensor) {
+	return r.Batch(indices)
+}
+
+// Norm implements Source.
+func (r *StandardResult) Norm() (mean, std float64) { return r.Mean, r.Std }
+
+// Dims implements Source (entries is the length of the signal the windows
+// were cut from).
+func (r *StandardResult) Dims() (entries, horizon, nodes, features int) {
+	return r.X.Dim(0) + 2*r.Horizon - 1, r.Horizon, r.X.Dim(2), r.X.Dim(3)
+}
+
 // StandardPreprocess runs Algorithm 1 on a [entries, nodes, features]
 // signal: extract every overlapping (x, y) window pair as copies, stack
 // them, and z-score them with the training split's mean/std. Every

@@ -9,6 +9,10 @@
 //	GenDistIndex  — generalized-distributed-index-batching, partitioned
 //	                data + batch-level shuffling (§5.4)
 //
+// Every strategy trains on the one grid trainer (internal/shard): the
+// single-GPU strategies on a 1x1 grid, differing only in their data source,
+// their per-batch H2D charge and their memory accounting.
+//
 // Run executes a strategy for real (measured mode) at a dataset scale that
 // fits the host, with byte-exact memory accounting and optional capacity
 // limits that reproduce the paper's OOM behavior. Paper-scale estimates are
@@ -134,8 +138,8 @@ type Config struct {
 	SystemMemory int64
 	GPUMemory    int64
 
-	// Sampler overrides the shuffling strategy for distributed runs
-	// (defaults: global for DistIndex/BaselineDDP, batch for GenDistIndex).
+	// Sampler overrides the shuffling strategy (defaults: batch for
+	// GenDistIndex, global for every other strategy).
 	Sampler ddp.SamplerKind
 	// SamplerSet records that Sampler was chosen explicitly, so a deliberate
 	// GlobalShuffle (the zero value) is not replaced by the strategy default.
@@ -167,9 +171,10 @@ type Config struct {
 	// ahead of every step; with Prefetch it overlaps step compute.
 	AssembleCost func(batchItems int) time.Duration
 	// ComputeCost models one training step's compute on the virtual
-	// timeline for distributed strategies (nil = measure wall time, the
-	// legacy behavior). A fully-modeled run is machine-independent: curve
-	// and clock are bitwise reproducible.
+	// timeline (nil = measure wall time). A fully-modeled run is
+	// machine-independent: curve and clock are bitwise reproducible. On the
+	// single-GPU strategies the clock additionally carries the H2D charges
+	// (one pageable copy per batch; one staging copy under GPUIndex).
 	ComputeCost func(batchItems int) time.Duration
 	// Staleness bounds the gradient-application lag in steps: step s
 	// applies step s-Staleness's synced gradient with error compensation,
@@ -212,8 +217,9 @@ type Config struct {
 	// is zeroed with this probability before preprocessing, and training
 	// switches to the masked-MAE loss so missing readings contribute no
 	// gradient (the METR-LA/PeMS missing-data convention). Single-GPU
-	// strategies only: the grid trainer has no masked loss, so Validate
-	// rejects it on a distributed strategy.
+	// strategies only: a masked mean over several workers' batches is not the
+	// weighted mean of their masked means, so Validate rejects it on a
+	// distributed strategy.
 	MissingFrac float64
 
 	// LoadCheckpoint initializes the model parameters from a checkpoint file
@@ -262,8 +268,9 @@ type Config struct {
 	Events EventFunc
 
 	// Trace, when non-nil, records virtual-clock spans (compute, batch
-	// assembly, halo exchange, gradient sync, exposed communication) and
-	// per-worker counters into the recorder during Fit. Nil disables
+	// assembly, H2D and remote fetches, halo exchange, gradient sync, exposed
+	// communication) and per-worker counters into the recorder during Fit,
+	// on every strategy. Nil disables
 	// tracing entirely; a traced run is bitwise identical to an untraced
 	// one — the recorder only observes times the simulation already
 	// computes, it never advances the clock.
@@ -299,7 +306,7 @@ func (c *Config) Validate() error {
 		return invalidf("MissingFrac", "missing fraction %v outside [0, 1)", c.MissingFrac)
 	}
 	if c.MissingFrac > 0 && dist {
-		return invalidf("MissingFrac", "missing-data training needs a single-GPU strategy (the grid trainer has no masked loss), got %v", c.Strategy)
+		return invalidf("MissingFrac", "missing-data training needs a single-GPU strategy (a masked mean across workers is not the mean of their masked means), got %v", c.Strategy)
 	}
 	if c.Workers > 1 && !dist {
 		return invalidf("Workers", "%d workers need a distributed strategy, got %v", c.Workers, c.Strategy)
@@ -410,7 +417,13 @@ type Report struct {
 
 	Curve metrics.Curve
 
-	WallTime    time.Duration
+	WallTime time.Duration
+	// VirtualTime is the modeled clock: per step, batch assembly plus
+	// forward and backward (measured, or ComputeCost/AssembleCost when set;
+	// the optimizer update is not charged) plus whatever communication the
+	// step exposed. CommTime is that exposed part: gradient sync, remote
+	// data fetches and — on Baseline and Index — the per-batch pageable H2D
+	// copies. GPUIndex's one staging copy is in VirtualTime only.
 	VirtualTime time.Duration
 	CommTime    time.Duration
 	// CommHiddenTime is modeled communication hidden under backward compute

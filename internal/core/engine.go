@@ -36,9 +36,9 @@ const (
 //
 //	Open  — dataset generation, memory trackers, pipeline (preprocessing)
 //	        and strategy resolution;
-//	Build — model construction, checkpoint injection, distributed grid and
-//	        per-worker memory accounting;
-//	Fit   — the training loop, cancellable via context and observable via
+//	Build — model construction, checkpoint injection, the process grid
+//	        (1x1 for the single-GPU strategies) and memory accounting;
+//	Fit   — the grid trainer, cancellable via context and observable via
 //	        the Config.Events stream;
 //	Eval  — post-training test metrics and forecast emission;
 //	Predictor — a warm, goroutine-safe inference handle over the trained
@@ -58,30 +58,30 @@ type Engine struct {
 	sys, gpu *memsim.Tracker
 	report   *Report
 
-	aug      *tensor.Tensor
 	g        *graph.Graph
 	supports []*sparse.CSR
 	in       int
 
-	// Single-GPU pipeline.
-	src         batchSource
-	gpuResident bool
+	// The data pipeline every strategy trains, evaluates and predicts from:
+	// the materialized standard arrays (Baseline) or the index dataset, which
+	// idx also names for the paths that need its rows (partition store,
+	// recovery re-fill).
+	data batching.Source
+	idx  *batching.IndexDataset
 
-	// Distributed pipeline: the Shards x Workers grid (Shards == 1 unless
-	// Config.Spatial asks for more).
-	idx           *batching.IndexDataset
+	// The Shards x Workers grid every strategy trains on: 1x1 for the
+	// single-GPU strategies, Shards == 1 unless Config.Spatial asks for more.
 	factory       shard.ModelFactory
 	trainCfg      shard.Config
 	trainSupports []*sparse.CSR // supports trimmed to what the model diffuses over
 
 	// Built state. After Fit, model/opt hold the trained parameters and
-	// optimizer — for distributed strategies a full-graph model carrying
-	// rank 0's parameters (identical on every worker).
+	// optimizer: a full-graph model carrying rank 0's parameters (identical
+	// on every worker).
 	model        nn.SeqModel
 	opt          *nn.Adam
 	split        batching.Split
 	startEpoch   int
-	batchBytes   int64
 	fitAttempted bool
 
 	peakEmitted int64
@@ -235,7 +235,6 @@ func (e *Engine) open() error {
 		aug = aug.Clone() // decouple from the generator's buffer
 	}
 	sys.Record(0.03)
-	e.aug = aug
 	e.g = ds.Graph
 
 	fwd, bwd := ds.Graph.TransitionMatrices()
@@ -254,16 +253,20 @@ func (e *Engine) open() error {
 		sys.FreeAll("data")
 		e.report.RetainedDataBytes = res.StandardRetainedBytes()
 		sys.Record(0.10)
-		e.src = standardSource{res}
-	case Index, GPUIndex:
+		e.data = res
+	default: // every index-batched strategy
 		idx, err := batching.NewIndexDataset(aug, meta.Horizon, batching.DefaultTrainFrac, sys)
 		if err != nil {
 			return err
 		}
+		e.idx, e.data = idx, idx
 		e.report.RetainedDataBytes = idx.RetainedBytes()
+		if cfg.Strategy.IsDistributed() {
+			sys.Record(0.08)
+			break
+		}
 		sys.Record(0.10)
-		e.gpuResident = cfg.Strategy == GPUIndex
-		if e.gpuResident {
+		if cfg.Strategy == GPUIndex {
 			// One consolidated staging copy: the dataset moves to the device
 			// and the host copy is released (§4.1, GPU-index-batching).
 			if err := gpu.Alloc("data", idx.Data.NumBytes()); err != nil {
@@ -273,33 +276,15 @@ func (e *Engine) open() error {
 			sys.FreeAll("data")
 			sys.Record(0.12)
 		}
-		e.idx = idx
-		e.src = &indexSource{ds: idx}
-	default: // distributed strategies
-		idx, err := batching.NewIndexDataset(aug, meta.Horizon, batching.DefaultTrainFrac, sys)
-		if err != nil {
-			return err
-		}
-		e.idx = idx
-		e.report.RetainedDataBytes = idx.RetainedBytes()
-		sys.Record(0.08)
 	}
 
-	n := e.numSnapshots()
-	e.split = batching.MakeSplit(n, batching.DefaultTrainFrac, batching.DefaultValFrac)
+	e.split = batching.MakeSplit(e.data.NumSnapshots(), batching.DefaultTrainFrac, batching.DefaultValFrac)
 	return nil
 }
 
-func (e *Engine) numSnapshots() int {
-	if e.src != nil {
-		return e.src.NumSnapshots()
-	}
-	return e.idx.NumSnapshots()
-}
-
-// Build constructs the model (and, for distributed strategies, the process
-// grid and per-worker memory accounting), injects checkpoint state, and
-// prepares the optimizer. Runs Open first if needed. Idempotent.
+// Build prepares the process grid the strategy trains on: the partition, the
+// model factory, checkpoint injection, memory accounting and the trainer
+// configuration. Runs Open first if needed. Idempotent.
 func (e *Engine) Build() error {
 	if e.stage >= stageBuilt {
 		return nil
@@ -308,11 +293,7 @@ func (e *Engine) Build() error {
 		return err
 	}
 	start := time.Now()
-	build := e.buildSingle
-	if e.cfg.Strategy.IsDistributed() {
-		build = e.buildGrid
-	}
-	if err := e.seal(start, build()); err != nil {
+	if err := e.seal(start, e.buildGrid()); err != nil {
 		return err
 	}
 	e.stage = stageBuilt
@@ -337,39 +318,6 @@ func (e *Engine) loadInto(model nn.SeqModel) (*nn.TrainState, error) {
 		return nil, nil
 	}
 	return nil, nn.LoadCheckpointFile(e.cfg.LoadCheckpoint, model)
-}
-
-func (e *Engine) buildSingle() error {
-	cfg := &e.cfg
-	model := e.fullModel()
-	if len(cfg.WarmParams) > 0 {
-		if err := nn.RestoreParams(model, cfg.WarmParams); err != nil {
-			return err
-		}
-	}
-	state, err := e.loadInto(model)
-	if err != nil {
-		return err
-	}
-	if err := e.gpu.Alloc("model.params", nn.ParameterBytes(model)); err != nil {
-		return err
-	}
-	e.model = model
-	e.opt = nn.NewAdam(model, cfg.LR)
-	if state != nil {
-		if err := e.opt.RestoreMoments(state.M, state.V, state.Step); err != nil {
-			return err
-		}
-		e.startEpoch = state.NextEpoch
-	}
-	e.batchBytes = 2 * int64(cfg.BatchSize) * int64(e.meta.Horizon) * int64(e.meta.Nodes) * int64(e.meta.Features()) * 8
-	if e.gpuResident {
-		// The batch staging buffer lives on the device permanently.
-		if err := e.gpu.Alloc("batch.buffer", e.batchBytes); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fullModel builds a freshly-initialized model over the whole graph.
@@ -416,14 +364,13 @@ func (e *Engine) checkpointInit(probe nn.SeqModel) (func(nn.SeqModel, *nn.Adam) 
 	return init, startEpoch, nil
 }
 
-// buildGrid prepares the Shards x Workers process grid every distributed
-// strategy trains on: the partition (one whole-graph part unless
-// Config.Spatial shards the node set), per-worker memory accounting, and the
+// buildGrid prepares the Shards x Workers process grid every strategy trains
+// on — 1x1 for the single-GPU strategies: the partition (one whole-graph part
+// unless Config.Spatial shards the node set), memory accounting, and the
 // trainer configuration.
 func (e *Engine) buildGrid() error {
 	cfg := &e.cfg
 	meta := e.meta
-	sys, gpu := e.sys, e.gpu
 	supports := e.supports
 	if cfg.Model == ModelA3TGCN {
 		supports = supports[:1] // A3T-GCN diffuses over the forward support only
@@ -469,21 +416,118 @@ func (e *Engine) buildGrid() error {
 	}
 	e.startEpoch = startEpoch
 
-	// Per-worker accounting on the grid. In-process all workers share one
-	// address space; the tracker reflects what a real deployment holds:
-	// replica parameters, the owned slice of batch staging, the data share,
-	// and the halo staging slab (kept under its own label so the overhead
-	// stays visible next to the N/P claim). DistIndex keeps the full history
-	// of its ~N/P node share on every worker; the partitioned strategies
-	// (never sharded) hold one row share each.
 	paramBytes := nn.ParameterBytes(model)
+	if cfg.Strategy.IsDistributed() {
+		err = e.accountWorkers(plan, paramBytes)
+	} else {
+		err = e.accountDevice(paramBytes)
+	}
+	if err != nil {
+		return err
+	}
+	feed, err := e.feed()
+	if err != nil {
+		return err
+	}
+
+	e.trainCfg = shard.Config{
+		Shards:          shards,
+		Replicas:        cfg.Workers,
+		BatchSize:       cfg.BatchSize,
+		Epochs:          cfg.Epochs,
+		StartEpoch:      e.startEpoch,
+		LR:              cfg.LR,
+		UseLRScaling:    cfg.UseLRScaling,
+		ClipNorm:        cfg.ClipNorm,
+		Sampler:         cfg.Sampler,
+		Seed:            cfg.Seed,
+		Net:             cluster.SlingshotModel(),
+		Topology:        cfg.Topology,
+		Feed:            feed,
+		Algo:            cfg.GradAlgo,
+		FP16:            cfg.GradFP16,
+		BucketBytes:     cfg.GradBucketBytes,
+		AutoTuneBuckets: cfg.GradAutoTune,
+		Prefetch:        cfg.Prefetch,
+		AssembleCost:    cfg.AssembleCost,
+		ComputeCost:     cfg.ComputeCost,
+		Staleness:       cfg.Staleness,
+		Repartition:     cfg.Repartition,
+		NodeWeights:     cfg.NodeWeights,
+		Plan:            plan,
+		Init:            init,
+		Trace:           cfg.Trace,
+		Faults:          cfg.Faults,
+	}
+	if cfg.MissingFrac > 0 {
+		// The standardized encoding of a raw zero — the missing-data sentinel
+		// after z-scoring. Both pipelines standardize with the identical
+		// expression, so the comparison is exact.
+		mean, std := e.data.Norm()
+		mask := (0 - mean) / std
+		e.trainCfg.Loss = func(pred *autograd.Variable, target *tensor.Tensor) *autograd.Variable {
+			return autograd.MaskedMAELoss(pred, target, mask)
+		}
+	}
+	return nil
+}
+
+// feed resolves the strategy's data path: what moving one batch to the device
+// costs (see shard.Feed).
+func (e *Engine) feed() (shard.Feed, error) {
+	switch e.cfg.Strategy {
+	case Baseline, Index:
+		// The dataset stays on the host: every batch pays a pageable H2D
+		// copy and occupies the device for its step — the cost GPU-index
+		// eliminates.
+		h2d := device.NewGPU("train", 0)
+		h2d.Mem = e.gpu
+		return shard.Feed{Device: h2d}, nil
+	case BaselineDDP:
+		return shard.Feed{Remote: true}, nil
+	case GenDistIndex:
+		if e.cfg.Workers > 1 {
+			// The larger-than-memory layout: rows partitioned across
+			// workers; only boundary rows travel.
+			store, err := batching.NewPartitionStore(e.idx, e.cfg.Workers)
+			return shard.Feed{Store: store}, err
+		}
+	}
+	return shard.Feed{}, nil
+}
+
+// accountDevice is the single-GPU strategies' accounting (the paper's eq. 1
+// and eq. 2 view of one host feeding one device): the parameters live on the
+// device, and GPU-index-batching keeps the batch staging buffer there for
+// good. The host-resident strategies' per-batch bytes come and go with each
+// step (shard.Feed.Device).
+func (e *Engine) accountDevice(paramBytes int64) error {
+	if err := e.gpu.Alloc("model.params", paramBytes); err != nil {
+		return err
+	}
+	if e.cfg.Strategy != GPUIndex {
+		return nil
+	}
+	batchBytes := 2 * int64(e.cfg.BatchSize) * int64(e.meta.Horizon) * int64(e.meta.Nodes) * int64(e.in) * 8
+	return e.gpu.Alloc("batch.buffer", batchBytes)
+}
+
+// accountWorkers is the distributed strategies' per-worker accounting on the
+// grid. In-process all workers share one address space; the tracker reflects
+// what a real deployment holds: replica parameters, the owned slice of batch
+// staging, the data share, and the halo staging slab (kept under its own
+// label so the overhead stays visible next to the N/P claim). DistIndex keeps
+// the full history of its ~N/P node share on every worker; the partitioned
+// strategies (never sharded) hold one row share each.
+func (e *Engine) accountWorkers(plan *shard.Plan, paramBytes int64) error {
+	cfg, meta, sys, gpu := &e.cfg, e.meta, e.sys, e.gpu
 	maxOwn, maxHalo := plan.MaxOwn(), plan.MaxHalo()
-	batchBytes := 2 * int64(cfg.BatchSize) * int64(meta.Horizon) * int64(maxOwn) * int64(in) * 8
+	batchBytes := 2 * int64(cfg.BatchSize) * int64(meta.Horizon) * int64(maxOwn) * int64(e.in) * 8
 	dataShare := e.idx.RetainedBytes() * int64(maxOwn) / int64(meta.Nodes)
 	if cfg.Strategy != DistIndex {
 		dataShare = e.idx.RetainedBytes() / int64(cfg.Workers)
 	}
-	haloSlab := perfmodel.HaloSlabBytes(maxHalo, cfg.BatchSize, in, cfg.Hidden)
+	haloSlab := perfmodel.HaloSlabBytes(maxHalo, cfg.BatchSize, e.in, cfg.Hidden)
 	// Worker 0's share is the tracked "data" allocation, but under spatial
 	// sharding no worker holds the full node axis: release the non-owned
 	// portion of the single copy so the tracker reflects the ~N/P footprint
@@ -491,8 +535,7 @@ func (e *Engine) buildGrid() error {
 	if full := sys.LabelBytes("data"); full > 0 {
 		sys.Free("data", full-full*int64(maxOwn)/int64(meta.Nodes))
 	}
-	world := shards * cfg.Workers
-	for w := 0; w < world; w++ {
+	for w := 0; w < plan.Shards*cfg.Workers; w++ {
 		if err := sys.Alloc("worker.replica", paramBytes+batchBytes); err != nil {
 			return err
 		}
@@ -510,49 +553,12 @@ func (e *Engine) buildGrid() error {
 	}
 	e.report.PerWorkerBytes = paramBytes + batchBytes + dataShare + haloSlab
 	sys.Record(0.10)
-
-	e.trainCfg = shard.Config{
-		Shards:          shards,
-		Replicas:        cfg.Workers,
-		BatchSize:       cfg.BatchSize,
-		Epochs:          cfg.Epochs,
-		StartEpoch:      e.startEpoch,
-		LR:              cfg.LR,
-		UseLRScaling:    cfg.UseLRScaling,
-		ClipNorm:        cfg.ClipNorm,
-		Sampler:         cfg.Sampler,
-		Seed:            cfg.Seed,
-		Topology:        cfg.Topology,
-		RemoteFetch:     cfg.Strategy == BaselineDDP,
-		Algo:            cfg.GradAlgo,
-		FP16:            cfg.GradFP16,
-		BucketBytes:     cfg.GradBucketBytes,
-		AutoTuneBuckets: cfg.GradAutoTune,
-		Prefetch:        cfg.Prefetch,
-		AssembleCost:    cfg.AssembleCost,
-		ComputeCost:     cfg.ComputeCost,
-		Staleness:       cfg.Staleness,
-		Repartition:     cfg.Repartition,
-		NodeWeights:     cfg.NodeWeights,
-		Plan:            plan,
-		Init:            init,
-		Trace:           cfg.Trace,
-		Faults:          cfg.Faults,
-	}
-	if cfg.Strategy == GenDistIndex && cfg.Workers > 1 {
-		// The larger-than-memory layout: rows partitioned across workers;
-		// only boundary rows travel.
-		if e.trainCfg.Store, err = batching.NewPartitionStore(e.idx, cfg.Workers); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// Fit trains. The context is honored mid-epoch: single-GPU runs poll it per
-// batch, distributed runs agree on it per step through a scalar collective
-// (only when the context is cancellable, so plain runs keep the legacy
-// virtual timeline). On cancellation Fit returns an error wrapping
+// Fit trains. The context is honored mid-epoch: the grid's workers agree on
+// it per step through a clock-free scalar collective (only when the context
+// is cancellable). On cancellation Fit returns an error wrapping
 // ctx.Err() and the Report holds the completed epochs' curve ("partial
 // curve"). Events (epoch end, autotune lock-in, memory high-water, OOM)
 // stream through Config.Events. Runs Open and Build first if needed.
@@ -571,11 +577,7 @@ func (e *Engine) Fit(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	fit := e.fitSingle
-	if e.cfg.Strategy.IsDistributed() {
-		fit = e.fitGrid
-	}
-	if err := e.seal(start, fit(ctx)); err != nil {
+	if err := e.seal(start, e.fitGrid(ctx)); err != nil {
 		return err
 	}
 	e.stage = stageFitted
@@ -644,15 +646,6 @@ func snapshotBytes(params [][]float64) int64 {
 	return n
 }
 
-// resolvedNet mirrors cluster.New's fabric defaulting so engine-side
-// recovery charges price transfers on the same model the trainer used.
-func resolvedNet(net cluster.NetworkModel) cluster.NetworkModel {
-	if net.Bandwidth <= 0 {
-		return cluster.SlingshotModel()
-	}
-	return net
-}
-
 // recovery is one survived worker loss, as the fit loops book it.
 type recovery struct {
 	lost             *cluster.WorkerLostError
@@ -690,86 +683,12 @@ func (e *Engine) bookRecovery(offset time.Duration, r recovery) time.Duration {
 	return detected + r.refill
 }
 
-// fitSingle is the single-GPU epoch loop with byte-exact GPU accounting and
-// a transfer-cost virtual clock.
-func (e *Engine) fitSingle(ctx context.Context) error {
-	cfg := &e.cfg
-	src, model, opt, report := e.src, e.model, e.opt, e.report
-	sys, gpu := e.sys, e.gpu
-	sampler := batching.NewGlobalShuffler(e.split.Train, cfg.BatchSize, 1, 0, cfg.Seed)
-	xfer := device.NewGPU("train", 0)
-
-	totalBatches := 0
-	for epoch := e.startEpoch; epoch < cfg.Epochs; epoch++ {
-		batches := sampler.EpochBatches(epoch)
-		var trainAcc metrics.Running
-		for bi, idx := range batches {
-			if ctx.Err() != nil {
-				report.Steps = totalBatches
-				// Persist the interrupted run's state so the completed
-				// epochs survive Ctrl-C: the resumed run redoes the
-				// interrupted epoch (see saveState's contract).
-				if err := e.saveState(epoch); err != nil {
-					return err
-				}
-				return fmt.Errorf("core: fit cancelled in epoch %d: %w", epoch, ctx.Err())
-			}
-			x, y := src.Assemble(idx)
-			if !e.gpuResident {
-				// Per-batch pageable H2D transfer: the cost GPU-index
-				// eliminates.
-				thisBatch := 2 * x.NumBytes()
-				if err := gpu.Alloc("batch.transient", thisBatch); err != nil {
-					return err
-				}
-				report.VirtualTime += xfer.TransferTime(thisBatch)
-			}
-			target := y.Slice(3, 0, 1).Contiguous()
-			start := time.Now()
-			var loss *autograd.Variable
-			if cfg.MissingFrac > 0 {
-				loss = autograd.MaskedMAELoss(model.Forward(autograd.Constant(x)), target, maskValueFor(src))
-			} else {
-				loss = autograd.MAELoss(model.Forward(autograd.Constant(x)), target)
-			}
-			if err := autograd.Backward(loss); err != nil {
-				return err
-			}
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(model, cfg.ClipNorm)
-			}
-			opt.Step()
-			report.VirtualTime += time.Since(start)
-			trainAcc.Add(loss.Value.Item()*src.Std(), len(idx))
-			if !e.gpuResident {
-				gpu.Free("batch.transient", 2*x.NumBytes())
-			}
-			totalBatches++
-			if bi%8 == 0 {
-				progress := 0.15 + 0.85*float64(epoch*len(batches)+bi)/float64(cfg.Epochs*len(batches))
-				sys.Record(progress)
-			}
-		}
-		valMAE := evaluateSingle(model, src, e.split.Val, cfg.BatchSize, cfg.MissingFrac > 0)
-		rec := metrics.EpochRecord{
-			Epoch:    epoch,
-			TrainMAE: trainAcc.Mean(),
-			ValMAE:   valMAE,
-		}
-		report.Curve = append(report.Curve, rec)
-		e.emit(EpochEvent{Epoch: rec.Epoch, TrainMAE: rec.TrainMAE, ValMAE: rec.ValMAE})
-		e.emitPeak()
-	}
-	sys.Record(1.0)
-	report.Steps = totalBatches
-	return e.saveState(cfg.Epochs)
-}
-
-// fitGrid drives every distributed strategy through the grid trainer:
-// Spatial.Shards node blocks (one when unsharded) times Workers data
-// replicas. Under spatial sharding each worker's tracked footprint is only
-// its ~N/P share of the node features plus a transient halo slab, the memory
-// axis sharding exists to shrink. With a fault plan armed it is also the
+// fitGrid drives every strategy through the grid trainer: Spatial.Shards
+// node blocks (one when unsharded) times Workers data replicas — one block,
+// one replica for the single-GPU strategies. Under spatial sharding each
+// worker's tracked footprint is only its ~N/P share of the node features plus
+// a transient halo slab, the memory axis sharding exists to shrink. With a
+// fault plan armed it is also the
 // recovery loop: each detected worker loss rolls back to the last
 // epoch-boundary snapshot, rebuilds the grid from the survivors, charges
 // detection + re-fill on the stitched clock, and re-runs the trainer from the
@@ -793,17 +712,14 @@ func (e *Engine) fitGrid(ctx context.Context) error {
 			})
 		}
 	}
-	var (
-		prefix metrics.Curve
-		offset time.Duration
-	)
-	net := resolvedNet(cfg.Net)
+	var prefix metrics.Curve
+	offset := report.VirtualTime // GPU-index's staging copy precedes the first step
 	for {
 		var snap *shard.Snapshot
 		if cfg.Faults != nil {
 			cfg.OnSnapshot = func(s shard.Snapshot) { snap = &s }
 		}
-		res, err := shard.Train(e.idx, e.split, e.g, e.trainSupports, e.factory, cfg)
+		res, err := shard.Train(e.data, e.split, e.g, e.trainSupports, e.factory, cfg)
 		if err != nil {
 			var lost *cluster.WorkerLostError
 			if !errors.As(err, &lost) || snap == nil {
@@ -811,7 +727,7 @@ func (e *Engine) fitGrid(ctx context.Context) error {
 			}
 			shards, replicas := cfg.Shards, cfg.Replicas
 			repDead, shDead := lost.Rank/shards, lost.Rank%shards
-			refill := net.FetchTime(snapshotBytes(snap.Params))
+			refill := cfg.Net.FetchTime(snapshotBytes(snap.Params))
 			newShards, newReplicas := shards, replicas
 			owner := snap.Owner
 			ranks := make(map[int]int)
@@ -855,7 +771,7 @@ func (e *Engine) fitGrid(ctx context.Context) error {
 					}
 				}
 				hist := int64(e.idx.Data.Dim(0)) * int64(e.idx.Data.Dim(2)) * 8
-				refill += net.FetchTime(int64(moved) * hist)
+				refill += cfg.Net.FetchTime(int64(moved) * hist)
 				for s := 0; s < shards; s++ {
 					if s == shDead {
 						continue
@@ -887,11 +803,11 @@ func (e *Engine) fitGrid(ctx context.Context) error {
 			if perr != nil {
 				return perr
 			}
-			if cfg.Store != nil {
+			if cfg.Feed.Store != nil {
 				// The partitioned layout re-splits the rows over the
 				// survivors (the dead worker's partition re-fills from its
 				// peers; the clock charge is covered by refill).
-				if cfg.Store, err = batching.NewPartitionStore(e.idx, newReplicas); err != nil {
+				if cfg.Feed.Store, err = batching.NewPartitionStore(e.idx, newReplicas); err != nil {
 					return err
 				}
 			}
@@ -946,16 +862,6 @@ func (e *Engine) fitGrid(ctx context.Context) error {
 	}
 }
 
-// evalSource returns the batch source evaluation and prediction read from
-// (the single-GPU pipeline's source, or an index view for distributed
-// strategies).
-func (e *Engine) evalSource() batchSource {
-	if e.src == nil {
-		e.src = &indexSource{ds: e.idx}
-	}
-	return e.src
-}
-
 // Eval computes post-training test metrics: the test-split MSE and, when
 // Config.EmitForecasts > 0, per-window predictions in original units.
 // Single-GPU runs always evaluate (legacy behavior); distributed runs
@@ -969,10 +875,9 @@ func (e *Engine) Eval() error {
 		return nil
 	}
 	start := time.Now()
-	src := e.evalSource()
-	e.report.TestMSE = evaluateTestMSE(e.model, src, e.split.Test, e.cfg.BatchSize)
+	e.report.TestMSE = evaluateTestMSE(e.model, e.data, e.split.Test, e.cfg.BatchSize)
 	if e.cfg.EmitForecasts > 0 {
-		e.report.Forecasts = emitForecasts(e.model, src, e.split.Test, e.cfg.EmitForecasts, e.meta.Nodes)
+		e.report.Forecasts = emitForecasts(e.model, e.data, e.split.Test, e.cfg.EmitForecasts, e.meta.Nodes)
 	}
 	return e.seal(start, nil)
 }

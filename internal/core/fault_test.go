@@ -12,6 +12,7 @@ import (
 	"pgti/internal/dataset"
 	"pgti/internal/fault"
 	"pgti/internal/shard"
+	"pgti/internal/trace"
 )
 
 // faultCfg is a small fully-modeled distributed config: with ComputeCost and
@@ -283,6 +284,46 @@ func TestStragglerTriggersMeasuredRepartition(t *testing.T) {
 	}
 	if rep.Repartitions != 0 {
 		t.Errorf("measured vector repartitioned %d times without any fault", rep.Repartitions)
+	}
+}
+
+// TestRepartitionMigrationIsCharged: the elastic-repartition migration window
+// is priced on the fabric the cluster actually runs on. The trainer used to
+// price it on its unresolved Config.Net, which the engine leaves zero, so
+// every repartition that arrived through core cost 0 ns. Each migration must
+// last exactly the fabric's fetch time for the moved bytes, on every rank,
+// and every rank's clock must have moved past it before its next step.
+func TestRepartitionMigrationIsCharged(t *testing.T) {
+	cfg := faultCfg(1, 2)
+	cfg.Epochs = 3
+	cfg.Repartition = shard.Repartition{ChunkSize: 3, Threshold: 1.5, Measured: true}
+	cfg.Faults = fault.New(9, fault.Slow(0, 4.0, 0, time.Second))
+	cfg.Trace = trace.New()
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Repartitions == 0 {
+		t.Fatal("the straggler triggered no repartition")
+	}
+	spans := cfg.Trace.Snapshot().Spans
+	windows := 0
+	for _, mv := range spans {
+		if mv.Kind != trace.KindRepartition {
+			continue
+		}
+		windows++
+		if want := cluster.SlingshotModel().FetchTime(mv.Bytes); mv.Dur != want || want <= 0 {
+			t.Errorf("rank %d %s: %d B migrated in %v, want %v", mv.Worker, mv.Name, mv.Bytes, mv.Dur, want)
+		}
+		for _, sp := range spans {
+			if sp.Worker == mv.Worker && sp.Kind == trace.KindStep && sp.Start >= mv.Start && sp.Start < mv.Start+mv.Dur {
+				t.Errorf("rank %d: %s begins at %v inside the migration window [%v, %v)", sp.Worker, sp.Name, sp.Start, mv.Start, mv.Start+mv.Dur)
+			}
+		}
+	}
+	if windows != 2*rep.Repartitions {
+		t.Errorf("%d migration windows for %d repartitions on 2 ranks", windows, rep.Repartitions)
 	}
 }
 

@@ -126,11 +126,11 @@ func (e *Engine) NewInferCore() (*InferCore, error) {
 	if err := nn.RestoreParams(clone, nn.SnapshotParams(e.model)); err != nil {
 		return nil, err
 	}
-	src := e.evalSource()
+	mean, std := e.data.Norm()
 	return &InferCore{
 		model:    clone,
-		mean:     src.Mean(),
-		std:      src.Std(),
+		mean:     mean,
+		std:      std,
 		horizon:  e.meta.Horizon,
 		nodes:    e.meta.Nodes,
 		features: e.in,

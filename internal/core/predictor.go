@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"pgti/internal/batching"
 )
 
 // Window is one raw input window for inference: Horizon time steps of all
@@ -25,7 +27,7 @@ type Window struct {
 // and a coalescing Server produce bitwise-identical forecasts.
 type Predictor struct {
 	*InferCore
-	src  batchSource
+	src  batching.Source
 	test []int
 }
 
@@ -63,17 +65,17 @@ func (e *Engine) Predictor() (*Predictor, error) {
 	if e.stage < stageFitted {
 		return nil, fmt.Errorf("core: predictor before fit: %w", ErrNotFitted)
 	}
-	src := e.evalSource()
+	mean, std := e.data.Norm()
 	return &Predictor{
 		InferCore: &InferCore{
 			model:    e.model,
-			mean:     src.Mean(),
-			std:      src.Std(),
+			mean:     mean,
+			std:      std,
 			horizon:  e.meta.Horizon,
 			nodes:    e.meta.Nodes,
 			features: e.in,
 		},
-		src:  src,
+		src:  e.data,
 		test: e.split.Test,
 	}, nil
 }

@@ -96,11 +96,11 @@ func TestFlatWorldMatchesRetiredDDPLoop(t *testing.T) {
 		}
 		switch row.Path {
 		case "store":
-			if cfg.Store, err = batching.NewPartitionStore(data, row.W); err != nil {
+			if cfg.Feed.Store, err = batching.NewPartitionStore(data, row.W); err != nil {
 				t.Fatal(err)
 			}
 		case "remote":
-			cfg.RemoteFetch = true
+			cfg.Feed.Remote = true
 		}
 		name := fmt.Sprintf("row %d (W=%d %s fp16=%v autotune=%v %s %s prefetch=%v clip=%v)",
 			rows, row.W, row.Algo, row.FP16, row.AutoTune, row.Sampler, row.Path, row.Prefetch, row.Clip)

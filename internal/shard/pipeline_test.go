@@ -3,11 +3,15 @@ package shard
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"pgti/internal/autograd"
+	"pgti/internal/batching"
 	"pgti/internal/cluster"
+	"pgti/internal/device"
 	"pgti/internal/metrics"
 	"pgti/internal/nn"
 	"pgti/internal/tensor"
@@ -217,5 +221,60 @@ func TestPrefetchCancellationDrains(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFeedAndLossSeams: the seams the single-GPU strategies enter the trainer
+// through. A materialized standard source trains like any other; a Feed.Device
+// charges each batch's pageable copy inline (exposed, ahead of the step),
+// holds its bytes on the device tracker for exactly that step, and leaves the
+// curve alone; a custom Loss replaces the objective and the reported metric.
+func TestFeedAndLossSeams(t *testing.T) {
+	g, supports := testGraph(t, 12)
+	std, err := batching.StandardPreprocess(tensor.Randn(tensor.NewRNG(21), 90, g.N, 1), 3, 0.7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := batching.MakeSplit(std.NumSnapshots(), 0.7, 0.1)
+	base := Config{
+		Shards: 1, Replicas: 1, BatchSize: 4, Epochs: 2, LR: 0.02, Seed: 5,
+		ComputeCost: func(int) time.Duration { return time.Millisecond },
+	}
+	run := func(cfg Config) *Result {
+		res, err := Train(std, split, g, supports, pipelineModel, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run(base)
+
+	dev := device.NewGPU("gpu", 0)
+	staged := base
+	staged.Feed.Device = dev
+	res := run(staged)
+	if !reflect.DeepEqual(res.Curve, plain.Curve) {
+		t.Errorf("the H2D charge moved the curve")
+	}
+	pairBytes := int64(2 * 3 * g.N * 8)
+	var h2d time.Duration
+	for _, b := range batching.Batches(split.Train, base.BatchSize) {
+		h2d += time.Duration(base.Epochs) * dev.TransferTime(int64(len(b))*pairBytes)
+	}
+	if res.CommTime != h2d || res.VirtualTime-plain.VirtualTime != h2d || res.CommExposedIntra != h2d {
+		t.Errorf("H2D charge: comm %v, clock +%v, intra %v, want %v", res.CommTime, res.VirtualTime-plain.VirtualTime, res.CommExposedIntra, h2d)
+	}
+	if dev.Mem.Peak() != int64(base.BatchSize)*pairBytes || dev.Mem.Current() != 0 {
+		t.Errorf("device holds %d B after the run (peak %d), want 0 (one batch, %d)", dev.Mem.Current(), dev.Mem.Peak(), int64(base.BatchSize)*pairBytes)
+	}
+	staged.Feed.Remote = true
+	if _, err := Train(std, split, g, supports, pipelineModel, staged); err == nil {
+		t.Errorf("Feed with both Remote and Device was accepted")
+	}
+
+	squared := base
+	squared.Loss = autograd.MSELoss
+	if got := run(squared); reflect.DeepEqual(got.Curve, plain.Curve) {
+		t.Errorf("a custom loss left the curve untouched")
 	}
 }

@@ -1,4 +1,4 @@
-// Package shard is the distributed trainer: one step loop (Train) over a
+// Package shard is the trainer: the repo's one step loop (Train) over a
 // Shards x Replicas process grid whose axes degenerate at 1. The shard axis
 // is spatial graph parallelism: the sensor graph is partitioned into node
 // blocks, every worker holds only its block's rows of the support matrices
@@ -8,8 +8,8 @@
 // shrink. The replica axis is data parallelism over internal/ddp's sync
 // machinery. On the full grid gradient AllReduce runs within a shard group
 // and halo exchange within a replica group; a 1 x R grid is plain DDP over
-// the world ring, an S x 1 grid pure spatial sharding, 1 x 1 a single
-// worker.
+// the world ring, an S x 1 grid pure spatial sharding, and 1 x 1 a single
+// GPU (what the single-GPU strategies of internal/core train on).
 package shard
 
 import (

@@ -10,6 +10,7 @@ import (
 	"pgti/internal/batching"
 	"pgti/internal/cluster"
 	"pgti/internal/ddp"
+	"pgti/internal/device"
 	"pgti/internal/fault"
 	"pgti/internal/graph"
 	"pgti/internal/metrics"
@@ -52,6 +53,27 @@ func (m HaloSyncMode) String() string {
 	return "overlap"
 }
 
+// Feed is how a worker's batches reach its device and what each one costs on
+// the virtual clock. At most one transfer may be configured; it is charged
+// inline, fully exposed, ahead of the step. The zero value assembles locally
+// for free.
+type Feed struct {
+	// Remote models the baseline-DDP data path: every batch is fetched on
+	// demand through the data service, over the fabric. Needs Shards == 1.
+	Remote bool
+	// Store, when set, partitions the data rows across the replicas
+	// (generalized-distributed-index-batching, §5.4): batches are assembled
+	// through the store and only rows outside the replica's partition are
+	// charged as remote traffic. Needs Shards == 1.
+	Store *batching.PartitionStore
+	// Device, when set, models a host-resident dataset: every locally
+	// assembled batch takes a pageable host-to-device copy priced by the
+	// device's transfer model, and its bytes sit on the device's tracker
+	// (label "batch.transient") for the length of the step — the per-batch
+	// cost GPU-index-batching eliminates (§4.1).
+	Device *device.Device
+}
+
 // Config parameterizes a training run on a Shards x Replicas process grid.
 // Either axis degenerates at 1: a 1 x R grid is plain data-parallel training
 // (no halo traffic, the world ring or hierarchical AllReduce), an S x 1 grid
@@ -81,16 +103,12 @@ type Config struct {
 	// collectives between ranks on one node ride the NVLink-class intra
 	// link, and ddp.GradAlgoHierarchical reduces per node first.
 	Topology cluster.Topology
-	// RemoteFetch models the baseline-DDP data path: every batch is fetched
-	// on demand through the data service (charged to the virtual clock).
-	// Needs Shards == 1.
-	RemoteFetch bool
-	// Store, when set, partitions the data rows across the replicas
-	// (generalized-distributed-index-batching, §5.4): batches are assembled
-	// through the store and only rows outside the replica's partition are
-	// charged as remote traffic. Needs Shards == 1; mutually exclusive with
-	// RemoteFetch.
-	Store *batching.PartitionStore
+	// Feed selects the data path's per-batch transfer (see Feed).
+	Feed Feed
+	// Loss is the training objective, also reported as the validation metric
+	// (default autograd.MAELoss). A sharded grid sums the shard losses by node
+	// share, which is exact only for a plain mean over elements.
+	Loss func(pred *autograd.Variable, target *tensor.Tensor) *autograd.Variable
 	// ComputeCost, when set, supplies the modeled full-graph per-batch
 	// compute time; each shard is charged its owned-node share. When nil,
 	// real elapsed time is charged.
@@ -101,13 +119,13 @@ type Config struct {
 	// bitwise identical to the serial path, so training curves do not
 	// change; with the windows resident at step start, the first forward
 	// halo exchange also launches immediately instead of at its measured
-	// compute offset. Ignored when Store supplies the data (its fetches are
-	// the pipeline's bottleneck, not local collation).
+	// compute offset. Ignored when Feed.Store supplies the data (its fetches
+	// are the pipeline's bottleneck, not local collation).
 	Prefetch bool
 	// AssembleCost, when set, supplies the modeled host-side collation time
 	// of one batch. Serial runs expose it ahead of every step; under
 	// Prefetch the next batch's assembly runs under the current step and
-	// only the epoch's leading assembly is exposed. Ignored with Store.
+	// only the epoch's leading assembly is exposed. Ignored with Feed.Store.
 	AssembleCost func(batchItems int) time.Duration
 	// Staleness bounds the gradient pipeline depth: when K > 0 (bucketed
 	// sync only), the collective still launches every step, but the
@@ -287,7 +305,9 @@ type Result struct {
 	Cancelled bool
 }
 
-// Train runs the grid trainer, the repo's one distributed step loop: the
+// Train runs the grid trainer, the repo's one step loop (a single GPU is the
+// 1x1 grid; Feed, Loss and the batching.Source carry what tells the
+// strategies apart): the
 // graph is partitioned into cfg.Shards node blocks, each of cfg.Replicas data
 // replicas is spread over one replica group of shard workers, halo rows
 // travel within replica groups during forward/backward, and gradients are
@@ -304,7 +324,7 @@ type Result struct {
 // communication channel. The blocking schedules remain selectable for
 // ablation and are bitwise-equivalent in training results where the
 // collective chunking coincides (the halo schedules always are).
-func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, supports []*sparse.CSR, factory ModelFactory, cfg Config) (*Result, error) {
+func Train(data batching.Source, split batching.Split, g *graph.Graph, supports []*sparse.CSR, factory ModelFactory, cfg Config) (*Result, error) {
 	if cfg.Shards < 1 || cfg.Replicas < 1 {
 		return nil, fmt.Errorf("shard: need >= 1 shard and replica, got %dx%d", cfg.Shards, cfg.Replicas)
 	}
@@ -320,19 +340,26 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 	if len(split.Train) < cfg.Replicas {
 		return nil, fmt.Errorf("shard: %d training snapshots cannot feed %d replicas", len(split.Train), cfg.Replicas)
 	}
-	if data.Data.Dim(1) != g.N {
-		return nil, fmt.Errorf("shard: data has %d nodes, graph %d", data.Data.Dim(1), g.N)
+	entries, horizon, nodes, features := data.Dims()
+	if nodes != g.N {
+		return nil, fmt.Errorf("shard: data has %d nodes, graph %d", nodes, g.N)
 	}
-	if cfg.Store != nil && cfg.RemoteFetch {
-		return nil, fmt.Errorf("shard: Store and RemoteFetch are mutually exclusive data paths")
+	feed := cfg.Feed
+	if (feed.Store != nil && feed.Remote) || (feed.Device != nil && (feed.Store != nil || feed.Remote)) {
+		return nil, fmt.Errorf("shard: Feed's Remote, Store and Device are mutually exclusive data paths")
 	}
-	if cfg.Store != nil && cfg.Store.Workers() != cfg.Replicas {
-		return nil, fmt.Errorf("shard: store partitioned for %d workers, run has %d replicas", cfg.Store.Workers(), cfg.Replicas)
+	if feed.Store != nil && feed.Store.Workers() != cfg.Replicas {
+		return nil, fmt.Errorf("shard: store partitioned for %d workers, run has %d replicas", feed.Store.Workers(), cfg.Replicas)
 	}
 	sharded := cfg.Shards > 1
-	if sharded && (cfg.Store != nil || cfg.RemoteFetch || cfg.Algo == ddp.GradAlgoHierarchical) {
-		return nil, fmt.Errorf("shard: Store, RemoteFetch and the hierarchical AllReduce need Shards == 1, got %d", cfg.Shards)
+	if sharded && (feed.Store != nil || feed.Remote || cfg.Algo == ddp.GradAlgoHierarchical) {
+		return nil, fmt.Errorf("shard: Store, Remote and the hierarchical AllReduce need Shards == 1, got %d", cfg.Shards)
 	}
+	lossFn := cfg.Loss
+	if lossFn == nil {
+		lossFn = autograd.MAELoss
+	}
+	_, std := data.Norm()
 	if err := cfg.Repartition.Validate(); err != nil {
 		return nil, err
 	}
@@ -395,7 +422,7 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 	// Bucketed overlap only pays off with real peers; a single worker has
 	// nothing to exchange and keeps the plain path.
 	bucketed := cfg.Algo != ddp.GradAlgoFlat && world > 1
-	prefetch := cfg.Prefetch && cfg.Store == nil
+	prefetch := cfg.Prefetch && feed.Store == nil
 	net := clu.Net()
 
 	runErr := clu.Run(func(w *cluster.Worker) error {
@@ -529,8 +556,8 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 		// close covers error returns and cancellation). The eval prefetcher
 		// spins up under the epoch's last train step so the first validation
 		// batch is resident when the tail eval pass begins.
-		// Per-batch byte volume of the RemoteFetch data path: x and y.
-		remoteBatchBytes := int64(cfg.BatchSize) * int64(2*data.Horizon) * int64(data.Data.Dim(1)) * int64(data.Data.Dim(2)) * 8
+		// Byte volume of one snapshot's x and y windows.
+		pairBytes := int64(2*horizon) * int64(nodes) * int64(features) * 8
 		var pf, evalPf *batching.Prefetcher
 		defer func() {
 			if pf != nil {
@@ -639,22 +666,38 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 				}
 				idx := batches[s]
 				var x, y *tensor.Tensor
-				// The remote data paths charge their fetch inline, fully
-				// exposed on the fabric, ahead of the step.
-				fetchBytes, fetchName := int64(0), "fetch.batch"
-				if cfg.Store != nil {
+				// The feed's per-batch transfer charges inline, fully exposed,
+				// ahead of the step: remote rows over the fabric, or the whole
+				// batch over the host-device link.
+				var fetchBytes int64
+				var fetchCost time.Duration
+				fetchName, fetchCh := "fetch.batch", cluster.ChannelInter
+				switch {
+				case feed.Store != nil:
 					fetchName = "fetch.boundary"
-					x, y, _, fetchBytes = cfg.Store.FetchBatch(rep, idx, &buf)
-				} else if cfg.RemoteFetch {
-					fetchBytes = remoteBatchBytes
+					x, y, _, fetchBytes = feed.Store.FetchBatch(rep, idx, &buf)
+					fetchCost = net.FetchTime(fetchBytes)
+				case feed.Remote:
+					fetchBytes = int64(cfg.BatchSize) * pairBytes
+					fetchCost = net.FetchTime(fetchBytes)
+				case feed.Device != nil:
+					fetchName, fetchCh = "fetch.h2d", cluster.ChannelIntra
+					fetchBytes = int64(len(idx)) * pairBytes
+					var err error
+					if fetchCost, err = feed.Device.Transfer("batch.transient", fetchBytes); err != nil {
+						return err
+					}
 				}
 				if fetchBytes > 0 {
-					cost := net.FetchTime(fetchBytes)
-					tw.Span(trace.KindFetch, fetchName, trace.StreamCommInter, w.VirtualTime(), cost, fetchBytes)
-					tw.Span(trace.KindExposed, fetchName, trace.StreamExposed, w.VirtualTime(), cost, 0)
-					w.FetchRemote(fetchBytes)
-					comm += cost
-					expCh[cluster.ChannelInter] += cost
+					tw.Span(trace.KindFetch, fetchName, commStream(fetchCh), w.VirtualTime(), fetchCost, fetchBytes)
+					tw.Span(trace.KindExposed, fetchName, trace.StreamExposed, w.VirtualTime(), fetchCost, 0)
+					if feed.Device != nil {
+						w.AdvanceTime(fetchCost) // off the fabric: no link-degrade scaling
+					} else {
+						w.FetchRemote(fetchBytes)
+					}
+					comm += fetchCost
+					expCh[fetchCh] += fetchCost
 				}
 				if pf != nil {
 					// Pipelined path: receive the pre-assembled batch before
@@ -676,12 +719,12 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 				start := time.Now()
 				stats.BeginStep()
 				haloWall := stats.Wall
-				if pf == nil && cfg.Store == nil {
+				if pf == nil && feed.Store == nil {
 					x, y = data.AssembleBatch(idx, &buf)
 				}
 				target := own(y.Slice(3, 0, 1).Contiguous())
 				pred := model.Forward(autograd.Constant(own(x)))
-				lossLocal := autograd.MAELoss(pred, target)
+				lossLocal := lossFn(pred, target)
 				// The sum of the shard losses equals the global-mean loss, so
 				// summing the backward gradients across the replica group
 				// reproduces the unsharded gradient exactly.
@@ -766,7 +809,7 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 				// train batch, or (on the epoch's last step) the first eval
 				// batch the tail-overlap prefetcher is filling.
 				var asm, nextAsm time.Duration
-				if cfg.AssembleCost != nil && cfg.Store == nil {
+				if cfg.AssembleCost != nil && feed.Store == nil {
 					asm = cfg.AssembleCost(len(idx))
 					if pf != nil {
 						if s+1 < stepsThisEpoch {
@@ -989,7 +1032,10 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 					bucketBytes = sweep.BucketBytes()
 				}
 				// Report in the signal's original units, like validation.
-				trainAcc.Add(lossLocal.Value.Item()*data.Std, weight(len(idx)))
+				trainAcc.Add(lossLocal.Value.Item()*std, weight(len(idx)))
+				if feed.Device != nil {
+					feed.Device.Mem.Free("batch.transient", fetchBytes)
+				}
 			}
 			if pf != nil {
 				// Cancellation (or a short schedule) leaves the collator
@@ -1023,7 +1069,7 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 				bucketBytes = sweep.BucketBytes()
 			}
 			trainMAE := ddp.ReduceWeighted(w, trainAcc)
-			valMAE := evaluateShard(w, model, data, evalBatches, evalPf, own, weight, &evalBuf, stats)
+			valMAE := evaluateShard(w, model, lossFn, data, evalBatches, evalPf, own, weight, &evalBuf, stats)
 			if evalPf != nil {
 				evalPf.Close()
 				evalPf = nil
@@ -1060,8 +1106,8 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 					// Modeled migration window: the moved nodes' full feature
 					// history crosses the fabric once; every rank charges the
 					// identical cost so the clocks stay aligned.
-					bytes := int64(len(nodes)) * int64(data.Data.Dim(0)*data.Data.Dim(2)) * 8
-					cost := cfg.Net.FetchTime(bytes)
+					bytes := int64(len(nodes)) * int64(entries*features) * 8
+					cost := net.FetchTime(bytes)
 					if tw != nil {
 						tw.Span(trace.KindRepartition, fmt.Sprintf("repartition %d->%d", src, dst), trace.StreamStep, w.VirtualTime(), cost, bytes)
 					}
@@ -1178,8 +1224,9 @@ func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, su
 // tail-overlap prefetcher is supplied, batches arrive pre-assembled (the
 // first one collated under the epoch's last train step, the rest under the
 // preceding eval forwards), so eval collation leaves the wall-clock path.
-func evaluateShard(w *cluster.Worker, model nn.SeqModel, data *batching.IndexDataset, batches [][]int, pf *batching.Prefetcher, own func(*tensor.Tensor) *tensor.Tensor, weight func(items int) int, buf *batching.BatchBuffer, stats *Stats) float64 {
+func evaluateShard(w *cluster.Worker, model nn.SeqModel, lossFn func(*autograd.Variable, *tensor.Tensor) *autograd.Variable, data batching.Source, batches [][]int, pf *batching.Prefetcher, own func(*tensor.Tensor) *tensor.Tensor, weight func(items int) int, buf *batching.BatchBuffer, stats *Stats) float64 {
 	var acc metrics.Running
+	_, std := data.Norm()
 	for _, batch := range batches {
 		stats.BeginStep()
 		var x, y *tensor.Tensor
@@ -1207,7 +1254,7 @@ func evaluateShard(w *cluster.Worker, model nn.SeqModel, data *batching.IndexDat
 			}
 			w.AdvanceTime(cost)
 		}
-		acc.Add(metrics.MAE(pred.Value, target)*data.Std, weight(len(batch)))
+		acc.Add(lossFn(pred, target).Value.Item()*std, weight(len(batch)))
 	}
 	// Weighted-mean over all workers of the 2D grid: each (snapshot, node)
 	// pair is seen by exactly one worker.

@@ -15,7 +15,7 @@ BENCH_GATED = $(GO) test -run '^$$' -bench 'BenchmarkDDP|BenchmarkShard|Benchmar
 # is a reviewed decision, not a quick fix for a red build.
 COVER_FLOORS = internal/shard:85 internal/cluster:90 internal/graph:90 internal/core:85 internal/sparse:85 internal/autograd:80 internal/serve:85 internal/stream:85 internal/fault:95 .:75
 
-.PHONY: ci build vet fmt-check test race fuzz-smoke cover bench bench-smoke bench-host-smoke bench-json bench-baseline bench-check bench-ci trace-smoke stream-smoke chaos-smoke
+.PHONY: ci build vet fmt-check test race fuzz-smoke cover bench bench-smoke bench-host-smoke bench-json bench-baseline bench-check bench-ci step-profile trace-smoke stream-smoke chaos-smoke
 
 ## ci runs the exact tier-1 gate the CI workflow enforces.
 ci: build vet fmt-check test race fuzz-smoke bench-smoke bench-host-smoke
@@ -96,6 +96,20 @@ bench-check:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(BENCH_GATED) > "$$tmp" || { cat "$$tmp"; exit 1; }; \
 	$(GO) run ./cmd/pgti-benchjson -check bench/baseline.json < "$$tmp"
+
+## step-profile profiles one training step at the host benchmark's fit-index
+## shapes (BenchmarkTrainingStepFitIndex, one P): a CPU profile over 200 steps
+## and an exact (-memprofilerate=1) allocation profile over 20, both left in
+## .step_profile/ with the test binary, and `pprof -top` of each printed —
+## where a perf PR starts.
+STEP_PROFILE = $(GO) test -run '^$$' -bench 'BenchmarkTrainingStepFitIndex$$' -benchmem \
+	-o .step_profile/pgti.test -outputdir .step_profile
+step-profile:
+	@mkdir -p .step_profile
+	GOMAXPROCS=1 $(STEP_PROFILE) -benchtime 200x -cpuprofile cpu.out .
+	GOMAXPROCS=1 $(STEP_PROFILE) -benchtime 20x -memprofile mem.out -memprofilerate=1 .
+	$(GO) tool pprof -top -nodecount=15 .step_profile/pgti.test .step_profile/cpu.out
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 .step_profile/pgti.test .step_profile/mem.out
 
 ## trace-smoke exercises the observability layer end to end: a traced 2x2
 ## hybrid fit, a traced single-GPU index-batching fit (the 1x1 grid) and a

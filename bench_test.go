@@ -263,8 +263,17 @@ func BenchmarkDCGRUStepForward(b *testing.B) {
 	}
 }
 
-func BenchmarkTrainingStep(b *testing.B) {
-	g, err := graph.RoadNetwork(1, 50, 6)
+func BenchmarkTrainingStep(b *testing.B) { benchTrainingStep(b, 50) }
+
+// BenchmarkTrainingStepFitIndex is the step at the host benchmark's
+// fit-index shapes (22 nodes; hidden 16, K 2, batch 8, 12 steps as above):
+// the step `make step-profile` profiles.
+func BenchmarkTrainingStepFitIndex(b *testing.B) { benchTrainingStep(b, 22) }
+
+// benchTrainingStep is one PGT-DCRNN forward + backward + Adam step on a
+// batch of 8 twelve-step windows over a road network of the given size.
+func benchTrainingStep(b *testing.B, nodes int) {
+	g, err := graph.RoadNetwork(1, nodes, 6)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,8 +281,9 @@ func BenchmarkTrainingStep(b *testing.B) {
 	model := nn.NewPGTDCRNN(tensor.NewRNG(6), []*sparse.CSR{fwd, bwd}, 2, 2, 16, 12)
 	opt := nn.NewAdam(model, 0.01)
 	rng := tensor.NewRNG(7)
-	x := tensor.Randn(rng, 8, 12, 50, 2)
-	y := tensor.Randn(rng, 8, 12, 50, 1)
+	x := tensor.Randn(rng, 8, 12, nodes, 2)
+	y := tensor.Randn(rng, 8, 12, nodes, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		loss := autograd.MAELoss(model.Forward(autograd.Constant(x)), y)

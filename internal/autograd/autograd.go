@@ -4,6 +4,31 @@
 // order, accumulating gradients. The engine is deliberately minimal — just
 // the ops the paper's models (DCRNN, PGT-DCRNN, A3T-GCN, ST-LLM-lite) need —
 // but gradient-checked against central finite differences for every op.
+//
+// # Gradient ownership
+//
+// The backward pass does not copy a gradient it can take over. When an op's
+// backward closure returns a gradient for an input that has none yet, the
+// engine adopts the tensor as that input's Grad — no Clone — provided the
+// tensor spans its whole backing array (tensor.SpansStorage), does not share
+// storage with a gradient already adopted from the same call (Add(a, b)
+// hands the upstream gradient to both inputs), and does not share storage
+// with the root's gradient, which outlives the pass. Anything else — a
+// slice of a larger buffer, a strided view, a second or later contribution —
+// is cloned or added in place as before. A Grad is therefore always the
+// sole reference to its storage, and optimizers, clipping and the gradient
+// hooks of other goroutines may mutate or read it freely.
+//
+// What makes this safe is a contract on every backward closure:
+//
+//   - It must not retain a gradient it returns, nor return the same storage
+//     from two calls.
+//   - It must not return a captured forward value (an input's or the
+//     output's Value, or a view of one): the engine would hand the model's
+//     activations to an optimizer as scratch.
+//   - It may return its grad argument or a view of it — that storage belongs
+//     to the op's output, which is done with it once the closure returns —
+//     and may return one tensor for several inputs.
 package autograd
 
 import (
@@ -67,12 +92,19 @@ func anyRequiresGrad(inputs []*Variable) bool {
 // newOp builds the result variable for an op, recording the tape entry only
 // when some input needs gradients.
 func newOp(name string, value *tensor.Tensor, inputs []*Variable, backward func(grad *tensor.Tensor) []*tensor.Tensor) *Variable {
-	out := &Variable{Value: value}
-	if anyRequiresGrad(inputs) {
-		out.requiresGrad = true
-		out.op = &opRecord{name: name, inputs: inputs, backward: backward}
+	if !anyRequiresGrad(inputs) {
+		return &Variable{Value: value}
 	}
-	return out
+	// The variable and its tape entry live and die together: one allocation.
+	node := &struct {
+		v  Variable
+		op opRecord
+	}{
+		v:  Variable{Value: value, requiresGrad: true},
+		op: opRecord{name: name, inputs: inputs, backward: backward},
+	}
+	node.v.op = &node.op
+	return &node.v
 }
 
 // GradHook observes leaf gradients becoming final during a backward pass:
@@ -88,7 +120,7 @@ func Backward(v *Variable) error {
 	if v.Value.NumElements() != 1 {
 		return fmt.Errorf("autograd: Backward requires a scalar output, got shape %v", v.Value.Shape())
 	}
-	return BackwardWithGrad(v, tensor.Ones(v.Value.Shape()...))
+	return backward(v, tensor.FullLike(1, v.Value), nil)
 }
 
 // BackwardWithGrad runs backpropagation from v with an explicit seed
@@ -103,7 +135,7 @@ func BackwardHooked(v *Variable, hook GradHook) error {
 	if v.Value.NumElements() != 1 {
 		return fmt.Errorf("autograd: Backward requires a scalar output, got shape %v", v.Value.Shape())
 	}
-	return BackwardWithHook(v, tensor.Ones(v.Value.Shape()...), hook)
+	return backward(v, tensor.FullLike(1, v.Value), hook)
 }
 
 // TimedGradHook observes a leaf gradient becoming final during a backward
@@ -126,18 +158,24 @@ func BackwardTimed(v *Variable, hook TimedGradHook) (time.Duration, error) {
 	if hook != nil {
 		wrapped = func(leaf *Variable) { hook(leaf, time.Since(start)) }
 	}
-	err := BackwardWithHook(v, tensor.Ones(v.Value.Shape()...), wrapped)
+	err := backward(v, tensor.FullLike(1, v.Value), wrapped)
 	return time.Since(start), err
 }
 
 // BackwardWithHook is BackwardWithGrad with a gradient-ready hook: as the
 // reverse sweep retires the last consumer of each gradient-requiring leaf,
 // hook fires with that leaf (its Grad is final, though possibly nil when no
-// gradient flowed to it). A nil hook degenerates to BackwardWithGrad.
+// gradient flowed to it). A nil hook degenerates to BackwardWithGrad. The
+// seed stays the caller's: the root accumulates a copy.
 func BackwardWithHook(v *Variable, seed *tensor.Tensor, hook GradHook) error {
 	if !v.Value.SameShape(seed) {
 		return fmt.Errorf("autograd: seed gradient shape %v does not match output shape %v", seed.Shape(), v.Value.Shape())
 	}
+	return backward(v, seed.Clone(), hook)
+}
+
+// backward is the reverse sweep; seed has v's shape and becomes v's.
+func backward(v *Variable, seed *tensor.Tensor, hook GradHook) error {
 	if !v.requiresGrad {
 		return nil
 	}
@@ -165,7 +203,14 @@ func BackwardWithHook(v *Variable, seed *tensor.Tensor, hook GradHook) error {
 			defer hook(v)
 		}
 	}
-	accumulate(v, seed)
+	if v.Grad == nil {
+		v.Grad = seed
+	} else {
+		v.Grad.AddInPlace(seed)
+	}
+	// adopted lists the gradients taken over from the current op, so that a
+	// tensor returned for two inputs is owned by one of them only.
+	var adopted []*tensor.Tensor
 	// Reverse topological order: from output back to leaves.
 	for i := len(order) - 1; i >= 0; i-- {
 		node := order[i]
@@ -177,14 +222,24 @@ func BackwardWithHook(v *Variable, seed *tensor.Tensor, hook GradHook) error {
 			if len(grads) != len(node.op.inputs) {
 				return fmt.Errorf("autograd: op %q returned %d gradients for %d inputs", node.op.name, len(grads), len(node.op.inputs))
 			}
+			adopted = adopted[:0]
 			for j, in := range node.op.inputs {
-				if !in.requiresGrad || grads[j] == nil {
+				g := grads[j]
+				if !in.requiresGrad || g == nil {
 					continue
 				}
-				if !in.Value.SameShape(grads[j]) {
-					return fmt.Errorf("autograd: op %q produced gradient shape %v for input shape %v", node.op.name, grads[j].Shape(), in.Value.Shape())
+				if !in.Value.SameShape(g) {
+					return fmt.Errorf("autograd: op %q produced gradient shape %v for input shape %v", node.op.name, g.Shape(), in.Value.Shape())
 				}
-				accumulate(in, grads[j])
+				switch {
+				case in.Grad != nil:
+					in.Grad.AddInPlace(g)
+				case g.SpansStorage() && !g.SharesStorage(v.Grad) && !sharesAny(g, adopted):
+					in.Grad = g
+					adopted = append(adopted, g)
+				default:
+					in.Grad = g.Clone()
+				}
 			}
 		}
 		// Retire this op's claims on its leaves even when no gradient flowed
@@ -209,12 +264,13 @@ func BackwardWithHook(v *Variable, seed *tensor.Tensor, hook GradHook) error {
 	return nil
 }
 
-func accumulate(v *Variable, g *tensor.Tensor) {
-	if v.Grad == nil {
-		v.Grad = g.Clone()
-		return
+func sharesAny(g *tensor.Tensor, ts []*tensor.Tensor) bool {
+	for _, t := range ts {
+		if g.SharesStorage(t) {
+			return true
+		}
 	}
-	v.Grad.AddInPlace(g)
+	return false
 }
 
 // topoSort returns the variables reachable from root in topological order
@@ -254,19 +310,27 @@ func topoSort(root *Variable) ([]*Variable, error) {
 	return order, nil
 }
 
-// reduceGradTo sums grad over broadcast dimensions so that it matches shape.
-// This is the adjoint of broadcasting.
-func reduceGradTo(grad *tensor.Tensor, shape []int) *tensor.Tensor {
+// reduceGradTo sums grad over broadcast dimensions so that it matches like's
+// shape — the adjoint of broadcasting. A grad that already matches is
+// returned as it is.
+func reduceGradTo(grad, like *tensor.Tensor) *tensor.Tensor {
 	g := grad
 	// Remove leading broadcast dimensions.
-	for g.Rank() > len(shape) {
+	for g.Rank() > like.Rank() {
 		g = g.Sum(0)
 	}
-	// Sum over dimensions where the target size is 1.
-	for axis := 0; axis < len(shape); axis++ {
-		if shape[axis] == 1 && g.Dim(axis) != 1 {
-			g = g.Sum(axis).Unsqueeze(axis)
+	// Sum over dimensions where the target size is 1, in ascending order.
+	// Each Sum drops its axis, so like's axis sits `summed` places lower in
+	// g; one reshape of the (dense) result puts the size-1 axes back.
+	summed := 0
+	for axis := 0; axis < like.Rank(); axis++ {
+		if like.Dim(axis) == 1 && g.Dim(axis-summed) != 1 {
+			g = g.Sum(axis - summed)
+			summed++
 		}
+	}
+	if summed > 0 {
+		return g.ReshapeLike(like)
 	}
 	return g.Contiguous()
 }

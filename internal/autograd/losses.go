@@ -62,7 +62,7 @@ func MaskedMAELoss(pred *Variable, target *tensor.Tensor, maskValue float64) *Va
 	n := float64(count)
 	return newOp("maskedMAE", out, []*Variable{pred}, func(grad *tensor.Tensor) []*tensor.Tensor {
 		scale := grad.Item() / n
-		g := tensor.New(pred.Value.Shape()...)
+		g := tensor.ZerosLike(pred.Value)
 		gd := g.Data()
 		ddv := dd.Data()
 		for i, tv := range td {

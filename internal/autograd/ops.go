@@ -3,7 +3,6 @@ package autograd
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pgti/internal/parallel"
 	"pgti/internal/sparse"
@@ -20,8 +19,8 @@ func Add(a, b *Variable) *Variable {
 	out := tensor.Add(a.Value, b.Value)
 	return newOp("add", out, []*Variable{a, b}, func(grad *tensor.Tensor) []*tensor.Tensor {
 		return []*tensor.Tensor{
-			reduceGradTo(grad, a.Value.Shape()),
-			reduceGradTo(grad, b.Value.Shape()),
+			reduceGradTo(grad, a.Value),
+			reduceGradTo(grad, b.Value),
 		}
 	})
 }
@@ -31,8 +30,8 @@ func Sub(a, b *Variable) *Variable {
 	out := tensor.Sub(a.Value, b.Value)
 	return newOp("sub", out, []*Variable{a, b}, func(grad *tensor.Tensor) []*tensor.Tensor {
 		return []*tensor.Tensor{
-			reduceGradTo(grad, a.Value.Shape()),
-			reduceGradTo(grad.Neg(), b.Value.Shape()),
+			reduceGradTo(grad, a.Value),
+			reduceGradTo(grad.Neg(), b.Value),
 		}
 	})
 }
@@ -42,8 +41,8 @@ func Mul(a, b *Variable) *Variable {
 	out := tensor.Mul(a.Value, b.Value)
 	return newOp("mul", out, []*Variable{a, b}, func(grad *tensor.Tensor) []*tensor.Tensor {
 		return []*tensor.Tensor{
-			reduceGradTo(tensor.Mul(grad, b.Value), a.Value.Shape()),
-			reduceGradTo(tensor.Mul(grad, a.Value), b.Value.Shape()),
+			reduceGradTo(tensor.Mul(grad, b.Value), a.Value),
+			reduceGradTo(tensor.Mul(grad, a.Value), b.Value),
 		}
 	})
 }
@@ -65,7 +64,7 @@ func ScalarMul(a *Variable, s float64) *Variable {
 // AddScalar returns a + s for a constant scalar s.
 func AddScalar(a *Variable, s float64) *Variable {
 	return newOp("addScalar", a.Value.AddScalar(s), []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{grad.Clone()}
+		return []*tensor.Tensor{grad}
 	})
 }
 
@@ -74,23 +73,10 @@ func MatMul(a, b *Variable) *Variable {
 	out := tensor.MatMul(a.Value, b.Value)
 	return newOp("matmul", out, []*Variable{a, b}, func(grad *tensor.Tensor) []*tensor.Tensor {
 		return []*tensor.Tensor{
-			tensor.MatMul(grad, b.Value.T()),
-			tensor.MatMul(a.Value.T(), grad),
+			tensor.MatMulNT(grad, b.Value),
+			tensor.MatMulTN(a.Value, grad),
 		}
 	})
-}
-
-// transposeCache memoizes CSR transposes keyed by matrix identity, so the
-// backward pass of SpMM does not rebuild A^T on every batch.
-var transposeCache sync.Map // map[*sparse.CSR]*sparse.CSR
-
-func cachedTranspose(m *sparse.CSR) *sparse.CSR {
-	if t, ok := transposeCache.Load(m); ok {
-		return t.(*sparse.CSR)
-	}
-	t := m.Transpose()
-	transposeCache.Store(m, t)
-	return t
 }
 
 // SpMM returns the sparse-dense product m @ x, where the sparse operand is a
@@ -98,7 +84,7 @@ func cachedTranspose(m *sparse.CSR) *sparse.CSR {
 func SpMM(m *sparse.CSR, x *Variable) *Variable {
 	out := m.SpMM(x.Value)
 	return newOp("spmm", out, []*Variable{x}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{cachedTranspose(m).SpMM(grad)}
+		return []*tensor.Tensor{m.Transposed().SpMM(grad)}
 	})
 }
 
@@ -169,12 +155,13 @@ func Stack(axis int, vars ...*Variable) *Variable {
 	})
 }
 
-// Slice returns a view-like slice of a along axis; backward scatters the
-// gradient into a zero tensor of a's shape.
+// Slice returns the zero-copy view of a restricted to [start, end) along
+// axis; backward copies the gradient into that range of a fresh zero tensor
+// of a's shape.
 func Slice(a *Variable, axis, start, end int) *Variable {
 	out := a.Value.Slice(axis, start, end)
 	return newOp("slice", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		full := tensor.New(a.Value.Shape()...)
+		full := tensor.ZerosLike(a.Value)
 		full.Slice(axis, start, end).CopyFrom(grad)
 		return []*tensor.Tensor{full}
 	})
@@ -182,10 +169,9 @@ func Slice(a *Variable, axis, start, end int) *Variable {
 
 // Reshape returns a reshaped variable.
 func Reshape(a *Variable, shape ...int) *Variable {
-	orig := a.Value.Shape()
 	out := a.Value.Reshape(shape...)
 	return newOp("reshape", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{grad.Reshape(orig...)}
+		return []*tensor.Tensor{grad.ReshapeLike(a.Value)}
 	})
 }
 
@@ -201,7 +187,7 @@ func Transpose(a *Variable, x, y int) *Variable {
 func SumAll(a *Variable) *Variable {
 	out := tensor.Scalar(a.Value.SumAll())
 	return newOp("sumAll", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Full(grad.Item(), a.Value.Shape()...)}
+		return []*tensor.Tensor{tensor.FullLike(grad.Item(), a.Value)}
 	})
 }
 
@@ -210,7 +196,7 @@ func MeanAll(a *Variable) *Variable {
 	n := a.Value.NumElements()
 	out := tensor.Scalar(a.Value.MeanAll())
 	return newOp("meanAll", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Full(grad.Item()/float64(n), a.Value.Shape()...)}
+		return []*tensor.Tensor{tensor.FullLike(grad.Item()/float64(n), a.Value)}
 	})
 }
 
@@ -232,7 +218,7 @@ func softmaxLastAxis(t *tensor.Tensor) *tensor.Tensor {
 		panic("autograd: Softmax requires rank >= 1")
 	}
 	tc := t.Contiguous()
-	out := tensor.New(t.Shape()...)
+	out := tensor.ZerosLike(t)
 	cols := t.Dim(last)
 	rows := t.NumElements() / cols
 	src := tc.Data()
@@ -268,7 +254,7 @@ func softmaxLastAxis(t *tensor.Tensor) *tensor.Tensor {
 func GatherRows(a *Variable, indices []int) *Variable {
 	out := a.Value.GatherRows(indices)
 	return newOp("gatherRows", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		full := tensor.New(a.Value.Shape()...)
+		full := tensor.ZerosLike(a.Value)
 		for i, idx := range indices {
 			full.Index(0, idx).AddInPlace(grad.Index(0, i))
 		}
@@ -288,7 +274,7 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 	ac := a.Value.Contiguous()
 	rows := a.Value.NumElements() / cols
 	src := ac.Data()
-	norm := tensor.New(a.Value.Shape()...)
+	norm := tensor.ZerosLike(a.Value)
 	nd := norm.Data()
 	invStd := make([]float64, rows)
 	// Row statistics are independent; fan the row loop over the worker pool.
@@ -319,7 +305,7 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 		gc := grad.Contiguous()
 		gd := gc.Data()
 		gammaD := gamma.Value.Contiguous().Data()
-		dx := tensor.New(a.Value.Shape()...)
+		dx := tensor.ZerosLike(a.Value)
 		dxd := dx.Data()
 		dGamma := tensor.New(cols)
 		dBeta := tensor.New(cols)

@@ -15,8 +15,8 @@ func Div(a, b *Variable) *Variable {
 		// d(a/b)/db = -a/b^2
 		gb := tensor.Mul(grad, tensor.Div(out, b.Value)).Neg()
 		return []*tensor.Tensor{
-			reduceGradTo(ga, a.Value.Shape()),
-			reduceGradTo(gb, b.Value.Shape()),
+			reduceGradTo(ga, a.Value),
+			reduceGradTo(gb, b.Value),
 		}
 	})
 }
@@ -103,7 +103,7 @@ func Dropout(a *Variable, p float64, rng *tensor.RNG) *Variable {
 	if p >= 1 {
 		panic(fmt.Sprintf("autograd: Dropout probability %v must be < 1", p))
 	}
-	mask := tensor.New(a.Value.Shape()...)
+	mask := tensor.ZerosLike(a.Value)
 	md := mask.Data()
 	scale := 1 / (1 - p)
 	for i := range md {

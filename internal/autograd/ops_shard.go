@@ -2,7 +2,6 @@ package autograd
 
 import (
 	"fmt"
-	"sync"
 
 	"pgti/internal/sparse"
 	"pgti/internal/tensor"
@@ -54,37 +53,6 @@ type AsyncHaloExchange interface {
 	ScatterAddFinish() *tensor.Tensor
 }
 
-// shardSplit caches the row partitions one sharded block needs for the
-// interior-first schedule: the forward interior/frontier split of the block
-// rows and the transposed block (whose backward mirror computes the halo
-// row range [nOwn, ColsN) first so the reverse exchange can launch, then
-// the own range [0, nOwn) while it flies).
-type shardSplit struct {
-	t                  *sparse.CSR
-	interior, frontier []int
-}
-
-var shardSplitCache sync.Map // *sparse.CSR -> *shardSplit
-
-// cachedShardSplit resolves the block's split, preferring the Interior/
-// Frontier partition a sparse.ShardCSR already carries (block != nil) over
-// re-deriving it from the sparsity pattern. Like the transpose cache it is
-// keyed per *CSR for the block's lifetime.
-func cachedShardSplit(m *sparse.CSR, nOwn int, block *sparse.ShardCSR) *shardSplit {
-	if s, ok := shardSplitCache.Load(m); ok {
-		return s.(*shardSplit)
-	}
-	var interior, frontier []int
-	if block != nil {
-		interior, frontier = block.Interior, block.Frontier
-	} else {
-		interior, frontier = sparse.InteriorFrontier(m, nOwn)
-	}
-	sp := &shardSplit{t: cachedTranspose(m), interior: interior, frontier: frontier}
-	shardSplitCache.Store(m, sp)
-	return sp
-}
-
 // ShardSpMM is the spatially-partitioned sparse-dense product: local is one
 // worker's re-indexed row block (columns [own | halo], see sparse.ShardCSR)
 // and x holds the worker's own feature rows [own, F]. Forward gathers the
@@ -107,16 +75,21 @@ func ShardSpMM(local *sparse.CSR, ex HaloExchange, x *Variable) *Variable {
 
 // ShardSpMMBlock is ShardSpMM over a pre-split sparse.ShardCSR row block:
 // the overlapped schedule reuses the block's Interior/Frontier partition
-// instead of re-deriving it.
+// instead of deriving it from the sparsity pattern on every call.
 func ShardSpMMBlock(block *sparse.ShardCSR, ex HaloExchange, x *Variable) *Variable {
 	return shardSpMM(block.Local, block, ex, x)
 }
 
+// shardSpMM runs the product over local; block, when not nil, is the
+// ShardCSR local came from. The interior-first schedule needs two row
+// partitions: the forward interior/frontier split of the block rows, and the
+// transposed block (local.Transposed()), whose backward mirror computes the
+// halo row range [nOwn, ColsN) first so the reverse exchange can launch,
+// then the own range [0, nOwn) while it flies.
 func shardSpMM(local *sparse.CSR, block *sparse.ShardCSR, ex HaloExchange, x *Variable) *Variable {
 	nOwn := local.RowsN
-	xs := x.Value.Shape()
-	if len(xs) != 2 || xs[0] != nOwn {
-		panic(fmt.Sprintf("autograd: ShardSpMM expects [%d, F] features, got %v", nOwn, xs))
+	if x.Value.Rank() != 2 || x.Value.Dim(0) != nOwn {
+		panic(fmt.Sprintf("autograd: ShardSpMM expects [%d, F] features, got %v", nOwn, x.Value.Shape()))
 	}
 	if local.ColsN != nOwn+ex.NumHalo() {
 		panic(fmt.Sprintf("autograd: ShardSpMM block has %d cols, want %d own + %d halo", local.ColsN, nOwn, ex.NumHalo()))
@@ -129,25 +102,31 @@ func shardSpMM(local *sparse.CSR, block *sparse.ShardCSR, ex HaloExchange, x *Va
 		return shardSpMMBlocking(local, ex, x)
 	}
 
-	sp := cachedShardSplit(local, nOwn, block)
+	var interior, frontier []int
+	if block != nil {
+		interior, frontier = block.Interior, block.Frontier
+	} else {
+		interior, frontier = sparse.InteriorFrontier(local, nOwn)
+	}
 	f := x.Value.Dim(1)
 	xc := x.Value.Contiguous()
 	ax.GatherStart(xc) // always started: peers may need our rows
 	out := tensor.New(nOwn, f)
-	local.SpMMRowsInto(sp.interior, xc, out) // interior columns all fall in [own]
+	local.SpMMRowsInto(interior, xc, out) // interior columns all fall in [own]
 	halo := ax.GatherFinish()
 	ext := xc
 	if ex.NumHalo() > 0 {
 		ext = tensor.Concat(0, xc, halo)
 	}
-	local.SpMMRowsInto(sp.frontier, ext, out)
+	local.SpMMRowsInto(frontier, ext, out)
 
 	return newOp("shardSpMM", out, []*Variable{x}, func(grad *tensor.Tensor) []*tensor.Tensor {
 		// Mirrored overlap: the transposed block's halo rows yield the halo
 		// gradient, which ships while the own rows are multiplied.
 		gc := grad.Contiguous()
+		lt := local.Transposed()
 		gext := tensor.New(local.ColsN, f)
-		sp.t.SpMMRowRangeInto(nOwn, local.ColsN, gc, gext)
+		lt.SpMMRowRangeInto(nOwn, local.ColsN, gc, gext)
 		var haloGrad *tensor.Tensor
 		if ex.NumHalo() > 0 {
 			haloGrad = gext.Slice(0, nOwn, local.ColsN).Contiguous()
@@ -155,7 +134,7 @@ func shardSpMM(local *sparse.CSR, block *sparse.ShardCSR, ex HaloExchange, x *Va
 			haloGrad = tensor.New(0, f)
 		}
 		ax.ScatterAddStart(haloGrad)
-		sp.t.SpMMRowRangeInto(0, nOwn, gc, gext)
+		lt.SpMMRowRangeInto(0, nOwn, gc, gext)
 		own := gext.Slice(0, 0, nOwn).Contiguous()
 		remote := ax.ScatterAddFinish()
 		return []*tensor.Tensor{tensor.Add(own, remote)}
@@ -172,7 +151,7 @@ func shardSpMMBlocking(local *sparse.CSR, ex HaloExchange, x *Variable) *Variabl
 	}
 	out := local.SpMM(ext)
 	return newOp("shardSpMM", out, []*Variable{x}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		gext := cachedTranspose(local).SpMM(grad) // [own+halo, F]
+		gext := local.Transposed().SpMM(grad) // [own+halo, F]
 		var own, haloGrad *tensor.Tensor
 		if ex.NumHalo() > 0 {
 			own = gext.Slice(0, 0, nOwn).Contiguous()

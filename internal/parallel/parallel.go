@@ -122,7 +122,13 @@ func NumChunks(n, grain int) int {
 // Workers() goroutines including the caller; it must only write state that
 // is disjoint per index. For returns when all chunks are done.
 func For(n, grain int, fn func(lo, hi int)) {
-	ForIndexed(n, grain, func(_, lo, hi int) { fn(lo, hi) })
+	switch NumChunks(n, grain) {
+	case 0:
+	case 1:
+		fn(0, n) // the common small region: no wrapper closure, no pool
+	default:
+		ForIndexed(n, grain, func(_, lo, hi int) { fn(lo, hi) })
+	}
 }
 
 // ForIndexed is For with the chunk index (dense in [0, NumChunks(n, grain)))

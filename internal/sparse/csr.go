@@ -20,13 +20,20 @@ type CSR struct {
 	ColIdx       []int     // length NNZ
 	Val          []float64 // length NNZ
 
-	// boundsCache memoizes the NNZ-balanced workRanges cuts per feature
-	// width: recurrent models run hundreds of SpMMs per step against the
-	// same (immutable, possibly goroutine-shared) support matrix, and the
-	// cuts depend only on RowPtr and f. Mutating a CSR after its first
-	// kernel call invalidates the cache silently — derive modified copies
-	// via Clone/Scale/RowNormalize instead, as the rest of the code does.
-	boundsCache sync.Map // boundsKey -> []int
+	// bounds memoizes the NNZ-balanced workRanges cuts per feature width:
+	// recurrent models run hundreds of SpMMs per step against the same
+	// (immutable, possibly goroutine-shared) support matrix, and the cuts
+	// depend only on RowPtr and f. Mutating a CSR after its first kernel
+	// call invalidates the memo silently — derive modified copies via
+	// Clone/Scale/RowNormalize instead, as the rest of the code does. A
+	// typed map under a mutex: a hit allocates nothing.
+	boundsMu sync.Mutex
+	bounds   map[boundsKey][]int
+
+	// transposed is the matrix's transpose, built by the first Transposed
+	// call. It hangs off the matrix so that it is collected with it.
+	transposeOnce sync.Once
+	transposed    *CSR
 }
 
 // boundsKey addresses one memoized set of NNZ-balanced cuts: the row range
@@ -183,6 +190,14 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
+// Transposed returns the transpose of m, built once and shared by every
+// caller (the backward pass of SpMM multiplies by it on every batch). Like m
+// itself the result is read-only.
+func (m *CSR) Transposed() *CSR {
+	m.transposeOnce.Do(func() { m.transposed = m.Transpose() })
+	return m.transposed
+}
+
 // RowSums returns the vector of per-row sums.
 func (m *CSR) RowSums() []float64 {
 	sums := make([]float64, m.RowsN)
@@ -244,11 +259,16 @@ func (m *CSR) workRanges(f int) []int {
 // same few (range, f) pairs hundreds of times per training step.
 func (m *CSR) cachedRangeBounds(lo, hi, f int) []int {
 	key := boundsKey{lo, hi, f}
-	if b, ok := m.boundsCache.Load(key); ok {
-		return b.([]int)
+	m.boundsMu.Lock()
+	defer m.boundsMu.Unlock()
+	bounds, ok := m.bounds[key]
+	if !ok {
+		bounds = m.rangeWorkBounds(lo, hi, f)
+		if m.bounds == nil {
+			m.bounds = make(map[boundsKey][]int)
+		}
+		m.bounds[key] = bounds
 	}
-	bounds := m.rangeWorkBounds(lo, hi, f)
-	m.boundsCache.Store(key, bounds)
 	return bounds
 }
 

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +280,61 @@ func TestWorkRangesSkewedDegrees(t *testing.T) {
 		if gd[i] != sd[i] {
 			t.Fatalf("parallel SpMM differs from serial at %d", i)
 		}
+	}
+}
+
+// TestWorkRangesMemoIsAllocationFree: the kernels look their cuts up on
+// every call, so a hit must not allocate (the memo's key is three ints; a
+// sync.Map boxed it into an interface each time), must return the same cuts
+// the uncached computation does, and must serve concurrent callers.
+func TestWorkRangesMemoIsAllocationFree(t *testing.T) {
+	m := Identity(500).Scale(2)
+	for _, f := range []int{1, 8, 64, 4096} {
+		want := m.rangeWorkBounds(0, m.RowsN, f)
+		got := m.workRanges(f)
+		if len(got) != len(want) {
+			t.Fatalf("f=%d: memoized cuts %v, computed %v", f, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("f=%d: memoized cuts %v, computed %v", f, got, want)
+			}
+		}
+	}
+	m.cachedRangeBounds(100, 400, 8)
+	if n := testing.AllocsPerRun(100, func() {
+		m.workRanges(8)
+		m.cachedRangeBounds(100, 400, 8)
+	}); n != 0 {
+		t.Fatalf("memoized work-range lookups allocate %v times", n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for f := 1; f < 50; f++ {
+				if b := m.workRanges(f + g); b[0] != 0 || b[len(b)-1] != m.RowsN {
+					t.Errorf("f=%d: cuts %v do not tile the rows", f+g, b)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestTransposedIsBuiltOnce: Transposed is Transpose, computed once and
+// shared.
+func TestTransposedIsBuiltOnce(t *testing.T) {
+	m, err := FromCOO(3, 4, []Coord{{0, 1, 2}, {0, 3, -1}, {2, 0, 5}, {2, 3, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt := m.Transposed()
+	if mt != m.Transposed() {
+		t.Fatal("Transposed rebuilt the transpose")
+	}
+	if !mt.ToDense().Equal(m.Transpose().ToDense()) || !mt.ToDense().Equal(m.ToDense().T()) {
+		t.Fatalf("Transposed = %v", mt.ToDense())
 	}
 }

@@ -22,7 +22,8 @@ func (t *Tensor) reduceAxis(axis int, init float64, f func(a, b float64) float64
 	if axis < 0 || axis >= len(t.shape) {
 		panic(fmt.Sprintf("tensor: reduce axis %d out of range for rank %d", axis, len(t.shape)))
 	}
-	out := Full(init, removeAxis(t.shape, axis)...)
+	out := t.zerosWithoutAxis(axis)
+	out.Fill(init)
 	for i := 0; i < t.shape[axis]; i++ {
 		slice := t.Index(axis, i)
 		oi := newIterator(out)

@@ -117,6 +117,86 @@ func matmulRowsTiled(a, b, out []float64, lo, hi, k, n int) {
 	}
 }
 
+// MatMulNT returns a @ bᵀ for a [m,n] and b [k,n] ([m,k]) without
+// materializing the transpose: out[i,p] is the dot product of row i of a
+// and row p of b. Per output element the products are added in ascending j
+// and a zero a[i,j] is skipped, so the result is bitwise identical to
+// MatMul(a, b.T().Contiguous()). This is the input gradient of MatMul.
+func MatMulNT(a, b *Tensor) *Tensor {
+	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulNT requires [m,n] x [k,n], got %v and %v", a.shape, b.shape))
+	}
+	m, n, k := a.shape[0], a.shape[1], b.shape[0]
+	out := New(m, k)
+	ad, bd, od := a.Contiguous().Data(), b.Contiguous().Data(), out.data
+	parallel.For(m, parallel.GrainFor(k*n, parallelThreshold), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			arow := ad[i*n : (i+1)*n]
+			orow := od[i*k : (i+1)*k]
+			// Four rows of b per sweep of arow: four independent sums hide
+			// the add latency a single running sum would serialize on.
+			p := 0
+			for ; p+4 <= k; p += 4 {
+				b0, b1 := bd[p*n:(p+1)*n], bd[(p+1)*n:(p+2)*n]
+				b2, b3 := bd[(p+2)*n:(p+3)*n], bd[(p+3)*n:(p+4)*n]
+				var s0, s1, s2, s3 float64
+				for j, av := range arow {
+					if av == 0 {
+						continue
+					}
+					s0 += av * b0[j]
+					s1 += av * b1[j]
+					s2 += av * b2[j]
+					s3 += av * b3[j]
+				}
+				orow[p], orow[p+1], orow[p+2], orow[p+3] = s0, s1, s2, s3
+			}
+			for ; p < k; p++ {
+				brow := bd[p*n : (p+1)*n]
+				var s float64
+				for j, av := range arow {
+					if av == 0 {
+						continue
+					}
+					s += av * brow[j]
+				}
+				orow[p] = s
+			}
+		}
+	})
+	return out
+}
+
+// MatMulTN returns aᵀ @ g for a [m,k] and g [m,n] ([k,n]) without
+// materializing the transpose: row i of a scatters row i of g into the
+// output rows. Per output element the products are added in ascending i and
+// a zero a[i,p] is skipped, so the result is bitwise identical to
+// MatMul(a.T().Contiguous(), g). This is the weight gradient of MatMul.
+func MatMulTN(a, g *Tensor) *Tensor {
+	if len(a.shape) != 2 || len(g.shape) != 2 || a.shape[0] != g.shape[0] {
+		panic(fmt.Sprintf("tensor: MatMulTN requires [m,k] x [m,n], got %v and %v", a.shape, g.shape))
+	}
+	m, k, n := a.shape[0], a.shape[1], g.shape[1]
+	out := New(k, n)
+	ad, gd, od := a.Contiguous().Data(), g.Contiguous().Data(), out.data
+	parallel.For(k, parallel.GrainFor(m*n, parallelThreshold), func(lo, hi int) {
+		for i := 0; i < m; i++ {
+			grow := gd[i*n : (i+1)*n]
+			for p := lo; p < hi; p++ {
+				av := ad[i*k+p]
+				if av == 0 {
+					continue
+				}
+				orow := od[p*n : (p+1)*n]
+				for j, gv := range grow {
+					orow[j] += av * gv
+				}
+			}
+		}
+	})
+	return out
+}
+
 // MatVec returns the matrix-vector product a @ x for a rank-2 a ([m,k]) and
 // rank-1 x ([k]), yielding a rank-1 result ([m]).
 func MatVec(a, x *Tensor) *Tensor {

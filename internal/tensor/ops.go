@@ -46,27 +46,26 @@ func BroadcastShapes(a, b []int) ([]int, error) {
 // broadcasting. t's shape must be broadcast-compatible with shape.
 func (t *Tensor) broadcastTo(shape []int) *Tensor {
 	if len(shape) < len(t.shape) {
-		panic(fmt.Sprintf("tensor: cannot broadcast %v to smaller rank %v", t.shape, shape))
+		panic(fmt.Sprintf("tensor: cannot broadcast %v to smaller rank %v", t.shape, cloneInts(shape)))
 	}
-	newShape := cloneInts(shape)
-	strides := make([]int, len(shape))
+	v := newHeader(t.data, t.offset, len(shape))
+	copy(v.shape, shape)
 	off := len(shape) - len(t.shape)
 	for i := range shape {
 		if i < off {
-			strides[i] = 0
-			continue
+			continue // stride 0
 		}
 		d := t.shape[i-off]
 		switch {
 		case d == shape[i]:
-			strides[i] = t.strides[i-off]
+			v.strides[i] = t.strides[i-off]
 		case d == 1:
-			strides[i] = 0
+			// stride 0
 		default:
-			panic(fmt.Sprintf("tensor: cannot broadcast %v to %v", t.shape, shape))
+			panic(fmt.Sprintf("tensor: cannot broadcast %v to %v", t.shape, cloneInts(shape)))
 		}
 	}
-	return &Tensor{data: t.data, shape: newShape, strides: strides, offset: t.offset}
+	return v
 }
 
 // BroadcastTo returns a read-only zero-copy view of t expanded to shape.
@@ -74,16 +73,11 @@ func (t *Tensor) BroadcastTo(shape ...int) *Tensor { return t.broadcastTo(shape)
 
 // binary applies op element-wise with broadcasting and returns a new tensor.
 func binary(a, b *Tensor, op func(x, y float64) float64) *Tensor {
-	shape, err := BroadcastShapes(a.shape, b.shape)
-	if err != nil {
-		panic(err.Error())
-	}
-	out := New(shape...)
-	av := a.broadcastTo(shape)
-	bv := b.broadcastTo(shape)
-	// Fast path: both operands contiguous with identical layout.
-	if av.IsContiguous() && bv.IsContiguous() {
-		ad, bd, od := av.Data(), bv.Data(), out.Data()
+	if a.SameShape(b) && a.IsContiguous() && b.IsContiguous() {
+		// Nothing to broadcast: every model's gate arithmetic and most
+		// backward products.
+		out := New(a.shape...)
+		ad, bd, od := a.Data(), b.Data(), out.data
 		parallel.For(len(od), elemGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				od[i] = op(ad[i], bd[i])
@@ -91,13 +85,47 @@ func binary(a, b *Tensor, op func(x, y float64) float64) *Tensor {
 		})
 		return out
 	}
-	ai := newIterator(av)
-	bi := newIterator(bv)
-	od := out.data
-	for i := 0; ai.next() && bi.next(); i++ {
-		od[i] = op(av.data[ai.pos], bv.data[bi.pos])
+	shape, err := BroadcastShapes(a.shape, b.shape)
+	if err != nil {
+		panic(err.Error())
 	}
+	out := New(shape...)
+	av := a.broadcastTo(shape)
+	bv := b.broadcastTo(shape)
+	// Rank >= 1 here: two rank-0 operands took the path above.
+	w := stridedBinary{od: out.data, ad: av.data, bd: bv.data, shape: shape, astr: av.strides, bstr: bv.strides, op: op}
+	w.axis(0, 0, av.offset, bv.offset)
 	return out
+}
+
+// stridedBinary is the broadcasting path of binary: it fills the dense od in
+// row-major order from two same-shaped strided (stride 0 where broadcast)
+// operands — a bias row under a matrix, in the models. The last axis is a
+// strided loop, the outer axes recurse.
+type stridedBinary struct {
+	od, ad, bd        []float64
+	shape, astr, bstr []int
+	op                func(x, y float64) float64
+}
+
+// axis fills od from position o on with the elements of axes d and inward
+// at operand positions ap and bp, and returns the position after them.
+func (w *stridedBinary) axis(d, o, ap, bp int) int {
+	n, as, bs := w.shape[d], w.astr[d], w.bstr[d]
+	if d == len(w.shape)-1 {
+		for i := 0; i < n; i++ {
+			w.od[o+i] = w.op(w.ad[ap], w.bd[bp])
+			ap += as
+			bp += bs
+		}
+		return o + n
+	}
+	for i := 0; i < n; i++ {
+		o = w.axis(d+1, o, ap, bp)
+		ap += as
+		bp += bs
+	}
+	return o
 }
 
 // Add returns a + b with broadcasting.
@@ -197,40 +225,48 @@ func (t *Tensor) ApplyInPlace(f func(float64) float64) {
 
 // AddInPlace accumulates o into t element-wise (o broadcast to t's shape).
 func (t *Tensor) AddInPlace(o *Tensor) {
-	ov := o.broadcastTo(t.shape)
-	if t.IsContiguous() && ov.IsContiguous() {
-		td, od := t.Data(), ov.Data()
-		parallel.For(len(td), elemGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				td[i] += od[i]
-			}
-		})
-		return
-	}
-	ti := newIterator(t)
-	oi := newIterator(ov)
-	for ti.next() && oi.next() {
-		t.data[ti.pos] += ov.data[oi.pos]
-	}
+	t.updateInPlace(o, func(td, od []float64) {
+		for i := range td {
+			td[i] += od[i]
+		}
+	})
 }
 
 // SubInPlace subtracts o from t element-wise (o broadcast to t's shape).
 func (t *Tensor) SubInPlace(o *Tensor) {
-	ov := o.broadcastTo(t.shape)
-	ti := newIterator(t)
-	oi := newIterator(ov)
-	for ti.next() && oi.next() {
-		t.data[ti.pos] -= ov.data[oi.pos]
-	}
+	t.updateInPlace(o, func(td, od []float64) {
+		for i := range td {
+			td[i] -= od[i]
+		}
+	})
 }
 
 // MulInPlace multiplies t by o element-wise (o broadcast to t's shape).
 func (t *Tensor) MulInPlace(o *Tensor) {
-	ov := o.broadcastTo(t.shape)
+	t.updateInPlace(o, func(td, od []float64) {
+		for i := range td {
+			td[i] *= od[i]
+		}
+	})
+}
+
+// updateInPlace is the shared body of the broadcasting in-place updates.
+// kernel updates a run of t's elements from the equally long run of o's; the
+// strided fallback feeds it one element at a time. o is only broadcast when
+// its shape differs from t's.
+func (t *Tensor) updateInPlace(o *Tensor, kernel func(td, od []float64)) {
+	if !t.SameShape(o) {
+		o = o.broadcastTo(t.shape)
+	}
+	if t.IsContiguous() && o.IsContiguous() {
+		td, od := t.Data(), o.Data()
+		parallel.For(len(td), elemGrain, func(lo, hi int) { kernel(td[lo:hi], od[lo:hi]) })
+		return
+	}
 	ti := newIterator(t)
-	oi := newIterator(ov)
+	oi := newIterator(o)
 	for ti.next() && oi.next() {
-		t.data[ti.pos] *= ov.data[oi.pos]
+		kernel(t.data[ti.pos:ti.pos+1], o.data[oi.pos:oi.pos+1])
 	}
 }
 

@@ -77,17 +77,55 @@ func (t *Tensor) MinAll() float64 {
 	return best
 }
 
-// Sum reduces along axis, returning a tensor with that axis removed.
+// Sum reduces along axis, returning a tensor with that axis removed. Every
+// output element starts at zero and adds its inputs in ascending axis order,
+// whichever path computes it.
 func (t *Tensor) Sum(axis int) *Tensor {
 	if axis < 0 || axis >= len(t.shape) {
 		panic(fmt.Sprintf("tensor: Sum axis %d out of range for rank %d", axis, len(t.shape)))
 	}
-	out := New(removeAxis(t.shape, axis)...)
+	out := t.zerosWithoutAxis(axis)
 	n := t.shape[axis]
-	for i := 0; i < n; i++ {
-		out.AddInPlace(t.Index(axis, i))
+	if !t.IsContiguous() {
+		for i := 0; i < n; i++ {
+			out.AddInPlace(t.Index(axis, i))
+		}
+		return out
+	}
+	// A contiguous t is [outer, n, inner]: one pass over its elements.
+	inner := 1
+	for _, d := range t.shape[axis+1:] {
+		inner *= d
+	}
+	src, dst := t.Data(), out.data
+	if inner == 1 {
+		for o := range dst {
+			var s float64
+			for _, v := range src[o*n : (o+1)*n] {
+				s += v
+			}
+			dst[o] = s
+		}
+		return out
+	}
+	for o := 0; o*inner < len(dst); o++ {
+		drow := dst[o*inner : (o+1)*inner]
+		for i := 0; i < n; i++ {
+			srow := src[(o*n+i)*inner : (o*n+i+1)*inner]
+			for j, v := range srow {
+				drow[j] += v
+			}
+		}
 	}
 	return out
+}
+
+// zerosWithoutAxis returns a zero-filled tensor of t's shape with axis
+// removed, the result shape of the axis reductions.
+func (t *Tensor) zerosWithoutAxis(axis int) *Tensor {
+	var buf [inlineRank]int
+	shape := append(buf[:0], t.shape[:axis]...)
+	return New(append(shape, t.shape[axis+1:]...)...)
 }
 
 // Mean reduces along axis by arithmetic mean.
@@ -96,16 +134,6 @@ func (t *Tensor) Mean(axis int) *Tensor {
 	out := t.Sum(axis)
 	if n > 0 {
 		out.ScaleInPlace(1 / float64(n))
-	}
-	return out
-}
-
-func removeAxis(shape []int, axis int) []int {
-	out := make([]int, 0, len(shape)-1)
-	for i, d := range shape {
-		if i != axis {
-			out = append(out, d)
-		}
 	}
 	return out
 }

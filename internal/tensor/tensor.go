@@ -2,10 +2,19 @@
 // shape/stride/offset semantics modeled on NumPy ndarrays.
 //
 // The central design requirement, inherited from the PGT-I paper, is
-// zero-copy views: Slice, Narrow, Index, Transpose and (for contiguous
-// tensors) Reshape all return tensors that alias the caller's storage.
-// Index-batching builds every spatiotemporal snapshot as such a view, so the
-// memory cost of a snapshot is O(1) regardless of horizon.
+// zero-copy views: Slice, Narrow, Index, Transpose, Permute, Squeeze,
+// Unsqueeze, BroadcastTo and (for contiguous tensors) Reshape all return
+// tensors that alias the caller's storage. Index-batching builds every
+// spatiotemporal snapshot as such a view, so the memory cost of a snapshot
+// is O(1) regardless of horizon.
+//
+// The copies that remain are explicit and pay for the elements only: Clone,
+// Contiguous and CopyFrom move dense runs with copy() and everything else
+// through one strided kernel (copyStrided), Sum over an axis of a contiguous
+// tensor is one direct pass, and MatMulNT/MatMulTN multiply against a
+// transposed operand in place instead of materializing the transpose. A
+// tensor of rank <= 4 is two allocations (header and elements) and a view of
+// one is one: shape and strides live inside the header.
 //
 // Shape errors are programmer errors and panic with descriptive messages,
 // matching the convention of numeric Go libraries; I/O and capacity errors
@@ -24,17 +33,66 @@ type Tensor struct {
 	shape   []int
 	strides []int
 	offset  int
+	// dims backs shape and strides up to rank inlineRank, so such a header is
+	// one allocation. The two slices point into their own struct: a Tensor
+	// is never copied by value.
+	dims [2 * inlineRank]int
+}
+
+// inlineRank is the largest rank whose shape and strides are stored inside
+// the header; the models' tensors are [B, T, N, F] at most.
+const inlineRank = 4
+
+// newHeader returns a header over data with room for rank dimensions; the
+// caller fills in shape and strides.
+func newHeader(data []float64, offset, rank int) *Tensor {
+	t := &Tensor{data: data, offset: offset}
+	if rank <= inlineRank {
+		t.shape = t.dims[:rank:rank]
+		t.strides = t.dims[inlineRank : inlineRank+rank : inlineRank+rank]
+	} else {
+		dims := make([]int, 2*rank)
+		t.shape, t.strides = dims[:rank:rank], dims[rank:]
+	}
+	return t
+}
+
+// withShape returns a contiguous header over data with the given shape.
+func withShape(data []float64, offset int, shape []int) *Tensor {
+	t := newHeader(data, offset, len(shape))
+	copy(t.shape, shape)
+	t.setContiguousStrides()
+	return t
+}
+
+// setContiguousStrides sets the row-major strides of t's shape.
+func (t *Tensor) setContiguousStrides() {
+	acc := 1
+	for i := len(t.shape) - 1; i >= 0; i-- {
+		t.strides[i] = acc
+		acc *= t.shape[i]
+	}
+}
+
+// alias returns a header sharing t's storage, shape and strides, for the
+// caller to edit into a view.
+func (t *Tensor) alias() *Tensor {
+	v := newHeader(t.data, t.offset, len(t.shape))
+	copy(v.shape, t.shape)
+	copy(v.strides, t.strides)
+	return v
 }
 
 // New returns a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
-	n := checkShape(shape)
-	return &Tensor{
-		data:    make([]float64, n),
-		shape:   cloneInts(shape),
-		strides: contiguousStrides(shape),
-	}
+	return withShape(make([]float64, checkShape(shape)), 0, shape)
 }
+
+// ZerosLike returns a zero-filled tensor with t's shape.
+func ZerosLike(t *Tensor) *Tensor { return New(t.shape...) }
+
+// FullLike returns a tensor with t's shape filled with v.
+func FullLike(v float64, t *Tensor) *Tensor { return Full(v, t.shape...) }
 
 // Zeros is an alias for New, provided for readability at call sites.
 func Zeros(shape ...int) *Tensor { return New(shape...) }
@@ -56,26 +114,23 @@ func Full(v float64, shape ...int) *Tensor {
 func FromSlice(data []float64, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (%d elements)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (%d elements)", len(data), cloneInts(shape), n))
 	}
-	return &Tensor{
-		data:    data,
-		shape:   cloneInts(shape),
-		strides: contiguousStrides(shape),
-	}
+	return withShape(data, 0, shape)
 }
 
 // Scalar returns a rank-0 tensor holding v.
 func Scalar(v float64) *Tensor {
-	return &Tensor{data: []float64{v}, shape: []int{}, strides: []int{}}
+	return newHeader([]float64{v}, 0, 0)
 }
 
-// checkShape validates a shape and returns its element count.
+// checkShape validates a shape and returns its element count. (The panic
+// formats a copy so that callers' shape literals stay on their stacks.)
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", cloneInts(shape)))
 		}
 		n *= d
 	}
@@ -86,17 +141,6 @@ func cloneInts(s []int) []int {
 	out := make([]int, len(s))
 	copy(out, s)
 	return out
-}
-
-// contiguousStrides computes row-major strides for shape.
-func contiguousStrides(shape []int) []int {
-	strides := make([]int, len(shape))
-	acc := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		strides[i] = acc
-		acc *= shape[i]
-	}
-	return strides
 }
 
 // Rank returns the number of dimensions.
@@ -162,6 +206,14 @@ func (t *Tensor) SharesStorage(o *Tensor) bool {
 	return len(t.data) > 0 && len(o.data) > 0 && &t.data[0] == &o.data[0]
 }
 
+// SpansStorage reports whether t's elements are exactly its backing array,
+// in order: nothing else can be reached through t.data, so whoever holds the
+// only reference to t owns the storage outright. Autograd adopts such a
+// gradient instead of copying it.
+func (t *Tensor) SpansStorage() bool {
+	return t.offset == 0 && t.NumElements() == len(t.data) && t.IsContiguous()
+}
+
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float64 {
 	return t.data[t.flatIndex(idx)]
@@ -191,11 +243,7 @@ func (t *Tensor) Item() float64 {
 	if t.NumElements() != 1 {
 		panic(fmt.Sprintf("tensor: Item on tensor with %d elements", t.NumElements()))
 	}
-	if len(t.shape) == 0 {
-		return t.data[t.offset]
-	}
-	idx := make([]int, len(t.shape))
-	return t.data[t.flatIndex(idx)]
+	return t.data[t.offset] // every index of a one-element tensor is 0
 }
 
 // Data returns the raw backing slice of a contiguous tensor, starting at the
@@ -228,8 +276,15 @@ func (t *Tensor) Zero() { t.Fill(0) }
 
 // Clone returns a contiguous deep copy of t.
 func (t *Tensor) Clone() *Tensor {
+	if t.IsContiguous() {
+		// make+copy in this exact form skips zeroing the new elements.
+		src := t.Data()
+		data := make([]float64, len(src))
+		copy(data, src)
+		return withShape(data, 0, t.shape)
+	}
 	out := New(t.shape...)
-	out.CopyFrom(t)
+	copyStrided(out, t)
 	return out
 }
 
@@ -251,10 +306,57 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 		copy(t.Data(), src.Data())
 		return
 	}
-	dst := newIterator(t)
-	s := newIterator(src)
-	for dst.next() && s.next() {
-		t.data[dst.pos] = src.data[s.pos]
+	copyStrided(t, src)
+}
+
+// copyStrided copies src into dst (same shape, any strides, stride 0
+// included) in row-major order. The longest run of trailing axes that is
+// dense in both tensors moves with one copy() per outer index; when there is
+// none the last axis is a strided loop. The outer axes recurse.
+func copyStrided(dst, src *Tensor) {
+	shape := dst.shape
+	if checkShape(shape) == 0 {
+		return
+	}
+	outer, run := len(shape), 1
+	for outer > 0 && (shape[outer-1] == 1 || (dst.strides[outer-1] == run && src.strides[outer-1] == run)) {
+		run *= shape[outer-1]
+		outer--
+	}
+	c := stridedCopy{dd: dst.data, sd: src.data, n: run, ds: 1, ss: 1}
+	if run == 1 && outer > 0 {
+		outer--
+		c.n, c.ds, c.ss = shape[outer], dst.strides[outer], src.strides[outer]
+	}
+	c.shape, c.dstr, c.sstr = shape[:outer], dst.strides[:outer], src.strides[:outer]
+	c.axis(0, dst.offset, src.offset)
+}
+
+// stridedCopy is one copyStrided call: the outer axes and the inner run of n
+// elements at strides ds and ss.
+type stridedCopy struct {
+	dd, sd            []float64
+	shape, dstr, sstr []int
+	n, ds, ss         int
+}
+
+func (c *stridedCopy) axis(d, dpos, spos int) {
+	if d < len(c.shape) {
+		for i := 0; i < c.shape[d]; i++ {
+			c.axis(d+1, dpos, spos)
+			dpos += c.dstr[d]
+			spos += c.sstr[d]
+		}
+		return
+	}
+	if c.ds == 1 && c.ss == 1 {
+		copy(c.dd[dpos:dpos+c.n], c.sd[spos:spos+c.n])
+		return
+	}
+	for i := 0; i < c.n; i++ {
+		c.dd[dpos] = c.sd[spos]
+		dpos += c.ds
+		spos += c.ss
 	}
 }
 
@@ -267,14 +369,10 @@ func (t *Tensor) Slice(axis, start, end int) *Tensor {
 	if start < 0 || end > t.shape[axis] || start > end {
 		panic(fmt.Sprintf("tensor: Slice range [%d:%d) invalid for axis %d of size %d", start, end, axis, t.shape[axis]))
 	}
-	shape := cloneInts(t.shape)
-	shape[axis] = end - start
-	return &Tensor{
-		data:    t.data,
-		shape:   shape,
-		strides: cloneInts(t.strides),
-		offset:  t.offset + start*t.strides[axis],
-	}
+	v := t.alias()
+	v.shape[axis] = end - start
+	v.offset += start * t.strides[axis]
+	return v
 }
 
 // Narrow is a synonym for Slice using (start, length) arguments, mirroring
@@ -292,21 +390,12 @@ func (t *Tensor) Index(axis, i int) *Tensor {
 	if i < 0 || i >= t.shape[axis] {
 		panic(fmt.Sprintf("tensor: Index %d out of bounds for axis %d of size %d", i, axis, t.shape[axis]))
 	}
-	shape := make([]int, 0, len(t.shape)-1)
-	strides := make([]int, 0, len(t.shape)-1)
-	for d := range t.shape {
-		if d == axis {
-			continue
-		}
-		shape = append(shape, t.shape[d])
-		strides = append(strides, t.strides[d])
-	}
-	return &Tensor{
-		data:    t.data,
-		shape:   shape,
-		strides: strides,
-		offset:  t.offset + i*t.strides[axis],
-	}
+	v := newHeader(t.data, t.offset+i*t.strides[axis], len(t.shape)-1)
+	copy(v.shape, t.shape[:axis])
+	copy(v.shape[axis:], t.shape[axis+1:])
+	copy(v.strides, t.strides[:axis])
+	copy(v.strides[axis:], t.strides[axis+1:])
+	return v
 }
 
 // Transpose returns a zero-copy view with axes a and b exchanged.
@@ -314,11 +403,10 @@ func (t *Tensor) Transpose(a, b int) *Tensor {
 	if a < 0 || a >= len(t.shape) || b < 0 || b >= len(t.shape) {
 		panic(fmt.Sprintf("tensor: Transpose axes (%d,%d) out of range for rank %d", a, b, len(t.shape)))
 	}
-	shape := cloneInts(t.shape)
-	strides := cloneInts(t.strides)
-	shape[a], shape[b] = shape[b], shape[a]
-	strides[a], strides[b] = strides[b], strides[a]
-	return &Tensor{data: t.data, shape: shape, strides: strides, offset: t.offset}
+	v := t.alias()
+	v.shape[a], v.shape[b] = v.shape[b], v.shape[a]
+	v.strides[a], v.strides[b] = v.strides[b], v.strides[a]
+	return v
 }
 
 // T returns the 2-D transpose view of a matrix.
@@ -335,30 +423,28 @@ func (t *Tensor) Permute(perm ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: Permute %v has wrong length for rank %d", perm, len(t.shape)))
 	}
 	seen := make([]bool, len(perm))
-	shape := make([]int, len(perm))
-	strides := make([]int, len(perm))
+	v := newHeader(t.data, t.offset, len(perm))
 	for i, p := range perm {
 		if p < 0 || p >= len(perm) || seen[p] {
 			panic(fmt.Sprintf("tensor: Permute %v is not a permutation", perm))
 		}
 		seen[p] = true
-		shape[i] = t.shape[p]
-		strides[i] = t.strides[p]
+		v.shape[i] = t.shape[p]
+		v.strides[i] = t.strides[p]
 	}
-	return &Tensor{data: t.data, shape: shape, strides: strides, offset: t.offset}
+	return v
 }
 
 // Reshape returns a tensor with the given shape and the same elements in
 // row-major order. For contiguous tensors the result is a zero-copy view;
 // otherwise the data is copied. One dimension may be -1 (inferred).
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = cloneInts(shape)
 	infer := -1
 	known := 1
 	for i, d := range shape {
 		if d == -1 {
 			if infer >= 0 {
-				panic(fmt.Sprintf("tensor: Reshape %v has multiple inferred dimensions", shape))
+				panic(fmt.Sprintf("tensor: Reshape %v has multiple inferred dimensions", cloneInts(shape)))
 			}
 			infer = i
 		} else {
@@ -366,36 +452,46 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		}
 	}
 	n := t.NumElements()
+	inferred := 0
 	if infer >= 0 {
 		if known == 0 || n%known != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
+			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, cloneInts(shape)))
 		}
-		shape[infer] = n / known
-		known *= shape[infer]
+		inferred = n / known
+		known *= inferred
 	}
 	if known != n {
-		panic(fmt.Sprintf("tensor: Reshape %v incompatible with %d elements", shape, n))
+		panic(fmt.Sprintf("tensor: Reshape %v incompatible with %d elements", cloneInts(shape), n))
 	}
 	src := t.Contiguous()
-	return &Tensor{
-		data:    src.data,
-		shape:   shape,
-		strides: contiguousStrides(shape),
-		offset:  src.offset,
+	out := withShape(src.data, src.offset, shape)
+	if infer >= 0 {
+		out.shape[infer] = inferred
+		out.setContiguousStrides()
 	}
+	return out
 }
+
+// ReshapeLike is Reshape to o's shape.
+func (t *Tensor) ReshapeLike(o *Tensor) *Tensor { return t.Reshape(o.shape...) }
 
 // Squeeze removes all dimensions of size 1.
 func (t *Tensor) Squeeze() *Tensor {
-	shape := make([]int, 0, len(t.shape))
-	strides := make([]int, 0, len(t.shape))
-	for i, d := range t.shape {
+	rank := 0
+	for _, d := range t.shape {
 		if d != 1 {
-			shape = append(shape, d)
-			strides = append(strides, t.strides[i])
+			rank++
 		}
 	}
-	return &Tensor{data: t.data, shape: shape, strides: strides, offset: t.offset}
+	v := newHeader(t.data, t.offset, rank)
+	k := 0
+	for i, d := range t.shape {
+		if d != 1 {
+			v.shape[k], v.strides[k] = d, t.strides[i]
+			k++
+		}
+	}
+	return v
 }
 
 // Unsqueeze inserts a size-1 dimension at axis.
@@ -403,15 +499,14 @@ func (t *Tensor) Unsqueeze(axis int) *Tensor {
 	if axis < 0 || axis > len(t.shape) {
 		panic(fmt.Sprintf("tensor: Unsqueeze axis %d out of range for rank %d", axis, len(t.shape)))
 	}
-	shape := make([]int, 0, len(t.shape)+1)
-	strides := make([]int, 0, len(t.shape)+1)
-	shape = append(shape, t.shape[:axis]...)
-	shape = append(shape, 1)
-	shape = append(shape, t.shape[axis:]...)
-	strides = append(strides, t.strides[:axis]...)
-	strides = append(strides, 0)
-	strides = append(strides, t.strides[axis:]...)
-	return &Tensor{data: t.data, shape: shape, strides: strides, offset: t.offset}
+	v := newHeader(t.data, t.offset, len(t.shape)+1)
+	copy(v.shape, t.shape[:axis])
+	v.shape[axis] = 1
+	copy(v.shape[axis+1:], t.shape[axis:])
+	copy(v.strides, t.strides[:axis])
+	v.strides[axis] = 0
+	copy(v.strides[axis+1:], t.strides[axis:])
+	return v
 }
 
 // Equal reports exact element-wise equality of two same-shaped tensors.

@@ -15,10 +15,10 @@ BENCH_GATED = $(GO) test -run '^$$' -bench 'BenchmarkDDP|BenchmarkShard|Benchmar
 # is a reviewed decision, not a quick fix for a red build.
 COVER_FLOORS = internal/shard:85 internal/cluster:90 internal/graph:90 internal/core:85 internal/sparse:85 internal/autograd:80 internal/serve:85 internal/stream:85 internal/fault:95 .:75
 
-.PHONY: ci build vet fmt-check test race fuzz-smoke cover bench bench-smoke bench-host-smoke bench-json bench-baseline bench-check bench-ci step-profile trace-smoke stream-smoke chaos-smoke
+.PHONY: ci build vet fmt-check test purego cross-vet race fuzz-smoke cover bench bench-smoke bench-host-smoke bench-json bench-baseline bench-check bench-ci step-profile trace-smoke stream-smoke chaos-smoke
 
 ## ci runs the exact tier-1 gate the CI workflow enforces.
-ci: build vet fmt-check test race fuzz-smoke bench-smoke bench-host-smoke
+ci: build vet fmt-check test purego cross-vet race fuzz-smoke bench-smoke bench-host-smoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,17 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+## purego runs the kernel packages' tests on the Go loops that stand in for
+## the amd64 assembly elsewhere (the tag switches the assembly off), so the
+## fallback is tested on an amd64 runner too.
+purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/sparse ./internal/autograd ./internal/nn
+
+## cross-vet type-checks and vets the tree for arm64, where the fallback is
+## the only build; on amd64 `go vet`'s asmdecl check covers the assembly.
+cross-vet:
+	GOARCH=arm64 $(GO) vet ./...
 
 ## race needs an explicit per-package timeout: the instrumented core suite
 ## exceeds go test's 10m default on single-core machines (no race, just slow).

@@ -207,6 +207,71 @@ func TestGradChainedExpression(t *testing.T) {
 	}, 1e-4)
 }
 
+// sameBits reports whether a and b have the same shape and bit-identical
+// elements (Equal would let -0 match 0).
+func sameBits(a, b *tensor.Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	ad, bd := a.Contiguous().Data(), b.Contiguous().Data()
+	for i := range ad {
+		if math.Float64bits(ad[i]) != math.Float64bits(bd[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFusedGateOpsMatchCompositesBitwise: OneMinus is AddScalar(Neg(u), 1)
+// as one op, and the Sigmoid/Tanh backward is one pass over g and the
+// output; values and gradients must be the composites' bit for bit.
+func TestFusedGateOpsMatchCompositesBitwise(t *testing.T) {
+	rng := tensor.NewRNG(20)
+	gradCheck(t, "oneMinus", []*Variable{leaf(rng, 3, 4)}, func(ins []*Variable) *Variable {
+		return MeanAll(Mul(OneMinus(ins[0]), ins[0]))
+	}, 1e-6)
+
+	x, h, w := leaf(rng, 6, 5), leaf(rng, 6, 5), leaf(rng, 5, 5)
+	cell := func(oneMinus func(*Variable) *Variable) (*Variable, []*Variable) {
+		ins := cloneLeaves([]*Variable{x, h, w})
+		u := Sigmoid(MatMul(ins[0], ins[2]))
+		c := Tanh(MatMul(ins[1], ins[2]))
+		out := Add(Mul(u, ins[1]), Mul(oneMinus(u), c))
+		if err := Backward(SumAll(Mul(out, out))); err != nil {
+			t.Fatal(err)
+		}
+		return out, ins
+	}
+	fused, fusedIns := cell(OneMinus)
+	composite, compositeIns := cell(func(u *Variable) *Variable { return AddScalar(Neg(u), 1) })
+	if !sameBits(fused.Value, composite.Value) {
+		t.Fatal("OneMinus forward differs from AddScalar(Neg(u), 1)")
+	}
+	for i := range fusedIns {
+		if !sameBits(fusedIns[i].Grad, compositeIns[i].Grad) {
+			t.Fatalf("input %d: gradient through OneMinus differs from the composite", i)
+		}
+	}
+
+	for name, c := range map[string]struct {
+		op    func(*Variable) *Variable
+		deriv func(v float64) float64
+	}{
+		"sigmoid": {Sigmoid, func(v float64) float64 { return v * (1 - v) }},
+		"tanh":    {Tanh, func(v float64) float64 { return 1 - v*v }},
+	} {
+		in := leaf(rng, 7, 9)
+		out := c.op(in)
+		g := tensor.Randn(rng, 7, 9)
+		if err := BackwardWithGrad(out, g); err != nil {
+			t.Fatal(err)
+		}
+		if want := tensor.Mul(g, out.Value.Apply(c.deriv)); !sameBits(in.Grad, want) {
+			t.Fatalf("%s backward differs from g times the derivative tensor", name)
+		}
+	}
+}
+
 func TestGradAccumulatesOnReuse(t *testing.T) {
 	// y = x + x must give gradient 2.
 	x := NewVariable(tensor.FromSlice([]float64{1, 2}, 2))

@@ -88,21 +88,30 @@ func SpMM(m *sparse.CSR, x *Variable) *Variable {
 	})
 }
 
-// Sigmoid returns the element-wise logistic function.
-func Sigmoid(a *Variable) *Variable {
-	s := a.Value.Sigmoid()
-	return newOp("sigmoid", s, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		ds := s.Apply(func(v float64) float64 { return v * (1 - v) })
-		return []*tensor.Tensor{tensor.Mul(grad, ds)}
+// OneMinus returns 1 - a, the gating complement of GRU-style cells, as one
+// op. 1-v and (-v)+1 round alike, so it is bitwise AddScalar(Neg(a), 1).
+func OneMinus(a *Variable) *Variable {
+	out := a.Value.Apply(func(v float64) float64 { return 1 - v })
+	return newOp("oneMinus", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
+		return []*tensor.Tensor{grad.Neg()}
 	})
 }
 
-// Tanh returns the element-wise hyperbolic tangent.
+// Sigmoid returns the element-wise logistic function. Backward is one pass,
+// g*(s*(1-s)), rounded as the derivative tensor times g would be.
+func Sigmoid(a *Variable) *Variable {
+	s := a.Value.Sigmoid()
+	return newOp("sigmoid", s, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
+		return []*tensor.Tensor{tensor.Binary(grad, s, func(g, v float64) float64 { return g * (v * (1 - v)) })}
+	})
+}
+
+// Tanh returns the element-wise hyperbolic tangent. Backward is one pass,
+// g*(1-t*t), rounded as the derivative tensor times g would be.
 func Tanh(a *Variable) *Variable {
 	t := a.Value.Tanh()
 	return newOp("tanh", t, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		dt := t.Apply(func(v float64) float64 { return 1 - v*v })
-		return []*tensor.Tensor{tensor.Mul(grad, dt)}
+		return []*tensor.Tensor{tensor.Binary(grad, t, func(g, v float64) float64 { return g * (1 - v*v) })}
 	})
 }
 

@@ -74,5 +74,5 @@ func (c *DCGRUCell) step(gates, candidate func(*autograd.Variable) *autograd.Var
 	r := autograd.Slice(ru, 2, 0, c.Hidden)
 	u := autograd.Slice(ru, 2, c.Hidden, 2*c.Hidden)
 	cand := autograd.Tanh(candidate(autograd.Concat(2, x, autograd.Mul(r, h))))
-	return autograd.Add(autograd.Mul(u, h), autograd.Mul(oneMinus(u), cand))
+	return autograd.Add(autograd.Mul(u, h), autograd.Mul(autograd.OneMinus(u), cand))
 }

@@ -86,11 +86,6 @@ func ParametersEqual(a, b Module, tol float64) bool {
 	return true
 }
 
-// oneMinus returns 1 - v, the gating complement used by GRU-style cells.
-func oneMinus(v *autograd.Variable) *autograd.Variable {
-	return autograd.AddScalar(autograd.Neg(v), 1)
-}
-
 // stepInput extracts time step t from a batched window [B, T, N, F] as a
 // [B, N, F] variable.
 func stepInput(x *autograd.Variable, t int) *autograd.Variable {

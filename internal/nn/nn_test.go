@@ -256,6 +256,73 @@ func TestAdamMinimizesQuadratic(t *testing.T) {
 	}
 }
 
+// TestAdamRestoreMomentsIsAllOrNothing: a restore that fails validation —
+// a negative step, or a length mismatch on a parameter after the first —
+// must leave the moments and the step count as they were, not half-copied.
+func TestAdamRestoreMomentsIsAllOrNothing(t *testing.T) {
+	l := NewLinear(tensor.NewRNG(31), "l", 3, 2) // weight [3,2], bias [2]
+	opt := NewAdam(l, 0.01)
+	for i := 0; i < 3; i++ {
+		loss := autograd.MSELoss(l.Forward(autograd.Constant(tensor.Randn(tensor.NewRNG(uint64(i)), 4, 3))), tensor.New(4, 2))
+		if err := autograd.Backward(loss); err != nil {
+			t.Fatal(err)
+		}
+		opt.Step()
+	}
+	snapshot := func() (m, v [][]float64) {
+		ms, vs := opt.Moments()
+		for i := range ms {
+			m = append(m, append([]float64{}, ms[i].Data()...))
+			v = append(v, append([]float64{}, vs[i].Data()...))
+		}
+		return m, v
+	}
+	wantM, wantV := snapshot()
+	fill := func(x float64) (m, v [][]float64) {
+		for _, p := range l.Parameters() {
+			n := p.Tensor().NumElements()
+			m, v = append(m, make([]float64, n)), append(v, make([]float64, n))
+			for j := 0; j < n; j++ {
+				m[len(m)-1][j], v[len(v)-1][j] = x, x
+			}
+		}
+		return m, v
+	}
+	negM, negV := fill(7)
+	shortM, shortV := fill(7)
+	shortV[1] = shortV[1][:1] // the bias, after the weight passed
+	for name, c := range map[string]struct {
+		m, v [][]float64
+		step int
+	}{
+		"negative step":          {negM, negV, -1},
+		"short second parameter": {shortM, shortV, 9},
+	} {
+		if err := opt.RestoreMoments(c.m, c.v, c.step); err == nil {
+			t.Fatalf("%s: RestoreMoments accepted invalid state", name)
+		}
+		gotM, gotV := snapshot()
+		for i := range wantM {
+			for j := range wantM[i] {
+				if gotM[i][j] != wantM[i][j] || gotV[i][j] != wantV[i][j] {
+					t.Fatalf("%s: moment %d[%d] changed to %v/%v, want %v/%v", name, i, j, gotM[i][j], gotV[i][j], wantM[i][j], wantV[i][j])
+				}
+			}
+		}
+		if opt.StepCount() != 3 {
+			t.Fatalf("%s: StepCount %d, want 3", name, opt.StepCount())
+		}
+	}
+	// A valid restore still copies everything.
+	okM, okV := fill(7)
+	if err := opt.RestoreMoments(okM, okV, 9); err != nil {
+		t.Fatal(err)
+	}
+	if gotM, _ := snapshot(); gotM[1][1] != 7 || opt.StepCount() != 9 {
+		t.Fatalf("valid restore: moment %v, step %d", gotM[1][1], opt.StepCount())
+	}
+}
+
 func TestSGDWithMomentum(t *testing.T) {
 	p := &Parameter{Name: "w", V: autograd.NewVariable(tensor.Full(2, 4))}
 	mod := paramModule{p}

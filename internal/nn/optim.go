@@ -128,21 +128,24 @@ func (a *Adam) Moments() (m, v []*tensor.Tensor) { return a.m, a.v }
 
 // RestoreMoments replaces the optimizer's moment estimates and step count —
 // the deterministic-resume path: together with the parameters (checkpointed
-// separately) this is Adam's entire state.
+// separately) this is Adam's entire state. It validates everything before
+// it copies anything: on error the optimizer is unchanged.
 func (a *Adam) RestoreMoments(m, v [][]float64, step int) error {
 	if len(m) != len(a.params) || len(v) != len(a.params) {
 		return fmt.Errorf("nn: optimizer state has %d/%d moment vectors, module has %d parameters", len(m), len(v), len(a.params))
+	}
+	if step < 0 {
+		return fmt.Errorf("nn: negative optimizer step count %d", step)
 	}
 	for i, p := range a.params {
 		n := p.Tensor().NumElements()
 		if len(m[i]) != n || len(v[i]) != n {
 			return fmt.Errorf("nn: optimizer state for %q has %d/%d elements, parameter has %d", p.Name, len(m[i]), len(v[i]), n)
 		}
+	}
+	for i := range a.params {
 		copy(a.m[i].Data(), m[i])
 		copy(a.v[i].Data(), v[i])
-	}
-	if step < 0 {
-		return fmt.Errorf("nn: negative optimizer step count %d", step)
 	}
 	a.t = step
 	return nil

@@ -14,12 +14,14 @@ import (
 // Adam step at the host benchmark's fit-index shapes (22 nodes, hidden 16,
 // K 2, batch 8, 12 steps) under an allocation ceiling, so that a regression
 // of the copy-free backward fails `go test` and not only the benchmark. The
-// step made 69 085 allocations before the backward pass stopped copying and
-// makes about 7 770 now (root BenchmarkTrainingStepFitIndex is the same
-// step); the ceiling leaves room for small changes, not for a per-row loop
-// or a per-gradient clone coming back.
+// step made 69 085 allocations before the backward pass stopped copying,
+// 7 010 once it did, and makes 6 890 now that MatMulNT copies bᵀ while the
+// Sigmoid/Tanh backward and the GRU's 1-u are one op each (root
+// BenchmarkTrainingStepFitIndex is the same step). The ceiling is that count
+// plus 2 %: room for small changes, not for a per-row loop or a per-gradient
+// clone coming back.
 func TestTrainingStepAllocationCeiling(t *testing.T) {
-	const ceiling = 9000
+	const ceiling = 7030
 	g, err := graph.RoadNetwork(1, 22, 6)
 	if err != nil {
 		t.Fatal(err)

@@ -312,7 +312,14 @@ func (m *CSR) SpMM(x *tensor.Tensor) *tensor.Tensor {
 	od := out.Data()
 
 	bounds := m.workRanges(f)
+	vec := tensor.UseSIMD(f)
 	parallel.For(len(bounds)-1, 1, func(clo, chi int) {
+		if vec {
+			for i := bounds[clo]; i < bounds[chi]; i++ {
+				m.spmmRowSIMD(i, xd, od, f)
+			}
+			return
+		}
 		for i := bounds[clo]; i < bounds[chi]; i++ {
 			orow := od[i*f : (i+1)*f]
 			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
@@ -325,6 +332,18 @@ func (m *CSR) SpMM(x *tensor.Tensor) *tensor.Tensor {
 		}
 	})
 	return out
+}
+
+// spmmRowSIMD accumulates row i of m @ x into the same row of od with
+// tensor.Axpy, for widths tensor.UseSIMD admits: the SpMM row loop, in the
+// same order, with no zero skipped. Every slice is cut by Go first, so a
+// ColIdx outside x panics on its bounds check.
+func (m *CSR) spmmRowSIMD(i int, xd, od []float64, f int) {
+	orow := od[i*f : (i+1)*f]
+	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+		c := m.ColIdx[k]
+		tensor.Axpy(m.Val[k], xd[c*f:(c+1)*f], orow)
+	}
 }
 
 // SpMMRowsInto computes the given rows of m @ x into the [RowsN, F] output
@@ -344,7 +363,14 @@ func (m *CSR) SpMMRowsInto(rows []int, x *tensor.Tensor, out *tensor.Tensor) {
 	od := out.Data()
 
 	bounds := m.rowListRanges(rows, f)
+	vec := tensor.UseSIMD(f)
 	parallel.For(len(bounds)-1, 1, func(clo, chi int) {
+		if vec {
+			for _, i := range rows[bounds[clo]:bounds[chi]] {
+				m.spmmRowSIMD(i, xd, od, f)
+			}
+			return
+		}
 		for ri := bounds[clo]; ri < bounds[chi]; ri++ {
 			i := rows[ri]
 			orow := od[i*f : (i+1)*f]
@@ -374,7 +400,14 @@ func (m *CSR) SpMMRowRangeInto(lo, hi int, x *tensor.Tensor, out *tensor.Tensor)
 	od := out.Data()
 
 	bounds := m.cachedRangeBounds(lo, hi, f)
+	vec := tensor.UseSIMD(f)
 	parallel.For(len(bounds)-1, 1, func(clo, chi int) {
+		if vec {
+			for i := bounds[clo]; i < bounds[chi]; i++ {
+				m.spmmRowSIMD(i, xd, od, f)
+			}
+			return
+		}
 		for i := bounds[clo]; i < bounds[chi]; i++ {
 			orow := od[i*f : (i+1)*f]
 			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {

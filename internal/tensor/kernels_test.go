@@ -271,8 +271,8 @@ func TestBroadcastBinaryMatchesIterator(t *testing.T) {
 					for i := 0; xi.next() && yi.next(); i++ {
 						want.data[i] = x.data[xi.pos] - y.data[yi.pos]
 					}
-					if got := binary(x, y, sub); !sameBits(got, want) {
-						t.Fatalf("binary of shapes %v (strides %v) and %v (strides %v): %v, want %v", x.shape, x.strides, y.shape, y.strides, got, want)
+					if got := Binary(x, y, sub); !sameBits(got, want) {
+						t.Fatalf("Binary of shapes %v (strides %v) and %v (strides %v): %v, want %v", x.shape, x.strides, y.shape, y.strides, got, want)
 					}
 				}
 			}

@@ -25,14 +25,15 @@ const (
 // pool by row blocks, each computed with the cache-blocked kernel. The
 // result is bitwise identical to the naive ikj loop order: tiling ascends in
 // both k and n, so every output element accumulates its k products in
-// exactly the naive order.
+// exactly the naive order, and rows wide enough for the SIMD axpy go through
+// Axpy, which rounds each element as the scalar loop does.
 func MatMul(a, b *Tensor) *Tensor {
 	return matMul(a, b, matmulRowsTiled)
 }
 
-// MatMulNaive is the pre-tiling kernel (plain ikj loop order), kept as the
-// ablation baseline for the serial-vs-tiled benchmark. Bitwise identical to
-// MatMul.
+// MatMulNaive is the oracle: the plain ikj loop in Go, with no tiling and no
+// SIMD. MatMul, MatMulNT and MatMulTN must agree with it bitwise, and it is
+// the ablation baseline of the serial-vs-tiled benchmark.
 func MatMulNaive(a, b *Tensor) *Tensor {
 	return matMul(a, b, matmulRows)
 }
@@ -83,8 +84,14 @@ func matmulRows(a, b, out []float64, lo, hi, k, n int) {
 // the (pb, jb) tile of b is reused across every row of the block before the
 // next tile is touched. For each output element the k index still ascends
 // (tiles ascend, p ascends within a tile), so the accumulation order — and
-// therefore the result — is bitwise identical to matmulRows.
+// therefore the result — is bitwise identical to matmulRows. Rows wide
+// enough for the SIMD axpy take matmulRowsSIMD, the same loops around Axpy;
+// narrower ones keep these, whose inner loop has no call to spill around.
 func matmulRowsTiled(a, b, out []float64, lo, hi, k, n int) {
+	if UseSIMD(n) {
+		matmulRowsSIMD(a, b, out, lo, hi, k, n)
+		return
+	}
 	if k <= tileK && n <= tileN {
 		matmulRows(a, b, out, lo, hi, k, n)
 		return
@@ -117,54 +124,36 @@ func matmulRowsTiled(a, b, out []float64, lo, hi, k, n int) {
 	}
 }
 
-// MatMulNT returns a @ bᵀ for a [m,n] and b [k,n] ([m,k]) without
-// materializing the transpose: out[i,p] is the dot product of row i of a
-// and row p of b. Per output element the products are added in ascending j
-// and a zero a[i,j] is skipped, so the result is bitwise identical to
-// MatMul(a, b.T().Contiguous()). This is the input gradient of MatMul.
+// matmulRowsSIMD is matmulRowsTiled's loop nest with each row update
+// through Axpy. When b fits one tile it is matmulRows' loop order.
+func matmulRowsSIMD(a, b, out []float64, lo, hi, k, n int) {
+	for pb := 0; pb < k; pb += tileK {
+		pEnd := min(pb+tileK, k)
+		for jb := 0; jb < n; jb += tileN {
+			jEnd := min(jb+tileN, n)
+			for i := lo; i < hi; i++ {
+				orow := out[i*n+jb : i*n+jEnd]
+				arow := a[i*k : (i+1)*k]
+				for p := pb; p < pEnd; p++ {
+					if av := arow[p]; av != 0 {
+						Axpy(av, b[p*n+jb:p*n+jEnd], orow)
+					}
+				}
+			}
+		}
+	}
+}
+
+// MatMulNT returns a @ bᵀ for a [m,n] and b [k,n] ([m,k]), the input
+// gradient of MatMul. It is MatMul(a, b.T().Contiguous()): one dense copy of
+// bᵀ buys the row-streaming ikj product and its SIMD rows, where a dot
+// product per output element would sum serially. The result is bitwise that
+// product's.
 func MatMulNT(a, b *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulNT requires [m,n] x [k,n], got %v and %v", a.shape, b.shape))
 	}
-	m, n, k := a.shape[0], a.shape[1], b.shape[0]
-	out := New(m, k)
-	ad, bd, od := a.Contiguous().Data(), b.Contiguous().Data(), out.data
-	parallel.For(m, parallel.GrainFor(k*n, parallelThreshold), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := ad[i*n : (i+1)*n]
-			orow := od[i*k : (i+1)*k]
-			// Four rows of b per sweep of arow: four independent sums hide
-			// the add latency a single running sum would serialize on.
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				b0, b1 := bd[p*n:(p+1)*n], bd[(p+1)*n:(p+2)*n]
-				b2, b3 := bd[(p+2)*n:(p+3)*n], bd[(p+3)*n:(p+4)*n]
-				var s0, s1, s2, s3 float64
-				for j, av := range arow {
-					if av == 0 {
-						continue
-					}
-					s0 += av * b0[j]
-					s1 += av * b1[j]
-					s2 += av * b2[j]
-					s3 += av * b3[j]
-				}
-				orow[p], orow[p+1], orow[p+2], orow[p+3] = s0, s1, s2, s3
-			}
-			for ; p < k; p++ {
-				brow := bd[p*n : (p+1)*n]
-				var s float64
-				for j, av := range arow {
-					if av == 0 {
-						continue
-					}
-					s += av * brow[j]
-				}
-				orow[p] = s
-			}
-		}
-	})
-	return out
+	return MatMul(a, b.T().Contiguous())
 }
 
 // MatMulTN returns aᵀ @ g for a [m,k] and g [m,n] ([k,n]) without
@@ -179,7 +168,21 @@ func MatMulTN(a, g *Tensor) *Tensor {
 	m, k, n := a.shape[0], a.shape[1], g.shape[1]
 	out := New(k, n)
 	ad, gd, od := a.Contiguous().Data(), g.Contiguous().Data(), out.data
-	parallel.For(k, parallel.GrainFor(m*n, parallelThreshold), func(lo, hi int) {
+	grain := parallel.GrainFor(m*n, parallelThreshold)
+	if UseSIMD(n) {
+		parallel.For(k, grain, func(lo, hi int) {
+			for i := 0; i < m; i++ {
+				grow := gd[i*n : (i+1)*n]
+				for p := lo; p < hi; p++ {
+					if av := ad[i*k+p]; av != 0 {
+						Axpy(av, grow, od[p*n:(p+1)*n])
+					}
+				}
+			}
+		})
+		return out
+	}
+	parallel.For(k, grain, func(lo, hi int) {
 		for i := 0; i < m; i++ {
 			grow := gd[i*n : (i+1)*n]
 			for p := lo; p < hi; p++ {

@@ -71,8 +71,10 @@ func (t *Tensor) broadcastTo(shape []int) *Tensor {
 // BroadcastTo returns a read-only zero-copy view of t expanded to shape.
 func (t *Tensor) BroadcastTo(shape ...int) *Tensor { return t.broadcastTo(shape) }
 
-// binary applies op element-wise with broadcasting and returns a new tensor.
-func binary(a, b *Tensor, op func(x, y float64) float64) *Tensor {
+// Binary applies op element-wise with broadcasting and returns a new tensor:
+// one pass and one output for an expression Add, Sub and Mul would build in
+// several.
+func Binary(a, b *Tensor, op func(x, y float64) float64) *Tensor {
 	if a.SameShape(b) && a.IsContiguous() && b.IsContiguous() {
 		// Nothing to broadcast: every model's gate arithmetic and most
 		// backward products.
@@ -98,7 +100,7 @@ func binary(a, b *Tensor, op func(x, y float64) float64) *Tensor {
 	return out
 }
 
-// stridedBinary is the broadcasting path of binary: it fills the dense od in
+// stridedBinary is the broadcasting path of Binary: it fills the dense od in
 // row-major order from two same-shaped strided (stride 0 where broadcast)
 // operands — a bias row under a matrix, in the models. The last axis is a
 // strided loop, the outer axes recurse.
@@ -129,22 +131,22 @@ func (w *stridedBinary) axis(d, o, ap, bp int) int {
 }
 
 // Add returns a + b with broadcasting.
-func Add(a, b *Tensor) *Tensor { return binary(a, b, func(x, y float64) float64 { return x + y }) }
+func Add(a, b *Tensor) *Tensor { return Binary(a, b, func(x, y float64) float64 { return x + y }) }
 
 // Sub returns a - b with broadcasting.
-func Sub(a, b *Tensor) *Tensor { return binary(a, b, func(x, y float64) float64 { return x - y }) }
+func Sub(a, b *Tensor) *Tensor { return Binary(a, b, func(x, y float64) float64 { return x - y }) }
 
 // Mul returns the element-wise product a * b with broadcasting.
-func Mul(a, b *Tensor) *Tensor { return binary(a, b, func(x, y float64) float64 { return x * y }) }
+func Mul(a, b *Tensor) *Tensor { return Binary(a, b, func(x, y float64) float64 { return x * y }) }
 
 // Div returns the element-wise quotient a / b with broadcasting.
-func Div(a, b *Tensor) *Tensor { return binary(a, b, func(x, y float64) float64 { return x / y }) }
+func Div(a, b *Tensor) *Tensor { return Binary(a, b, func(x, y float64) float64 { return x / y }) }
 
 // Maximum returns the element-wise maximum with broadcasting.
-func Maximum(a, b *Tensor) *Tensor { return binary(a, b, math.Max) }
+func Maximum(a, b *Tensor) *Tensor { return Binary(a, b, math.Max) }
 
 // Minimum returns the element-wise minimum with broadcasting.
-func Minimum(a, b *Tensor) *Tensor { return binary(a, b, math.Min) }
+func Minimum(a, b *Tensor) *Tensor { return Binary(a, b, math.Min) }
 
 // AddScalar returns t + s.
 func (t *Tensor) AddScalar(s float64) *Tensor {
@@ -283,7 +285,12 @@ func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) {
 	}
 	if t.IsContiguous() && o.IsContiguous() {
 		td, od := t.Data(), o.Data()
+		vec := UseSIMD(len(td))
 		parallel.For(len(td), elemGrain, func(lo, hi int) {
+			if vec {
+				Axpy(alpha, od[lo:hi], td[lo:hi])
+				return
+			}
 			for i := lo; i < hi; i++ {
 				td[i] += alpha * od[i]
 			}

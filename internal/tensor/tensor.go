@@ -11,10 +11,34 @@
 // The copies that remain are explicit and pay for the elements only: Clone,
 // Contiguous and CopyFrom move dense runs with copy() and everything else
 // through one strided kernel (copyStrided), Sum over an axis of a contiguous
-// tensor is one direct pass, and MatMulNT/MatMulTN multiply against a
-// transposed operand in place instead of materializing the transpose. A
+// tensor is one direct pass, and MatMulTN multiplies against a transposed
+// operand in place instead of materializing the transpose (MatMulNT copies
+// its bᵀ once, so that its output rows stream through the SIMD loop). A
 // tensor of rank <= 4 is two allocations (header and elements) and a view of
 // one is one: shape and strides live inside the header.
+//
+// # SIMD and the bitwise contract
+//
+// The inner loop of MatMul, MatMulNT, MatMulTN, AxpyInPlace and the sparse
+// package's SpMM kernels is y[j] += a*x[j] over one output row. On amd64 CPUs
+// with AVX2, rows at least 8 elements wide go through Axpy, one assembly
+// routine; a kernel decides once per call from its row width, and narrower
+// rows keep the inline Go loop, in loops with no call in them. The routine
+// keeps every pinned curve bitwise:
+//   - lanes run across output elements only, never along a sum, so each
+//     element's accumulation order is the scalar loop's;
+//   - it multiplies, then adds (VMULPD, VADDPD), and never uses FMA, so each
+//     element is rounded twice, as in the Go loop;
+//   - its scalar tail is VEX-encoded (VMULSD, VADDSD) and it ends with
+//     VZEROUPPER, so no legacy-SSE code around it pays an AVX transition;
+//   - Go slices every operand before the call, so a bad index (a malformed
+//     CSR column) panics on a bounds check instead of reading memory.
+//
+// The only bits that may differ are NaN payloads where two NaNs meet, which
+// Go does not fix between two of its own loops either. The CPU is checked
+// once, at package initialisation (CPUID and XGETBV). Other architectures,
+// CPUs without AVX2 and builds with the purego tag run the Go loops, which
+// are the tests' oracle: `go test -tags purego` runs the suite on them.
 //
 // Shape errors are programmer errors and panic with descriptive messages,
 // matching the convention of numeric Go libraries; I/O and capacity errors

@@ -266,6 +266,9 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestRemoteFetchChargesCommTime(t *testing.T) {
 	fw := testSetup(t, 70, 6, 3)
+	// 22 training snapshots over 2 replicas in batches of 4: each replica's
+	// epoch is 4, 4, 3, so the last fetch carries a short tail batch.
+	fw.split.Train = fw.split.Train[:22]
 	base, err := fw.train(shard.Config{
 		Replicas: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 3,
 		ComputeCost: func(int) time.Duration { return time.Millisecond },
@@ -285,6 +288,24 @@ func TestRemoteFetchChargesCommTime(t *testing.T) {
 	}
 	if fetch.VirtualTime <= base.VirtualTime {
 		t.Fatal("remote fetch must slow the virtual clock")
+	}
+	// Each fetch is priced at the bytes of the batch it carries, tail
+	// included: the CommTime delta is exactly rank 0's per-batch fetch costs.
+	_, horizon, nodes, features := fw.data.Dims()
+	pairBytes := int64(2*horizon) * int64(nodes) * int64(features) * 8
+	batches := ddp.NewSampler(ddp.GlobalShuffle, fw.split.Train, 4, 2, 0, 3).EpochBatches(0)
+	net := cluster.SlingshotModel()
+	var want time.Duration
+	short := false
+	for _, b := range batches {
+		want += net.FetchTime(int64(len(b)) * pairBytes)
+		short = short || len(b) < 4
+	}
+	if !short {
+		t.Fatalf("fixture lost its short tail batch: %v", batches)
+	}
+	if got := fetch.CommTime - base.CommTime; got != want {
+		t.Fatalf("remote fetches charged %v, want %v (per-batch sizes)", got, want)
 	}
 	// Accuracy is unaffected by the data path.
 	if fetch.Curve[0].TrainMAE != base.Curve[0].TrainMAE {

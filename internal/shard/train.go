@@ -678,7 +678,7 @@ func Train(data batching.Source, split batching.Split, g *graph.Graph, supports 
 					x, y, _, fetchBytes = feed.Store.FetchBatch(rep, idx, &buf)
 					fetchCost = net.FetchTime(fetchBytes)
 				case feed.Remote:
-					fetchBytes = int64(cfg.BatchSize) * pairBytes
+					fetchBytes = int64(len(idx)) * pairBytes
 					fetchCost = net.FetchTime(fetchBytes)
 				case feed.Device != nil:
 					fetchName, fetchCh = "fetch.h2d", cluster.ChannelIntra

@@ -432,7 +432,7 @@ func benchDDPSync(b *testing.B, mutate func(*shard.Config)) {
 	b.ReportMetric(float64(res.VirtualTime.Microseconds()), "virt-µs/epoch")
 	b.ReportMetric(float64(res.CommTime.Microseconds()), "exposed-comm-µs")
 	b.ReportMetric(float64(res.GradSyncBytes)/1024, "wire-KiB/epoch")
-	b.ReportMetric(float64(res.BucketBytes)/1024, "bucket-KiB")
+	b.ReportMetric(float64(res.GradBucketBytes)/1024, "bucket-KiB")
 }
 
 func BenchmarkDDPBucketedOverlap8(b *testing.B) { benchDDPSync(b, func(*shard.Config) {}) }

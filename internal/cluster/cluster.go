@@ -229,19 +229,11 @@ func (w *Worker) RingAllReduceMeanSized(vec []float64, wireBytes int64) {
 	w.synchronized(w.cluster.cfg.Net.RingAllReduceTime(wireBytes, w.Size()))
 }
 
-// AsyncRingAllReduceMean performs the same in-place ring averaging as
-// RingAllReduceMean but leaves every virtual clock untouched, returning the
-// modeled ring cost instead. Callers that overlap communication with
-// compute (bucketed DDP gradient sync) launch these during the backward
-// pass and charge the overlapped timeline afterwards via OverlapFinish.
-// All workers must issue matching calls in the same order.
-func (w *Worker) AsyncRingAllReduceMean(vec []float64) time.Duration {
-	return w.AsyncRingAllReduceMeanSized(vec, int64(len(vec))*8)
-}
-
-// AsyncRingAllReduceMeanSized is AsyncRingAllReduceMean with an explicit
-// modeled wire size, for buckets that ship compressed (fp16) while the
-// in-memory exchange stays float64.
+// AsyncRingAllReduceMeanSized performs the same in-place ring averaging as
+// RingAllReduceMeanSized but leaves every virtual clock untouched, returning
+// the modeled cost of wireBytes on the ring instead: the bucketed gradient
+// schedules launch these mid-backward and charge the overlapped timeline
+// afterwards. All workers must issue matching calls in the same order.
 func (w *Worker) AsyncRingAllReduceMeanSized(vec []float64, wireBytes int64) time.Duration {
 	w.ringExchange(vec)
 	return w.commScaled(w.cluster.cfg.Net.RingAllReduceTime(wireBytes, w.Size()))

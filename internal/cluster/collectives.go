@@ -7,7 +7,7 @@ import (
 
 // Point-to-point and additional collective operations. These extend the
 // ring AllReduce with the primitives a distributed data service needs:
-// Send/Recv (batch shipping), Broadcast (model replication), and AllGather
+// Send (batch shipping), Broadcast (model replication), and AllGather
 // (metric collection). All are numerically real (data moves between
 // goroutines) and charge the Slingshot cost model to the virtual clocks.
 
@@ -44,14 +44,6 @@ func (w *Worker) Send(to, tag int, payload []float64) {
 	copy(buf, payload)
 	w.cluster.p2p()[to] <- message{from: w.rank, tag: tag, payload: buf}
 	w.vt += w.commScaled(w.cluster.cfg.Net.TransferTime(int64(len(payload)) * 8))
-}
-
-// Recv blocks for the next message with the given tag from the given
-// sender (from = -1 accepts any sender). Messages that do not match are held
-// in a worker-local pending list. Returns the payload and the actual sender.
-func (w *Worker) Recv(from, tag int) ([]float64, int) {
-	m := w.recvMatch(from, tag)
-	return m.payload, m.from
 }
 
 // recvMatch blocks for the first message matching (from, tag), from = -1

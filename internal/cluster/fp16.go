@@ -149,11 +149,3 @@ func (c *FP16Codec) Encode(vec []float64) []uint16 {
 	}
 	return out
 }
-
-// DecodeFP16 expands an fp16 wire payload into dst (which must have equal
-// length).
-func DecodeFP16(enc []uint16, dst []float64) {
-	for i, h := range enc {
-		dst[i] = Float16ToFloat64(h)
-	}
-}

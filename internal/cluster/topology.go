@@ -126,28 +126,13 @@ func (w *Worker) rawRecv(from, tag int) []float64 {
 	return w.recvMatch(from, tag).payload
 }
 
-// HierarchicalAllReduceMean averages vec element-wise across all workers, in
-// place, using the topology-aware three-phase algorithm: reduce to the node
-// leader (summing members in rank order, so the result is deterministic),
-// ring all-reduce across node leaders, broadcast back down, then the 1/world
-// mean scaling. Every rank ends with bitwise-identical contents — the DDP
-// replica invariant. Virtual clocks advance by the modeled hierarchical cost
-// and synchronize to the slowest participant.
-func (w *Worker) HierarchicalAllReduceMean(vec []float64, topo Topology) {
-	w.hierExchange(vec, topo)
-	w.synchronized(HierarchicalAllReduceTime(int64(len(vec))*8, w.Size(), topo, w.cluster.cfg.IntraNet, w.cluster.cfg.Net))
-}
-
-// AsyncHierarchicalAllReduceMean performs the same in-place hierarchical
-// averaging but leaves every virtual clock untouched, returning the modeled
-// cost for the caller's overlap accounting (see AsyncRingAllReduceMean).
-func (w *Worker) AsyncHierarchicalAllReduceMean(vec []float64, topo Topology) time.Duration {
-	return w.AsyncHierarchicalAllReduceMeanSized(vec, topo, int64(len(vec))*8)
-}
-
-// AsyncHierarchicalAllReduceMeanSized is AsyncHierarchicalAllReduceMean with
-// an explicit modeled wire size, for buckets that ship compressed (fp16)
-// while the in-memory exchange stays float64.
+// AsyncHierarchicalAllReduceMeanSized averages vec element-wise across all
+// workers, in place, with the topology-aware three-phase algorithm: reduce
+// to the node leader (summing members in rank order, so the result is
+// deterministic), ring all-reduce across node leaders, broadcast back down,
+// then the 1/world mean scaling. It leaves every virtual clock untouched
+// and returns the modeled cost of wireBytes for the caller's overlap
+// accounting.
 func (w *Worker) AsyncHierarchicalAllReduceMeanSized(vec []float64, topo Topology, wireBytes int64) time.Duration {
 	w.hierExchange(vec, topo)
 	return HierarchicalAllReduceTime(wireBytes, w.Size(), topo, w.cluster.cfg.IntraNet, w.cluster.cfg.Net)

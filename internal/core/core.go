@@ -29,7 +29,6 @@ import (
 	"pgti/internal/ddp"
 	"pgti/internal/fault"
 	"pgti/internal/memsim"
-	"pgti/internal/metrics"
 	"pgti/internal/nn"
 	"pgti/internal/shard"
 	"pgti/internal/sparse"
@@ -409,56 +408,23 @@ func (c *Config) fillDefaults() {
 
 // Report is the outcome of a measured run.
 type Report struct {
-	Strategy    Strategy
-	Model       ModelKind
-	Dataset     string
-	Workers     int
-	GlobalBatch int
+	Strategy Strategy
+	Model    ModelKind
+	Dataset  string
+	Workers  int
 
-	Curve metrics.Curve
+	// Accounting is the grid trainer's ledger, stitched across recoveries:
+	// Curve also holds the epochs before the last worker loss, VirtualTime
+	// the rolled-back attempts and GPUIndex's one staging copy.
+	shard.Accounting
 
 	WallTime time.Duration
-	// VirtualTime is the modeled clock: per step, batch assembly plus
-	// forward and backward (measured, or ComputeCost/AssembleCost when set;
-	// the optimizer update is not charged) plus whatever communication the
-	// step exposed. CommTime is that exposed part: gradient sync, remote
-	// data fetches and — on Baseline and Index — the per-batch pageable H2D
-	// copies. GPUIndex's one staging copy is in VirtualTime only.
-	VirtualTime time.Duration
-	CommTime    time.Duration
-	// CommHiddenTime is modeled communication hidden under backward compute
-	// by the bucketed overlapping AllReduce (distributed strategies only).
-	CommHiddenTime time.Duration
-	// CommExposedIntra and CommExposedInter split the exposed (not hidden)
-	// communication time by fabric channel: intra-node replica traffic vs
-	// inter-node shard traffic. The channels drain concurrently, so each is
-	// that channel's own tail past compute and their sum can exceed the
-	// total exposed time (which is the max). Flat (unsharded) distributed
-	// runs put everything on the inter channel.
-	CommExposedIntra time.Duration
-	CommExposedInter time.Duration
-	// GradBuckets is the per-step gradient bucket count of the DDP run.
-	GradBuckets int
-	// GradBucketBytes is the effective bucket size cap: the autotuned
-	// winner when GradAutoTune is set, the configured/default cap
-	// otherwise (0 for unbucketed runs).
-	GradBucketBytes int64
-	// CommBytesSaved is the gradient traffic avoided by fp16 compression.
-	CommBytesSaved int64
 
 	// SpatialShards is the spatial shard count of the run (1 = unsharded);
-	// HaloBytes and HaloTime are one worker's halo-exchange wire traffic and
-	// modeled cost (zero when unsharded), and HaloHiddenTime is the portion
-	// of HaloTime the interior-first overlapped exchange hid under step
-	// compute. EdgeCut counts support entries crossing shards.
-	SpatialShards  int
-	HaloBytes      int64
-	HaloTime       time.Duration
-	HaloHiddenTime time.Duration
-	EdgeCut        int
-	// Repartitions counts the elastic chunk migrations applied mid-run
-	// (Config.Repartition; 0 when disabled or never triggered).
-	Repartitions int
+	// EdgeCut counts support entries crossing shards in the initial
+	// partition.
+	SpatialShards int
+	EdgeCut       int
 	// Recoveries counts the worker-loss recoveries the run survived
 	// (Config.Faults; 0 when unarmed or fault-free). RecoveryTime is the
 	// modeled time the faults cost: rolled-back progress since the last
@@ -466,10 +432,6 @@ type Report struct {
 	// the gated fault benchmarks report against a fault-free run.
 	Recoveries   int
 	RecoveryTime time.Duration
-	// ShardLoads is the final per-shard structural compute share
-	// (NodeWeights-weighted, sums to 1; nil when unsharded) — after any
-	// elastic repartitioning, so its spread measures the residual skew.
-	ShardLoads []float64
 
 	// PerWorkerBytes is one worker's modeled host footprint (replica +
 	// staging + its data share) for distributed strategies — the quantity
@@ -495,9 +457,6 @@ type Report struct {
 	// Forecasts holds post-training predictions for test snapshots when
 	// Config.EmitForecasts > 0.
 	Forecasts []Forecast
-
-	Steps         int
-	GradSyncBytes int64
 
 	// Trace is the aggregated span/counter summary of the run when
 	// Config.Trace was set (nil otherwise). The full event stream stays in

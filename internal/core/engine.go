@@ -208,11 +208,11 @@ func (e *Engine) open() error {
 	sys, gpu := e.sys, e.gpu
 
 	e.report = &Report{
-		Strategy:    cfg.Strategy,
-		Model:       cfg.Model,
-		Dataset:     meta.Name,
-		Workers:     cfg.Workers,
-		GlobalBatch: cfg.BatchSize * cfg.Workers,
+		Strategy:   cfg.Strategy,
+		Model:      cfg.Model,
+		Dataset:    meta.Name,
+		Workers:    cfg.Workers,
+		Accounting: shard.Accounting{GlobalBatch: cfg.BatchSize * cfg.Workers},
 	}
 
 	// Stage 0/1: raw signal, then time-of-day augmentation (Fig. 3 stage 1).
@@ -725,68 +725,17 @@ func (e *Engine) fitGrid(ctx context.Context) error {
 			if !errors.As(err, &lost) || snap == nil {
 				return err
 			}
-			shards, replicas := cfg.Shards, cfg.Replicas
-			repDead, shDead := lost.Rank/shards, lost.Rank%shards
+			sv := shard.SurvivingGrid(cfg.Shards, cfg.Replicas, lost.Rank, snap.Owner)
 			refill := cfg.Net.FetchTime(snapshotBytes(snap.Params))
-			newShards, newReplicas := shards, replicas
-			owner := snap.Owner
-			ranks := make(map[int]int)
-			switch {
-			case replicas > 1:
-				// Replica loss: the whole replica group containing the dead
-				// rank drops (its shards cannot finish a batch without it);
-				// the partition is untouched and the surviving replica rows
-				// renumber down one.
-				newReplicas = replicas - 1
-				for q := 0; q < replicas; q++ {
-					if q == repDead {
-						continue
-					}
-					nq := q
-					if q > repDead {
-						nq = q - 1
-					}
-					for s := 0; s < shards; s++ {
-						ranks[q*shards+s] = nq*shards + s
-					}
-				}
-			case shards > 1:
-				// Shard loss on a single-replica grid: the dead shard's nodes
-				// re-split round-robin across the survivors (a deterministic
-				// function of the snapshot's owner vector), the row blocks
-				// and halo routing rebuild via ReplanFrom, and the moved
-				// nodes' feature history re-fills over the fabric.
-				newShards = shards - 1
-				owner = make([]int, len(snap.Owner))
-				moved := 0
-				for node, o := range snap.Owner {
-					switch {
-					case o == shDead:
-						owner[node] = moved % newShards
-						moved++
-					case o > shDead:
-						owner[node] = o - 1
-					default:
-						owner[node] = o
-					}
-				}
+			if sv.Shards < cfg.Shards {
+				// The lost shard's nodes re-split across the survivors; the
+				// row blocks and halo routing rebuild via ReplanFrom, and
+				// the moved nodes' feature history re-fills over the fabric.
 				hist := int64(e.idx.Data.Dim(0)) * int64(e.idx.Data.Dim(2)) * 8
-				refill += cfg.Net.FetchTime(int64(moved) * hist)
-				for s := 0; s < shards; s++ {
-					if s == shDead {
-						continue
-					}
-					ns := s
-					if s > shDead {
-						ns = s - 1
-					}
-					ranks[s] = ns
-				}
-			default:
-				newReplicas = 0 // the grid's only worker died
+				refill += cfg.Net.FetchTime(int64(sv.Moved) * hist)
 			}
-			world := newShards * newReplicas
-			next := cfg.Faults.Remap(ranks).Shift(lost.Detected + refill)
+			world := sv.Shards * sv.Replicas
+			next := cfg.Faults.Remap(sv.Ranks).Shift(lost.Detected + refill)
 			if world < 1 || next.Validate(world) != nil {
 				// Unrecoverable: the remaining schedule leaves no survivor;
 				// persist the last consistent epoch state through the shared
@@ -799,7 +748,7 @@ func (e *Engine) fitGrid(ctx context.Context) error {
 				}
 				return fmt.Errorf("core: fit unrecoverable in epoch %d: %w", snap.NextEpoch, lost)
 			}
-			plan, perr := shard.ReplanFrom(e.g, e.trainSupports, newShards, owner)
+			plan, perr := shard.ReplanFrom(e.g, e.trainSupports, sv.Shards, sv.Owner)
 			if perr != nil {
 				return perr
 			}
@@ -807,16 +756,16 @@ func (e *Engine) fitGrid(ctx context.Context) error {
 				// The partitioned layout re-splits the rows over the
 				// survivors (the dead worker's partition re-fills from its
 				// peers; the clock charge is covered by refill).
-				if cfg.Feed.Store, err = batching.NewPartitionStore(e.idx, newReplicas); err != nil {
+				if cfg.Feed.Store, err = batching.NewPartitionStore(e.idx, sv.Replicas); err != nil {
 					return err
 				}
 			}
 			prefix = append(prefix, snap.Curve...)
 			offset = e.bookRecovery(offset, recovery{
 				lost: lost, refill: refill, epoch: snap.NextEpoch,
-				snapVT: snap.VirtualTime, shards: newShards, replicas: newReplicas,
+				snapVT: snap.VirtualTime, shards: sv.Shards, replicas: sv.Replicas,
 			})
-			cfg.Shards, cfg.Replicas = newShards, newReplicas
+			cfg.Shards, cfg.Replicas = sv.Shards, sv.Replicas
 			cfg.Plan = plan
 			cfg.StartEpoch = snap.NextEpoch
 			cfg.Init = snapshotInit(snap.Params, snap.State)
@@ -825,23 +774,9 @@ func (e *Engine) fitGrid(ctx context.Context) error {
 		}
 		e.sys.Record(1.0)
 		report.Workers = cfg.Shards * cfg.Replicas
-		report.GlobalBatch = res.GlobalBatch
+		report.Accounting = res.Accounting
 		report.Curve = append(prefix, res.Curve...)
-		report.VirtualTime = offset + res.VirtualTime
-		report.CommTime = res.CommTime
-		report.CommHiddenTime = res.CommHiddenTime
-		report.CommExposedIntra = res.CommExposedIntra
-		report.CommExposedInter = res.CommExposedInter
-		report.HaloBytes = res.HaloBytes
-		report.HaloTime = res.HaloTime
-		report.HaloHiddenTime = res.HaloHiddenTime
-		report.Repartitions = res.Repartitions
-		report.ShardLoads = res.ShardLoads
-		report.Steps = res.Steps
-		report.GradSyncBytes = res.GradSyncBytes
-		report.CommBytesSaved = res.CommBytesSaved
-		report.GradBuckets = res.GradBuckets
-		report.GradBucketBytes = res.BucketBytes
+		report.VirtualTime += offset
 
 		// The trained parameters are identical on every worker and independent
 		// of the propagators, so they load straight into a full-graph model —

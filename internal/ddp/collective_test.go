@@ -224,12 +224,12 @@ func TestAutotunerLocksACandidate(t *testing.T) {
 	candidates := ddp.AutotuneCandidates(slowFabric, paramBytes)
 	found := false
 	for _, c := range candidates {
-		if res.BucketBytes == c {
+		if res.GradBucketBytes == c {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("chosen bucket size %d not in candidate ladder %v", res.BucketBytes, candidates)
+		t.Fatalf("chosen bucket size %d not in candidate ladder %v", res.GradBucketBytes, candidates)
 	}
 	if res.GradBuckets < 1 {
 		t.Fatalf("bucket count %d", res.GradBuckets)
@@ -239,8 +239,8 @@ func TestAutotunerLocksACandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.BucketBytes != res.BucketBytes {
-		t.Fatalf("autotuner not reproducible: %d vs %d", again.BucketBytes, res.BucketBytes)
+	if again.GradBucketBytes != res.GradBucketBytes {
+		t.Fatalf("autotuner not reproducible: %d vs %d", again.GradBucketBytes, res.GradBucketBytes)
 	}
 	for i := range res.Curve {
 		if res.Curve[i] != again.Curve[i] {
@@ -256,7 +256,7 @@ func TestAutotunerLocksACandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fres.BucketBytes != 2048 {
-		t.Fatalf("fixed run reports bucket bytes %d, want 2048", fres.BucketBytes)
+	if fres.GradBucketBytes != 2048 {
+		t.Fatalf("fixed run reports bucket bytes %d, want 2048", fres.GradBucketBytes)
 	}
 }

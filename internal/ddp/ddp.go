@@ -140,39 +140,6 @@ func ParameterGradBytes(params []*nn.Parameter) int64 {
 	return n
 }
 
-// NewGradSync assembles one worker's bucketed-overlap gradient machinery —
-// the glue the grid trainer (shard.Train) builds on: the per-parameter fp16
-// codec map (nil without compression), the initial OverlapSyncer over the
-// given collective, and, when autotune is set, the first-epoch BucketSweep.
-// bucketBytes <= 0 selects DefaultBucketBytes; the returned cap is the one
-// the initial syncer runs with (the sweep's first candidate under
-// autotune). onLock fires once, on rank 0 only, when the sweep locks its
-// winner.
-func NewGradSync(w *cluster.Worker, net cluster.NetworkModel, params []*nn.Parameter, launch LaunchFunc, fp16, autotune bool, bucketBytes int64, onLock func(bucketBytes int64)) (*BucketSweep, *OverlapSyncer, int64) {
-	if bucketBytes <= 0 {
-		bucketBytes = DefaultBucketBytes
-	}
-	var codecOf CodecMap
-	if fp16 {
-		codecOf = NewCodecMap()
-	}
-	// The codec map outlives any individual syncer, so error-feedback
-	// residuals persist across autotuner re-bucketing.
-	rebuild := func(bb int64) *OverlapSyncer {
-		return NewOverlapSyncer(BucketGrads(params, bb), launch, codecOf)
-	}
-	if autotune {
-		gated := func(bb int64) {
-			if w.Rank() == 0 && onLock != nil {
-				onLock(bb)
-			}
-		}
-		sweep, syncer := NewBucketSweep(w, net, ParameterGradBytes(params), rebuild, gated)
-		return sweep, syncer, sweep.BucketBytes()
-	}
-	return nil, rebuild(bucketBytes), bucketBytes
-}
-
 // GradBucket groups parameters whose gradients travel as one AllReduce.
 type GradBucket struct {
 	Params []*nn.Parameter
@@ -213,10 +180,6 @@ func BucketGrads(params []*nn.Parameter, bucketBytes int64) []GradBucket {
 // survive autotuner re-bucketing (keyed per parameter, the residual is
 // layout-independent). A nil map disables compression.
 type CodecMap map[*autograd.Variable]*cluster.FP16Codec
-
-// NewCodecMap returns an empty codec map (enabling fp16 compression on any
-// syncer built over it).
-func NewCodecMap() CodecMap { return make(CodecMap) }
 
 // LaunchFunc issues one bucket's clock-deferred gradient collective over the
 // already-flattened (and, under fp16, wire-quantized) vector, returning the
@@ -412,19 +375,12 @@ func (s *OverlapSyncer) Timeline(compute, fwdWall, bwdWall time.Duration) []clus
 	return s.events
 }
 
-// Finish converts the step's launch timeline into the overlapped virtual
-// duration: the collectives serialize on one communication channel, each
-// starting no earlier than its Timeline ReadyAt, and the step ends at
-// max(compute, last comm finish). Returns the total step duration and the
-// exposed (non-hidden) communication tail.
-func (s *OverlapSyncer) Finish(compute, fwdWall, bwdWall time.Duration) (step, exposed time.Duration) {
-	step = cluster.OverlapFinish(compute, s.Timeline(compute, fwdWall, bwdWall))
-	return step, step - compute
-}
-
-// ModeledFinish is Finish on the structural timeline (cumulative-elements
-// ready fractions, 1:2 forward/backward split): a measurement-free figure of
-// merit the bucket autotuner can score reproducibly.
+// ModeledFinish is the step's overlapped duration on the structural
+// timeline (cumulative-elements ready fractions, 1:2 forward/backward
+// split): the collectives serialize on one channel, each starting no
+// earlier than its ReadyAt, and the step ends at max(compute, last comm
+// finish) — a measurement-free figure of merit the bucket autotuner can
+// score reproducibly.
 func (s *OverlapSyncer) ModeledFinish(compute time.Duration) time.Duration {
 	fwd := time.Duration((1 - backwardShare) * float64(compute))
 	bwd := compute - fwd

@@ -6,10 +6,17 @@
 // just the boundary ("halo") rows from peer shards — so the node dimension N
 // scales beyond one worker's memory, the axis index-batching alone cannot
 // shrink. The replica axis is data parallelism over internal/ddp's sync
-// machinery. On the full grid gradient AllReduce runs within a shard group
-// and halo exchange within a replica group; a 1 x R grid is plain DDP over
-// the world ring, an S x 1 grid pure spatial sharding, and 1 x 1 a single
-// GPU (what the single-GPU strategies of internal/core train on).
+// machinery. A 1 x R grid is plain DDP, an S x 1 grid pure spatial
+// sharding, and 1 x 1 a single GPU (what internal/core's single-GPU
+// strategies train on).
+//
+// Each rank runs one worker (train.go) whose step is a fixed sequence of
+// phases: poll, fetch, forward/backward, compute charge, overlap charge,
+// gradient schedule, step end. The gradient schedule (schedule.go) is
+// chosen once per worker: flat (one blocking exchange after backward),
+// bucketed (bucket collectives launched mid-backward onto the step's
+// overlap timeline) or stale (the bucketed exchange applied up to Staleness
+// steps late). grid.go holds the rank layout and its inverse after a loss.
 package shard
 
 import (

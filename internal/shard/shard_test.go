@@ -413,11 +413,11 @@ func TestOverlapHidesCommunication(t *testing.T) {
 	if total := overlapped.CommTime + overlapped.CommHiddenTime; total > blocking.CommTime {
 		t.Fatalf("bucketed two-stage total %v exceeds blocking exposure %v", total, blocking.CommTime)
 	}
-	if overlapped.GradBuckets < 1 || overlapped.BucketBytes <= 0 {
-		t.Fatalf("bucketed run reported %d buckets, cap %d", overlapped.GradBuckets, overlapped.BucketBytes)
+	if overlapped.GradBuckets < 1 || overlapped.GradBucketBytes <= 0 {
+		t.Fatalf("bucketed run reported %d buckets, cap %d", overlapped.GradBuckets, overlapped.GradBucketBytes)
 	}
-	if blocking.GradBuckets != 1 || blocking.BucketBytes != 0 {
-		t.Fatalf("flatten run reported %d buckets, cap %d", blocking.GradBuckets, blocking.BucketBytes)
+	if blocking.GradBuckets != 1 || blocking.GradBucketBytes != 0 {
+		t.Fatalf("flatten run reported %d buckets, cap %d", blocking.GradBuckets, blocking.GradBucketBytes)
 	}
 }
 
@@ -443,8 +443,8 @@ func TestHybridFP16AndAutotune(t *testing.T) {
 	if a.CommBytesSaved <= 0 {
 		t.Fatalf("fp16 saved no wire bytes: %d", a.CommBytesSaved)
 	}
-	if locked <= 0 || a.BucketBytes != locked {
-		t.Fatalf("autotuner lock: hook saw %d, result says %d", locked, a.BucketBytes)
+	if locked <= 0 || a.GradBucketBytes != locked {
+		t.Fatalf("autotuner lock: hook saw %d, result says %d", locked, a.GradBucketBytes)
 	}
 	b, err := Train(data, split, g, supports, model, cfg)
 	if err != nil {

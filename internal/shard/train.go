@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"pgti/internal/autograd"
@@ -31,56 +30,35 @@ type HaloSyncMode int
 
 // The two halo schedules.
 const (
-	// HaloSyncOverlap (default) is the interior-first split-phase schedule:
-	// each ShardSpMM launches its halo exchange, multiplies the rows whose
-	// columns all fall in [own] while the bytes are in flight, and finishes
-	// the frontier rows once the halo lands (mirrored in backward under the
-	// reverse scatter-add exchange). The step's virtual clock charges
-	// max(compute, pipelined comm) via cluster.OverlapFinish; results are
-	// bitwise identical to the blocking schedule.
+	// HaloSyncOverlap (default) is interior-first: each ShardSpMM launches
+	// its halo exchange, multiplies the rows whose columns are all owned
+	// while the bytes fly, and finishes the frontier rows once the halo
+	// lands (mirrored in backward). Results are bitwise those of blocking.
 	HaloSyncOverlap HaloSyncMode = iota
-	// HaloSyncBlocking is the gather-then-multiply baseline: every exchange
-	// blocks before the local SpMM and its full modeled cost is exposed on
-	// the clock. Kept for ablation benchmarks.
+	// HaloSyncBlocking gathers, then multiplies, exposing every exchange's
+	// full cost. Kept for ablation benchmarks.
 	HaloSyncBlocking
 )
 
-// String implements fmt.Stringer.
-func (m HaloSyncMode) String() string {
-	if m == HaloSyncBlocking {
-		return "blocking"
-	}
-	return "overlap"
-}
-
 // Feed is how a worker's batches reach its device and what each one costs on
-// the virtual clock. At most one transfer may be configured; it is charged
-// inline, fully exposed, ahead of the step. The zero value assembles locally
-// for free.
+// the virtual clock: at most one transfer, charged inline and fully exposed
+// ahead of the step. The zero value assembles locally for free.
 type Feed struct {
-	// Remote models the baseline-DDP data path: every batch is fetched on
-	// demand through the data service, over the fabric. Needs Shards == 1.
+	// Remote fetches every batch over the fabric (baseline DDP; Shards == 1).
 	Remote bool
-	// Store, when set, partitions the data rows across the replicas
-	// (generalized-distributed-index-batching, §5.4): batches are assembled
-	// through the store and only rows outside the replica's partition are
-	// charged as remote traffic. Needs Shards == 1.
+	// Store partitions the data rows across the replicas (§5.4): only rows
+	// outside the replica's partition travel as remote traffic (Shards == 1).
 	Store *batching.PartitionStore
-	// Device, when set, models a host-resident dataset: every locally
-	// assembled batch takes a pageable host-to-device copy priced by the
-	// device's transfer model, and its bytes sit on the device's tracker
-	// (label "batch.transient") for the length of the step — the per-batch
-	// cost GPU-index-batching eliminates (§4.1).
+	// Device models a host-resident dataset: every batch takes a pageable
+	// host-to-device copy and sits on the device's tracker (label
+	// "batch.transient") for the step — the cost GPU-index-batching removes.
 	Device *device.Device
 }
 
-// Config parameterizes a training run on a Shards x Replicas process grid.
-// Either axis degenerates at 1: a 1 x R grid is plain data-parallel training
-// (no halo traffic, the world ring or hierarchical AllReduce), an S x 1 grid
-// is pure spatial sharding, and 1 x 1 is a single worker. Rank layout: rank =
-// replica*Shards + shard, so each replica group is a contiguous rank block
-// (halo neighbours land on the same simulated node under a matching
-// Topology) and each shard group is a stride-Shards comb.
+// Config parameterizes a training run on a Shards x Replicas process grid
+// (rank layout: see groups). Either axis degenerates at 1: a 1 x R grid is
+// plain data-parallel training, an S x 1 grid pure spatial sharding, and
+// 1 x 1 a single worker.
 type Config struct {
 	Shards   int
 	Replicas int
@@ -113,59 +91,44 @@ type Config struct {
 	// compute time; each shard is charged its owned-node share. When nil,
 	// real elapsed time is charged.
 	ComputeCost func(batchItems int) time.Duration
-	// Prefetch pipelines batch assembly against the training step: a
-	// double-buffered background collator assembles batch T+1 while batch T
-	// runs forward/backward (exactly one batch deep). Batch contents are
-	// bitwise identical to the serial path, so training curves do not
-	// change; with the windows resident at step start, the first forward
-	// halo exchange also launches immediately instead of at its measured
-	// compute offset. Ignored when Feed.Store supplies the data (its fetches
-	// are the pipeline's bottleneck, not local collation).
+	// Prefetch pipelines batch assembly one batch deep against the step,
+	// bitwise identical to the serial path; with the windows resident at
+	// step start, the first forward halo exchange launches immediately.
+	// Ignored when Feed.Store supplies the data.
 	Prefetch bool
 	// AssembleCost, when set, supplies the modeled host-side collation time
 	// of one batch. Serial runs expose it ahead of every step; under
 	// Prefetch the next batch's assembly runs under the current step and
 	// only the epoch's leading assembly is exposed. Ignored with Feed.Store.
 	AssembleCost func(batchItems int) time.Duration
-	// Staleness bounds the gradient pipeline depth: when K > 0 (bucketed
-	// sync only), the collective still launches every step, but the
-	// optimizer applies each synchronized gradient up to K steps late with
-	// the staleness-compensated extrapolation g + K*(g - g_prev), so the
-	// sync cost hides under the following K steps' compute instead of the
-	// step's own tail. The queue drains at epoch end (and on cancellation),
-	// so every gradient is applied exactly once and replicas stay bitwise
-	// identical; zero keeps the synchronous schedule.
+	// Staleness K > 0 selects the stale schedule (bucketed sync only): the
+	// collective still launches every step, but each synchronized gradient
+	// applies K steps late as g + K*(g - g_prev), so the sync hides under
+	// the next K steps' compute. The queue drains at epoch end and on
+	// cancellation, so every gradient applies exactly once.
 	Staleness int
 	// Plan, when set, supplies a prebuilt partition (callers that need the
 	// shard sizes up front, e.g. for memory accounting, build it once and
 	// pass it in). When nil, Train builds it from the graph.
 	Plan *Plan
-	// Repartition enables elastic chunk-based repartitioning: at each epoch
-	// boundary the grid agrees on a per-shard load vector (accumulated step
-	// compute) and, past the threshold, migrates a chunk of nodes from the
-	// heaviest shard to the lightest, rebuilding row blocks and halo routing
-	// in place (see Repartition). Zero value keeps the partition static.
+	// Repartition enables elastic chunk migration from the heaviest shard to
+	// the lightest at epoch boundaries (see Repartition); the zero value
+	// keeps the partition static.
 	Repartition Repartition
-	// NodeWeights, when set with ComputeCost, scales each shard's structural
-	// compute charge by its owned share of the total node weight instead of
-	// its node-count share — the skew-injection hook the repartition tests
-	// and benchmarks use (len must equal the graph's node count). Loss
-	// weighting keeps the node-count share, so training results are
-	// unchanged.
+	// NodeWeights, with ComputeCost, charges each shard its share of the
+	// total node weight instead of its node-count share (skew injection;
+	// one per node). Losses keep the node-count share.
 	NodeWeights []float64
 	// OnRepartition fires on rank 0 after each applied chunk migration.
 	OnRepartition func(ev RepartitionEvent)
 
-	// Algo selects the gradient exchange. ddp.GradAlgoRing (default)
-	// partitions the gradients into size-capped buckets and launches each
-	// bucket's collective from the timed gradient-ready hooks mid-backward,
-	// folding the modeled cost into the step's overlap timeline; the grid
-	// shape picks the collective — the world ring at Shards == 1, the
-	// two-stage replica-group sum then shard-group mean otherwise.
-	// ddp.GradAlgoHierarchical is the same schedule over the node-aware
-	// world AllReduce (Shards == 1 only; the two-stage collective is already
-	// topology-priced). ddp.GradAlgoFlat is the blocking baseline: one
-	// flattened exchange after backward, fully exposed.
+	// Algo selects the gradient schedule with the world size and Staleness
+	// (see newSchedule). ddp.GradAlgoRing (default) launches size-capped
+	// bucket collectives mid-backward onto the step's overlap timeline — the
+	// world ring at Shards == 1, the two-stage replica-group sum then
+	// shard-group mean otherwise; ddp.GradAlgoHierarchical does so over the
+	// node-aware world AllReduce (Shards == 1 only); ddp.GradAlgoFlat is the
+	// blocking baseline, one flattened exchange after backward.
 	Algo ddp.GradAlgo
 	// HaloSync selects the halo-exchange schedule (default interior-first
 	// overlap; see HaloSyncMode).
@@ -189,12 +152,9 @@ type Config struct {
 	// collectives, so a traced run is bitwise identical to an untraced one.
 	Trace *trace.Recorder
 
-	// Ctx, when cancellable (Ctx.Done() != nil), is polled once per step
-	// through an agreed scalar collective so every worker of the grid stops
-	// at the same step: training returns cleanly mid-epoch with
-	// Result.Cancelled set and the curve of completed epochs. A nil or
-	// non-cancellable context (e.g. context.Background) adds no per-step
-	// collective, keeping the plain path's virtual timeline untouched.
+	// Ctx, when cancellable, is polled once per step through an agreed,
+	// clock-free scalar collective, so the grid stops at the same step with
+	// Result.Cancelled set and the completed epochs' curve.
 	Ctx context.Context
 	// StartEpoch is the absolute index of the first epoch to run (resume);
 	// the loop covers epochs [StartEpoch, Epochs).
@@ -205,24 +165,19 @@ type Config struct {
 	Init func(model nn.SeqModel, opt *nn.Adam) error
 	// OnEpoch streams each completed epoch's record from rank 0.
 	OnEpoch func(rec metrics.EpochRecord)
-	// Faults, when set, arms the grid with a deterministic fault plan (see
-	// internal/fault): scheduled crashes abort the run with a typed
-	// *cluster.WorkerLostError once the survivors agree on the loss,
-	// straggler windows inflate the affected rank's step compute, and
-	// link-degrade windows inflate every modeled transfer. An armed but
+	// Faults arms the grid with a deterministic fault plan: crashes abort
+	// with a typed *cluster.WorkerLostError once the survivors agree,
+	// stragglers inflate step compute, link degrades every transfer. An
 	// empty plan is bitwise identical to nil.
 	Faults *fault.Plan
-	// OnSnapshot, when set, streams a consistent epoch-boundary capture of
-	// rank 0's replica (parameters, optimizer state, curve, owner vector,
-	// clock) — the recovery anchor a fault-armed caller rolls back to. An
-	// initial capture fires before the first epoch.
+	// OnSnapshot streams rank 0's epoch-boundary captures, the recovery
+	// anchors (the first fires before the first epoch).
 	OnSnapshot func(snap Snapshot)
 }
 
-// Snapshot is a consistent epoch-boundary capture of a hybrid run: enough
-// state to restart training at NextEpoch on any grid and reproduce the
-// continuation bitwise (parameters and optimizer moments are identical on
-// every worker at epoch boundaries, so rank 0's copy is the global state).
+// Snapshot is a consistent epoch-boundary capture: enough state to restart
+// training at NextEpoch on any grid and continue bitwise (every worker
+// holds the same parameters and moments at the boundary).
 type Snapshot struct {
 	// NextEpoch is the absolute index of the first epoch a restart from this
 	// snapshot runs.
@@ -240,91 +195,126 @@ type Snapshot struct {
 	VirtualTime time.Duration
 }
 
-// Result summarizes a grid run.
-type Result struct {
+// Accounting is a run's clock and traffic ledger as worker 0 books it, the
+// block Result and core.Report share.
+type Accounting struct {
 	Curve metrics.Curve
-	// VirtualTime is worker 0's synchronized virtual clock at completion.
-	VirtualTime time.Duration
-	// CommTime is the *exposed* modeled communication (gradient
-	// synchronization plus remote data fetches) from worker 0's perspective
-	// — bucketed-overlap cost hidden under compute does not appear here;
-	// halo traffic is reported separately.
-	CommTime time.Duration
-	// CommHiddenTime is the modeled gradient-sync cost the bucketed overlap
-	// hid under step compute (zero for ddp.GradAlgoFlat).
+	// VirtualTime is the synchronized clock at completion: per step,
+	// assembly, forward and backward (measured, or ComputeCost/AssembleCost)
+	// plus the communication the step exposed. CommTime is that exposed
+	// part (gradient sync, remote fetches, host-to-device copies; halo apart)
+	// and CommHiddenTime the gradient sync the bucketed overlap hid.
+	VirtualTime    time.Duration
+	CommTime       time.Duration
 	CommHiddenTime time.Duration
-	// HaloTime / HaloBytes are worker 0's modeled halo-exchange cost and
-	// wire traffic across forward and backward passes; HaloHiddenTime is
-	// the portion of HaloTime the interior-first overlap hid under compute
-	// (zero for HaloSyncBlocking).
+	// CommExposedIntra / CommExposedInter split the exposed communication
+	// by channel; the tails run concurrently, so they can sum past the total.
+	CommExposedIntra time.Duration
+	CommExposedInter time.Duration
+	// HaloTime / HaloBytes are the modeled halo cost and wire traffic;
+	// HaloHiddenTime is the part the interior-first overlap hid.
 	HaloTime       time.Duration
 	HaloHiddenTime time.Duration
 	HaloBytes      int64
-	// CommExposedIntra / CommExposedInter split worker 0's exposed
-	// communication by modeled channel: each is the time that channel's
-	// traffic (halo or gradient) extended past compute or was charged
-	// inline. The two tails run concurrently, so their sum can exceed the
-	// total exposed time (which is the per-step max, not the sum).
-	CommExposedIntra time.Duration
-	CommExposedInter time.Duration
-	// GradSyncBytes is worker 0's gradient wire traffic (per bucketed
-	// collective: the bucket's wire size, compressed under FP16; per
-	// flatten collective: the full vector's wire size).
-	GradSyncBytes int64
-	// CommBytesSaved is the gradient traffic avoided by fp16 compression.
-	CommBytesSaved int64
-	// GradBuckets is the per-step gradient bucket count (1 for
-	// ddp.GradAlgoFlat); BucketBytes is the effective bucket cap (the
-	// autotuned winner when AutoTuneBuckets is set, 0 for ddp.GradAlgoFlat).
-	GradBuckets int
-	BucketBytes int64
-	Steps       int
-	GlobalBatch int
-	Shards      int
-	Replicas    int
-	// EdgeCut, MaxOwn and MaxHalo describe the initial partition
-	// (halo-traffic and memory-balance proxies; MaxOwn ~ ceil(N/Shards)).
-	EdgeCut, MaxOwn, MaxHalo int
-	// Repartitions counts the elastic chunk migrations applied during the
-	// run (0 when Config.Repartition is disabled or never triggered).
+	// GradSyncBytes is the gradient wire traffic (compressed under FP16),
+	// CommBytesSaved what fp16 avoided. GradBuckets is the per-step bucket
+	// count and GradBucketBytes the effective (autotuned) cap: 1 and 0 for
+	// the flat schedule.
+	GradSyncBytes   int64
+	CommBytesSaved  int64
+	GradBuckets     int
+	GradBucketBytes int64
+	// GlobalBatch is BatchSize * Replicas.
+	Steps        int
+	GlobalBatch  int
 	Repartitions int
-	// ShardLoads is the final per-shard structural compute share
-	// (NodeWeights-weighted when weights are set, node-count otherwise,
-	// summing to 1; nil at Shards == 1). The spread max/min over it is the
-	// load-balance figure the gated repartition bench reports: elastic
-	// migration must leave it tighter than the loads it started from.
+	// ShardLoads is the final per-shard structural compute share (summing to
+	// 1; nil at Shards == 1): its spread is the skew left after
+	// repartitioning.
 	ShardLoads []float64
-	// Model and Opt are rank 0's trained replica (over shard 0's
-	// propagators) and optimizer. Parameters are identical on every worker
-	// and propagator-independent, so they load into a full-graph model of
-	// the same architecture.
+}
+
+// Result summarizes a grid run.
+type Result struct {
+	Accounting
+	// EdgeCut and MaxOwn describe the partition the run started from
+	// (halo-traffic and memory-balance proxies).
+	EdgeCut, MaxOwn int
+	// Model and Opt are rank 0's replica and optimizer; the parameters are
+	// propagator-independent, so they load into a full-graph model.
 	Model nn.SeqModel
 	Opt   *nn.Adam
-	// Cancelled reports that Config.Ctx was cancelled and the grid stopped
-	// at an agreed step.
+	// Cancelled reports that Config.Ctx stopped the grid at an agreed step.
 	Cancelled bool
 }
 
 // Train runs the grid trainer, the repo's one step loop (a single GPU is the
-// 1x1 grid; Feed, Loss and the batching.Source carry what tells the
-// strategies apart): the
-// graph is partitioned into cfg.Shards node blocks, each of cfg.Replicas data
-// replicas is spread over one replica group of shard workers, halo rows
-// travel within replica groups during forward/backward, and gradients are
-// summed across each replica group then averaged across shard groups. At
-// Shards == 1 the spatial stages vanish — one part owns every node, the
-// model propagates over the full CSR supports, and the gradient collective is
-// the world ring (or hierarchical) AllReduce: plain DDP. A sharded run
-// matches the unsharded one within floating-point reassociation.
-//
-// By default both communication legs overlap with compute: halo exchanges
-// run interior-first (HaloSyncOverlap) and gradient buckets launch
-// mid-backward (ddp.GradAlgoRing); the virtual clock charges each step
-// max(compute, pipelined comm) with every launch serialized on its modeled
-// communication channel. The blocking schedules remain selectable for
-// ablation and are bitwise-equivalent in training results where the
-// collective chunking coincides (the halo schedules always are).
+// 1x1 grid; Feed, Loss and the batching.Source tell the strategies apart).
+// It validates cfg, builds the partition and the simulated cluster, and runs
+// one worker per rank: every worker steps through the same fixed phases,
+// with its gradient schedule — flat, bucketed or stale — chosen once (see
+// newSchedule). The graph is partitioned into cfg.Shards node blocks, each of
+// cfg.Replicas data replicas spans one replica group of shard workers, halo
+// rows travel within replica groups during forward/backward, and gradients
+// are summed across each replica group then averaged across shard groups. At
+// Shards == 1 the spatial stages vanish and the collective is the world ring
+// (or hierarchical) AllReduce: plain DDP. A sharded run matches the
+// unsharded one within floating-point reassociation. By default both
+// communication legs overlap with compute and the clock charges each step
+// max(compute, pipelined comm); the blocking schedules remain for ablation.
+// Every worker must end with identical parameters; the Result is rank 0's.
 func Train(data batching.Source, split batching.Split, g *graph.Graph, supports []*sparse.CSR, factory ModelFactory, cfg Config) (*Result, error) {
+	j, err := newJob(data, split, g, supports, factory, cfg)
+	if err != nil {
+		return nil, err
+	}
+	clu, err := cluster.New(cluster.Config{Workers: j.world, Net: cfg.Net, Faults: cfg.Faults})
+	if err != nil {
+		return nil, err
+	}
+	j.net = clu.Net()
+	workers := make([]*worker, j.world)
+	err = clu.Run(func(w *cluster.Worker) error {
+		wk, err := newWorker(j, w)
+		if err != nil {
+			return err
+		}
+		defer wk.close()
+		workers[w.Rank()] = wk
+		return wk.run()
+	})
+	if err != nil {
+		return nil, err
+	}
+	for r := 1; r < j.world; r++ {
+		if workers[r].checksum != workers[0].checksum {
+			return nil, fmt.Errorf("shard: divergence: rank %d checksum %v vs rank 0 %v", r, workers[r].checksum, workers[0].checksum)
+		}
+	}
+	return &workers[0].res, nil
+}
+
+// job is one Train call's validated configuration and what it derives for
+// every worker alike.
+type job struct {
+	cfg                                         Config
+	data                                        batching.Source
+	split                                       batching.Split
+	g                                           *graph.Graph
+	supports                                    []*sparse.CSR
+	factory                                     ModelFactory
+	initPlan                                    *Plan
+	loss                                        func(pred *autograd.Variable, target *tensor.Tensor) *autograd.Variable
+	std, lr, totalWeight                        float64
+	world, entries, features                    int
+	pairBytes                                   int64 // one snapshot's x and y windows
+	net                                         cluster.NetworkModel
+	sharded, prefetch, haloOverlap, cancellable bool
+}
+
+// newJob validates cfg against the data and graph and resolves the plan,
+// loss and learning rate.
+func newJob(data batching.Source, split batching.Split, g *graph.Graph, supports []*sparse.CSR, factory ModelFactory, cfg Config) (*job, error) {
 	if cfg.Shards < 1 || cfg.Replicas < 1 {
 		return nil, fmt.Errorf("shard: need >= 1 shard and replica, got %dx%d", cfg.Shards, cfg.Replicas)
 	}
@@ -355,11 +345,6 @@ func Train(data batching.Source, split batching.Split, g *graph.Graph, supports 
 	if sharded && (feed.Store != nil || feed.Remote || cfg.Algo == ddp.GradAlgoHierarchical) {
 		return nil, fmt.Errorf("shard: Store, Remote and the hierarchical AllReduce need Shards == 1, got %d", cfg.Shards)
 	}
-	lossFn := cfg.Loss
-	if lossFn == nil {
-		lossFn = autograd.MAELoss
-	}
-	_, std := data.Norm()
 	if err := cfg.Repartition.Validate(); err != nil {
 		return nil, err
 	}
@@ -384,881 +369,583 @@ func Train(data batching.Source, split batching.Split, g *graph.Graph, supports 
 	if err := cfg.Faults.Validate(world); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	clu, err := cluster.New(cluster.Config{Workers: world, Net: cfg.Net, Faults: cfg.Faults})
-	if err != nil {
-		return nil, err
+	j := &job{
+		cfg: cfg, data: data, split: split, g: g, supports: supports, factory: factory,
+		initPlan: plan, loss: cfg.Loss, lr: cfg.LR, world: world, entries: entries, features: features,
+		pairBytes: int64(2*horizon) * int64(nodes) * int64(features) * 8,
+		sharded:   sharded, prefetch: cfg.Prefetch && feed.Store == nil,
+		haloOverlap: cfg.HaloSync == HaloSyncOverlap, cancellable: cfg.Ctx != nil && cfg.Ctx.Done() != nil,
 	}
-	lr := cfg.LR
-	if lr <= 0 {
-		lr = 0.01
+	if j.loss == nil {
+		j.loss = autograd.MAELoss
+	}
+	_, j.std = data.Norm()
+	if j.lr <= 0 {
+		j.lr = 0.01
 	}
 	if cfg.UseLRScaling {
-		lr = nn.ScaleLR(lr, cfg.Replicas)
+		j.lr = nn.ScaleLR(j.lr, cfg.Replicas)
 	}
-
-	type workerOut struct {
-		curve        metrics.Curve
-		vt           time.Duration
-		comm         time.Duration
-		commHidden   time.Duration
-		halo         Stats
-		expCh        [cluster.NumChannels]time.Duration
-		gradBytes    int64
-		savedBytes   int64
-		buckets      int
-		bucketBytes  int64
-		steps        int
-		repartitions int
-		loads        []float64
-		checksum     float64
-		cancelled    bool
-		model        nn.SeqModel
-		opt          *nn.Adam
+	for _, nw := range cfg.NodeWeights {
+		j.totalWeight += nw
 	}
-	outs := make([]workerOut, world)
-	globalN := g.N
-	cancellable := cfg.Ctx != nil && cfg.Ctx.Done() != nil
-	haloOverlap := cfg.HaloSync == HaloSyncOverlap
-	// Bucketed overlap only pays off with real peers; a single worker has
-	// nothing to exchange and keeps the plain path.
-	bucketed := cfg.Algo != ddp.GradAlgoFlat && world > 1
-	prefetch := cfg.Prefetch && feed.Store == nil
-	net := clu.Net()
-
-	runErr := clu.Run(func(w *cluster.Worker) error {
-		rank := w.Rank()
-		rep, sh := rank/cfg.Shards, rank%cfg.Shards
-		replicaGroup := make([]int, cfg.Shards)
-		for i := range replicaGroup {
-			replicaGroup[i] = rep*cfg.Shards + i
-		}
-		shardGroup := make([]int, cfg.Replicas)
-		for i := range shardGroup {
-			shardGroup[i] = i*cfg.Shards + sh
-		}
-		// The plan is worker-local state once repartitioning can replace it
-		// mid-run; the shared outer plan is never mutated.
-		myPlan := plan
-		sp := myPlan.Parts[sh]
-		// fracOf splits the shard's two shares: the loss weight is always the
-		// node-count share (Σ shard losses must equal the global mean
-		// exactly), while the structural compute charge uses the NodeWeights
-		// share when skew is injected.
-		var totalWeight float64
-		for _, nw := range cfg.NodeWeights {
-			totalWeight += nw
-		}
-		fracOf := func(own []int) (lossFrac, computeFrac float64) {
-			lossFrac = float64(len(own)) / float64(globalN)
-			computeFrac = lossFrac
-			if cfg.NodeWeights != nil && totalWeight > 0 {
-				s := 0.0
-				for _, u := range own {
-					s += cfg.NodeWeights[u]
-				}
-				computeFrac = s / totalWeight
-			}
-			return lossFrac, computeFrac
-		}
-		ownFrac, computeFrac := fracOf(sp.Own)
-		tw := cfg.Trace.Worker(rank)
-		cfg.Trace.NameWorker(rank, fmt.Sprintf("train rank %d (replica %d, shard %d)", rank, rep, sh))
-		stats := &Stats{PinFirstLaunch: cfg.Prefetch, Trace: tw}
-		// A part that owns the whole graph has no halo to route: it
-		// propagates over the full supports, batches feed the model without
-		// the owned-node gather, and metrics weigh samples alone. A shard
-		// weighs each sample by the nodes it saw of it, so unequal shards
-		// average correctly (on the whole graph the node count would cancel,
-		// though not bitwise).
-		props := nn.WrapSupports(supports)
-		own := func(t *tensor.Tensor) *tensor.Tensor { return t }
-		weight := func(items int) int { return items }
-		if sharded {
-			props = Propagators(w, replicaGroup, sp, cfg.Topology, stats, haloOverlap)
-			own = func(t *tensor.Tensor) *tensor.Tensor { return gatherNodeAxis(t, sp.Own) }
-			weight = func(items int) int { return items * len(sp.Own) }
-		}
-		model := factory(cfg.Seed, props)
-		params := model.Parameters()
-		opt := nn.NewAdam(model, lr)
-		if cfg.Init != nil {
-			if err := cfg.Init(model, opt); err != nil {
-				return fmt.Errorf("shard: rank %d init: %w", rank, err)
-			}
-		}
-		// Epoch-boundary snapshot stream (rank 0 only): parameters and
-		// optimizer moments are identical on every worker at the boundary, so
-		// rank 0's copy plus the current owner vector is the full recovery
-		// anchor. The initial capture below anchors a crash inside the first
-		// epoch.
-		capture := func(nextEpoch int, curve metrics.Curve) {
-			if rank != 0 || cfg.OnSnapshot == nil {
-				return
-			}
-			cfg.OnSnapshot(Snapshot{
-				NextEpoch:   nextEpoch,
-				Params:      nn.SnapshotParams(model),
-				State:       nn.CaptureTrainState(opt, nextEpoch),
-				Curve:       append(metrics.Curve(nil), curve...),
-				Owner:       append([]int(nil), myPlan.Owner...),
-				VirtualTime: w.VirtualTime(),
-			})
-		}
-		capture(cfg.StartEpoch, nil)
-		sampler := ddp.NewSampler(cfg.Sampler, split.Train, cfg.BatchSize, cfg.Replicas, rep, cfg.Seed)
-		// This replica's validation batches, fixed for the whole run (the
-		// split never changes; only the owned-node slice evaluated per batch
-		// does, and that is read from sp at eval time).
-		evalLo, evalHi := batching.PartitionRange(len(split.Val), cfg.Replicas, rep)
-		evalBatches := batching.Batches(split.Val[evalLo:evalHi], cfg.BatchSize)
-		// The train loop's batches live in the prefetcher's double buffer (or
-		// buf on the serial path); evaluation gets its own buffer so eval
-		// assembly never clobbers a slot the train pipeline still owns.
-		var buf, evalBuf batching.BatchBuffer
-		var gradBuf []float64
-		var flatCodec cluster.FP16Codec
-		var comm, commHidden time.Duration
-		var gradBytes, savedBytes int64
-		var curve metrics.Curve
-		steps := 0
-		moves := 0
-
-		// The overlap-timeline channels this rank's collectives occupy: halo
-		// exchanges stay within the replica group, gradient buckets cross the
-		// shard group. Under a flat topology both map to the single fabric
-		// channel and the step charge degenerates to the legacy serialized
-		// timeline.
-		haloCh := cfg.Topology.GroupChannel(world, replicaGroup)
-		stats.Channel = haloCh
-		// The gradient collective follows from the grid shape: a whole-graph
-		// grid reduces over the world ring (or its node-aware hierarchical
-		// form), both priced on the fabric; a sharded grid sums across the
-		// replica group (reduce-scatter), means across the shard group (chunk
-		// allreduce) and allgathers back.
-		gradCh := cluster.ChannelInter
-		collective := w.AsyncRingAllReduceMeanSized
-		switch {
-		case sharded:
-			gradCh = cfg.Topology.GroupChannel(world, shardGroup)
-			collective = func(vec []float64, wireBytes int64) time.Duration {
-				return w.AsyncTwoStageAllReduce(vec, replicaGroup, shardGroup, wireBytes, cfg.Topology)
-			}
-		case cfg.Algo == ddp.GradAlgoHierarchical:
-			collective = func(vec []float64, wireBytes int64) time.Duration {
-				return w.AsyncHierarchicalAllReduceMeanSized(vec, cfg.Topology, wireBytes)
-			}
-		}
-		// Per-channel exposed communication (the Result split and the
-		// comm.exposed.{intra,inter} counters).
-		var expCh [cluster.NumChannels]time.Duration
-
-		// One prefetcher per epoch; closed on every exit path (the deferred
-		// close covers error returns and cancellation). The eval prefetcher
-		// spins up under the epoch's last train step so the first validation
-		// batch is resident when the tail eval pass begins.
-		// Byte volume of one snapshot's x and y windows.
-		pairBytes := int64(2*horizon) * int64(nodes) * int64(features) * 8
-		var pf, evalPf *batching.Prefetcher
-		defer func() {
-			if pf != nil {
-				pf.Close()
-			}
-			if evalPf != nil {
-				evalPf.Close()
-			}
-		}()
-
-		// The bucketed syncer launches the collective per bucket. The wall
-		// time spent blocked inside it is booked against the step so the halo
-		// launch offsets measure compute only (the syncer's own CommWall
-		// symmetrically keeps bucket offsets clean of halo blocking below).
-		launch := func(vec []float64, wireBytes int64) time.Duration {
-			t0 := time.Now()
-			cost := collective(vec, wireBytes)
-			stats.stepBlocked += time.Since(t0)
-			return cost
-		}
-		var bucketBytes int64
-		var syncer *ddp.OverlapSyncer
-		var sweep *ddp.BucketSweep
-		if bucketed {
-			sweep, syncer, bucketBytes = ddp.NewGradSync(w, net, params, launch, cfg.FP16, cfg.AutoTuneBuckets, cfg.BucketBytes, cfg.OnAutotuneLock)
-		}
-
-		// Bounded-staleness pipeline state (see Config.Staleness): each step's
-		// synchronized gradient is queued with the absolute virtual time its
-		// collectives finish on the persistent gradient engine; the optimizer
-		// applies the queue head once it is K steps old. All ranks hold
-		// bitwise-identical queues (the exchange itself is synchronous — only
-		// the application is deferred), preserving the replica invariant.
-		K := cfg.Staleness
-		stale := K > 0 && bucketed
-		type pendingGrad struct {
-			vec    []float64
-			finish time.Duration
-		}
-		var staleQ []pendingGrad
-		var freeVecs [][]float64
-		var lastApplied, staleComp []float64
-		var gradChanFree time.Duration
-		applyStale := func(g []float64) {
-			comp := g
-			if lastApplied != nil {
-				// Staleness compensation: extrapolate the delayed gradient K
-				// steps forward along its last observed change, first-order
-				// correcting for the weights having moved since it was
-				// computed. The first application has no history and applies
-				// the gradient as-is.
-				if cap(staleComp) < len(g) {
-					staleComp = make([]float64, len(g))
-				}
-				staleComp = staleComp[:len(g)]
-				kf := float64(K)
-				for i := range g {
-					staleComp[i] = g[i] + kf*(g[i]-lastApplied[i])
-				}
-				comp = staleComp
-			}
-			ddp.UnflattenGrads(params, comp)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(model, cfg.ClipNorm)
-			}
-			opt.Step()
-			if lastApplied != nil {
-				freeVecs = append(freeVecs, lastApplied)
-			}
-			lastApplied = g
-		}
-
-		cancelled := false
-		for epoch := cfg.StartEpoch; epoch < cfg.Epochs; epoch++ {
-			batches := sampler.EpochBatches(epoch)
-			stepsThisEpoch := int(w.AllReduceScalar(float64(len(batches)), cluster.OpMin))
-			if prefetch {
-				pf = batching.NewPrefetcher(data, batches[:stepsThisEpoch])
-			}
-			var trainAcc metrics.Running
-			// epochCompute is the structural per-step charge (blind to
-			// straggler scaling); epochMeasured is the scaled charge the clock
-			// actually advanced by — the same quantity the trace compute spans
-			// record. Repartition.Measured selects which one feeds the
-			// epoch-boundary load vector.
-			var epochCompute, epochMeasured time.Duration
-			for s := 0; s < stepsThisEpoch; s++ {
-				if cancellable {
-					// Agree on cancellation before the step starts: every
-					// worker stops at the same step, so no collective is
-					// left half-issued. The poll is clock-free, so a
-					// cancellable run keeps a plain run's modeled timeline.
-					flag := 0.0
-					if cfg.Ctx.Err() != nil {
-						flag = 1
-					}
-					if w.AllReduceScalarFree(flag, cluster.OpMax) > 0 {
-						cancelled = true
-						break
-					}
-				}
-				// Crash detection rides the same agreed step boundary: every
-				// rank returns the same typed error.
-				if err := w.FaultPoll(); err != nil {
-					return err
-				}
-				idx := batches[s]
-				var x, y *tensor.Tensor
-				// The feed's per-batch transfer charges inline, fully exposed,
-				// ahead of the step: remote rows over the fabric, or the whole
-				// batch over the host-device link.
-				var fetchBytes int64
-				var fetchCost time.Duration
-				fetchName, fetchCh := "fetch.batch", cluster.ChannelInter
-				switch {
-				case feed.Store != nil:
-					fetchName = "fetch.boundary"
-					x, y, _, fetchBytes = feed.Store.FetchBatch(rep, idx, &buf)
-					fetchCost = net.FetchTime(fetchBytes)
-				case feed.Remote:
-					fetchBytes = int64(len(idx)) * pairBytes
-					fetchCost = net.FetchTime(fetchBytes)
-				case feed.Device != nil:
-					fetchName, fetchCh = "fetch.h2d", cluster.ChannelIntra
-					fetchBytes = int64(len(idx)) * pairBytes
-					var err error
-					if fetchCost, err = feed.Device.Transfer("batch.transient", fetchBytes); err != nil {
-						return err
-					}
-				}
-				if fetchBytes > 0 {
-					tw.Span(trace.KindFetch, fetchName, commStream(fetchCh), w.VirtualTime(), fetchCost, fetchBytes)
-					tw.Span(trace.KindExposed, fetchName, trace.StreamExposed, w.VirtualTime(), fetchCost, 0)
-					if feed.Device != nil {
-						w.AdvanceTime(fetchCost) // off the fabric: no link-degrade scaling
-					} else {
-						w.FetchRemote(fetchBytes)
-					}
-					comm += fetchCost
-					expCh[fetchCh] += fetchCost
-				}
-				if pf != nil {
-					// Pipelined path: receive the pre-assembled batch before
-					// the timed span starts (waiting for the collator is
-					// assembly, not compute).
-					var ok bool
-					x, y, ok = pf.Next()
-					if !ok {
-						return fmt.Errorf("shard: rank %d: prefetcher exhausted at step %d of %d", rank, s, stepsThisEpoch)
-					}
-				}
-				if pf != nil && s == stepsThisEpoch-1 && len(evalBatches) > 0 {
-					// Tail overlap: the epoch's last train step has no next
-					// train batch to collate, so the background collator
-					// assembles the first eval batch under it instead and the
-					// eval pass no longer serializes with the epoch tail.
-					evalPf = batching.NewPrefetcher(data, evalBatches)
-				}
-				start := time.Now()
-				stats.BeginStep()
-				haloWall := stats.Wall
-				if pf == nil && feed.Store == nil {
-					x, y = data.AssembleBatch(idx, &buf)
-				}
-				target := own(y.Slice(3, 0, 1).Contiguous())
-				pred := model.Forward(autograd.Constant(own(x)))
-				lossLocal := lossFn(pred, target)
-				// The sum of the shard losses equals the global-mean loss, so
-				// summing the backward gradients across the replica group
-				// reproduces the unsharded gradient exactly.
-				loss := lossLocal
-				if sharded {
-					loss = autograd.ScalarMul(lossLocal, ownFrac)
-				}
-				var fwdWall, bwdWall time.Duration
-				if bucketed {
-					// Bucketed overlapping two-stage sync: bucket collectives
-					// launch from the timed gradient-ready hook while backward
-					// still runs.
-					syncer.Reset()
-					fwdWall = time.Since(start) - (stats.Wall - haloWall)
-					if fwdWall < 0 {
-						fwdWall = 0
-					}
-					bwdHaloWall := stats.Wall
-					// Bucket ready stamps, like the halo launch offsets, must
-					// measure backward *compute*: strip the halo-exchange
-					// blocking accumulated so far this backward pass (the
-					// syncer already strips its own collective blocking).
-					hook := func(leaf *autograd.Variable, elapsed time.Duration) {
-						syncer.OnGradReady(leaf, elapsed-(stats.Wall-bwdHaloWall))
-					}
-					var err error
-					bwdWall, err = autograd.BackwardTimed(loss, hook)
-					if err != nil {
-						return fmt.Errorf("shard: rank %d backward: %w", rank, err)
-					}
-					// Like the ReadyAt stamps, the backward span excludes
-					// time blocked inside collective launches and halo
-					// exchanges.
-					bwdWall -= syncer.CommWall() + (stats.Wall - bwdHaloWall)
-					if bwdWall < 0 {
-						bwdWall = 0
-					}
-					syncer.Flush(bwdWall)
-					// Gradients are now globally synchronized; the clip point
-					// is unchanged (after the sync). Under bounded staleness
-					// clipping moves to application time.
-					if cfg.ClipNorm > 0 && !stale {
-						nn.ClipGradNorm(model, cfg.ClipNorm)
-					}
-				} else if err := autograd.Backward(loss); err != nil {
-					return fmt.Errorf("shard: rank %d backward: %w", rank, err)
-				}
-				// The step's compute span. Modeled runs keep the timeline
-				// structural (machine-independent virtual clocks); measured
-				// runs subtract the wall time spent blocked in exchanges and
-				// collective launches (that is communication, not compute).
-				structural := cfg.ComputeCost != nil
-				var compute time.Duration
-				if structural {
-					compute = time.Duration(computeFrac * float64(cfg.ComputeCost(len(idx))))
-					fwdWall, bwdWall = 0, 0
-				} else {
-					compute = time.Since(start) - (stats.Wall - haloWall)
-					if bucketed {
-						compute -= syncer.CommWall()
-					}
-					if compute < 0 {
-						compute = 0
-					}
-				}
-				epochCompute += compute
-				compute = w.ScaleCompute(compute)
-				epochMeasured += compute
-				// Charge the step: overlapped halo launches ride the replica
-				// group's engine and gradient buckets the shard group's, each
-				// engine serializing its own events while the two pipeline
-				// independently (cluster.OverlapFinishChannels); the clock
-				// advances by max(compute, every engine's last finish). Under
-				// a flat topology both groups map to the single fabric
-				// channel and the charge degenerates to the legacy serialized
-				// timeline; with both schedules blocking the event list is
-				// empty and it degenerates further to the compute-only
-				// advance (the blocking halo exchanges charged the clock
-				// inline and the flatten sync charges it below).
-				// asm prices collating this step's batch; nextAsm is what the
-				// background collator works on under this step — the next
-				// train batch, or (on the epoch's last step) the first eval
-				// batch the tail-overlap prefetcher is filling.
-				var asm, nextAsm time.Duration
-				if cfg.AssembleCost != nil && feed.Store == nil {
-					asm = cfg.AssembleCost(len(idx))
-					if pf != nil {
-						if s+1 < stepsThisEpoch {
-							nextAsm = asm
-						} else if evalPf != nil {
-							nextAsm = cfg.AssembleCost(len(evalBatches[0]))
-						}
-					}
-				}
-				if asm > 0 && pf != nil && s == 0 {
-					// Pipeline fill: the epoch's leading assembly has no
-					// previous step to hide under.
-					tw.Span(trace.KindAssemble, "assemble.fill", trace.StreamAssembly, w.VirtualTime(), asm, 0)
-					w.AdvanceTime(asm)
-				}
-				t0 := w.VirtualTime()
-				var events []cluster.CommEvent
-				var meta []stepSpanMeta
-				var haloExposed time.Duration
-				haloStepCost := stats.StepCost()
-				if haloOverlap {
-					hev := stats.StepEvents(compute, structural)
-					for i := range hev {
-						hev[i].Channel = haloCh
-					}
-					haloExposed = cluster.OverlapFinish(compute, hev) - compute
-					events = append(events, hev...)
-					if tw != nil {
-						for i := range hev {
-							meta = append(meta, stepSpanMeta{kind: trace.KindHalo, label: stats.stepLabels[i], bytes: stats.stepBytes[i]})
-						}
-					}
-				}
-				var gradFinish time.Duration
-				if bucketed {
-					gevs := syncer.Timeline(compute, fwdWall, bwdWall)
-					for i := range gevs {
-						gevs[i].Channel = gradCh
-					}
-					if stale {
-						// Bounded staleness: the step no longer waits for its
-						// own gradient collectives — they book onto the
-						// persistent gradient engine spanning steps, and step
-						// s+K blocks on this step's finish instead.
-						for gi, ev := range gevs {
-							st := t0 + ev.ReadyAt
-							if gradChanFree > st {
-								st = gradChanFree
-							}
-							if tw != nil {
-								tw.Span(trace.KindGrad, fmt.Sprintf("grad b%d", syncer.LaunchBuckets()[gi]), trace.StreamGradEngine, st, ev.Cost, syncer.LaunchWire()[gi])
-							}
-							gradChanFree = st + ev.Cost
-						}
-						gradFinish = gradChanFree
-					} else {
-						if tw != nil {
-							for i := range gevs {
-								meta = append(meta, stepSpanMeta{kind: trace.KindGrad, label: fmt.Sprintf("grad b%d", syncer.LaunchBuckets()[i]), bytes: syncer.LaunchWire()[i]})
-							}
-						}
-						events = append(events, gevs...)
-						// A stable sort's output is uniquely determined by the
-						// keys and the original order, so sorting through the
-						// meta-carrying sorter leaves the event slice exactly
-						// as sort.SliceStable produced it before.
-						sort.Stable(&stepEventSorter{events: events, meta: meta})
-					}
-				}
-				step := cluster.OverlapFinishChannels(compute, events)
-				exposed := step - compute
-				// Host-side collation: the serial path exposes it ahead of
-				// the step; the prefetch pipeline assembles the next batch
-				// under this step, so the step charge is max(step, assemble).
-				if pf == nil {
-					if asm > 0 {
-						step += asm
-					}
-				} else if nextAsm > step {
-					step = nextAsm
-				}
-				stepEnd := t0 + step
-				stats.Hidden += haloStepCost - haloExposed
-				for c, d := range cluster.OverlapChannelExposure(compute, events) {
-					expCh[c] += d
-				}
-				if tw != nil {
-					// The step body (compute + overlapped comm) starts after
-					// the serially-exposed assembly; the prefetch path's
-					// assembly is occupancy under the step.
-					base := t0
-					if pf == nil {
-						if asm > 0 {
-							base += asm
-							tw.Span(trace.KindAssemble, "assemble", trace.StreamAssembly, t0, asm, 0)
-						}
-					} else if nextAsm > 0 {
-						name := "assemble.next"
-						if s+1 >= stepsThisEpoch {
-							name = "assemble.eval"
-						}
-						tw.Span(trace.KindAssemble, name, trace.StreamAssembly, t0, nextAsm, 0)
-					}
-					tw.Span(trace.KindCompute, "compute", trace.StreamCompute, base, compute, 0)
-					spans, _ := cluster.OverlapScheduleChannels(compute, events)
-					for i, sp := range spans {
-						m := meta[i]
-						tw.Span(m.kind, m.label, commStream(sp.Event.Channel), base+sp.Start, sp.Finish-sp.Start, m.bytes)
-					}
-					if exposed > 0 {
-						tw.Span(trace.KindExposed, "comm.tail", trace.StreamExposed, base+compute, exposed, 0)
-					}
-				}
-				if stale {
-					gv := []float64(nil)
-					if n := len(freeVecs); n > 0 {
-						gv, freeVecs = freeVecs[n-1], freeVecs[:n-1]
-					}
-					gv = ddp.FlattenGrads(params, gv)
-					// The update is deferred; clear the accumulated grads so
-					// the next backward starts from zero (opt.Step, which
-					// normally zeroes them, is skipped this step).
-					for _, pm := range params {
-						pm.V.ZeroGrad()
-					}
-					staleQ = append(staleQ, pendingGrad{vec: gv, finish: gradFinish})
-					var tail time.Duration
-					if len(staleQ) > K {
-						pg := staleQ[0]
-						staleQ = staleQ[1:]
-						if pg.finish > stepEnd {
-							tail = pg.finish - stepEnd
-							tw.Span(trace.KindExposed, "stale.tail", trace.StreamExposed, stepEnd, tail, 0)
-							stepEnd = pg.finish
-						}
-						tw.AsyncSpan(trace.KindStaleApply, "stale.apply", trace.StreamGradEngine, pg.finish, stepEnd-pg.finish, 0)
-						applyStale(pg.vec)
-					}
-					comm += tail
-					expCh[gradCh] += tail
-					if hid := syncer.TotalCost() - tail; hid > 0 {
-						commHidden += hid
-					}
-					gradBytes += syncer.StepBytes()
-					savedBytes += syncer.StepSaved()
-					w.AdvanceTime(stepEnd - t0)
-				} else if bucketed {
-					w.AdvanceTime(stepEnd - t0)
-					gradExposed := exposed - haloExposed
-					comm += gradExposed
-					commHidden += syncer.TotalCost() - gradExposed
-					gradBytes += syncer.StepBytes()
-					savedBytes += syncer.StepSaved()
-				} else {
-					w.AdvanceTime(stepEnd - t0)
-					// Flatten baseline: one flattened exchange after backward,
-					// blocking and fully exposed. Every worker ends with the
-					// bitwise-identical global gradient.
-					gradBuf = ddp.FlattenGrads(params, gradBuf)
-					wire := int64(len(gradBuf)) * 8
-					var saved int64
-					// Quantize only when there are peers: a single worker
-					// ships nothing, so rounding its gradients to fp16 would
-					// be pure accuracy loss for zero wire benefit.
-					if cfg.FP16 && world > 1 {
-						flatCodec.ApplyInPlace(gradBuf)
-						compressed := cluster.FP16WireBytes(len(gradBuf))
-						saved = wire - compressed
-						wire = compressed
-					}
-					// flattenSpan books one blocking collective. The group
-					// barrier aligned the clock to the slowest member plus
-					// the cost, so its window ends at the current virtual
-					// time. Saved and shipped bytes stay on the same
-					// per-collective basis: each stage ships (and so saves).
-					flattenSpan := func(name string, ch cluster.Channel, cost time.Duration) {
-						comm += cost
-						expCh[ch] += cost
-						if cost > 0 {
-							at := w.VirtualTime() - cost
-							tw.Span(trace.KindGrad, name, commStream(ch), at, cost, wire)
-							tw.Span(trace.KindExposed, name, trace.StreamExposed, at, cost, 0)
-						}
-						gradBytes += wire
-						savedBytes += saved
-					}
-					if !sharded {
-						// The world ring. Attribute the modeled collective
-						// cost: the clock delta additionally contains
-						// straggler wait, which is compute imbalance, not
-						// communication.
-						w.RingAllReduceMeanSized(gradBuf, wire)
-						flattenSpan("grad.flatten", gradCh, net.RingAllReduceTime(wire, world))
-					} else {
-						// Sum over the replica group (the spatial reduction),
-						// then average over the shard group (the
-						// data-parallel mean).
-						flattenSpan("grad.flatten.replica-sum", haloCh, w.GroupRingAllReduceSized(gradBuf, replicaGroup, wire, false, cfg.Topology))
-						if cfg.Replicas > 1 {
-							flattenSpan("grad.flatten.shard-mean", gradCh, w.GroupRingAllReduceSized(gradBuf, shardGroup, wire, true, cfg.Topology))
-						}
-					}
-					ddp.UnflattenGrads(params, gradBuf)
-					if cfg.ClipNorm > 0 {
-						nn.ClipGradNorm(model, cfg.ClipNorm)
-					}
-				}
-				if !stale {
-					// Under staleness the optimizer ran inside applyStale
-					// (or the update is still queued).
-					opt.Step()
-				}
-				if tw != nil {
-					tw.Span(trace.KindStep, fmt.Sprintf("step %d", steps), trace.StreamStep, t0, w.VirtualTime()-t0, 0)
-				}
-				steps++
-				w.Barrier() // synchronous step boundary (straggler wait)
-				if sweep.Active() {
-					syncer = sweep.Step(syncer, compute)
-					bucketBytes = sweep.BucketBytes()
-				}
-				// Report in the signal's original units, like validation.
-				trainAcc.Add(lossLocal.Value.Item()*std, weight(len(idx)))
-				if feed.Device != nil {
-					feed.Device.Mem.Free("batch.transient", fetchBytes)
-				}
-			}
-			if pf != nil {
-				// Cancellation (or a short schedule) leaves the collator
-				// mid-stream; Close drains it either way.
-				pf.Close()
-				pf = nil
-			}
-			// Drain the staleness pipeline: every queued gradient applies
-			// before evaluation — and before a cancelled exit — so the update
-			// count matches the synchronous schedule and replicas stay
-			// bitwise identical.
-			for len(staleQ) > 0 {
-				pg := staleQ[0]
-				staleQ = staleQ[1:]
-				if d := pg.finish - w.VirtualTime(); d > 0 {
-					comm += d
-					expCh[gradCh] += d
-					tw.Span(trace.KindExposed, "stale.drain", trace.StreamExposed, w.VirtualTime(), d, 0)
-					w.AdvanceTime(d)
-				}
-				tw.AsyncSpan(trace.KindStaleApply, "stale.apply", trace.StreamGradEngine, pg.finish, w.VirtualTime()-pg.finish, 0)
-				applyStale(pg.vec)
-			}
-			if cancelled {
-				break
-			}
-			// The sweep is confined to the first epoch: a short epoch locks
-			// in the best candidate tried so far.
-			if sweep.Active() {
-				syncer = sweep.EndEpoch(syncer)
-				bucketBytes = sweep.BucketBytes()
-			}
-			trainMAE := ddp.ReduceWeighted(w, trainAcc)
-			valMAE := evaluateShard(w, model, lossFn, data, evalBatches, evalPf, own, weight, &evalBuf, stats)
-			if evalPf != nil {
-				evalPf.Close()
-				evalPf = nil
-			}
-			rec := metrics.EpochRecord{Epoch: epoch, TrainMAE: trainMAE, ValMAE: valMAE}
-			curve = append(curve, rec)
-			if rank == 0 && cfg.OnEpoch != nil {
-				cfg.OnEpoch(rec)
-			}
-			if cfg.Repartition.Enabled() && sharded && epoch+1 < cfg.Epochs &&
-				(cfg.Repartition.MaxMoves == 0 || moves < cfg.Repartition.MaxMoves) {
-				// Agree on the per-shard load vector without touching the
-				// clock: each entry is the max over that shard's replicas of
-				// the epoch's accumulated step compute (identical across
-				// replicas on structural timelines). Every rank then derives
-				// the same decision from the same vector.
-				epochLoad := epochCompute
-				if cfg.Repartition.Measured {
-					epochLoad = epochMeasured
-				}
-				loads := make([]float64, cfg.Shards)
-				for q := range loads {
-					v := 0.0
-					if q == sh {
-						v = epochLoad.Seconds()
-					}
-					loads[q] = w.AllReduceScalarFree(v, cluster.OpMax)
-				}
-				if src, dst, nodes, ok := chunkMove(g, myPlan, loads, cfg.Repartition); ok {
-					newPlan, err := applyMove(g, supports, myPlan, dst, nodes)
-					if err != nil {
-						return fmt.Errorf("shard: rank %d repartition: %w", rank, err)
-					}
-					// Modeled migration window: the moved nodes' full feature
-					// history crosses the fabric once; every rank charges the
-					// identical cost so the clocks stay aligned.
-					bytes := int64(len(nodes)) * int64(entries*features) * 8
-					cost := net.FetchTime(bytes)
-					if tw != nil {
-						tw.Span(trace.KindRepartition, fmt.Sprintf("repartition %d->%d", src, dst), trace.StreamStep, w.VirtualTime(), cost, bytes)
-					}
-					w.AdvanceTime(cost)
-					myPlan = newPlan
-					sp = myPlan.Parts[sh]
-					ownFrac, computeFrac = fracOf(sp.Own)
-					if err := Rebind(props, w, replicaGroup, sp, cfg.Topology, stats, haloOverlap); err != nil {
-						return fmt.Errorf("shard: rank %d repartition: %w", rank, err)
-					}
-					moves++
-					if rank == 0 && cfg.OnRepartition != nil {
-						cfg.OnRepartition(RepartitionEvent{Epoch: epoch, From: src, To: dst,
-							Nodes: nodes, Loads: loads, EdgeCut: myPlan.EdgeCut})
-					}
-				}
-			}
-			// Captured after any repartition so the owner vector reflects the
-			// state a restart at epoch+1 actually trains on.
-			capture(epoch+1, curve)
-		}
-		var checksum float64
-		for _, p := range params {
-			checksum += p.Tensor().SumAll()
-		}
-		w.Barrier()
-		buckets := 1
-		effectiveBucketBytes := int64(0)
-		if bucketed {
-			buckets = syncer.NumBuckets()
-			effectiveBucketBytes = bucketBytes
-		}
-		// Fold the inline-charged halo exposure (blocking exchanges, eval
-		// settles) into the per-channel split, then publish the counters.
-		for c, d := range stats.ChannelExposed {
-			expCh[c] += d
-		}
-		if tw != nil {
-			tw.Add("grad.wire.bytes", gradBytes)
-			tw.Add("grad.wire.saved.bytes", savedBytes)
-			tw.Add("halo.wire.bytes", stats.Bytes)
-			tw.Add("comm.exposed.ns", int64(comm))
-			tw.Add("comm.hidden.ns", int64(commHidden))
-			tw.Add("halo.exposed.ns", int64(stats.Time-stats.Hidden))
-			tw.Add("halo.hidden.ns", int64(stats.Hidden))
-			tw.Add("comm.exposed.intra.ns", int64(expCh[cluster.ChannelIntra]))
-			tw.Add("comm.exposed.inter.ns", int64(expCh[cluster.ChannelInter]))
-		}
-		outs[rank] = workerOut{
-			curve: curve, vt: w.VirtualTime(), comm: comm, commHidden: commHidden,
-			halo: *stats, expCh: expCh, gradBytes: gradBytes, savedBytes: savedBytes,
-			buckets: buckets, bucketBytes: effectiveBucketBytes,
-			steps: steps, repartitions: moves, checksum: checksum, cancelled: cancelled,
-		}
-		if rank == 0 {
-			outs[rank].model, outs[rank].opt = model, opt
-			if sharded {
-				loads := make([]float64, cfg.Shards)
-				for p := range loads {
-					_, loads[p] = fracOf(myPlan.Parts[p].Own)
-				}
-				outs[rank].loads = loads
-			}
-		}
-		return nil
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	// Every worker must hold the identical parameters: replicas within shard
-	// groups by DDP's invariant, shards by the deterministic two-stage sync.
-	for r := 1; r < world; r++ {
-		if outs[r].checksum != outs[0].checksum {
-			return nil, fmt.Errorf("shard: divergence: rank %d checksum %v vs rank 0 %v", r, outs[r].checksum, outs[0].checksum)
-		}
-	}
-	return &Result{
-		Curve:            outs[0].curve,
-		VirtualTime:      outs[0].vt,
-		CommTime:         outs[0].comm,
-		CommHiddenTime:   outs[0].commHidden,
-		HaloTime:         outs[0].halo.Time,
-		HaloHiddenTime:   outs[0].halo.Hidden,
-		HaloBytes:        outs[0].halo.Bytes,
-		CommExposedIntra: outs[0].expCh[cluster.ChannelIntra],
-		CommExposedInter: outs[0].expCh[cluster.ChannelInter],
-		GradSyncBytes:    outs[0].gradBytes,
-		CommBytesSaved:   outs[0].savedBytes,
-		GradBuckets:      outs[0].buckets,
-		BucketBytes:      outs[0].bucketBytes,
-		Steps:            outs[0].steps,
-		GlobalBatch:      cfg.BatchSize * cfg.Replicas,
-		Shards:           cfg.Shards,
-		Replicas:         cfg.Replicas,
-		EdgeCut:          plan.EdgeCut,
-		MaxOwn:           plan.MaxOwn(),
-		MaxHalo:          plan.MaxHalo(),
-		Repartitions:     outs[0].repartitions,
-		ShardLoads:       outs[0].loads,
-		Model:            outs[0].model,
-		Opt:              outs[0].opt,
-		Cancelled:        outs[0].cancelled,
-	}, nil
+	return j, nil
 }
 
-// evaluateShard computes this worker's share of the validation MAE — its
-// replica's slice of the validation batches restricted to its own nodes (own
-// and weight are the trainer's owned-node gather and metric weight) —
-// and reduces the globally weighted mean (original signal units). Under the
-// overlapped halo schedule the evaluation exchanges record step events
-// nobody overlaps (there is no modeled eval compute to hide under), so
-// their full cost is charged inline per batch — exactly what the blocking
-// schedule charges; with blocking exchanges the settle is a no-op. When the
-// tail-overlap prefetcher is supplied, batches arrive pre-assembled (the
-// first one collated under the epoch's last train step, the rest under the
-// preceding eval forwards), so eval collation leaves the wall-clock path.
-func evaluateShard(w *cluster.Worker, model nn.SeqModel, lossFn func(*autograd.Variable, *tensor.Tensor) *autograd.Variable, data batching.Source, batches [][]int, pf *batching.Prefetcher, own func(*tensor.Tensor) *tensor.Tensor, weight func(items int) int, buf *batching.BatchBuffer, stats *Stats) float64 {
+// fracs splits a shard's two shares: the loss weight is always the
+// node-count share (Σ shard losses must equal the global mean exactly),
+// while the structural compute charge uses the NodeWeights share when skew
+// is injected.
+func (j *job) fracs(own []int) (lossFrac, computeFrac float64) {
+	lossFrac = float64(len(own)) / float64(j.g.N)
+	computeFrac = lossFrac
+	if j.cfg.NodeWeights != nil && j.totalWeight > 0 {
+		s := 0.0
+		for _, u := range own {
+			s += j.cfg.NodeWeights[u]
+		}
+		computeFrac = s / j.totalWeight
+	}
+	return lossFrac, computeFrac
+}
+
+// worker is one rank of the grid. Each step runs the same phases in order —
+// poll, fetch, forwardBackward, chargeCompute, chargeOverlap, the gradient
+// schedule's apply, endStep — and what varies between runs is data the
+// phases read, not a branch on which schedule runs.
+type worker struct {
+	*job
+	w                        *cluster.Worker
+	rank, rep, sh            int
+	replicaGroup, shardGroup []int
+	plan                     *Plan // repartitioning replaces it mid-run
+	sp                       *ShardPlan
+	ownFrac, computeFrac     float64
+	tw                       *trace.Worker
+	stats                    *Stats
+	props                    []nn.Propagator
+	model                    nn.SeqModel
+	params                   []*nn.Parameter
+	opt                      *nn.Adam
+	sampler                  batching.BatchSampler
+	evalBatches              [][]int
+	// Eval has its own buffer so it never clobbers a train prefetch slot.
+	buf, evalBuf batching.BatchBuffer
+	pf, evalPf   *batching.Prefetcher
+	// The shard group's channel carries gradients (stats.Channel the halo).
+	gradCh      cluster.Channel
+	sched       gradSchedule
+	chanExposed [cluster.NumChannels]time.Duration
+	trainAcc    metrics.Running
+	// The epoch's compute before and after straggler scaling.
+	epochCompute, epochMeasured time.Duration
+	st                          stepState
+	res                         Result
+	checksum                    float64
+}
+
+// stepState is one step's working set, handed from phase to phase.
+type stepState struct {
+	idx         []int
+	s, steps    int // index in the epoch, steps this epoch
+	x, y        *tensor.Tensor
+	fetchBytes  int64
+	start       time.Time
+	haloWall    time.Duration
+	lossLocal   *autograd.Variable
+	structural  bool
+	compute     time.Duration
+	t0, stepEnd time.Duration // on the virtual clock
+	// events is the overlap timeline (meta its trace labels when traced).
+	events               []cluster.CommEvent
+	meta                 []stepSpanMeta
+	exposed, haloExposed time.Duration
+}
+
+// newWorker builds rank w.Rank()'s replica, optimizer, sampler and gradient
+// schedule.
+func newWorker(j *job, w *cluster.Worker) (*worker, error) {
+	cfg := &j.cfg
+	wk := &worker{job: j, w: w, rank: w.Rank(), plan: j.initPlan}
+	wk.rep, wk.sh, wk.replicaGroup, wk.shardGroup = groups(wk.rank, cfg.Shards, cfg.Replicas)
+	wk.sp = wk.plan.Parts[wk.sh]
+	wk.ownFrac, wk.computeFrac = j.fracs(wk.sp.Own)
+	wk.tw = cfg.Trace.Worker(wk.rank)
+	cfg.Trace.NameWorker(wk.rank, fmt.Sprintf("train rank %d (replica %d, shard %d)", wk.rank, wk.rep, wk.sh))
+	wk.stats = &Stats{PinFirstLaunch: j.prefetch, Trace: wk.tw}
+	wk.props = nn.WrapSupports(j.supports) // the whole graph routes no halo
+	if j.sharded {
+		wk.props = Propagators(w, wk.replicaGroup, wk.sp, cfg.Topology, wk.stats, j.haloOverlap)
+	}
+	wk.model = j.factory(cfg.Seed, wk.props)
+	wk.params = wk.model.Parameters()
+	wk.opt = nn.NewAdam(wk.model, j.lr)
+	if cfg.Init != nil {
+		if err := cfg.Init(wk.model, wk.opt); err != nil {
+			return nil, fmt.Errorf("shard: rank %d init: %w", wk.rank, err)
+		}
+	}
+	wk.sampler = ddp.NewSampler(cfg.Sampler, j.split.Train, cfg.BatchSize, cfg.Replicas, wk.rep, cfg.Seed)
+	evalLo, evalHi := batching.PartitionRange(len(j.split.Val), cfg.Replicas, wk.rep)
+	wk.evalBatches = batching.Batches(j.split.Val[evalLo:evalHi], cfg.BatchSize)
+	wk.stats.Channel = cfg.Topology.GroupChannel(j.world, wk.replicaGroup)
+	wk.gradCh = cluster.ChannelInter
+	if j.sharded {
+		wk.gradCh = cfg.Topology.GroupChannel(j.world, wk.shardGroup)
+	}
+	wk.sched = newSchedule(wk)
+	return wk, nil
+}
+
+// close releases the prefetchers on every exit path.
+func (wk *worker) close() {
+	if wk.pf != nil {
+		wk.pf.Close()
+	}
+	if wk.evalPf != nil {
+		wk.evalPf.Close()
+	}
+}
+
+// run trains epochs [StartEpoch, Epochs) and fills the worker's Result.
+func (wk *worker) run() error {
+	wk.capture(wk.cfg.StartEpoch) // anchors a crash inside the first epoch
+	for epoch := wk.cfg.StartEpoch; epoch < wk.cfg.Epochs && !wk.res.Cancelled; epoch++ {
+		if err := wk.epoch(epoch); err != nil {
+			return err
+		}
+	}
+	wk.finish()
+	return nil
+}
+
+// epoch runs one epoch's steps, then (unless cancelled) its evaluation,
+// elastic repartitioning and snapshot.
+func (wk *worker) epoch(epoch int) error {
+	batches := wk.sampler.EpochBatches(epoch)
+	steps := int(wk.w.AllReduceScalar(float64(len(batches)), cluster.OpMin))
+	if wk.prefetch {
+		wk.pf = batching.NewPrefetcher(wk.data, batches[:steps])
+	}
+	wk.trainAcc = metrics.Running{}
+	wk.epochCompute, wk.epochMeasured = 0, 0
+	for s := 0; s < steps; s++ {
+		cancelled, err := wk.poll()
+		if err != nil {
+			return err
+		}
+		if wk.res.Cancelled = cancelled; cancelled {
+			break
+		}
+		if err := wk.step(batches[s], s, steps); err != nil {
+			return err
+		}
+	}
+	if wk.pf != nil {
+		wk.pf.Close() // drains a collator cancellation left mid-stream
+		wk.pf = nil
+	}
+	wk.sched.drain() // before evaluation and before a cancelled exit
+	if wk.res.Cancelled {
+		return nil
+	}
+	wk.sched.endEpoch()
+	trainMAE := ddp.ReduceWeighted(wk.w, wk.trainAcc)
+	valMAE := wk.evaluate()
+	if wk.evalPf != nil {
+		wk.evalPf.Close()
+		wk.evalPf = nil
+	}
+	rec := metrics.EpochRecord{Epoch: epoch, TrainMAE: trainMAE, ValMAE: valMAE}
+	wk.res.Curve = append(wk.res.Curve, rec)
+	if wk.rank == 0 && wk.cfg.OnEpoch != nil {
+		wk.cfg.OnEpoch(rec)
+	}
+	if err := wk.repartition(epoch); err != nil {
+		return err
+	}
+	// After any repartition, so the owner vector is what epoch+1 trains on.
+	wk.capture(epoch + 1)
+	return nil
+}
+
+// poll agrees on cancellation (clock-free, so a cancellable run keeps a
+// plain run's timeline) and detects crashes before a step starts: every
+// worker stops at the same step, so no collective is left half-issued.
+func (wk *worker) poll() (cancelled bool, err error) {
+	if wk.cancellable {
+		flag := 0.0
+		if wk.cfg.Ctx.Err() != nil {
+			flag = 1
+		}
+		if wk.w.AllReduceScalarFree(flag, cluster.OpMax) > 0 {
+			return true, nil
+		}
+	}
+	return false, wk.w.FaultPoll()
+}
+
+// step trains batch idx, step s of steps this epoch.
+func (wk *worker) step(idx []int, s, steps int) error {
+	st := &wk.st
+	*st = stepState{idx: idx, s: s, steps: steps, events: st.events[:0], meta: st.meta[:0]}
+	if err := wk.fetch(); err != nil {
+		return err
+	}
+	if err := wk.forwardBackward(); err != nil {
+		return err
+	}
+	wk.chargeCompute()
+	wk.chargeOverlap()
+	wk.sched.apply()
+	wk.endStep()
+	return nil
+}
+
+// fetch charges the feed's per-batch transfer inline, fully exposed, and
+// receives a prefetched batch before the timed span starts.
+func (wk *worker) fetch() error {
+	st, feed := &wk.st, wk.cfg.Feed
+	var cost time.Duration
+	name, ch := "fetch.batch", cluster.ChannelInter
+	switch {
+	case feed.Store != nil:
+		name = "fetch.boundary"
+		st.x, st.y, _, st.fetchBytes = feed.Store.FetchBatch(wk.rep, st.idx, &wk.buf)
+		cost = wk.net.FetchTime(st.fetchBytes)
+	case feed.Remote:
+		st.fetchBytes = int64(len(st.idx)) * wk.pairBytes
+		cost = wk.net.FetchTime(st.fetchBytes)
+	case feed.Device != nil:
+		name, ch = "fetch.h2d", cluster.ChannelIntra
+		st.fetchBytes = int64(len(st.idx)) * wk.pairBytes
+		var err error
+		if cost, err = feed.Device.Transfer("batch.transient", st.fetchBytes); err != nil {
+			return err
+		}
+	}
+	if st.fetchBytes > 0 {
+		wk.tw.Span(trace.KindFetch, name, commStream(ch), wk.w.VirtualTime(), cost, st.fetchBytes)
+		wk.tw.Span(trace.KindExposed, name, trace.StreamExposed, wk.w.VirtualTime(), cost, 0)
+		if feed.Device != nil {
+			wk.w.AdvanceTime(cost) // off the fabric: no link-degrade scaling
+		} else {
+			wk.w.FetchRemote(st.fetchBytes)
+		}
+		wk.expose(ch, cost)
+	}
+	if wk.pf == nil {
+		return nil
+	}
+	var ok bool
+	if st.x, st.y, ok = wk.pf.Next(); !ok {
+		return fmt.Errorf("shard: rank %d: prefetcher exhausted at step %d of %d", wk.rank, st.s, st.steps)
+	}
+	if st.s == st.steps-1 && len(wk.evalBatches) > 0 {
+		// Tail overlap: the collator assembles the first eval batch under
+		// the epoch's last train step.
+		wk.evalPf = batching.NewPrefetcher(wk.data, wk.evalBatches)
+	}
+	return nil
+}
+
+// forwardBackward runs the forward pass and the schedule's backward.
+func (wk *worker) forwardBackward() error {
+	st := &wk.st
+	st.start = time.Now()
+	wk.stats.BeginStep()
+	st.haloWall = wk.stats.Wall
+	if wk.pf == nil && wk.cfg.Feed.Store == nil {
+		st.x, st.y = wk.data.AssembleBatch(st.idx, &wk.buf)
+	}
+	st.lossLocal = wk.loss(wk.forward(st.x, st.y))
+	// The shard losses sum to the global-mean loss.
+	loss := st.lossLocal
+	if wk.sharded {
+		loss = autograd.ScalarMul(st.lossLocal, wk.ownFrac)
+	}
+	if err := wk.sched.backward(loss); err != nil {
+		return fmt.Errorf("shard: rank %d backward: %w", wk.rank, err)
+	}
+	return nil
+}
+
+// chargeCompute sets the step's compute span: structural on modeled runs,
+// else the elapsed time minus what blocked in exchanges and launches.
+func (wk *worker) chargeCompute() {
+	st := &wk.st
+	st.structural = wk.cfg.ComputeCost != nil
+	if st.structural {
+		st.compute = time.Duration(wk.computeFrac * float64(wk.cfg.ComputeCost(len(st.idx))))
+	} else if st.compute = time.Since(st.start) - (wk.stats.Wall - st.haloWall) - wk.sched.commWall(); st.compute < 0 {
+		st.compute = 0
+	}
+	wk.epochCompute += st.compute
+	st.compute = wk.w.ScaleCompute(st.compute)
+	wk.epochMeasured += st.compute
+}
+
+// chargeOverlap resolves the step's overlap timeline and records its
+// spans: halo launches ride the replica group's channel engine and gradient
+// buckets the shard group's, each serializing its own events while the two
+// pipeline; the step lasts max(compute, every engine's last finish).
+// Collation is exposed ahead of the step when serial; prefetched, the
+// next batch (or the first eval batch) assembles under it.
+func (wk *worker) chargeOverlap() {
+	st, cfg, tw := &wk.st, &wk.cfg, wk.tw
+	var asm, nextAsm time.Duration
+	if cfg.AssembleCost != nil && cfg.Feed.Store == nil {
+		asm = cfg.AssembleCost(len(st.idx))
+		if wk.pf != nil {
+			if st.s+1 < st.steps {
+				nextAsm = asm
+			} else if wk.evalPf != nil {
+				nextAsm = cfg.AssembleCost(len(wk.evalBatches[0]))
+			}
+		}
+	}
+	if asm > 0 && wk.pf != nil && st.s == 0 {
+		// Pipeline fill: the leading assembly has no step to hide under.
+		tw.Span(trace.KindAssemble, "assemble.fill", trace.StreamAssembly, wk.w.VirtualTime(), asm, 0)
+		wk.w.AdvanceTime(asm)
+	}
+	st.t0 = wk.w.VirtualTime()
+	haloStepCost := wk.stats.StepCost()
+	if wk.haloOverlap {
+		hev := wk.stats.StepEvents(st.compute, st.structural)
+		for i := range hev {
+			hev[i].Channel = wk.stats.Channel
+		}
+		st.haloExposed = cluster.OverlapFinish(st.compute, hev) - st.compute
+		st.events = append(st.events, hev...)
+		if tw != nil {
+			for i := range hev {
+				st.meta = append(st.meta, stepSpanMeta{kind: trace.KindHalo, label: wk.stats.stepLabels[i], bytes: wk.stats.stepBytes[i]})
+			}
+		}
+	}
+	wk.sched.overlap()
+	step := cluster.OverlapFinishChannels(st.compute, st.events)
+	st.exposed = step - st.compute
+	if wk.pf == nil {
+		if asm > 0 {
+			step += asm
+		}
+	} else if nextAsm > step {
+		step = nextAsm
+	}
+	st.stepEnd = st.t0 + step
+	wk.stats.Hidden += haloStepCost - st.haloExposed
+	for c, d := range cluster.OverlapChannelExposure(st.compute, st.events) {
+		wk.chanExposed[c] += d
+	}
+	if tw == nil {
+		return
+	}
+	base := st.t0 // the body starts after a serially exposed assembly
+	if wk.pf == nil {
+		if asm > 0 {
+			base += asm
+			tw.Span(trace.KindAssemble, "assemble", trace.StreamAssembly, st.t0, asm, 0)
+		}
+	} else if nextAsm > 0 {
+		name := "assemble.next"
+		if st.s+1 >= st.steps {
+			name = "assemble.eval"
+		}
+		tw.Span(trace.KindAssemble, name, trace.StreamAssembly, st.t0, nextAsm, 0)
+	}
+	tw.Span(trace.KindCompute, "compute", trace.StreamCompute, base, st.compute, 0)
+	spans, _ := cluster.OverlapScheduleChannels(st.compute, st.events)
+	for i, sp := range spans {
+		m := st.meta[i]
+		tw.Span(m.kind, m.label, commStream(sp.Event.Channel), base+sp.Start, sp.Finish-sp.Start, m.bytes)
+	}
+	if st.exposed > 0 {
+		tw.Span(trace.KindExposed, "comm.tail", trace.StreamExposed, base+st.compute, st.exposed, 0)
+	}
+}
+
+// endStep closes the step at the synchronous boundary (straggler wait).
+func (wk *worker) endStep() {
+	st := &wk.st
+	if wk.tw != nil {
+		wk.tw.Span(trace.KindStep, fmt.Sprintf("step %d", wk.res.Steps), trace.StreamStep, st.t0, wk.w.VirtualTime()-st.t0, 0)
+	}
+	wk.res.Steps++
+	wk.w.Barrier()
+	wk.sched.endStep(st.compute)
+	// Report in the signal's original units, like validation.
+	wk.trainAcc.Add(st.lossLocal.Value.Item()*wk.std, wk.weight(len(st.idx)))
+	if wk.cfg.Feed.Device != nil {
+		wk.cfg.Feed.Device.Mem.Free("batch.transient", st.fetchBytes)
+	}
+}
+
+// expose books d of exposed communication on channel ch.
+func (wk *worker) expose(ch cluster.Channel, d time.Duration) {
+	wk.res.CommTime += d
+	wk.chanExposed[ch] += d
+}
+
+// forward runs the replica on the worker's slice of a batch (its owned
+// nodes on a shard) and returns the prediction and the matching target.
+func (wk *worker) forward(x, y *tensor.Tensor) (*autograd.Variable, *tensor.Tensor) {
+	target := y.Slice(3, 0, 1).Contiguous()
+	if wk.sharded {
+		target = gatherNodeAxis(target, wk.sp.Own)
+		x = gatherNodeAxis(x, wk.sp.Own)
+	}
+	return wk.model.Forward(autograd.Constant(x)), target
+}
+
+// weight is a batch's metric weight: a shard weighs samples by its nodes.
+func (wk *worker) weight(items int) int {
+	if !wk.sharded {
+		return items
+	}
+	return items * len(wk.sp.Own)
+}
+
+// capture streams the epoch-boundary snapshot from rank 0: parameters and
+// optimizer moments are identical on every worker at the boundary.
+func (wk *worker) capture(nextEpoch int) {
+	if wk.rank != 0 || wk.cfg.OnSnapshot == nil {
+		return
+	}
+	wk.cfg.OnSnapshot(Snapshot{
+		NextEpoch:   nextEpoch,
+		Params:      nn.SnapshotParams(wk.model),
+		State:       nn.CaptureTrainState(wk.opt, nextEpoch),
+		Curve:       append(metrics.Curve(nil), wk.res.Curve...),
+		Owner:       append([]int(nil), wk.plan.Owner...),
+		VirtualTime: wk.w.VirtualTime(),
+	})
+}
+
+// repartition runs the epoch-boundary elastic migration: the grid agrees,
+// clock-free, on the per-shard load vector (each entry the max over that
+// shard's replicas of the epoch's compute) and every rank derives the same
+// move from it.
+func (wk *worker) repartition(epoch int) error {
+	rp := wk.cfg.Repartition
+	if !rp.Enabled() || !wk.sharded || epoch+1 >= wk.cfg.Epochs || (rp.MaxMoves != 0 && wk.res.Repartitions >= rp.MaxMoves) {
+		return nil
+	}
+	epochLoad := wk.epochCompute
+	if rp.Measured {
+		epochLoad = wk.epochMeasured
+	}
+	loads := make([]float64, wk.cfg.Shards)
+	for q := range loads {
+		v := 0.0
+		if q == wk.sh {
+			v = epochLoad.Seconds()
+		}
+		loads[q] = wk.w.AllReduceScalarFree(v, cluster.OpMax)
+	}
+	src, dst, nodes, ok := chunkMove(wk.g, wk.plan, loads, rp)
+	if !ok {
+		return nil
+	}
+	newPlan, err := applyMove(wk.g, wk.supports, wk.plan, dst, nodes)
+	if err != nil {
+		return fmt.Errorf("shard: rank %d repartition: %w", wk.rank, err)
+	}
+	// The moved nodes' feature history crosses the fabric once; every rank
+	// charges the identical cost so the clocks stay aligned.
+	bytes := int64(len(nodes)) * int64(wk.entries*wk.features) * 8
+	cost := wk.net.FetchTime(bytes)
+	if wk.tw != nil {
+		wk.tw.Span(trace.KindRepartition, fmt.Sprintf("repartition %d->%d", src, dst), trace.StreamStep, wk.w.VirtualTime(), cost, bytes)
+	}
+	wk.w.AdvanceTime(cost)
+	wk.plan = newPlan
+	wk.sp = wk.plan.Parts[wk.sh]
+	wk.ownFrac, wk.computeFrac = wk.fracs(wk.sp.Own)
+	if err := Rebind(wk.props, wk.w, wk.replicaGroup, wk.sp, wk.cfg.Topology, wk.stats, wk.haloOverlap); err != nil {
+		return fmt.Errorf("shard: rank %d repartition: %w", wk.rank, err)
+	}
+	wk.res.Repartitions++
+	if wk.rank == 0 && wk.cfg.OnRepartition != nil {
+		wk.cfg.OnRepartition(RepartitionEvent{Epoch: epoch, From: src, To: dst,
+			Nodes: nodes, Loads: loads, EdgeCut: wk.plan.EdgeCut})
+	}
+	return nil
+}
+
+// evaluate reduces the global validation metric over this worker's share:
+// its replica's validation batches on its own nodes. Overlapped eval
+// exchanges have no compute to hide under, so their full cost is charged
+// inline per batch, as the blocking schedule does. The tail-overlap
+// prefetcher, when running, delivers batches pre-assembled.
+func (wk *worker) evaluate() float64 {
 	var acc metrics.Running
-	_, std := data.Norm()
-	for _, batch := range batches {
+	stats := wk.stats
+	for _, batch := range wk.evalBatches {
 		stats.BeginStep()
 		var x, y *tensor.Tensor
-		if pf != nil {
-			var ok bool
-			if x, y, ok = pf.Next(); !ok {
-				// The prefetcher covers exactly these batches; exhaustion
-				// means Close raced in, so fall back to serial assembly.
-				x, y = data.AssembleBatch(batch, buf)
-			}
-		} else {
-			x, y = data.AssembleBatch(batch, buf)
+		ok := false
+		if wk.evalPf != nil {
+			x, y, ok = wk.evalPf.Next() // exhausted only if Close raced in
 		}
-		target := own(y.Slice(3, 0, 1).Contiguous())
-		pred := model.Forward(autograd.Constant(own(x)))
+		if !ok {
+			x, y = wk.data.AssembleBatch(batch, &wk.evalBuf)
+		}
+		pred, target := wk.forward(x, y)
 		if cost := stats.StepCost(); cost > 0 {
 			stats.ChannelExposed[stats.Channel] += cost
 			if tw := stats.Trace; tw != nil {
-				cursor := w.VirtualTime()
+				cursor := wk.w.VirtualTime()
 				for i, ev := range stats.events {
 					tw.Span(trace.KindHalo, stats.stepLabels[i], commStream(stats.Channel), cursor, ev.Cost, stats.stepBytes[i])
 					cursor += ev.Cost
 				}
-				tw.Span(trace.KindExposed, "halo.eval", trace.StreamExposed, w.VirtualTime(), cost, 0)
+				tw.Span(trace.KindExposed, "halo.eval", trace.StreamExposed, wk.w.VirtualTime(), cost, 0)
 			}
-			w.AdvanceTime(cost)
+			wk.w.AdvanceTime(cost)
 		}
-		acc.Add(lossFn(pred, target).Value.Item()*std, weight(len(batch)))
+		acc.Add(wk.loss(pred, target).Value.Item()*wk.std, wk.weight(len(batch)))
 	}
-	// Weighted-mean over all workers of the 2D grid: each (snapshot, node)
-	// pair is seen by exactly one worker.
-	return ddp.ReduceWeighted(w, acc)
+	return ddp.ReduceWeighted(wk.w, acc)
+}
+
+// finish takes the parameter checksum, settles the clocks and fills the
+// Result and the trace counters.
+func (wk *worker) finish() {
+	for _, p := range wk.params {
+		wk.checksum += p.Tensor().SumAll()
+	}
+	wk.w.Barrier()
+	// Fold in the inline-charged halo exposure (blocking, eval settles).
+	for c, d := range wk.stats.ChannelExposed {
+		wk.chanExposed[c] += d
+	}
+	cfg, r := &wk.cfg, &wk.res
+	r.VirtualTime = wk.w.VirtualTime()
+	r.HaloTime, r.HaloHiddenTime, r.HaloBytes = wk.stats.Time, wk.stats.Hidden, wk.stats.Bytes
+	r.CommExposedIntra, r.CommExposedInter = wk.chanExposed[cluster.ChannelIntra], wk.chanExposed[cluster.ChannelInter]
+	r.GradBuckets, r.GradBucketBytes = wk.sched.buckets()
+	r.GlobalBatch = cfg.BatchSize * cfg.Replicas
+	r.EdgeCut, r.MaxOwn = wk.initPlan.EdgeCut, wk.initPlan.MaxOwn()
+	r.Model, r.Opt = wk.model, wk.opt
+	if wk.sharded {
+		r.ShardLoads = make([]float64, cfg.Shards)
+		for p := range r.ShardLoads {
+			_, r.ShardLoads[p] = wk.fracs(wk.plan.Parts[p].Own)
+		}
+	}
+	if tw := wk.tw; tw != nil {
+		tw.Add("grad.wire.bytes", r.GradSyncBytes)
+		tw.Add("grad.wire.saved.bytes", r.CommBytesSaved)
+		tw.Add("halo.wire.bytes", r.HaloBytes)
+		tw.Add("comm.exposed.ns", int64(r.CommTime))
+		tw.Add("comm.hidden.ns", int64(r.CommHiddenTime))
+		tw.Add("halo.exposed.ns", int64(r.HaloTime-r.HaloHiddenTime))
+		tw.Add("halo.hidden.ns", int64(r.HaloHiddenTime))
+		tw.Add("comm.exposed.intra.ns", int64(r.CommExposedIntra))
+		tw.Add("comm.exposed.inter.ns", int64(r.CommExposedInter))
+	}
 }
 
 // stepSpanMeta carries the trace annotation of one step comm event (label
@@ -1269,21 +956,15 @@ type stepSpanMeta struct {
 	bytes int64
 }
 
-// stepEventSorter orders the step's merged comm events by ReadyAt while
-// keeping the (optional) trace metadata aligned. It sorts stably, and a
-// stable sort's output is uniquely determined by keys and input order, so
-// untraced runs (nil meta) produce exactly the slice sort.SliceStable did.
-type stepEventSorter struct {
-	events []cluster.CommEvent
-	meta   []stepSpanMeta
-}
-
-func (s *stepEventSorter) Len() int           { return len(s.events) }
-func (s *stepEventSorter) Less(i, j int) bool { return s.events[i].ReadyAt < s.events[j].ReadyAt }
-func (s *stepEventSorter) Swap(i, j int) {
-	s.events[i], s.events[j] = s.events[j], s.events[i]
-	if s.meta != nil {
-		s.meta[i], s.meta[j] = s.meta[j], s.meta[i]
+// Len, Less and Swap order the step's merged comm events by ReadyAt while
+// keeping the trace metadata (nil when untraced) aligned. Sorted stably,
+// the events come out exactly as sort.SliceStable would leave them.
+func (st *stepState) Len() int           { return len(st.events) }
+func (st *stepState) Less(i, j int) bool { return st.events[i].ReadyAt < st.events[j].ReadyAt }
+func (st *stepState) Swap(i, j int) {
+	st.events[i], st.events[j] = st.events[j], st.events[i]
+	if st.meta != nil {
+		st.meta[i], st.meta[j] = st.meta[j], st.meta[i]
 	}
 }
 

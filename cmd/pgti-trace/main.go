@@ -125,12 +125,9 @@ func ns(n json.Number) (int64, error) {
 			return v, nil
 		}
 	}
-	f, err := n.Float64()
+	f, err := n.Float64() // carries its own sign
 	if err != nil {
 		return 0, err
-	}
-	if neg {
-		f = -f
 	}
 	return int64(f * 1000), nil
 }

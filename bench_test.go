@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper (run with
 // `go test -bench=. -benchmem`), plus ablation micro-benchmarks for the
 // design choices DESIGN.md calls out: view-based vs copy-based snapshot
-// assembly, ring vs naive AllReduce, index vs standard preprocessing, the
+// assembly, ring AllReduce, index vs standard preprocessing, the
 // three shuffling strategies, and the parallel sparse/dense kernels.
 package pgti
 
@@ -176,26 +176,21 @@ func BenchmarkBatchShuffler(b *testing.B) {
 	}
 }
 
-// --- ablation: AllReduce algorithms ------------------------------------------
+// --- collectives: ring AllReduce ----------------------------------------------
 
-func benchAllReduce(b *testing.B, workers, vecLen int, naive bool) {
-	b.Helper()
-	clu, err := cluster.New(cluster.Config{Workers: workers})
+func BenchmarkRingAllReduce4x64k(b *testing.B) {
+	clu, err := cluster.New(cluster.Config{Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := clu.Run(func(w *cluster.Worker) error {
-			vec := make([]float64, vecLen)
+			vec := make([]float64, 65536)
 			for j := range vec {
 				vec[j] = float64(w.Rank() + j)
 			}
-			if naive {
-				w.NaiveAllReduceMean(vec)
-			} else {
-				w.RingAllReduceMean(vec)
-			}
+			w.RingAllReduceMean(vec)
 			return nil
 		})
 		if err != nil {
@@ -203,9 +198,6 @@ func benchAllReduce(b *testing.B, workers, vecLen int, naive bool) {
 		}
 	}
 }
-
-func BenchmarkRingAllReduce4x64k(b *testing.B)  { benchAllReduce(b, 4, 65536, false) }
-func BenchmarkNaiveAllReduce4x64k(b *testing.B) { benchAllReduce(b, 4, 65536, true) }
 
 // --- micro: numeric kernels ---------------------------------------------------
 

@@ -239,15 +239,6 @@ func (w *Worker) AsyncRingAllReduceMeanSized(vec []float64, wireBytes int64) tim
 	return w.commScaled(w.cluster.cfg.Net.RingAllReduceTime(wireBytes, w.Size()))
 }
 
-// NaiveAllReduceMean averages vec across workers via gather-at-root and
-// broadcast — the ablation baseline for the AllReduce bench. Uses the ring
-// transport internally for the actual data movement (numerically identical);
-// its virtual cost model is the serialized root pattern.
-func (w *Worker) NaiveAllReduceMean(vec []float64) {
-	w.ringExchange(vec)
-	w.synchronized(w.cluster.cfg.Net.NaiveAllReduceTime(int64(len(vec))*8, w.Size()))
-}
-
 // ringExchange is the pure data-movement ring all-reduce (reduce-scatter
 // then all-gather, then the 1/p mean scaling). It never touches clocks.
 func (w *Worker) ringExchange(vec []float64) {

@@ -3,8 +3,9 @@ package cluster
 import "time"
 
 // Collectives no trainer calls any more — the blocking and unsized forms the
-// sized, clock-deferred ones superseded, the fp16 decoder and the matching
-// receive — kept as the references their tests exercise.
+// sized, clock-deferred ones superseded, the gather-at-root baseline, the
+// fp16 decoder and the matching receive — kept as the references their tests
+// exercise.
 
 // AsyncRingAllReduceMean performs the same in-place ring averaging as
 // RingAllReduceMean but leaves every virtual clock untouched, returning the
@@ -33,6 +34,15 @@ func (w *Worker) HierarchicalAllReduceMean(vec []float64, topo Topology) {
 // cost for the caller's overlap accounting (see AsyncRingAllReduceMean).
 func (w *Worker) AsyncHierarchicalAllReduceMean(vec []float64, topo Topology) time.Duration {
 	return w.AsyncHierarchicalAllReduceMeanSized(vec, topo, int64(len(vec))*8)
+}
+
+// NaiveAllReduceMean averages vec across workers via gather-at-root and
+// broadcast — the ablation baseline the ring is measured against. Uses the
+// ring transport internally for the actual data movement (numerically
+// identical); its virtual cost model is the serialized root pattern.
+func (w *Worker) NaiveAllReduceMean(vec []float64) {
+	w.ringExchange(vec)
+	w.synchronized(w.cluster.cfg.Net.NaiveAllReduceTime(int64(len(vec))*8, w.Size()))
 }
 
 // DecodeFP16 expands an fp16 wire payload into dst (which must have equal

@@ -1,21 +1,11 @@
 GO ?= go
 
-# The benchmark families gated by the CI perf regression check: DDP gradient
-# sync, spatial sharding, the distributed index-batching strategies, the
-# event-stream hook path (hooked vs hookless must stay indistinguishable),
-# the serving tier's modeled latency/throughput under its virtual clock, the
-# staleness-aware prefetch pipeline on the hybrid grid, the streaming
-# subsystem (window replay and mid-run elastic repartitioning), and the fault
-# layer (modeled recovery overhead of a mid-epoch rank crash and of a serving
-# replica failover).
-BENCH_GATED = $(GO) test -run '^$$' -bench 'BenchmarkDDP|BenchmarkShard|BenchmarkIndexBatch|BenchmarkEventStream|BenchmarkServe|BenchmarkPipeline|BenchmarkStream|BenchmarkFault' -benchtime=1x .
-
 # Per-package statement-coverage floors (pkg:percent), enforced by `make
 # cover` and the CI workflow. Raise a floor when coverage grows; lowering one
 # is a reviewed decision, not a quick fix for a red build.
 COVER_FLOORS = internal/shard:85 internal/cluster:90 internal/graph:90 internal/core:85 internal/sparse:85 internal/autograd:80 internal/serve:85 internal/stream:85 internal/fault:95 .:75
 
-.PHONY: ci build vet fmt-check test purego cross-vet race fuzz-smoke cover bench bench-smoke bench-host-smoke bench-json bench-baseline bench-check bench-ci step-profile trace-smoke stream-smoke chaos-smoke
+.PHONY: ci build vet fmt-check test purego cross-vet race fuzz-smoke cover bench bench-smoke bench-host-smoke step-profile trace-smoke stream-smoke chaos-smoke
 
 ## ci runs the exact tier-1 gate the CI workflow enforces.
 ci: build vet fmt-check test purego cross-vet race fuzz-smoke bench-smoke bench-host-smoke
@@ -30,6 +20,10 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt -w needed on:"; echo "$$out"; exit 1; fi
 
+## test includes TestModeledGoldens, which pins every modeled (virtual-clock)
+## schedule number exactly against testdata/modeled_goldens.jsonl; after a
+## deliberate change re-record it with
+## `go test . -run TestModeledGoldens -update`.
 test:
 	$(GO) test ./...
 
@@ -74,7 +68,7 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-## bench-smoke runs every benchmark once, as a does-it-still-run gate.
+## bench-smoke runs every host benchmark once, as a does-it-still-run gate.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
@@ -84,29 +78,6 @@ bench-smoke:
 ## breaks the benchmark fails first.
 bench-host-smoke:
 	$(GO) test -C benchmark ./...
-
-## bench-json emits a machine-readable perf snapshot (BENCH_* trajectory).
-## Staged through a temp file so a benchmark failure fails the target
-## instead of being masked by the pipeline's last command.
-bench-json:
-	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -run '^$$' -bench . -benchtime=1x . > "$$tmp" || { cat "$$tmp"; exit 1; }; \
-	$(GO) run ./cmd/pgti-benchjson < "$$tmp"
-
-## bench-baseline regenerates the committed perf baseline for the gated
-## benchmark families (run after a deliberate perf change).
-bench-baseline:
-	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(BENCH_GATED) > "$$tmp" || { cat "$$tmp"; exit 1; }; \
-	$(GO) run ./cmd/pgti-benchjson < "$$tmp" > bench/baseline.json; \
-	echo "wrote bench/baseline.json"
-
-## bench-check fails when the gated families' modeled metrics regress >20%
-## against bench/baseline.json (the CI perf gate).
-bench-check:
-	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(BENCH_GATED) > "$$tmp" || { cat "$$tmp"; exit 1; }; \
-	$(GO) run ./cmd/pgti-benchjson -check bench/baseline.json < "$$tmp"
 
 ## step-profile profiles one training step at the host benchmark's fit-index
 ## shapes (BenchmarkTrainingStepFitIndex, one P): a CPU profile over 200 steps
@@ -167,12 +138,3 @@ chaos-smoke:
 		-fail-replica 0 -fail-after 2 -retry-backoff 4ms \
 		-trace chaos-serve-trace.json
 	$(GO) run ./cmd/pgti-trace chaos-serve-trace.json
-
-## bench-ci runs the full benchmark suite ONCE, writing the perf snapshot to
-## bench-snapshot.json and gating that same run against the baseline — the
-## uploaded artifact and the gate verdict always describe one execution.
-bench-ci:
-	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -run '^$$' -bench . -benchtime=1x . > "$$tmp" || { cat "$$tmp"; exit 1; }; \
-	$(GO) run ./cmd/pgti-benchjson < "$$tmp" > bench-snapshot.json; \
-	$(GO) run ./cmd/pgti-benchjson -check bench/baseline.json < "$$tmp"

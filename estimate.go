@@ -12,7 +12,9 @@ import (
 // PolarisEstimate is a modeled full-scale run on the paper's platform
 // (ALCF Polaris: 512 GB nodes, 4x A100-40GB, Slingshot-11): what a
 // configuration would cost *before* committing node-hours. The model is
-// calibrated on the paper's single-GPU measurements; see DESIGN.md §6.
+// calibrated on the paper's single-GPU measurements; the internal/perfmodel
+// package doc anchors each constant, and README's "Three parallelism axes"
+// describes the strategies and worker counts it prices.
 type PolarisEstimate struct {
 	Dataset  string
 	Strategy Strategy

@@ -15,8 +15,9 @@ func init() {
 	registry["ablation"] = Ablation
 }
 
-// Ablation runs the design-choice studies DESIGN.md calls out, beyond the
-// paper's own tables: the horizon sweep of eq. 1 vs eq. 2, ring vs naive
+// Ablation runs the design-choice studies behind README's "Three
+// parallelism axes" and "The collective stack", beyond the paper's own
+// tables: the horizon sweep of eq. 1 vs eq. 2, ring vs naive
 // AllReduce at Polaris scale, per-epoch shuffling costs, and view- vs
 // copy-based snapshot assembly.
 func Ablation(opt Options) error {

@@ -63,8 +63,9 @@
 // EstimatePolaris(name, opts...).
 //
 // The six strategies, four models, and six datasets mirror the paper; see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for paper-vs-
-// reproduced numbers.
+// README's "Quick start: the Experiment API" for the drivers that regenerate
+// each table and figure (cmd/pgti-bench) and "Build, test, benchmark" for how
+// the reproduced modeled numbers are pinned.
 package pgti
 
 import (

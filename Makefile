@@ -94,10 +94,11 @@ step-profile:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 .step_profile/pgti.test .step_profile/mem.out
 
 ## trace-smoke exercises the observability layer end to end: a traced 2x2
-## hybrid fit, a traced single-GPU index-batching fit (the 1x1 grid) and a
-## traced serve burst, each schema-validated by pgti-trace (well-formed
-## Perfetto JSON, monotone per-thread timestamps, nested spans, balanced async
-## pairs). CI uploads the traces as artifacts.
+## hybrid fit, a traced single-GPU index-batching fit (the 1x1 grid), traced
+## 2-worker gen-dist-index and baseline-ddp fits (the partitioned-store and
+## remote-fetch feeds) and a traced serve burst, each schema-validated by
+## pgti-trace (well-formed Perfetto JSON, monotone per-thread timestamps,
+## nested spans, balanced async pairs). CI uploads the traces as artifacts.
 trace-smoke:
 	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
 		-strategy dist-index -workers 2 -shards 2 -quiet -trace train-trace.json
@@ -105,6 +106,12 @@ trace-smoke:
 	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
 		-strategy index -quiet -trace index-trace.json
 	$(GO) run ./cmd/pgti-trace index-trace.json
+	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
+		-strategy gen-dist-index -workers 2 -quiet -trace gendist-trace.json
+	$(GO) run ./cmd/pgti-trace gendist-trace.json
+	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
+		-strategy baseline-ddp -workers 2 -quiet -trace ddp-trace.json
+	$(GO) run ./cmd/pgti-trace ddp-trace.json
 	$(GO) run ./cmd/pgti-serve -dataset Chickenpox-Hungary -epochs 2 \
 		-retrain-epochs 0 -clients 4 -requests 16 -trace serve-trace.json
 	$(GO) run ./cmd/pgti-trace serve-trace.json

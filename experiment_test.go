@@ -3,6 +3,7 @@ package pgti
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -125,6 +126,13 @@ func TestOptionValidationTable(t *testing.T) {
 		{"negative staleness", "Staleness", with(distIndex, WithSpatial(2), WithStaleness(-1))},
 		{"repartition without spatial", "Repartition", with(distIndex, WithRepartition(4, 2))},
 		{"repartition threshold", "Repartition", with(distIndex, WithSpatial(2), WithRepartition(4, 0.5))},
+		// NaN compares false with everything, so it used to slip past the
+		// threshold rule and leave repartitioning silently off.
+		{"repartition NaN threshold", "Repartition", with(distIndex, WithRepartition(4, math.NaN()))},
+		{"repartition NaN threshold with spatial", "Repartition", with(distIndex, WithSpatial(2), WithRepartition(4, math.NaN()))},
+		// A negative cap used to mean unlimited.
+		{"negative memory caps", "SystemMemory", []Option{WithMemoryCaps(-1, -1)}},
+		{"negative GPU memory cap", "GPUMemory", []Option{WithMemoryCaps(0, -1)}},
 		{"node weights without spatial", "NodeWeights", with(distIndex, WithNodeWeights(make([]float64, 20)))},
 		{"faults on single-GPU", "Faults", []Option{
 			WithStrategy(StrategyIndex), WithFaultPlan(1, FaultCrash(0, time.Second)),

@@ -7,27 +7,47 @@ import (
 	"pgti/internal/tensor"
 )
 
-// singleShardExchange is the degenerate single-shard HaloExchange: no halo,
-// no peers, zero remote gradient contributions. The op must still invoke
-// both hooks (the interface contract), so it counts its calls.
-type singleShardExchange struct {
-	own               int
-	gathers, scatters int
+// shardBlock wraps a compacted [own | halo] row block as the sparse.ShardCSR
+// ShardSpMM takes, with its interior/frontier row split.
+func shardBlock(local *sparse.CSR) *sparse.ShardCSR {
+	interior, frontier := sparse.InteriorFrontier(local, local.RowsN)
+	return &sparse.ShardCSR{GlobalN: local.RowsN, Local: local, Interior: interior, Frontier: frontier}
 }
 
-func (e *singleShardExchange) NumHalo() int { return 0 }
-func (e *singleShardExchange) Gather(local *tensor.Tensor) *tensor.Tensor {
-	e.gathers++
-	return tensor.New(0, local.Dim(1))
-}
-func (e *singleShardExchange) ScatterAdd(haloGrad *tensor.Tensor) *tensor.Tensor {
-	e.scatters++
-	return tensor.New(e.own, haloGrad.Dim(1))
+// fakeExchange is a deterministic in-process HaloExchange: it serves fixed
+// halo rows and fixed peer contributions, and records its calls, so
+// ShardSpMM can be checked bitwise and for call order without a cluster.
+type fakeExchange struct {
+	haloRows *tensor.Tensor // [halo, F] served by GatherFinish
+	remote   *tensor.Tensor // [own, F] served by ScatterAddFinish
+	inFlight int            // Start/Finish pairing check
+	calls    []string
 }
 
-// TestShardSpMMSingleShardMatchesSpMM: with the whole graph on one shard,
-// ShardSpMM must agree with SpMM in both forward values and gradients, and
-// must still drive the exchange hooks once per pass.
+func (e *fakeExchange) NumHalo() int { return e.haloRows.Dim(0) }
+func (e *fakeExchange) GatherStart(local *tensor.Tensor) {
+	e.calls = append(e.calls, "gatherStart")
+	e.inFlight++
+}
+func (e *fakeExchange) GatherFinish() *tensor.Tensor {
+	e.calls = append(e.calls, "gatherFinish")
+	e.inFlight--
+	return e.haloRows.Clone()
+}
+func (e *fakeExchange) ScatterAddStart(haloGrad *tensor.Tensor) {
+	e.calls = append(e.calls, "scatterStart")
+	e.inFlight++
+}
+func (e *fakeExchange) ScatterAddFinish() *tensor.Tensor {
+	e.calls = append(e.calls, "scatterFinish")
+	e.inFlight--
+	return e.remote.Clone()
+}
+
+// TestShardSpMMSingleShardMatchesSpMM: with the whole graph on one shard
+// (no halo, zero peer contributions), ShardSpMM must agree with SpMM in both
+// forward values and gradients, and must still drive each exchange pair once
+// per pass.
 func TestShardSpMMSingleShardMatchesSpMM(t *testing.T) {
 	n, f := 7, 3
 	rng := tensor.NewRNG(2)
@@ -48,9 +68,9 @@ func TestShardSpMMSingleShardMatchesSpMM(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ex := &singleShardExchange{own: n}
+	ex := &fakeExchange{haloRows: tensor.New(0, f), remote: tensor.New(n, f)}
 	x := NewVariable(xv.Clone())
-	out := ShardSpMM(m, ex, x)
+	out := ShardSpMM(shardBlock(m), ex, x)
 	if err := Backward(SumAll(out)); err != nil {
 		t.Fatal(err)
 	}
@@ -61,57 +81,27 @@ func TestShardSpMMSingleShardMatchesSpMM(t *testing.T) {
 	if !x.Grad.AllClose(ref.Grad, 1e-12) {
 		t.Fatal("gradient mismatch vs SpMM")
 	}
-	if ex.gathers != 1 || ex.scatters != 1 {
-		t.Fatalf("exchange hooks ran %d/%d times, want 1/1", ex.gathers, ex.scatters)
+	if len(ex.calls) != 4 {
+		t.Fatalf("exchange hooks ran %v, want one gather and one scatter pair", ex.calls)
 	}
 }
 
-// fakeAsyncExchange is a deterministic in-process AsyncHaloExchange: it
-// serves fixed halo rows and records peers' contributions as zeros, with a
-// switch between the blocking and split-phase schedules, so the two
-// ShardSpMM paths can be compared bitwise without a cluster.
-type fakeAsyncExchange struct {
-	own, halo int
-	haloRows  *tensor.Tensor // [halo, F] served by Gather
-	overlap   bool
-	scatterF  int // F seen by ScatterAddStart, echoed by Finish
-	inFlight  int // Start/Finish pairing check
-	calls     []string
-}
-
-func (e *fakeAsyncExchange) NumHalo() int  { return e.halo }
-func (e *fakeAsyncExchange) Overlap() bool { return e.overlap }
-func (e *fakeAsyncExchange) Gather(local *tensor.Tensor) *tensor.Tensor {
-	e.calls = append(e.calls, "gather")
-	return e.haloRows.Clone()
-}
-func (e *fakeAsyncExchange) ScatterAdd(haloGrad *tensor.Tensor) *tensor.Tensor {
-	e.calls = append(e.calls, "scatter")
-	return tensor.New(e.own, haloGrad.Dim(1))
-}
-func (e *fakeAsyncExchange) GatherStart(local *tensor.Tensor) {
-	e.calls = append(e.calls, "gatherStart")
-	e.inFlight++
-}
-func (e *fakeAsyncExchange) GatherFinish() *tensor.Tensor {
-	e.calls = append(e.calls, "gatherFinish")
-	e.inFlight--
-	return e.haloRows.Clone()
-}
-func (e *fakeAsyncExchange) ScatterAddStart(haloGrad *tensor.Tensor) {
-	e.calls = append(e.calls, "scatterStart")
-	e.scatterF = haloGrad.Dim(1)
-	e.inFlight++
-}
-func (e *fakeAsyncExchange) ScatterAddFinish() *tensor.Tensor {
-	e.calls = append(e.calls, "scatterFinish")
-	e.inFlight--
-	return tensor.New(e.own, e.scatterF)
+// referenceShardSpMM is the gather-then-multiply composite ShardSpMM must
+// reproduce bitwise: out = Local·[x; halo], and the input gradient is the own
+// rows of Localᵀ·grad plus the peers' contributions.
+func referenceShardSpMM(local *sparse.CSR, x, halo, grad, remote *tensor.Tensor) (out, xGrad *tensor.Tensor) {
+	ext := x
+	if halo.Dim(0) > 0 {
+		ext = tensor.Concat(0, x, halo)
+	}
+	gext := local.Transposed().SpMM(grad)
+	return local.SpMM(ext), tensor.Add(gext.Slice(0, 0, local.RowsN).Contiguous(), remote)
 }
 
 // TestShardSpMMOverlapBitwise: the interior-first split-phase schedule must
-// reproduce the blocking schedule's forward values and input gradients
-// bit-for-bit, for blocks with and without halo columns.
+// reproduce the gather-then-multiply composite's forward values and input
+// gradients bit-for-bit, for blocks with and without halo columns, and call
+// the exchange as gatherStart, gatherFinish, scatterStart, scatterFinish.
 func TestShardSpMMOverlapBitwise(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	for _, halo := range []int{0, 5} {
@@ -125,53 +115,39 @@ func TestShardSpMMOverlapBitwise(t *testing.T) {
 				entries = append(entries, sparse.Coord{Row: i, Col: nOwn + i%halo, Val: rng.Float64()})
 			}
 		}
-		block, err := sparse.FromCOO(nOwn, cols, entries)
+		local, err := sparse.FromCOO(nOwn, cols, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		xv := tensor.Randn(rng, nOwn, f)
-		haloRows := tensor.Randn(rng, halo, f)
+		ex := &fakeExchange{haloRows: tensor.Randn(rng, halo, f), remote: tensor.Randn(rng, nOwn, f)}
 
-		run := func(overlap bool) (*tensor.Tensor, *tensor.Tensor, *fakeAsyncExchange) {
-			ex := &fakeAsyncExchange{own: nOwn, halo: halo, haloRows: haloRows, overlap: overlap}
-			x := NewVariable(xv.Clone())
-			out := ShardSpMM(block, ex, x)
-			if err := Backward(SumAll(out)); err != nil {
-				t.Fatal(err)
-			}
-			return out.Value, x.Grad, ex
+		x := NewVariable(xv.Clone())
+		out := ShardSpMM(shardBlock(local), ex, x)
+		if err := Backward(SumAll(out)); err != nil {
+			t.Fatal(err)
 		}
-		blockOut, blockGrad, bex := run(false)
-		overOut, overGrad, oex := run(true)
+		wantOut, wantGrad := referenceShardSpMM(local, xv, ex.haloRows, tensor.Ones(nOwn, f), ex.remote)
 
-		bo, oo := blockOut.Contiguous().Data(), overOut.Contiguous().Data()
-		for i := range bo {
-			if bo[i] != oo[i] {
-				t.Fatalf("halo=%d: forward element %d differs bitwise: %v vs %v", halo, i, oo[i], bo[i])
+		for name, pair := range map[string][2]*tensor.Tensor{"forward": {out.Value, wantOut}, "gradient": {x.Grad, wantGrad}} {
+			got, want := pair[0].Contiguous().Data(), pair[1].Contiguous().Data()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("halo=%d: %s element %d differs bitwise: %v vs %v", halo, name, i, got[i], want[i])
+				}
 			}
-		}
-		bg, og := blockGrad.Contiguous().Data(), overGrad.Contiguous().Data()
-		for i := range bg {
-			if bg[i] != og[i] {
-				t.Fatalf("halo=%d: gradient element %d differs bitwise: %v vs %v", halo, i, og[i], bg[i])
-			}
-		}
-		// Schedules: blocking never touches the split-phase hooks and vice
-		// versa; every Start is matched by its Finish.
-		if got := len(bex.calls); got != 2 || bex.calls[0] != "gather" || bex.calls[1] != "scatter" {
-			t.Fatalf("halo=%d: blocking calls %v", halo, bex.calls)
 		}
 		want := []string{"gatherStart", "gatherFinish", "scatterStart", "scatterFinish"}
-		if len(oex.calls) != len(want) {
-			t.Fatalf("halo=%d: overlapped calls %v", halo, oex.calls)
+		if len(ex.calls) != len(want) {
+			t.Fatalf("halo=%d: calls %v, want %v", halo, ex.calls, want)
 		}
 		for i := range want {
-			if oex.calls[i] != want[i] {
-				t.Fatalf("halo=%d: overlapped calls %v", halo, oex.calls)
+			if ex.calls[i] != want[i] {
+				t.Fatalf("halo=%d: calls %v, want %v", halo, ex.calls, want)
 			}
 		}
-		if oex.inFlight != 0 {
-			t.Fatalf("halo=%d: unbalanced Start/Finish: %d", halo, oex.inFlight)
+		if ex.inFlight != 0 {
+			t.Fatalf("halo=%d: unbalanced Start/Finish: %d", halo, ex.inFlight)
 		}
 	}
 }

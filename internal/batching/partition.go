@@ -37,9 +37,6 @@ func NewPartitionStore(ds *IndexDataset, workers int) (*PartitionStore, error) {
 	return &PartitionStore{ds: ds, workers: workers, bounds: bounds}, nil
 }
 
-// Workers returns the partition count.
-func (s *PartitionStore) Workers() int { return s.workers }
-
 // OwnerOf returns the rank owning data row `row`.
 func (s *PartitionStore) OwnerOf(row int) int {
 	if row < 0 || row >= s.ds.Data.Dim(0) {

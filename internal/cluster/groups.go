@@ -197,23 +197,6 @@ type NeighborSend struct {
 	Payload []float64
 }
 
-// AsyncNeighborAllToAllV is the sparse neighbour exchange under halo
-// gathering: each caller ships a variable-length payload to each peer it
-// has data for and blocks for the expected payloads from recvFrom (ranks
-// with a zero expected length must be omitted). Peers not mentioned on
-// either side are untouched — the collective involves only the caller's
-// neighbourhood, and matching calls must be issued by exactly the workers
-// that appear in each other's lists.
-//
-// The modeled cost prices each message on the link the topology implies
-// (NVLink-class intra-node, fabric inter-node) and charges the NIC-serial
-// sum of each direction, taking the slower of the two; clocks are NOT
-// advanced (clock-deferred, like the Async collectives), so callers can
-// charge the cost synchronously or fold it into an overlap timeline.
-func (w *Worker) AsyncNeighborAllToAllV(sends []NeighborSend, recvFrom []int, recvLens []int, topo Topology) (map[int][]float64, time.Duration) {
-	return w.NeighborAllToAllVStart(sends, recvFrom, recvLens, topo).Finish()
-}
-
 // NeighborHandle is an in-flight sparse neighbour exchange: the sends have
 // been issued (non-blocking, into the peers' mailboxes), the receives have
 // not yet been collected. Interior-first overlapped SpMM computes its
@@ -227,9 +210,21 @@ type NeighborHandle struct {
 	sendCost time.Duration
 }
 
-// NeighborAllToAllVStart issues the send half of AsyncNeighborAllToAllV and
-// returns a handle whose Finish collects the receives. Exactly one Finish
-// must follow each Start before the worker issues another halo exchange.
+// NeighborAllToAllVStart starts the sparse neighbour exchange under halo
+// gathering: each caller ships a variable-length payload to each peer it has
+// data for, and the returned handle's Finish blocks for the expected
+// payloads from recvFrom (ranks with a zero expected length must be
+// omitted). Peers not mentioned on either side are untouched — the
+// collective involves only the caller's neighbourhood, and matching calls
+// must be issued by exactly the workers that appear in each other's lists.
+// Exactly one Finish must follow each Start before the worker issues
+// another halo exchange.
+//
+// The modeled cost prices each message on the link the topology implies
+// (NVLink-class intra-node, fabric inter-node) and charges the NIC-serial
+// sum of each direction, taking the slower of the two; clocks are NOT
+// advanced (clock-deferred, like the Async collectives), so callers can
+// charge the cost synchronously or fold it into an overlap timeline.
 func (w *Worker) NeighborAllToAllVStart(sends []NeighborSend, recvFrom []int, recvLens []int, topo Topology) *NeighborHandle {
 	sorted := make([]NeighborSend, len(sends))
 	copy(sorted, sends)
@@ -237,7 +232,7 @@ func (w *Worker) NeighborAllToAllVStart(sends []NeighborSend, recvFrom []int, re
 	h := &NeighborHandle{w: w, recvFrom: recvFrom, recvLens: recvLens, topo: topo}
 	for _, s := range sorted {
 		if s.To == w.rank {
-			panic("cluster: AsyncNeighborAllToAllV self-send")
+			panic("cluster: NeighborAllToAllVStart self-send")
 		}
 		w.rawSend(s.To, haloTag, s.Payload)
 		h.sendCost += w.linkTo(s.To, topo).TransferTime(int64(len(s.Payload)) * 8)
@@ -255,7 +250,7 @@ func (h *NeighborHandle) Finish() (map[int][]float64, time.Duration) {
 	for i, r := range h.recvFrom {
 		payload := w.rawRecv(r, haloTag)
 		if len(payload) != h.recvLens[i] {
-			panic(fmt.Sprintf("cluster: AsyncNeighborAllToAllV expected %d values from rank %d, got %d", h.recvLens[i], r, len(payload)))
+			panic(fmt.Sprintf("cluster: NeighborHandle.Finish expected %d values from rank %d, got %d", h.recvLens[i], r, len(payload)))
 		}
 		recvs[r] = payload
 		recvCost += w.linkTo(r, h.topo).TransferTime(int64(len(payload)) * 8)

@@ -7,6 +7,12 @@ import "time"
 // fp16 decoder and the matching receive — kept as the references their tests
 // exercise.
 
+// AsyncNeighborAllToAllV is the blocking neighbour exchange: Start then
+// Finish, with nothing in between.
+func (w *Worker) AsyncNeighborAllToAllV(sends []NeighborSend, recvFrom []int, recvLens []int, topo Topology) (map[int][]float64, time.Duration) {
+	return w.NeighborAllToAllVStart(sends, recvFrom, recvLens, topo).Finish()
+}
+
 // AsyncRingAllReduceMean performs the same in-place ring averaging as
 // RingAllReduceMean but leaves every virtual clock untouched, returning the
 // modeled ring cost instead. Callers that overlap communication with

@@ -307,6 +307,12 @@ func (c *Config) Validate() error {
 	if c.MissingFrac > 0 && dist {
 		return invalidf("MissingFrac", "missing-data training needs a single-GPU strategy (a masked mean across workers is not the mean of their masked means), got %v", c.Strategy)
 	}
+	if c.SystemMemory < 0 {
+		return invalidf("SystemMemory", "system memory cap %d B is negative (0 is unlimited)", c.SystemMemory)
+	}
+	if c.GPUMemory < 0 {
+		return invalidf("GPUMemory", "GPU memory cap %d B is negative (0 is unlimited)", c.GPUMemory)
+	}
 	if c.Workers > 1 && !dist {
 		return invalidf("Workers", "%d workers need a distributed strategy, got %v", c.Workers, c.Strategy)
 	}

@@ -425,10 +425,6 @@ func (e *Engine) buildGrid() error {
 	if err != nil {
 		return err
 	}
-	feed, err := e.feed()
-	if err != nil {
-		return err
-	}
 
 	e.trainCfg = shard.Config{
 		Shards:          shards,
@@ -443,7 +439,7 @@ func (e *Engine) buildGrid() error {
 		Seed:            cfg.Seed,
 		Net:             cluster.SlingshotModel(),
 		Topology:        cfg.Topology,
-		Feed:            feed,
+		Feed:            e.feed(),
 		Algo:            cfg.GradAlgo,
 		FP16:            cfg.GradFP16,
 		BucketBytes:     cfg.GradBucketBytes,
@@ -474,7 +470,7 @@ func (e *Engine) buildGrid() error {
 
 // feed resolves the strategy's data path: what moving one batch to the device
 // costs (see shard.Feed).
-func (e *Engine) feed() (shard.Feed, error) {
+func (e *Engine) feed() shard.Feed {
 	switch e.cfg.Strategy {
 	case Baseline, Index:
 		// The dataset stays on the host: every batch pays a pageable H2D
@@ -482,25 +478,24 @@ func (e *Engine) feed() (shard.Feed, error) {
 		// eliminates.
 		h2d := device.NewGPU("train", 0)
 		h2d.Mem = e.gpu
-		return shard.Feed{Device: h2d}, nil
+		return shard.HostToDevice{Device: h2d}
 	case BaselineDDP:
-		return shard.Feed{Remote: true}, nil
+		return shard.RemoteFetch{}
 	case GenDistIndex:
 		if e.cfg.Workers > 1 {
 			// The larger-than-memory layout: rows partitioned across
 			// workers; only boundary rows travel.
-			store, err := batching.NewPartitionStore(e.idx, e.cfg.Workers)
-			return shard.Feed{Store: store}, err
+			return shard.PartitionedStore{}
 		}
 	}
-	return shard.Feed{}, nil
+	return nil
 }
 
 // accountDevice is the single-GPU strategies' accounting (the paper's eq. 1
 // and eq. 2 view of one host feeding one device): the parameters live on the
 // device, and GPU-index-batching keeps the batch staging buffer there for
 // good. The host-resident strategies' per-batch bytes come and go with each
-// step (shard.Feed.Device).
+// step (shard.HostToDevice).
 func (e *Engine) accountDevice(paramBytes int64) error {
 	if err := e.gpu.Alloc("model.params", paramBytes); err != nil {
 		return err
@@ -752,19 +747,14 @@ func (e *Engine) fitGrid(ctx context.Context) error {
 			if perr != nil {
 				return perr
 			}
-			if cfg.Feed.Store != nil {
-				// The partitioned layout re-splits the rows over the
-				// survivors (the dead worker's partition re-fills from its
-				// peers; the clock charge is covered by refill).
-				if cfg.Feed.Store, err = batching.NewPartitionStore(e.idx, sv.Replicas); err != nil {
-					return err
-				}
-			}
 			prefix = append(prefix, snap.Curve...)
 			offset = e.bookRecovery(offset, recovery{
 				lost: lost, refill: refill, epoch: snap.NextEpoch,
 				snapVT: snap.VirtualTime, shards: sv.Shards, replicas: sv.Replicas,
 			})
+			// A PartitionedStore re-splits its rows over the surviving
+			// replicas inside Train (the dead worker's partition re-fills
+			// from its peers; the clock charge is covered by refill).
 			cfg.Shards, cfg.Replicas = sv.Shards, sv.Replicas
 			cfg.Plan = plan
 			cfg.StartEpoch = snap.NextEpoch

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -31,6 +32,8 @@ func FuzzConfigValidate(f *testing.F) {
 		flagWarmStart
 		flagResume
 		flagWarmParams
+		flagNaNThreshold
+		flagNegativeMemory
 	)
 	// strategy, model, workers, shards, staleness, scale, missing, topology
 	// nodes x gpus, grad algo, flags.
@@ -48,6 +51,9 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(int(DistIndex), 0, 2, 0, 0, 0.0, 0.3, 0, 0, 0, 0)
 	f.Add(int(GenDistIndex), int(ModelSTLLM), 2, 3, -1, 1.5, -0.1, 4, 4, int(ddp.GradAlgoFlat), flagAutoTune|flagWarmStart|flagResume)
 	f.Add(int(DistIndex), 0, 2, 2, 0, 0.0, 0.0, 0, 0, 0, flagWarmParams|flagWarmStart|flagStaticPartition)
+	f.Add(int(DistIndex), 0, 2, 2, 0, 0.0, 0.0, 0, 0, 0, flagNaNThreshold)
+	f.Add(int(DistIndex), 0, 2, 0, 0, 0.0, 0.0, 0, 0, 0, flagNaNThreshold)
+	f.Add(int(Index), 0, 1, 0, 0, 0.0, 0.0, 0, 0, 0, flagNegativeMemory)
 
 	f.Fuzz(func(t *testing.T, strategy, model, workers, shards, staleness int,
 		scale, missing float64, topoNodes, topoGPUs, gradAlgo, flags int) {
@@ -87,6 +93,12 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 		if flags&flagRepartition != 0 {
 			cfg.Repartition = shard.Repartition{ChunkSize: small(staleness, 3) + 1, Threshold: 1 + scale}
+		}
+		if flags&flagNaNThreshold != 0 {
+			cfg.Repartition = shard.Repartition{ChunkSize: small(staleness, 3) + 1, Threshold: math.NaN()}
+		}
+		if flags&flagNegativeMemory != 0 {
+			cfg.SystemMemory, cfg.GPUMemory = -1, -1
 		}
 		if flags&flagFaults != 0 {
 			cfg.Faults = fault.New(3, fault.Crash(small(workers, 4), time.Second))

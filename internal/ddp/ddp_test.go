@@ -277,7 +277,7 @@ func TestRemoteFetchChargesCommTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetch, err := fw.train(shard.Config{
-		Replicas: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 3, Feed: shard.Feed{Remote: true},
+		Replicas: 2, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 3, Feed: shard.RemoteFetch{},
 		ComputeCost: func(int) time.Duration { return time.Millisecond },
 	})
 	if err != nil {

@@ -11,6 +11,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -213,8 +214,8 @@ func (p *Plan) Validate(world int) error {
 		return fmt.Errorf("fault: %d crashes leave no survivor in world %d", len(p.Crashes), world)
 	}
 	for _, d := range p.Degrades {
-		if d.Factor < 1 {
-			return fmt.Errorf("fault: degrade factor %v below 1", d.Factor)
+		if !validFactor(d.Factor) {
+			return fmt.Errorf("fault: degrade factor %v is not a finite factor >= 1", d.Factor)
 		}
 		if d.From < 0 || d.To <= d.From {
 			return fmt.Errorf("fault: degrade window [%v, %v) is empty or negative", d.From, d.To)
@@ -224,8 +225,8 @@ func (p *Plan) Validate(world int) error {
 		if s.Rank < 0 || s.Rank >= world {
 			return fmt.Errorf("fault: straggler rank %d outside world %d", s.Rank, world)
 		}
-		if s.Factor < 1 {
-			return fmt.Errorf("fault: straggler factor %v below 1", s.Factor)
+		if !validFactor(s.Factor) {
+			return fmt.Errorf("fault: straggler factor %v is not a finite factor >= 1", s.Factor)
 		}
 		if s.From < 0 || s.To <= s.From {
 			return fmt.Errorf("fault: straggler window [%v, %v) is empty or negative", s.From, s.To)
@@ -233,6 +234,10 @@ func (p *Plan) Validate(world int) error {
 	}
 	return nil
 }
+
+// validFactor reports whether f is a finite slowdown factor >= 1 (NaN and
+// +Inf fail: NaN < 1 is false, and an infinite factor overflows a duration).
+func validFactor(f float64) bool { return f >= 1 && !math.IsInf(f, 1) }
 
 // NextCrash returns the earliest scheduled crash by (At, Rank) order.
 func (p *Plan) NextCrash() (WorkerCrash, bool) {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -97,9 +98,13 @@ func TestValidate(t *testing.T) {
 		New(1, Crash(0, ms), Crash(0, 2*ms)), // same rank twice
 		New(1, Crash(0, ms), Crash(1, ms), Crash(2, ms), Crash(3, ms)), // no survivor
 		New(1, Degrade(0.5, 0, ms)),                                    // factor below 1
+		New(1, Degrade(math.NaN(), 0, ms)),                             // NaN factor
+		New(1, Degrade(math.Inf(1), 0, ms)),                            // infinite factor
 		New(1, Degrade(2, 5*ms, 5*ms)),                                 // empty window
 		New(1, Slow(4, 2, 0, ms)),                                      // straggler rank outside world
 		New(1, Slow(0, 0.5, 0, ms)),                                    // straggler factor below 1
+		New(1, Slow(0, math.NaN(), 0, ms)),                             // NaN straggler factor
+		New(1, Slow(0, math.Inf(1), 0, ms)),                            // infinite straggler factor
 		New(1, Slow(0, 2, 5*ms, 2*ms)),                                 // inverted window
 		New(1, Detection(0)),                                           // non-positive detection
 	}

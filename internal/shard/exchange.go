@@ -131,13 +131,14 @@ func (s *Stats) StepCost() time.Duration {
 }
 
 // Exchanger moves halo rows between the shards of one replica group over
-// the cluster's neighbour collective. It implements autograd.HaloExchange
-// and autograd.AsyncHaloExchange; one Exchanger serves one (worker, support)
-// pair. Under the blocking schedule the modeled cost is charged to the
-// worker's clock at each exchange; under the overlapped schedule the cost is
-// recorded as a step comm event and the trainer charges the overlapped
-// timeline once per step. Either way the cost is priced via the topology's
-// intra/inter links and accumulated into the shared Stats.
+// the cluster's neighbour collective. It implements autograd.HaloExchange;
+// one Exchanger serves one (worker, support) pair. Every schedule runs the
+// same split-phase exchange, and the Finish halves are the only code that
+// reads which one is in force: the overlapped schedule records the exchange
+// as a step comm event (the trainer charges the overlapped timeline once per
+// step), the blocking one charges its full cost to the worker's clock
+// inline. Either way the cost is priced via the topology's intra/inter links
+// and accumulated into the shared Stats.
 type Exchanger struct {
 	w       *cluster.Worker
 	group   []int // replica-group global ranks, indexed by shard
@@ -155,31 +156,14 @@ type Exchanger struct {
 }
 
 // NewExchanger binds an exchange plan to a worker within its replica group.
-// overlap selects the split-phase interior-first schedule.
+// overlap selects the interior-first schedule's pricing: exchanges ride the
+// step's overlap timeline instead of being charged inline.
 func NewExchanger(w *cluster.Worker, group []int, shardIdx int, plan *ExchangePlan, topo cluster.Topology, stats *Stats, overlap bool) *Exchanger {
 	return &Exchanger{w: w, group: group, shard: shardIdx, plan: plan, topo: topo, stats: stats, overlap: overlap}
 }
 
 // NumHalo implements autograd.HaloExchange.
 func (e *Exchanger) NumHalo() int { return e.plan.NumHalo }
-
-// Overlap implements autograd.AsyncHaloExchange.
-func (e *Exchanger) Overlap() bool { return e.overlap }
-
-// gatherRoutes assembles the forward exchange (ship owned rows peers need,
-// expect this shard's halo rows).
-func (e *Exchanger) gatherRoutes(local *tensor.Tensor) (sends []cluster.NeighborSend, recvFrom, recvLens []int, f int) {
-	f = local.Dim(1)
-	ld := local.Contiguous().Data()
-	sends, recvFrom, recvLens = e.routes(f, e.plan.SendTo, e.plan.RecvPos, func(rows []int) []float64 {
-		payload := make([]float64, len(rows)*f)
-		for i, r := range rows {
-			copy(payload[i*f:(i+1)*f], ld[r*f:(r+1)*f])
-		}
-		return payload
-	})
-	return sends, recvFrom, recvLens, f
-}
 
 // assembleHalo scatters the received payloads into the halo block.
 func (e *Exchanger) assembleHalo(recvs map[int][]float64, f int) *tensor.Tensor {
@@ -194,60 +178,23 @@ func (e *Exchanger) assembleHalo(recvs map[int][]float64, f int) *tensor.Tensor 
 	return halo
 }
 
-// Gather implements autograd.HaloExchange: ship the owned rows peers need,
-// collect this shard's halo rows [NumHalo, F].
+// Gather ships the owned rows peers need and collects this shard's halo rows
+// [NumHalo, F]: GatherStart then GatherFinish, with nothing in between.
 func (e *Exchanger) Gather(local *tensor.Tensor) *tensor.Tensor {
-	sends, recvFrom, recvLens, f := e.gatherRoutes(local)
-	t0 := time.Now()
-	recvs, cost := e.w.AsyncNeighborAllToAllV(sends, recvFrom, recvLens, e.topo)
-	e.stats.Wall += time.Since(t0)
-	halo := e.assembleHalo(recvs, f)
-	e.charge(sends, cost)
-	return halo
+	e.GatherStart(local)
+	return e.GatherFinish()
 }
 
-// GatherStart implements autograd.AsyncHaloExchange: issue the forward
-// exchange's sends without blocking.
+// GatherStart implements autograd.HaloExchange: issue the forward exchange's
+// sends without blocking.
 func (e *Exchanger) GatherStart(local *tensor.Tensor) {
-	if e.handle != nil {
-		panic("shard: halo exchange already in flight (Start without matching Finish)")
-	}
-	sends, recvFrom, recvLens, f := e.gatherRoutes(local)
-	e.inflightF = f
-	e.sendBytes = payloadBytes(sends)
-	e.offset = e.stats.launchOffset()
-	e.handle = e.w.NeighborAllToAllVStart(sends, recvFrom, recvLens, e.topo)
+	e.start(e.routes(local, e.plan.SendTo, e.plan.RecvPos))
 }
 
-// GatherFinish implements autograd.AsyncHaloExchange: collect the halo rows
-// launched by GatherStart, recording the exchange on the step timeline.
+// GatherFinish implements autograd.HaloExchange: collect the halo rows
+// launched by GatherStart.
 func (e *Exchanger) GatherFinish() *tensor.Tensor {
-	t0 := time.Now()
-	recvs, cost := e.handle.Finish()
-	blocked := time.Since(t0)
-	e.stats.Wall += blocked
-	e.stats.stepBlocked += blocked
-	halo := e.assembleHalo(recvs, e.inflightF)
-	e.stats.record(e.sendBytes, cost, e.offset, "halo.gather")
-	e.handle = nil
-	return halo
-}
-
-// scatterRoutes assembles the reverse exchange (ship halo gradient rows back
-// to their owners, expect peers' contributions to this shard's own rows).
-func (e *Exchanger) scatterRoutes(haloGrad *tensor.Tensor) (sends []cluster.NeighborSend, recvFrom, recvLens []int, f int) {
-	f = haloGrad.Dim(1)
-	hd := haloGrad.Contiguous().Data()
-	// Reverse routing: what we received in Gather we now send, and vice
-	// versa.
-	sends, recvFrom, recvLens = e.routes(f, e.plan.RecvPos, e.plan.SendTo, func(pos []int) []float64 {
-		payload := make([]float64, len(pos)*f)
-		for i, p := range pos {
-			copy(payload[i*f:(i+1)*f], hd[p*f:(p+1)*f])
-		}
-		return payload
-	})
-	return sends, recvFrom, recvLens, f
+	return e.assembleHalo(e.finish("halo.gather"), e.inflightF)
 }
 
 // sumOwn accumulates the received peer contributions into the own-row block.
@@ -267,62 +214,70 @@ func (e *Exchanger) sumOwn(recvs map[int][]float64, f int) *tensor.Tensor {
 	return out
 }
 
-// ScatterAdd implements autograd.HaloExchange: ship halo gradient rows back
-// to their owners, collect (and sum) the peers' contributions to this
-// shard's own rows.
-func (e *Exchanger) ScatterAdd(haloGrad *tensor.Tensor) *tensor.Tensor {
-	sends, recvFrom, recvLens, f := e.scatterRoutes(haloGrad)
-	t0 := time.Now()
-	recvs, cost := e.w.AsyncNeighborAllToAllV(sends, recvFrom, recvLens, e.topo)
-	e.stats.Wall += time.Since(t0)
-	out := e.sumOwn(recvs, f)
-	e.charge(sends, cost)
-	return out
-}
-
-// ScatterAddStart implements autograd.AsyncHaloExchange: issue the reverse
+// ScatterAddStart implements autograd.HaloExchange: issue the reverse
 // exchange's sends without blocking.
 func (e *Exchanger) ScatterAddStart(haloGrad *tensor.Tensor) {
+	e.start(e.routes(haloGrad, e.plan.RecvPos, e.plan.SendTo))
+}
+
+// ScatterAddFinish implements autograd.HaloExchange: collect and sum the
+// peer contributions launched by ScatterAddStart.
+func (e *Exchanger) ScatterAddFinish() *tensor.Tensor {
+	return e.sumOwn(e.finish("halo.scatter"), e.inflightF)
+}
+
+// start issues one exchange's sends and remembers what its finish prices.
+func (e *Exchanger) start(sends []cluster.NeighborSend, recvFrom, recvLens []int, f int) {
 	if e.handle != nil {
 		panic("shard: halo exchange already in flight (Start without matching Finish)")
 	}
-	sends, recvFrom, recvLens, f := e.scatterRoutes(haloGrad)
 	e.inflightF = f
 	e.sendBytes = payloadBytes(sends)
 	e.offset = e.stats.launchOffset()
 	e.handle = e.w.NeighborAllToAllVStart(sends, recvFrom, recvLens, e.topo)
 }
 
-// ScatterAddFinish implements autograd.AsyncHaloExchange: collect and sum
-// the peer contributions launched by ScatterAddStart.
-func (e *Exchanger) ScatterAddFinish() *tensor.Tensor {
+// finish blocks for the in-flight exchange's payloads and prices it by the
+// schedule: recorded on the step timeline under overlap, charged inline
+// when blocking.
+func (e *Exchanger) finish(label string) map[int][]float64 {
 	t0 := time.Now()
 	recvs, cost := e.handle.Finish()
 	blocked := time.Since(t0)
 	e.stats.Wall += blocked
 	e.stats.stepBlocked += blocked
-	out := e.sumOwn(recvs, e.inflightF)
-	e.stats.record(e.sendBytes, cost, e.offset, "halo.scatter")
 	e.handle = nil
-	return out
+	if e.overlap {
+		e.stats.record(e.sendBytes, cost, e.offset, label)
+	} else {
+		e.charge(e.sendBytes, cost)
+	}
+	return recvs
 }
 
-// routes assembles the neighbour-exchange call: payloads from outIdx rows
-// (via pack) and the expected receive lengths from inIdx.
-func (e *Exchanger) routes(f int, outIdx, inIdx [][]int, pack func([]int) []float64) (sends []cluster.NeighborSend, recvFrom, recvLens []int) {
+// routes assembles one exchange from the rows of t [*, F]: rows outIdx[q]
+// ship to shard q, and inIdx[q] sizes what q ships back. The reverse
+// exchange swaps the two: what the gather received, the scatter sends.
+func (e *Exchanger) routes(t *tensor.Tensor, outIdx, inIdx [][]int) (sends []cluster.NeighborSend, recvFrom, recvLens []int, f int) {
+	f = t.Dim(1)
+	d := t.Contiguous().Data()
 	for q := range e.group {
 		if q == e.shard {
 			continue
 		}
 		if rows := outIdx[q]; len(rows) > 0 {
-			sends = append(sends, cluster.NeighborSend{To: e.group[q], Payload: pack(rows)})
+			payload := make([]float64, len(rows)*f)
+			for i, r := range rows {
+				copy(payload[i*f:(i+1)*f], d[r*f:(r+1)*f])
+			}
+			sends = append(sends, cluster.NeighborSend{To: e.group[q], Payload: payload})
 		}
 		if pos := inIdx[q]; len(pos) > 0 {
 			recvFrom = append(recvFrom, e.group[q])
 			recvLens = append(recvLens, len(pos)*f)
 		}
 	}
-	return sends, recvFrom, recvLens
+	return sends, recvFrom, recvLens, f
 }
 
 func payloadBytes(sends []cluster.NeighborSend) int64 {
@@ -344,8 +299,7 @@ func commStream(ch cluster.Channel) int {
 // charge records a blocking exchange against the stats and the virtual
 // clock: the full cost is exposed inline, so the trace gets the halo span
 // and its exposed twin at the charge point.
-func (e *Exchanger) charge(sends []cluster.NeighborSend, cost time.Duration) {
-	bytes := payloadBytes(sends)
+func (e *Exchanger) charge(bytes int64, cost time.Duration) {
 	e.stats.Bytes += bytes
 	e.stats.Time += cost
 	e.stats.ChannelExposed[e.stats.Channel] += cost
@@ -371,12 +325,12 @@ func (p *propagator) Nodes() int { return p.block.NumOwn() }
 
 // Propagate implements nn.Propagator.
 func (p *propagator) Propagate(x *autograd.Variable) *autograd.Variable {
-	return autograd.ShardSpMMBlock(p.block, p.ex, x)
+	return autograd.ShardSpMM(p.block, p.ex, x)
 }
 
 // Propagators builds the worker-bound nn.Propagators for one shard: one per
 // support, all sharing the worker's halo Stats. overlap selects the
-// interior-first split-phase halo schedule.
+// interior-first schedule's pricing (see NewExchanger).
 func Propagators(w *cluster.Worker, group []int, sp *ShardPlan, topo cluster.Topology, stats *Stats, overlap bool) []nn.Propagator {
 	props := make([]nn.Propagator, len(sp.Supports))
 	for si, block := range sp.Supports {
@@ -390,10 +344,11 @@ func Propagators(w *cluster.Worker, group []int, sp *ShardPlan, topo cluster.Top
 
 // Rebind points propagators previously built by Propagators at a new
 // ShardPlan after an elastic repartition: each gets the new plan's support
-// block and a fresh Exchanger over the new halo routing, while the model's
-// references to the Propagator values stay valid. The support count must
-// match the original plan's.
-func Rebind(props []nn.Propagator, w *cluster.Worker, group []int, sp *ShardPlan, topo cluster.Topology, stats *Stats, overlap bool) error {
+// block and a fresh Exchanger over the new halo routing (same worker, group,
+// topology, Stats and schedule), while the model's references to the
+// Propagator values stay valid. The support count must match the original
+// plan's.
+func Rebind(props []nn.Propagator, sp *ShardPlan) error {
 	if len(props) != len(sp.Supports) {
 		return fmt.Errorf("shard: rebind over %d propagators, plan has %d supports", len(props), len(sp.Supports))
 	}
@@ -402,8 +357,9 @@ func Rebind(props []nn.Propagator, w *cluster.Worker, group []int, sp *ShardPlan
 		if !ok {
 			return fmt.Errorf("shard: propagator %d is %T, not rebindable", si, props[si])
 		}
+		ex := p.ex
 		p.block = block
-		p.ex = NewExchanger(w, group, sp.Shard, sp.Exchanges[si], topo, stats, overlap)
+		p.ex = NewExchanger(ex.w, ex.group, sp.Shard, sp.Exchanges[si], ex.topo, ex.stats, ex.overlap)
 	}
 	return nil
 }

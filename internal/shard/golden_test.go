@@ -96,11 +96,9 @@ func TestFlatWorldMatchesRetiredDDPLoop(t *testing.T) {
 		}
 		switch row.Path {
 		case "store":
-			if cfg.Feed.Store, err = batching.NewPartitionStore(data, row.W); err != nil {
-				t.Fatal(err)
-			}
+			cfg.Feed = PartitionedStore{}
 		case "remote":
-			cfg.Feed.Remote = true
+			cfg.Feed = RemoteFetch{}
 		}
 		name := fmt.Sprintf("row %d (W=%d %s fp16=%v autotune=%v %s %s prefetch=%v clip=%v)",
 			rows, row.W, row.Algo, row.FP16, row.AutoTune, row.Sampler, row.Path, row.Prefetch, row.Clip)

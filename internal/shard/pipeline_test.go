@@ -225,7 +225,7 @@ func TestPrefetchCancellationDrains(t *testing.T) {
 }
 
 // TestFeedAndLossSeams: the seams the single-GPU strategies enter the trainer
-// through. A materialized standard source trains like any other; a Feed.Device
+// through. A materialized standard source trains like any other; a HostToDevice feed
 // charges each batch's pageable copy inline (exposed, ahead of the step),
 // holds its bytes on the device tracker for exactly that step, and leaves the
 // curve alone; a custom Loss replaces the objective and the reported metric.
@@ -251,7 +251,7 @@ func TestFeedAndLossSeams(t *testing.T) {
 
 	dev := device.NewGPU("gpu", 0)
 	staged := base
-	staged.Feed.Device = dev
+	staged.Feed = HostToDevice{Device: dev}
 	res := run(staged)
 	if !reflect.DeepEqual(res.Curve, plain.Curve) {
 		t.Errorf("the H2D charge moved the curve")
@@ -267,11 +267,17 @@ func TestFeedAndLossSeams(t *testing.T) {
 	if dev.Mem.Peak() != int64(base.BatchSize)*pairBytes || dev.Mem.Current() != 0 {
 		t.Errorf("device holds %d B after the run (peak %d), want 0 (one batch, %d)", dev.Mem.Current(), dev.Mem.Peak(), int64(base.BatchSize)*pairBytes)
 	}
-	staged.Feed.Remote = true
-	if _, err := Train(std, split, g, supports, pipelineModel, staged); err == nil {
-		t.Errorf("Feed with both Remote and Device was accepted")
+	// A Feed is one data path by construction; what is left to reject is a
+	// sharded grid and a store over a source it cannot partition.
+	sharded := staged
+	sharded.Shards = 2
+	if _, err := Train(std, split, g, supports, pipelineModel, sharded); err == nil {
+		t.Errorf("a Feed on a sharded grid was accepted")
 	}
-
+	staged.Feed = PartitionedStore{}
+	if _, err := Train(std, split, g, supports, pipelineModel, staged); err == nil {
+		t.Errorf("a PartitionedStore over a materialized source was accepted")
+	}
 	squared := base
 	squared.Loss = autograd.MSELoss
 	if got := run(squared); reflect.DeepEqual(got.Curve, plain.Curve) {

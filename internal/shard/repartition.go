@@ -44,7 +44,7 @@ func (r Repartition) Validate() error {
 	if r.ChunkSize < 0 {
 		return fmt.Errorf("shard: repartition chunk size must be >= 0, got %d", r.ChunkSize)
 	}
-	if r.ChunkSize > 0 && r.Threshold <= 1 {
+	if r.ChunkSize > 0 && !(r.Threshold > 1) { // also rejects NaN
 		return fmt.Errorf("shard: repartition threshold must be > 1, got %g", r.Threshold)
 	}
 	if r.MaxMoves < 0 {

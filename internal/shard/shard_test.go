@@ -323,8 +323,8 @@ func relDiff(a, b float64) float64 {
 	return d
 }
 
-// TestOverlapMatchesBlockingBitwise: the interior-first halo schedule must
-// leave training curves exactly equal (bitwise) to the blocking schedule —
+// TestOverlapMatchesBlockingBitwise: pricing the halo as overlapped rather
+// than blocking must leave training curves exactly equal (bitwise) —
 // across shard counts with the flatten sync, and including the bucketed
 // two-stage sync on 2-member groups, where the ring chunking coincides and
 // no floating-point reassociation occurs.

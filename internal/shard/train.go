@@ -9,7 +9,6 @@ import (
 	"pgti/internal/batching"
 	"pgti/internal/cluster"
 	"pgti/internal/ddp"
-	"pgti/internal/device"
 	"pgti/internal/fault"
 	"pgti/internal/graph"
 	"pgti/internal/metrics"
@@ -25,35 +24,23 @@ import (
 // (the nn constructors guarantee this), so every worker starts identical.
 type ModelFactory func(seed uint64, props []nn.Propagator) nn.SeqModel
 
-// HaloSyncMode selects the halo-exchange schedule.
+// HaloSyncMode selects how the halo exchange is priced. The compute is the
+// same under both: every ShardSpMM runs interior-first, launching its halo
+// exchange, multiplying the rows whose columns are all owned while the bytes
+// fly, and finishing the frontier rows once the halo lands (mirrored in
+// backward). Only the Exchanger's Finish halves read the mode.
 type HaloSyncMode int
 
 // The two halo schedules.
 const (
-	// HaloSyncOverlap (default) is interior-first: each ShardSpMM launches
-	// its halo exchange, multiplies the rows whose columns are all owned
-	// while the bytes fly, and finishes the frontier rows once the halo
-	// lands (mirrored in backward). Results are bitwise those of blocking.
+	// HaloSyncOverlap (default) records each exchange on the step's overlap
+	// timeline, so the clock charges max(compute, pipelined halo comm).
 	HaloSyncOverlap HaloSyncMode = iota
-	// HaloSyncBlocking gathers, then multiplies, exposing every exchange's
-	// full cost. Kept for ablation benchmarks.
+	// HaloSyncBlocking charges every exchange's full cost inline, as a
+	// gather-then-multiply schedule would expose it. Kept for ablation
+	// benchmarks.
 	HaloSyncBlocking
 )
-
-// Feed is how a worker's batches reach its device and what each one costs on
-// the virtual clock: at most one transfer, charged inline and fully exposed
-// ahead of the step. The zero value assembles locally for free.
-type Feed struct {
-	// Remote fetches every batch over the fabric (baseline DDP; Shards == 1).
-	Remote bool
-	// Store partitions the data rows across the replicas (§5.4): only rows
-	// outside the replica's partition travel as remote traffic (Shards == 1).
-	Store *batching.PartitionStore
-	// Device models a host-resident dataset: every batch takes a pageable
-	// host-to-device copy and sits on the device's tracker (label
-	// "batch.transient") for the step — the cost GPU-index-batching removes.
-	Device *device.Device
-}
 
 // Config parameterizes a training run on a Shards x Replicas process grid
 // (rank layout: see groups). Either axis degenerates at 1: a 1 x R grid is
@@ -81,7 +68,8 @@ type Config struct {
 	// collectives between ranks on one node ride the NVLink-class intra
 	// link, and ddp.GradAlgoHierarchical reduces per node first.
 	Topology cluster.Topology
-	// Feed selects the data path's per-batch transfer (see Feed).
+	// Feed selects the data path's per-batch transfer (see Feed; nil
+	// assembles locally for free).
 	Feed Feed
 	// Loss is the training objective, also reported as the validation metric
 	// (default autograd.MAELoss). A sharded grid sums the shard losses by node
@@ -94,12 +82,13 @@ type Config struct {
 	// Prefetch pipelines batch assembly one batch deep against the step,
 	// bitwise identical to the serial path; with the windows resident at
 	// step start, the first forward halo exchange launches immediately.
-	// Ignored when Feed.Store supplies the data.
+	// Ignored when a PartitionedStore supplies the data.
 	Prefetch bool
 	// AssembleCost, when set, supplies the modeled host-side collation time
 	// of one batch. Serial runs expose it ahead of every step; under
 	// Prefetch the next batch's assembly runs under the current step and
-	// only the epoch's leading assembly is exposed. Ignored with Feed.Store.
+	// only the epoch's leading assembly is exposed. Ignored with a
+	// PartitionedStore.
 	AssembleCost func(batchItems int) time.Duration
 	// Staleness K > 0 selects the stale schedule (bucketed sync only): the
 	// collective still launches every step, but each synchronized gradient
@@ -130,8 +119,8 @@ type Config struct {
 	// node-aware world AllReduce (Shards == 1 only); ddp.GradAlgoFlat is the
 	// blocking baseline, one flattened exchange after backward.
 	Algo ddp.GradAlgo
-	// HaloSync selects the halo-exchange schedule (default interior-first
-	// overlap; see HaloSyncMode).
+	// HaloSync selects how halo exchanges are priced (default overlapped;
+	// see HaloSyncMode).
 	HaloSync HaloSyncMode
 	// FP16 ships gradient buckets quantized to half precision with
 	// error-feedback residual accumulation: 2 wire bytes per element instead
@@ -297,19 +286,20 @@ func Train(data batching.Source, split batching.Split, g *graph.Graph, supports 
 // job is one Train call's validated configuration and what it derives for
 // every worker alike.
 type job struct {
-	cfg                                         Config
-	data                                        batching.Source
-	split                                       batching.Split
-	g                                           *graph.Graph
-	supports                                    []*sparse.CSR
-	factory                                     ModelFactory
-	initPlan                                    *Plan
-	loss                                        func(pred *autograd.Variable, target *tensor.Tensor) *autograd.Variable
-	std, lr, totalWeight                        float64
-	world, entries, features                    int
-	pairBytes                                   int64 // one snapshot's x and y windows
-	net                                         cluster.NetworkModel
-	sharded, prefetch, haloOverlap, cancellable bool
+	cfg                      Config
+	data                     batching.Source
+	split                    batching.Split
+	g                        *graph.Graph
+	supports                 []*sparse.CSR
+	factory                  ModelFactory
+	initPlan                 *Plan
+	loss                     func(pred *autograd.Variable, target *tensor.Tensor) *autograd.Variable
+	feed                     Feed // bound: never nil
+	std, lr, totalWeight     float64
+	world, entries, features int
+	pairBytes                int64 // one snapshot's x and y windows
+	net                      cluster.NetworkModel
+	sharded, cancellable     bool
 }
 
 // newJob validates cfg against the data and graph and resolves the plan,
@@ -334,16 +324,9 @@ func newJob(data batching.Source, split batching.Split, g *graph.Graph, supports
 	if nodes != g.N {
 		return nil, fmt.Errorf("shard: data has %d nodes, graph %d", nodes, g.N)
 	}
-	feed := cfg.Feed
-	if (feed.Store != nil && feed.Remote) || (feed.Device != nil && (feed.Store != nil || feed.Remote)) {
-		return nil, fmt.Errorf("shard: Feed's Remote, Store and Device are mutually exclusive data paths")
-	}
-	if feed.Store != nil && feed.Store.Workers() != cfg.Replicas {
-		return nil, fmt.Errorf("shard: store partitioned for %d workers, run has %d replicas", feed.Store.Workers(), cfg.Replicas)
-	}
 	sharded := cfg.Shards > 1
-	if sharded && (feed.Store != nil || feed.Remote || cfg.Algo == ddp.GradAlgoHierarchical) {
-		return nil, fmt.Errorf("shard: Store, Remote and the hierarchical AllReduce need Shards == 1, got %d", cfg.Shards)
+	if sharded && (cfg.Feed != nil || cfg.Algo == ddp.GradAlgoHierarchical) {
+		return nil, fmt.Errorf("shard: a Feed and the hierarchical AllReduce need Shards == 1, got %d", cfg.Shards)
 	}
 	if err := cfg.Repartition.Validate(); err != nil {
 		return nil, err
@@ -373,11 +356,17 @@ func newJob(data batching.Source, split batching.Split, g *graph.Graph, supports
 		cfg: cfg, data: data, split: split, g: g, supports: supports, factory: factory,
 		initPlan: plan, loss: cfg.Loss, lr: cfg.LR, world: world, entries: entries, features: features,
 		pairBytes: int64(2*horizon) * int64(nodes) * int64(features) * 8,
-		sharded:   sharded, prefetch: cfg.Prefetch && feed.Store == nil,
-		haloOverlap: cfg.HaloSync == HaloSyncOverlap, cancellable: cfg.Ctx != nil && cfg.Ctx.Done() != nil,
+		sharded:   sharded, cancellable: cfg.Ctx != nil && cfg.Ctx.Done() != nil,
+	}
+	var err error
+	if j.feed, err = bindFeed(cfg.Feed, data, cfg.Replicas); err != nil {
+		return nil, err
 	}
 	if j.loss == nil {
 		j.loss = autograd.MAELoss
+	}
+	if j.cfg.AssembleCost == nil {
+		j.cfg.AssembleCost = func(int) time.Duration { return 0 }
 	}
 	_, j.std = data.Norm()
 	if j.lr <= 0 {
@@ -412,7 +401,8 @@ func (j *job) fracs(own []int) (lossFrac, computeFrac float64) {
 // worker is one rank of the grid. Each step runs the same phases in order —
 // poll, fetch, forwardBackward, chargeCompute, chargeOverlap, the gradient
 // schedule's apply, endStep — and what varies between runs is data the
-// phases read, not a branch on which schedule runs.
+// phases read, not a branch on which schedule runs: the gradient schedule,
+// the feed's transfer and the batch assembly are each resolved once.
 type worker struct {
 	*job
 	w                        *cluster.Worker
@@ -431,7 +421,7 @@ type worker struct {
 	evalBatches              [][]int
 	// Eval has its own buffer so it never clobbers a train prefetch slot.
 	buf, evalBuf batching.BatchBuffer
-	pf, evalPf   *batching.Prefetcher
+	asm          assembly
 	// The shard group's channel carries gradients (stats.Channel the halo).
 	gradCh      cluster.Channel
 	sched       gradSchedule
@@ -472,10 +462,21 @@ func newWorker(j *job, w *cluster.Worker) (*worker, error) {
 	wk.ownFrac, wk.computeFrac = j.fracs(wk.sp.Own)
 	wk.tw = cfg.Trace.Worker(wk.rank)
 	cfg.Trace.NameWorker(wk.rank, fmt.Sprintf("train rank %d (replica %d, shard %d)", wk.rank, wk.rep, wk.sh))
-	wk.stats = &Stats{PinFirstLaunch: j.prefetch, Trace: wk.tw}
+	wk.stats = &Stats{Trace: wk.tw}
+	// The store delivers its batches assembled; otherwise they collate
+	// serially inside the step or one batch ahead of it.
+	switch _, store := j.feed.(PartitionedStore); {
+	case store:
+		wk.asm = fetched{serial{wk}}
+	case cfg.Prefetch:
+		wk.asm = &prefetched{serial: serial{wk}}
+		wk.stats.PinFirstLaunch = true
+	default:
+		wk.asm = serial{wk}
+	}
 	wk.props = nn.WrapSupports(j.supports) // the whole graph routes no halo
 	if j.sharded {
-		wk.props = Propagators(w, wk.replicaGroup, wk.sp, cfg.Topology, wk.stats, j.haloOverlap)
+		wk.props = Propagators(w, wk.replicaGroup, wk.sp, cfg.Topology, wk.stats, cfg.HaloSync == HaloSyncOverlap)
 	}
 	wk.model = j.factory(cfg.Seed, wk.props)
 	wk.params = wk.model.Parameters()
@@ -497,15 +498,8 @@ func newWorker(j *job, w *cluster.Worker) (*worker, error) {
 	return wk, nil
 }
 
-// close releases the prefetchers on every exit path.
-func (wk *worker) close() {
-	if wk.pf != nil {
-		wk.pf.Close()
-	}
-	if wk.evalPf != nil {
-		wk.evalPf.Close()
-	}
-}
+// close releases the collators on every exit path.
+func (wk *worker) close() { wk.asm.close() }
 
 // run trains epochs [StartEpoch, Epochs) and fills the worker's Result.
 func (wk *worker) run() error {
@@ -524,9 +518,7 @@ func (wk *worker) run() error {
 func (wk *worker) epoch(epoch int) error {
 	batches := wk.sampler.EpochBatches(epoch)
 	steps := int(wk.w.AllReduceScalar(float64(len(batches)), cluster.OpMin))
-	if wk.prefetch {
-		wk.pf = batching.NewPrefetcher(wk.data, batches[:steps])
-	}
+	wk.asm.begin(batches[:steps])
 	wk.trainAcc = metrics.Running{}
 	wk.epochCompute, wk.epochMeasured = 0, 0
 	for s := 0; s < steps; s++ {
@@ -541,10 +533,6 @@ func (wk *worker) epoch(epoch int) error {
 			return err
 		}
 	}
-	if wk.pf != nil {
-		wk.pf.Close() // drains a collator cancellation left mid-stream
-		wk.pf = nil
-	}
 	wk.sched.drain() // before evaluation and before a cancelled exit
 	if wk.res.Cancelled {
 		return nil
@@ -552,10 +540,7 @@ func (wk *worker) epoch(epoch int) error {
 	wk.sched.endEpoch()
 	trainMAE := ddp.ReduceWeighted(wk.w, wk.trainAcc)
 	valMAE := wk.evaluate()
-	if wk.evalPf != nil {
-		wk.evalPf.Close()
-		wk.evalPf = nil
-	}
+	wk.asm.close()
 	rec := metrics.EpochRecord{Epoch: epoch, TrainMAE: trainMAE, ValMAE: valMAE}
 	wk.res.Curve = append(wk.res.Curve, rec)
 	if wk.rank == 0 && wk.cfg.OnEpoch != nil {
@@ -603,50 +588,12 @@ func (wk *worker) step(idx []int, s, steps int) error {
 }
 
 // fetch charges the feed's per-batch transfer inline, fully exposed, and
-// receives a prefetched batch before the timed span starts.
+// receives an assembled-ahead batch before the timed span starts.
 func (wk *worker) fetch() error {
-	st, feed := &wk.st, wk.cfg.Feed
-	var cost time.Duration
-	name, ch := "fetch.batch", cluster.ChannelInter
-	switch {
-	case feed.Store != nil:
-		name = "fetch.boundary"
-		st.x, st.y, _, st.fetchBytes = feed.Store.FetchBatch(wk.rep, st.idx, &wk.buf)
-		cost = wk.net.FetchTime(st.fetchBytes)
-	case feed.Remote:
-		st.fetchBytes = int64(len(st.idx)) * wk.pairBytes
-		cost = wk.net.FetchTime(st.fetchBytes)
-	case feed.Device != nil:
-		name, ch = "fetch.h2d", cluster.ChannelIntra
-		st.fetchBytes = int64(len(st.idx)) * wk.pairBytes
-		var err error
-		if cost, err = feed.Device.Transfer("batch.transient", st.fetchBytes); err != nil {
-			return err
-		}
+	if err := wk.feed.fetch(wk, &wk.st); err != nil {
+		return err
 	}
-	if st.fetchBytes > 0 {
-		wk.tw.Span(trace.KindFetch, name, commStream(ch), wk.w.VirtualTime(), cost, st.fetchBytes)
-		wk.tw.Span(trace.KindExposed, name, trace.StreamExposed, wk.w.VirtualTime(), cost, 0)
-		if feed.Device != nil {
-			wk.w.AdvanceTime(cost) // off the fabric: no link-degrade scaling
-		} else {
-			wk.w.FetchRemote(st.fetchBytes)
-		}
-		wk.expose(ch, cost)
-	}
-	if wk.pf == nil {
-		return nil
-	}
-	var ok bool
-	if st.x, st.y, ok = wk.pf.Next(); !ok {
-		return fmt.Errorf("shard: rank %d: prefetcher exhausted at step %d of %d", wk.rank, st.s, st.steps)
-	}
-	if st.s == st.steps-1 && len(wk.evalBatches) > 0 {
-		// Tail overlap: the collator assembles the first eval batch under
-		// the epoch's last train step.
-		wk.evalPf = batching.NewPrefetcher(wk.data, wk.evalBatches)
-	}
-	return nil
+	return wk.asm.ready(&wk.st)
 }
 
 // forwardBackward runs the forward pass and the schedule's backward.
@@ -655,9 +602,7 @@ func (wk *worker) forwardBackward() error {
 	st.start = time.Now()
 	wk.stats.BeginStep()
 	st.haloWall = wk.stats.Wall
-	if wk.pf == nil && wk.cfg.Feed.Store == nil {
-		st.x, st.y = wk.data.AssembleBatch(st.idx, &wk.buf)
-	}
+	wk.asm.collate(st)
 	st.lossLocal = wk.loss(wk.forward(st.x, st.y))
 	// The shard losses sum to the global-mean loss.
 	loss := st.lossLocal
@@ -692,47 +637,35 @@ func (wk *worker) chargeCompute() {
 // Collation is exposed ahead of the step when serial; prefetched, the
 // next batch (or the first eval batch) assembles under it.
 func (wk *worker) chargeOverlap() {
-	st, cfg, tw := &wk.st, &wk.cfg, wk.tw
-	var asm, nextAsm time.Duration
-	if cfg.AssembleCost != nil && cfg.Feed.Store == nil {
-		asm = cfg.AssembleCost(len(st.idx))
-		if wk.pf != nil {
-			if st.s+1 < st.steps {
-				nextAsm = asm
-			} else if wk.evalPf != nil {
-				nextAsm = cfg.AssembleCost(len(wk.evalBatches[0]))
-			}
-		}
-	}
-	if asm > 0 && wk.pf != nil && st.s == 0 {
+	st, tw := &wk.st, wk.tw
+	fill, lead, next := wk.asm.price(st)
+	if fill > 0 {
 		// Pipeline fill: the leading assembly has no step to hide under.
-		tw.Span(trace.KindAssemble, "assemble.fill", trace.StreamAssembly, wk.w.VirtualTime(), asm, 0)
-		wk.w.AdvanceTime(asm)
+		tw.Span(trace.KindAssemble, "assemble.fill", trace.StreamAssembly, wk.w.VirtualTime(), fill, 0)
+		wk.w.AdvanceTime(fill)
 	}
 	st.t0 = wk.w.VirtualTime()
+	// Blocking halo exchanges were charged inline and recorded no events.
 	haloStepCost := wk.stats.StepCost()
-	if wk.haloOverlap {
-		hev := wk.stats.StepEvents(st.compute, st.structural)
+	hev := wk.stats.StepEvents(st.compute, st.structural)
+	for i := range hev {
+		hev[i].Channel = wk.stats.Channel
+	}
+	st.haloExposed = cluster.OverlapFinish(st.compute, hev) - st.compute
+	st.events = append(st.events, hev...)
+	if tw != nil {
 		for i := range hev {
-			hev[i].Channel = wk.stats.Channel
-		}
-		st.haloExposed = cluster.OverlapFinish(st.compute, hev) - st.compute
-		st.events = append(st.events, hev...)
-		if tw != nil {
-			for i := range hev {
-				st.meta = append(st.meta, stepSpanMeta{kind: trace.KindHalo, label: wk.stats.stepLabels[i], bytes: wk.stats.stepBytes[i]})
-			}
+			st.meta = append(st.meta, stepSpanMeta{kind: trace.KindHalo, label: wk.stats.stepLabels[i], bytes: wk.stats.stepBytes[i]})
 		}
 	}
 	wk.sched.overlap()
 	step := cluster.OverlapFinishChannels(st.compute, st.events)
 	st.exposed = step - st.compute
-	if wk.pf == nil {
-		if asm > 0 {
-			step += asm
-		}
-	} else if nextAsm > step {
-		step = nextAsm
+	if lead > 0 {
+		step += lead
+	}
+	if next > step {
+		step = next
 	}
 	st.stepEnd = st.t0 + step
 	wk.stats.Hidden += haloStepCost - st.haloExposed
@@ -743,17 +676,16 @@ func (wk *worker) chargeOverlap() {
 		return
 	}
 	base := st.t0 // the body starts after a serially exposed assembly
-	if wk.pf == nil {
-		if asm > 0 {
-			base += asm
-			tw.Span(trace.KindAssemble, "assemble", trace.StreamAssembly, st.t0, asm, 0)
-		}
-	} else if nextAsm > 0 {
+	if lead > 0 {
+		base += lead
+		tw.Span(trace.KindAssemble, "assemble", trace.StreamAssembly, st.t0, lead, 0)
+	}
+	if next > 0 {
 		name := "assemble.next"
-		if st.s+1 >= st.steps {
+		if st.s+1 == st.steps {
 			name = "assemble.eval"
 		}
-		tw.Span(trace.KindAssemble, name, trace.StreamAssembly, st.t0, nextAsm, 0)
+		tw.Span(trace.KindAssemble, name, trace.StreamAssembly, st.t0, next, 0)
 	}
 	tw.Span(trace.KindCompute, "compute", trace.StreamCompute, base, st.compute, 0)
 	spans, _ := cluster.OverlapScheduleChannels(st.compute, st.events)
@@ -777,9 +709,7 @@ func (wk *worker) endStep() {
 	wk.sched.endStep(st.compute)
 	// Report in the signal's original units, like validation.
 	wk.trainAcc.Add(st.lossLocal.Value.Item()*wk.std, wk.weight(len(st.idx)))
-	if wk.cfg.Feed.Device != nil {
-		wk.cfg.Feed.Device.Mem.Free("batch.transient", st.fetchBytes)
-	}
+	wk.feed.release(st)
 }
 
 // expose books d of exposed communication on channel ch.
@@ -863,7 +793,7 @@ func (wk *worker) repartition(epoch int) error {
 	wk.plan = newPlan
 	wk.sp = wk.plan.Parts[wk.sh]
 	wk.ownFrac, wk.computeFrac = wk.fracs(wk.sp.Own)
-	if err := Rebind(wk.props, wk.w, wk.replicaGroup, wk.sp, wk.cfg.Topology, wk.stats, wk.haloOverlap); err != nil {
+	if err := Rebind(wk.props, wk.sp); err != nil {
 		return fmt.Errorf("shard: rank %d repartition: %w", wk.rank, err)
 	}
 	wk.res.Repartitions++
@@ -877,22 +807,14 @@ func (wk *worker) repartition(epoch int) error {
 // evaluate reduces the global validation metric over this worker's share:
 // its replica's validation batches on its own nodes. Overlapped eval
 // exchanges have no compute to hide under, so their full cost is charged
-// inline per batch, as the blocking schedule does. The tail-overlap
-// prefetcher, when running, delivers batches pre-assembled.
+// inline per batch, as the blocking schedule does. The batches come from
+// the worker's assembly (pre-assembled under tail overlap when prefetched).
 func (wk *worker) evaluate() float64 {
 	var acc metrics.Running
 	stats := wk.stats
-	for _, batch := range wk.evalBatches {
+	for i, batch := range wk.evalBatches {
 		stats.BeginStep()
-		var x, y *tensor.Tensor
-		ok := false
-		if wk.evalPf != nil {
-			x, y, ok = wk.evalPf.Next() // exhausted only if Close raced in
-		}
-		if !ok {
-			x, y = wk.data.AssembleBatch(batch, &wk.evalBuf)
-		}
-		pred, target := wk.forward(x, y)
+		pred, target := wk.forward(wk.asm.evalBatch(i))
 		if cost := stats.StepCost(); cost > 0 {
 			stats.ChannelExposed[stats.Channel] += cost
 			if tw := stats.Trace; tw != nil {

@@ -122,11 +122,7 @@ func modeledCases() []modeledCase {
 		// The distributed index-batching strategies at 4 workers.
 		{"IndexBatchDistIndex4", trainRow(1, 4, strategyKeys, nil)},
 		{"IndexBatchGenDistIndex4", trainRow(1, 4, strategyKeys, func(f *fabric, c *shard.Config) {
-			st, err := batching.NewPartitionStore(f.data, c.Replicas)
-			if err != nil {
-				f.t.Fatal(err)
-			}
-			c.Feed.Store, c.Sampler = st, ddp.BatchShuffle
+			c.Feed, c.Sampler = shard.PartitionedStore{}, ddp.BatchShuffle
 		})},
 
 		// The event hooks must not perturb the modeled timeline: Hooked4

@@ -43,10 +43,12 @@ cross-vet:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-## fuzz-smoke gives the configuration-table fuzz target ten seconds of fresh
-## inputs on top of the committed seed corpus that `make test` replays.
+## fuzz-smoke gives the configuration-table and weighted-partitioner fuzz
+## targets ten seconds each of fresh inputs on top of the committed seed
+## corpora that `make test` replays.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzPartitionWeighted -fuzztime 10s ./internal/graph
 
 ## cover fails when any floor package's statement coverage drops below its
 ## checked-in COVER_FLOORS threshold.

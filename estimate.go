@@ -51,7 +51,7 @@ func EstimatePolaris(datasetName string, opts ...Option) (*PolarisEstimate, erro
 		return nil, err
 	}
 	meta := cfg.Meta
-	workers := cfg.Workers
+	workers := cfg.Replicas
 	if workers < 1 {
 		workers = 1
 	}

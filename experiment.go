@@ -92,7 +92,7 @@ func WithStrategy(s Strategy) Option { return func(c *core.Config) { c.Strategy 
 
 // WithWorkers sets the data-parallel worker count for distributed
 // strategies.
-func WithWorkers(n int) Option { return func(c *core.Config) { c.Workers = n } }
+func WithWorkers(n int) Option { return func(c *core.Config) { c.Replicas = n } }
 
 // WithScale shrinks the dataset to fit the host (0 < scale <= 1).
 func WithScale(scale float64) Option { return func(c *core.Config) { c.Scale = scale } }
@@ -135,19 +135,21 @@ func WithShuffle(s Shuffle) Option {
 // WithGradStack configures the gradient-exchange collective stack.
 func WithGradStack(gs GradStack) Option {
 	return func(c *core.Config) {
-		c.GradAlgo = gs.Algo
+		c.Algo = gs.Algo
 		c.Topology = gs.Topology
-		c.GradFP16 = gs.FP16
-		c.GradAutoTune = gs.AutoTune
-		c.GradBucketBytes = gs.BucketBytes
+		c.FP16 = gs.FP16
+		c.AutoTuneBuckets = gs.AutoTune
+		c.BucketBytes = gs.BucketBytes
 	}
 }
 
 // WithSpatial partitions the sensor graph into shards node blocks,
-// multiplying the worker grid into a 2D (spatial x data) layout. Requires
-// StrategyDistIndex and a graph-convolutional model.
+// multiplying the worker grid into a 2D (spatial x data) layout: each
+// worker holds only its ~N/shards share of the node features, halo rows
+// travel within replica groups and gradients reduce within shard groups.
+// Requires StrategyDistIndex and a graph-convolutional model.
 func WithSpatial(shards int) Option {
-	return func(c *core.Config) { c.Spatial = Spatial{Shards: shards} }
+	return func(c *core.Config) { c.Shards = shards }
 }
 
 // WithRepartition enables elastic chunk-based repartitioning on the hybrid

@@ -10,21 +10,24 @@ import (
 
 	"pgti/internal/core"
 	"pgti/internal/dataset"
+	"pgti/internal/shard"
 )
 
 // tinyConfig is the engine configuration tinyOpts must build, written out as
 // a literal.
 func tinyConfig(strategy Strategy, workers int) core.Config {
 	return core.Config{
-		Meta:      dataset.PeMSBay,
-		Scale:     0.012,
-		Strategy:  strategy,
-		Workers:   workers,
-		BatchSize: 4,
-		Epochs:    2,
-		Hidden:    8,
-		K:         1,
-		Seed:      42,
+		Config: shard.Config{
+			Replicas:  workers,
+			BatchSize: 4,
+			Epochs:    2,
+			Seed:      42,
+		},
+		Meta:     dataset.PeMSBay,
+		Scale:    0.012,
+		Strategy: strategy,
+		Hidden:   8,
+		K:        1,
 	}
 }
 
@@ -95,6 +98,14 @@ func TestOptionValidationTable(t *testing.T) {
 		return append(append([]Option(nil), base...), more...)
 	}
 	hier2x2 := GradStack{Algo: GradAlgoHierarchical, Topology: Topology{Nodes: 2, GPUsPerNode: 2}}
+	weightsWith := func(w float64) []float64 {
+		ws := make([]float64, 20)
+		for i := range ws {
+			ws[i] = 1
+		}
+		ws[3] = w
+		return ws
+	}
 	cases := []struct {
 		name  string
 		field string
@@ -134,6 +145,13 @@ func TestOptionValidationTable(t *testing.T) {
 		{"negative memory caps", "SystemMemory", []Option{WithMemoryCaps(-1, -1)}},
 		{"negative GPU memory cap", "GPUMemory", []Option{WithMemoryCaps(0, -1)}},
 		{"node weights without spatial", "NodeWeights", with(distIndex, WithNodeWeights(make([]float64, 20)))},
+		// NaN and +Inf slipped past the partitioner's w <= 0 guard and
+		// skewed the modeled per-shard compute without an error.
+		{"NaN node weight", "NodeWeights", with(distIndex, WithSpatial(2), WithNodeWeights(weightsWith(math.NaN())))},
+		{"+Inf node weight", "NodeWeights", with(distIndex, WithSpatial(2), WithNodeWeights(weightsWith(math.Inf(1))))},
+		// A NaN or +Inf rate used to train to a NaN curve and no error.
+		{"NaN learning rate", "LR", []Option{WithLR(math.NaN())}},
+		{"+Inf learning rate", "LR", []Option{WithLR(math.Inf(1))}},
 		{"faults on single-GPU", "Faults", []Option{
 			WithStrategy(StrategyIndex), WithFaultPlan(1, FaultCrash(0, time.Second)),
 		}},

@@ -22,12 +22,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
-	"pgti/internal/cluster"
 	"pgti/internal/dataset"
 	"pgti/internal/ddp"
-	"pgti/internal/fault"
 	"pgti/internal/memsim"
 	"pgti/internal/nn"
 	"pgti/internal/shard"
@@ -99,8 +98,22 @@ func (m ModelKind) String() string {
 	}
 }
 
-// Config parameterizes a measured run.
+// Config parameterizes a measured run. The embedded shard.Config is the
+// trainer's configuration, which the options write directly; the fields
+// below are what the engine adds around the trainer. Replicas is the
+// data-parallel worker count (distributed strategies only). Shards >= 2
+// splits the node set into that many blocks, a 2D (spatial x data) grid
+// that needs the dist-index strategy and a graph-convolutional model;
+// Staleness, Repartition and NodeWeights need it too; NodeWeights, one per
+// node of the scaled graph, also balance the initial partition unless
+// StaticPartition is set. Faults needs a
+// distributed strategy: fitGrid rolls a worker loss back to the last
+// epoch-boundary snapshot and continues on the survivors. The engine sets
+// Net, Feed, Plan, Init, StartEpoch and Ctx itself (and Loss under
+// MissingFrac), and wires the On* hooks to Events and the recovery loop.
 type Config struct {
+	shard.Config
+
 	Meta     dataset.Meta
 	Scale    float64 // dataset scale factor in (0, 1]; 0/1 = full size
 	Model    ModelKind
@@ -120,90 +133,18 @@ type Config struct {
 	// exclusive with LoadCheckpoint; the optimizer starts fresh.
 	WarmParams [][]float64
 
-	Workers   int // distributed strategies only
-	BatchSize int
-	Epochs    int
-	LR        float64
-	// UseLRScaling applies the linear LR scaling rule for large global
-	// batches.
-	UseLRScaling bool
-	ClipNorm     float64
-	Hidden       int
-	K            int
-	Seed         uint64
+	Hidden int
+	K      int
 
 	// SystemMemory and GPUMemory cap the trackers (0 = unlimited); a run
 	// that exceeds SystemMemory reports OOM instead of failing.
 	SystemMemory int64
 	GPUMemory    int64
 
-	// Sampler overrides the shuffling strategy (defaults: batch for
-	// GenDistIndex, global for every other strategy).
-	Sampler ddp.SamplerKind
 	// SamplerSet records that Sampler was chosen explicitly, so a deliberate
-	// GlobalShuffle (the zero value) is not replaced by the strategy default.
+	// GlobalShuffle (the zero value) is not replaced by the strategy default
+	// (batch for GenDistIndex, global for every other strategy).
 	SamplerSet bool
-
-	// GradBucketBytes caps one gradient bucket of the bucketed overlapping
-	// AllReduce (0 = ddp.DefaultBucketBytes).
-	GradBucketBytes int64
-	// GradAlgo selects the collective algorithm (ring | flat |
-	// hierarchical).
-	GradAlgo ddp.GradAlgo
-	// Topology describes the simulated node layout for the hierarchical
-	// AllReduce (intra-node traffic priced at NVLink-class bandwidth).
-	Topology cluster.Topology
-	// GradFP16 ships gradient buckets fp16-quantized with error feedback.
-	GradFP16 bool
-	// GradAutoTune sweeps bucket sizes over the first epoch and locks in
-	// the winner (see ddp.AutotuneCandidates).
-	GradAutoTune bool
-
-	// Prefetch double-buffers batch assembly: a per-epoch collator builds
-	// batch s+1 while step s trains, so only the epoch's leading assembly
-	// is exposed on the timeline. Batch contents are bitwise identical to
-	// the serial path. Ignored when a PartitionStore supplies the data
-	// (GenDistIndex multi-worker), where fetch latency is modeled instead.
-	Prefetch bool
-	// AssembleCost models the collation cost of one batch on the virtual
-	// timeline (nil = free, the legacy behavior). The serial path pays it
-	// ahead of every step; with Prefetch it overlaps step compute.
-	AssembleCost func(batchItems int) time.Duration
-	// ComputeCost models one training step's compute on the virtual
-	// timeline (nil = measure wall time). A fully-modeled run is
-	// machine-independent: curve and clock are bitwise reproducible. On the
-	// single-GPU strategies the clock additionally carries the H2D charges
-	// (one pageable copy per batch; one staging copy under GPUIndex).
-	ComputeCost func(batchItems int) time.Duration
-	// Staleness bounds the gradient-application lag in steps: step s
-	// applies step s-Staleness's synced gradient with error compensation,
-	// letting the two-stage sync of up to Staleness steps stay in flight.
-	// Zero keeps the synchronous schedule (bitwise-pinned). Requires
-	// spatial sharding (Spatial.Shards >= 2) with bucketed gradient sync.
-	Staleness int
-
-	// Spatial composes spatial graph sharding with the DDP replicas into a
-	// 2D (spatial x data) process grid: the node set splits into
-	// Spatial.Shards blocks, each of the Workers replicas spreads over one
-	// replica group of shard workers, halo rows travel within replica
-	// groups, and gradient AllReduce runs within shard groups. Requires the
-	// DistIndex strategy and a graph-convolutional model (not ST-LLM).
-	Spatial shard.Spatial
-
-	// Repartition enables elastic chunk-based repartitioning for spatially
-	// sharded runs: when the per-shard epoch compute skews past the
-	// threshold, a chunk of nodes migrates from the heaviest to the lightest
-	// shard and the halo routing rebuilds mid-run (surfaced as
-	// RepartitionEvent on the event stream). Requires Spatial.Shards >= 2.
-	Repartition shard.Repartition
-
-	// NodeWeights models per-node compute cost (len = graph nodes after
-	// scaling): the initial partition balances weight instead of node count
-	// (graph.PartitionWeighted) and the sharded trainer scales each shard's
-	// structural compute by its weight share. Loss weighting stays
-	// count-based, so the reported curve is unchanged by weights alone.
-	// Requires spatial sharding.
-	NodeWeights []float64
 
 	// StaticPartition keeps the count-based initial partition even when
 	// NodeWeights skew modeled compute — the elastic-repartitioning
@@ -250,30 +191,10 @@ type Config struct {
 	// legacy behavior).
 	EvalTest bool
 
-	// Faults arms a distributed run with a deterministic fault plan (see
-	// internal/fault): scheduled worker crashes are detected via a modeled
-	// timeout, training rolls back to the last in-memory epoch-boundary
-	// snapshot, the grid rebuilds from the survivors (replica dimension
-	// shrinks; a lost shard's nodes re-split across the remaining shards),
-	// and the run continues — surfaced as RecoveryEvent on the event stream
-	// and Recoveries/RecoveryTime on the report. Straggler and link-degrade
-	// windows inflate the affected compute/transfer charges in place. Nil
-	// means no faults; an armed-but-empty plan is bitwise identical to nil.
-	Faults *fault.Plan
-
 	// Events, when set, receives the engine's typed event stream during
 	// Fit: epoch ends, autotune lock-in, memory high-water marks, OOM,
 	// worker-loss recovery. See the Event type for the delivery contract.
 	Events EventFunc
-
-	// Trace, when non-nil, records virtual-clock spans (compute, batch
-	// assembly, H2D and remote fetches, halo exchange, gradient sync, exposed
-	// communication) and per-worker counters into the recorder during Fit,
-	// on every strategy. Nil disables
-	// tracing entirely; a traced run is bitwise identical to an untraced
-	// one — the recorder only observes times the simulation already
-	// computes, it never advances the clock.
-	Trace *trace.Recorder
 }
 
 // Validate is the one table of illegal configurations: every entrance to the
@@ -290,13 +211,13 @@ func (c *Config) Validate() error {
 		return invalidf("Strategy", "unknown strategy %v", c.Strategy)
 	}
 	dist := c.Strategy.IsDistributed()
-	spatial := c.Spatial.Enabled()
+	spatial := c.Shards > 1
 	world := 1
-	if c.Workers > 1 {
-		world = c.Workers
+	if c.Replicas > 1 {
+		world = c.Replicas
 	}
 	if spatial {
-		world *= c.Spatial.Shards
+		world *= c.Shards
 	}
 	if !(c.Scale >= 0 && c.Scale <= 1) { // also rejects NaN
 		return invalidf("Scale", "scale %v outside (0, 1] (0 selects full size)", c.Scale)
@@ -313,8 +234,11 @@ func (c *Config) Validate() error {
 	if c.GPUMemory < 0 {
 		return invalidf("GPUMemory", "GPU memory cap %d B is negative (0 is unlimited)", c.GPUMemory)
 	}
-	if c.Workers > 1 && !dist {
-		return invalidf("Workers", "%d workers need a distributed strategy, got %v", c.Workers, c.Strategy)
+	if !(c.LR < math.Inf(1)) { // NaN and +Inf; zero or negative selects the default
+		return invalidf("LR", "learning rate %v is not finite", c.LR)
+	}
+	if c.Replicas > 1 && !dist {
+		return invalidf("Workers", "%d workers need a distributed strategy, got %v", c.Replicas, c.Strategy)
 	}
 	if spatial {
 		if c.Strategy != DistIndex {
@@ -326,16 +250,16 @@ func (c *Config) Validate() error {
 		// A sharded grid's bucketed two-stage sync composes with fp16
 		// compression, bucket-size caps and the first-epoch autotuner, but
 		// its collective algorithm is fixed (grouped replica-sum →
-		// shard-mean, topology-priced): an explicit GradAlgo has nothing to
+		// shard-mean, topology-priced): an explicit Algo has nothing to
 		// select and is rejected rather than silently ignored.
-		if c.GradAlgo != ddp.GradAlgoRing {
-			return invalidf("Spatial", "GradAlgo is not supported with spatial sharding (the two-stage grouped collective is fixed)")
+		if c.Algo != ddp.GradAlgoRing {
+			return invalidf("Spatial", "GradStack.Algo is not supported with spatial sharding (the two-stage grouped collective is fixed)")
 		}
 	}
-	if c.GradFP16 && !dist {
+	if c.FP16 && !dist {
 		return invalidf("GradStack", "fp16 gradient compression needs a distributed strategy (a single GPU ships no gradients)")
 	}
-	if c.GradAutoTune && c.GradAlgo == ddp.GradAlgoFlat {
+	if c.AutoTuneBuckets && c.Algo == ddp.GradAlgoFlat {
 		return invalidf("GradStack", "the flat algorithm has no buckets to autotune")
 	}
 	if t := c.Topology; t.Nodes > 0 && t.GPUsPerNode > 0 && world < t.Nodes*t.GPUsPerNode {
@@ -346,16 +270,21 @@ func (c *Config) Validate() error {
 		return invalidf("Repartition", "%v", err)
 	}
 	if c.Repartition.Enabled() && !spatial {
-		return invalidf("Repartition", "elastic repartitioning requires spatial sharding (Spatial.Shards >= 2 on dist-index)")
+		return invalidf("Repartition", "elastic repartitioning requires spatial sharding (Shards >= 2 on dist-index)")
 	}
 	if len(c.NodeWeights) > 0 && !spatial {
-		return invalidf("NodeWeights", "node weights scale per-shard compute and need spatial sharding (Spatial.Shards >= 2)")
+		return invalidf("NodeWeights", "node weights scale per-shard compute and need spatial sharding (Shards >= 2)")
+	}
+	for i, w := range c.NodeWeights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return invalidf("NodeWeights", "node %d has weight %v, want a finite value", i, w)
+		}
 	}
 	if c.Staleness < 0 {
 		return invalidf("Staleness", "staleness bound %d is negative", c.Staleness)
 	}
 	if c.Staleness > 0 && !spatial {
-		return invalidf("Staleness", "bounded staleness requires spatial sharding (Spatial.Shards >= 2 on dist-index), got %v", c.Strategy)
+		return invalidf("Staleness", "bounded staleness requires spatial sharding (Shards >= 2 on dist-index), got %v", c.Strategy)
 	}
 	if c.LoadCheckpoint != "" && c.ResumeCheckpoint != "" {
 		return invalidf("Resume", "a warm start (LoadCheckpoint) and a resume (ResumeCheckpoint) are mutually exclusive initializers")
@@ -386,8 +315,11 @@ func (c *Config) fillDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.Workers < 1 {
-		c.Workers = 1
+	if c.Shards < 1 {
+		c.Shards = 1
+	}
+	if c.Replicas < 1 {
+		c.Replicas = 1
 	}
 	if c.BatchSize < 1 {
 		c.BatchSize = 32

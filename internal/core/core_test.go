@@ -2,25 +2,29 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"pgti/internal/dataset"
 	"pgti/internal/memsim"
+	"pgti/internal/shard"
 )
 
 // tinyCfg returns a fast measured-mode configuration.
 func tinyCfg(strategy Strategy) Config {
 	return Config{
-		Meta:      dataset.PeMSBay,
-		Scale:     0.012, // ~3 nodes x 625 entries
-		Model:     ModelPGTDCRNN,
-		Strategy:  strategy,
-		BatchSize: 8,
-		Epochs:    2,
-		LR:        0.01,
-		Hidden:    8,
-		K:         1,
-		Seed:      42,
+		Config: shard.Config{
+			BatchSize: 8,
+			Epochs:    2,
+			LR:        0.01,
+			Seed:      42,
+		},
+		Meta:     dataset.PeMSBay,
+		Scale:    0.012, // ~3 nodes x 625 entries
+		Model:    ModelPGTDCRNN,
+		Strategy: strategy,
+		Hidden:   8,
+		K:        1,
 	}
 }
 
@@ -185,7 +189,7 @@ func TestBaselineOOMIsReported(t *testing.T) {
 func TestDistributedStrategies(t *testing.T) {
 	for _, s := range []Strategy{DistIndex, BaselineDDP, GenDistIndex} {
 		cfg := tinyCfg(s)
-		cfg.Workers = 2
+		cfg.Replicas = 2
 		cfg.BatchSize = 4
 		rep, err := Run(cfg)
 		if err != nil {
@@ -207,10 +211,10 @@ func TestDistributedStrategies(t *testing.T) {
 // does not — Fig. 7's mechanism, visible in the virtual clock.
 func TestDistIndexBeatsBaselineDDPOnCommTime(t *testing.T) {
 	di := tinyCfg(DistIndex)
-	di.Workers = 2
+	di.Replicas = 2
 	di.BatchSize = 4
 	dd := tinyCfg(BaselineDDP)
-	dd.Workers = 2
+	dd.Replicas = 2
 	dd.BatchSize = 4
 	repDI, err := Run(di)
 	if err != nil {
@@ -285,11 +289,11 @@ func TestLargerGlobalBatchTakesFewerSteps(t *testing.T) {
 	// itself needs a realistic scale and is exercised by the fig8
 	// experiment harness, not this unit test.)
 	small := tinyCfg(DistIndex)
-	small.Workers = 1
+	small.Replicas = 1
 	small.BatchSize = 4
 	small.Epochs = 5
 	big := tinyCfg(DistIndex)
-	big.Workers = 4
+	big.Replicas = 4
 	big.BatchSize = 4
 	big.Epochs = 5
 	repS, err := Run(small)
@@ -329,4 +333,22 @@ func TestReportSeriesMonotonicProgress(t *testing.T) {
 		prev = s.Progress
 	}
 	_ = memsim.FormatBytes(rep.PeakSystemBytes) // formatting smoke test
+}
+
+// TestConfigHasNoShadowedTrainerField keeps the trainer's knobs in one place:
+// a field of Config that shares a name with a shard.Config field would shadow
+// the embedded one, so an option would write the copy while the trainer read
+// the original.
+func TestConfigHasNoShadowedTrainerField(t *testing.T) {
+	trainer := reflect.TypeOf(shard.Config{})
+	cfg := reflect.TypeOf(Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		f := cfg.Field(i)
+		if f.Anonymous {
+			continue
+		}
+		if _, ok := trainer.FieldByName(f.Name); ok {
+			t.Errorf("Config.%s shadows shard.Config.%s", f.Name, f.Name)
+		}
+	}
 }

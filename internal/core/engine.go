@@ -69,8 +69,8 @@ type Engine struct {
 	data batching.Source
 	idx  *batching.IndexDataset
 
-	// The Shards x Workers grid every strategy trains on: 1x1 for the
-	// single-GPU strategies, Shards == 1 unless Config.Spatial asks for more.
+	// The Shards x Replicas grid every strategy trains on: 1x1 for the
+	// single-GPU strategies, Shards == 1 unless Config.Shards asks for more.
 	factory       shard.ModelFactory
 	trainCfg      shard.Config
 	trainSupports []*sparse.CSR // supports trimmed to what the model diffuses over
@@ -211,8 +211,8 @@ func (e *Engine) open() error {
 		Strategy:   cfg.Strategy,
 		Model:      cfg.Model,
 		Dataset:    meta.Name,
-		Workers:    cfg.Workers,
-		Accounting: shard.Accounting{GlobalBatch: cfg.BatchSize * cfg.Workers},
+		Workers:    cfg.Replicas,
+		Accounting: shard.Accounting{GlobalBatch: cfg.BatchSize * cfg.Replicas},
 	}
 
 	// Stage 0/1: raw signal, then time-of-day augmentation (Fig. 3 stage 1).
@@ -364,9 +364,9 @@ func (e *Engine) checkpointInit(probe nn.SeqModel) (func(nn.SeqModel, *nn.Adam) 
 	return init, startEpoch, nil
 }
 
-// buildGrid prepares the Shards x Workers process grid every strategy trains
+// buildGrid prepares the Shards x Replicas process grid every strategy trains
 // on — 1x1 for the single-GPU strategies: the partition (one whole-graph part
-// unless Config.Spatial shards the node set), memory accounting, and the
+// unless Config.Shards splits the node set), memory accounting, and the
 // trainer configuration.
 func (e *Engine) buildGrid() error {
 	cfg := &e.cfg
@@ -375,33 +375,29 @@ func (e *Engine) buildGrid() error {
 	if cfg.Model == ModelA3TGCN {
 		supports = supports[:1] // A3T-GCN diffuses over the forward support only
 	}
-	shards := 1
-	if cfg.Spatial.Enabled() {
-		shards = cfg.Spatial.Shards
-	}
 	if len(cfg.NodeWeights) > 0 && len(cfg.NodeWeights) != e.g.N {
 		return invalidf("NodeWeights", "got %d weights for a %d-node graph", len(cfg.NodeWeights), e.g.N)
 	}
 	var plan *shard.Plan
 	var err error
 	switch {
-	case shards == 1:
+	case cfg.Shards == 1:
 		plan = shard.WholeGraph(e.g.N)
 	case len(cfg.NodeWeights) > 0 && !cfg.StaticPartition:
 		// Weighted initial partition: balance modeled compute, not node
 		// count, so a degree- or cost-skewed graph starts load-balanced.
-		owner, werr := graph.PartitionWeighted(e.g, shards, cfg.NodeWeights)
+		owner, werr := graph.PartitionWeighted(e.g, cfg.Shards, cfg.NodeWeights)
 		if werr != nil {
 			return werr
 		}
-		plan, err = shard.ReplanFrom(e.g, supports, shards, owner)
+		plan, err = shard.ReplanFrom(e.g, supports, cfg.Shards, owner)
 	default:
-		plan, err = shard.BuildPlan(e.g, supports, shards)
+		plan, err = shard.BuildPlan(e.g, supports, cfg.Shards)
 	}
 	if err != nil {
 		return err
 	}
-	e.report.SpatialShards = shards
+	e.report.SpatialShards = cfg.Shards
 	e.report.EdgeCut = plan.EdgeCut
 
 	in := meta.Features()
@@ -426,35 +422,10 @@ func (e *Engine) buildGrid() error {
 		return err
 	}
 
-	e.trainCfg = shard.Config{
-		Shards:          shards,
-		Replicas:        cfg.Workers,
-		BatchSize:       cfg.BatchSize,
-		Epochs:          cfg.Epochs,
-		StartEpoch:      e.startEpoch,
-		LR:              cfg.LR,
-		UseLRScaling:    cfg.UseLRScaling,
-		ClipNorm:        cfg.ClipNorm,
-		Sampler:         cfg.Sampler,
-		Seed:            cfg.Seed,
-		Net:             cluster.SlingshotModel(),
-		Topology:        cfg.Topology,
-		Feed:            e.feed(),
-		Algo:            cfg.GradAlgo,
-		FP16:            cfg.GradFP16,
-		BucketBytes:     cfg.GradBucketBytes,
-		AutoTuneBuckets: cfg.GradAutoTune,
-		Prefetch:        cfg.Prefetch,
-		AssembleCost:    cfg.AssembleCost,
-		ComputeCost:     cfg.ComputeCost,
-		Staleness:       cfg.Staleness,
-		Repartition:     cfg.Repartition,
-		NodeWeights:     cfg.NodeWeights,
-		Plan:            plan,
-		Init:            init,
-		Trace:           cfg.Trace,
-		Faults:          cfg.Faults,
-	}
+	e.trainCfg = cfg.Config
+	e.trainCfg.Net = cluster.SlingshotModel()
+	e.trainCfg.Feed = e.feed()
+	e.trainCfg.Plan, e.trainCfg.Init, e.trainCfg.StartEpoch = plan, init, startEpoch
 	if cfg.MissingFrac > 0 {
 		// The standardized encoding of a raw zero — the missing-data sentinel
 		// after z-scoring. Both pipelines standardize with the identical
@@ -482,7 +453,7 @@ func (e *Engine) feed() shard.Feed {
 	case BaselineDDP:
 		return shard.RemoteFetch{}
 	case GenDistIndex:
-		if e.cfg.Workers > 1 {
+		if e.cfg.Replicas > 1 {
 			// The larger-than-memory layout: rows partitioned across
 			// workers; only boundary rows travel.
 			return shard.PartitionedStore{}
@@ -520,7 +491,7 @@ func (e *Engine) accountWorkers(plan *shard.Plan, paramBytes int64) error {
 	batchBytes := 2 * int64(cfg.BatchSize) * int64(meta.Horizon) * int64(maxOwn) * int64(e.in) * 8
 	dataShare := e.idx.RetainedBytes() * int64(maxOwn) / int64(meta.Nodes)
 	if cfg.Strategy != DistIndex {
-		dataShare = e.idx.RetainedBytes() / int64(cfg.Workers)
+		dataShare = e.idx.RetainedBytes() / int64(cfg.Replicas)
 	}
 	haloSlab := perfmodel.HaloSlabBytes(maxHalo, cfg.BatchSize, e.in, cfg.Hidden)
 	// Worker 0's share is the tracked "data" allocation, but under spatial
@@ -530,7 +501,7 @@ func (e *Engine) accountWorkers(plan *shard.Plan, paramBytes int64) error {
 	if full := sys.LabelBytes("data"); full > 0 {
 		sys.Free("data", full-full*int64(maxOwn)/int64(meta.Nodes))
 	}
-	for w := 0; w < plan.Shards*cfg.Workers; w++ {
+	for w := 0; w < plan.Shards*cfg.Replicas; w++ {
 		if err := sys.Alloc("worker.replica", paramBytes+batchBytes); err != nil {
 			return err
 		}
@@ -678,8 +649,8 @@ func (e *Engine) bookRecovery(offset time.Duration, r recovery) time.Duration {
 	return detected + r.refill
 }
 
-// fitGrid drives every strategy through the grid trainer: Spatial.Shards
-// node blocks (one when unsharded) times Workers data replicas — one block,
+// fitGrid drives every strategy through the grid trainer: Shards node
+// blocks (one when unsharded) times Replicas data replicas — one block,
 // one replica for the single-GPU strategies. Under spatial sharding each
 // worker's tracked footprint is only its ~N/P share of the node features plus
 // a transient halo slab, the memory axis sharding exists to shrink. With a

@@ -18,7 +18,7 @@ func TestStagedLifecycleMatchesRun(t *testing.T) {
 	for _, strategy := range []Strategy{Index, DistIndex} {
 		cfg := tinyCfg(strategy)
 		if strategy.IsDistributed() {
-			cfg.Workers = 2
+			cfg.Replicas = 2
 			cfg.BatchSize = 4
 		}
 		ref, err := Run(cfg)
@@ -81,15 +81,15 @@ func TestEngineTypedValidationErrors(t *testing.T) {
 	}{
 		{"spatial+gen-dist-index", "Spatial", func(c *Config) {
 			c.Strategy = GenDistIndex
-			c.Spatial.Shards = 2
+			c.Shards = 2
 		}},
 		{"spatial+st-llm", "Spatial", func(c *Config) {
 			c.Model = ModelSTLLM
-			c.Spatial.Shards = 2
+			c.Shards = 2
 		}},
 		{"spatial+algo", "Spatial", func(c *Config) {
-			c.Spatial.Shards = 2
-			c.GradAlgo = ddp.GradAlgoHierarchical
+			c.Shards = 2
+			c.Algo = ddp.GradAlgoHierarchical
 			c.Topology = cluster.Topology{Nodes: 2, GPUsPerNode: 2}
 		}},
 		{"unknown strategy", "Strategy", func(c *Config) { c.Strategy = Strategy(99) }},
@@ -103,7 +103,7 @@ func TestEngineTypedValidationErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		cfg := tinyCfg(DistIndex)
-		cfg.Workers = 2
+		cfg.Replicas = 2
 		tc.mutate(&cfg)
 		err := NewEngine(cfg).Open()
 		var ice *InvalidConfigError
@@ -175,7 +175,7 @@ func TestFitCancellationDistributed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := tinyCfg(DistIndex)
-	cfg.Workers = 2
+	cfg.Replicas = 2
 	cfg.BatchSize = 4
 	cfg.Epochs = 4
 	cfg.Events = func(ev Event) {
@@ -203,7 +203,7 @@ func TestEventStreamMatchesCurve(t *testing.T) {
 	for _, strategy := range []Strategy{Index, DistIndex} {
 		cfg := tinyCfg(strategy)
 		if strategy.IsDistributed() {
-			cfg.Workers = 2
+			cfg.Replicas = 2
 			cfg.BatchSize = 4
 		}
 		var epochs []EpochEvent
@@ -247,9 +247,9 @@ func TestEventStreamMatchesCurve(t *testing.T) {
 
 func TestAutotuneEventFires(t *testing.T) {
 	cfg := tinyCfg(DistIndex)
-	cfg.Workers = 2
+	cfg.Replicas = 2
 	cfg.BatchSize = 4
-	cfg.GradAutoTune = true
+	cfg.AutoTuneBuckets = true
 	var tuned []AutotuneEvent
 	cfg.Events = func(ev Event) {
 		if a, ok := ev.(AutotuneEvent); ok {
@@ -302,7 +302,7 @@ func TestPredictorRoundTrip(t *testing.T) {
 		cfg.Epochs = 2
 		cfg.EmitForecasts = 2
 		if strategy.IsDistributed() {
-			cfg.Workers = 2
+			cfg.Replicas = 2
 			cfg.BatchSize = 4
 		}
 		ref, err := Run(cfg)
@@ -395,7 +395,7 @@ func TestResumeEqualsStraightThrough(t *testing.T) {
 	} {
 		ckpt := filepath.Join(t.TempDir(), "state.pgtc")
 		base := tinyCfg(tc.strategy)
-		base.Workers = tc.workers
+		base.Replicas = tc.workers
 		if tc.strategy.IsDistributed() {
 			base.BatchSize = 4
 		}
@@ -444,7 +444,7 @@ func TestResumeEqualsStraightThrough(t *testing.T) {
 func TestDistributedCheckpointWarmStart(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "ddp.pgtc")
 	pre := tinyCfg(DistIndex)
-	pre.Workers = 2
+	pre.Replicas = 2
 	pre.BatchSize = 4
 	pre.Epochs = 4
 	pre.SaveCheckpoint = ckpt
@@ -454,7 +454,7 @@ func TestDistributedCheckpointWarmStart(t *testing.T) {
 	}
 
 	warm := tinyCfg(DistIndex)
-	warm.Workers = 2
+	warm.Replicas = 2
 	warm.BatchSize = 4
 	warm.Epochs = 1
 	warm.LoadCheckpoint = ckpt
@@ -463,7 +463,7 @@ func TestDistributedCheckpointWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := tinyCfg(DistIndex)
-	cold.Workers = 2
+	cold.Replicas = 2
 	cold.BatchSize = 4
 	cold.Epochs = 1
 	repCold, err := Run(cold)
@@ -485,7 +485,7 @@ func TestDistributedCheckpointWarmStart(t *testing.T) {
 // EvalTest or EmitForecasts asks for it — the legacy report contract.
 func TestDistributedEvalOptIn(t *testing.T) {
 	cfg := tinyCfg(DistIndex)
-	cfg.Workers = 2
+	cfg.Replicas = 2
 	cfg.BatchSize = 4
 	rep, err := Run(cfg)
 	if err != nil {

@@ -21,25 +21,27 @@ import (
 func faultCfg(workers, shards int) Config {
 	meta, _ := dataset.ByName("Chickenpox-Hungary")
 	cfg := Config{
-		Meta:      meta,
-		Scale:     0.4,
-		Model:     ModelPGTDCRNN,
-		Strategy:  DistIndex,
-		Workers:   workers,
-		BatchSize: 4,
-		Epochs:    2,
-		Hidden:    8,
-		K:         1,
-		Seed:      3,
-		AssembleCost: func(items int) time.Duration {
-			return time.Duration(items) * 25 * time.Microsecond
+		Config: shard.Config{
+			Replicas:  workers,
+			BatchSize: 4,
+			Epochs:    2,
+			Seed:      3,
+			AssembleCost: func(items int) time.Duration {
+				return time.Duration(items) * 25 * time.Microsecond
+			},
+			ComputeCost: func(items int) time.Duration {
+				return 2 * time.Millisecond
+			},
 		},
-		ComputeCost: func(items int) time.Duration {
-			return 2 * time.Millisecond
-		},
+		Meta:     meta,
+		Scale:    0.4,
+		Model:    ModelPGTDCRNN,
+		Strategy: DistIndex,
+		Hidden:   8,
+		K:        1,
 	}
 	if shards > 1 {
-		cfg.Spatial = shard.Spatial{Shards: shards}
+		cfg.Shards = shards
 	}
 	return cfg
 }

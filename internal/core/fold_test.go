@@ -9,6 +9,7 @@ import (
 	"pgti/internal/batching"
 	"pgti/internal/ddp"
 	"pgti/internal/device"
+	"pgti/internal/shard"
 	"pgti/internal/trace"
 )
 
@@ -16,10 +17,12 @@ import (
 // a pure function of the configuration.
 func modeledCfg(strategy Strategy) Config {
 	return Config{
-		Meta: goldenMeta, Model: ModelPGTDCRNN, Strategy: strategy,
-		BatchSize: 8, Epochs: 2, Hidden: 8, K: 1, Seed: 42,
-		ComputeCost:  func(int) time.Duration { return 2 * time.Millisecond },
-		AssembleCost: func(items int) time.Duration { return time.Duration(items) * 25 * time.Microsecond },
+		Meta: goldenMeta, Model: ModelPGTDCRNN, Strategy: strategy, Hidden: 8, K: 1,
+		Config: shard.Config{
+			BatchSize: 8, Epochs: 2, Seed: 42,
+			ComputeCost:  func(int) time.Duration { return 2 * time.Millisecond },
+			AssembleCost: func(items int) time.Duration { return time.Duration(items) * 25 * time.Microsecond },
+		},
 	}
 }
 

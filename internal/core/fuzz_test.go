@@ -34,6 +34,8 @@ func FuzzConfigValidate(f *testing.F) {
 		flagWarmParams
 		flagNaNThreshold
 		flagNegativeMemory
+		flagNaNLR
+		flagNaNNodeWeight
 	)
 	// strategy, model, workers, shards, staleness, scale, missing, topology
 	// nodes x gpus, grad algo, flags.
@@ -54,6 +56,8 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(int(DistIndex), 0, 2, 2, 0, 0.0, 0.0, 0, 0, 0, flagNaNThreshold)
 	f.Add(int(DistIndex), 0, 2, 0, 0, 0.0, 0.0, 0, 0, 0, flagNaNThreshold)
 	f.Add(int(Index), 0, 1, 0, 0, 0.0, 0.0, 0, 0, 0, flagNegativeMemory)
+	f.Add(int(Index), 0, 1, 0, 0, 0.0, 0.0, 0, 0, 0, flagNaNLR)
+	f.Add(int(DistIndex), 0, 2, 2, 0, 0.0, 0.0, 0, 0, 0, flagNodeWeights|flagNaNNodeWeight)
 
 	f.Fuzz(func(t *testing.T, strategy, model, workers, shards, staleness int,
 		scale, missing float64, topoNodes, topoGPUs, gradAlgo, flags int) {
@@ -61,25 +65,25 @@ func FuzzConfigValidate(f *testing.F) {
 		// signs and out-of-range enum values are kept.
 		small := func(v, bound int) int { return v % bound }
 		cfg := Config{
-			Meta:      dataset.ChickenpoxHungary,
-			Scale:     scale,
-			Model:     ModelKind(small(model, 6)),
-			Strategy:  Strategy(small(strategy, 8)),
-			Workers:   small(workers, 7),
-			BatchSize: 2,
-			Hidden:    4,
-			K:         1,
-			Seed:      7,
-
-			Spatial:     shard.Spatial{Shards: small(shards, 6)},
-			Staleness:   small(staleness, 4),
-			MissingFrac: missing,
-			Topology:    cluster.Topology{Nodes: small(topoNodes, 5), GPUsPerNode: small(topoGPUs, 5)},
-			GradAlgo:    ddp.GradAlgo(small(gradAlgo, 4)),
-
-			GradFP16:        flags&flagFP16 != 0,
-			GradAutoTune:    flags&flagAutoTune != 0,
-			Prefetch:        flags&flagPrefetch != 0,
+			Config: shard.Config{
+				Replicas:        small(workers, 7),
+				BatchSize:       2,
+				Seed:            7,
+				Shards:          small(shards, 6),
+				Staleness:       small(staleness, 4),
+				Topology:        cluster.Topology{Nodes: small(topoNodes, 5), GPUsPerNode: small(topoGPUs, 5)},
+				Algo:            ddp.GradAlgo(small(gradAlgo, 4)),
+				FP16:            flags&flagFP16 != 0,
+				AutoTuneBuckets: flags&flagAutoTune != 0,
+				Prefetch:        flags&flagPrefetch != 0,
+			},
+			Meta:            dataset.ChickenpoxHungary,
+			Scale:           scale,
+			Model:           ModelKind(small(model, 6)),
+			Strategy:        Strategy(small(strategy, 8)),
+			Hidden:          4,
+			K:               1,
+			MissingFrac:     missing,
 			StaticPartition: flags&flagStaticPartition != 0,
 			SamplerSet:      flags&flagSamplerSet != 0,
 		}
@@ -90,6 +94,12 @@ func FuzzConfigValidate(f *testing.F) {
 			for i := range cfg.NodeWeights {
 				cfg.NodeWeights[i] = float64(1 + i%3)
 			}
+		}
+		if flags&flagNaNNodeWeight != 0 && len(cfg.NodeWeights) > 0 {
+			cfg.NodeWeights[len(cfg.NodeWeights)/2] = math.NaN()
+		}
+		if flags&flagNaNLR != 0 {
+			cfg.LR = math.NaN()
 		}
 		if flags&flagRepartition != 0 {
 			cfg.Repartition = shard.Repartition{ChunkSize: small(staleness, 3) + 1, Threshold: 1 + scale}

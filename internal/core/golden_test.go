@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"pgti/internal/dataset"
+	"pgti/internal/shard"
 )
 
 var updateGoldens = flag.Bool("update", false, "re-record testdata/single_gpu_goldens.jsonl from the engine under test")
@@ -55,8 +56,8 @@ var goldenVariants = []string{"plain", "missing", "warm", "resume", "clip"}
 // continues it for one more epoch.
 func goldenRun(strategy Strategy, model ModelKind, variant, ckpt string) (*Report, error) {
 	cfg := Config{
-		Meta: goldenMeta, Model: model, Strategy: strategy,
-		BatchSize: 8, Epochs: 2, LR: 0.01, Hidden: 8, K: 1, Seed: 42,
+		Meta: goldenMeta, Model: model, Strategy: strategy, Hidden: 8, K: 1,
+		Config: shard.Config{BatchSize: 8, Epochs: 2, LR: 0.01, Seed: 42},
 	}
 	switch variant {
 	case "plain":

@@ -14,17 +14,19 @@ import (
 func spatialCfg(workers, shards int) Config {
 	meta, _ := dataset.ByName("Chickenpox-Hungary")
 	return Config{
-		Meta:      meta,
-		Scale:     0.4,
-		Model:     ModelPGTDCRNN,
-		Strategy:  DistIndex,
-		Workers:   workers,
-		BatchSize: 4,
-		Epochs:    1,
-		Hidden:    8,
-		K:         1,
-		Seed:      3,
-		Spatial:   shard.Spatial{Shards: shards},
+		Config: shard.Config{
+			Replicas:  workers,
+			BatchSize: 4,
+			Epochs:    1,
+			Seed:      3,
+			Shards:    shards,
+		},
+		Meta:     meta,
+		Scale:    0.4,
+		Model:    ModelPGTDCRNN,
+		Strategy: DistIndex,
+		Hidden:   8,
+		K:        1,
 	}
 }
 
@@ -34,7 +36,7 @@ func spatialCfg(workers, shards int) Config {
 func TestSpatialShardingMatchesUnsharded(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		cfg := spatialCfg(workers, 1)
-		cfg.Spatial.Shards = 0
+		cfg.Shards = 0
 		ref, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +76,7 @@ func TestSpatialShardingScalesPerWorkerMemory(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		cfg := spatialCfg(1, shards)
 		if shards == 1 {
-			cfg.Spatial.Shards = 0
+			cfg.Shards = 0
 		}
 		rep, err := Run(cfg)
 		if err != nil {
@@ -143,7 +145,7 @@ func TestSpatialShardingRejectsUnsupported(t *testing.T) {
 	// fixed two-stage grouped sync and must be rejected, not silently
 	// ignored.
 	cfg = spatialCfg(1, 2)
-	cfg.GradAlgo = ddp.GradAlgoHierarchical
+	cfg.Algo = ddp.GradAlgoHierarchical
 	cfg.Topology = cluster.Topology{Nodes: 1, GPUsPerNode: 2}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected error for sharded explicit GradAlgo")
@@ -154,8 +156,8 @@ func TestSpatialShardingRejectsUnsupported(t *testing.T) {
 // first-epoch autotuner now ride the hybrid grid's bucketed two-stage sync.
 func TestSpatialGradStackComposes(t *testing.T) {
 	cfg := spatialCfg(2, 2)
-	cfg.GradFP16 = true
-	cfg.GradAutoTune = true
+	cfg.FP16 = true
+	cfg.AutoTuneBuckets = true
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

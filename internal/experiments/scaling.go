@@ -7,6 +7,7 @@ import (
 	"pgti/internal/dataset"
 	"pgti/internal/ddp"
 	"pgti/internal/perfmodel"
+	"pgti/internal/shard"
 )
 
 // fig7GPUCounts is the paper's scaling-study sweep.
@@ -52,8 +53,8 @@ func Fig7(opt Options) error {
 	}
 	for _, p := range workers {
 		cfg := core.Config{
-			Meta: dataset.PeMSBay, Scale: opt.Scale, Strategy: core.DistIndex,
-			Workers: p, BatchSize: 4, Epochs: 2, Hidden: 8, K: 1, Seed: opt.Seed,
+			Meta: dataset.PeMSBay, Scale: opt.Scale, Strategy: core.DistIndex, Hidden: 8, K: 1,
+			Config: shard.Config{Replicas: p, BatchSize: 4, Epochs: 2, Seed: opt.Seed},
 		}
 		di, err := runMeasured(cfg, opt)
 		if err != nil {
@@ -100,8 +101,8 @@ func Fig8(opt Options) error {
 	var results []res
 	for _, p := range workers {
 		cfg := core.Config{
-			Meta: dataset.PeMSBay, Scale: scale, Strategy: core.DistIndex,
-			Workers: p, BatchSize: 4, Epochs: epochs, Hidden: 8, K: 1, Seed: opt.Seed, LR: 0.01,
+			Meta: dataset.PeMSBay, Scale: scale, Strategy: core.DistIndex, Hidden: 8, K: 1,
+			Config: shard.Config{Replicas: p, BatchSize: 4, Epochs: epochs, Seed: opt.Seed, LR: 0.01},
 		}
 		rep, err := runMeasured(cfg, opt)
 		if err != nil {
@@ -149,8 +150,8 @@ func Table5(opt Options) error {
 	row(w, fmt.Sprintf("%5s %16s %16s", "GPUs", "global shuffle", "batch shuffle"))
 	for _, p := range workers {
 		cfg := core.Config{
-			Meta: dataset.PeMSBay, Scale: scale, Strategy: core.DistIndex,
-			Workers: p, BatchSize: 4, Epochs: opt.Epochs, Hidden: 8, K: 1, Seed: opt.Seed,
+			Meta: dataset.PeMSBay, Scale: scale, Strategy: core.DistIndex, Hidden: 8, K: 1,
+			Config: shard.Config{Replicas: p, BatchSize: 4, Epochs: opt.Epochs, Seed: opt.Seed},
 		}
 		repG, err := runMeasured(cfg, opt)
 		if err != nil {
@@ -203,8 +204,8 @@ func Fig9(opt Options) error {
 	// Measured at scale: batch-shuffled strategies really run, and the
 	// index variant moves less data (virtual comm time).
 	cfg := core.Config{
-		Meta: dataset.PeMSBay, Scale: opt.Scale, Strategy: core.GenDistIndex,
-		Workers: 2, BatchSize: 4, Epochs: 1, Hidden: 8, K: 1, Seed: opt.Seed,
+		Meta: dataset.PeMSBay, Scale: opt.Scale, Strategy: core.GenDistIndex, Hidden: 8, K: 1,
+		Config: shard.Config{Replicas: 2, BatchSize: 4, Epochs: 1, Seed: opt.Seed},
 	}
 	gi, err := runMeasured(cfg, opt)
 	if err != nil {
@@ -253,8 +254,8 @@ func Fig10(opt Options) error {
 	// Measured at scale: the ST-LLM-lite model trains under
 	// distributed-index-batching.
 	cfg := core.Config{
-		Meta: dataset.PeMSBay, Scale: opt.Scale, Model: core.ModelSTLLM, Strategy: core.DistIndex,
-		Workers: 2, BatchSize: 4, Epochs: 1, Hidden: 16, Seed: opt.Seed,
+		Meta: dataset.PeMSBay, Scale: opt.Scale, Model: core.ModelSTLLM, Strategy: core.DistIndex, Hidden: 16,
+		Config: shard.Config{Replicas: 2, BatchSize: 4, Epochs: 1, Seed: opt.Seed},
 	}
 	rep, err := runMeasured(cfg, opt)
 	if err != nil {

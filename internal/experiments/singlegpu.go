@@ -7,6 +7,7 @@ import (
 	"pgti/internal/dataset"
 	"pgti/internal/memsim"
 	"pgti/internal/perfmodel"
+	"pgti/internal/shard"
 )
 
 // Table2 regenerates the single-epoch DCRNN vs PGT-DCRNN comparison on
@@ -39,8 +40,8 @@ func Table2(opt Options) error {
 	// Measured at scale: the deeper encoder-decoder DCRNN really is several
 	// times slower than PGT-DCRNN on identical data.
 	base := core.Config{
-		Meta: dataset.PeMSAllLA, Scale: opt.Scale * 0.5, Strategy: core.Baseline,
-		BatchSize: 8, Epochs: 1, Hidden: 8, K: 1, Seed: opt.Seed,
+		Meta: dataset.PeMSAllLA, Scale: opt.Scale * 0.5, Strategy: core.Baseline, Hidden: 8, K: 1,
+		Config: shard.Config{BatchSize: 8, Epochs: 1, Seed: opt.Seed},
 	}
 	cfgP := base
 	cfgP.Model = core.ModelPGTDCRNN
@@ -85,8 +86,8 @@ func table3Cases(opt Options) []table3Case {
 // settings and returns the two reports.
 func runPair(meta dataset.Meta, scale float64, batch, epochs int, model core.ModelKind, seed uint64, opt Options) (*core.Report, *core.Report, error) {
 	base := core.Config{
-		Meta: meta, Scale: scale, Model: model, Strategy: core.Baseline,
-		BatchSize: batch, Epochs: epochs, Hidden: 8, K: 1, Seed: seed,
+		Meta: meta, Scale: scale, Model: model, Strategy: core.Baseline, Hidden: 8, K: 1,
+		Config: shard.Config{BatchSize: batch, Epochs: epochs, Seed: seed},
 	}
 	idxCfg := base
 	idxCfg.Strategy = core.Index
@@ -193,8 +194,8 @@ func Table4(opt Options) error {
 	// Measured at scale: GPU residency shifts bytes CPU->GPU and removes
 	// per-batch transfer time from the virtual clock.
 	cfg := core.Config{
-		Meta: dataset.PeMSBay, Scale: opt.Scale, Strategy: core.Index,
-		BatchSize: 8, Epochs: 2, Hidden: 8, K: 1, Seed: opt.Seed,
+		Meta: dataset.PeMSBay, Scale: opt.Scale, Strategy: core.Index, Hidden: 8, K: 1,
+		Config: shard.Config{BatchSize: 8, Epochs: 2, Seed: opt.Seed},
 	}
 	repI, err := runMeasured(cfg, opt)
 	if err != nil {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 )
 
 // Degree-weighted partition balancing: blocks are balanced by total node
@@ -35,8 +36,9 @@ func DegreeWeights(g *Graph) []float64 {
 // balanced by total node weight, using the same greedy BFS growth plus
 // boundary locality refinement as Partition. Deterministic for a given graph
 // and weight vector: block seeds, BFS frontier order, and refinement sweeps
-// all follow ascending node ids. Weights must be positive and len(weights)
-// must equal g.N; Partition is the special case of all-ones weights.
+// all follow ascending node ids. Weights must be finite and positive, and
+// len(weights) must equal g.N; Partition is the special case of all-ones
+// weights.
 func PartitionWeighted(g *Graph, parts int, weights []float64) ([]int, error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("graph: PartitionWeighted needs parts >= 1, got %d", parts)
@@ -48,8 +50,8 @@ func PartitionWeighted(g *Graph, parts int, weights []float64) ([]int, error) {
 		return nil, fmt.Errorf("graph: PartitionWeighted needs %d weights, got %d", g.N, len(weights))
 	}
 	for i, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("graph: PartitionWeighted weight[%d] = %g, want > 0", i, w)
+		if !(w > 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("graph: PartitionWeighted weight[%d] = %g, want finite and > 0", i, w)
 		}
 	}
 	owner := partitionBFSWeighted(g, parts, weights)

@@ -188,4 +188,10 @@ func TestPartitionWeightedErrors(t *testing.T) {
 	if _, err := PartitionWeighted(g, 2, []float64{1, 1, 0, 1, 1}); err == nil {
 		t.Fatal("expected error for non-positive weight")
 	}
+	// NaN and +Inf used to pass the w <= 0 guard and skew the partition.
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := PartitionWeighted(g, 2, []float64{1, 1, 1, w, 1}); err == nil {
+			t.Fatalf("expected error for weight %v", w)
+		}
+	}
 }

@@ -27,17 +27,6 @@ import (
 	"pgti/internal/sparse"
 )
 
-// Spatial is the spatial-parallelism knob surfaced through the run configs:
-// Shards <= 1 keeps the graph whole, Shards = P splits the node set into P
-// blocks, multiplying the worker grid by P.
-type Spatial struct {
-	// Shards is the number of node blocks the graph is partitioned into.
-	Shards int
-}
-
-// Enabled reports whether spatial sharding is active.
-func (s Spatial) Enabled() bool { return s.Shards > 1 }
-
 // ExchangePlan is one shard's precomputed halo routing for one support
 // matrix: which locally-owned rows each peer needs (SendTo) and where each
 // peer's rows land in the local halo block (RecvPos). Both sides list rows

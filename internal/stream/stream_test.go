@@ -16,25 +16,27 @@ import (
 // AssembleCost set, curve AND virtual clock are bitwise reproducible.
 func modeledBase(workers, shards int) core.Config {
 	cfg := core.Config{
-		Model:     core.ModelPGTDCRNN,
-		Strategy:  core.DistIndex,
-		Workers:   workers,
-		BatchSize: 8,
-		Epochs:    2,
-		LR:        0.01,
-		Hidden:    8,
-		K:         1,
-		Seed:      42,
-		Prefetch:  true,
-		AssembleCost: func(items int) time.Duration {
-			return time.Duration(items) * 25 * time.Microsecond
+		Config: shard.Config{
+			Replicas:  workers,
+			BatchSize: 8,
+			Epochs:    2,
+			LR:        0.01,
+			Seed:      42,
+			Prefetch:  true,
+			AssembleCost: func(items int) time.Duration {
+				return time.Duration(items) * 25 * time.Microsecond
+			},
+			ComputeCost: func(items int) time.Duration {
+				return 2 * time.Millisecond
+			},
 		},
-		ComputeCost: func(items int) time.Duration {
-			return 2 * time.Millisecond
-		},
+		Model:    core.ModelPGTDCRNN,
+		Strategy: core.DistIndex,
+		Hidden:   8,
+		K:        1,
 	}
 	if shards > 1 {
-		cfg.Spatial = shard.Spatial{Shards: shards}
+		cfg.Shards = shards
 	}
 	return cfg
 }

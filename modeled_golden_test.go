@@ -658,12 +658,14 @@ var streamMeta = dataset.Meta{
 // under, with modeled compute and collation costs.
 func streamBase(epochs int) core.Config {
 	return core.Config{
-		Model: core.ModelPGTDCRNN, Strategy: core.DistIndex,
-		Workers: 2, Spatial: shard.Spatial{Shards: 2},
-		BatchSize: 2, Epochs: epochs, LR: 0.01, Hidden: 16, K: 1, Seed: 1,
-		Prefetch:     true,
-		ComputeCost:  func(int) time.Duration { return 2 * time.Millisecond },
-		AssembleCost: func(int) time.Duration { return 500 * time.Microsecond },
+		Model: core.ModelPGTDCRNN, Strategy: core.DistIndex, Hidden: 16, K: 1,
+		Config: shard.Config{
+			Replicas: 2, Shards: 2,
+			BatchSize: 2, Epochs: epochs, LR: 0.01, Seed: 1,
+			Prefetch:     true,
+			ComputeCost:  func(int) time.Duration { return 2 * time.Millisecond },
+			AssembleCost: func(int) time.Duration { return 500 * time.Microsecond },
+		},
 	}
 }
 
@@ -758,13 +760,15 @@ func faultCfg() core.Config {
 	meta, _ := dataset.ByName("Chickenpox-Hungary")
 	return core.Config{
 		Meta: meta, Scale: 0.4,
-		Model: core.ModelPGTDCRNN, Strategy: core.DistIndex,
-		Workers: 2, Spatial: shard.Spatial{Shards: 2},
-		BatchSize: 4, Epochs: 2, Hidden: 8, K: 1, Seed: 3,
-		AssembleCost: func(items int) time.Duration {
-			return time.Duration(items) * 25 * time.Microsecond
+		Model: core.ModelPGTDCRNN, Strategy: core.DistIndex, Hidden: 8, K: 1,
+		Config: shard.Config{
+			Replicas: 2, Shards: 2,
+			BatchSize: 4, Epochs: 2, Seed: 3,
+			AssembleCost: func(items int) time.Duration {
+				return time.Duration(items) * 25 * time.Microsecond
+			},
+			ComputeCost: func(int) time.Duration { return 2 * time.Millisecond },
 		},
-		ComputeCost: func(int) time.Duration { return 2 * time.Millisecond },
 	}
 }
 

@@ -74,7 +74,6 @@ import (
 	"pgti/internal/dataset"
 	"pgti/internal/ddp"
 	"pgti/internal/memsim"
-	"pgti/internal/shard"
 )
 
 // Strategy selects the training pipeline.
@@ -136,15 +135,6 @@ const (
 // Topology describes the simulated node layout for the hierarchical
 // AllReduce.
 type Topology = cluster.Topology
-
-// Spatial is the spatial-parallelism knob: Spatial{Shards: P} partitions the
-// sensor graph into P node blocks, multiplying the worker grid into a 2D
-// (spatial x data) layout — each of Workers data replicas spreads over P
-// shard workers, halo rows travel within replica groups, and gradient
-// AllReduce runs within shard groups. Every worker then holds only its
-// ~N/P share of the node features. Requires StrategyDistIndex and a
-// graph-convolutional model (PGT-DCRNN, DCRNN, or A3T-GCN).
-type Spatial = shard.Spatial
 
 // Forecast is one test-window prediction in original units (re-exported
 // from the core engine).

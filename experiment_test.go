@@ -118,6 +118,8 @@ func TestOptionValidationTable(t *testing.T) {
 		{"spatial+st-llm", "Spatial", with(distIndex, WithSpatial(2), WithModel(ModelSTLLM))},
 		{"spatial+gradstack-algo", "Spatial", with(distIndex, WithSpatial(2), WithGradStack(hier2x2))},
 		{"autotune+flat", "GradStack", with(distIndex, WithGradStack(GradStack{Algo: GradAlgoFlat, AutoTune: true}))},
+		// A negative cap used to run silently at the 256 KiB default.
+		{"negative bucket bytes", "GradStack", with(distIndex, WithGradStack(GradStack{BucketBytes: -5}))},
 		{"workers below topology grid", "Workers", with(distIndex, WithGradStack(hier2x2))},
 		{"fp16 on single-GPU", "GradStack", []Option{
 			WithStrategy(StrategyIndex), WithGradStack(GradStack{FP16: true}),

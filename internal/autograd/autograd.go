@@ -8,7 +8,7 @@
 // # Gradient ownership
 //
 // The backward pass does not copy a gradient it can take over. When an op's
-// backward closure returns a gradient for an input that has none yet, the
+// backward closure writes a gradient for an input that has none yet, the
 // engine adopts the tensor as that input's Grad — no Clone — provided the
 // tensor spans its whole backing array (tensor.SpansStorage), does not share
 // storage with a gradient already adopted from the same call (Add(a, b)
@@ -21,14 +21,30 @@
 //
 // What makes this safe is a contract on every backward closure:
 //
-//   - It must not retain a gradient it returns, nor return the same storage
+//   - It writes input i's gradient into dst[i] (nil: no gradient) and
+//     nothing else; dst is the engine's slice, reused for every op, so the
+//     closure must not retain it.
+//   - It must not retain a gradient it writes, nor write the same storage
 //     from two calls.
-//   - It must not return a captured forward value (an input's or the
+//   - It must not write a captured forward value (an input's or the
 //     output's Value, or a view of one): the engine would hand the model's
 //     activations to an optimizer as scratch.
-//   - It may return its grad argument or a view of it — that storage belongs
+//   - It may write its grad argument or a view of it — that storage belongs
 //     to the op's output, which is done with it once the closure returns —
-//     and may return one tensor for several inputs.
+//     and may write one tensor for several inputs.
+//
+// # No tape without a Backward
+//
+// An op records a tape entry only when some input requires a gradient and
+// none is marked no-grad; otherwise it returns its output as a leaf before
+// it builds a closure or a node, so a forward over constants allocates only
+// its outputs. NoGrad marks an input the other way round: its no-grad
+// status passes to every op it reaches, even one whose other inputs are
+// trainable parameters, so validation and inference run a model's forward
+// with no tape at all, over the same kernels in the same order — the values
+// are bitwise those of a recorded forward. A recorded op is one allocation
+// holding its output Variable, its tape entry and up to three inputs, plus
+// its backward closure.
 package autograd
 
 import (
@@ -43,6 +59,7 @@ type Variable struct {
 	Value        *tensor.Tensor
 	Grad         *tensor.Tensor // nil until Backward reaches this variable
 	requiresGrad bool
+	noGrad       bool // NoGrad, or an op output that descends from one
 	op           *opRecord
 }
 
@@ -50,7 +67,19 @@ type Variable struct {
 type opRecord struct {
 	name     string
 	inputs   []*Variable
-	backward func(grad *tensor.Tensor) []*tensor.Tensor
+	backward backwardFunc
+}
+
+// backwardFunc maps an op's output gradient to its inputs' gradients,
+// writing input i's into dst[i] (see the package comment's contract).
+type backwardFunc func(grad *tensor.Tensor, dst []*tensor.Tensor)
+
+// tapeNode is a recorded op: the output variable, its tape entry and up to
+// three inputs live and die together, in one allocation.
+type tapeNode struct {
+	v  Variable
+	op opRecord
+	in [3]*Variable
 }
 
 // NewVariable returns a leaf variable that participates in gradients.
@@ -61,6 +90,14 @@ func NewVariable(t *tensor.Tensor) *Variable {
 // Constant returns a leaf variable excluded from gradient computation.
 func Constant(t *tensor.Tensor) *Variable {
 	return &Variable{Value: t}
+}
+
+// NoGrad returns a constant leaf whose no-grad status passes to every op
+// it reaches: their outputs record no tape entry even when another input
+// requires gradients. Forwards that never call Backward take their input
+// through it.
+func NoGrad(t *tensor.Tensor) *Variable {
+	return &Variable{Value: t, noGrad: true}
 }
 
 // RequiresGrad reports whether gradients flow to this variable.
@@ -79,32 +116,36 @@ func (v *Variable) ZeroGrad() { v.Grad = nil }
 // RNN training uses this to truncate backpropagation between batches.
 func (v *Variable) Detach() *Variable { return Constant(v.Value) }
 
-// anyRequiresGrad reports whether gradient tracking is needed for an op.
-func anyRequiresGrad(inputs []*Variable) bool {
+// untracked returns an op's output as a leaf when the op records nothing —
+// no input requires gradients, or one descends from NoGrad — and nil when
+// it must be recorded. Every op asks before it builds its closure.
+func untracked(value *tensor.Tensor, inputs ...*Variable) *Variable {
+	record := false
 	for _, in := range inputs {
-		if in.requiresGrad {
-			return true
+		if in.noGrad {
+			return &Variable{Value: value, noGrad: true}
 		}
+		record = record || in.requiresGrad
 	}
-	return false
+	if record {
+		return nil
+	}
+	return &Variable{Value: value}
 }
 
-// newOp builds the result variable for an op, recording the tape entry only
-// when some input needs gradients.
-func newOp(name string, value *tensor.Tensor, inputs []*Variable, backward func(grad *tensor.Tensor) []*tensor.Tensor) *Variable {
-	if !anyRequiresGrad(inputs) {
-		return &Variable{Value: value}
-	}
-	// The variable and its tape entry live and die together: one allocation.
-	node := &struct {
-		v  Variable
-		op opRecord
-	}{
-		v:  Variable{Value: value, requiresGrad: true},
-		op: opRecord{name: name, inputs: inputs, backward: backward},
-	}
-	node.v.op = &node.op
-	return &node.v
+// newOp records an op of at most three inputs, held inline in its node.
+func newOp(name string, value *tensor.Tensor, backward backwardFunc, inputs ...*Variable) *Variable {
+	n := &tapeNode{v: Variable{Value: value, requiresGrad: true}, op: opRecord{name: name, backward: backward}}
+	n.v.op = &n.op
+	n.op.inputs = n.in[:copy(n.in[:], inputs)]
+	return &n.v
+}
+
+// newOpN records an op over any number of inputs; it keeps the slice.
+func newOpN(name string, value *tensor.Tensor, backward backwardFunc, inputs []*Variable) *Variable {
+	v := newOp(name, value, backward)
+	v.op.inputs = inputs
+	return v
 }
 
 // GradHook observes leaf gradients becoming final during a backward pass:
@@ -209,8 +250,9 @@ func backward(v *Variable, seed *tensor.Tensor, hook GradHook) error {
 		v.Grad.AddInPlace(seed)
 	}
 	// adopted lists the gradients taken over from the current op, so that a
-	// tensor returned for two inputs is owned by one of them only.
-	var adopted []*tensor.Tensor
+	// tensor written for two inputs is owned by one of them only; grads is
+	// the slice every closure writes into.
+	var adopted, grads []*tensor.Tensor
 	// Reverse topological order: from output back to leaves.
 	for i := len(order) - 1; i >= 0; i-- {
 		node := order[i]
@@ -218,10 +260,13 @@ func backward(v *Variable, seed *tensor.Tensor, hook GradHook) error {
 			continue
 		}
 		if node.Grad != nil {
-			grads := node.op.backward(node.Grad)
-			if len(grads) != len(node.op.inputs) {
-				return fmt.Errorf("autograd: op %q returned %d gradients for %d inputs", node.op.name, len(grads), len(node.op.inputs))
+			n := len(node.op.inputs)
+			if cap(grads) < n {
+				grads = make([]*tensor.Tensor, n)
 			}
+			grads = grads[:n]
+			clear(grads)
+			node.op.backward(node.Grad, grads)
 			adopted = adopted[:0]
 			for j, in := range node.op.inputs {
 				g := grads[j]

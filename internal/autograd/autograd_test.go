@@ -519,3 +519,71 @@ func TestBackwardTimedReportsMonotonicElapsed(t *testing.T) {
 		t.Fatal("expected scalar-output error")
 	}
 }
+
+// TestNoGradReachesEveryOp runs each op once on a trainable input and once
+// on the same values through NoGrad, with any second operand a trainable
+// parameter: the first records a node, the second returns a no-grad leaf
+// with bitwise the same value, so no op builds a tape a NoGrad input
+// reaches.
+func TestNoGradReachesEveryOp(t *testing.T) {
+	rng := tensor.NewRNG(31)
+	x := tensor.Rand(rng, 2, 3).AddScalar(0.5) // positive: Log, Sqrt, Pow
+	p := leaf(rng, 2, 3)
+	gamma, beta := leaf(rng, 3), leaf(rng, 3)
+	m := sparse.FromDense(tensor.FromSlice([]float64{0, 1, 1, 0}, 2, 2))
+	ex := &fakeExchange{haloRows: tensor.New(0, 3), remote: tensor.New(2, 3)}
+	ops := map[string]func(in *Variable) *Variable{
+		"add":        func(in *Variable) *Variable { return Add(in, p) },
+		"sub":        func(in *Variable) *Variable { return Sub(p, in) },
+		"mul":        func(in *Variable) *Variable { return Mul(in, p) },
+		"div":        func(in *Variable) *Variable { return Div(p, in) },
+		"neg":        Neg,
+		"scalarMul":  func(in *Variable) *Variable { return ScalarMul(in, 3) },
+		"addScalar":  func(in *Variable) *Variable { return AddScalar(in, 3) },
+		"matmul":     func(in *Variable) *Variable { return MatMul(Transpose(p, 0, 1), in) },
+		"spmm":       func(in *Variable) *Variable { return SpMM(m, in) },
+		"shardSpMM":  func(in *Variable) *Variable { return ShardSpMM(shardBlock(m), ex, in) },
+		"oneMinus":   OneMinus,
+		"sigmoid":    Sigmoid,
+		"tanh":       Tanh,
+		"relu":       Relu,
+		"concat":     func(in *Variable) *Variable { return Concat(1, p, in, p, in) },
+		"stack":      func(in *Variable) *Variable { return Stack(0, in, p) },
+		"slice":      func(in *Variable) *Variable { return Slice(in, 1, 1, 3) },
+		"reshape":    func(in *Variable) *Variable { return Reshape(in, 3, 2) },
+		"transpose":  func(in *Variable) *Variable { return Transpose(in, 0, 1) },
+		"sumAll":     SumAll,
+		"meanAll":    MeanAll,
+		"softmax":    Softmax,
+		"gatherRows": func(in *Variable) *Variable { return GatherRows(in, []int{1, 0, 1}) },
+		"layerNorm":  func(in *Variable) *Variable { return LayerNorm(in, gamma, beta, 1e-5) },
+		"exp":        Exp,
+		"log":        Log,
+		"sqrt":       Sqrt,
+		"pow":        func(in *Variable) *Variable { return Pow(in, 1.5) },
+		"sumAxis":    func(in *Variable) *Variable { return SumAxis(in, 1) },
+		"bmm":        func(in *Variable) *Variable { return BMM(Reshape(in, 1, 2, 3), Reshape(p, 1, 3, 2)) },
+		"dropout":    func(in *Variable) *Variable { return Dropout(in, 0.5, tensor.NewRNG(1)) },
+		"clamp":      func(in *Variable) *Variable { return Clamp(in, 0.8, 1.2) },
+		"huber":      func(in *Variable) *Variable { return HuberLoss(in, p.Value, 0.5) },
+		"mae":        func(in *Variable) *Variable { return MAELoss(in, p.Value) },
+		"maskedMAE":  func(in *Variable) *Variable { return MaskedMAELoss(in, p.Value, 0) },
+		"mse":        func(in *Variable) *Variable { return MSELoss(in, p.Value) },
+	}
+	for name, op := range ops {
+		recorded := op(NewVariable(x))
+		if recorded.op == nil {
+			t.Fatalf("%s: a trainable input recorded no node", name)
+		}
+		free := op(NoGrad(x))
+		if free.op != nil || free.RequiresGrad() || !free.noGrad {
+			t.Fatalf("%s: a NoGrad input built a node (requires grad %v, no-grad %v)", name, free.RequiresGrad(), free.noGrad)
+		}
+		want, got := recorded.Value.Contiguous().Data(), free.Value.Contiguous().Data()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: value %d is %v with no tape, %v recorded", name, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -16,7 +16,10 @@ func MAELoss(pred *Variable, target *tensor.Tensor) *Variable {
 	diff := tensor.Sub(pred.Value, target)
 	out := tensor.Scalar(diff.Abs().MeanAll())
 	n := float64(pred.Value.NumElements())
-	return newOp("mae", out, []*Variable{pred}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, pred); v != nil {
+		return v
+	}
+	return newOp("mae", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		scale := grad.Item() / n
 		g := diff.Apply(func(v float64) float64 {
 			switch {
@@ -28,8 +31,8 @@ func MAELoss(pred *Variable, target *tensor.Tensor) *Variable {
 				return 0
 			}
 		})
-		return []*tensor.Tensor{g}
-	})
+		dst[0] = g
+	}, pred)
 }
 
 // MaskedMAELoss returns the MAE over entries where target != maskValue —
@@ -60,7 +63,10 @@ func MaskedMAELoss(pred *Variable, target *tensor.Tensor, maskValue float64) *Va
 	}
 	out := tensor.Scalar(sum / float64(count))
 	n := float64(count)
-	return newOp("maskedMAE", out, []*Variable{pred}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, pred); v != nil {
+		return v
+	}
+	return newOp("maskedMAE", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		scale := grad.Item() / n
 		g := tensor.ZerosLike(pred.Value)
 		gd := g.Data()
@@ -76,8 +82,8 @@ func MaskedMAELoss(pred *Variable, target *tensor.Tensor, maskValue float64) *Va
 				gd[i] = -scale
 			}
 		}
-		return []*tensor.Tensor{g}
-	})
+		dst[0] = g
+	}, pred)
 }
 
 // MSELoss returns the mean squared error between pred and a constant target.
@@ -88,8 +94,8 @@ func MSELoss(pred *Variable, target *tensor.Tensor) *Variable {
 	diff := tensor.Sub(pred.Value, target)
 	out := tensor.Scalar(tensor.Mul(diff, diff).MeanAll())
 	n := float64(pred.Value.NumElements())
-	return newOp("mse", out, []*Variable{pred}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		scale := 2 * grad.Item() / n
-		return []*tensor.Tensor{diff.MulScalar(scale)}
-	})
+	if v := untracked(out, pred); v != nil {
+		return v
+	}
+	return newOp("mse", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = diff.MulScalar(2 * grad.Item() / n) }, pred)
 }

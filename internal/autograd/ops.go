@@ -17,116 +17,134 @@ const rowKernelThreshold = 4 * 1024
 // Add returns a + b with broadcasting.
 func Add(a, b *Variable) *Variable {
 	out := tensor.Add(a.Value, b.Value)
-	return newOp("add", out, []*Variable{a, b}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{
-			reduceGradTo(grad, a.Value),
-			reduceGradTo(grad, b.Value),
-		}
-	})
+	if v := untracked(out, a, b); v != nil {
+		return v
+	}
+	return newOp("add", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0], dst[1] = reduceGradTo(grad, a.Value), reduceGradTo(grad, b.Value)
+	}, a, b)
 }
 
 // Sub returns a - b with broadcasting.
 func Sub(a, b *Variable) *Variable {
 	out := tensor.Sub(a.Value, b.Value)
-	return newOp("sub", out, []*Variable{a, b}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{
-			reduceGradTo(grad, a.Value),
-			reduceGradTo(grad.Neg(), b.Value),
-		}
-	})
+	if v := untracked(out, a, b); v != nil {
+		return v
+	}
+	return newOp("sub", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0], dst[1] = reduceGradTo(grad, a.Value), reduceGradTo(grad.Neg(), b.Value)
+	}, a, b)
 }
 
 // Mul returns the element-wise product with broadcasting.
 func Mul(a, b *Variable) *Variable {
 	out := tensor.Mul(a.Value, b.Value)
-	return newOp("mul", out, []*Variable{a, b}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{
-			reduceGradTo(tensor.Mul(grad, b.Value), a.Value),
-			reduceGradTo(tensor.Mul(grad, a.Value), b.Value),
-		}
-	})
+	if v := untracked(out, a, b); v != nil {
+		return v
+	}
+	return newOp("mul", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = reduceGradTo(tensor.Mul(grad, b.Value), a.Value)
+		dst[1] = reduceGradTo(tensor.Mul(grad, a.Value), b.Value)
+	}, a, b)
 }
 
 // Neg returns -a.
 func Neg(a *Variable) *Variable {
-	return newOp("neg", a.Value.Neg(), []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{grad.Neg()}
-	})
+	out := a.Value.Neg()
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("neg", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.Neg() }, a)
 }
 
 // ScalarMul returns a * s for a constant scalar s.
 func ScalarMul(a *Variable, s float64) *Variable {
-	return newOp("scalarMul", a.Value.MulScalar(s), []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{grad.MulScalar(s)}
-	})
+	out := a.Value.MulScalar(s)
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("scalarMul", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.MulScalar(s) }, a)
 }
 
 // AddScalar returns a + s for a constant scalar s.
 func AddScalar(a *Variable, s float64) *Variable {
-	return newOp("addScalar", a.Value.AddScalar(s), []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{grad}
-	})
+	out := a.Value.AddScalar(s)
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("addScalar", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad }, a)
 }
 
 // MatMul returns the matrix product a @ b for rank-2 variables.
 func MatMul(a, b *Variable) *Variable {
 	out := tensor.MatMul(a.Value, b.Value)
-	return newOp("matmul", out, []*Variable{a, b}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{
-			tensor.MatMulNT(grad, b.Value),
-			tensor.MatMulTN(a.Value, grad),
-		}
-	})
+	if v := untracked(out, a, b); v != nil {
+		return v
+	}
+	return newOp("matmul", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0], dst[1] = tensor.MatMulNT(grad, b.Value), tensor.MatMulTN(a.Value, grad)
+	}, a, b)
 }
 
 // SpMM returns the sparse-dense product m @ x, where the sparse operand is a
 // constant (graph structure carries no gradient). Backward: grad_x = m^T @ g.
 func SpMM(m *sparse.CSR, x *Variable) *Variable {
 	out := m.SpMM(x.Value)
-	return newOp("spmm", out, []*Variable{x}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{m.Transposed().SpMM(grad)}
-	})
+	if v := untracked(out, x); v != nil {
+		return v
+	}
+	return newOp("spmm", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = m.Transposed().SpMM(grad) }, x)
 }
 
 // OneMinus returns 1 - a, the gating complement of GRU-style cells, as one
 // op. 1-v and (-v)+1 round alike, so it is bitwise AddScalar(Neg(a), 1).
 func OneMinus(a *Variable) *Variable {
 	out := a.Value.Apply(func(v float64) float64 { return 1 - v })
-	return newOp("oneMinus", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{grad.Neg()}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("oneMinus", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.Neg() }, a)
 }
 
 // Sigmoid returns the element-wise logistic function. Backward is one pass,
 // g*(s*(1-s)), rounded as the derivative tensor times g would be.
 func Sigmoid(a *Variable) *Variable {
 	s := a.Value.Sigmoid()
-	return newOp("sigmoid", s, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Binary(grad, s, func(g, v float64) float64 { return g * (v * (1 - v)) })}
-	})
+	if v := untracked(s, a); v != nil {
+		return v
+	}
+	return newOp("sigmoid", s, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = tensor.Binary(grad, s, func(g, v float64) float64 { return g * (v * (1 - v)) })
+	}, a)
 }
 
 // Tanh returns the element-wise hyperbolic tangent. Backward is one pass,
 // g*(1-t*t), rounded as the derivative tensor times g would be.
 func Tanh(a *Variable) *Variable {
 	t := a.Value.Tanh()
-	return newOp("tanh", t, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Binary(grad, t, func(g, v float64) float64 { return g * (1 - v*v) })}
-	})
+	if v := untracked(t, a); v != nil {
+		return v
+	}
+	return newOp("tanh", t, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = tensor.Binary(grad, t, func(g, v float64) float64 { return g * (1 - v*v) })
+	}, a)
 }
 
 // Relu returns max(a, 0) element-wise.
 func Relu(a *Variable) *Variable {
 	out := a.Value.Relu()
-	return newOp("relu", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("relu", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		mask := a.Value.Apply(func(v float64) float64 {
 			if v > 0 {
 				return 1
 			}
 			return 0
 		})
-		return []*tensor.Tensor{tensor.Mul(grad, mask)}
-	})
+		dst[0] = tensor.Mul(grad, mask)
+	}, a)
 }
 
 // Concat concatenates variables along axis.
@@ -136,16 +154,17 @@ func Concat(axis int, vars ...*Variable) *Variable {
 		vals[i] = v.Value
 	}
 	out := tensor.Concat(axis, vals...)
-	return newOp("concat", out, vars, func(grad *tensor.Tensor) []*tensor.Tensor {
-		grads := make([]*tensor.Tensor, len(vars))
+	if v := untracked(out, vars...); v != nil {
+		return v
+	}
+	return newOpN("concat", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		pos := 0
 		for i, v := range vars {
 			n := v.Value.Dim(axis)
-			grads[i] = grad.Slice(axis, pos, pos+n).Contiguous()
+			dst[i] = grad.Slice(axis, pos, pos+n).Contiguous()
 			pos += n
 		}
-		return grads
-	})
+	}, vars)
 }
 
 // Stack stacks same-shaped variables along a new axis.
@@ -155,13 +174,14 @@ func Stack(axis int, vars ...*Variable) *Variable {
 		vals[i] = v.Value
 	}
 	out := tensor.Stack(axis, vals...)
-	return newOp("stack", out, vars, func(grad *tensor.Tensor) []*tensor.Tensor {
-		grads := make([]*tensor.Tensor, len(vars))
-		for i := range vars {
-			grads[i] = grad.Index(axis, i).Contiguous()
+	if v := untracked(out, vars...); v != nil {
+		return v
+	}
+	return newOpN("stack", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		for i := range dst {
+			dst[i] = grad.Index(axis, i).Contiguous()
 		}
-		return grads
-	})
+	}, vars)
 }
 
 // Slice returns the zero-copy view of a restricted to [start, end) along
@@ -169,56 +189,67 @@ func Stack(axis int, vars ...*Variable) *Variable {
 // of a's shape.
 func Slice(a *Variable, axis, start, end int) *Variable {
 	out := a.Value.Slice(axis, start, end)
-	return newOp("slice", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		full := tensor.ZerosLike(a.Value)
-		full.Slice(axis, start, end).CopyFrom(grad)
-		return []*tensor.Tensor{full}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("slice", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = tensor.ZerosLike(a.Value)
+		dst[0].Slice(axis, start, end).CopyFrom(grad)
+	}, a)
 }
 
 // Reshape returns a reshaped variable.
 func Reshape(a *Variable, shape ...int) *Variable {
 	out := a.Value.Reshape(shape...)
-	return newOp("reshape", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{grad.ReshapeLike(a.Value)}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("reshape", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.ReshapeLike(a.Value) }, a)
 }
 
 // Transpose exchanges two axes.
 func Transpose(a *Variable, x, y int) *Variable {
 	out := a.Value.Transpose(x, y)
-	return newOp("transpose", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{grad.Transpose(x, y).Contiguous()}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("transpose", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.Transpose(x, y).Contiguous() }, a)
 }
 
 // SumAll reduces a to a scalar by summation.
 func SumAll(a *Variable) *Variable {
 	out := tensor.Scalar(a.Value.SumAll())
-	return newOp("sumAll", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.FullLike(grad.Item(), a.Value)}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("sumAll", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = tensor.FullLike(grad.Item(), a.Value) }, a)
 }
 
 // MeanAll reduces a to a scalar by arithmetic mean.
 func MeanAll(a *Variable) *Variable {
 	n := a.Value.NumElements()
 	out := tensor.Scalar(a.Value.MeanAll())
-	return newOp("meanAll", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.FullLike(grad.Item()/float64(n), a.Value)}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("meanAll", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = tensor.FullLike(grad.Item()/float64(n), a.Value)
+	}, a)
 }
 
 // Softmax applies softmax along the last axis.
 func Softmax(a *Variable) *Variable {
 	out := softmaxLastAxis(a.Value)
-	return newOp("softmax", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("softmax", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		// dL/dx = s * (g - sum(g*s, last axis, keepdims))
 		gs := tensor.Mul(grad, out)
 		last := out.Rank() - 1
 		sum := gs.Sum(last).Unsqueeze(last)
-		return []*tensor.Tensor{tensor.Mul(out, tensor.Sub(grad, sum))}
-	})
+		dst[0] = tensor.Mul(out, tensor.Sub(grad, sum))
+	}, a)
 }
 
 func softmaxLastAxis(t *tensor.Tensor) *tensor.Tensor {
@@ -262,13 +293,16 @@ func softmaxLastAxis(t *tensor.Tensor) *tensor.Tensor {
 // primitive. Backward scatter-adds the gradient into the selected rows.
 func GatherRows(a *Variable, indices []int) *Variable {
 	out := a.Value.GatherRows(indices)
-	return newOp("gatherRows", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("gatherRows", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		full := tensor.ZerosLike(a.Value)
 		for i, idx := range indices {
 			full.Index(0, idx).AddInPlace(grad.Index(0, i))
 		}
-		return []*tensor.Tensor{full}
-	})
+		dst[0] = full
+	}, a)
 }
 
 // LayerNorm normalizes a over its last axis and applies a learned affine
@@ -310,7 +344,10 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 		}
 	})
 	out := tensor.Add(tensor.Mul(norm, gamma.Value), beta.Value)
-	return newOp("layerNorm", out, []*Variable{a, gamma, beta}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, a, gamma, beta); v != nil {
+		return v
+	}
+	return newOp("layerNorm", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		gc := grad.Contiguous()
 		gd := gc.Data()
 		gammaD := gamma.Value.Contiguous().Data()
@@ -359,6 +396,6 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 				dbd[i] += partB[c][i]
 			}
 		}
-		return []*tensor.Tensor{dx, dGamma, dBeta}
-	})
+		dst[0], dst[1], dst[2] = dx, dGamma, dBeta
+	}, a, gamma, beta)
 }

@@ -10,59 +10,65 @@ import (
 // Div returns the element-wise quotient a / b with broadcasting.
 func Div(a, b *Variable) *Variable {
 	out := tensor.Div(a.Value, b.Value)
-	return newOp("div", out, []*Variable{a, b}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, a, b); v != nil {
+		return v
+	}
+	return newOp("div", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		ga := tensor.Div(grad, b.Value)
 		// d(a/b)/db = -a/b^2
 		gb := tensor.Mul(grad, tensor.Div(out, b.Value)).Neg()
-		return []*tensor.Tensor{
-			reduceGradTo(ga, a.Value),
-			reduceGradTo(gb, b.Value),
-		}
-	})
+		dst[0], dst[1] = reduceGradTo(ga, a.Value), reduceGradTo(gb, b.Value)
+	}, a, b)
 }
 
 // Exp returns e^a element-wise.
 func Exp(a *Variable) *Variable {
 	out := a.Value.Exp()
-	return newOp("exp", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Mul(grad, out)}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("exp", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = tensor.Mul(grad, out) }, a)
 }
 
 // Log returns ln(a) element-wise.
 func Log(a *Variable) *Variable {
 	out := a.Value.Log()
-	return newOp("log", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Div(grad, a.Value)}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("log", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = tensor.Div(grad, a.Value) }, a)
 }
 
 // Sqrt returns the element-wise square root.
 func Sqrt(a *Variable) *Variable {
 	out := a.Value.Sqrt()
-	return newOp("sqrt", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		den := out.MulScalar(2)
-		return []*tensor.Tensor{tensor.Div(grad, den)}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("sqrt", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = tensor.Div(grad, out.MulScalar(2)) }, a)
 }
 
 // Pow returns a^p element-wise for a constant exponent p.
 func Pow(a *Variable, p float64) *Variable {
 	out := a.Value.Pow(p)
-	return newOp("pow", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		d := a.Value.Pow(p - 1).MulScalar(p)
-		return []*tensor.Tensor{tensor.Mul(grad, d)}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("pow", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = tensor.Mul(grad, a.Value.Pow(p-1).MulScalar(p))
+	}, a)
 }
 
 // SumAxis reduces along axis by summation, removing the axis.
 func SumAxis(a *Variable, axis int) *Variable {
 	out := a.Value.Sum(axis)
 	n := a.Value.Dim(axis)
-	return newOp("sumAxis", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		expanded := grad.Unsqueeze(axis).BroadcastTo(insertAxis(grad.Shape(), axis, n)...)
-		return []*tensor.Tensor{expanded.Clone()}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("sumAxis", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = grad.Unsqueeze(axis).BroadcastTo(insertAxis(grad.Shape(), axis, n)...).Clone()
+	}, a)
 }
 
 // MeanAxis reduces along axis by arithmetic mean, removing the axis.
@@ -82,15 +88,15 @@ func insertAxis(shape []int, axis, size int) []int {
 // BMM returns the batched matrix product [B,m,k] x [B,k,n] -> [B,m,n].
 func BMM(a, b *Variable) *Variable {
 	out := tensor.BMM(a.Value, b.Value)
-	return newOp("bmm", out, []*Variable{a, b}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, a, b); v != nil {
+		return v
+	}
+	return newOp("bmm", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		// grad_a[i] = grad[i] @ b[i]^T ; grad_b[i] = a[i]^T @ grad[i]
 		bt := b.Value.Transpose(1, 2).Contiguous()
 		at := a.Value.Transpose(1, 2).Contiguous()
-		return []*tensor.Tensor{
-			tensor.BMM(grad, bt),
-			tensor.BMM(at, grad),
-		}
-	})
+		dst[0], dst[1] = tensor.BMM(grad, bt), tensor.BMM(at, grad)
+	}, a, b)
 }
 
 // Dropout zeroes elements with probability p (inverted dropout: survivors
@@ -112,24 +118,28 @@ func Dropout(a *Variable, p float64, rng *tensor.RNG) *Variable {
 		}
 	}
 	out := tensor.Mul(a.Value, mask)
-	return newOp("dropout", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Mul(grad, mask)}
-	})
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("dropout", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = tensor.Mul(grad, mask) }, a)
 }
 
 // Clamp restricts values to [lo, hi]; gradients pass only through elements
 // strictly inside the interval (the straight-through boundary convention).
 func Clamp(a *Variable, lo, hi float64) *Variable {
 	out := a.Value.Clamp(lo, hi)
-	return newOp("clamp", out, []*Variable{a}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, a); v != nil {
+		return v
+	}
+	return newOp("clamp", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		mask := a.Value.Apply(func(v float64) float64 {
 			if v > lo && v < hi {
 				return 1
 			}
 			return 0
 		})
-		return []*tensor.Tensor{tensor.Mul(grad, mask)}
-	})
+		dst[0] = tensor.Mul(grad, mask)
+	}, a)
 }
 
 // HuberLoss is the smooth-L1 loss with threshold delta against a constant
@@ -154,7 +164,10 @@ func HuberLoss(pred *Variable, target *tensor.Tensor, delta float64) *Variable {
 		}
 	}
 	out := tensor.Scalar(sum / n)
-	return newOp("huber", out, []*Variable{pred}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, pred); v != nil {
+		return v
+	}
+	return newOp("huber", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		scale := grad.Item() / n
 		g := diff.Apply(func(v float64) float64 {
 			if math.Abs(v) <= delta {
@@ -165,6 +178,6 @@ func HuberLoss(pred *Variable, target *tensor.Tensor, delta float64) *Variable {
 			}
 			return -scale * delta
 		})
-		return []*tensor.Tensor{g}
-	})
+		dst[0] = g
+	}, pred)
 }

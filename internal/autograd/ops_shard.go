@@ -71,7 +71,10 @@ func ShardSpMM(block *sparse.ShardCSR, ex HaloExchange, x *Variable) *Variable {
 	}
 	local.SpMMRowsInto(block.Frontier, ext, out)
 
-	return newOp("shardSpMM", out, []*Variable{x}, func(grad *tensor.Tensor) []*tensor.Tensor {
+	if v := untracked(out, x); v != nil {
+		return v
+	}
+	return newOp("shardSpMM", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		// Mirrored: the transposed block's halo rows yield the halo
 		// gradient, which ships while the own rows are multiplied.
 		gc := grad.Contiguous()
@@ -82,6 +85,6 @@ func ShardSpMM(block *sparse.ShardCSR, ex HaloExchange, x *Variable) *Variable {
 		lt.SpMMRowRangeInto(0, nOwn, gc, gext)
 		own := gext.Slice(0, 0, nOwn).Contiguous()
 		remote := ex.ScatterAddFinish()
-		return []*tensor.Tensor{tensor.Add(own, remote)}
-	})
+		dst[0] = tensor.Add(own, remote)
+	}, x)
 }

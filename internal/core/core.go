@@ -259,6 +259,9 @@ func (c *Config) Validate() error {
 	if c.FP16 && !dist {
 		return invalidf("GradStack", "fp16 gradient compression needs a distributed strategy (a single GPU ships no gradients)")
 	}
+	if c.BucketBytes < 0 {
+		return invalidf("GradStack", "bucket cap %d bytes must not be negative", c.BucketBytes)
+	}
 	if c.AutoTuneBuckets && c.Algo == ddp.GradAlgoFlat {
 		return invalidf("GradStack", "the flat algorithm has no buckets to autotune")
 	}

@@ -18,7 +18,7 @@ func emitForecasts(model nn.SeqModel, src batching.Source, test []int, n, nodes 
 	var buf batching.BatchBuffer
 	for _, si := range test[:n] {
 		x, y := src.AssembleBatch([]int{si}, &buf)
-		pred := model.Forward(autograd.Constant(x))
+		pred := model.Forward(autograd.NoGrad(x))
 		target := y.Slice(3, 0, 1).Contiguous()
 		horizon := pred.Value.Dim(1)
 		unz := func(v float64) float64 { return v*std + mean }
@@ -48,7 +48,7 @@ func evaluateTestMSE(model nn.SeqModel, src batching.Source, test []int, batchSi
 	for _, batch := range batching.Batches(test, batchSize) {
 		x, y := src.AssembleBatch(batch, &buf)
 		target := y.Slice(3, 0, 1).Contiguous()
-		pred := model.Forward(autograd.Constant(x))
+		pred := model.Forward(autograd.NoGrad(x))
 		acc.Add(metrics.MSE(pred.Value, target), len(batch))
 	}
 	return acc.Mean()

@@ -36,6 +36,7 @@ func FuzzConfigValidate(f *testing.F) {
 		flagNegativeMemory
 		flagNaNLR
 		flagNaNNodeWeight
+		flagNegativeBucketBytes
 	)
 	// strategy, model, workers, shards, staleness, scale, missing, topology
 	// nodes x gpus, grad algo, flags.
@@ -58,6 +59,7 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(int(Index), 0, 1, 0, 0, 0.0, 0.0, 0, 0, 0, flagNegativeMemory)
 	f.Add(int(Index), 0, 1, 0, 0, 0.0, 0.0, 0, 0, 0, flagNaNLR)
 	f.Add(int(DistIndex), 0, 2, 2, 0, 0.0, 0.0, 0, 0, 0, flagNodeWeights|flagNaNNodeWeight)
+	f.Add(int(DistIndex), 0, 2, 0, 0, 0.0, 0.0, 0, 0, 0, flagNegativeBucketBytes)
 
 	f.Fuzz(func(t *testing.T, strategy, model, workers, shards, staleness int,
 		scale, missing float64, topoNodes, topoGPUs, gradAlgo, flags int) {
@@ -109,6 +111,9 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 		if flags&flagNegativeMemory != 0 {
 			cfg.SystemMemory, cfg.GPUMemory = -1, -1
+		}
+		if flags&flagNegativeBucketBytes != 0 {
+			cfg.BucketBytes = -5
 		}
 		if flags&flagFaults != 0 {
 			cfg.Faults = fault.New(3, fault.Crash(small(workers, 4), time.Second))

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"pgti/internal/autograd"
 	"pgti/internal/nn"
@@ -11,13 +11,15 @@ import (
 
 // InferCore is the reusable inference heart shared by the one-shot Predictor
 // and the serving tier's replica pool: trained parameters plus the training
-// split's normalization statistics, exposed as a batched forward. It owns a
-// mutex that serializes forwards against weight swaps, so a batch never
-// observes a torn parameter snapshot — SwapParams either happens entirely
-// before a ForwardBatch or entirely after it.
+// split's normalization statistics, exposed as a batched forward. The
+// forward records no tape and only reads the parameters, so any number of
+// goroutines share one core. Each ForwardBatch loads the installed model
+// once through an atomic pointer and SwapParams stores a new one, so a batch
+// never observes a torn parameter snapshot: in-flight forwards finish on
+// the model they loaded.
 type InferCore struct {
-	mu                       sync.Mutex
-	model                    nn.SeqModel
+	model                    atomic.Pointer[nn.SeqModel]
+	build                    func() nn.SeqModel // a fresh model of the architecture
 	mean, std                float64
 	horizon, nodes, features int
 }
@@ -46,7 +48,7 @@ func (c *InferCore) CheckWindow(w Window) error {
 // ParamBytes returns the model's parameter footprint in bytes — the weight
 // volume a device would stream per forward launch, which the serving tier's
 // cost model amortizes across a coalesced batch.
-func (c *InferCore) ParamBytes() int64 { return nn.ParameterBytes(c.model) }
+func (c *InferCore) ParamBytes() int64 { return nn.ParameterBytes(*c.model.Load()) }
 
 // ForwardBatch standardizes b raw windows into one [b, horizon, nodes,
 // features] tensor, runs a single forward, and un-z-scores each sample into
@@ -73,9 +75,7 @@ func (c *InferCore) ForwardBatch(ws []Window) ([]Forecast, error) {
 			d[base+i] = (v - c.mean) / c.std
 		}
 	}
-	c.mu.Lock()
-	pred := c.model.Forward(autograd.Constant(x)).Value
-	c.mu.Unlock()
+	pred := (*c.model.Load()).Forward(autograd.NoGrad(x)).Value
 	out := make([]Forecast, b)
 	h := pred.Dim(1)
 	for s := range ws {
@@ -96,45 +96,59 @@ func (c *InferCore) ForwardBatch(ws []Window) ([]Forecast, error) {
 }
 
 // SwapParams installs a parameter snapshot (from Engine.ParamSnapshot on a
-// freshly fitted run) atomically with respect to ForwardBatch: in-flight
-// forwards finish on the old weights, later forwards see only the new ones.
+// freshly fitted run) atomically with respect to ForwardBatch: it builds one
+// new model and stores it, so in-flight forwards finish on the old weights
+// and later forwards see only the new ones. A snapshot equal to the
+// installed one is a no-op — the replicas of a serving pool share one core,
+// and a pool-wide swap reaches it once per replica.
 func (c *InferCore) SwapParams(snap [][]float64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return nn.RestoreParams(c.model, snap)
+	if nn.ParamsMatch(*c.model.Load(), snap) {
+		return nil
+	}
+	next := c.build()
+	if err := nn.RestoreParams(next, snap); err != nil {
+		return err
+	}
+	c.model.Store(&next)
+	return nil
 }
 
-// ParamSnapshot deep-copies the currently installed parameters, under the
-// same mutex that serializes forwards and swaps. The serving tier captures
-// this pre-swap generation before a pool-wide Swap so a mid-pool failure can
-// roll the already-swapped replicas back to it.
-func (c *InferCore) ParamSnapshot() [][]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return nn.SnapshotParams(c.model)
-}
+// ParamSnapshot deep-copies the currently installed parameters. The serving
+// tier captures this pre-swap generation before a pool-wide Swap so a
+// mid-pool failure can roll the already-swapped replicas back to it.
+func (c *InferCore) ParamSnapshot() [][]float64 { return nn.SnapshotParams(*c.model.Load()) }
 
 // NewInferCore builds a warm inference core over a private clone of the
-// fitted model: the clone shares no tensors with the engine, so a pool of
-// cores forwards concurrently and a later Fit (serve-while-retrain) never
-// races the serving weights.
+// fitted model: the clone shares no tensors with the engine, so a later Fit
+// (serve-while-retrain) never races the serving weights.
 func (e *Engine) NewInferCore() (*InferCore, error) {
 	if e.stage < stageFitted {
 		return nil, fmt.Errorf("core: inference core before fit: %w", ErrNotFitted)
 	}
-	clone := buildModel(e.cfg.Model, e.cfg.Seed, e.supports, e.in, e.cfg.Hidden, e.cfg.K, e.meta.Horizon, e.meta.Nodes)
-	if err := nn.RestoreParams(clone, nn.SnapshotParams(e.model)); err != nil {
+	c := e.inferCore()
+	clone := c.build()
+	if err := nn.CopyParameters(clone, e.model); err != nil {
 		return nil, err
 	}
+	c.model.Store(&clone)
+	return c, nil
+}
+
+// inferCore returns a core over the engine's architecture and normalization
+// statistics, with no model installed yet. Its build closure copies what it
+// needs, so a serving core does not keep the engine and its data alive.
+func (e *Engine) inferCore() *InferCore {
+	kind, seed, supports, in := e.cfg.Model, e.cfg.Seed, e.supports, e.in
+	hidden, k, horizon, nodes := e.cfg.Hidden, e.cfg.K, e.meta.Horizon, e.meta.Nodes
 	mean, std := e.data.Norm()
 	return &InferCore{
-		model:    clone,
+		build:    func() nn.SeqModel { return buildModel(kind, seed, supports, in, hidden, k, horizon, nodes) },
 		mean:     mean,
 		std:      std,
-		horizon:  e.meta.Horizon,
-		nodes:    e.meta.Nodes,
-		features: e.in,
-	}, nil
+		horizon:  horizon,
+		nodes:    nodes,
+		features: in,
+	}
 }
 
 // ParamSnapshot deep-copies the fitted parameters — the payload Server.Swap

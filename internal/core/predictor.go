@@ -20,11 +20,12 @@ type Window struct {
 // statistics, standardizing inputs and un-z-scoring predictions exactly as
 // the training pipeline did. Obtain one from Engine.Predictor after Fit.
 //
-// Calls serialize on the embedded InferCore's mutex (the model's forward
-// pass shares scratch state), so a single Predictor is safe to share across
-// goroutines; it never mutates the trained parameters. The InferCore is the
-// same machinery the serving tier's replica pool batches over, so Predictor
-// and a coalescing Server produce bitwise-identical forecasts.
+// The forward records no tape and only reads the parameters, so a single
+// Predictor is safe to share across goroutines, and calls run concurrently;
+// it never mutates the trained parameters (SwapParams installs a private
+// copy). The InferCore is the same machinery the serving tier's replica
+// pool batches over, so Predictor and a coalescing Server produce
+// bitwise-identical forecasts.
 type Predictor struct {
 	*InferCore
 	src  batching.Source
@@ -52,9 +53,7 @@ func (p *Predictor) PredictTest(n int) ([]Forecast, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: PredictTest needs n >= 1, got %d", n)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return emitForecasts(p.model, p.src, p.test, n, p.nodes), nil
+	return emitForecasts(*p.model.Load(), p.src, p.test, n, p.nodes), nil
 }
 
 // Predictor returns the warm inference handle over the fitted model. The
@@ -65,17 +64,7 @@ func (e *Engine) Predictor() (*Predictor, error) {
 	if e.stage < stageFitted {
 		return nil, fmt.Errorf("core: predictor before fit: %w", ErrNotFitted)
 	}
-	mean, std := e.data.Norm()
-	return &Predictor{
-		InferCore: &InferCore{
-			model:    e.model,
-			mean:     mean,
-			std:      std,
-			horizon:  e.meta.Horizon,
-			nodes:    e.meta.Nodes,
-			features: e.in,
-		},
-		src:  e.data,
-		test: e.split.Test,
-	}, nil
+	c, model := e.inferCore(), e.model
+	c.model.Store(&model)
+	return &Predictor{InferCore: c, src: e.data, test: e.split.Test}, nil
 }

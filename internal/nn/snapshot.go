@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Parameter snapshots: a deep copy of a module's weights in declaration
 // order, decoupled from any file format. This is the cheap clone primitive
@@ -20,6 +23,26 @@ func SnapshotParams(m Module) [][]float64 {
 		snap[i] = append([]float64(nil), p.Tensor().Contiguous().Data()...)
 	}
 	return snap
+}
+
+// ParamsMatch reports whether m's parameters equal snap bit for bit.
+func ParamsMatch(m Module, snap [][]float64) bool {
+	params := m.Parameters()
+	if len(params) != len(snap) {
+		return false
+	}
+	for i, p := range params {
+		d := p.Tensor().Contiguous().Data()
+		if len(d) != len(snap[i]) {
+			return false
+		}
+		for j, v := range d {
+			if math.Float64bits(v) != math.Float64bits(snap[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // RestoreParams copies a snapshot produced by SnapshotParams into a module

@@ -10,31 +10,39 @@ import (
 	"pgti/internal/tensor"
 )
 
-// TestTrainingStepAllocationCeiling holds one PGT-DCRNN forward + backward +
-// Adam step at the host benchmark's fit-index shapes (22 nodes, hidden 16,
-// K 2, batch 8, 12 steps) under an allocation ceiling, so that a regression
-// of the copy-free backward fails `go test` and not only the benchmark. The
-// step made 69 085 allocations before the backward pass stopped copying,
-// 7 010 once it did, and makes 6 890 now that MatMulNT copies bᵀ while the
-// Sigmoid/Tanh backward and the GRU's 1-u are one op each (root
-// BenchmarkTrainingStepFitIndex is the same step). The ceiling is that count
-// plus 2 %: room for small changes, not for a per-row loop or a per-gradient
-// clone coming back.
-func TestTrainingStepAllocationCeiling(t *testing.T) {
-	const ceiling = 7030
+// fitIndexStep builds a PGT-DCRNN and one batch at the host benchmark's
+// fit-index shapes (22 nodes, hidden 16, K 2, batch 8, 12 steps), on one
+// worker: a wider pool spends allocations on fan-out that the allocation
+// tests are not about, and how many depends on the machine.
+func fitIndexStep(t *testing.T) (model *PGTDCRNN, x, y *tensor.Tensor) {
+	t.Helper()
 	g, err := graph.RoadNetwork(1, 22, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fwd, bwd := g.TransitionMatrices()
-	model := NewPGTDCRNN(tensor.NewRNG(6), []*sparse.CSR{fwd, bwd}, 2, 2, 16, 12)
-	opt := NewAdam(model, 0.01)
+	model = NewPGTDCRNN(tensor.NewRNG(6), []*sparse.CSR{fwd, bwd}, 2, 2, 16, 12)
 	rng := tensor.NewRNG(7)
-	x := tensor.Randn(rng, 8, 12, 22, 2)
-	y := tensor.Randn(rng, 8, 12, 22, 1)
-	// One worker: a wider pool spends allocations on fan-out that this test
-	// is not about, and how many depends on the machine.
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	prev := parallel.SetWorkers(1)
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
+	return model, tensor.Randn(rng, 8, 12, 22, 2), tensor.Randn(rng, 8, 12, 22, 1)
+}
+
+// TestTrainingStepAllocationCeiling holds one PGT-DCRNN forward + backward +
+// Adam step at fitIndexStep's shapes under an allocation ceiling, so that a
+// regression of the copy-free backward or of the one-allocation tape node
+// fails `go test` and not only the benchmark. The step made 69 085
+// allocations before the backward pass stopped copying, 7 010 once it did,
+// 6 890 once MatMulNT copied bᵀ while the Sigmoid/Tanh backward and the
+// GRU's 1-u became one op each, and makes 5 713 now that a recorded op is
+// one node holding its inputs and the engine owns the gradient slice (root
+// BenchmarkTrainingStepFitIndex is the same step). The ceiling is that
+// count plus 2 %: room for small changes, not for a per-row loop, a
+// per-gradient clone or a per-op slice coming back.
+func TestTrainingStepAllocationCeiling(t *testing.T) {
+	const ceiling = 5827
+	model, x, y := fitIndexStep(t)
+	opt := NewAdam(model, 0.01)
 	got := testing.AllocsPerRun(3, func() {
 		loss := autograd.MAELoss(model.Forward(autograd.Constant(x)), y)
 		if err := autograd.Backward(loss); err != nil {
@@ -46,4 +54,21 @@ func TestTrainingStepAllocationCeiling(t *testing.T) {
 		t.Fatalf("one training step makes %.0f allocations, ceiling %d", got, ceiling)
 	}
 	t.Logf("one training step: %.0f allocations (ceiling %d)", got, ceiling)
+}
+
+// TestInferenceForwardAllocationCeiling holds the 8-window forward of
+// fitIndexStep's model with no tape — the forward behind validation,
+// Predictor and every serve replica — under an allocation ceiling. It made
+// 3 756 allocations while that forward recorded a tape nothing walked, and
+// makes 2 591 now that its input comes through autograd.NoGrad; the
+// ceiling is that count plus 2 %, so a closure, an inputs slice or a node
+// built ahead of the no-grad check fails here.
+func TestInferenceForwardAllocationCeiling(t *testing.T) {
+	const ceiling = 2643
+	model, x, _ := fitIndexStep(t)
+	got := testing.AllocsPerRun(3, func() { model.Forward(autograd.NoGrad(x)) })
+	if got > ceiling {
+		t.Fatalf("one 8-window forward with no tape makes %.0f allocations, ceiling %d", got, ceiling)
+	}
+	t.Logf("one 8-window forward with no tape: %.0f allocations (ceiling %d)", got, ceiling)
 }

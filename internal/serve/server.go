@@ -1,6 +1,6 @@
 // Package serve is the asynchronous forecast service over a fitted run: a
-// coalescing batch queue in front of a replica pool of warm inference cores,
-// with atomic snapshot-swap weight updates for serve-while-retrain.
+// coalescing batch queue in front of a replica pool, with atomic
+// snapshot-swap weight updates for serve-while-retrain.
 //
 // Concurrent Predict calls arriving within a batch window coalesce into one
 // BMM-shaped forward of up to MaxBatch windows. Every forward-path kernel
@@ -30,8 +30,9 @@ import (
 	"pgti/internal/trace"
 )
 
-// Backend is one warm model replica: a batched forward plus an atomic
-// parameter swap. *core.InferCore implements it; tests substitute stubs.
+// Backend is what a replica forwards on: a batched forward plus an atomic
+// parameter swap. *core.InferCore implements it, and the public server
+// hands one core to every replica; tests substitute stubs.
 type Backend interface {
 	// ForwardBatch runs one forward over the windows and returns one
 	// Forecast per window, in order.

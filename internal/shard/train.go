@@ -603,7 +603,7 @@ func (wk *worker) forwardBackward() error {
 	wk.stats.BeginStep()
 	st.haloWall = wk.stats.Wall
 	wk.asm.collate(st)
-	st.lossLocal = wk.loss(wk.forward(st.x, st.y))
+	st.lossLocal = wk.loss(wk.forward(st.x, st.y, autograd.Constant))
 	// The shard losses sum to the global-mean loss.
 	loss := st.lossLocal
 	if wk.sharded {
@@ -720,13 +720,15 @@ func (wk *worker) expose(ch cluster.Channel, d time.Duration) {
 
 // forward runs the replica on the worker's slice of a batch (its owned
 // nodes on a shard) and returns the prediction and the matching target.
-func (wk *worker) forward(x, y *tensor.Tensor) (*autograd.Variable, *tensor.Tensor) {
+// input wraps the features: autograd.Constant to train, autograd.NoGrad to
+// evaluate with no tape.
+func (wk *worker) forward(x, y *tensor.Tensor, input func(*tensor.Tensor) *autograd.Variable) (*autograd.Variable, *tensor.Tensor) {
 	target := y.Slice(3, 0, 1).Contiguous()
 	if wk.sharded {
 		target = gatherNodeAxis(target, wk.sp.Own)
 		x = gatherNodeAxis(x, wk.sp.Own)
 	}
-	return wk.model.Forward(autograd.Constant(x)), target
+	return wk.model.Forward(input(x)), target
 }
 
 // weight is a batch's metric weight: a shard weighs samples by its nodes.
@@ -814,7 +816,8 @@ func (wk *worker) evaluate() float64 {
 	stats := wk.stats
 	for i, batch := range wk.evalBatches {
 		stats.BeginStep()
-		pred, target := wk.forward(wk.asm.evalBatch(i))
+		x, y := wk.asm.evalBatch(i)
+		pred, target := wk.forward(x, y, autograd.NoGrad)
 		if cost := stats.StepCost(); cost > 0 {
 			stats.ChannelExposed[stats.Channel] += cost
 			if tw := stats.Trace; tw != nil {

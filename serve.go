@@ -130,17 +130,18 @@ func WithReplicaFailure(replica, failAfter int) ServeOption {
 }
 
 // Server is the goroutine-safe serving front end over a fitted Experiment:
-// a coalescing batch queue feeding a replica pool of warm model copies.
+// a coalescing batch queue feeding a replica pool. The replicas are
+// concurrency slots over one immutable parameter snapshot, not model copies.
 // Construct with NewServer; Close when done.
 type Server struct {
 	srv  *serve.Server
-	core *core.InferCore // first replica, for shape accessors
+	core *core.InferCore // the snapshot every replica reads
 }
 
 // NewServer builds a serving handle over exp, which must have completed
-// Fit (wraps ErrNotFitted otherwise). Each replica holds a private clone of
-// the fitted parameters, so a later exp.Fit (retrain) never races serving;
-// install retrained weights explicitly with Swap.
+// Fit (wraps ErrNotFitted otherwise). The pool holds one private clone of
+// the fitted parameters whatever its size, so a later exp.Fit (retrain)
+// never races serving; install retrained weights explicitly with Swap.
 func NewServer(exp *Experiment, opts ...ServeOption) (*Server, error) {
 	c := &serverSpec{}
 	for _, opt := range opts {
@@ -152,26 +153,22 @@ func NewServer(exp *Experiment, opts ...ServeOption) (*Server, error) {
 	if err := c.validate(); err != nil {
 		return nil, fmt.Errorf("pgti: %w", err)
 	}
+	ic, err := exp.eng.NewInferCore()
+	if err != nil {
+		return nil, fmt.Errorf("pgti: %w", err)
+	}
 	backends := make([]serve.Backend, c.replicas)
-	var first *core.InferCore
 	for i := range backends {
-		ic, err := exp.eng.NewInferCore()
-		if err != nil {
-			return nil, fmt.Errorf("pgti: %w", err)
-		}
-		if i == 0 {
-			first = ic
-		}
 		backends[i] = ic
 		if n, ok := c.failAfter[i]; ok {
 			backends[i] = serve.NewFlaky(ic, n)
 		}
 	}
 	if c.Cost == nil {
-		windowBytes := int64(first.Horizon()*first.Nodes()*first.Features()) * 8
-		c.Cost = serve.DefaultCost(first.ParamBytes(), windowBytes)
+		windowBytes := int64(ic.Horizon()*ic.Nodes()*ic.Features()) * 8
+		c.Cost = serve.DefaultCost(ic.ParamBytes(), windowBytes)
 	}
-	return &Server{srv: serve.New(backends, c.Config), core: first}, nil
+	return &Server{srv: serve.New(backends, c.Config), core: ic}, nil
 }
 
 func (c *serverSpec) validate() error {
@@ -219,10 +216,11 @@ func (s *Server) Predict(ctx context.Context, w Window) (Forecast, error) {
 	return s.srv.Predict(ctx, w)
 }
 
-// Swap atomically installs exp's freshly fitted parameters into every
-// replica without draining: in-flight batches finish on the old weights,
-// later ones see only the new — no request observes a torn snapshot. exp
-// must have completed Fit and match the serving model's architecture.
+// Swap atomically installs exp's freshly fitted parameters as the snapshot
+// every replica reads, without draining: in-flight batches finish on the
+// old weights, later ones see only the new — no request observes a torn
+// snapshot. exp must have completed Fit and match the serving model's
+// architecture.
 func (s *Server) Swap(exp *Experiment) error {
 	snap, err := exp.eng.ParamSnapshot()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -313,4 +314,153 @@ func srvSwapUnfitted(unfitted *Experiment) error {
 	// exercise the snapshot guard directly through Swap's first step.
 	_, err := unfitted.eng.ParamSnapshot()
 	return err
+}
+
+// TestServerSwapGenerationsAreWhole: callers predict on a 2-replica server
+// while Swap installs ten parameter generations one after another. The
+// replicas read one shared snapshot through an atomic pointer, so every
+// forecast must equal, bitwise, a serial Predictor's on exactly one
+// generation — never a mix of two.
+func TestServerSwapGenerationsAreWhole(t *testing.T) {
+	exp, ws := fitTiny(t)
+	ws = ws[:4]
+	base, err := exp.eng.ParamSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gens = 10
+	snaps := make([][][]float64, gens+1) // generation 0 is the fitted one
+	want := make([][]Forecast, gens+1)
+	for g := range snaps {
+		snaps[g] = make([][]float64, len(base))
+		for i, p := range base {
+			snaps[g][i] = make([]float64, len(p))
+			for j, v := range p {
+				snaps[g][i][j] = v * (1 + float64(g)/32)
+			}
+		}
+		pred, err := exp.Predictor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pred.SwapParams(snaps[g]); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range ws {
+			f, err := pred.Predict(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[g] = append(want[g], f)
+		}
+	}
+	// matches lists the generations whose serial forecast of window i is f.
+	matches := func(i int, f Forecast) (gs []int) {
+		for g := range want {
+			same := len(f.Pred) == len(want[g][i].Pred)
+			for j := 0; same && j < len(f.Pred); j++ {
+				same = math.Float64bits(f.Pred[j]) == math.Float64bits(want[g][i].Pred[j])
+			}
+			if same {
+				gs = append(gs, g)
+			}
+		}
+		return gs
+	}
+	for g := range want {
+		for i := range ws {
+			if gs := matches(i, want[g][i]); len(gs) != 1 {
+				t.Fatalf("generation %d forecasts window %d like generations %v; the test needs them distinct", g, i, gs)
+			}
+		}
+	}
+
+	srv, err := NewServer(exp, WithReplicas(2), WithMaxBatch(4), WithBatchWindow(time.Millisecond), WithQueueDepth(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const callers, rounds = 4, 24
+	type result struct {
+		window int
+		f      Forecast
+		err    error
+	}
+	results := make(chan result, callers*rounds) // every caller sends rounds results
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (c + r) % len(ws)
+				f, err := srv.Predict(context.Background(), ws[i])
+				results <- result{i, f, err}
+			}
+		}(c)
+	}
+	// Install the next generation after every few forecasts, so the swaps
+	// land between and during the callers' requests.
+	seen := map[int]bool{}
+	check := func(r result) {
+		if r.err != nil {
+			t.Fatalf("Predict under swaps: %v", r.err)
+		}
+		g := matches(r.window, r.f)
+		if len(g) != 1 {
+			t.Fatalf("window %d forecast matches generations %v, want exactly one", r.window, g)
+		}
+		seen[g[0]] = true
+	}
+	for g := 1; g <= gens; g++ {
+		for k := 0; k < callers*rounds/(gens+1); k++ {
+			check(<-results)
+		}
+		if err := srv.srv.Swap(snaps[g]); err != nil {
+			t.Fatalf("Swap generation %d: %v", g, err)
+		}
+	}
+	wg.Wait()
+	close(results)
+	for r := range results {
+		check(r)
+	}
+	if len(seen) < 2 {
+		t.Fatalf("forecasts came from generations %v only; the swaps never met the load", seen)
+	}
+}
+
+// TestServerReplicasReadOneSnapshot: the replicas are concurrency slots
+// over one parameter snapshot, so building a server of eight allocates what
+// building a server of one does, give or take bookkeeping well below one
+// parameter copy — a copy per replica would add seven. Bytes allocated
+// bound what the server can hold and, unlike the live heap, do not depend
+// on when the collector last ran; the least of three builds drops what
+// other goroutines allocated meanwhile.
+func TestServerReplicasReadOneSnapshot(t *testing.T) {
+	exp, _ := fitTiny(t)
+	var paramBytes int64
+	allocated := func(replicas int) int64 {
+		least := int64(math.MaxInt64)
+		for run := 0; run < 3; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			srv, err := NewServer(exp, WithReplicas(replicas))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			paramBytes = srv.core.ParamBytes()
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, int64(after.TotalAlloc-before.TotalAlloc))
+		}
+		return least
+	}
+	one, eight := allocated(1), allocated(8)
+	t.Logf("NewServer allocates %d B with 1 replica, %d B with 8; one parameter copy is %d B", one, eight, paramBytes)
+	if eight-one >= paramBytes {
+		t.Fatalf("8 replicas allocate %d B more than 1, at least one more parameter copy (%d B)", eight-one, paramBytes)
+	}
 }

@@ -34,7 +34,7 @@ func main() {
 	scale := flag.Float64("scale", 1, "dataset scale factor (0,1]")
 	epochs := flag.Int("epochs", 6, "epochs for the first (serving) fit")
 	retrain := flag.Int("retrain-epochs", 14, "epochs for the retrain that gets swapped in (0 = skip)")
-	replicas := flag.Int("replicas", 2, "warm model replicas")
+	replicas := flag.Int("replicas", 2, "replica slots over the one served model")
 	maxBatch := flag.Int("maxbatch", 8, "max coalesced batch size")
 	window := flag.Duration("batch-window", 2*time.Millisecond, "how long a forming batch waits for stragglers")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = default 4x maxbatch)")
@@ -164,7 +164,7 @@ func run(ds string, scale float64, epochs, retrain, replicas, maxBatch int,
 		if err := srv.Swap(exp2); err != nil {
 			return err
 		}
-		fmt.Println("swapped retrained weights into every replica (no drain)")
+		fmt.Println("swapped the retrained model in (no drain)")
 		load("phase 2 (swapped weights)")
 	}
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pgti/internal/autograd"
 	"pgti/internal/nn"
@@ -10,16 +9,14 @@ import (
 )
 
 // InferCore is the reusable inference heart shared by the one-shot Predictor
-// and the serving tier's replica pool: trained parameters plus the training
-// split's normalization statistics, exposed as a batched forward. The
-// forward records no tape and only reads the parameters, so any number of
-// goroutines share one core. Each ForwardBatch loads the installed model
-// once through an atomic pointer and SwapParams stores a new one, so a batch
-// never observes a torn parameter snapshot: in-flight forwards finish on
-// the model they loaded.
+// and the serving tier: a trained model plus the training split's
+// normalization statistics and window shape, exposed as a batched forward.
+// Every field is set once, at construction, and never changes: the forward
+// records no tape and only reads the parameters, so any number of goroutines
+// share one core. Replacing a served model means building a new core and
+// storing a pointer to it — the serving front end owns that pointer.
 type InferCore struct {
-	model                    atomic.Pointer[nn.SeqModel]
-	build                    func() nn.SeqModel // a fresh model of the architecture
+	model                    nn.SeqModel
 	mean, std                float64
 	horizon, nodes, features int
 }
@@ -48,7 +45,7 @@ func (c *InferCore) CheckWindow(w Window) error {
 // ParamBytes returns the model's parameter footprint in bytes — the weight
 // volume a device would stream per forward launch, which the serving tier's
 // cost model amortizes across a coalesced batch.
-func (c *InferCore) ParamBytes() int64 { return nn.ParameterBytes(*c.model.Load()) }
+func (c *InferCore) ParamBytes() int64 { return nn.ParameterBytes(c.model) }
 
 // ForwardBatch standardizes b raw windows into one [b, horizon, nodes,
 // features] tensor, runs a single forward, and un-z-scores each sample into
@@ -75,7 +72,7 @@ func (c *InferCore) ForwardBatch(ws []Window) ([]Forecast, error) {
 			d[base+i] = (v - c.mean) / c.std
 		}
 	}
-	pred := (*c.model.Load()).Forward(autograd.NoGrad(x)).Value
+	pred := c.model.Forward(autograd.NoGrad(x)).Value
 	out := make([]Forecast, b)
 	h := pred.Dim(1)
 	for s := range ws {
@@ -95,28 +92,17 @@ func (c *InferCore) ForwardBatch(ws []Window) ([]Forecast, error) {
 	return out, nil
 }
 
-// SwapParams installs a parameter snapshot (from Engine.ParamSnapshot on a
-// freshly fitted run) atomically with respect to ForwardBatch: it builds one
-// new model and stores it, so in-flight forwards finish on the old weights
-// and later forwards see only the new ones. A snapshot equal to the
-// installed one is a no-op — the replicas of a serving pool share one core,
-// and a pool-wide swap reaches it once per replica.
-func (c *InferCore) SwapParams(snap [][]float64) error {
-	if nn.ParamsMatch(*c.model.Load(), snap) {
-		return nil
+// CheckSwap reports why next cannot replace live — a different window
+// shape or parameter layout — or nil when it can. The serving tier installs
+// a replacement core only past this check, so a swap never changes what a
+// request must look like or what a launch costs.
+func CheckSwap(live, next *InferCore) error {
+	if next.horizon != live.horizon || next.nodes != live.nodes || next.features != live.features {
+		return fmt.Errorf("core: model takes horizon*nodes*features %d*%d*%d, the served one %d*%d*%d",
+			next.horizon, next.nodes, next.features, live.horizon, live.nodes, live.features)
 	}
-	next := c.build()
-	if err := nn.RestoreParams(next, snap); err != nil {
-		return err
-	}
-	c.model.Store(&next)
-	return nil
+	return nn.SameShapes(next.model, live.model)
 }
-
-// ParamSnapshot deep-copies the currently installed parameters. The serving
-// tier captures this pre-swap generation before a pool-wide Swap so a
-// mid-pool failure can roll the already-swapped replicas back to it.
-func (c *InferCore) ParamSnapshot() [][]float64 { return nn.SnapshotParams(*c.model.Load()) }
 
 // NewInferCore builds a warm inference core over a private clone of the
 // fitted model: the clone shares no tensors with the engine, so a later Fit
@@ -125,34 +111,30 @@ func (e *Engine) NewInferCore() (*InferCore, error) {
 	if e.stage < stageFitted {
 		return nil, fmt.Errorf("core: inference core before fit: %w", ErrNotFitted)
 	}
-	c := e.inferCore()
-	clone := c.build()
+	clone := e.fullModel()
 	if err := nn.CopyParameters(clone, e.model); err != nil {
 		return nil, err
 	}
-	c.model.Store(&clone)
-	return c, nil
+	return e.inferCore(clone), nil
 }
 
-// inferCore returns a core over the engine's architecture and normalization
-// statistics, with no model installed yet. Its build closure copies what it
-// needs, so a serving core does not keep the engine and its data alive.
-func (e *Engine) inferCore() *InferCore {
-	kind, seed, supports, in := e.cfg.Model, e.cfg.Seed, e.supports, e.in
-	hidden, k, horizon, nodes := e.cfg.Hidden, e.cfg.K, e.meta.Horizon, e.meta.Nodes
+// inferCore wraps model with the engine's normalization statistics and
+// window shape. It copies what it needs, so a serving core does not keep the
+// engine and its data alive.
+func (e *Engine) inferCore(model nn.SeqModel) *InferCore {
 	mean, std := e.data.Norm()
 	return &InferCore{
-		build:    func() nn.SeqModel { return buildModel(kind, seed, supports, in, hidden, k, horizon, nodes) },
+		model:    model,
 		mean:     mean,
 		std:      std,
-		horizon:  horizon,
-		nodes:    nodes,
-		features: in,
+		horizon:  e.meta.Horizon,
+		nodes:    e.meta.Nodes,
+		features: e.in,
 	}
 }
 
-// ParamSnapshot deep-copies the fitted parameters — the payload Server.Swap
-// installs into every replica after a retrain.
+// ParamSnapshot deep-copies the fitted parameters — the warm start a rolling
+// retrain hands its next round.
 func (e *Engine) ParamSnapshot() ([][]float64, error) {
 	if e.stage < stageFitted {
 		return nil, fmt.Errorf("core: parameter snapshot before fit: %w", ErrNotFitted)

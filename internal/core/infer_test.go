@@ -93,8 +93,9 @@ func TestInferCoreCloneMatchesPredictor(t *testing.T) {
 }
 
 // TestInferCoreCloneIsIsolated: mutating the engine's parameters must not
-// change a previously built core's forecasts (serve-while-retrain), and
-// SwapParams must carry the new weights over atomically.
+// change a previously built core's forecasts (serve-while-retrain), and the
+// retrained weights reach serving only as a whole new core, which forecasts
+// exactly what the engine's own Predictor now does.
 func TestInferCoreCloneIsIsolated(t *testing.T) {
 	e, ws := fittedEngine(t)
 	c, err := e.NewInferCore()
@@ -123,31 +124,36 @@ func TestInferCoreCloneIsIsolated(t *testing.T) {
 		}
 	}
 
-	// Swap installs the perturbed weights; the clone must now match a fresh
-	// clone of the perturbed engine exactly.
-	snap, err := e.ParamSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SwapParams(snap); err != nil {
-		t.Fatal(err)
-	}
+	// A fresh core clones the perturbed weights; it must match the
+	// Predictor, which reads the engine's model directly.
 	fresh, err := e.NewInferCore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.ForwardBatch(ws[:1])
+	if err := CheckSwap(c, fresh); err != nil {
+		t.Fatalf("a core of the same engine cannot replace the old one: %v", err)
+	}
+	p, err := e.Predictor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ForwardBatch(ws[:1])
+	want, err := p.Predict(ws[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range want[0].Pred {
-		if math.Float64bits(want[0].Pred[j]) != math.Float64bits(got[0].Pred[j]) {
-			t.Fatal("swapped core drifted from the new weights")
+	got, err := fresh.ForwardBatch(ws[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := false
+	for j := range want.Pred {
+		if math.Float64bits(want.Pred[j]) != math.Float64bits(got[0].Pred[j]) {
+			t.Fatal("fresh core drifted from the retrained weights")
 		}
+		changed = changed || math.Float64bits(got[0].Pred[j]) != math.Float64bits(before[0].Pred[j])
+	}
+	if !changed {
+		t.Fatal("the perturbation did not change the forecast; the test shows nothing")
 	}
 }
 
@@ -163,9 +169,15 @@ func TestInferCoreValidation(t *testing.T) {
 	if _, err := c.ForwardBatch([]Window{{Values: ws[0].Values[:3]}}); err == nil {
 		t.Fatal("short window must be rejected")
 	}
-	bad := nn.SnapshotParams(e.model)[:1]
-	if err := c.SwapParams(bad); err == nil {
-		t.Fatal("mismatched snapshot must be rejected")
+	wide := *c
+	wide.model = buildModel(e.cfg.Model, e.cfg.Seed, e.supports, e.in, 2*e.cfg.Hidden, e.cfg.K, e.meta.Horizon, e.meta.Nodes)
+	if err := CheckSwap(c, &wide); err == nil {
+		t.Fatal("a core with other parameter shapes must not replace the served one")
+	}
+	longer := *c
+	longer.horizon++
+	if err := CheckSwap(c, &longer); err == nil {
+		t.Fatal("a core over another window shape must not replace the served one")
 	}
 	if c.Horizon() != e.meta.Horizon || c.Nodes() != e.meta.Nodes || c.Features() != e.in {
 		t.Fatal("shape accessors disagree with the engine")

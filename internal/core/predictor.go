@@ -22,10 +22,9 @@ type Window struct {
 //
 // The forward records no tape and only reads the parameters, so a single
 // Predictor is safe to share across goroutines, and calls run concurrently;
-// it never mutates the trained parameters (SwapParams installs a private
-// copy). The InferCore is the same machinery the serving tier's replica
-// pool batches over, so Predictor and a coalescing Server produce
-// bitwise-identical forecasts.
+// it never mutates the trained parameters. The InferCore is the same
+// machinery the serving tier's replica pool batches over, so Predictor and
+// a coalescing Server produce bitwise-identical forecasts.
 type Predictor struct {
 	*InferCore
 	src  batching.Source
@@ -53,18 +52,16 @@ func (p *Predictor) PredictTest(n int) ([]Forecast, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: PredictTest needs n >= 1, got %d", n)
 	}
-	return emitForecasts(*p.model.Load(), p.src, p.test, n, p.nodes), nil
+	return emitForecasts(p.model, p.src, p.test, n, p.nodes), nil
 }
 
 // Predictor returns the warm inference handle over the fitted model. The
 // handle shares the engine's trained parameters directly (no clone), so it
 // stays bitwise-pinned to the fitted weights; use Engine.NewInferCore for an
-// isolated copy the serving tier can swap independently.
+// isolated copy that a later Fit cannot reach.
 func (e *Engine) Predictor() (*Predictor, error) {
 	if e.stage < stageFitted {
 		return nil, fmt.Errorf("core: predictor before fit: %w", ErrNotFitted)
 	}
-	c, model := e.inferCore(), e.model
-	c.model.Store(&model)
-	return &Predictor{InferCore: c, src: e.data, test: e.split.Test}, nil
+	return &Predictor{InferCore: e.inferCore(e.model), src: e.data, test: e.split.Test}, nil
 }

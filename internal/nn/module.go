@@ -54,19 +54,32 @@ func ZeroGrads(m Module) {
 	}
 }
 
-// CopyParameters copies src's parameter values into dst. The two modules
-// must have identical parameter lists (same architecture); DDP uses this to
-// replicate the model onto each worker.
-func CopyParameters(dst, src Module) error {
-	dp, sp := dst.Parameters(), src.Parameters()
-	if len(dp) != len(sp) {
-		return fmt.Errorf("nn: parameter count mismatch %d vs %d", len(dp), len(sp))
+// SameShapes reports, as an error, the first difference between two
+// modules' parameter lists — count or shape — or nil when they have the
+// same architecture.
+func SameShapes(a, b Module) error {
+	ap, bp := a.Parameters(), b.Parameters()
+	if len(ap) != len(bp) {
+		return fmt.Errorf("nn: parameter count mismatch %d vs %d", len(ap), len(bp))
 	}
-	for i := range dp {
-		if !dp[i].Tensor().SameShape(sp[i].Tensor()) {
-			return fmt.Errorf("nn: parameter %q shape mismatch %v vs %v", dp[i].Name, dp[i].Tensor().Shape(), sp[i].Tensor().Shape())
+	for i := range ap {
+		if !ap[i].Tensor().SameShape(bp[i].Tensor()) {
+			return fmt.Errorf("nn: parameter %q shape mismatch %v vs %v", ap[i].Name, ap[i].Tensor().Shape(), bp[i].Tensor().Shape())
 		}
-		dp[i].Tensor().CopyFrom(sp[i].Tensor())
+	}
+	return nil
+}
+
+// CopyParameters copies src's parameter values into dst. The two modules
+// must have identical parameter lists (same architecture); the serving tier
+// clones a fitted model into a private copy with it.
+func CopyParameters(dst, src Module) error {
+	if err := SameShapes(dst, src); err != nil {
+		return err
+	}
+	sp := src.Parameters()
+	for i, p := range dst.Parameters() {
+		p.Tensor().CopyFrom(sp[i].Tensor())
 	}
 	return nil
 }

@@ -57,73 +57,81 @@ func SaveCheckpoint(w io.Writer, m Module) error {
 
 // LoadCheckpoint reads parameters from r into the module. The module must
 // have the same architecture (parameter names, order, and shapes) as the
-// one that was saved.
+// one that was saved. The load is all-or-nothing: the whole section is
+// decoded before any parameter is written, so an error leaves the module
+// untouched.
 func LoadCheckpoint(r io.Reader, m Module) error {
-	return loadCheckpointReader(bufio.NewReader(r), m)
+	snap, err := readParams(bufio.NewReader(r), m)
+	if err != nil {
+		return err
+	}
+	return RestoreParams(m, snap)
 }
 
-// loadCheckpointReader reads the parameter section from an existing buffered
-// reader, leaving it positioned after the section (so a trailing optimizer
-// state can be read from the same buffer — see LoadTrainState).
-func loadCheckpointReader(br *bufio.Reader, m Module) error {
+// readParams decodes the parameter section from an existing buffered reader
+// into a snapshot checked against m's names and shapes, leaving the reader
+// positioned after the section (so a trailing optimizer state can be read
+// from the same buffer — see LoadTrainState). It never writes into m.
+func readParams(br *bufio.Reader, m Module) ([][]float64, error) {
 	var magic, count uint32
 	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return fmt.Errorf("nn: reading checkpoint header: %w", err)
+		return nil, fmt.Errorf("nn: reading checkpoint header: %w", err)
 	}
 	if magic != checkpointMagic {
-		return fmt.Errorf("nn: not a PGT-I checkpoint (magic %#x)", magic)
+		return nil, fmt.Errorf("nn: not a PGT-I checkpoint (magic %#x)", magic)
 	}
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return err
+		return nil, err
 	}
 	params := m.Parameters()
 	if int(count) != len(params) {
-		return fmt.Errorf("nn: checkpoint has %d parameters, module has %d", count, len(params))
+		return nil, fmt.Errorf("nn: checkpoint has %d parameters, module has %d", count, len(params))
 	}
-	for _, p := range params {
+	snap := make([][]float64, len(params))
+	for k, p := range params {
 		var nameLen uint32
 		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-			return err
+			return nil, err
 		}
 		if nameLen > 4096 {
-			return fmt.Errorf("nn: implausible parameter-name length %d", nameLen)
+			return nil, fmt.Errorf("nn: implausible parameter-name length %d", nameLen)
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(br, name); err != nil {
-			return err
+			return nil, err
 		}
 		if string(name) != p.Name {
-			return fmt.Errorf("nn: checkpoint parameter %q does not match module parameter %q", name, p.Name)
+			return nil, fmt.Errorf("nn: checkpoint parameter %q does not match module parameter %q", name, p.Name)
 		}
 		var rank uint32
 		if err := binary.Read(br, binary.LittleEndian, &rank); err != nil {
-			return err
+			return nil, err
 		}
 		want := p.Tensor().Shape()
 		if int(rank) != len(want) {
-			return fmt.Errorf("nn: parameter %q rank %d != module rank %d", p.Name, rank, len(want))
+			return nil, fmt.Errorf("nn: parameter %q rank %d != module rank %d", p.Name, rank, len(want))
 		}
 		n := 1
 		for d := 0; d < int(rank); d++ {
 			var dim uint32
 			if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
-				return err
+				return nil, err
 			}
 			if int(dim) != want[d] {
-				return fmt.Errorf("nn: parameter %q dim %d is %d, module has %d", p.Name, d, dim, want[d])
+				return nil, fmt.Errorf("nn: parameter %q dim %d is %d, module has %d", p.Name, d, dim, want[d])
 			}
 			n *= int(dim)
 		}
-		dst := p.Tensor().Data()
+		snap[k] = make([]float64, n)
 		var bits uint64
-		for i := 0; i < n; i++ {
+		for i := range snap[k] {
 			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return fmt.Errorf("nn: truncated payload for %q: %w", p.Name, err)
+				return nil, fmt.Errorf("nn: truncated payload for %q: %w", p.Name, err)
 			}
-			dst[i] = math.Float64frombits(bits)
+			snap[k][i] = math.Float64frombits(bits)
 		}
 	}
-	return nil
+	return snap, nil
 }
 
 // SaveCheckpointFile writes a checkpoint to path, atomically: an interrupted

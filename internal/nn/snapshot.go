@@ -1,21 +1,18 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Parameter snapshots: a deep copy of a module's weights in declaration
 // order, decoupled from any file format. This is the cheap clone primitive
 // behind checkpoint injection on distributed grids (every rank replays one
-// load), the rebuilt full-graph model after spatially sharded training, and
-// the serving tier's replica pool and atomic weight swap — all of which need
-// "copy these exact bits into an identical architecture" without paying for
-// serialization.
+// load), the rebuilt full-graph model after spatially sharded training, the
+// warm start of a rolling retrain and the all-or-nothing checkpoint load —
+// all of which need "copy these exact bits into an identical architecture"
+// without paying for serialization.
 
 // SnapshotParams deep-copies a module's parameter values in declaration
-// order. The snapshot is independent of the module: later training steps or
-// swaps do not mutate it.
+// order. The snapshot is independent of the module: later training steps do
+// not mutate it.
 func SnapshotParams(m Module) [][]float64 {
 	params := m.Parameters()
 	snap := make([][]float64, len(params))
@@ -23,26 +20,6 @@ func SnapshotParams(m Module) [][]float64 {
 		snap[i] = append([]float64(nil), p.Tensor().Contiguous().Data()...)
 	}
 	return snap
-}
-
-// ParamsMatch reports whether m's parameters equal snap bit for bit.
-func ParamsMatch(m Module, snap [][]float64) bool {
-	params := m.Parameters()
-	if len(params) != len(snap) {
-		return false
-	}
-	for i, p := range params {
-		d := p.Tensor().Contiguous().Data()
-		if len(d) != len(snap[i]) {
-			return false
-		}
-		for j, v := range d {
-			if math.Float64bits(v) != math.Float64bits(snap[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // RestoreParams copies a snapshot produced by SnapshotParams into a module

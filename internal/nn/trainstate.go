@@ -83,16 +83,19 @@ func SaveTrainState(w io.Writer, mod Module, opt *Adam, nextEpoch int) error {
 // LoadTrainState reads a checkpoint into the module and, when the optimizer
 // trailer is present, returns the deserialized TrainState. A params-only
 // checkpoint yields a nil TrainState and no error, so warm starts and full
-// resumes share one loader.
+// resumes share one loader. The load is all-or-nothing: the parameters are
+// installed only after the whole file decoded, so an error anywhere — the
+// payload or the trailer — leaves the module untouched.
 func LoadTrainState(r io.Reader, mod Module) (*TrainState, error) {
 	br := bufio.NewReader(r)
-	if err := loadCheckpointReader(br, mod); err != nil {
+	snap, err := readParams(br, mod)
+	if err != nil {
 		return nil, err
 	}
 	var magic uint32
 	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, nil // params-only checkpoint
+			return nil, RestoreParams(mod, snap) // params-only checkpoint
 		}
 		return nil, fmt.Errorf("nn: reading optimizer trailer: %w", err)
 	}
@@ -131,7 +134,7 @@ func LoadTrainState(r io.Reader, mod Module) (*TrainState, error) {
 		st.M = append(st.M, pair[0])
 		st.V = append(st.V, pair[1])
 	}
-	return st, nil
+	return st, RestoreParams(mod, snap)
 }
 
 // SaveTrainStateFile writes a resumable checkpoint to path, atomically: an

@@ -42,30 +42,3 @@ type ReplicaFailedError struct {
 func (e *ReplicaFailedError) Error() string {
 	return fmt.Sprintf("serve: replica failed (forward call %d)", e.Call)
 }
-
-// SwapError is the typed failure of a pool-wide weight swap: replica
-// Replica's SwapParams rejected the snapshot. Swap is all-or-nothing —
-// replicas that had already installed the new weights are rolled back to the
-// pre-swap generation (captured from the pool before the first install), so
-// the pool keeps serving one parameter generation. Match with errors.As;
-// Unwrap returns the backend's error.
-type SwapError struct {
-	// Replica is the pool index whose SwapParams failed.
-	Replica int
-	// Err is the backend's error.
-	Err error
-	// RollbackErr is non-nil in the pathological case where restoring the
-	// previously-installed (and previously-valid) parameters itself failed
-	// on some replica; the pool may then really be split and should be
-	// rebuilt.
-	RollbackErr error
-}
-
-func (e *SwapError) Error() string {
-	if e.RollbackErr != nil {
-		return fmt.Sprintf("serve: swap failed on replica %d (%v); rollback also failed: %v", e.Replica, e.Err, e.RollbackErr)
-	}
-	return fmt.Sprintf("serve: swap failed on replica %d, pool rolled back: %v", e.Replica, e.Err)
-}
-
-func (e *SwapError) Unwrap() error { return e.Err }

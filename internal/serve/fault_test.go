@@ -171,30 +171,3 @@ func waitForEvictions(t *testing.T, s *Server, n int) {
 	}
 	t.Fatalf("server never evicted %d replicas", n)
 }
-
-// TestSwapSkipsEvictedReplicas: a pool-wide weight install targets only the
-// healthy replicas; the evicted one keeps its stale weights untouched and
-// the swap succeeds.
-func TestSwapSkipsEvictedReplicas(t *testing.T) {
-	dead := &stubBackend{}
-	flaky := NewFlaky(dead, 0)
-	healthy := &stubBackend{}
-	s := New([]Backend{flaky, healthy}, Config{
-		MaxBatch: 1, Window: 10 * time.Second, Cost: flatCost(time.Millisecond, 0),
-	})
-	defer s.Close()
-
-	if _, err := s.Predict(context.Background(), win(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Swap([][]float64{{10}}); err != nil {
-		t.Fatalf("swap over a degraded pool: %v", err)
-	}
-	f, err := s.Predict(context.Background(), win(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Pred[0] != 11 {
-		t.Errorf("post-swap forecast %v, want 11 (new weights on the healthy replica)", f.Pred[0])
-	}
-}

@@ -13,10 +13,6 @@ import (
 // (not wall time) is the trigger, so a fixed batch schedule reproduces the
 // same eviction sequence run to run; the chaos harness and the failover
 // benchmark are built on this.
-//
-// SwapParams passes through untouched: weight installs target the warm
-// standby image, not the dead process, and the server stops routing
-// forwards to an evicted replica anyway.
 type Flaky struct {
 	mu        sync.Mutex
 	backend   Backend
@@ -41,11 +37,6 @@ func (f *Flaky) ForwardBatch(ws []core.Window) ([]core.Forecast, error) {
 		return nil, &ReplicaFailedError{Call: n}
 	}
 	return f.backend.ForwardBatch(ws)
-}
-
-// SwapParams installs the snapshot into the wrapped backend.
-func (f *Flaky) SwapParams(snap [][]float64) error {
-	return f.backend.SwapParams(snap)
 }
 
 // Calls reports how many ForwardBatch calls the replica has seen.

@@ -1,6 +1,7 @@
 // Package serve is the asynchronous forecast service over a fitted run: a
-// coalescing batch queue in front of a replica pool, with atomic
-// snapshot-swap weight updates for serve-while-retrain.
+// coalescing batch queue in front of a replica pool. It only queues and
+// forwards and holds no weights: what model a replica's Backend runs, and
+// how a retrained one replaces it, is the caller's business.
 //
 // Concurrent Predict calls arriving within a batch window coalesce into one
 // BMM-shaped forward of up to MaxBatch windows. Every forward-path kernel
@@ -30,16 +31,12 @@ import (
 	"pgti/internal/trace"
 )
 
-// Backend is what a replica forwards on: a batched forward plus an atomic
-// parameter swap. *core.InferCore implements it, and the public server
-// hands one core to every replica; tests substitute stubs.
+// Backend is what a replica forwards on. *core.InferCore implements it;
+// tests substitute stubs.
 type Backend interface {
 	// ForwardBatch runs one forward over the windows and returns one
 	// Forecast per window, in order.
 	ForwardBatch(ws []core.Window) ([]core.Forecast, error)
-	// SwapParams atomically installs a parameter snapshot: in-flight
-	// forwards finish on the old weights, later forwards see the new ones.
-	SwapParams(snap [][]float64) error
 }
 
 // CostModel prices one forward launch of a batch of b windows in modeled
@@ -172,17 +169,11 @@ type replica struct {
 }
 
 // Server is the goroutine-safe serving front end. Construct with New, issue
-// requests with Predict, install retrained weights with Swap, and shut down
-// with Close. All methods are safe for concurrent use.
+// requests with Predict, and shut down with Close. All methods are safe for
+// concurrent use.
 type Server struct {
 	cfg      Config
 	replicas []*replica
-
-	// swapMu serializes pool-wide weight swaps; lastSwap remembers the
-	// last fully-installed generation as the rollback fallback for
-	// backends without the snapshotter facet.
-	swapMu   sync.Mutex
-	lastSwap [][]float64
 
 	mu       sync.Mutex
 	queue    []*request
@@ -311,69 +302,6 @@ func (s *Server) healthyLocked() int {
 		}
 	}
 	return n
-}
-
-// snapshotter is the optional Backend facet exposing the currently
-// installed parameters (*core.InferCore implements it). Swap captures the
-// pool's pre-swap generation through it so a mid-pool failure can roll the
-// already-swapped replicas back.
-type snapshotter interface {
-	ParamSnapshot() [][]float64
-}
-
-// Swap installs a parameter snapshot into every replica without draining:
-// each replica's swap is atomic against its forwards (in-flight batches
-// finish on the old weights), so no request ever observes torn weights.
-//
-// The pool-wide install is all-or-nothing: if any replica rejects the
-// snapshot, the replicas that had already installed it are rolled back to
-// the pre-swap generation and Swap returns a typed *SwapError naming the
-// failed replica — the pool never keeps serving split weight generations.
-// Concurrent Swaps serialize, so two racing installs cannot interleave
-// across the pool either.
-func (s *Server) Swap(snap [][]float64) error {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	// Evicted replicas are out of the pool; installs go to the healthy ones
-	// only (pool membership is read under s.mu; the install itself runs
-	// outside it — SwapParams is atomic against forwards on its own).
-	s.mu.Lock()
-	var pool []*replica
-	var idx []int
-	for i, r := range s.replicas {
-		if !r.dead {
-			pool = append(pool, r)
-			idx = append(idx, i)
-		}
-	}
-	s.mu.Unlock()
-	prev := s.lastSwap
-	if sn, ok := pool[0].backend.(snapshotter); ok {
-		prev = sn.ParamSnapshot()
-	}
-	for i, r := range pool {
-		err := r.backend.SwapParams(snap)
-		if err == nil {
-			continue
-		}
-		serr := &SwapError{Replica: idx[i], Err: err}
-		if prev != nil {
-			for j := 0; j < i; j++ {
-				if rbErr := pool[j].backend.SwapParams(prev); rbErr != nil && serr.RollbackErr == nil {
-					serr.RollbackErr = fmt.Errorf("replica %d: %w", idx[j], rbErr)
-				}
-			}
-		}
-		return serr
-	}
-	// Keep a private copy of the installed generation as the rollback
-	// fallback for backends without the snapshotter facet (the caller may
-	// mutate snap after Swap returns).
-	s.lastSwap = make([][]float64, len(snap))
-	for i, p := range snap {
-		s.lastSwap[i] = append([]float64(nil), p...)
-	}
-	return nil
 }
 
 // Stats returns a snapshot of the modeled serving metrics.

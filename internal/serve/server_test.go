@@ -12,13 +12,11 @@ import (
 )
 
 // stubBackend is a deterministic fake replica: the forecast for a window
-// echoes the window's first value plus the current "weights version"
-// (swapped via SwapParams), and the batch sizes it saw are recorded. gate,
-// when non-nil, blocks every ForwardBatch until released — the lever the
-// shed/drain/cancel tests use to hold requests in flight.
+// echoes the window's first value, and the batch sizes it saw are recorded.
+// gate, when non-nil, blocks every ForwardBatch until released — the lever
+// the shed/drain/cancel tests use to hold requests in flight.
 type stubBackend struct {
 	mu      sync.Mutex
-	version float64
 	batches []int
 	gate    chan struct{}
 	gated   int // forwards that reached the gate (parked or passed)
@@ -40,16 +38,9 @@ func (b *stubBackend) ForwardBatch(ws []core.Window) ([]core.Forecast, error) {
 	b.batches = append(b.batches, len(ws))
 	out := make([]core.Forecast, len(ws))
 	for i, w := range ws {
-		out[i] = core.Forecast{Horizon: 1, Nodes: 1, Pred: []float64{w.Values[0] + b.version}}
+		out[i] = core.Forecast{Horizon: 1, Nodes: 1, Pred: []float64{w.Values[0]}}
 	}
 	return out, nil
-}
-
-func (b *stubBackend) SwapParams(snap [][]float64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.version = snap[0][0]
-	return nil
 }
 
 func (b *stubBackend) seen() []int {
@@ -345,162 +336,6 @@ func TestForwardErrorPropagatesToWholeBatch(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err == nil || err.Error() != "replica exploded" {
 			t.Fatalf("batch member error %v, want replica exploded", err)
-		}
-	}
-}
-
-func TestSwapIsAtomicPerBatch(t *testing.T) {
-	b := &stubBackend{}
-	s := New([]Backend{b}, Config{MaxBatch: 1, Window: time.Millisecond, Cost: flatCost(time.Millisecond, 0)})
-	defer s.Close()
-
-	// Hammer predicts concurrently with swaps between version 0 and 100.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			v := float64((i % 2) * 100)
-			if err := s.Swap([][]float64{{v}}); err != nil {
-				t.Errorf("Swap: %v", err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		f, err := s.Predict(context.Background(), win(1))
-		if err != nil {
-			t.Fatalf("Predict: %v", err)
-		}
-		// Every forecast reflects exactly one installed version — 1+0 or
-		// 1+100 — never a torn intermediate.
-		if got := f.Pred[0]; got != 1 && got != 101 {
-			t.Fatalf("forecast %v observed a torn swap", got)
-		}
-	}
-	<-done
-}
-
-// swapStub is a stubBackend whose SwapParams can be armed to fail on its
-// n-th call, and which exposes the snapshotter facet like *core.InferCore.
-type swapStub struct {
-	stubBackend
-	calls    int
-	failCall int // 1-based SwapParams call index that fails; 0 = never
-}
-
-func (b *swapStub) SwapParams(snap [][]float64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.calls++
-	if b.failCall != 0 && b.calls == b.failCall {
-		return fmt.Errorf("corrupt snapshot")
-	}
-	b.version = snap[0][0]
-	return nil
-}
-
-func (b *swapStub) ParamSnapshot() [][]float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return [][]float64{{b.version}}
-}
-
-func (b *swapStub) current() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.version
-}
-
-// TestSwapAllOrNothingRollsBackMidPoolFailure is the regression test for the
-// generation-split bug: Swap used to return on the first replica's error,
-// leaving replicas before the failure on the new weights and the rest on the
-// old. The all-or-nothing Swap must roll the already-swapped replicas back
-// and name the failer in a typed *SwapError, so the pool keeps serving
-// exactly one generation.
-func TestSwapAllOrNothingRollsBackMidPoolFailure(t *testing.T) {
-	pool := []*swapStub{{}, {}, {}}
-	backends := make([]Backend, len(pool))
-	for i, b := range pool {
-		backends[i] = b
-	}
-	s := New(backends, Config{MaxBatch: 1, Window: time.Millisecond, Cost: flatCost(time.Millisecond, 0)})
-	defer s.Close()
-
-	if err := s.Swap([][]float64{{1}}); err != nil {
-		t.Fatalf("initial swap: %v", err)
-	}
-	// Replica 1 rejects its next (second) SwapParams call; replica 0 will
-	// have installed the new generation by then.
-	pool[1].failCall = 2
-	err := s.Swap([][]float64{{2}})
-	var se *SwapError
-	if !errors.As(err, &se) {
-		t.Fatalf("want *SwapError, got %v", err)
-	}
-	if se.Replica != 1 {
-		t.Fatalf("SwapError names replica %d, want 1", se.Replica)
-	}
-	if se.RollbackErr != nil {
-		t.Fatalf("unexpected rollback failure: %v", se.RollbackErr)
-	}
-	for i, b := range pool {
-		if got := b.current(); got != 1 {
-			t.Fatalf("replica %d serves generation %v after failed swap, want 1 everywhere", i, got)
-		}
-	}
-	// The pool recovers: the next good swap installs everywhere.
-	if err := s.Swap([][]float64{{3}}); err != nil {
-		t.Fatalf("post-failure swap: %v", err)
-	}
-	for i, b := range pool {
-		if got := b.current(); got != 3 {
-			t.Fatalf("replica %d at generation %v after recovery swap, want 3", i, got)
-		}
-	}
-}
-
-// plainSwapStub fails like swapStub but does NOT expose the snapshotter
-// facet, exercising Swap's last-installed-generation fallback.
-type plainSwapStub struct {
-	stubBackend
-	calls    int
-	failCall int
-}
-
-func (b *plainSwapStub) SwapParams(snap [][]float64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.calls++
-	if b.failCall != 0 && b.calls == b.failCall {
-		return fmt.Errorf("corrupt snapshot")
-	}
-	b.version = snap[0][0]
-	return nil
-}
-
-func (b *plainSwapStub) current() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.version
-}
-
-func TestSwapRollbackFallbackWithoutSnapshotter(t *testing.T) {
-	pool := []*plainSwapStub{{}, {}}
-	s := New([]Backend{pool[0], pool[1]}, Config{MaxBatch: 1, Window: time.Millisecond, Cost: flatCost(time.Millisecond, 0)})
-	defer s.Close()
-
-	if err := s.Swap([][]float64{{5}}); err != nil {
-		t.Fatalf("initial swap: %v", err)
-	}
-	pool[1].failCall = 2
-	err := s.Swap([][]float64{{6}})
-	var se *SwapError
-	if !errors.As(err, &se) || se.Replica != 1 {
-		t.Fatalf("want *SwapError on replica 1, got %v", err)
-	}
-	for i, b := range pool {
-		if got := b.current(); got != 5 {
-			t.Fatalf("replica %d serves generation %v, want the remembered 5", i, got)
 		}
 	}
 }

@@ -36,9 +36,11 @@ type RetrainConfig struct {
 	// re-checked against the same rules as Base, and a round whose
 	// configuration is illegal ends the run without spending retries.
 	Configure func(round int, cfg *core.Config)
-	// Swap, when set, receives each round's trained parameter snapshot —
-	// wire it to a live server's Swap to publish weights without draining.
-	Swap func(snap [][]float64) error
+	// Swap, when set, receives each round's fitted engine — wire it to a
+	// live server's install to publish the round's model (weights and the
+	// window's normalization statistics) without draining. The engine is
+	// the retrainer's; Swap must not fit it again.
+	Swap func(eng *core.Engine) error
 	// OnRound, when set, observes each completed round synchronously.
 	OnRound func(r Round)
 	// MaxRetries is how many extra attempts a round whose Fit fails gets —
@@ -131,11 +133,11 @@ type Retrainer struct {
 	src *Source
 	cfg RetrainConfig
 	// fit runs one training attempt over a fully prepared round
-	// configuration and returns the trained parameter snapshot plus the
-	// report. The default builds a fresh core.Engine per attempt (an engine
-	// fits once — retries need new ones anyway); tests override it to
-	// inject deterministic attempt failures.
-	fit func(ctx context.Context, cfg core.Config) ([][]float64, *core.Report, error)
+	// configuration and returns the fitted engine. The default builds a
+	// fresh core.Engine per attempt (an engine fits once — retries need new
+	// ones anyway); tests override it to inject deterministic attempt
+	// failures.
+	fit func(ctx context.Context, cfg core.Config) (*core.Engine, error)
 }
 
 // NewRetrainer validates the configuration against the source.
@@ -156,18 +158,13 @@ func NewRetrainer(src *Source, cfg RetrainConfig) (*Retrainer, error) {
 	return &Retrainer{src: src, cfg: cfg, fit: fitOnce}, nil
 }
 
-// fitOnce is the default per-attempt trainer: a fresh engine, one Fit, one
-// parameter snapshot.
-func fitOnce(ctx context.Context, cfg core.Config) ([][]float64, *core.Report, error) {
+// fitOnce is the default per-attempt trainer: a fresh engine, one Fit.
+func fitOnce(ctx context.Context, cfg core.Config) (*core.Engine, error) {
 	eng := core.NewEngine(cfg)
 	if err := eng.Fit(ctx); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	snap, err := eng.ParamSnapshot()
-	if err != nil {
-		return nil, nil, err
-	}
-	return snap, eng.Report(), nil
+	return eng, nil
 }
 
 // Run executes the configured rounds, returning the completed rounds (also
@@ -189,8 +186,7 @@ func (r *Retrainer) Run(ctx context.Context) ([]Round, error) {
 		if err != nil {
 			return rounds, err
 		}
-		var snap [][]float64
-		var report *core.Report
+		var eng *core.Engine
 		attempts := 0
 		var delay time.Duration
 		for {
@@ -207,7 +203,7 @@ func (r *Retrainer) Run(ctx context.Context) ([]Round, error) {
 					return rounds, fmt.Errorf("stream: round %d configuration: %w", k, err)
 				}
 			}
-			snap, report, err = r.fit(ctx, cfg)
+			eng, err = r.fit(ctx, cfg)
 			if err == nil {
 				break
 			}
@@ -228,10 +224,12 @@ func (r *Retrainer) Run(ctx context.Context) ([]Round, error) {
 			}
 			delay += r.cfg.RetryBackoff << shift
 		}
-		warm = snap
-		round := Round{Round: k, Lo: lo, Hi: hi, Report: report, Attempts: attempts, RetryDelay: delay}
+		if warm, err = eng.ParamSnapshot(); err != nil {
+			return rounds, err
+		}
+		round := Round{Round: k, Lo: lo, Hi: hi, Report: eng.Report(), Attempts: attempts, RetryDelay: delay}
 		if r.cfg.Swap != nil {
-			if err := r.cfg.Swap(snap); err != nil {
+			if err := r.cfg.Swap(eng); err != nil {
 				return rounds, fmt.Errorf("stream: round %d swap: %w", k, err)
 			}
 			round.Swapped = true

@@ -27,16 +27,16 @@ func TestRetrainRetriesFailedRound(t *testing.T) {
 	rt, err := NewRetrainer(src, RetrainConfig{
 		Base: base, Window: 64, Advance: 64, Rounds: 2,
 		MaxRetries: 2, RetryBackoff: 3 * time.Millisecond,
-		Swap: func([][]float64) error { swaps++; return nil },
+		Swap: func(*core.Engine) error { swaps++; return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	rt.fit = func(ctx context.Context, cfg core.Config) ([][]float64, *core.Report, error) {
+	rt.fit = func(ctx context.Context, cfg core.Config) (*core.Engine, error) {
 		calls++
 		if calls == 1 {
-			return nil, nil, errors.New("injected fit failure")
+			return nil, errors.New("injected fit failure")
 		}
 		return fitOnce(ctx, cfg)
 	}
@@ -79,9 +79,9 @@ func TestRetrainExhaustedRetriesKeepsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	rt.fit = func(context.Context, core.Config) ([][]float64, *core.Report, error) {
+	rt.fit = func(context.Context, core.Config) (*core.Engine, error) {
 		calls++
-		return nil, nil, errors.New("injected fit failure")
+		return nil, errors.New("injected fit failure")
 	}
 
 	rounds, err := rt.Run(context.Background())
@@ -116,10 +116,10 @@ func TestRetrainCancelledDuringRetryReturnsImmediately(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	rt.fit = func(ctx context.Context, cfg core.Config) ([][]float64, *core.Report, error) {
+	rt.fit = func(ctx context.Context, cfg core.Config) (*core.Engine, error) {
 		calls++
 		cancel() // the caller gives up while the attempt is in flight
-		return nil, nil, ctx.Err()
+		return nil, ctx.Err()
 	}
 
 	rounds, err := rt.Run(ctx)

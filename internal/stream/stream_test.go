@@ -108,7 +108,7 @@ func TestStreamReplayMatchesOfflineBitwise(t *testing.T) {
 }
 
 // Rolling retraining slides the window, warm-starts each round from the
-// previous parameters, and publishes every round's snapshot through Swap.
+// previous parameters, and publishes every round's fitted engine through Swap.
 func TestRollingRetrainWarmStartAndSwap(t *testing.T) {
 	meta := dataset.ChickenpoxHungary
 	base := modeledBase(1, 1)
@@ -118,14 +118,14 @@ func TestRollingRetrainWarmStartAndSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	var swaps [][][]float64
+	var swaps []*core.Engine
 	rt, err := NewRetrainer(src, RetrainConfig{
 		Base:    base,
 		Window:  200,
 		Advance: 100,
 		Rounds:  3,
-		Swap: func(snap [][]float64) error {
-			swaps = append(swaps, snap)
+		Swap: func(eng *core.Engine) error {
+			swaps = append(swaps, eng)
 			return nil
 		},
 	})
@@ -145,6 +145,9 @@ func TestRollingRetrainWarmStartAndSwap(t *testing.T) {
 		}
 		if !r.Swapped || r.Report == nil || len(r.Report.Curve) != 1 {
 			t.Fatalf("round %d incomplete: %+v", k, r)
+		}
+		if swaps[k].Report() != r.Report {
+			t.Fatalf("round %d published an engine other than the one it fitted", k)
 		}
 	}
 	// Warm start carried state: round 1 must start from round 0's trained
@@ -292,7 +295,7 @@ func TestCloseMidRetrainLeaksNothing(t *testing.T) {
 		// Swap runs before the round's history is released, so the producer
 		// is still parked on the full ring: closing here guarantees round 1
 		// can never fill.
-		Swap: func([][]float64) error {
+		Swap: func(*core.Engine) error {
 			src.Close()
 			return nil
 		},

@@ -38,21 +38,22 @@
 // # Serving
 //
 // A fitted Experiment goes live behind a Server — a goroutine-safe
-// coalescing batch queue feeding a pool of warm model replicas:
+// coalescing batch queue feeding a pool of replicas over one served model:
 //
 //	srv, err := pgti.NewServer(exp, pgti.WithReplicas(2), pgti.WithMaxBatch(8))
 //	defer srv.Close()
 //	f, err := srv.Predict(ctx, window)   // from any number of goroutines
 //	...
 //	exp2.Fit(ctx)                        // retrain while serving
-//	srv.Swap(exp2)                       // atomic weight swap, no drain
+//	srv.Swap(exp2)                       // atomic model swap, no drain
 //
 // Concurrent Predict calls coalesce into batched forwards bitwise identical
-// to serial Predictor calls; Swap installs retrained weights atomically
-// without draining; a full queue sheds load with a typed *OverloadedError;
-// Close drains and later calls get ErrServerClosed. Stats reports modeled
-// p50/p99/QPS under a deterministic virtual clock. Each replica holds a
-// private parameter clone, so serving never races a concurrent retrain.
+// to serial Predictor calls; Swap installs a retrained model — weights and
+// its training split's normalization statistics — atomically without
+// draining; a full queue sheds load with a typed *OverloadedError; Close
+// drains and later calls get ErrServerClosed. Stats reports modeled
+// p50/p99/QPS under a deterministic virtual clock. The served model is a
+// private clone, so serving never races a concurrent retrain.
 //
 // # Migrating from Run(Config)
 //

@@ -3,6 +3,7 @@ package pgti
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"pgti/internal/core"
@@ -18,10 +19,11 @@ import (
 //	f, err := srv.Predict(ctx, window)   // from any number of goroutines
 //	...
 //	exp2.Fit(ctx)                        // retrain while serving
-//	srv.Swap(exp2)                       // atomic weight swap, no drain
+//	srv.Swap(exp2)                       // atomic model swap, no drain
 //
 // Concurrent Predict calls coalesce into batched forwards; each result is
-// bitwise identical to a serial Predictor.Predict of the same window.
+// bitwise identical to the Predictor of the experiment last swapped in
+// (before any Swap, the one NewServer was built over).
 
 // ErrServerClosed is returned by Server.Predict after Close. Requests
 // admitted before Close still drain to completion.
@@ -67,8 +69,8 @@ func WithBatchWindow(d time.Duration) ServeOption {
 	return func(c *serverSpec) { c.Window = d }
 }
 
-// WithReplicas sets the pool size: n warm, independent copies of the fitted
-// model served with least-loaded dispatch (default 1).
+// WithReplicas sets the pool size: n concurrency slots over the one served
+// model, not copies of it, with least-loaded dispatch (default 1).
 func WithReplicas(n int) ServeOption {
 	return func(c *serverSpec) { c.replicas = n }
 }
@@ -131,17 +133,28 @@ func WithReplicaFailure(replica, failAfter int) ServeOption {
 
 // Server is the goroutine-safe serving front end over a fitted Experiment:
 // a coalescing batch queue feeding a replica pool. The replicas are
-// concurrency slots over one immutable parameter snapshot, not model copies.
-// Construct with NewServer; Close when done.
+// concurrency slots over one served model, not model copies. Construct with
+// NewServer; Close when done.
 type Server struct {
 	srv  *serve.Server
-	core *core.InferCore // the snapshot every replica reads
+	live *served
+}
+
+// served is the backend every replica forwards through: the one mutable
+// reference to the served model. A batch loads the pointer once, so it runs
+// whole on one core; install replaces the core with a single store.
+type served struct {
+	atomic.Pointer[core.InferCore]
+}
+
+func (s *served) ForwardBatch(ws []core.Window) ([]core.Forecast, error) {
+	return s.Load().ForwardBatch(ws)
 }
 
 // NewServer builds a serving handle over exp, which must have completed
-// Fit (wraps ErrNotFitted otherwise). The pool holds one private clone of
-// the fitted parameters whatever its size, so a later exp.Fit (retrain)
-// never races serving; install retrained weights explicitly with Swap.
+// Fit (wraps ErrNotFitted otherwise). The pool serves one private clone of
+// the fitted model whatever its size, so a later exp.Fit (retrain) never
+// races serving; install retrained weights explicitly with Swap.
 func NewServer(exp *Experiment, opts ...ServeOption) (*Server, error) {
 	c := &serverSpec{}
 	for _, opt := range opts {
@@ -157,18 +170,20 @@ func NewServer(exp *Experiment, opts ...ServeOption) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pgti: %w", err)
 	}
+	live := &served{}
+	live.Store(ic)
 	backends := make([]serve.Backend, c.replicas)
 	for i := range backends {
-		backends[i] = ic
+		backends[i] = live
 		if n, ok := c.failAfter[i]; ok {
-			backends[i] = serve.NewFlaky(ic, n)
+			backends[i] = serve.NewFlaky(live, n)
 		}
 	}
 	if c.Cost == nil {
 		windowBytes := int64(ic.Horizon()*ic.Nodes()*ic.Features()) * 8
 		c.Cost = serve.DefaultCost(ic.ParamBytes(), windowBytes)
 	}
-	return &Server{srv: serve.New(backends, c.Config), core: ic}, nil
+	return &Server{srv: serve.New(backends, c.Config), live: live}, nil
 }
 
 func (c *serverSpec) validate() error {
@@ -216,19 +231,31 @@ func (s *Server) Predict(ctx context.Context, w Window) (Forecast, error) {
 	return s.srv.Predict(ctx, w)
 }
 
-// Swap atomically installs exp's freshly fitted parameters as the snapshot
-// every replica reads, without draining: in-flight batches finish on the
-// old weights, later ones see only the new — no request observes a torn
-// snapshot. exp must have completed Fit and match the serving model's
-// architecture.
+// Swap replaces the served model with a private clone of exp's fitted one
+// — its parameters together with its training split's normalization
+// statistics — without draining: in-flight batches finish on the old model,
+// later ones run whole on the new. exp must have completed Fit and take the
+// same windows with the same parameter shapes as the served model;
+// otherwise Swap returns an error and the old model keeps serving.
 func (s *Server) Swap(exp *Experiment) error {
-	snap, err := exp.eng.ParamSnapshot()
+	if err := s.install(exp.eng); err != nil {
+		return fmt.Errorf("pgti: %w", err)
+	}
+	return nil
+}
+
+// install is Swap's one path, shared with Stream.Retrain: clone eng's
+// fitted model into a new core, check it can stand in for the live one, and
+// store it.
+func (s *Server) install(eng *core.Engine) error {
+	next, err := eng.NewInferCore()
 	if err != nil {
-		return fmt.Errorf("pgti: %w", err)
+		return err
 	}
-	if err := s.srv.Swap(snap); err != nil {
-		return fmt.Errorf("pgti: %w", err)
+	if err := core.CheckSwap(s.live.Load(), next); err != nil {
+		return err
 	}
+	s.live.Store(next)
 	return nil
 }
 
@@ -242,10 +269,10 @@ func (s *Server) Close() error { return s.srv.Close() }
 
 // Horizon returns the forecast length in time steps (input windows must be
 // the same length).
-func (s *Server) Horizon() int { return s.core.Horizon() }
+func (s *Server) Horizon() int { return s.live.Load().Horizon() }
 
 // Nodes returns the sensor count.
-func (s *Server) Nodes() int { return s.core.Nodes() }
+func (s *Server) Nodes() int { return s.live.Load().Nodes() }
 
 // Features returns the per-node feature count of an input window.
-func (s *Server) Features() int { return s.core.Features() }
+func (s *Server) Features() int { return s.live.Load().Features() }

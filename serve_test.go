@@ -3,6 +3,7 @@ package pgti
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -303,47 +304,26 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(exp, WithDeadline(-time.Second)); !errors.As(err, &ice) {
 		t.Fatalf("negative deadline: %v, want *InvalidConfigError", err)
 	}
-	if err := srvSwapUnfitted(exp); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("Swap from unfitted: %v, want ErrNotFitted", err)
-	}
-}
-
-// srvSwapUnfitted swaps from an unfitted experiment into a fitted server.
-func srvSwapUnfitted(unfitted *Experiment) error {
-	// Build a server over a throwaway fitted run is expensive; instead we
-	// exercise the snapshot guard directly through Swap's first step.
-	_, err := unfitted.eng.ParamSnapshot()
-	return err
 }
 
 // TestServerSwapGenerationsAreWhole: callers predict on a 2-replica server
-// while Swap installs ten parameter generations one after another. The
-// replicas read one shared snapshot through an atomic pointer, so every
-// forecast must equal, bitwise, a serial Predictor's on exactly one
+// while Swap installs a run of separately fitted models one after another.
+// The replicas read one served core through an atomic pointer, so every
+// forecast must equal, bitwise, the serial Predictor's of exactly one
 // generation — never a mix of two.
 func TestServerSwapGenerationsAreWhole(t *testing.T) {
-	exp, ws := fitTiny(t)
+	const gens = 4
+	exps := make([]*Experiment, gens+1) // generation 0 is the one served first
+	var ws []Window
+	exps[0], ws = fitTiny(t, WithEpochs(1))
 	ws = ws[:4]
-	base, err := exp.eng.ParamSnapshot()
-	if err != nil {
-		t.Fatal(err)
+	for g := 1; g <= gens; g++ {
+		exps[g], _ = fitTiny(t, WithEpochs(1), WithSeed(uint64(100+g)))
 	}
-	const gens = 10
-	snaps := make([][][]float64, gens+1) // generation 0 is the fitted one
 	want := make([][]Forecast, gens+1)
-	for g := range snaps {
-		snaps[g] = make([][]float64, len(base))
-		for i, p := range base {
-			snaps[g][i] = make([]float64, len(p))
-			for j, v := range p {
-				snaps[g][i][j] = v * (1 + float64(g)/32)
-			}
-		}
+	for g, exp := range exps {
 		pred, err := exp.Predictor()
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pred.SwapParams(snaps[g]); err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range ws {
@@ -375,7 +355,7 @@ func TestServerSwapGenerationsAreWhole(t *testing.T) {
 		}
 	}
 
-	srv, err := NewServer(exp, WithReplicas(2), WithMaxBatch(4), WithBatchWindow(time.Millisecond), WithQueueDepth(64))
+	srv, err := NewServer(exps[0], WithReplicas(2), WithMaxBatch(4), WithBatchWindow(time.Millisecond), WithQueueDepth(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +396,7 @@ func TestServerSwapGenerationsAreWhole(t *testing.T) {
 		for k := 0; k < callers*rounds/(gens+1); k++ {
 			check(<-results)
 		}
-		if err := srv.srv.Swap(snaps[g]); err != nil {
+		if err := srv.Swap(exps[g]); err != nil {
 			t.Fatalf("Swap generation %d: %v", g, err)
 		}
 	}
@@ -450,7 +430,7 @@ func TestServerReplicasReadOneSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
-			paramBytes = srv.core.ParamBytes()
+			paramBytes = srv.live.Load().ParamBytes()
 			if err := srv.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -462,5 +442,131 @@ func TestServerReplicasReadOneSnapshot(t *testing.T) {
 	t.Logf("NewServer allocates %d B with 1 replica, %d B with 8; one parameter copy is %d B", one, eight, paramBytes)
 	if eight-one >= paramBytes {
 		t.Fatalf("8 replicas allocate %d B more than 1, at least one more parameter copy (%d B)", eight-one, paramBytes)
+	}
+}
+
+// swapAllocated is the least, over three Swaps of src into srv, of the bytes
+// one Swap allocates — the least drops what other goroutines allocated
+// meanwhile.
+func swapAllocated(t *testing.T, srv *Server, src *Experiment) int64 {
+	t.Helper()
+	least := int64(math.MaxInt64)
+	for run := 0; run < 3; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := srv.Swap(src); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, int64(after.TotalAlloc-before.TotalAlloc))
+	}
+	return least
+}
+
+// TestServerSwapCostsOneParameterCopy: a Swap clones the source's
+// parameters once into the new core and stores one pointer, so it
+// allocates under two parameter copies, and a pool of eight replicas pays
+// what a pool of one does — the replicas share the core a Swap replaces.
+func TestServerSwapCostsOneParameterCopy(t *testing.T) {
+	exp, _ := fitTiny(t)
+	src, _ := fitTiny(t, WithSeed(7))
+	swapped := func(replicas int) (allocated, paramBytes int64) {
+		srv, err := NewServer(exp, WithReplicas(replicas))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		return swapAllocated(t, srv, src), srv.live.Load().ParamBytes()
+	}
+	one, paramBytes := swapped(1)
+	eight, _ := swapped(8)
+	t.Logf("Swap allocates %d B with 1 replica, %d B with 8; one parameter copy is %d B", one, eight, paramBytes)
+	if one >= 2*paramBytes {
+		t.Fatalf("one Swap allocates %d B, at least two parameter copies (%d B)", one, 2*paramBytes)
+	}
+	if eight-one >= paramBytes {
+		t.Fatalf("a Swap over 8 replicas allocates %d B more than over 1, at least one more parameter copy (%d B)", eight-one, paramBytes)
+	}
+}
+
+// TestServerSwapServesSourceStatistics: a trained model is valid only with
+// the normalization statistics of its training split, so after a Swap the
+// server must forecast exactly what the source experiment's own Predictor
+// does — weights and statistics both come from the source. The seed-7 fit
+// draws a different dataset, so its statistics differ from the first
+// model's.
+func TestServerSwapServesSourceStatistics(t *testing.T) {
+	exp, ws := fitTiny(t)
+	src, _ := fitTiny(t, WithSeed(7))
+	srv, err := NewServer(exp, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.Swap(src); err != nil {
+		t.Fatal(err)
+	}
+	pred, err := src.Predictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range ws[:4] {
+		want, err := pred.Predict(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := srv.Predict(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameForecast(t, fmt.Sprintf("window %d after Swap", i), got, want)
+	}
+}
+
+// TestServerSwapRejectsOtherArchitecture: a Swap whose source has another
+// parameter layout, another window shape or no fit at all returns an error
+// and leaves the old model serving, bitwise.
+func TestServerSwapRejectsOtherArchitecture(t *testing.T) {
+	exp, ws := fitTiny(t)
+	wide, _ := fitTiny(t, WithHidden(16))
+	other, err := NewExperiment("Chickenpox-Hungary", streamFitOpts(1)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Fit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	unfitted, err := NewExperiment("PeMS-BAY", tinyOpts(StrategyIndex, 1)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(exp, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pred, err := exp.Predictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Swap(wide); err == nil {
+		t.Fatal("Swap from a hidden-16 model into a hidden-8 server succeeded")
+	}
+	if err := srv.Swap(other); err == nil {
+		t.Fatal("Swap from a model over another window shape succeeded")
+	}
+	if err := srv.Swap(unfitted); !errors.Is(err, ErrNotFitted) {
+		t.Fatalf("Swap from an unfitted experiment: %v, want ErrNotFitted", err)
+	}
+	for i, w := range ws[:4] {
+		want, err := pred.Predict(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := srv.Predict(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameForecast(t, fmt.Sprintf("window %d after rejected Swaps", i), got, want)
 	}
 }

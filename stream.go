@@ -25,7 +25,8 @@ import (
 // sliding-window ring; Retrain materializes each window into an ordinary
 // dataset, runs a warm-started Fit through the ordinary engine (every
 // option composes: spatial sharding, repartitioning, tracing, events), and
-// publishes the refreshed weights into a live Server without draining.
+// publishes the refreshed model — weights and the window's normalization
+// statistics — into a live Server without draining.
 // Determinism carries over from the offline path: arrivals advance a
 // modeled ingest clock, and a single-window replay of the whole stream
 // reproduces the offline experiment's curve — and, under modeled costs, its
@@ -95,9 +96,10 @@ type RetrainOptions struct {
 	// Round 0 is always cold — that is what makes a one-round replay
 	// bitwise-identical to the offline run.
 	Cold bool
-	// Server, when set, receives each round's weights through an atomic
-	// Swap — in-flight predictions finish on the old weights, later ones
-	// see only the new.
+	// Server, when set, receives each round's fitted model — its weights
+	// with the round window's normalization statistics — through the same
+	// install Server.Swap runs: in-flight predictions finish on the old
+	// model, later ones see only the new.
 	Server *Server
 	// OnRound observes each completed round synchronously.
 	OnRound func(r StreamRound)
@@ -149,7 +151,7 @@ func (s *Stream) Retrain(ctx context.Context, ro RetrainOptions, opts ...Option)
 		RetryBackoff: ro.RetryBackoff,
 	}
 	if ro.Server != nil {
-		rc.Swap = ro.Server.srv.Swap
+		rc.Swap = ro.Server.install
 	}
 	if ro.RoundOptions != nil {
 		rc.Configure = func(round int, cfg *core.Config) {

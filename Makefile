@@ -100,51 +100,51 @@ step-profile:
 ## hybrid fit, a traced single-GPU index-batching fit (the 1x1 grid), traced
 ## 2-worker gen-dist-index and baseline-ddp fits (the partitioned-store and
 ## remote-fetch feeds) and a traced serve burst, each schema-validated by
-## pgti-trace (well-formed Perfetto JSON, monotone per-thread timestamps,
+## pgti trace (well-formed Perfetto JSON, monotone per-thread timestamps,
 ## nested spans, balanced async pairs). CI uploads the traces as artifacts.
 trace-smoke:
-	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
+	$(GO) run ./cmd/pgti train -dataset Chickenpox-Hungary -epochs 2 \
 		-strategy dist-index -workers 2 -shards 2 -quiet -trace train-trace.json
-	$(GO) run ./cmd/pgti-trace train-trace.json
-	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
+	$(GO) run ./cmd/pgti trace train-trace.json
+	$(GO) run ./cmd/pgti train -dataset Chickenpox-Hungary -epochs 2 \
 		-strategy index -quiet -trace index-trace.json
-	$(GO) run ./cmd/pgti-trace index-trace.json
-	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
+	$(GO) run ./cmd/pgti trace index-trace.json
+	$(GO) run ./cmd/pgti train -dataset Chickenpox-Hungary -epochs 2 \
 		-strategy gen-dist-index -workers 2 -quiet -trace gendist-trace.json
-	$(GO) run ./cmd/pgti-trace gendist-trace.json
-	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
+	$(GO) run ./cmd/pgti trace gendist-trace.json
+	$(GO) run ./cmd/pgti train -dataset Chickenpox-Hungary -epochs 2 \
 		-strategy baseline-ddp -workers 2 -quiet -trace ddp-trace.json
-	$(GO) run ./cmd/pgti-trace ddp-trace.json
-	$(GO) run ./cmd/pgti-serve -dataset Chickenpox-Hungary -epochs 2 \
+	$(GO) run ./cmd/pgti trace ddp-trace.json
+	$(GO) run ./cmd/pgti serve -dataset Chickenpox-Hungary -epochs 2 \
 		-retrain-epochs 0 -clients 4 -requests 16 -trace serve-trace.json
-	$(GO) run ./cmd/pgti-trace serve-trace.json
+	$(GO) run ./cmd/pgti trace serve-trace.json
 
 ## stream-smoke exercises the streaming subsystem end to end: bootstrap fit →
 ## live server → sliding-window ingestion → rolling warm-started retrains with
 ## atomic weight swaps → serve burst, with the final round's training trace
-## and the burst's serving trace each schema-validated by pgti-trace. CI
+## and the burst's serving trace each schema-validated by pgti trace. CI
 ## uploads both traces as artifacts.
 stream-smoke:
-	$(GO) run ./cmd/pgti-stream -rounds 2 -epochs 1 \
+	$(GO) run ./cmd/pgti stream -rounds 2 -epochs 1 \
 		-fit-trace stream-fit-trace.json -serve-trace stream-serve-trace.json
-	$(GO) run ./cmd/pgti-trace stream-fit-trace.json
-	$(GO) run ./cmd/pgti-trace stream-serve-trace.json
+	$(GO) run ./cmd/pgti trace stream-fit-trace.json
+	$(GO) run ./cmd/pgti trace stream-serve-trace.json
 
 ## chaos-smoke exercises the fault layer end to end: a seeded crash +
 ## straggler schedule over a traced 2x2 hybrid fit (detect, roll back,
 ## re-plan onto the survivors, continue), and a traced serve burst whose
 ## first replica dies mid-load (evict, retry on the healthy replica under
 ## modeled backoff). Both traces — fault and recovery spans included — are
-## schema-validated by pgti-trace; CI uploads them as artifacts.
+## schema-validated by pgti trace; CI uploads them as artifacts.
 chaos-smoke:
-	$(GO) run ./cmd/pgti-train -dataset Chickenpox-Hungary -epochs 2 \
+	$(GO) run ./cmd/pgti train -dataset Chickenpox-Hungary -epochs 2 \
 		-strategy dist-index -workers 2 -shards 2 -quiet \
 		-fault-seed 11 -crash-rank 3 -crash-at 8ms \
 		-straggler-rank 0 -straggler-factor 2 -straggler-until 20ms \
 		-trace chaos-train-trace.json
-	$(GO) run ./cmd/pgti-trace chaos-train-trace.json
-	$(GO) run ./cmd/pgti-serve -dataset Chickenpox-Hungary -epochs 2 \
+	$(GO) run ./cmd/pgti trace chaos-train-trace.json
+	$(GO) run ./cmd/pgti serve -dataset Chickenpox-Hungary -epochs 2 \
 		-retrain-epochs 0 -clients 4 -requests 16 \
 		-fail-replica 0 -fail-after 2 -retry-backoff 4ms \
 		-trace chaos-serve-trace.json
-	$(GO) run ./cmd/pgti-trace chaos-serve-trace.json
+	$(GO) run ./cmd/pgti trace chaos-serve-trace.json

@@ -204,22 +204,6 @@ func BenchmarkMatMul128(b *testing.B) {
 	}
 }
 
-// Cache-blocked vs naive MatMul at a size whose b matrix (1024x1024, 8 MiB)
-// overflows L2: the tiled kernel reuses each [64,256] panel of b across the
-// whole row block instead of streaming all of b per output row. The win is
-// modest — the scalar Go kernel is FMA-bound, not bandwidth-bound — but the
-// blocking keeps large products from thrashing once k*n outgrows the cache.
-// Serial width isolates the cache effect from the pool.
-func benchMatMul1024(b *testing.B, mul func(a, b *tensor.Tensor) *tensor.Tensor) {
-	rng := tensor.NewRNG(2)
-	x := tensor.Randn(rng, 1024, 1024)
-	y := tensor.Randn(rng, 1024, 1024)
-	benchWithWorkers(b, 1, func() { mul(x, y) })
-}
-
-func BenchmarkMatMulNaiveSerial1024(b *testing.B) { benchMatMul1024(b, tensor.MatMulNaive) }
-func BenchmarkMatMulTiledSerial1024(b *testing.B) { benchMatMul1024(b, tensor.MatMul) }
-
 func BenchmarkSpMM(b *testing.B) {
 	g, err := graph.RoadNetwork(1, 500, 8)
 	if err != nil {

@@ -1,22 +1,7 @@
-// Command pgti-trace validates and summarizes the Chrome trace-event JSON
-// files written by pgti-train -trace, pgti-serve -trace, and
-// pgti.WriteTrace, without needing a browser. It checks the structural
-// contract Perfetto relies on — well-formed traceEvents, known phases,
-// non-negative durations, per-thread timestamp monotonicity, proper
-// nesting of complete ("X") spans on each thread, and balanced async
-// begin/end ("b"/"e") pairs — then prints per-category span totals and the
-// recorded counters and gauges.
-//
-// Examples:
-//
-//	pgti-train -dataset Chickenpox-Hungary -epochs 2 -trace run.json
-//	pgti-trace run.json
-//	pgti-trace -q run.json && echo valid
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -44,25 +29,31 @@ type traceFile struct {
 	TraceEvents []event `json:"traceEvents"`
 }
 
-func main() {
-	quiet := flag.Bool("q", false, "validate only, print nothing on success")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pgti-trace [-q] <trace.json>  (or - for stdin)\n")
-		flag.PrintDefaults()
+// runTrace validates and summarizes the Chrome trace-event JSON files
+// written by pgti train -trace, pgti serve -trace, and pgti.WriteTrace,
+// without needing a browser. It checks the structural contract Perfetto
+// relies on — well-formed traceEvents, known phases, non-negative
+// durations, per-thread timestamp monotonicity, proper nesting of complete
+// ("X") spans on each thread, and balanced async begin/end ("b"/"e") pairs —
+// then prints per-category span totals and the recorded counters and gauges.
+func runTrace(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("trace", " <trace.json>  (or - for stdin)", stderr)
+	quiet := fs.Bool("q", false, "validate only, print nothing on success")
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
 
 	var r io.Reader = os.Stdin
-	name := flag.Arg(0)
+	name := fs.Arg(0)
 	if name != "-" {
 		f, err := os.Open(name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pgti-trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pgti trace: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		r = f
@@ -70,19 +61,20 @@ func main() {
 
 	tf, err := parse(r)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pgti-trace: %s: %v\n", name, err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pgti trace: %s: %v\n", name, err)
+		return 1
 	}
 	if errs := validate(tf.TraceEvents); len(errs) > 0 {
 		for _, e := range errs {
-			fmt.Fprintf(os.Stderr, "pgti-trace: %s: %v\n", name, e)
+			fmt.Fprintf(stderr, "pgti trace: %s: %v\n", name, e)
 		}
-		fmt.Fprintf(os.Stderr, "pgti-trace: %s: INVALID (%d problem(s))\n", name, len(errs))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pgti trace: %s: INVALID (%d problem(s))\n", name, len(errs))
+		return 1
 	}
 	if !*quiet {
-		summarize(os.Stdout, tf.TraceEvents)
+		summarize(stdout, tf.TraceEvents)
 	}
+	return 0
 }
 
 func parse(r io.Reader) (*traceFile, error) {

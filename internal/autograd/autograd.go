@@ -103,18 +103,11 @@ func NoGrad(t *tensor.Tensor) *Variable {
 // RequiresGrad reports whether gradients flow to this variable.
 func (v *Variable) RequiresGrad() bool { return v.requiresGrad }
 
-// IsLeaf reports whether the variable was created directly (not by an op).
-func (v *Variable) IsLeaf() bool { return v.op == nil }
-
 // Shape returns the shape of the underlying value.
 func (v *Variable) Shape() []int { return v.Value.Shape() }
 
 // ZeroGrad clears the accumulated gradient.
 func (v *Variable) ZeroGrad() { v.Grad = nil }
-
-// Detach returns a constant view of the variable's value, cutting the graph.
-// RNN training uses this to truncate backpropagation between batches.
-func (v *Variable) Detach() *Variable { return Constant(v.Value) }
 
 // untracked returns an op's output as a leaf when the op records nothing —
 // no input requires gradients, or one descends from NoGrad — and nil when
@@ -164,21 +157,6 @@ func Backward(v *Variable) error {
 	return backward(v, tensor.FullLike(1, v.Value), nil)
 }
 
-// BackwardWithGrad runs backpropagation from v with an explicit seed
-// gradient of the same shape as v's value.
-func BackwardWithGrad(v *Variable, seed *tensor.Tensor) error {
-	return BackwardWithHook(v, seed, nil)
-}
-
-// BackwardHooked is Backward (scalar output, unit seed) with a
-// gradient-ready hook.
-func BackwardHooked(v *Variable, hook GradHook) error {
-	if v.Value.NumElements() != 1 {
-		return fmt.Errorf("autograd: Backward requires a scalar output, got shape %v", v.Value.Shape())
-	}
-	return backward(v, tensor.FullLike(1, v.Value), hook)
-}
-
 // TimedGradHook observes a leaf gradient becoming final during a backward
 // pass together with the wall-clock time elapsed since the pass began. The
 // per-parameter timings let distributed training place each gradient
@@ -201,18 +179,6 @@ func BackwardTimed(v *Variable, hook TimedGradHook) (time.Duration, error) {
 	}
 	err := backward(v, tensor.FullLike(1, v.Value), wrapped)
 	return time.Since(start), err
-}
-
-// BackwardWithHook is BackwardWithGrad with a gradient-ready hook: as the
-// reverse sweep retires the last consumer of each gradient-requiring leaf,
-// hook fires with that leaf (its Grad is final, though possibly nil when no
-// gradient flowed to it). A nil hook degenerates to BackwardWithGrad. The
-// seed stays the caller's: the root accumulates a copy.
-func BackwardWithHook(v *Variable, seed *tensor.Tensor, hook GradHook) error {
-	if !v.Value.SameShape(seed) {
-		return fmt.Errorf("autograd: seed gradient shape %v does not match output shape %v", seed.Shape(), v.Value.Shape())
-	}
-	return backward(v, seed.Clone(), hook)
 }
 
 // backward is the reverse sweep; seed has v's shape and becomes v's.

@@ -25,17 +25,6 @@ func Add(a, b *Variable) *Variable {
 	}, a, b)
 }
 
-// Sub returns a - b with broadcasting.
-func Sub(a, b *Variable) *Variable {
-	out := tensor.Sub(a.Value, b.Value)
-	if v := untracked(out, a, b); v != nil {
-		return v
-	}
-	return newOp("sub", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		dst[0], dst[1] = reduceGradTo(grad, a.Value), reduceGradTo(grad.Neg(), b.Value)
-	}, a, b)
-}
-
 // Mul returns the element-wise product with broadcasting.
 func Mul(a, b *Variable) *Variable {
 	out := tensor.Mul(a.Value, b.Value)
@@ -48,15 +37,6 @@ func Mul(a, b *Variable) *Variable {
 	}, a, b)
 }
 
-// Neg returns -a.
-func Neg(a *Variable) *Variable {
-	out := a.Value.Neg()
-	if v := untracked(out, a); v != nil {
-		return v
-	}
-	return newOp("neg", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.Neg() }, a)
-}
-
 // ScalarMul returns a * s for a constant scalar s.
 func ScalarMul(a *Variable, s float64) *Variable {
 	out := a.Value.MulScalar(s)
@@ -64,15 +44,6 @@ func ScalarMul(a *Variable, s float64) *Variable {
 		return v
 	}
 	return newOp("scalarMul", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.MulScalar(s) }, a)
-}
-
-// AddScalar returns a + s for a constant scalar s.
-func AddScalar(a *Variable, s float64) *Variable {
-	out := a.Value.AddScalar(s)
-	if v := untracked(out, a); v != nil {
-		return v
-	}
-	return newOp("addScalar", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad }, a)
 }
 
 // MatMul returns the matrix product a @ b for rank-2 variables.
@@ -289,22 +260,6 @@ func softmaxLastAxis(t *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// GatherRows selects rows of a (axis 0) by index — the embedding-lookup
-// primitive. Backward scatter-adds the gradient into the selected rows.
-func GatherRows(a *Variable, indices []int) *Variable {
-	out := a.Value.GatherRows(indices)
-	if v := untracked(out, a); v != nil {
-		return v
-	}
-	return newOp("gatherRows", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		full := tensor.ZerosLike(a.Value)
-		for i, idx := range indices {
-			full.Index(0, idx).AddInPlace(grad.Index(0, i))
-		}
-		dst[0] = full
-	}, a)
-}
-
 // LayerNorm normalizes a over its last axis and applies a learned affine
 // transform: gamma * (x - mu) / sqrt(var + eps) + beta. gamma and beta must
 // be rank-1 with the size of the last axis.
@@ -398,4 +353,18 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 		}
 		dst[0], dst[1], dst[2] = dx, dGamma, dBeta
 	}, a, gamma, beta)
+}
+
+// BMM returns the batched matrix product [B,m,k] x [B,k,n] -> [B,m,n].
+func BMM(a, b *Variable) *Variable {
+	out := tensor.BMM(a.Value, b.Value)
+	if v := untracked(out, a, b); v != nil {
+		return v
+	}
+	return newOp("bmm", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		// grad_a[i] = grad[i] @ b[i]^T ; grad_b[i] = a[i]^T @ grad[i]
+		bt := b.Value.Transpose(1, 2).Contiguous()
+		at := a.Value.Transpose(1, 2).Contiguous()
+		dst[0], dst[1] = tensor.BMM(grad, bt), tensor.BMM(at, grad)
+	}, a, b)
 }

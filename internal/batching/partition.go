@@ -37,33 +37,12 @@ func NewPartitionStore(ds *IndexDataset, workers int) (*PartitionStore, error) {
 	return &PartitionStore{ds: ds, workers: workers, bounds: bounds}, nil
 }
 
-// OwnerOf returns the rank owning data row `row`.
-func (s *PartitionStore) OwnerOf(row int) int {
-	if row < 0 || row >= s.ds.Data.Dim(0) {
-		panic(fmt.Sprintf("batching: row %d out of range [0,%d)", row, s.ds.Data.Dim(0)))
-	}
-	// bounds is sorted and small (<= workers+1 entries).
-	for w := 0; w < s.workers; w++ {
-		if row < s.bounds[w+1] {
-			return w
-		}
-	}
-	return s.workers - 1
-}
-
 // LocalRows returns the row range [lo, hi) owned by rank.
 func (s *PartitionStore) LocalRows(rank int) (lo, hi int) {
 	if rank < 0 || rank >= s.workers {
 		panic(fmt.Sprintf("batching: rank %d out of range [0,%d)", rank, s.workers))
 	}
 	return s.bounds[rank], s.bounds[rank+1]
-}
-
-// LocalBytes returns the bytes of rank's shard (its share of eq. 2).
-func (s *PartitionStore) LocalBytes(rank int) int64 {
-	lo, hi := s.LocalRows(rank)
-	rowBytes := int64(s.ds.Data.Dim(1)) * int64(s.ds.Data.Dim(2)) * 8
-	return int64(hi-lo) * rowBytes
 }
 
 // rowSpan returns the inclusive-exclusive data-row range a set of snapshot
@@ -100,12 +79,4 @@ func (s *PartitionStore) FetchBatch(rank int, indices []int, buf *BatchBuffer) (
 	}
 	x, y = s.ds.AssembleBatch(indices, buf)
 	return x, y, localBytes, remoteBytes
-}
-
-// MaterializedFetchBytes returns what the same batch would cost under
-// standard DDP: every snapshot ships its full 2*horizon-row window,
-// overlaps and all (the Fig. 9 baseline volume).
-func (s *PartitionStore) MaterializedFetchBytes(indices []int) int64 {
-	rowBytes := int64(s.ds.Data.Dim(1)) * int64(s.ds.Data.Dim(2)) * 8
-	return int64(len(indices)) * int64(2*s.ds.Horizon) * rowBytes
 }

@@ -38,12 +38,6 @@ type StandardResult struct {
 // NumSnapshots returns the number of (x, y) pairs.
 func (r *StandardResult) NumSnapshots() int { return r.X.Dim(0) }
 
-// Snapshot returns the i-th materialized (x, y) pair as views into the
-// stacked arrays.
-func (r *StandardResult) Snapshot(i int) (x, y *tensor.Tensor) {
-	return r.X.Index(0, i), r.Y.Index(0, i)
-}
-
 // Batch gathers the given snapshot indices into fresh batched tensors of
 // shape [B, horizon, N, F].
 func (r *StandardResult) Batch(indices []int) (x, y *tensor.Tensor) {

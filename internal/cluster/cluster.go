@@ -105,12 +105,9 @@ type Cluster struct {
 	ringIn  []chan []float64
 	barrier *timeBarrier
 
-	// Point-to-point fabric and AllGather scratch (see collectives.go).
-	p2pOnce     sync.Once
-	mailboxes   []chan message
-	gatherOnce  sync.Once
-	gatherMu    sync.Mutex
-	gatherSlots [][]float64
+	// Point-to-point fabric (see collectives.go).
+	p2pOnce   sync.Once
+	mailboxes []chan message
 }
 
 // New constructs a cluster with cfg.Workers workers.
@@ -135,15 +132,8 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Size returns the worker count.
-func (c *Cluster) Size() int { return c.cfg.Workers }
-
 // Net returns the inter-node network model.
 func (c *Cluster) Net() NetworkModel { return c.cfg.Net }
-
-// IntraNet returns the intra-node network model used by hierarchical
-// collectives.
-func (c *Cluster) IntraNet() NetworkModel { return c.cfg.IntraNet }
 
 // Run executes fn concurrently on every worker and waits for completion,
 // returning the first error. Virtual clocks start at zero.

@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"time"
-
-	"pgti/internal/fault"
 )
 
 // Fault integration: a cluster armed with a fault.Plan injects the plan's
@@ -35,9 +33,6 @@ type WorkerLostError struct {
 func (e *WorkerLostError) Error() string {
 	return fmt.Sprintf("cluster: worker %d lost at %v (detected %v)", e.Rank, e.At, e.Detected)
 }
-
-// Faults returns the armed fault plan, nil when none.
-func (w *Worker) Faults() *fault.Plan { return w.cluster.cfg.Faults }
 
 // ScaleCompute inflates a modeled compute duration by this rank's active
 // straggler factor at the current virtual time. With no plan armed or no

@@ -95,10 +95,6 @@ type FP16Codec struct {
 	residual []float64
 }
 
-// Residual exposes the current error-feedback residual (nil before the
-// first encode). Tests use it to bound the cumulative drift.
-func (c *FP16Codec) Residual() []float64 { return c.residual }
-
 // ApplyInPlace replaces every element with its half-precision wire value
 // after folding in the residual, and retains the new quantization error:
 //
@@ -134,18 +130,4 @@ func (c *FP16Codec) ApplyInPlace(vec []float64) {
 			c.residual[i] = want - sent
 		}
 	}
-}
-
-// Encode quantizes vec (plus residual) to the fp16 wire payload, updating
-// the residual exactly like ApplyInPlace (which it delegates to, so the
-// residual rule lives in one place).
-func (c *FP16Codec) Encode(vec []float64) []uint16 {
-	tmp := append([]float64(nil), vec...)
-	c.ApplyInPlace(tmp)
-	out := make([]uint16, len(tmp))
-	for i, v := range tmp {
-		// v is already an exact half value (or NaN), so this is lossless.
-		out[i] = Float16FromFloat64(v)
-	}
-	return out
 }

@@ -197,6 +197,15 @@ type Config struct {
 	Events EventFunc
 }
 
+// CheckScale is Validate's rule for Scale, for a caller that reads a scale
+// before it builds a Config (the command line).
+func CheckScale(scale float64) error {
+	if !(scale >= 0 && scale <= 1) { // also rejects NaN
+		return invalidf("Scale", "scale %v outside (0, 1] (0 selects full size)", scale)
+	}
+	return nil
+}
+
 // Validate is the one table of illegal configurations: every entrance to the
 // trainer — the public options (NewExperiment, Stream.Retrain and its
 // per-round options), Run, and a hand-built Engine — rejects the same config
@@ -219,8 +228,8 @@ func (c *Config) Validate() error {
 	if spatial {
 		world *= c.Shards
 	}
-	if !(c.Scale >= 0 && c.Scale <= 1) { // also rejects NaN
-		return invalidf("Scale", "scale %v outside (0, 1] (0 selects full size)", c.Scale)
+	if err := CheckScale(c.Scale); err != nil {
+		return err
 	}
 	if !(c.MissingFrac >= 0 && c.MissingFrac < 1) {
 		return invalidf("MissingFrac", "missing fraction %v outside [0, 1)", c.MissingFrac)

@@ -97,9 +97,6 @@ func NewEngine(cfg Config) *Engine {
 // partial curve.
 func (e *Engine) Report() *Report { return e.report }
 
-// Config returns the engine's configuration after defaulting.
-func (e *Engine) Config() Config { return e.cfg }
-
 func (e *Engine) emit(ev Event) {
 	if e.cfg.Events != nil {
 		e.cfg.Events(ev)

@@ -31,9 +31,6 @@ type Predictor struct {
 	test []int
 }
 
-// TestWindows returns how many held-out test windows PredictTest can serve.
-func (p *Predictor) TestWindows() int { return len(p.test) }
-
 // Predict forecasts the next Horizon steps from a raw input window. The
 // returned Forecast carries predictions in original signal units; Actual is
 // empty (live inference has no ground truth).

@@ -71,9 +71,6 @@ func NewGenerator(meta Meta, seed uint64) (*Generator, error) {
 // RowLen returns the per-timestep value count, nodes*rawFeatures.
 func (gen *Generator) RowLen() int { return gen.Meta.Nodes * gen.Meta.RawFeatures }
 
-// Step returns the current timestep index (the next Next call's t).
-func (gen *Generator) Step() int { return gen.t }
-
 // Next writes the next timestep into out (length RowLen) and advances the
 // generator state.
 func (gen *Generator) Next(out []float64) {
@@ -317,4 +314,31 @@ func (ds *Dataset) Augmented() *tensor.Tensor {
 		return ds.Data
 	}
 	return AugmentTimeOfDay(ds.Data, ds.Meta.PeriodSteps)
+}
+
+// InjectMissing simulates sensor dropouts: each (entry, node) observation
+// is zeroed with probability frac (zero is the missing-data sentinel of
+// the traffic benchmarks, paired with autograd.MaskedMAELoss). Returns the
+// number of zeroed observations. The tensor is modified in place.
+func InjectMissing(data *tensor.Tensor, frac float64, seed uint64) int {
+	if data.Rank() != 3 {
+		panic(fmt.Sprintf("dataset: InjectMissing expects rank 3, got %v", data.Shape()))
+	}
+	if frac <= 0 {
+		return 0
+	}
+	rng := tensor.NewRNG(seed)
+	entries, nodes, feats := data.Dim(0), data.Dim(1), data.Dim(2)
+	dropped := 0
+	for t := 0; t < entries; t++ {
+		for n := 0; n < nodes; n++ {
+			if rng.Float64() < frac {
+				for f := 0; f < feats; f++ {
+					data.Set(0, t, n, f)
+				}
+				dropped++
+			}
+		}
+	}
+	return dropped
 }

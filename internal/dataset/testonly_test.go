@@ -8,6 +8,10 @@ import (
 	"pgti/internal/tensor"
 )
 
+// Test-only API: the declarations in this file are used by this package's
+// tests but reached from no entry point, so they stay out of the shipped
+// package (TestReachability in the module root keeps it that way).
+
 // DynamicDataset is a *dynamic graph with temporal signal* — the data
 // structure the paper lists as future work (§7): node features evolve as in
 // the static case, and the topology itself changes over time (road
@@ -55,27 +59,6 @@ func GenerateDynamic(meta Meta, seed uint64, graphPeriod int, rewireFrac float64
 	return d, nil
 }
 
-// rewire perturbs a fraction of the graph's edge weights (keeping the
-// structure sparse and weights in (0, 1]); self-loops are preserved.
-func rewire(g *graph.Graph, rng *tensor.RNG, frac float64) *graph.Graph {
-	adj := g.Adj.Clone()
-	for i := range adj.Val {
-		if rng.Float64() < frac {
-			// Scale the edge: closures weaken it, recoveries restore it.
-			adj.Val[i] *= 0.3 + 0.9*rng.Float64()
-			if adj.Val[i] > 1 {
-				adj.Val[i] = 1
-			}
-		}
-	}
-	out, err := graph.NewFromAdjacency(adj)
-	if err != nil {
-		// Clone of a valid square adjacency cannot fail.
-		panic(err)
-	}
-	return out
-}
-
 // GraphAt returns the topology in effect at entry t.
 func (d *DynamicDataset) GraphAt(t int) *graph.Graph {
 	if t < 0 || t >= d.Meta.Entries {
@@ -121,29 +104,23 @@ func (d *DynamicDataset) NumGraphBytes() int64 {
 	return total
 }
 
-// InjectMissing simulates sensor dropouts: each (entry, node) observation
-// is zeroed with probability frac (zero is the missing-data sentinel of
-// the traffic benchmarks, paired with metrics.MaskedMAE). Returns the
-// number of zeroed observations. The tensor is modified in place.
-func InjectMissing(data *tensor.Tensor, frac float64, seed uint64) int {
-	if data.Rank() != 3 {
-		panic(fmt.Sprintf("dataset: InjectMissing expects rank 3, got %v", data.Shape()))
-	}
-	if frac <= 0 {
-		return 0
-	}
-	rng := tensor.NewRNG(seed)
-	entries, nodes, feats := data.Dim(0), data.Dim(1), data.Dim(2)
-	dropped := 0
-	for t := 0; t < entries; t++ {
-		for n := 0; n < nodes; n++ {
-			if rng.Float64() < frac {
-				for f := 0; f < feats; f++ {
-					data.Set(0, t, n, f)
-				}
-				dropped++
+// rewire perturbs a fraction of the graph's edge weights (keeping the
+// structure sparse and weights in (0, 1]); self-loops are preserved.
+func rewire(g *graph.Graph, rng *tensor.RNG, frac float64) *graph.Graph {
+	adj := g.Adj.Clone()
+	for i := range adj.Val {
+		if rng.Float64() < frac {
+			// Scale the edge: closures weaken it, recoveries restore it.
+			adj.Val[i] *= 0.3 + 0.9*rng.Float64()
+			if adj.Val[i] > 1 {
+				adj.Val[i] = 1
 			}
 		}
 	}
-	return dropped
+	out, err := graph.NewFromAdjacency(adj)
+	if err != nil {
+		// Clone of a valid square adjacency cannot fail.
+		panic(err)
+	}
+	return out
 }

@@ -10,7 +10,6 @@
 package device
 
 import (
-	"fmt"
 	"time"
 
 	"pgti/internal/memsim"
@@ -34,13 +33,10 @@ func (k Kind) String() string {
 	return "cpu"
 }
 
-// Polaris hardware constants (per node): 512 GB DDR4, 4x A100 40 GB,
-// PCIe gen4 x16 effective ~25 GB/s with ~10 us launch latency.
+// Polaris PCIe gen4 x16: effective ~25 GB/s with ~10 us launch latency.
 const (
-	PolarisSystemMemory = 512 * memsim.GiB
-	A100Memory          = 40 * memsim.GiB
-	PCIeBandwidth       = 25.0 * float64(memsim.GiB) // bytes/second
-	PCIeLatency         = 10 * time.Microsecond
+	PCIeBandwidth = 25.0 * float64(memsim.GiB) // bytes/second
+	PCIeLatency   = 10 * time.Microsecond
 )
 
 // Device is a memory pool plus a transfer-cost model.
@@ -50,12 +46,6 @@ type Device struct {
 	Mem       *memsim.Tracker
 	bandwidth float64 // H2D/D2H bytes per second
 	latency   time.Duration
-}
-
-// NewCPU returns a host device with the given memory capacity
-// (0 = unlimited).
-func NewCPU(name string, capacity int64) *Device {
-	return &Device{Kind: CPU, Name: name, Mem: memsim.NewTracker(name, capacity)}
 }
 
 // NewGPU returns a simulated accelerator with the given memory capacity and
@@ -68,17 +58,6 @@ func NewGPU(name string, capacity int64) *Device {
 		bandwidth: PCIeBandwidth,
 		latency:   PCIeLatency,
 	}
-}
-
-// NewPolarisNode returns the paper's test platform: one 512 GB host and four
-// 40 GB A100s.
-func NewPolarisNode() (*Device, []*Device) {
-	host := NewCPU("host", PolarisSystemMemory)
-	gpus := make([]*Device, 4)
-	for i := range gpus {
-		gpus[i] = NewGPU(fmt.Sprintf("gpu%d", i), A100Memory)
-	}
-	return host, gpus
 }
 
 // TransferTime returns the modeled time to move bytes between the host and

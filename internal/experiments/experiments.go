@@ -37,7 +37,7 @@ type Options struct {
 	Quick bool
 	// Progress, when set, receives live per-epoch progress lines from the
 	// measured runs (wired through the engine's typed event stream;
-	// pgti-bench's -progress flag). Nil keeps runs silent.
+	// pgti bench's -progress flag). Nil keeps runs silent.
 	Progress io.Writer
 }
 

@@ -179,11 +179,6 @@ func (p *Plan) normalize() {
 	})
 }
 
-// Empty reports whether the plan schedules no faults at all.
-func (p *Plan) Empty() bool {
-	return p == nil || (len(p.Crashes) == 0 && len(p.Degrades) == 0 && len(p.Stragglers) == 0)
-}
-
 // Validate checks the schedule against a grid of `world` ranks: every rank
 // in range, at most one crash per rank, at least one survivor, factors >= 1,
 // and well-ordered windows. A nil plan is valid.

@@ -163,12 +163,3 @@ func EdgeCut(g *Graph, owner []int) int {
 	}
 	return cut
 }
-
-// PartSizes returns the node count per part.
-func PartSizes(owner []int, parts int) []int {
-	sizes := make([]int, parts)
-	for _, p := range owner {
-		sizes[p]++
-	}
-	return sizes
-}

@@ -12,26 +12,6 @@ import (
 // edges — no longer hand one shard a disproportionate compute bill. The
 // elastic repartitioner uses the same weights as its load proxy.
 
-// DegreeWeights returns per-node weights proportional to the symmetrized
-// degree (stored out- plus in-entries), the structural proxy for the SpMM
-// work a node contributes to its shard. Every weight is at least 1 so
-// isolated nodes still occupy space in a block.
-func DegreeWeights(g *Graph) []float64 {
-	w := make([]float64, g.N)
-	for u := 0; u < g.N; u++ {
-		w[u] += float64(g.Adj.RowPtr[u+1] - g.Adj.RowPtr[u])
-	}
-	for k := 0; k < g.Adj.NNZ(); k++ {
-		w[g.Adj.ColIdx[k]]++
-	}
-	for u := range w {
-		if w[u] < 1 {
-			w[u] = 1
-		}
-	}
-	return w
-}
-
 // PartitionWeighted assigns every node of g to one of `parts` blocks
 // balanced by total node weight, using the same greedy BFS growth plus
 // boundary locality refinement as Partition. Deterministic for a given graph
@@ -198,14 +178,4 @@ func refineLocalityWeighted(g *Graph, owner []int, parts, passes int, weights []
 			break
 		}
 	}
-}
-
-// WeightedSizes returns the total node weight per part — the weighted
-// analogue of PartSizes.
-func WeightedSizes(owner []int, parts int, weights []float64) []float64 {
-	sizes := make([]float64, parts)
-	for u, p := range owner {
-		sizes[p] += weights[u]
-	}
-	return sizes
 }

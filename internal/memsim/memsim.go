@@ -12,7 +12,6 @@ package memsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -61,9 +60,6 @@ type Tracker struct {
 func NewTracker(name string, capacity int64) *Tracker {
 	return &Tracker{name: name, capacity: capacity, labels: map[string]int64{}}
 }
-
-// Name returns the tracker's name.
-func (t *Tracker) Name() string { return t.name }
 
 // Capacity returns the configured capacity (0 = unlimited).
 func (t *Tracker) Capacity() int64 { return t.capacity }
@@ -146,35 +142,12 @@ func (t *Tracker) LabelBytes(label string) int64 {
 	return t.labels[label]
 }
 
-// Labels returns a sorted snapshot of the per-label usage.
-func (t *Tracker) Labels() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.labels))
-	for l := range t.labels {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Record appends a progress-indexed sample of current usage, building the
 // memory-over-time curves of Figs. 2 and 6.
 func (t *Tracker) Record(progress float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.series = append(t.series, Sample{Progress: progress, Bytes: t.current})
-}
-
-// RecordValue appends a sample with an explicit byte value (used when
-// replaying modeled stage sequences).
-func (t *Tracker) RecordValue(progress float64, bytes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.series = append(t.series, Sample{Progress: progress, Bytes: bytes})
-	if bytes > t.peak {
-		t.peak = bytes
-	}
 }
 
 // Series returns a copy of the recorded samples.
@@ -184,15 +157,6 @@ func (t *Tracker) Series() []Sample {
 	out := make([]Sample, len(t.series))
 	copy(out, t.series)
 	return out
-}
-
-// Reset clears usage, peak, labels, and samples.
-func (t *Tracker) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.current, t.peak = 0, 0
-	t.labels = map[string]int64{}
-	t.series = nil
 }
 
 // FormatBytes renders a byte count with binary prefixes.

@@ -1,6 +1,7 @@
-// Package metrics provides the error metrics and running statistics used by
-// the evaluation: MAE (the paper's headline metric), MSE, RMSE, masked
-// variants for missing sensor readings, and epoch-level accumulators.
+// Package metrics provides the test-set MSE, the running means that average
+// per-batch losses into per-epoch ones, and the training curve they fill.
+// MAE, the paper's headline metric, is the training loss itself
+// (autograd.MAELoss, autograd.MaskedMAELoss for missing sensor readings).
 package metrics
 
 import (
@@ -10,41 +11,11 @@ import (
 	"pgti/internal/tensor"
 )
 
-// MAE returns the mean absolute error between two same-shaped tensors.
-func MAE(pred, target *tensor.Tensor) float64 {
-	checkShapes("MAE", pred, target)
-	return tensor.Sub(pred, target).Abs().MeanAll()
-}
-
 // MSE returns the mean squared error.
 func MSE(pred, target *tensor.Tensor) float64 {
 	checkShapes("MSE", pred, target)
 	d := tensor.Sub(pred, target)
 	return tensor.Mul(d, d).MeanAll()
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(pred, target *tensor.Tensor) float64 { return math.Sqrt(MSE(pred, target)) }
-
-// MaskedMAE returns the MAE over entries where target != maskValue,
-// matching the missing-data convention of the traffic benchmarks (sensor
-// dropouts are encoded as zeros). Returns 0 when everything is masked.
-func MaskedMAE(pred, target *tensor.Tensor, maskValue float64) float64 {
-	checkShapes("MaskedMAE", pred, target)
-	p := pred.Contiguous().Data()
-	tg := target.Contiguous().Data()
-	var sum float64
-	var n int
-	for i := range tg {
-		if tg[i] != maskValue {
-			sum += math.Abs(p[i] - tg[i])
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 func checkShapes(op string, a, b *tensor.Tensor) {
@@ -74,17 +45,6 @@ func (r *Running) Mean() float64 { return r.mean }
 
 // Count returns the accumulated weight.
 func (r *Running) Count() int { return r.n }
-
-// Merge combines another accumulator into r (used when reducing worker
-// metrics).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	total := r.n + o.n
-	r.mean = (r.mean*float64(r.n) + o.mean*float64(o.n)) / float64(total)
-	r.n = total
-}
 
 // EpochRecord is one row of a training curve.
 type EpochRecord struct {

@@ -53,26 +53,10 @@ func (c *DCGRUCell) InitState(b, n int) *autograd.Variable {
 //	c~   = tanh(DConv([x, r*h]))
 //	h'   = u*h + (1-u)*c~
 func (c *DCGRUCell) Step(x, h *autograd.Variable) *autograd.Variable {
-	return c.step(c.gates.Forward, c.candidate.Forward, x, h)
-}
-
-// StepOn advances the recurrence using the given support matrices — the
-// dynamic-graph path, where the sensor topology at this time step may
-// differ from the construction-time graph.
-func (c *DCGRUCell) StepOn(supports []*sparse.CSR, x, h *autograd.Variable) *autograd.Variable {
-	return c.step(
-		func(v *autograd.Variable) *autograd.Variable { return c.gates.ForwardOn(supports, v) },
-		func(v *autograd.Variable) *autograd.Variable { return c.candidate.ForwardOn(supports, v) },
-		x, h)
-}
-
-// step is the single copy of the GRU recurrence; gates and candidate apply
-// the two diffusion convolutions (static, sharded, or dynamic-graph).
-func (c *DCGRUCell) step(gates, candidate func(*autograd.Variable) *autograd.Variable, x, h *autograd.Variable) *autograd.Variable {
 	xh := autograd.Concat(2, x, h)
-	ru := autograd.Sigmoid(gates(xh))
+	ru := autograd.Sigmoid(c.gates.Forward(xh))
 	r := autograd.Slice(ru, 2, 0, c.Hidden)
 	u := autograd.Slice(ru, 2, c.Hidden, 2*c.Hidden)
-	cand := autograd.Tanh(candidate(autograd.Concat(2, x, autograd.Mul(r, h))))
+	cand := autograd.Tanh(c.candidate.Forward(autograd.Concat(2, x, autograd.Mul(r, h))))
 	return autograd.Add(autograd.Mul(u, h), autograd.Mul(autograd.OneMinus(u), cand))
 }

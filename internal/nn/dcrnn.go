@@ -90,14 +90,6 @@ func (m *DCRNN) Forward(x *autograd.Variable) *autograd.Variable {
 	return m.forward(x, nil, 0, nil)
 }
 
-// ForwardWithTeacher runs the decoder with scheduled sampling (the original
-// DCRNN's curriculum learning): at each decode step the previous *ground
-// truth* is fed with probability teacherProb, the model's own prediction
-// otherwise. target has shape [B, Horizon, N, 1].
-func (m *DCRNN) ForwardWithTeacher(x *autograd.Variable, target *tensor.Tensor, teacherProb float64, rng *tensor.RNG) *autograd.Variable {
-	return m.forward(x, target, teacherProb, rng)
-}
-
 func (m *DCRNN) forward(x *autograd.Variable, target *tensor.Tensor, teacherProb float64, rng *tensor.RNG) *autograd.Variable {
 	shape := x.Shape()
 	if len(shape) != 4 || shape[3] != m.In {
@@ -190,30 +182,15 @@ func (m *PGTDCRNN) OutSteps() int { return m.Steps }
 // Forward maps x [B, T, N, In] to stepwise predictions [B, T, N, 1],
 // maintaining a hidden state across the window.
 func (m *PGTDCRNN) Forward(x *autograd.Variable) *autograd.Variable {
-	return m.ForwardDynamic(x, nil)
-}
-
-// ForwardDynamic runs the recurrence with per-step support matrices —
-// a dynamic graph with temporal signal, the extension the paper lists as
-// future work (§7). supportsPerStep[t] supplies the topology at window
-// step t; a nil slice (or nil entry) falls back to the static graph.
-func (m *PGTDCRNN) ForwardDynamic(x *autograd.Variable, supportsPerStep [][]*sparse.CSR) *autograd.Variable {
 	shape := x.Shape()
 	if len(shape) != 4 || shape[3] != m.In {
 		panic(fmt.Sprintf("nn: PGTDCRNN expects [B,T,N,%d], got %v", m.In, shape))
 	}
 	b, steps, n := shape[0], shape[1], shape[2]
-	if supportsPerStep != nil && len(supportsPerStep) != steps {
-		panic(fmt.Sprintf("nn: ForwardDynamic got %d support sets for %d steps", len(supportsPerStep), steps))
-	}
 	h := m.cell.InitState(b, n)
 	outputs := make([]*autograd.Variable, 0, steps)
 	for t := 0; t < steps; t++ {
-		if supportsPerStep != nil && supportsPerStep[t] != nil {
-			h = m.cell.StepOn(supportsPerStep[t], stepInput(x, t), h)
-		} else {
-			h = m.cell.Step(stepInput(x, t), h)
-		}
+		h = m.cell.Step(stepInput(x, t), h)
 		outputs = append(outputs, m.proj.Forward(h))
 	}
 	return autograd.Stack(1, outputs...) // [B, T, N, 1]

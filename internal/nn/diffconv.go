@@ -93,34 +93,19 @@ func (dc *DiffusionConv) Parameters() []*Parameter { return dc.proj.Parameters()
 // the layer was constructed with (the static-graph case; N is the local node
 // count under sharding).
 func (dc *DiffusionConv) Forward(x *autograd.Variable) *autograd.Variable {
-	return dc.forwardProps(dc.props, x)
-}
-
-// ForwardOn applies the layer's weights with the given support matrices —
-// the dynamic-graph path (the paper's §7 extension: topology that evolves
-// over time while the learned diffusion filters are shared). The support
-// count must match the layer's construction.
-func (dc *DiffusionConv) ForwardOn(supports []*sparse.CSR, x *autograd.Variable) *autograd.Variable {
-	return dc.forwardProps(WrapSupports(supports), x)
-}
-
-func (dc *DiffusionConv) forwardProps(props []Propagator, x *autograd.Variable) *autograd.Variable {
-	if len(props) != len(dc.props) {
-		panic(fmt.Sprintf("nn: DiffusionConv built for %d supports, got %d", len(dc.props), len(props)))
-	}
 	shape := x.Shape()
 	if len(shape) != 3 || shape[2] != dc.In {
 		panic(fmt.Sprintf("nn: DiffusionConv expects [B,N,%d], got %v", dc.In, shape))
 	}
 	b, n, c := shape[0], shape[1], shape[2]
-	if n != props[0].Nodes() {
-		panic(fmt.Sprintf("nn: DiffusionConv graph has %d nodes, input has %d", props[0].Nodes(), n))
+	if n != dc.props[0].Nodes() {
+		panic(fmt.Sprintf("nn: DiffusionConv graph has %d nodes, input has %d", dc.props[0].Nodes(), n))
 	}
 	// SpMM contracts over the node axis, so fold batch and channels together:
 	// [B,N,C] -> [N, B*C].
 	xNodeMajor := autograd.Reshape(autograd.Transpose(x, 0, 1), n, b*c)
 	feats := []*autograd.Variable{xNodeMajor}
-	for _, p := range props {
+	for _, p := range dc.props {
 		cur := xNodeMajor
 		for k := 0; k < dc.K; k++ {
 			cur = p.Propagate(cur)

@@ -1,8 +1,8 @@
 // Package nn implements the neural network layers and models evaluated in
 // the PGT-I paper: diffusion convolution, the DCGRU recurrent cell, the
 // original encoder–decoder DCRNN, the lightweight PGT-DCRNN variant, A3T-GCN
-// (TGCN + temporal attention) and an ST-LLM-lite transformer model, plus SGD
-// and Adam optimizers. All models consume batched sequence-to-sequence
+// (TGCN + temporal attention) and an ST-LLM-lite transformer model, plus the
+// Adam optimizer. All models consume batched sequence-to-sequence
 // snapshots of shape [B, T, N, F] and emit predictions [B, T', N, Fout].
 package nn
 
@@ -82,21 +82,6 @@ func CopyParameters(dst, src Module) error {
 		p.Tensor().CopyFrom(sp[i].Tensor())
 	}
 	return nil
-}
-
-// ParametersEqual reports whether two modules hold identical parameter
-// values (used by DDP consistency tests).
-func ParametersEqual(a, b Module, tol float64) bool {
-	ap, bp := a.Parameters(), b.Parameters()
-	if len(ap) != len(bp) {
-		return false
-	}
-	for i := range ap {
-		if !ap[i].Tensor().AllClose(bp[i].Tensor(), tol) {
-			return false
-		}
-	}
-	return true
 }
 
 // stepInput extracts time step t from a batched window [B, T, N, F] as a

@@ -7,61 +7,6 @@ import (
 	"pgti/internal/tensor"
 )
 
-// Optimizer updates module parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and clears the gradients.
-	Step()
-	// LearningRate returns the current learning rate.
-	LearningRate() float64
-	// SetLearningRate replaces the learning rate (used by LR scaling).
-	SetLearningRate(lr float64)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	params   []*Parameter
-	lr       float64
-	momentum float64
-	velocity []*tensor.Tensor
-}
-
-// NewSGD constructs an SGD optimizer over the module's parameters.
-func NewSGD(m Module, lr, momentum float64) *SGD {
-	params := m.Parameters()
-	s := &SGD{params: params, lr: lr, momentum: momentum}
-	if momentum != 0 {
-		s.velocity = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.Tensor().Shape()...)
-		}
-	}
-	return s
-}
-
-// LearningRate implements Optimizer.
-func (s *SGD) LearningRate() float64 { return s.lr }
-
-// SetLearningRate implements Optimizer.
-func (s *SGD) SetLearningRate(lr float64) { s.lr = lr }
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		if p.V.Grad == nil {
-			continue
-		}
-		g := p.V.Grad
-		if s.momentum != 0 {
-			v := s.velocity[i]
-			v.ScaleInPlace(s.momentum)
-			v.AxpyInPlace(1, g.Contiguous())
-			g = v
-		}
-		p.Tensor().AxpyInPlace(-s.lr, g.Contiguous())
-		p.V.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with PyTorch's default
 // hyperparameters, the optimizer used throughout the paper's evaluation.
 type Adam struct {
@@ -86,12 +31,6 @@ func NewAdam(mod Module, lr float64) *Adam {
 	}
 	return a
 }
-
-// LearningRate implements Optimizer.
-func (a *Adam) LearningRate() float64 { return a.lr }
-
-// SetLearningRate implements Optimizer.
-func (a *Adam) SetLearningRate(lr float64) { a.lr = lr }
 
 // Step implements Optimizer.
 func (a *Adam) Step() {
@@ -186,12 +125,4 @@ func ScaleLR(base float64, workers int) float64 {
 		workers = 1
 	}
 	return base * float64(workers)
-}
-
-// SqrtScaleLR is the gentler sqrt scaling variant (You et al.).
-func SqrtScaleLR(base float64, workers int) float64 {
-	if workers < 1 {
-		workers = 1
-	}
-	return base * math.Sqrt(float64(workers))
 }

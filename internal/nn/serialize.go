@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-
-	"pgti/internal/atomicfile"
 )
 
 // Checkpoint serialization: a minimal, dependency-free binary format for
@@ -132,14 +130,6 @@ func readParams(br *bufio.Reader, m Module) ([][]float64, error) {
 		}
 	}
 	return snap, nil
-}
-
-// SaveCheckpointFile writes a checkpoint to path, atomically: an interrupted
-// save leaves the previous checkpoint intact.
-func SaveCheckpointFile(path string, m Module) error {
-	return atomicfile.Write(path, func(w io.Writer) error {
-		return SaveCheckpoint(w, m)
-	})
 }
 
 // LoadCheckpointFile reads a checkpoint from path.

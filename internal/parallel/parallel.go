@@ -5,12 +5,12 @@
 //
 // Design constraints, in order:
 //
-//   - Bounded concurrency. The whole process never runs more than Workers()
-//     compute goroutines at once, however deeply kernels nest. Helpers are
-//     admitted by a token pool; when no token is free (e.g. a parallel
-//     kernel calls another parallel kernel), the caller simply does the work
-//     itself. Nested calls therefore degrade to serial instead of
-//     oversubscribing or deadlocking.
+//   - Bounded concurrency. The whole process never runs more compute
+//     goroutines at once than the pool width (GOMAXPROCS, or PGTI_WORKERS),
+//     however deeply kernels nest. Helpers are admitted by a token pool;
+//     when no token is free (e.g. a parallel kernel calls another parallel
+//     kernel), the caller simply does the work itself. Nested calls
+//     therefore degrade to serial instead of oversubscribing or deadlocking.
 //   - Caller runs. The goroutine invoking For always participates, so a
 //     parallel region costs no handoff when the pool is busy and small
 //     regions never pay goroutine startup.
@@ -18,7 +18,7 @@
 //     not on the pool width, scheduling, or which goroutine claims a chunk —
 //     so a kernel that writes chunk-indexed results (or reduces per-chunk
 //     partials in chunk order, see Sum) produces bit-identical results on
-//     any machine at any Workers() setting.
+//     any machine at any pool width.
 //   - Panics propagate. A panic in any chunk aborts the remaining chunks
 //     and re-panics the original value in the caller.
 package parallel
@@ -68,9 +68,6 @@ func newPool(width int) *pool {
 	return p
 }
 
-// Workers returns the pool width (the maximum compute parallelism).
-func Workers() int { return current.Load().width }
-
 // SetWorkers resizes the pool and returns the previous width. Width 1 makes
 // every For serial — benchmarks use this to measure the serial baseline.
 // In-flight For calls keep the pool they started with.
@@ -119,8 +116,8 @@ func NumChunks(n, grain int) int {
 
 // For executes fn over disjoint index ranges covering [0, n), each at least
 // grain indices (except possibly the last). fn runs concurrently on up to
-// Workers() goroutines including the caller; it must only write state that
-// is disjoint per index. For returns when all chunks are done.
+// the pool width of goroutines including the caller; it must only write
+// state that is disjoint per index. For returns when all chunks are done.
 func For(n, grain int, fn func(lo, hi int)) {
 	switch NumChunks(n, grain) {
 	case 0:

@@ -22,12 +22,6 @@ func PGTDCRNNDims(n, nnz int) DCGRUDims {
 	return DCGRUDims{Nodes: n, NNZ: nnz, In: 2, Hidden: 64, K: 2, Supports: 2, Steps: 12, Layers: 1}
 }
 
-// DCRNNDims returns the original DCRNN's dimensions (2 encoder + 2 decoder
-// layers).
-func DCRNNDims(n, nnz int) DCGRUDims {
-	return DCGRUDims{Nodes: n, NNZ: nnz, In: 2, Hidden: 64, K: 2, Supports: 2, Steps: 12, Layers: 2, EncoderDecoder: true}
-}
-
 // cellFLOPs returns the forward FLOPs of one DCGRU cell step at batch b
 // with cin input channels.
 func (d DCGRUDims) cellFLOPs(b, cin int) float64 {

@@ -17,11 +17,6 @@ type CostModel struct {
 	Jitter float64
 }
 
-// New returns a cost model with the paper's jitter band.
-func New(seed uint64) *CostModel {
-	return &CostModel{rng: tensor.NewRNG(seed), Jitter: 1}
-}
-
 // NewDeterministic returns a jitter-free cost model.
 func NewDeterministic() *CostModel {
 	return &CostModel{rng: tensor.NewRNG(0), Jitter: 0}
@@ -53,17 +48,6 @@ func (c *CostModel) BatchH2DTime(bytes int64) time.Duration {
 // GPU-index-batching.
 func (c *CostModel) BulkStageTime(bytes int64) time.Duration {
 	return seconds(float64(bytes) / BulkH2DBandwidth)
-}
-
-// BatchAssembleTime returns the host-side collation cost of index-batching
-// one optimizer batch: the gather of batch window views into the contiguous
-// [B, h, N, F] x and y tensors reads each source element and writes its
-// destination once through host memory (factor 2 on the batch volume). This
-// is the per-step cost the training loop's prefetch pipeline hides under the
-// previous step's forward/backward.
-func (c *CostModel) BatchAssembleTime(batch, horizon, nodes, features int) time.Duration {
-	bytes := BatchBytes(batch, horizon, nodes, features)
-	return seconds(2 * float64(bytes) / HostMemBandwidth)
 }
 
 // ReadTime returns the parallel-FS read time for bytes, with the paper's

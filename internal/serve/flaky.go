@@ -38,10 +38,3 @@ func (f *Flaky) ForwardBatch(ws []core.Window) ([]core.Forecast, error) {
 	}
 	return f.backend.ForwardBatch(ws)
 }
-
-// Calls reports how many ForwardBatch calls the replica has seen.
-func (f *Flaky) Calls() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.calls
-}

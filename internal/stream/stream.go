@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"pgti/internal/dataset"
-	"pgti/internal/graph"
 	"pgti/internal/tensor"
 )
 
@@ -93,17 +92,8 @@ func NewSource(meta dataset.Meta, seed uint64, opts Options) (*Source, error) {
 	return s, nil
 }
 
-// Graph returns the sensor graph shared by every window of the stream.
-func (s *Source) Graph() *graph.Graph { return s.gen.Graph }
-
-// Meta returns the stream's dataset metadata (the offline shape).
-func (s *Source) Meta() dataset.Meta { return s.meta }
-
 // Window returns the ring capacity in timesteps.
 func (s *Source) Window() int { return s.opts.Window }
-
-// Total returns the stream length in timesteps.
-func (s *Source) Total() int { return s.opts.Total }
 
 // run is the ingest goroutine: produce timesteps in order, blocking while
 // the ring is full of unreleased history.

@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"testing"
+
+	"pgti/internal/parallel"
 	"testing/quick"
 )
 
@@ -162,3 +164,23 @@ func TestMatMulTiledBitwiseIdentical(t *testing.T) {
 		}
 	}
 }
+
+// Cache-blocked vs naive MatMul at a size whose b matrix (1024x1024, 8 MiB)
+// overflows L2: the tiled kernel reuses each [64,256] panel of b across the
+// whole row block instead of streaming all of b per output row. The win is
+// modest — the scalar Go kernel is FMA-bound, not bandwidth-bound — but the
+// blocking keeps large products from thrashing once k*n outgrows the cache.
+// Serial width isolates the cache effect from the pool.
+func benchMatMul1024(b *testing.B, mul func(a, b *Tensor) *Tensor) {
+	rng := NewRNG(2)
+	x := Randn(rng, 1024, 1024)
+	y := Randn(rng, 1024, 1024)
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mul(x, y)
+	}
+}
+
+func BenchmarkMatMulNaiveSerial1024(b *testing.B) { benchMatMul1024(b, MatMulNaive) }
+func BenchmarkMatMulTiledSerial1024(b *testing.B) { benchMatMul1024(b, MatMul) }

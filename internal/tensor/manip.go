@@ -76,9 +76,6 @@ func (t *Tensor) GatherRows(indices []int) *Tensor {
 	return out
 }
 
-// Flatten returns a rank-1 view (contiguous t) or copy of t's elements.
-func (t *Tensor) Flatten() *Tensor { return t.Reshape(t.NumElements()) }
-
 // String renders small tensors fully and large tensors as a summary.
 func (t *Tensor) String() string {
 	n := t.NumElements()

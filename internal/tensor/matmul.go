@@ -31,13 +31,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return matMul(a, b, matmulRowsTiled)
 }
 
-// MatMulNaive is the oracle: the plain ikj loop in Go, with no tiling and no
-// SIMD. MatMul, MatMulNT and MatMulTN must agree with it bitwise, and it is
-// the ablation baseline of the serial-vs-tiled benchmark.
-func MatMulNaive(a, b *Tensor) *Tensor {
-	return matMul(a, b, matmulRows)
-}
-
 func matMul(a, b *Tensor, rows func(a, b, out []float64, lo, hi, k, n int)) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v and %v", a.shape, b.shape))
@@ -198,38 +191,4 @@ func MatMulTN(a, g *Tensor) *Tensor {
 		}
 	})
 	return out
-}
-
-// MatVec returns the matrix-vector product a @ x for a rank-2 a ([m,k]) and
-// rank-1 x ([k]), yielding a rank-1 result ([m]).
-func MatVec(a, x *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(x.shape) != 1 {
-		panic(fmt.Sprintf("tensor: MatVec requires [m,k] x [k], got %v and %v", a.shape, x.shape))
-	}
-	res := MatMul(a, x.Reshape(x.shape[0], 1))
-	return res.Reshape(a.shape[0])
-}
-
-// Outer returns the outer product of two vectors ([m] x [n] -> [m,n]).
-func Outer(a, b *Tensor) *Tensor {
-	if len(a.shape) != 1 || len(b.shape) != 1 {
-		panic(fmt.Sprintf("tensor: Outer requires rank-1 operands, got %v and %v", a.shape, b.shape))
-	}
-	return MatMul(a.Reshape(a.shape[0], 1), b.Reshape(1, b.shape[0]))
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b *Tensor) float64 {
-	if len(a.shape) != 1 || len(b.shape) != 1 || a.shape[0] != b.shape[0] {
-		panic(fmt.Sprintf("tensor: Dot requires equal-length vectors, got %v and %v", a.shape, b.shape))
-	}
-	ad := a.Contiguous().Data()
-	bd := b.Contiguous().Data()
-	return parallel.Sum(len(ad), elemGrain, func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += ad[i] * bd[i]
-		}
-		return s
-	})
 }

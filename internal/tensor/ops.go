@@ -68,9 +68,6 @@ func (t *Tensor) broadcastTo(shape []int) *Tensor {
 	return v
 }
 
-// BroadcastTo returns a read-only zero-copy view of t expanded to shape.
-func (t *Tensor) BroadcastTo(shape ...int) *Tensor { return t.broadcastTo(shape) }
-
 // Binary applies op element-wise with broadcasting and returns a new tensor:
 // one pass and one output for an expression Add, Sub and Mul would build in
 // several.
@@ -139,15 +136,6 @@ func Sub(a, b *Tensor) *Tensor { return Binary(a, b, func(x, y float64) float64 
 // Mul returns the element-wise product a * b with broadcasting.
 func Mul(a, b *Tensor) *Tensor { return Binary(a, b, func(x, y float64) float64 { return x * y }) }
 
-// Div returns the element-wise quotient a / b with broadcasting.
-func Div(a, b *Tensor) *Tensor { return Binary(a, b, func(x, y float64) float64 { return x / y }) }
-
-// Maximum returns the element-wise maximum with broadcasting.
-func Maximum(a, b *Tensor) *Tensor { return Binary(a, b, math.Max) }
-
-// Minimum returns the element-wise minimum with broadcasting.
-func Minimum(a, b *Tensor) *Tensor { return Binary(a, b, math.Min) }
-
 // AddScalar returns t + s.
 func (t *Tensor) AddScalar(s float64) *Tensor {
 	return t.Apply(func(x float64) float64 { return x + s })
@@ -163,12 +151,6 @@ func (t *Tensor) Neg() *Tensor { return t.MulScalar(-1) }
 
 // Abs returns |t| element-wise.
 func (t *Tensor) Abs() *Tensor { return t.Apply(math.Abs) }
-
-// Sqrt returns sqrt(t) element-wise.
-func (t *Tensor) Sqrt() *Tensor { return t.Apply(math.Sqrt) }
-
-// Exp returns exp(t) element-wise.
-func (t *Tensor) Exp() *Tensor { return t.Apply(math.Exp) }
 
 // Sigmoid returns 1/(1+exp(-t)) element-wise.
 func (t *Tensor) Sigmoid() *Tensor {
@@ -234,24 +216,6 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	})
 }
 
-// SubInPlace subtracts o from t element-wise (o broadcast to t's shape).
-func (t *Tensor) SubInPlace(o *Tensor) {
-	t.updateInPlace(o, func(td, od []float64) {
-		for i := range td {
-			td[i] -= od[i]
-		}
-	})
-}
-
-// MulInPlace multiplies t by o element-wise (o broadcast to t's shape).
-func (t *Tensor) MulInPlace(o *Tensor) {
-	t.updateInPlace(o, func(td, od []float64) {
-		for i := range td {
-			td[i] *= od[i]
-		}
-	})
-}
-
 // updateInPlace is the shared body of the broadcasting in-place updates.
 // kernel updates a run of t's elements from the equally long run of o's; the
 // strided fallback feeds it one element at a time. o is only broadcast when
@@ -275,31 +239,4 @@ func (t *Tensor) updateInPlace(o *Tensor, kernel func(td, od []float64)) {
 // ScaleInPlace multiplies every element of t by s.
 func (t *Tensor) ScaleInPlace(s float64) {
 	t.ApplyInPlace(func(x float64) float64 { return x * s })
-}
-
-// AxpyInPlace computes t += alpha * o for same-shaped tensors, the BLAS
-// axpy primitive used by the optimizers and gradient accumulation.
-func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: AxpyInPlace shape mismatch %v vs %v", t.shape, o.shape))
-	}
-	if t.IsContiguous() && o.IsContiguous() {
-		td, od := t.Data(), o.Data()
-		vec := UseSIMD(len(td))
-		parallel.For(len(td), elemGrain, func(lo, hi int) {
-			if vec {
-				Axpy(alpha, od[lo:hi], td[lo:hi])
-				return
-			}
-			for i := lo; i < hi; i++ {
-				td[i] += alpha * od[i]
-			}
-		})
-		return
-	}
-	ti := newIterator(t)
-	oi := newIterator(o)
-	for ti.next() && oi.next() {
-		t.data[ti.pos] += alpha * o.data[oi.pos]
-	}
 }

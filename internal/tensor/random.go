@@ -65,12 +65,6 @@ func (r *RNG) Perm(n int) []int {
 	return idx
 }
 
-// Split derives an independent generator, so parallel components can draw
-// without contending on shared state while staying deterministic.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // Rand returns a tensor of the given shape with uniform [0,1) entries.
 func Rand(r *RNG, shape ...int) *Tensor {
 	t := New(shape...)

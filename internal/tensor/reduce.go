@@ -127,13 +127,3 @@ func (t *Tensor) zerosWithoutAxis(axis int) *Tensor {
 	shape := append(buf[:0], t.shape[:axis]...)
 	return New(append(shape, t.shape[axis+1:]...)...)
 }
-
-// Mean reduces along axis by arithmetic mean.
-func (t *Tensor) Mean(axis int) *Tensor {
-	n := t.shape[axis]
-	out := t.Sum(axis)
-	if n > 0 {
-		out.ScaleInPlace(1 / float64(n))
-	}
-	return out
-}

@@ -2,11 +2,10 @@
 // shape/stride/offset semantics modeled on NumPy ndarrays.
 //
 // The central design requirement, inherited from the PGT-I paper, is
-// zero-copy views: Slice, Narrow, Index, Transpose, Permute, Squeeze,
-// Unsqueeze, BroadcastTo and (for contiguous tensors) Reshape all return
-// tensors that alias the caller's storage. Index-batching builds every
-// spatiotemporal snapshot as such a view, so the memory cost of a snapshot
-// is O(1) regardless of horizon.
+// zero-copy views: Slice, Index, Transpose, Unsqueeze and (for contiguous
+// tensors) Reshape all return tensors that alias the caller's storage.
+// Index-batching builds every spatiotemporal snapshot as such a view, so the
+// memory cost of a snapshot is O(1) regardless of horizon.
 //
 // The copies that remain are explicit and pay for the elements only: Clone,
 // Contiguous and CopyFrom move dense runs with copy() and everything else
@@ -19,7 +18,7 @@
 //
 // # SIMD and the bitwise contract
 //
-// The inner loop of MatMul, MatMulNT, MatMulTN, AxpyInPlace and the sparse
+// The inner loop of MatMul, MatMulNT, MatMulTN and the sparse
 // package's SpMM kernels is y[j] += a*x[j] over one output row. On amd64 CPUs
 // with AVX2, rows at least 8 elements wide go through Axpy, one assembly
 // routine; a kernel decides once per call from its row width, and narrower
@@ -51,7 +50,7 @@ import (
 )
 
 // Tensor is a dense float64 tensor. The zero value is not usable; construct
-// tensors with New, FromSlice, Zeros, Ones, Full, or the random helpers.
+// tensors with New, FromSlice, Ones, Full, or the random helpers.
 type Tensor struct {
 	data    []float64
 	shape   []int
@@ -117,9 +116,6 @@ func ZerosLike(t *Tensor) *Tensor { return New(t.shape...) }
 
 // FullLike returns a tensor with t's shape filled with v.
 func FullLike(v float64, t *Tensor) *Tensor { return Full(v, t.shape...) }
-
-// Zeros is an alias for New, provided for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
 
 // Ones returns a tensor of the given shape filled with 1.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
@@ -295,9 +291,6 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// Zero sets every element of t to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
-
 // Clone returns a contiguous deep copy of t.
 func (t *Tensor) Clone() *Tensor {
 	if t.IsContiguous() {
@@ -399,12 +392,6 @@ func (t *Tensor) Slice(axis, start, end int) *Tensor {
 	return v
 }
 
-// Narrow is a synonym for Slice using (start, length) arguments, mirroring
-// torch.narrow.
-func (t *Tensor) Narrow(axis, start, length int) *Tensor {
-	return t.Slice(axis, start, start+length)
-}
-
 // Index returns a zero-copy view selecting position i along axis, with that
 // axis removed (rank decreases by one).
 func (t *Tensor) Index(axis, i int) *Tensor {
@@ -439,24 +426,6 @@ func (t *Tensor) T() *Tensor {
 		panic(fmt.Sprintf("tensor: T requires rank 2, got shape %v", t.shape))
 	}
 	return t.Transpose(0, 1)
-}
-
-// Permute returns a zero-copy view with axes reordered by perm.
-func (t *Tensor) Permute(perm ...int) *Tensor {
-	if len(perm) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: Permute %v has wrong length for rank %d", perm, len(t.shape)))
-	}
-	seen := make([]bool, len(perm))
-	v := newHeader(t.data, t.offset, len(perm))
-	for i, p := range perm {
-		if p < 0 || p >= len(perm) || seen[p] {
-			panic(fmt.Sprintf("tensor: Permute %v is not a permutation", perm))
-		}
-		seen[p] = true
-		v.shape[i] = t.shape[p]
-		v.strides[i] = t.strides[p]
-	}
-	return v
 }
 
 // Reshape returns a tensor with the given shape and the same elements in
@@ -498,25 +467,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 
 // ReshapeLike is Reshape to o's shape.
 func (t *Tensor) ReshapeLike(o *Tensor) *Tensor { return t.Reshape(o.shape...) }
-
-// Squeeze removes all dimensions of size 1.
-func (t *Tensor) Squeeze() *Tensor {
-	rank := 0
-	for _, d := range t.shape {
-		if d != 1 {
-			rank++
-		}
-	}
-	v := newHeader(t.data, t.offset, rank)
-	k := 0
-	for i, d := range t.shape {
-		if d != 1 {
-			v.shape[k], v.strides[k] = d, t.strides[i]
-			k++
-		}
-	}
-	return v
-}
 
 // Unsqueeze inserts a size-1 dimension at axis.
 func (t *Tensor) Unsqueeze(axis int) *Tensor {

@@ -225,20 +225,6 @@ func (w *Worker) Add(name string, v int64) {
 	w.counters[name] += v
 }
 
-// Gauge raises a high-water gauge on this shard (max across workers in the
-// snapshot).
-func (w *Worker) Gauge(name string, v int64) {
-	if w == nil {
-		return
-	}
-	if w.gauges == nil {
-		w.gauges = make(map[string]int64)
-	}
-	if v > w.gauges[name] {
-		w.gauges[name] = v
-	}
-}
-
 // Recorder is one run's trace sink: per-worker shards plus run-level
 // metrics. The zero of its pointer type (nil) is the disabled recorder.
 type Recorder struct {

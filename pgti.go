@@ -65,8 +65,8 @@
 //
 // The six strategies, four models, and six datasets mirror the paper; see
 // README's "Quick start: the Experiment API" for the drivers that regenerate
-// each table and figure (cmd/pgti-bench) and "Build, test, benchmark" for how
-// the reproduced modeled numbers are pinned.
+// each table and figure (`pgti bench`, cmd/pgti) and "Build, test,
+// benchmark" for how the reproduced modeled numbers are pinned.
 package pgti
 
 import (

@@ -5,10 +5,10 @@ GO ?= go
 # is a reviewed decision, not a quick fix for a red build.
 COVER_FLOORS = internal/shard:85 internal/cluster:90 internal/graph:90 internal/core:85 internal/sparse:85 internal/autograd:80 internal/serve:85 internal/stream:85 internal/fault:95 .:75
 
-.PHONY: ci build vet fmt-check test purego cross-vet race fuzz-smoke cover bench bench-smoke bench-host-smoke step-profile trace-smoke stream-smoke chaos-smoke
+.PHONY: ci build vet fmt-check test purego poison cross-vet race fuzz-smoke cover bench bench-smoke bench-host-smoke step-profile trace-smoke stream-smoke chaos-smoke
 
 ## ci runs the exact tier-1 gate the CI workflow enforces.
-ci: build vet fmt-check test purego cross-vet race fuzz-smoke bench-smoke bench-host-smoke
+ci: build vet fmt-check test purego poison cross-vet race fuzz-smoke bench-smoke bench-host-smoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ test:
 ## fallback is tested on an amd64 runner too.
 purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/sparse ./internal/autograd ./internal/nn
+
+## poison runs the tensor arena's users with the arenapoison tag: every
+## Reset and every uninitialised hand-out of a tensor.Arena fills NaN, so a
+## kernel that reads storage it did not write, or a read after a Reset, turns
+## a pinned curve or golden (TestModeledGoldens included) into NaN and fails.
+poison:
+	$(GO) test -tags arenapoison ./internal/tensor ./internal/sparse ./internal/autograd \
+		./internal/nn ./internal/shard ./internal/core .
 
 ## cross-vet type-checks and vets the tree for arm64, where the fallback is
 ## the only build; on amd64 `go vet`'s asmdecl check covers the assembly.

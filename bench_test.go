@@ -299,7 +299,7 @@ func benchAdd(b *testing.B, workers int) {
 	rng := tensor.NewRNG(11)
 	x := tensor.Randn(rng, 2048, 2048)
 	y := tensor.Randn(rng, 2048, 2048)
-	benchWithWorkers(b, workers, func() { tensor.Add(x, y) })
+	benchWithWorkers(b, workers, func() { tensor.Binary(x, y, func(u, v float64) float64 { return u + v }) })
 }
 
 func BenchmarkElementwiseAddSerial(b *testing.B)   { benchAdd(b, 1) }
@@ -333,7 +333,7 @@ func benchBMM(b *testing.B, workers int) {
 	rng := tensor.NewRNG(15)
 	x := tensor.Randn(rng, 64, 128, 64)
 	y := tensor.Randn(rng, 64, 64, 128)
-	benchWithWorkers(b, workers, func() { tensor.BMM(x, y) })
+	benchWithWorkers(b, workers, func() { tensor.BMMInto(tensor.New(64, 128, 128), x, y) })
 }
 
 func BenchmarkBMMSerial(b *testing.B)   { benchBMM(b, 1) }

@@ -15,9 +15,12 @@
 // hands the upstream gradient to both inputs), and does not share storage
 // with the root's gradient, which outlives the pass. Anything else — a
 // slice of a larger buffer, a strided view, a second or later contribution —
-// is cloned or added in place as before. A Grad is therefore always the
-// sole reference to its storage, and optimizers, clipping and the gradient
-// hooks of other goroutines may mutate or read it freely.
+// is cloned or added in place as before. On a pass whose root lives in an
+// arena a leaf never adopts: its first gradient is copied to the heap, for
+// the stale schedule, ddp.FlattenGrads and ClipGradNorm read it after the
+// arena has moved on to the next step. A Grad is therefore always the sole
+// reference to its storage, and optimizers, clipping and the gradient hooks
+// of other goroutines may mutate or read it freely.
 //
 // What makes this safe is a contract on every backward closure:
 //
@@ -45,6 +48,12 @@
 // are bitwise those of a recorded forward. A recorded op is one allocation
 // holding its output Variable, its tape entry and up to three inputs, plus
 // its backward closure.
+//
+// A tensor.Arena travels with the inputs the same way: from a ConstantIn or
+// NoGradIn leaf, every op takes its output, and its backward closure the
+// gradients it writes, from its inputs' arena, and hands the arena on. Its
+// Reset must wait until the forward, the tape and every intermediate
+// gradient are dead. A nil arena is the heap, as for Constant and NoGrad.
 package autograd
 
 import (
@@ -61,6 +70,9 @@ type Variable struct {
 	requiresGrad bool
 	noGrad       bool // NoGrad, or an op output that descends from one
 	op           *opRecord
+	// arena backs the op outputs and gradients computed from this
+	// variable (nil: the heap); see ConstantIn.
+	arena *tensor.Arena
 }
 
 // opRecord captures how a variable was produced.
@@ -100,6 +112,26 @@ func NoGrad(t *tensor.Tensor) *Variable {
 	return &Variable{Value: t, noGrad: true}
 }
 
+// ConstantIn is Constant over the arena ar (see the package comment).
+func ConstantIn(ar *tensor.Arena, t *tensor.Tensor) *Variable {
+	return &Variable{Value: t, arena: ar}
+}
+
+// NoGradIn is NoGrad over the arena ar.
+func NoGradIn(ar *tensor.Arena, t *tensor.Tensor) *Variable {
+	return &Variable{Value: t, noGrad: true, arena: ar}
+}
+
+// arenaOf returns the first arena among an op's inputs: its output's.
+func arenaOf(inputs ...*Variable) *tensor.Arena {
+	for _, in := range inputs {
+		if in.arena != nil {
+			return in.arena
+		}
+	}
+	return nil
+}
+
 // RequiresGrad reports whether gradients flow to this variable.
 func (v *Variable) RequiresGrad() bool { return v.requiresGrad }
 
@@ -116,19 +148,19 @@ func untracked(value *tensor.Tensor, inputs ...*Variable) *Variable {
 	record := false
 	for _, in := range inputs {
 		if in.noGrad {
-			return &Variable{Value: value, noGrad: true}
+			return &Variable{Value: value, noGrad: true, arena: arenaOf(inputs...)}
 		}
 		record = record || in.requiresGrad
 	}
 	if record {
 		return nil
 	}
-	return &Variable{Value: value}
+	return &Variable{Value: value, arena: arenaOf(inputs...)}
 }
 
 // newOp records an op of at most three inputs, held inline in its node.
 func newOp(name string, value *tensor.Tensor, backward backwardFunc, inputs ...*Variable) *Variable {
-	n := &tapeNode{v: Variable{Value: value, requiresGrad: true}, op: opRecord{name: name, backward: backward}}
+	n := &tapeNode{v: Variable{Value: value, requiresGrad: true, arena: arenaOf(inputs...)}, op: opRecord{name: name, backward: backward}}
 	n.v.op = &n.op
 	n.op.inputs = n.in[:copy(n.in[:], inputs)]
 	return &n.v
@@ -137,7 +169,7 @@ func newOp(name string, value *tensor.Tensor, backward backwardFunc, inputs ...*
 // newOpN records an op over any number of inputs; it keeps the slice.
 func newOpN(name string, value *tensor.Tensor, backward backwardFunc, inputs []*Variable) *Variable {
 	v := newOp(name, value, backward)
-	v.op.inputs = inputs
+	v.op.inputs, v.arena = inputs, arenaOf(inputs...)
 	return v
 }
 
@@ -245,6 +277,8 @@ func backward(v *Variable, seed *tensor.Tensor, hook GradHook) error {
 				switch {
 				case in.Grad != nil:
 					in.Grad.AddInPlace(g)
+				case in.op == nil && v.arena != nil:
+					in.Grad = g.Clone() // the arena is reused by the next step
 				case g.SpansStorage() && !g.SharesStorage(v.Grad) && !sharesAny(g, adopted):
 					in.Grad = g
 					adopted = append(adopted, g)
@@ -322,13 +356,13 @@ func topoSort(root *Variable) ([]*Variable, error) {
 }
 
 // reduceGradTo sums grad over broadcast dimensions so that it matches like's
-// shape — the adjoint of broadcasting. A grad that already matches is
-// returned as it is.
-func reduceGradTo(grad, like *tensor.Tensor) *tensor.Tensor {
+// shape — the adjoint of broadcasting — with the sums' storage from ar. A
+// grad that already matches is returned as it is.
+func reduceGradTo(ar *tensor.Arena, grad, like *tensor.Tensor) *tensor.Tensor {
 	g := grad
 	// Remove leading broadcast dimensions.
 	for g.Rank() > like.Rank() {
-		g = g.Sum(0)
+		g = ar.Sum(g, 0)
 	}
 	// Sum over dimensions where the target size is 1, in ascending order.
 	// Each Sum drops its axis, so like's axis sits `summed` places lower in
@@ -336,12 +370,12 @@ func reduceGradTo(grad, like *tensor.Tensor) *tensor.Tensor {
 	summed := 0
 	for axis := 0; axis < like.Rank(); axis++ {
 		if like.Dim(axis) == 1 && g.Dim(axis-summed) != 1 {
-			g = g.Sum(axis - summed)
+			g = ar.Sum(g, axis-summed)
 			summed++
 		}
 	}
 	if summed > 0 {
 		return g.ReshapeLike(like)
 	}
-	return g.Contiguous()
+	return ar.Contiguous(g)
 }

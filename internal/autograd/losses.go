@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"fmt"
+	"math"
 
 	"pgti/internal/tensor"
 )
@@ -13,15 +14,15 @@ func MAELoss(pred *Variable, target *tensor.Tensor) *Variable {
 	if !pred.Value.SameShape(target) {
 		panic(fmt.Sprintf("autograd: MAELoss shape mismatch %v vs %v", pred.Value.Shape(), target.Shape()))
 	}
-	diff := tensor.Sub(pred.Value, target)
-	out := tensor.Scalar(diff.Abs().MeanAll())
+	diff := tensor.BinaryInto(pred.arena.Like(target), pred.Value, target, sub)
+	out := tensor.Scalar(diff.ApplyInto(pred.arena.Like(diff), math.Abs).MeanAll())
 	n := float64(pred.Value.NumElements())
 	if v := untracked(out, pred); v != nil {
 		return v
 	}
 	return newOp("mae", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		scale := grad.Item() / n
-		g := diff.Apply(func(v float64) float64 {
+		g := diff.ApplyInto(pred.arena.Like(diff), func(v float64) float64 {
 			switch {
 			case v > 0:
 				return scale
@@ -43,7 +44,7 @@ func MaskedMAELoss(pred *Variable, target *tensor.Tensor, maskValue float64) *Va
 	if !pred.Value.SameShape(target) {
 		panic(fmt.Sprintf("autograd: MaskedMAELoss shape mismatch %v vs %v", pred.Value.Shape(), target.Shape()))
 	}
-	diff := tensor.Sub(pred.Value, target)
+	diff := tensor.BinaryInto(pred.arena.Like(target), pred.Value, target, sub)
 	td := target.Contiguous().Data()
 	dd := diff.Contiguous()
 	var sum float64
@@ -68,7 +69,7 @@ func MaskedMAELoss(pred *Variable, target *tensor.Tensor, maskValue float64) *Va
 	}
 	return newOp("maskedMAE", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		scale := grad.Item() / n
-		g := tensor.ZerosLike(pred.Value)
+		g := pred.arena.ZerosLike(pred.Value)
 		gd := g.Data()
 		ddv := dd.Data()
 		for i, tv := range td {
@@ -91,11 +92,14 @@ func MSELoss(pred *Variable, target *tensor.Tensor) *Variable {
 	if !pred.Value.SameShape(target) {
 		panic(fmt.Sprintf("autograd: MSELoss shape mismatch %v vs %v", pred.Value.Shape(), target.Shape()))
 	}
-	diff := tensor.Sub(pred.Value, target)
-	out := tensor.Scalar(tensor.Mul(diff, diff).MeanAll())
+	diff := tensor.BinaryInto(pred.arena.Like(target), pred.Value, target, sub)
+	out := tensor.Scalar(tensor.BinaryInto(pred.arena.Like(diff), diff, diff, mul).MeanAll())
 	n := float64(pred.Value.NumElements())
 	if v := untracked(out, pred); v != nil {
 		return v
 	}
-	return newOp("mse", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = diff.MulScalar(2 * grad.Item() / n) }, pred)
+	return newOp("mse", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		s := 2 * grad.Item() / n
+		dst[0] = diff.ApplyInto(pred.arena.Like(diff), func(x float64) float64 { return x * s })
+	}, pred)
 }

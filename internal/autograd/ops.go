@@ -16,105 +16,124 @@ const rowKernelThreshold = 4 * 1024
 
 // Add returns a + b with broadcasting.
 func Add(a, b *Variable) *Variable {
-	out := tensor.Add(a.Value, b.Value)
+	ar := arenaOf(a, b)
+	out := tensor.BinaryInto(ar.Broadcast(a.Value, b.Value), a.Value, b.Value, add)
 	if v := untracked(out, a, b); v != nil {
 		return v
 	}
 	return newOp("add", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		dst[0], dst[1] = reduceGradTo(grad, a.Value), reduceGradTo(grad, b.Value)
+		dst[0], dst[1] = reduceGradTo(ar, grad, a.Value), reduceGradTo(ar, grad, b.Value)
 	}, a, b)
 }
 
+func add(x, y float64) float64 { return x + y }
+func sub(x, y float64) float64 { return x - y }
+func mul(x, y float64) float64 { return x * y }
+
 // Mul returns the element-wise product with broadcasting.
 func Mul(a, b *Variable) *Variable {
-	out := tensor.Mul(a.Value, b.Value)
+	ar := arenaOf(a, b)
+	out := tensor.BinaryInto(ar.Broadcast(a.Value, b.Value), a.Value, b.Value, mul)
 	if v := untracked(out, a, b); v != nil {
 		return v
 	}
 	return newOp("mul", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		dst[0] = reduceGradTo(tensor.Mul(grad, b.Value), a.Value)
-		dst[1] = reduceGradTo(tensor.Mul(grad, a.Value), b.Value)
+		dst[0] = reduceGradTo(ar, tensor.BinaryInto(ar.Broadcast(grad, b.Value), grad, b.Value, mul), a.Value)
+		dst[1] = reduceGradTo(ar, tensor.BinaryInto(ar.Broadcast(grad, a.Value), grad, a.Value, mul), b.Value)
 	}, a, b)
 }
 
 // ScalarMul returns a * s for a constant scalar s.
 func ScalarMul(a *Variable, s float64) *Variable {
-	out := a.Value.MulScalar(s)
+	scale := func(x float64) float64 { return x * s }
+	out := a.Value.ApplyInto(a.arena.Like(a.Value), scale)
 	if v := untracked(out, a); v != nil {
 		return v
 	}
-	return newOp("scalarMul", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.MulScalar(s) }, a)
+	return newOp("scalarMul", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.ApplyInto(a.arena.Like(grad), scale) }, a)
 }
 
-// MatMul returns the matrix product a @ b for rank-2 variables.
+// MatMul returns the matrix product a @ b for rank-2 variables. Its input
+// gradient multiplies by a dense copy of bᵀ, whose rows stream through SIMD.
 func MatMul(a, b *Variable) *Variable {
-	out := tensor.MatMul(a.Value, b.Value)
+	ar := arenaOf(a, b)
+	out := tensor.MatMulInto(ar.New(a.Value.Dim(0), b.Value.Dim(b.Value.Rank()-1)), a.Value, b.Value)
 	if v := untracked(out, a, b); v != nil {
 		return v
 	}
 	return newOp("matmul", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		dst[0], dst[1] = tensor.MatMulNT(grad, b.Value), tensor.MatMulTN(a.Value, grad)
+		dst[0] = tensor.MatMulInto(ar.Like(a.Value), grad, ar.Contiguous(b.Value.T()))
+		dst[1] = tensor.MatMulTNInto(ar.Like(b.Value), a.Value, grad)
 	}, a, b)
 }
 
 // SpMM returns the sparse-dense product m @ x, where the sparse operand is a
 // constant (graph structure carries no gradient). Backward: grad_x = m^T @ g.
 func SpMM(m *sparse.CSR, x *Variable) *Variable {
-	out := m.SpMM(x.Value)
+	out := m.SpMMInto(x.arena.New(m.RowsN, x.Value.Dim(x.Value.Rank()-1)), x.Value)
 	if v := untracked(out, x); v != nil {
 		return v
 	}
-	return newOp("spmm", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = m.Transposed().SpMM(grad) }, x)
+	return newOp("spmm", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = m.Transposed().SpMMInto(x.arena.Like(x.Value), grad)
+	}, x)
 }
 
 // OneMinus returns 1 - a, the gating complement of GRU-style cells, as one
 // op. 1-v and (-v)+1 round alike, so it is bitwise AddScalar(Neg(a), 1).
 func OneMinus(a *Variable) *Variable {
-	out := a.Value.Apply(func(v float64) float64 { return 1 - v })
+	out := a.Value.ApplyInto(a.arena.Like(a.Value), func(v float64) float64 { return 1 - v })
 	if v := untracked(out, a); v != nil {
 		return v
 	}
-	return newOp("oneMinus", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.Neg() }, a)
+	return newOp("oneMinus", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = grad.ApplyInto(a.arena.Like(grad), func(x float64) float64 { return x * -1 })
+	}, a)
 }
 
 // Sigmoid returns the element-wise logistic function. Backward is one pass,
 // g*(s*(1-s)), rounded as the derivative tensor times g would be.
 func Sigmoid(a *Variable) *Variable {
-	s := a.Value.Sigmoid()
+	s := a.Value.ApplyInto(a.arena.Like(a.Value), func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
 	if v := untracked(s, a); v != nil {
 		return v
 	}
 	return newOp("sigmoid", s, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		dst[0] = tensor.Binary(grad, s, func(g, v float64) float64 { return g * (v * (1 - v)) })
+		dst[0] = tensor.BinaryInto(a.arena.Broadcast(grad, s), grad, s, func(g, v float64) float64 { return g * (v * (1 - v)) })
 	}, a)
 }
 
 // Tanh returns the element-wise hyperbolic tangent. Backward is one pass,
 // g*(1-t*t), rounded as the derivative tensor times g would be.
 func Tanh(a *Variable) *Variable {
-	t := a.Value.Tanh()
+	t := a.Value.ApplyInto(a.arena.Like(a.Value), math.Tanh)
 	if v := untracked(t, a); v != nil {
 		return v
 	}
 	return newOp("tanh", t, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		dst[0] = tensor.Binary(grad, t, func(g, v float64) float64 { return g * (1 - v*v) })
+		dst[0] = tensor.BinaryInto(a.arena.Broadcast(grad, t), grad, t, func(g, v float64) float64 { return g * (1 - v*v) })
 	}, a)
 }
 
 // Relu returns max(a, 0) element-wise.
 func Relu(a *Variable) *Variable {
-	out := a.Value.Relu()
+	out := a.Value.ApplyInto(a.arena.Like(a.Value), func(x float64) float64 {
+		if x > 0 {
+			return x
+		}
+		return 0
+	})
 	if v := untracked(out, a); v != nil {
 		return v
 	}
 	return newOp("relu", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		mask := a.Value.Apply(func(v float64) float64 {
+		mask := a.Value.ApplyInto(a.arena.Like(a.Value), func(v float64) float64 {
 			if v > 0 {
 				return 1
 			}
 			return 0
 		})
-		dst[0] = tensor.Mul(grad, mask)
+		dst[0] = tensor.BinaryInto(a.arena.Broadcast(grad, mask), grad, mask, mul)
 	}, a)
 }
 
@@ -124,7 +143,8 @@ func Concat(axis int, vars ...*Variable) *Variable {
 	for i, v := range vars {
 		vals[i] = v.Value
 	}
-	out := tensor.Concat(axis, vals...)
+	ar := arenaOf(vars...)
+	out := ar.Concat(axis, vals...)
 	if v := untracked(out, vars...); v != nil {
 		return v
 	}
@@ -132,7 +152,7 @@ func Concat(axis int, vars ...*Variable) *Variable {
 		pos := 0
 		for i, v := range vars {
 			n := v.Value.Dim(axis)
-			dst[i] = grad.Slice(axis, pos, pos+n).Contiguous()
+			dst[i] = ar.Contiguous(grad.Slice(axis, pos, pos+n))
 			pos += n
 		}
 	}, vars)
@@ -144,13 +164,14 @@ func Stack(axis int, vars ...*Variable) *Variable {
 	for i, v := range vars {
 		vals[i] = v.Value
 	}
-	out := tensor.Stack(axis, vals...)
+	ar := arenaOf(vars...)
+	out := ar.Stack(axis, vals...)
 	if v := untracked(out, vars...); v != nil {
 		return v
 	}
 	return newOpN("stack", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		for i := range dst {
-			dst[i] = grad.Index(axis, i).Contiguous()
+			dst[i] = ar.Contiguous(grad.Index(axis, i))
 		}
 	}, vars)
 }
@@ -164,18 +185,20 @@ func Slice(a *Variable, axis, start, end int) *Variable {
 		return v
 	}
 	return newOp("slice", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		dst[0] = tensor.ZerosLike(a.Value)
+		dst[0] = a.arena.ZerosLike(a.Value)
 		dst[0].Slice(axis, start, end).CopyFrom(grad)
 	}, a)
 }
 
 // Reshape returns a reshaped variable.
 func Reshape(a *Variable, shape ...int) *Variable {
-	out := a.Value.Reshape(shape...)
+	out := a.arena.Contiguous(a.Value).Reshape(shape...)
 	if v := untracked(out, a); v != nil {
 		return v
 	}
-	return newOp("reshape", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.ReshapeLike(a.Value) }, a)
+	return newOp("reshape", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = a.arena.Contiguous(grad).ReshapeLike(a.Value)
+	}, a)
 }
 
 // Transpose exchanges two axes.
@@ -184,7 +207,7 @@ func Transpose(a *Variable, x, y int) *Variable {
 	if v := untracked(out, a); v != nil {
 		return v
 	}
-	return newOp("transpose", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.Transpose(x, y).Contiguous() }, a)
+	return newOp("transpose", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = a.arena.Contiguous(grad.Transpose(x, y)) }, a)
 }
 
 // SumAll reduces a to a scalar by summation.
@@ -193,7 +216,10 @@ func SumAll(a *Variable) *Variable {
 	if v := untracked(out, a); v != nil {
 		return v
 	}
-	return newOp("sumAll", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = tensor.FullLike(grad.Item(), a.Value) }, a)
+	return newOp("sumAll", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
+		dst[0] = a.arena.Like(a.Value)
+		dst[0].Fill(grad.Item())
+	}, a)
 }
 
 // MeanAll reduces a to a scalar by arithmetic mean.
@@ -204,32 +230,34 @@ func MeanAll(a *Variable) *Variable {
 		return v
 	}
 	return newOp("meanAll", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		dst[0] = tensor.FullLike(grad.Item()/float64(n), a.Value)
+		dst[0] = a.arena.Like(a.Value)
+		dst[0].Fill(grad.Item() / float64(n))
 	}, a)
 }
 
 // Softmax applies softmax along the last axis.
 func Softmax(a *Variable) *Variable {
-	out := softmaxLastAxis(a.Value)
+	out := softmaxLastAxis(a.arena, a.Value)
 	if v := untracked(out, a); v != nil {
 		return v
 	}
 	return newOp("softmax", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		// dL/dx = s * (g - sum(g*s, last axis, keepdims))
-		gs := tensor.Mul(grad, out)
+		gs := tensor.BinaryInto(a.arena.Broadcast(grad, out), grad, out, mul)
 		last := out.Rank() - 1
-		sum := gs.Sum(last).Unsqueeze(last)
-		dst[0] = tensor.Mul(out, tensor.Sub(grad, sum))
+		sum := a.arena.Sum(gs, last).Unsqueeze(last)
+		diff := tensor.BinaryInto(a.arena.Broadcast(grad, sum), grad, sum, sub)
+		dst[0] = tensor.BinaryInto(a.arena.Broadcast(out, diff), out, diff, mul)
 	}, a)
 }
 
-func softmaxLastAxis(t *tensor.Tensor) *tensor.Tensor {
+func softmaxLastAxis(ar *tensor.Arena, t *tensor.Tensor) *tensor.Tensor {
 	last := t.Rank() - 1
 	if last < 0 {
 		panic("autograd: Softmax requires rank >= 1")
 	}
 	tc := t.Contiguous()
-	out := tensor.ZerosLike(t)
+	out := ar.Like(t)
 	cols := t.Dim(last)
 	rows := t.NumElements() / cols
 	src := tc.Data()
@@ -269,10 +297,11 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 	if gamma.Value.Rank() != 1 || gamma.Value.Dim(0) != cols || beta.Value.Rank() != 1 || beta.Value.Dim(0) != cols {
 		panic(fmt.Sprintf("autograd: LayerNorm affine params must be rank-1 of size %d", cols))
 	}
+	ar := arenaOf(a, gamma, beta)
 	ac := a.Value.Contiguous()
 	rows := a.Value.NumElements() / cols
 	src := ac.Data()
-	norm := tensor.ZerosLike(a.Value)
+	norm := ar.Like(a.Value)
 	nd := norm.Data()
 	invStd := make([]float64, rows)
 	// Row statistics are independent; fan the row loop over the worker pool.
@@ -298,7 +327,8 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 			}
 		}
 	})
-	out := tensor.Add(tensor.Mul(norm, gamma.Value), beta.Value)
+	scaled := tensor.BinaryInto(ar.Broadcast(norm, gamma.Value), norm, gamma.Value, mul)
+	out := tensor.BinaryInto(ar.Broadcast(scaled, beta.Value), scaled, beta.Value, add)
 	if v := untracked(out, a, gamma, beta); v != nil {
 		return v
 	}
@@ -306,10 +336,10 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 		gc := grad.Contiguous()
 		gd := gc.Data()
 		gammaD := gamma.Value.Contiguous().Data()
-		dx := tensor.ZerosLike(a.Value)
+		dx := ar.Like(a.Value)
 		dxd := dx.Data()
-		dGamma := tensor.New(cols)
-		dBeta := tensor.New(cols)
+		dGamma := ar.ZerosLike(gamma.Value)
+		dBeta := ar.ZerosLike(beta.Value)
 		dgd := dGamma.Data()
 		dbd := dBeta.Data()
 		// dx rows are disjoint; the dGamma/dBeta accumulators are shared, so
@@ -317,13 +347,14 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 		// chunk order afterwards — deterministic on any pool width, since
 		// the chunk layout depends only on (rows, grain).
 		grain := parallel.GrainFor(2*cols, rowKernelThreshold)
+		// The partials come from the arena before the fan-out: an Arena
+		// serves one goroutine.
 		chunks := parallel.NumChunks(rows, grain)
-		partG := make([][]float64, chunks)
-		partB := make([][]float64, chunks)
+		parts := ar.New(2*chunks, cols).Data()
 		parallel.ForIndexed(rows, grain, func(c, lo, hi int) {
-			pg := make([]float64, cols)
-			pb := make([]float64, cols)
-			partG[c], partB[c] = pg, pb
+			pg, pb := parts[2*c*cols:(2*c+1)*cols], parts[(2*c+1)*cols:(2*c+2)*cols]
+			clear(pg)
+			clear(pb)
 			for r := lo; r < hi; r++ {
 				grow := gd[r*cols : (r+1)*cols]
 				nrow := nd[r*cols : (r+1)*cols]
@@ -347,8 +378,8 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 		})
 		for c := 0; c < chunks; c++ {
 			for i := 0; i < cols; i++ {
-				dgd[i] += partG[c][i]
-				dbd[i] += partB[c][i]
+				dgd[i] += parts[2*c*cols+i]
+				dbd[i] += parts[(2*c+1)*cols+i]
 			}
 		}
 		dst[0], dst[1], dst[2] = dx, dGamma, dBeta
@@ -357,14 +388,16 @@ func LayerNorm(a, gamma, beta *Variable, eps float64) *Variable {
 
 // BMM returns the batched matrix product [B,m,k] x [B,k,n] -> [B,m,n].
 func BMM(a, b *Variable) *Variable {
-	out := tensor.BMM(a.Value, b.Value)
+	ar := arenaOf(a, b)
+	out := tensor.BMMInto(ar.New(a.Value.Dim(0), a.Value.Dim(1), b.Value.Dim(2)), a.Value, b.Value)
 	if v := untracked(out, a, b); v != nil {
 		return v
 	}
 	return newOp("bmm", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		// grad_a[i] = grad[i] @ b[i]^T ; grad_b[i] = a[i]^T @ grad[i]
-		bt := b.Value.Transpose(1, 2).Contiguous()
-		at := a.Value.Transpose(1, 2).Contiguous()
-		dst[0], dst[1] = tensor.BMM(grad, bt), tensor.BMM(at, grad)
+		bt := ar.Contiguous(b.Value.Transpose(1, 2))
+		at := ar.Contiguous(a.Value.Transpose(1, 2))
+		dst[0] = tensor.BMMInto(ar.Like(a.Value), grad, bt)
+		dst[1] = tensor.BMMInto(ar.Like(b.Value), at, grad)
 	}, a, b)
 }

@@ -60,14 +60,14 @@ func ShardSpMM(block *sparse.ShardCSR, ex HaloExchange, x *Variable) *Variable {
 		panic(fmt.Sprintf("autograd: ShardSpMM block has %d cols, want %d own + %d halo", local.ColsN, nOwn, ex.NumHalo()))
 	}
 	f := x.Value.Dim(1)
-	xc := x.Value.Contiguous()
+	xc := x.arena.Contiguous(x.Value)
 	ex.GatherStart(xc) // always started: peers may need our rows
-	out := tensor.New(nOwn, f)
+	out := x.arena.New(nOwn, f)
 	local.SpMMRowsInto(block.Interior, xc, out) // interior columns all fall in [own]
 	halo := ex.GatherFinish()
 	ext := xc
 	if ex.NumHalo() > 0 {
-		ext = tensor.Concat(0, xc, halo)
+		ext = x.arena.Concat(0, xc, halo)
 	}
 	local.SpMMRowsInto(block.Frontier, ext, out)
 
@@ -77,14 +77,14 @@ func ShardSpMM(block *sparse.ShardCSR, ex HaloExchange, x *Variable) *Variable {
 	return newOp("shardSpMM", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		// Mirrored: the transposed block's halo rows yield the halo
 		// gradient, which ships while the own rows are multiplied.
-		gc := grad.Contiguous()
+		gc := x.arena.Contiguous(grad)
 		lt := local.Transposed()
-		gext := tensor.New(local.ColsN, f)
+		gext := x.arena.New(local.ColsN, f)
 		lt.SpMMRowRangeInto(nOwn, local.ColsN, gc, gext)
 		ex.ScatterAddStart(gext.Slice(0, nOwn, local.ColsN).Contiguous())
 		lt.SpMMRowRangeInto(0, nOwn, gc, gext)
 		own := gext.Slice(0, 0, nOwn).Contiguous()
 		remote := ex.ScatterAddFinish()
-		dst[0] = tensor.Add(own, remote)
+		dst[0] = tensor.BinaryInto(x.arena.Broadcast(own, remote), own, remote, add)
 	}, x)
 }

@@ -92,10 +92,10 @@ func TestShardSpMMSingleShardMatchesSpMM(t *testing.T) {
 func referenceShardSpMM(local *sparse.CSR, x, halo, grad, remote *tensor.Tensor) (out, xGrad *tensor.Tensor) {
 	ext := x
 	if halo.Dim(0) > 0 {
-		ext = tensor.Concat(0, x, halo)
+		ext = heap.Concat(0, x, halo)
 	}
 	gext := local.Transposed().SpMM(grad)
-	return local.SpMM(ext), tensor.Add(gext.Slice(0, 0, local.RowsN).Contiguous(), remote)
+	return local.SpMM(ext), tensor.Binary(gext.Slice(0, 0, local.RowsN).Contiguous(), remote, add)
 }
 
 // TestShardSpMMOverlapBitwise: the interior-first split-phase schedule must

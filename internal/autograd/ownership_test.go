@@ -142,7 +142,7 @@ func TestAdoptionMatchesCloningEngine(t *testing.T) {
 	}
 	a2, b2, w2 := NewVariable(av), NewVariable(bv), NewVariable(wv)
 	for _, v := range []*Variable{a2, b2, w2} {
-		v.Grad = tensor.ZerosLike(v.Value)
+		v.Grad = tensor.New(v.Value.Shape()...)
 	}
 	if err := Backward(expr(a2, b2, w2)); err != nil {
 		t.Fatal(err)
@@ -189,9 +189,9 @@ func TestBroadcastGradientReducesInAscendingAxisOrder(t *testing.T) {
 	a, b, c := leaf(rng, 5, 2, 3, 4), leaf(rng, 1, 3, 1), leaf(rng, 4)
 	root := Neg(Add(Add(a, b), c))
 	_, want := backwardFrom(t, rng, root)
-	g := want.Neg()
-	wantB := g.Sum(0).Sum(0).Sum(1).Reshape(1, 3, 1) // [5,2,3,4] -> [2,3,4] -> [3,4] -> [3]
-	wantC := g.Sum(0).Sum(0).Sum(0)
+	g := want.MulScalar(-1)
+	wantB := heap.Sum(heap.Sum(heap.Sum(g, 0), 0), 1).Reshape(1, 3, 1) // [5,2,3,4] -> [2,3,4] -> [3,4] -> [3]
+	wantC := heap.Sum(heap.Sum(heap.Sum(g, 0), 0), 0)
 	if !b.Grad.Equal(wantB) || !c.Grad.Equal(wantC) || !a.Grad.Equal(g) {
 		t.Fatalf("broadcast gradients: b %v want %v; c %v want %v", b.Grad, wantB, c.Grad, wantC)
 	}

@@ -52,17 +52,17 @@ func Sub(a, b *Variable) *Variable {
 		return v
 	}
 	return newOp("sub", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		dst[0], dst[1] = reduceGradTo(grad, a.Value), reduceGradTo(grad.Neg(), b.Value)
+		dst[0], dst[1] = reduceGradTo(nil, grad, a.Value), reduceGradTo(nil, grad.MulScalar(-1), b.Value)
 	}, a, b)
 }
 
 // Neg returns -a.
 func Neg(a *Variable) *Variable {
-	out := a.Value.Neg()
+	out := a.Value.MulScalar(-1)
 	if v := untracked(out, a); v != nil {
 		return v
 	}
-	return newOp("neg", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.Neg() }, a)
+	return newOp("neg", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) { dst[0] = grad.MulScalar(-1) }, a)
 }
 
 // AddScalar returns a + s for a constant scalar s.
@@ -82,7 +82,7 @@ func GatherRows(a *Variable, indices []int) *Variable {
 		return v
 	}
 	return newOp("gatherRows", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		full := tensor.ZerosLike(a.Value)
+		full := tensor.New(a.Value.Shape()...)
 		for i, idx := range indices {
 			full.Index(0, idx).AddInPlace(grad.Index(0, i))
 		}
@@ -104,8 +104,8 @@ func Div(a, b *Variable) *Variable {
 	return newOp("div", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
 		ga := div(grad, b.Value)
 		// d(a/b)/db = -a/b^2
-		gb := tensor.Mul(grad, div(out, b.Value)).Neg()
-		dst[0], dst[1] = reduceGradTo(ga, a.Value), reduceGradTo(gb, b.Value)
+		gb := tensor.Mul(grad, div(out, b.Value)).MulScalar(-1)
+		dst[0], dst[1] = reduceGradTo(nil, ga, a.Value), reduceGradTo(nil, gb, b.Value)
 	}, a, b)
 }
 
@@ -149,13 +149,13 @@ func Pow(a *Variable, p float64) *Variable {
 
 // SumAxis reduces along axis by summation, removing the axis.
 func SumAxis(a *Variable, axis int) *Variable {
-	out := a.Value.Sum(axis)
+	out := heap.Sum(a.Value, axis)
 	n := a.Value.Dim(axis)
 	if v := untracked(out, a); v != nil {
 		return v
 	}
 	return newOp("sumAxis", out, func(grad *tensor.Tensor, dst []*tensor.Tensor) {
-		dst[0] = tensor.Add(tensor.New(insertAxis(grad.Shape(), axis, n)...), grad.Unsqueeze(axis))
+		dst[0] = tensor.Binary(tensor.New(insertAxis(grad.Shape(), axis, n)...), grad.Unsqueeze(axis), add)
 	}, a)
 }
 
@@ -175,7 +175,7 @@ func Dropout(a *Variable, p float64, rng *tensor.RNG) *Variable {
 	if p >= 1 {
 		panic(fmt.Sprintf("autograd: Dropout probability %v must be < 1", p))
 	}
-	mask := tensor.ZerosLike(a.Value)
+	mask := tensor.New(a.Value.Shape()...)
 	md := mask.Data()
 	scale := 1 / (1 - p)
 	for i := range md {
@@ -263,3 +263,6 @@ func insertAxis(shape []int, axis, size int) []int {
 	out = append(out, shape[axis:]...)
 	return out
 }
+
+// heap is the nil arena, whose methods return ordinary heap tensors.
+var heap *tensor.Arena

@@ -440,8 +440,8 @@ func (f Forecast) MAE() float64 {
 }
 
 // buildModel constructs the configured model over the dataset's graph.
-func buildModel(kind ModelKind, seed uint64, supports []*sparse.CSR, in, hidden, k, horizon, nodes int) nn.SeqModel {
-	return buildModelOn(kind, seed, nn.WrapSupports(supports), in, hidden, k, horizon, nodes)
+func buildModel(kind ModelKind, rng *tensor.RNG, supports []*sparse.CSR, in, hidden, k, horizon, nodes int) nn.SeqModel {
+	return buildModelOn(kind, rng, nn.WrapSupports(supports), in, hidden, k, horizon, nodes)
 }
 
 // Run executes the configured strategy in measured mode: the staged Engine
@@ -454,9 +454,10 @@ func Run(cfg Config) (*Report, error) {
 
 // buildModelOn constructs the configured model over explicit propagators —
 // full-graph supports or one shard's halo-exchanging blocks. ST-LLM attends
-// over all nodes and takes no propagators (it has no sharded form).
-func buildModelOn(kind ModelKind, seed uint64, props []nn.Propagator, in, hidden, k, horizon, nodes int) nn.SeqModel {
-	rng := tensor.NewRNG(seed)
+// over all nodes and takes no propagators (it has no sharded form). The
+// weights are drawn from rng; a nil rng leaves them zero, for a model whose
+// weights are copied in next.
+func buildModelOn(kind ModelKind, rng *tensor.RNG, props []nn.Propagator, in, hidden, k, horizon, nodes int) nn.SeqModel {
 	switch kind {
 	case ModelDCRNN:
 		return nn.NewDCRNNOn(rng, props, nn.DCRNNConfig{In: in, Hidden: hidden, Layers: 2, K: k, Horizon: horizon})

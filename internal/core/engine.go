@@ -320,7 +320,7 @@ func (e *Engine) loadInto(model nn.SeqModel) (*nn.TrainState, error) {
 // fullModel builds a freshly-initialized model over the whole graph.
 func (e *Engine) fullModel() nn.SeqModel {
 	cfg := &e.cfg
-	return buildModel(cfg.Model, cfg.Seed, e.supports, e.in, cfg.Hidden, cfg.K, e.meta.Horizon, e.meta.Nodes)
+	return buildModel(cfg.Model, tensor.NewRNG(cfg.Seed), e.supports, e.in, cfg.Hidden, cfg.K, e.meta.Horizon, e.meta.Nodes)
 }
 
 // checkpointInit loads the configured checkpoint (or in-memory WarmParams
@@ -400,7 +400,7 @@ func (e *Engine) buildGrid() error {
 	in := meta.Features()
 	e.trainSupports = supports
 	e.factory = func(seed uint64, props []nn.Propagator) nn.SeqModel {
-		return buildModelOn(cfg.Model, seed, props, in, cfg.Hidden, cfg.K, meta.Horizon, meta.Nodes)
+		return buildModelOn(cfg.Model, tensor.NewRNG(seed), props, in, cfg.Hidden, cfg.K, meta.Horizon, meta.Nodes)
 	}
 	model := e.factory(cfg.Seed, nn.WrapSupports(supports))
 	init, startEpoch, err := e.checkpointInit(model)

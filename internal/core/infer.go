@@ -106,12 +106,13 @@ func CheckSwap(live, next *InferCore) error {
 
 // NewInferCore builds a warm inference core over a private clone of the
 // fitted model: the clone shares no tensors with the engine, so a later Fit
-// (serve-while-retrain) never races the serving weights.
+// (serve-while-retrain) never races the serving weights. The clone is built
+// with zero weights, which the copy then overwrites.
 func (e *Engine) NewInferCore() (*InferCore, error) {
 	if e.stage < stageFitted {
 		return nil, fmt.Errorf("core: inference core before fit: %w", ErrNotFitted)
 	}
-	clone := e.fullModel()
+	clone := buildModel(e.cfg.Model, nil, e.supports, e.in, e.cfg.Hidden, e.cfg.K, e.meta.Horizon, e.meta.Nodes)
 	if err := nn.CopyParameters(clone, e.model); err != nil {
 		return nil, err
 	}

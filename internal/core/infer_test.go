@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pgti/internal/nn"
+	"pgti/internal/tensor"
 )
 
 // fittedEngine trains a tiny run and returns the engine plus a set of
@@ -170,7 +171,7 @@ func TestInferCoreValidation(t *testing.T) {
 		t.Fatal("short window must be rejected")
 	}
 	wide := *c
-	wide.model = buildModel(e.cfg.Model, e.cfg.Seed, e.supports, e.in, 2*e.cfg.Hidden, e.cfg.K, e.meta.Horizon, e.meta.Nodes)
+	wide.model = buildModel(e.cfg.Model, tensor.NewRNG(e.cfg.Seed), e.supports, e.in, 2*e.cfg.Hidden, e.cfg.K, e.meta.Horizon, e.meta.Nodes)
 	if err := CheckSwap(c, &wide); err == nil {
 		t.Fatal("a core with other parameter shapes must not replace the served one")
 	}

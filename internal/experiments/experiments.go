@@ -26,7 +26,8 @@ import (
 type Options struct {
 	// Out receives the experiment's report (defaults to io.Discard).
 	Out io.Writer
-	// Scale is the measured-mode dataset scale factor (default 0.02).
+	// Scale is the measured-mode dataset scale factor, in (0, 1]; 0 selects
+	// the default 0.02, and Run rejects anything else.
 	Scale float64
 	// Epochs is the measured-mode epoch budget (default 6).
 	Epochs int
@@ -45,7 +46,7 @@ func (o Options) filled() Options {
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
-	if o.Scale <= 0 || o.Scale > 1 {
+	if o.Scale == 0 {
 		o.Scale = 0.02
 	}
 	if o.Epochs <= 0 {
@@ -112,11 +113,14 @@ func IDs() []string {
 	return ids
 }
 
-// Run executes the experiment with the given id.
+// Run executes the experiment with the given id; core.CheckScale vets Scale.
 func Run(id string, opt Options) error {
 	f, ok := registry[strings.ToLower(id)]
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (available: %s)", id, strings.Join(IDs(), ", "))
+	}
+	if err := core.CheckScale(opt.Scale); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	return f(opt)
 }

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
+	"pgti/internal/core"
 	"pgti/internal/memsim"
 )
 
@@ -210,6 +214,22 @@ func TestSparkline(t *testing.T) {
 	}
 	if sparkline(nil, 10) != "" {
 		t.Fatal("empty series must render empty")
+	}
+}
+
+// TestRunRejectsOutOfRangeScale: Run and RunAll refuse a Scale the engine
+// would refuse, instead of running at another scale; 0 still selects the
+// default.
+func TestRunRejectsOutOfRangeScale(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), -0.5, 5} {
+		opt := Options{Out: io.Discard, Quick: true, Scale: scale}
+		var invalid *core.InvalidConfigError
+		if err := Run("table1", opt); !errors.As(err, &invalid) {
+			t.Fatalf("Run at scale %v: %v, want an invalid-config error", scale, err)
+		}
+		if err := RunAll(opt); !errors.As(err, &invalid) {
+			t.Fatalf("RunAll at scale %v: %v, want an invalid-config error", scale, err)
+		}
 	}
 }
 

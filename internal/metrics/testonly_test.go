@@ -13,7 +13,7 @@ import (
 // MAE returns the mean absolute error between two same-shaped tensors.
 func MAE(pred, target *tensor.Tensor) float64 {
 	checkShapes("MAE", pred, target)
-	return tensor.Sub(pred, target).Abs().MeanAll()
+	return tensor.Sub(pred, target).Apply(math.Abs).MeanAll()
 }
 
 // RMSE returns the root mean squared error.

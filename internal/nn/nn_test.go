@@ -92,7 +92,7 @@ func TestDiffusionConvIdentitySupportMatchesLinear(t *testing.T) {
 	dc := NewDiffusionConv(rng, "dc", []*sparse.CSR{sparse.Identity(6)}, 1, 2, 3)
 	x := tensor.Randn(rng, 1, 6, 2)
 	y := dc.Forward(autograd.Constant(x))
-	xx := tensor.Concat(2, x, x).Reshape(6, 4)
+	xx := (*tensor.Arena)(nil).Concat(2, x, x).Reshape(6, 4)
 	want := autograd.Add(autograd.MatMul(autograd.Constant(xx), dc.proj.Weight.V), dc.proj.Bias.V)
 	if !y.Value.Reshape(6, 3).AllClose(want.Value, 1e-12) {
 		t.Fatal("identity-support diffusion conv disagrees with linear reference")

@@ -74,14 +74,17 @@ func TestTrainerOverheadAllocationCeiling(t *testing.T) {
 }
 
 // bareStepAllocs is one forward + backward + Adam step of model with no
-// trainer around it, on a batch of the test's shapes.
+// trainer around it, on a batch of the test's shapes, over a warm arena as
+// a worker runs it.
 func bareStepAllocs(t *testing.T, model nn.SeqModel) float64 {
 	opt := nn.NewAdam(model, 0.01)
 	rng := tensor.NewRNG(7)
 	x := tensor.Randn(rng, 8, 12, 22, 2)
 	y := tensor.Randn(rng, 8, 12, 22, 1)
+	var ar tensor.Arena
 	return testing.AllocsPerRun(3, func() {
-		loss := autograd.MAELoss(model.Forward(autograd.Constant(x)), y)
+		ar.Reset()
+		loss := autograd.MAELoss(model.Forward(autograd.ConstantIn(&ar, x)), y)
 		if err := autograd.Backward(loss); err != nil {
 			t.Fatal(err)
 		}

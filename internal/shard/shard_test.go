@@ -130,7 +130,7 @@ func TestShardedSpMMMatchesGlobal(t *testing.T) {
 			halo := ex.Gather(local)
 			ext := local
 			if halo.Dim(0) > 0 {
-				ext = tensor.Concat(0, local, halo)
+				ext = (*tensor.Arena)(nil).Concat(0, local, halo)
 			}
 			got[w.Rank()] = sp.Supports[0].Local.SpMM(ext)
 			return nil

@@ -280,7 +280,9 @@ func Train(data batching.Source, split batching.Split, g *graph.Graph, supports 
 			return nil, fmt.Errorf("shard: divergence: rank %d checksum %v vs rank 0 %v", r, workers[r].checksum, workers[0].checksum)
 		}
 	}
-	return &workers[0].res, nil
+	// A copy: a pointer into the worker would keep it and its arena alive.
+	res := workers[0].res
+	return &res, nil
 }
 
 // job is one Train call's validated configuration and what it derives for
@@ -432,7 +434,13 @@ type worker struct {
 	st                          stepState
 	res                         Result
 	checksum                    float64
+	// arena backs one step's (or one evaluation batch's) activations,
+	// gradients and batch slice; it is reset where they are all dead.
+	arena *tensor.Arena
 }
+
+// newStepArena makes a worker's arena; tests swap in nil, the heap.
+var newStepArena = func() *tensor.Arena { return new(tensor.Arena) }
 
 // stepState is one step's working set, handed from phase to phase.
 type stepState struct {
@@ -456,7 +464,7 @@ type stepState struct {
 // schedule.
 func newWorker(j *job, w *cluster.Worker) (*worker, error) {
 	cfg := &j.cfg
-	wk := &worker{job: j, w: w, rank: w.Rank(), plan: j.initPlan}
+	wk := &worker{job: j, w: w, rank: w.Rank(), plan: j.initPlan, arena: newStepArena()}
 	wk.rep, wk.sh, wk.replicaGroup, wk.shardGroup = groups(wk.rank, cfg.Shards, cfg.Replicas)
 	wk.sp = wk.plan.Parts[wk.sh]
 	wk.ownFrac, wk.computeFrac = j.fracs(wk.sp.Own)
@@ -602,8 +610,9 @@ func (wk *worker) forwardBackward() error {
 	st.start = time.Now()
 	wk.stats.BeginStep()
 	st.haloWall = wk.stats.Wall
+	wk.arena.Reset()
 	wk.asm.collate(st)
-	st.lossLocal = wk.loss(wk.forward(st.x, st.y, autograd.Constant))
+	st.lossLocal = wk.loss(wk.forward(st.x, st.y, autograd.ConstantIn))
 	// The shard losses sum to the global-mean loss.
 	loss := st.lossLocal
 	if wk.sharded {
@@ -720,15 +729,16 @@ func (wk *worker) expose(ch cluster.Channel, d time.Duration) {
 
 // forward runs the replica on the worker's slice of a batch (its owned
 // nodes on a shard) and returns the prediction and the matching target.
-// input wraps the features: autograd.Constant to train, autograd.NoGrad to
-// evaluate with no tape.
-func (wk *worker) forward(x, y *tensor.Tensor, input func(*tensor.Tensor) *autograd.Variable) (*autograd.Variable, *tensor.Tensor) {
-	target := y.Slice(3, 0, 1).Contiguous()
+// input wraps the features over the worker's arena: autograd.ConstantIn to
+// train, autograd.NoGradIn to evaluate with no tape.
+func (wk *worker) forward(x, y *tensor.Tensor, input func(*tensor.Arena, *tensor.Tensor) *autograd.Variable) (*autograd.Variable, *tensor.Tensor) {
+	ar := wk.arena
+	target := ar.Contiguous(y.Slice(3, 0, 1))
 	if wk.sharded {
-		target = gatherNodeAxis(target, wk.sp.Own)
-		x = gatherNodeAxis(x, wk.sp.Own)
+		target = gatherNodeAxis(ar, target, wk.sp.Own)
+		x = gatherNodeAxis(ar, x, wk.sp.Own)
 	}
-	return wk.model.Forward(input(x)), target
+	return wk.model.Forward(input(ar, x)), target
 }
 
 // weight is a batch's metric weight: a shard weighs samples by its nodes.
@@ -817,7 +827,8 @@ func (wk *worker) evaluate() float64 {
 	for i, batch := range wk.evalBatches {
 		stats.BeginStep()
 		x, y := wk.asm.evalBatch(i)
-		pred, target := wk.forward(x, y, autograd.NoGrad)
+		wk.arena.Reset()
+		pred, target := wk.forward(x, y, autograd.NoGradIn)
 		if cost := stats.StepCost(); cost > 0 {
 			stats.ChannelExposed[stats.Channel] += cost
 			if tw := stats.Trace; tw != nil {
@@ -894,10 +905,11 @@ func (st *stepState) Swap(i, j int) {
 }
 
 // gatherNodeAxis selects the given nodes along axis 2 of a [B, T, N, F]
-// tensor, producing [B, T, len(nodes), F] — the worker's slice of a batch.
-func gatherNodeAxis(t *tensor.Tensor, nodes []int) *tensor.Tensor {
+// tensor, producing [B, T, len(nodes), F] from ar — the worker's slice of a
+// batch.
+func gatherNodeAxis(ar *tensor.Arena, t *tensor.Tensor, nodes []int) *tensor.Tensor {
 	shape := t.Shape()
-	out := tensor.New(shape[0], shape[1], len(nodes), shape[3])
+	out := ar.New(shape[0], shape[1], len(nodes), shape[3])
 	for i, n := range nodes {
 		out.Slice(2, i, i+1).CopyFrom(t.Slice(2, n, n+1))
 	}

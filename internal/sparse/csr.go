@@ -302,52 +302,46 @@ func (m *CSR) rangeWorkBounds(lo, hi, f int) []int {
 // returning a dense [RowsN, F] tensor. NNZ-balanced row chunks fan out over
 // the process worker pool for large products.
 func (m *CSR) SpMM(x *tensor.Tensor) *tensor.Tensor {
+	return m.SpMMInto(tensor.New(m.RowsN, x.Dim(x.Rank()-1)), x)
+}
+
+// SpMMInto writes m @ x into the contiguous [RowsN, F] dst and returns it.
+func (m *CSR) SpMMInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(0) != m.ColsN {
 		panic(fmt.Sprintf("sparse: SpMM shape mismatch: %dx%d @ %v", m.RowsN, m.ColsN, x.Shape()))
 	}
-	f := x.Dim(1)
-	xc := x.Contiguous()
-	xd := xc.Data()
-	out := tensor.New(m.RowsN, f)
-	od := out.Data()
-
-	bounds := m.workRanges(f)
-	vec := tensor.UseSIMD(f)
-	parallel.For(len(bounds)-1, 1, func(clo, chi int) {
-		if vec {
-			for i := bounds[clo]; i < bounds[chi]; i++ {
-				m.spmmRowSIMD(i, xd, od, f)
-			}
-			return
-		}
-		for i := bounds[clo]; i < bounds[chi]; i++ {
-			orow := od[i*f : (i+1)*f]
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				v := m.Val[k]
-				xrow := xd[m.ColIdx[k]*f : (m.ColIdx[k]+1)*f]
-				for j := range orow {
-					orow[j] += v * xrow[j]
-				}
-			}
-		}
-	})
-	return out
+	m.SpMMRowRangeInto(0, m.RowsN, x, dst)
+	return dst
 }
 
-// spmmRowSIMD accumulates row i of m @ x into the same row of od with
-// tensor.Axpy, for widths tensor.UseSIMD admits: the SpMM row loop, in the
-// same order, with no zero skipped. Every slice is cut by Go first, so a
-// ColIdx outside x panics on its bounds check.
+// spmmRowSIMD computes row i of m @ x into the same row of od with
+// tensor.Axpy, for widths tensor.UseSIMD admits: the row is cleared, then
+// every stored entry is added in order, with no zero skipped. Every slice is
+// cut by Go first, so a ColIdx outside x panics on its bounds check.
 func (m *CSR) spmmRowSIMD(i int, xd, od []float64, f int) {
 	orow := od[i*f : (i+1)*f]
+	clear(orow)
 	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 		c := m.ColIdx[k]
 		tensor.Axpy(m.Val[k], xd[c*f:(c+1)*f], orow)
 	}
 }
 
+// spmmRow is spmmRowSIMD's loop inline, for rows too narrow for Axpy.
+func (m *CSR) spmmRow(i int, xd, od []float64, f int) {
+	orow := od[i*f : (i+1)*f]
+	clear(orow)
+	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+		v := m.Val[k]
+		xrow := xd[m.ColIdx[k]*f : (m.ColIdx[k]+1)*f]
+		for j := range orow {
+			orow[j] += v * xrow[j]
+		}
+	}
+}
+
 // SpMMRowsInto computes the given rows of m @ x into the [RowsN, F] output
-// tensor out, leaving every other row of out untouched. x must cover every
+// tensor out, overwriting them and leaving every other row of out untouched. x must cover every
 // column the selected rows reference (it may be shorter than ColsN when the
 // rows are known to touch only a prefix, e.g. the interior rows of a shard
 // block whose columns all fall in the [own] segment). Each row's accumulation
@@ -355,34 +349,7 @@ func (m *CSR) spmmRowSIMD(i int, xd, od []float64, f int) {
 // successive SpMMRowsInto calls is bitwise identical to one SpMM. Row chunks
 // are NNZ-balanced over the worker pool.
 func (m *CSR) SpMMRowsInto(rows []int, x *tensor.Tensor, out *tensor.Tensor) {
-	if x.Rank() != 2 || out.Rank() != 2 || out.Dim(0) != m.RowsN || out.Dim(1) != x.Dim(1) {
-		panic(fmt.Sprintf("sparse: SpMMRowsInto shape mismatch: %dx%d rows into %v from %v", m.RowsN, m.ColsN, out.Shape(), x.Shape()))
-	}
-	f := x.Dim(1)
-	xd := x.Contiguous().Data()
-	od := out.Data()
-
-	bounds := m.rowListRanges(rows, f)
-	vec := tensor.UseSIMD(f)
-	parallel.For(len(bounds)-1, 1, func(clo, chi int) {
-		if vec {
-			for _, i := range rows[bounds[clo]:bounds[chi]] {
-				m.spmmRowSIMD(i, xd, od, f)
-			}
-			return
-		}
-		for ri := bounds[clo]; ri < bounds[chi]; ri++ {
-			i := rows[ri]
-			orow := od[i*f : (i+1)*f]
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				v := m.Val[k]
-				xrow := xd[m.ColIdx[k]*f : (m.ColIdx[k]+1)*f]
-				for j := range orow {
-					orow[j] += v * xrow[j]
-				}
-			}
-		}
-	})
+	m.spmmRows("SpMMRowsInto", rows, x, out, func(f int) []int { return m.rowListRanges(rows, f) })
 }
 
 // SpMMRowRangeInto is SpMMRowsInto over the contiguous row range [lo, hi) —
@@ -392,30 +359,31 @@ func (m *CSR) SpMMRowRangeInto(lo, hi int, x *tensor.Tensor, out *tensor.Tensor)
 	if lo < 0 || hi < lo || hi > m.RowsN {
 		panic(fmt.Sprintf("sparse: SpMMRowRangeInto rows [%d, %d) out of range for %d rows", lo, hi, m.RowsN))
 	}
+	m.spmmRows("SpMMRowRangeInto", nil, x, out, func(f int) []int { return m.cachedRangeBounds(lo, hi, f) })
+}
+
+// spmmRows runs the row kernel over the chunks cut(f) returns: chunk c
+// covers the row numbers [bounds[c], bounds[c+1]), or those positions of
+// rows when rows is not nil.
+func (m *CSR) spmmRows(name string, rows []int, x, out *tensor.Tensor, cut func(f int) []int) {
 	if x.Rank() != 2 || out.Rank() != 2 || out.Dim(0) != m.RowsN || out.Dim(1) != x.Dim(1) {
-		panic(fmt.Sprintf("sparse: SpMMRowRangeInto shape mismatch: %dx%d rows into %v from %v", m.RowsN, m.ColsN, out.Shape(), x.Shape()))
+		panic(fmt.Sprintf("sparse: %s shape mismatch: %dx%d rows into %v from %v", name, m.RowsN, m.ColsN, out.Shape(), x.Shape()))
 	}
 	f := x.Dim(1)
 	xd := x.Contiguous().Data()
 	od := out.Data()
-
-	bounds := m.cachedRangeBounds(lo, hi, f)
+	bounds := cut(f)
 	vec := tensor.UseSIMD(f)
 	parallel.For(len(bounds)-1, 1, func(clo, chi int) {
-		if vec {
-			for i := bounds[clo]; i < bounds[chi]; i++ {
-				m.spmmRowSIMD(i, xd, od, f)
+		for ri := bounds[clo]; ri < bounds[chi]; ri++ {
+			i := ri
+			if rows != nil {
+				i = rows[ri]
 			}
-			return
-		}
-		for i := bounds[clo]; i < bounds[chi]; i++ {
-			orow := od[i*f : (i+1)*f]
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				v := m.Val[k]
-				xrow := xd[m.ColIdx[k]*f : (m.ColIdx[k]+1)*f]
-				for j := range orow {
-					orow[j] += v * xrow[j]
-				}
+			if vec {
+				m.spmmRowSIMD(i, xd, od, f)
+			} else {
+				m.spmmRow(i, xd, od, f)
 			}
 		}
 	})

@@ -82,6 +82,15 @@ func TestSpMMEntriesMatchScalarReferenceBitwise(t *testing.T) {
 					if got := m.SpMM(x); !sameValues(got, want) {
 						t.Fatalf("%s: SpMM differs from the scalar loop", name)
 					}
+					// The destination forms never read what dst held.
+					nan := func() *tensor.Tensor {
+						d := tensor.New(c.rows, f)
+						d.Fill(math.NaN())
+						return d
+					}
+					if got := m.SpMMInto(nan(), x); !sameValues(got, want) {
+						t.Fatalf("%s: SpMMInto over NaN differs from the scalar loop", name)
+					}
 					// Even rows then odd rows, as an interior/frontier split.
 					var even, odd []int
 					for i := 0; i < c.rows; i++ {
@@ -91,14 +100,14 @@ func TestSpMMEntriesMatchScalarReferenceBitwise(t *testing.T) {
 							odd = append(odd, i)
 						}
 					}
-					rows := tensor.New(c.rows, f)
+					rows := nan()
 					m.SpMMRowsInto(odd, x, rows)
 					m.SpMMRowsInto(even, x, rows)
 					if !sameValues(rows, want) {
 						t.Fatalf("%s: SpMMRowsInto differs from the scalar loop", name)
 					}
 					cut := c.rows / 3
-					ranged := tensor.New(c.rows, f)
+					ranged := nan()
 					m.SpMMRowRangeInto(cut, c.rows, x, ranged)
 					m.SpMMRowRangeInto(0, cut, x, ranged)
 					if !sameValues(ranged, want) {

@@ -6,11 +6,12 @@ import (
 	"pgti/internal/parallel"
 )
 
-// BMM computes the batched matrix product of two rank-3 tensors:
-// [B, m, k] x [B, k, n] -> [B, m, n]. Batch elements are processed in
-// parallel when the work is large enough; ST-LLM-style attention uses this
-// to avoid per-batch Go loops.
-func BMM(a, b *Tensor) *Tensor {
+// BMMInto writes the batched matrix product of two rank-3 tensors,
+// [B, m, k] x [B, k, n] -> [B, m, n], into the contiguous dst and returns
+// it; each output row is cleared before it accumulates. Batch elements are
+// processed in parallel when the work is large enough; ST-LLM-style
+// attention uses this to avoid per-batch Go loops.
+func BMMInto(dst, a, b *Tensor) *Tensor {
 	if a.Rank() != 3 || b.Rank() != 3 {
 		panic(fmt.Sprintf("tensor: BMM requires rank-3 operands, got %v and %v", a.Shape(), b.Shape()))
 	}
@@ -19,10 +20,7 @@ func BMM(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: BMM shape mismatch %v x %v", a.Shape(), b.Shape()))
 	}
 	n := b.Dim(2)
-	ac := a.Contiguous()
-	bc := b.Contiguous()
-	out := New(bs, m, n)
-	ad, bd, od := ac.Data(), bc.Data(), out.Data()
+	ad, bd, od := a.Contiguous().Data(), b.Contiguous().Data(), dstData(dst, bs, m, n)
 
 	grain := parallel.GrainFor(m*k*n, parallelThreshold)
 	parallel.For(bs, grain, func(lo, hi int) {
@@ -30,5 +28,5 @@ func BMM(a, b *Tensor) *Tensor {
 			matmulRows(ad[i*m*k:(i+1)*m*k], bd[i*k*n:(i+1)*k*n], od[i*m*n:(i+1)*m*n], 0, m, k, n)
 		}
 	})
-	return out
+	return dst
 }

@@ -2,9 +2,27 @@ package tensor
 
 import "fmt"
 
-// Concat concatenates tensors along axis. All inputs must agree on every
-// other dimension. The result is a fresh contiguous tensor.
-func Concat(axis int, ts ...*Tensor) *Tensor {
+// Concat concatenates tensors along axis into a contiguous tensor from the
+// arena. All inputs must agree on every other dimension.
+func (a *Arena) Concat(axis int, ts ...*Tensor) *Tensor {
+	var buf [inlineRank]int
+	return ConcatInto(a.New(concatShape(buf[:0], axis, ts)...), axis, ts...)
+}
+
+// ConcatInto writes the concatenation of ts along axis into dst, which must
+// have the concatenation's shape, and returns it.
+func ConcatInto(dst *Tensor, axis int, ts ...*Tensor) *Tensor {
+	pos := 0
+	for _, t := range ts {
+		dst.Slice(axis, pos, pos+t.shape[axis]).CopyFrom(t)
+		pos += t.shape[axis]
+	}
+	return dst
+}
+
+// concatShape appends the shape of the concatenation of ts along axis to
+// buf and returns it, panicking when the inputs do not agree.
+func concatShape(buf []int, axis int, ts []*Tensor) []int {
 	if len(ts) == 0 {
 		panic("tensor: Concat of zero tensors")
 	}
@@ -24,19 +42,32 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 		}
 		total += t.shape[axis]
 	}
-	shape := cloneInts(first.shape)
-	shape[axis] = total
-	out := New(shape...)
-	pos := 0
-	for _, t := range ts {
-		out.Slice(axis, pos, pos+t.shape[axis]).CopyFrom(t)
-		pos += t.shape[axis]
-	}
-	return out
+	buf = append(buf, first.shape...)
+	buf[len(buf)-len(first.shape)+axis] = total
+	return buf
 }
 
 // Stack stacks same-shaped tensors along a new leading axis position.
-func Stack(axis int, ts ...*Tensor) *Tensor {
+func Stack(axis int, ts ...*Tensor) *Tensor { return (*Arena)(nil).Stack(axis, ts...) }
+
+// Stack is Stack with the result's storage from the arena.
+func (a *Arena) Stack(axis int, ts ...*Tensor) *Tensor {
+	var buf [inlineRank]int
+	return StackInto(a.New(stackShape(buf[:0], axis, ts)...), axis, ts...)
+}
+
+// StackInto writes ts, stacked along a new axis, into dst, which must have
+// the stacked shape, and returns it.
+func StackInto(dst *Tensor, axis int, ts ...*Tensor) *Tensor {
+	for i, t := range ts {
+		dst.Index(axis, i).CopyFrom(t)
+	}
+	return dst
+}
+
+// stackShape appends the shape of ts stacked along a new axis to buf and
+// returns it, panicking when the inputs do not agree.
+func stackShape(buf []int, axis int, ts []*Tensor) []int {
 	if len(ts) == 0 {
 		panic("tensor: Stack of zero tensors")
 	}
@@ -44,18 +75,14 @@ func Stack(axis int, ts ...*Tensor) *Tensor {
 	if axis < 0 || axis > len(first.shape) {
 		panic(fmt.Sprintf("tensor: Stack axis %d out of range for rank %d", axis, len(first.shape)))
 	}
-	shape := make([]int, 0, len(first.shape)+1)
-	shape = append(shape, first.shape[:axis]...)
-	shape = append(shape, len(ts))
-	shape = append(shape, first.shape[axis:]...)
-	out := New(shape...)
-	for i, t := range ts {
+	for _, t := range ts {
 		if !t.SameShape(first) {
 			panic(fmt.Sprintf("tensor: Stack shape mismatch %v vs %v", first.shape, t.shape))
 		}
-		out.Index(axis, i).CopyFrom(t)
 	}
-	return out
+	buf = append(buf, first.shape[:axis]...)
+	buf = append(buf, len(ts))
+	return append(buf, first.shape[axis:]...)
 }
 
 // GatherRows returns a new tensor assembled from rows of t (axis 0) selected

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 
 	"pgti/internal/parallel"
 )
@@ -27,11 +28,14 @@ const (
 // both k and n, so every output element accumulates its k products in
 // exactly the naive order, and rows wide enough for the SIMD axpy go through
 // Axpy, which rounds each element as the scalar loop does.
-func MatMul(a, b *Tensor) *Tensor {
-	return matMul(a, b, matmulRowsTiled)
-}
+func MatMul(a, b *Tensor) *Tensor { return MatMulInto(New(a.Dim(0), b.Dim(b.Rank()-1)), a, b) }
 
-func matMul(a, b *Tensor, rows func(a, b, out []float64, lo, hi, k, n int)) *Tensor {
+// MatMulInto writes a @ b into the contiguous [m,n] dst and returns it.
+// dst's prior contents are never read: each output row is cleared just
+// before its first product is added.
+func MatMulInto(dst, a, b *Tensor) *Tensor { return matMul(dst, a, b, matmulRowsTiled) }
+
+func matMul(dst, a, b *Tensor, rows func(a, b, out []float64, lo, hi, k, n int)) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v and %v", a.shape, b.shape))
 	}
@@ -40,25 +44,30 @@ func matMul(a, b *Tensor, rows func(a, b, out []float64, lo, hi, k, n int)) *Ten
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimensions disagree: %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
-	ac := a.Contiguous()
-	bc := b.Contiguous()
-	ad := ac.Data()
-	bd := bc.Data()
-	od := out.Data()
-
+	ad, bd, od := a.Contiguous().Data(), b.Contiguous().Data(), dstData(dst, m, n)
 	grain := parallel.GrainFor(k*n, parallelThreshold)
 	parallel.For(m, grain, func(lo, hi int) {
 		rows(ad, bd, od, lo, hi, k, n)
 	})
-	return out
+	return dst
+}
+
+// dstData returns the elements of a destination that must be a contiguous
+// tensor of the given shape.
+func dstData(dst *Tensor, shape ...int) []float64 {
+	if !dst.IsContiguous() || !slices.Equal(dst.shape, shape) {
+		panic(fmt.Sprintf("tensor: destination %v is not a contiguous %v", dst.shape, cloneInts(shape)))
+	}
+	return dst.Data()
 }
 
 // matmulRows computes out[lo:hi] = a[lo:hi] @ b with an ikj loop order that
-// streams b row-wise.
+// streams b row-wise. Each row is cleared first: the zero skip may leave it
+// untouched, and it accumulates from +0 exactly as a fresh row would.
 func matmulRows(a, b, out []float64, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		orow := out[i*n : (i+1)*n]
+		clear(orow)
 		arow := a[i*k : (i+1)*k]
 		for p := 0; p < k; p++ {
 			av := arow[p]
@@ -77,7 +86,8 @@ func matmulRows(a, b, out []float64, lo, hi, k, n int) {
 // the (pb, jb) tile of b is reused across every row of the block before the
 // next tile is touched. For each output element the k index still ascends
 // (tiles ascend, p ascends within a tile), so the accumulation order — and
-// therefore the result — is bitwise identical to matmulRows. Rows wide
+// therefore the result — is bitwise identical to matmulRows; the first k
+// tile clears each row segment before adding to it. Rows wide
 // enough for the SIMD axpy take matmulRowsSIMD, the same loops around Axpy;
 // narrower ones keep these, whose inner loop has no call to spill around.
 func matmulRowsTiled(a, b, out []float64, lo, hi, k, n int) {
@@ -101,6 +111,9 @@ func matmulRowsTiled(a, b, out []float64, lo, hi, k, n int) {
 			}
 			for i := lo; i < hi; i++ {
 				orow := out[i*n+jb : i*n+jEnd]
+				if pb == 0 {
+					clear(orow)
+				}
 				arow := a[i*k : (i+1)*k]
 				for p := pb; p < pEnd; p++ {
 					av := arow[p]
@@ -126,6 +139,9 @@ func matmulRowsSIMD(a, b, out []float64, lo, hi, k, n int) {
 			jEnd := min(jb+tileN, n)
 			for i := lo; i < hi; i++ {
 				orow := out[i*n+jb : i*n+jEnd]
+				if pb == 0 {
+					clear(orow)
+				}
 				arow := a[i*k : (i+1)*k]
 				for p := pb; p < pEnd; p++ {
 					if av := arow[p]; av != 0 {
@@ -137,33 +153,23 @@ func matmulRowsSIMD(a, b, out []float64, lo, hi, k, n int) {
 	}
 }
 
-// MatMulNT returns a @ bᵀ for a [m,n] and b [k,n] ([m,k]), the input
-// gradient of MatMul. It is MatMul(a, b.T().Contiguous()): one dense copy of
-// bᵀ buys the row-streaming ikj product and its SIMD rows, where a dot
-// product per output element would sum serially. The result is bitwise that
-// product's.
-func MatMulNT(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulNT requires [m,n] x [k,n], got %v and %v", a.shape, b.shape))
-	}
-	return MatMul(a, b.T().Contiguous())
-}
-
-// MatMulTN returns aᵀ @ g for a [m,k] and g [m,n] ([k,n]) without
-// materializing the transpose: row i of a scatters row i of g into the
-// output rows. Per output element the products are added in ascending i and
-// a zero a[i,p] is skipped, so the result is bitwise identical to
-// MatMul(a.T().Contiguous(), g). This is the weight gradient of MatMul.
-func MatMulTN(a, g *Tensor) *Tensor {
+// MatMulTNInto writes aᵀ @ g for a [m,k] and g [m,n] into the contiguous
+// [k,n] dst without materializing the transpose, and returns it: row i of a
+// scatters row i of g into the output rows. Each chunk of output rows is
+// cleared before the first product lands; per output element the products
+// are added in ascending i and a zero a[i,p] is skipped, so the result is
+// bitwise identical to MatMul(a.T().Contiguous(), g). This is the weight
+// gradient of MatMul.
+func MatMulTNInto(dst, a, g *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(g.shape) != 2 || a.shape[0] != g.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMulTN requires [m,k] x [m,n], got %v and %v", a.shape, g.shape))
 	}
 	m, k, n := a.shape[0], a.shape[1], g.shape[1]
-	out := New(k, n)
-	ad, gd, od := a.Contiguous().Data(), g.Contiguous().Data(), out.data
+	ad, gd, od := a.Contiguous().Data(), g.Contiguous().Data(), dstData(dst, k, n)
 	grain := parallel.GrainFor(m*n, parallelThreshold)
 	if UseSIMD(n) {
 		parallel.For(k, grain, func(lo, hi int) {
+			clear(od[lo*n : hi*n])
 			for i := 0; i < m; i++ {
 				grow := gd[i*n : (i+1)*n]
 				for p := lo; p < hi; p++ {
@@ -173,9 +179,10 @@ func MatMulTN(a, g *Tensor) *Tensor {
 				}
 			}
 		})
-		return out
+		return dst
 	}
 	parallel.For(k, grain, func(lo, hi int) {
+		clear(od[lo*n : hi*n])
 		for i := 0; i < m; i++ {
 			grow := gd[i*n : (i+1)*n]
 			for p := lo; p < hi; p++ {
@@ -190,5 +197,5 @@ func MatMulTN(a, g *Tensor) *Tensor {
 			}
 		}
 	})
-	return out
+	return dst
 }

@@ -48,7 +48,7 @@ func (t *Tensor) broadcastTo(shape []int) *Tensor {
 	if len(shape) < len(t.shape) {
 		panic(fmt.Sprintf("tensor: cannot broadcast %v to smaller rank %v", t.shape, cloneInts(shape)))
 	}
-	v := newHeader(t.data, t.offset, len(shape))
+	v := t.view(t.offset, len(shape))
 	copy(v.shape, shape)
 	off := len(shape) - len(t.shape)
 	for i := range shape {
@@ -72,29 +72,29 @@ func (t *Tensor) broadcastTo(shape []int) *Tensor {
 // one pass and one output for an expression Add, Sub and Mul would build in
 // several.
 func Binary(a, b *Tensor, op func(x, y float64) float64) *Tensor {
-	if a.SameShape(b) && a.IsContiguous() && b.IsContiguous() {
+	return BinaryInto((*Arena)(nil).Broadcast(a, b), a, b, op)
+}
+
+// BinaryInto writes op(a, b), broadcast to the contiguous dst's shape, into
+// dst and returns it.
+func BinaryInto(dst, a, b *Tensor, op func(x, y float64) float64) *Tensor {
+	od := dstData(dst, dst.shape...)
+	if a.SameShape(b) && dst.SameShape(a) && a.IsContiguous() && b.IsContiguous() {
 		// Nothing to broadcast: every model's gate arithmetic and most
 		// backward products.
-		out := New(a.shape...)
-		ad, bd, od := a.Data(), b.Data(), out.data
+		ad, bd := a.Data(), b.Data()
 		parallel.For(len(od), elemGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				od[i] = op(ad[i], bd[i])
 			}
 		})
-		return out
+		return dst
 	}
-	shape, err := BroadcastShapes(a.shape, b.shape)
-	if err != nil {
-		panic(err.Error())
-	}
-	out := New(shape...)
-	av := a.broadcastTo(shape)
-	bv := b.broadcastTo(shape)
-	// Rank >= 1 here: two rank-0 operands took the path above.
-	w := stridedBinary{od: out.data, ad: av.data, bd: bv.data, shape: shape, astr: av.strides, bstr: bv.strides, op: op}
+	av := a.broadcastTo(dst.shape)
+	bv := b.broadcastTo(dst.shape)
+	w := stridedBinary{od: od, ad: av.data, bd: bv.data, shape: dst.shape, astr: av.strides, bstr: bv.strides, op: op}
 	w.axis(0, 0, av.offset, bv.offset)
-	return out
+	return dst
 }
 
 // stridedBinary is the broadcasting path of Binary: it fills the dense od in
@@ -127,9 +127,6 @@ func (w *stridedBinary) axis(d, o, ap, bp int) int {
 	return o
 }
 
-// Add returns a + b with broadcasting.
-func Add(a, b *Tensor) *Tensor { return Binary(a, b, func(x, y float64) float64 { return x + y }) }
-
 // Sub returns a - b with broadcasting.
 func Sub(a, b *Tensor) *Tensor { return Binary(a, b, func(x, y float64) float64 { return x - y }) }
 
@@ -146,48 +143,32 @@ func (t *Tensor) MulScalar(s float64) *Tensor {
 	return t.Apply(func(x float64) float64 { return x * s })
 }
 
-// Neg returns -t.
-func (t *Tensor) Neg() *Tensor { return t.MulScalar(-1) }
-
-// Abs returns |t| element-wise.
-func (t *Tensor) Abs() *Tensor { return t.Apply(math.Abs) }
-
 // Sigmoid returns 1/(1+exp(-t)) element-wise.
 func (t *Tensor) Sigmoid() *Tensor {
 	return t.Apply(func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
 }
 
-// Tanh returns tanh(t) element-wise.
-func (t *Tensor) Tanh() *Tensor { return t.Apply(math.Tanh) }
-
-// Relu returns max(t, 0) element-wise.
-func (t *Tensor) Relu() *Tensor {
-	return t.Apply(func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-}
-
 // Apply returns a new tensor with f applied element-wise.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	out := New(t.shape...)
+func (t *Tensor) Apply(f func(float64) float64) *Tensor { return t.ApplyInto(New(t.shape...), f) }
+
+// ApplyInto writes f of each element of t into the contiguous dst of t's
+// shape and returns it.
+func (t *Tensor) ApplyInto(dst *Tensor, f func(float64) float64) *Tensor {
+	od := dstData(dst, t.shape...)
 	if t.IsContiguous() {
-		td, od := t.Data(), out.Data()
+		td := t.Data()
 		parallel.For(len(od), elemGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				od[i] = f(td[i])
 			}
 		})
-		return out
+		return dst
 	}
 	it := newIterator(t)
-	od := out.data
 	for i := 0; it.next(); i++ {
 		od[i] = f(t.data[it.pos])
 	}
-	return out
+	return dst
 }
 
 // ApplyInPlace applies f element-wise, mutating t (including through views).

@@ -75,9 +75,13 @@ func Rand(r *RNG, shape ...int) *Tensor {
 	return t
 }
 
-// Randn returns a tensor of the given shape with standard normal entries.
+// Randn returns a tensor of the given shape with standard normal entries,
+// or zeros when r is nil.
 func Randn(r *RNG, shape ...int) *Tensor {
 	t := New(shape...)
+	if r == nil {
+		return t
+	}
 	d := t.Data()
 	for i := range d {
 		d[i] = r.NormFloat64()
@@ -86,10 +90,14 @@ func Randn(r *RNG, shape ...int) *Tensor {
 }
 
 // GlorotUniform returns a [fanIn, fanOut]-shaped tensor initialized with the
-// Glorot/Xavier uniform scheme used by PyTorch Geometric layers.
+// Glorot/Xavier uniform scheme used by PyTorch Geometric layers, or zeros
+// when r is nil (a layer whose weights are copied in next).
 func GlorotUniform(r *RNG, fanIn, fanOut int, shape ...int) *Tensor {
 	limit := math.Sqrt(6 / float64(fanIn+fanOut))
 	t := New(shape...)
+	if r == nil {
+		return t
+	}
 	d := t.Data()
 	for i := range d {
 		d[i] = (2*r.Float64() - 1) * limit

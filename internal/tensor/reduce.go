@@ -77,39 +77,55 @@ func (t *Tensor) MinAll() float64 {
 	return best
 }
 
-// Sum reduces along axis, returning a tensor with that axis removed. Every
-// output element starts at zero and adds its inputs in ascending axis order,
-// whichever path computes it.
-func (t *Tensor) Sum(axis int) *Tensor {
+// Sum reduces t along axis, returning a tensor from the arena with that
+// axis removed. Every output element starts at zero and adds its inputs in
+// ascending axis order, whichever path computes it.
+func (a *Arena) Sum(t *Tensor, axis int) *Tensor {
+	var buf [inlineRank]int
+	return t.SumInto(a.New(t.sumShape(buf[:0], axis)...), axis)
+}
+
+// sumShape appends t's shape with axis removed, the shape of Sum(axis), to
+// buf and returns it.
+func (t *Tensor) sumShape(buf []int, axis int) []int {
 	if axis < 0 || axis >= len(t.shape) {
 		panic(fmt.Sprintf("tensor: Sum axis %d out of range for rank %d", axis, len(t.shape)))
 	}
-	out := t.zerosWithoutAxis(axis)
+	return append(append(buf, t.shape[:axis]...), t.shape[axis+1:]...)
+}
+
+// SumInto writes t summed along axis into the contiguous dst of that shape
+// and returns it. Each output row is cleared before it accumulates.
+func (t *Tensor) SumInto(dst *Tensor, axis int) *Tensor {
+	var buf [inlineRank]int
+	dd := dstData(dst, t.sumShape(buf[:0], axis)...)
 	n := t.shape[axis]
 	if !t.IsContiguous() {
+		clear(dd)
 		for i := 0; i < n; i++ {
-			out.AddInPlace(t.Index(axis, i))
+			dst.AddInPlace(t.Index(axis, i))
 		}
-		return out
+		return dst
 	}
 	// A contiguous t is [outer, n, inner]: one pass over its elements.
 	inner := 1
 	for _, d := range t.shape[axis+1:] {
 		inner *= d
 	}
-	src, dst := t.Data(), out.data
+	src := t.Data()
 	if inner == 1 {
-		for o := range dst {
+		for o := range dd {
 			var s float64
 			for _, v := range src[o*n : (o+1)*n] {
 				s += v
 			}
-			dst[o] = s
+			dd[o] = s
 		}
-		return out
+		return dst
 	}
-	for o := 0; o*inner < len(dst); o++ {
-		drow := dst[o*inner : (o+1)*inner]
+	for o := 0; o*inner < len(dd); o++ {
+		drow := dd[o*inner : (o+1)*inner]
+		clear(drow)
 		for i := 0; i < n; i++ {
 			srow := src[(o*n+i)*inner : (o*n+i+1)*inner]
 			for j, v := range srow {
@@ -117,13 +133,5 @@ func (t *Tensor) Sum(axis int) *Tensor {
 			}
 		}
 	}
-	return out
-}
-
-// zerosWithoutAxis returns a zero-filled tensor of t's shape with axis
-// removed, the result shape of the axis reductions.
-func (t *Tensor) zerosWithoutAxis(axis int) *Tensor {
-	var buf [inlineRank]int
-	shape := append(buf[:0], t.shape[:axis]...)
-	return New(append(shape, t.shape[axis+1:]...)...)
+	return dst
 }

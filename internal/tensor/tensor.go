@@ -16,6 +16,18 @@
 // tensor of rank <= 4 is two allocations (header and elements) and a view of
 // one is one: shape and strides live inside the header.
 //
+// # Destinations and the arena
+//
+// Every kernel that makes a tensor has a destination form (MatMulInto,
+// BinaryInto, ApplyInto, ConcatInto, SumInto, sparse's SpMMInto, ...), and
+// the allocating form is a one-line wrapper over it. It never reads what dst
+// held. A kernel that accumulates (the matrix products, whose zero skip may
+// leave a row untouched, SpMM and Sum) clears each output row in its row
+// loop just before adding to it, and keeps "zero, then +=", so a -0 sum
+// stays +0 as in a fresh row; the others clear nothing. An Arena hands out
+// destinations, uninitialised unless asked for zeros, from slabs one Reset
+// recycles; the nil *Arena is the heap.
+//
 // # SIMD and the bitwise contract
 //
 // The inner loop of MatMul, MatMulNT, MatMulTN and the sparse
@@ -56,6 +68,8 @@ type Tensor struct {
 	shape   []int
 	strides []int
 	offset  int
+	// arena holds data (nil: the heap); a view takes its header from it.
+	arena *Arena
 	// dims backs shape and strides up to rank inlineRank, so such a header is
 	// one allocation. The two slices point into their own struct: a Tensor
 	// is never copied by value.
@@ -69,7 +83,14 @@ const inlineRank = 4
 // newHeader returns a header over data with room for rank dimensions; the
 // caller fills in shape and strides.
 func newHeader(data []float64, offset, rank int) *Tensor {
-	t := &Tensor{data: data, offset: offset}
+	t := new(Tensor)
+	t.init(data, offset, rank)
+	return t
+}
+
+// init makes t a header over data with room for rank dimensions.
+func (t *Tensor) init(data []float64, offset, rank int) {
+	*t = Tensor{data: data, offset: offset}
 	if rank <= inlineRank {
 		t.shape = t.dims[:rank:rank]
 		t.strides = t.dims[inlineRank : inlineRank+rank : inlineRank+rank]
@@ -77,12 +98,24 @@ func newHeader(data []float64, offset, rank int) *Tensor {
 		dims := make([]int, 2*rank)
 		t.shape, t.strides = dims[:rank:rank], dims[rank:]
 	}
-	return t
+}
+
+// view returns a header over t's storage with room for rank dimensions,
+// from t's arena when t lives in one; the caller fills in shape and strides.
+func (t *Tensor) view(offset, rank int) *Tensor {
+	if t.arena != nil {
+		return t.arena.header(t.data, offset, rank)
+	}
+	return newHeader(t.data, offset, rank)
 }
 
 // withShape returns a contiguous header over data with the given shape.
 func withShape(data []float64, offset int, shape []int) *Tensor {
-	t := newHeader(data, offset, len(shape))
+	return shaped(newHeader(data, offset, len(shape)), shape)
+}
+
+// shaped gives the header t the given shape and its row-major strides.
+func shaped(t *Tensor, shape []int) *Tensor {
 	copy(t.shape, shape)
 	t.setContiguousStrides()
 	return t
@@ -100,7 +133,7 @@ func (t *Tensor) setContiguousStrides() {
 // alias returns a header sharing t's storage, shape and strides, for the
 // caller to edit into a view.
 func (t *Tensor) alias() *Tensor {
-	v := newHeader(t.data, t.offset, len(t.shape))
+	v := t.view(t.offset, len(t.shape))
 	copy(v.shape, t.shape)
 	copy(v.strides, t.strides)
 	return v
@@ -110,9 +143,6 @@ func (t *Tensor) alias() *Tensor {
 func New(shape ...int) *Tensor {
 	return withShape(make([]float64, checkShape(shape)), 0, shape)
 }
-
-// ZerosLike returns a zero-filled tensor with t's shape.
-func ZerosLike(t *Tensor) *Tensor { return New(t.shape...) }
 
 // FullLike returns a tensor with t's shape filled with v.
 func FullLike(v float64, t *Tensor) *Tensor { return Full(v, t.shape...) }
@@ -401,7 +431,7 @@ func (t *Tensor) Index(axis, i int) *Tensor {
 	if i < 0 || i >= t.shape[axis] {
 		panic(fmt.Sprintf("tensor: Index %d out of bounds for axis %d of size %d", i, axis, t.shape[axis]))
 	}
-	v := newHeader(t.data, t.offset+i*t.strides[axis], len(t.shape)-1)
+	v := t.view(t.offset+i*t.strides[axis], len(t.shape)-1)
 	copy(v.shape, t.shape[:axis])
 	copy(v.shape[axis:], t.shape[axis+1:])
 	copy(v.strides, t.strides[:axis])
@@ -457,7 +487,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: Reshape %v incompatible with %d elements", cloneInts(shape), n))
 	}
 	src := t.Contiguous()
-	out := withShape(src.data, src.offset, shape)
+	out := shaped(src.view(src.offset, len(shape)), shape)
 	if infer >= 0 {
 		out.shape[infer] = inferred
 		out.setContiguousStrides()
@@ -473,7 +503,7 @@ func (t *Tensor) Unsqueeze(axis int) *Tensor {
 	if axis < 0 || axis > len(t.shape) {
 		panic(fmt.Sprintf("tensor: Unsqueeze axis %d out of range for rank %d", axis, len(t.shape)))
 	}
-	v := newHeader(t.data, t.offset, len(t.shape)+1)
+	v := t.view(t.offset, len(t.shape)+1)
 	copy(v.shape, t.shape[:axis])
 	v.shape[axis] = 1
 	copy(v.shape[axis+1:], t.shape[axis:])

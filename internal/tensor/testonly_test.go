@@ -109,7 +109,16 @@ func (t *Tensor) Flatten() *Tensor { return t.Reshape(t.NumElements()) }
 // SIMD. MatMul, MatMulNT and MatMulTN must agree with it bitwise, and it is
 // the ablation baseline of the serial-vs-tiled benchmark.
 func MatMulNaive(a, b *Tensor) *Tensor {
-	return matMul(a, b, matmulRows)
+	return matMul(New(a.Dim(0), b.Dim(b.Rank()-1)), a, b, matmulRows)
+}
+
+// MatMulNT returns a @ bᵀ for a [m,n] and b [k,n] ([m,k]): MatMul against
+// one dense copy of bᵀ, the form the MatMul backward computes.
+func MatMulNT(a, b *Tensor) *Tensor {
+	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulNT requires [m,n] x [k,n], got %v and %v", a.shape, b.shape))
+	}
+	return MatMul(a, b.T().Contiguous())
 }
 
 // MatVec returns the matrix-vector product a @ x for a rank-2 a ([m,k]) and
@@ -242,4 +251,50 @@ func (t *Tensor) Squeeze() *Tensor {
 		}
 	}
 	return v
+}
+
+// zerosWithoutAxis returns a zero-filled tensor of t's shape with axis
+// removed, the result shape of the axis reductions.
+func (t *Tensor) zerosWithoutAxis(axis int) *Tensor {
+	var buf [inlineRank]int
+	return New(t.sumShape(buf[:0], axis)...)
+}
+
+// Add returns a + b with broadcasting.
+func Add(a, b *Tensor) *Tensor { return Binary(a, b, func(x, y float64) float64 { return x + y }) }
+
+// Neg returns -t.
+func (t *Tensor) Neg() *Tensor { return t.MulScalar(-1) }
+
+// Abs returns |t| element-wise.
+func (t *Tensor) Abs() *Tensor { return t.Apply(math.Abs) }
+
+// Tanh returns tanh(t) element-wise.
+func (t *Tensor) Tanh() *Tensor { return t.Apply(math.Tanh) }
+
+// Relu returns max(t, 0) element-wise.
+func (t *Tensor) Relu() *Tensor {
+	return t.Apply(func(x float64) float64 {
+		if x > 0 {
+			return x
+		}
+		return 0
+	})
+}
+
+// ZerosLike returns a zero-filled tensor with t's shape.
+func ZerosLike(t *Tensor) *Tensor { return New(t.shape...) }
+
+// Sum reduces along axis, returning a tensor with that axis removed.
+func (t *Tensor) Sum(axis int) *Tensor { return (*Arena)(nil).Sum(t, axis) }
+
+// Concat concatenates tensors along axis into a fresh contiguous tensor.
+func Concat(axis int, ts ...*Tensor) *Tensor { return (*Arena)(nil).Concat(axis, ts...) }
+
+// BMM returns the batched matrix product [B, m, k] x [B, k, n] -> [B, m, n].
+func BMM(a, b *Tensor) *Tensor { return BMMInto(New(a.Dim(0), a.Dim(1), b.Dim(2)), a, b) }
+
+// MatMulTN returns aᵀ @ g for a [m,k] and g [m,n] ([k,n]).
+func MatMulTN(a, g *Tensor) *Tensor {
+	return MatMulTNInto(New(a.Dim(a.Rank()-1), g.Dim(g.Rank()-1)), a, g)
 }

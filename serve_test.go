@@ -463,11 +463,15 @@ func swapAllocated(t *testing.T, srv *Server, src *Experiment) int64 {
 	return least
 }
 
-// TestServerSwapCostsOneParameterCopy: a Swap clones the source's
-// parameters once into the new core and stores one pointer, so it
-// allocates under two parameter copies, and a pool of eight replicas pays
-// what a pool of one does — the replicas share the core a Swap replaces.
+// TestServerSwapCostsOneParameterCopy: a Swap builds the new core's model
+// with zero weights, copies the source's parameters into it once and stores
+// one pointer, and a pool of eight replicas pays what a pool of one does —
+// the replicas share the core a Swap replaces. At this model's shapes one
+// Swap allocates 9 088 B, of which 6 024 B are the parameter copy and the
+// rest the model's structure (its layers, variables and tensor headers); the
+// ceiling is that figure plus 5 %.
 func TestServerSwapCostsOneParameterCopy(t *testing.T) {
+	const ceiling = 9542
 	exp, _ := fitTiny(t)
 	src, _ := fitTiny(t, WithSeed(7))
 	swapped := func(replicas int) (allocated, paramBytes int64) {
@@ -481,8 +485,8 @@ func TestServerSwapCostsOneParameterCopy(t *testing.T) {
 	one, paramBytes := swapped(1)
 	eight, _ := swapped(8)
 	t.Logf("Swap allocates %d B with 1 replica, %d B with 8; one parameter copy is %d B", one, eight, paramBytes)
-	if one >= 2*paramBytes {
-		t.Fatalf("one Swap allocates %d B, at least two parameter copies (%d B)", one, 2*paramBytes)
+	if one > ceiling {
+		t.Fatalf("one Swap allocates %d B, ceiling %d B (one parameter copy is %d B)", one, ceiling, paramBytes)
 	}
 	if eight-one >= paramBytes {
 		t.Fatalf("a Swap over 8 replicas allocates %d B more than over 1, at least one more parameter copy (%d B)", eight-one, paramBytes)

@@ -51,13 +51,14 @@ cross-vet:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-## fuzz-smoke gives the configuration-table, weighted-partitioner and
-## train-state-loader fuzz targets ten seconds each of fresh inputs on top
-## of the committed seed corpora that `make test` replays.
+## fuzz-smoke gives the configuration-table, weighted-partitioner,
+## train-state-loader and overlap-timeline fuzz targets ten seconds each of
+## fresh inputs on top of the committed seed corpora that `make test` replays.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzPartitionWeighted -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzLoadTrainState -fuzztime 10s ./internal/nn
+	$(GO) test -run '^$$' -fuzz FuzzOverlap -fuzztime 10s ./internal/cluster
 
 ## cover fails when any floor package's statement coverage drops below its
 ## checked-in COVER_FLOORS threshold.

@@ -5,7 +5,8 @@
 // Two layers coexist deliberately:
 //
 //   - Real data movement. AllReduce really exchanges gradient chunks between
-//     worker goroutines (ring algorithm over channels), so distributed
+//     worker goroutines (one ring algorithm, over ordered member lists, on
+//     the point-to-point mailboxes of collectives.go), so distributed
 //     training is numerically genuine — replicas stay bitwise identical.
 //   - Virtual time. Every compute or communication event also advances a
 //     per-worker virtual clock using the Polaris cost model (Slingshot
@@ -86,9 +87,10 @@ func (n NetworkModel) NaiveAllReduceTime(bytes int64, p int) time.Duration {
 type Config struct {
 	Workers int
 	Net     NetworkModel
-	// IntraNet is the intra-node interconnect used by hierarchical
-	// collectives (default NVLink-class, see NVLinkModel). Net remains the
-	// inter-node fabric.
+	// IntraNet is the intra-node interconnect (default NVLink-class, see
+	// NVLinkModel): group collectives whose members share one node ride it,
+	// and so do the hierarchical algorithm's per-node phases. Net remains
+	// the inter-node fabric.
 	IntraNet NetworkModel
 	// Faults optionally arms a deterministic fault schedule (see
 	// internal/fault and fault.go in this package). Every worker consults
@@ -101,12 +103,11 @@ type Config struct {
 // Cluster coordinates a fixed set of workers.
 type Cluster struct {
 	cfg Config
-	// ringIn[r] carries chunks from worker r-1 to worker r.
-	ringIn  []chan []float64
+	// world is the member list [0..Workers) the world collectives ring over.
+	world   []int
 	barrier *timeBarrier
-
-	// Point-to-point fabric (see collectives.go).
-	p2pOnce   sync.Once
+	// mailboxes[r] is rank r's inbox, the transport under every collective
+	// (see collectives.go).
 	mailboxes []chan message
 }
 
@@ -122,12 +123,16 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.IntraNet = NVLinkModel()
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		ringIn:  make([]chan []float64, cfg.Workers),
-		barrier: newTimeBarrier(cfg.Workers),
+		cfg:       cfg,
+		world:     make([]int, cfg.Workers),
+		barrier:   newTimeBarrier(cfg.Workers),
+		mailboxes: make([]chan message, cfg.Workers),
 	}
-	for i := range c.ringIn {
-		c.ringIn[i] = make(chan []float64, 1)
+	for r := range c.world {
+		c.world[r] = r
+		// Generous buffering: senders never block on a slow receiver in the
+		// workloads we model (a few outstanding messages per pair).
+		c.mailboxes[r] = make(chan message, 4*cfg.Workers)
 	}
 	return c, nil
 }
@@ -162,7 +167,6 @@ type Worker struct {
 	cluster *Cluster
 	rank    int
 	vt      time.Duration // virtual clock
-	hierSeq int           // per-worker hierarchical collective sequence
 	pending []message     // received but not yet consumed p2p messages
 }
 
@@ -195,86 +199,12 @@ func (w *Worker) Barrier() {
 	w.vt, _ = w.cluster.barrier.wait(w.rank, w.vt, 0, 0, OpSum)
 }
 
-// synchronized runs a collective: clocks align to the slowest participant
-// plus the modeled collective cost (inflated by any active link-degrade
-// window; the barrier takes the max across ranks, so clocks stay agreed
-// even when a window boundary splits the participants).
-func (w *Worker) synchronized(cost time.Duration) {
-	w.vt, _ = w.cluster.barrier.wait(w.rank, w.vt, w.commScaled(cost), 0, OpSum)
-}
-
-// RingAllReduceMean averages vec element-wise across all workers, in place,
-// using a bandwidth-optimal ring (reduce-scatter then all-gather) with real
-// chunk exchange over channels. All workers must call it with equal-length
-// vectors. Virtual clocks advance by the modeled ring cost and synchronize.
+// RingAllReduceMean averages vec element-wise across all workers, in place:
+// the group ring over the whole world, priced on the fabric. All workers
+// must call it with equal-length vectors. Virtual clocks advance by the
+// modeled ring cost and synchronize.
 func (w *Worker) RingAllReduceMean(vec []float64) {
-	w.RingAllReduceMeanSized(vec, int64(len(vec))*8)
-}
-
-// RingAllReduceMeanSized is RingAllReduceMean with an explicit modeled wire
-// size, for payloads that ship compressed (fp16) while the in-memory
-// exchange stays float64.
-func (w *Worker) RingAllReduceMeanSized(vec []float64, wireBytes int64) {
-	w.ringExchange(vec)
-	w.synchronized(w.cluster.cfg.Net.RingAllReduceTime(wireBytes, w.Size()))
-}
-
-// AsyncRingAllReduceMeanSized performs the same in-place ring averaging as
-// RingAllReduceMeanSized but leaves every virtual clock untouched, returning
-// the modeled cost of wireBytes on the ring instead: the bucketed gradient
-// schedules launch these mid-backward and charge the overlapped timeline
-// afterwards. All workers must issue matching calls in the same order.
-func (w *Worker) AsyncRingAllReduceMeanSized(vec []float64, wireBytes int64) time.Duration {
-	w.ringExchange(vec)
-	return w.commScaled(w.cluster.cfg.Net.RingAllReduceTime(wireBytes, w.Size()))
-}
-
-// ringExchange is the pure data-movement ring all-reduce (reduce-scatter
-// then all-gather, then the 1/p mean scaling). It never touches clocks.
-func (w *Worker) ringExchange(vec []float64) {
-	p := w.Size()
-	if p == 1 {
-		return
-	}
-	c := w.cluster
-	right := c.ringIn[(w.rank+1)%p] // we send into our right neighbour's inbox
-	left := c.ringIn[w.rank]        // we receive from our own inbox
-
-	// Chunk boundaries (chunk j = [bounds[j], bounds[j+1])).
-	bounds := make([]int, p+1)
-	for j := 0; j <= p; j++ {
-		bounds[j] = j * len(vec) / p
-	}
-	chunk := func(j int) []float64 { return vec[bounds[j]:bounds[j+1]] }
-
-	// Reduce-scatter: after p-1 steps, worker r owns the fully-reduced
-	// chunk (r+1) mod p.
-	for step := 0; step < p-1; step++ {
-		sendIdx := mod(w.rank-step, p)
-		recvIdx := mod(w.rank-step-1, p)
-		out := make([]float64, len(chunk(sendIdx)))
-		copy(out, chunk(sendIdx))
-		right <- out
-		in := <-left
-		dst := chunk(recvIdx)
-		for i := range dst {
-			dst[i] += in[i]
-		}
-	}
-	// All-gather: circulate the reduced chunks.
-	for step := 0; step < p-1; step++ {
-		sendIdx := mod(w.rank-step+1, p)
-		recvIdx := mod(w.rank-step, p)
-		out := make([]float64, len(chunk(sendIdx)))
-		copy(out, chunk(sendIdx))
-		right <- out
-		in := <-left
-		copy(chunk(recvIdx), in)
-	}
-	inv := 1 / float64(p)
-	for i := range vec {
-		vec[i] *= inv
-	}
+	w.GroupRingAllReduceSized(vec, w.cluster.world, int64(len(vec))*8, true, Topology{})
 }
 
 // Channel identifies which physical communication engine an overlapped
@@ -300,15 +230,6 @@ const (
 // timeline.
 const NumChannels = int(numChannels)
 
-// normChannel coerces out-of-range channels onto the fabric, matching the
-// forgiving behaviour of OverlapFinishChannels.
-func normChannel(c Channel) Channel {
-	if c < 0 || c >= numChannels {
-		return ChannelInter
-	}
-	return c
-}
-
 // CommEvent is one communication launch inside an overlapped step: a
 // collective of modeled duration Cost whose inputs become available ReadyAt
 // into the step's compute, occupying the engine named by Channel.
@@ -316,55 +237,6 @@ type CommEvent struct {
 	ReadyAt time.Duration
 	Cost    time.Duration
 	Channel Channel
-}
-
-// OverlapFinish returns the completion time of a step whose compute spans
-// [0, compute) while the comm events execute back-to-back on one
-// communication channel, each starting no earlier than its ReadyAt:
-//
-//	start_i  = max(finish_{i-1}, ReadyAt_i)
-//	finish_i = start_i + Cost_i
-//	step     = max(compute, finish_last)
-//
-// This is the max(compute, comm) overlap charge — communication hidden
-// under remaining compute is free; only the exposed tail extends the step.
-func OverlapFinish(compute time.Duration, events []CommEvent) time.Duration {
-	var finish time.Duration
-	for _, e := range events {
-		start := finish
-		if e.ReadyAt > start {
-			start = e.ReadyAt
-		}
-		finish = start + e.Cost
-	}
-	if compute > finish {
-		return compute
-	}
-	return finish
-}
-
-// OverlapFinishChannels is OverlapFinish with per-channel serialization:
-// each event occupies its Channel's engine back-to-back in slice order
-// (start_i = max(channel_finish, ReadyAt_i)), different channels proceed
-// independently, and the step completes when compute and every channel's
-// last event have finished. With all events on one channel it degenerates
-// exactly to OverlapFinish — which is why flat topologies, whose collectives
-// all ride the fabric, reproduce the single-channel timelines bitwise.
-func OverlapFinishChannels(compute time.Duration, events []CommEvent) time.Duration {
-	var finish [numChannels]time.Duration
-	step := compute
-	for _, e := range events {
-		c := normChannel(e.Channel)
-		start := finish[c]
-		if e.ReadyAt > start {
-			start = e.ReadyAt
-		}
-		finish[c] = start + e.Cost
-		if finish[c] > step {
-			step = finish[c]
-		}
-	}
-	return step
 }
 
 // CommSpan is one event's resolved window on the overlap timeline: the
@@ -375,53 +247,48 @@ type CommSpan struct {
 	Start, Finish time.Duration
 }
 
-// OverlapScheduleChannels resolves each event's start/finish under exactly
-// the per-channel serialization of OverlapFinishChannels (same traversal,
-// same coercion of out-of-range channels onto the fabric) and returns the
-// spans in event order together with the step finish. The trace exporter
-// renders these spans; tests pin max(compute, last finish) ==
-// OverlapFinishChannels so the rendered timeline can never drift from the
-// clock charge.
-func OverlapScheduleChannels(compute time.Duration, events []CommEvent) ([]CommSpan, time.Duration) {
-	var finish [numChannels]time.Duration
-	step := compute
-	spans := make([]CommSpan, len(events))
+// Overlap resolves a step whose compute spans [0, compute) while each comm
+// event occupies its Channel's engine back-to-back in slice order, starting
+// no earlier than its ReadyAt (out-of-range channels ride the fabric):
+//
+//	start_i  = max(finish of the channel's previous event, ReadyAt_i)
+//	finish_i = start_i + Cost_i
+//	step     = max(compute, every finish)
+//
+// This is the max(compute, comm) overlap charge: communication hidden under
+// remaining compute is free, only the exposed tail extends the step, and
+// different channels pipeline independently. With every event on one
+// channel it is the single-engine charge, which is why flat topologies,
+// whose collectives all ride the fabric, reproduce single-channel timelines
+// bitwise. exposure[c] is how far channel c's last finish runs past
+// compute; the step's total exposure is the max across channels, not the
+// sum. When spans is non-nil it must hold len(events) entries and receives
+// each event's window, in event order, for the trace exporter — the
+// rendered timeline is the charged one by construction.
+func Overlap(compute time.Duration, events []CommEvent, spans []CommSpan) (step time.Duration, exposure [NumChannels]time.Duration) {
+	var finish [NumChannels]time.Duration
+	step = compute
 	for i, e := range events {
-		c := normChannel(e.Channel)
+		c := e.Channel
+		if c < 0 || c >= numChannels {
+			c = ChannelInter
+		}
 		start := finish[c]
 		if e.ReadyAt > start {
 			start = e.ReadyAt
 		}
 		finish[c] = start + e.Cost
-		if finish[c] > step {
-			step = finish[c]
-		}
-		spans[i] = CommSpan{Event: e, Start: start, Finish: finish[c]}
-	}
-	return spans, step
-}
-
-// OverlapChannelExposure returns, per channel, how far that channel's
-// serialized event timeline extends past the step's compute span — the
-// engine's own exposed tail. The step's total exposure is the max (not the
-// sum) across channels: the engines run concurrently, so only the longest
-// tail extends the step.
-func OverlapChannelExposure(compute time.Duration, events []CommEvent) (exposure [NumChannels]time.Duration) {
-	var finish [numChannels]time.Duration
-	for _, e := range events {
-		c := normChannel(e.Channel)
-		start := finish[c]
-		if e.ReadyAt > start {
-			start = e.ReadyAt
-		}
-		finish[c] = start + e.Cost
-	}
-	for c := range finish {
-		if finish[c] > compute {
-			exposure[c] = finish[c] - compute
+		step = max(step, finish[c])
+		if spans != nil {
+			spans[i] = CommSpan{Event: e, Start: start, Finish: finish[c]}
 		}
 	}
-	return exposure
+	for c, f := range finish {
+		if f > compute {
+			exposure[c] = f - compute
+		}
+	}
+	return step, exposure
 }
 
 // ReduceOp selects the scalar reduction.

@@ -1,7 +1,7 @@
 package cluster
 
-// The point-to-point mailboxes under the hierarchical and group
-// collectives: tagged payloads between worker goroutines.
+// The point-to-point mailboxes, the one transport under every collective:
+// tagged payloads between worker goroutines, rank r's inbox built by New.
 
 // message is a tagged point-to-point payload.
 type message struct {
@@ -10,17 +10,18 @@ type message struct {
 	payload []float64
 }
 
-// p2p lazily initializes the mailbox fabric.
-func (c *Cluster) p2p() []chan message {
-	c.p2pOnce.Do(func() {
-		c.mailboxes = make([]chan message, c.cfg.Workers)
-		for i := range c.mailboxes {
-			// Generous buffering: senders never block on a slow receiver in
-			// the workloads we model (a few outstanding messages per pair).
-			c.mailboxes[i] = make(chan message, 4*c.cfg.Workers)
-		}
-	})
-	return c.mailboxes
+// rawSend ships a copy of payload to rank `to` without touching any virtual
+// clock: the collectives charge their modeled cost separately.
+func (w *Worker) rawSend(to, tag int, payload []float64) {
+	buf := make([]float64, len(payload))
+	copy(buf, payload)
+	w.cluster.mailboxes[to] <- message{from: w.rank, tag: tag, payload: buf}
+}
+
+// rawRecv blocks for the message with the exact (from, tag) without touching
+// any virtual clock.
+func (w *Worker) rawRecv(from, tag int) []float64 {
+	return w.recvMatch(from, tag).payload
 }
 
 // recvMatch blocks for the first message matching (from, tag), from = -1
@@ -35,7 +36,7 @@ func (w *Worker) recvMatch(from, tag int) message {
 			return m
 		}
 	}
-	inbox := w.cluster.p2p()[w.rank]
+	inbox := w.cluster.mailboxes[w.rank]
 	for {
 		m := <-inbox
 		if (from < 0 || m.from == from) && m.tag == tag {

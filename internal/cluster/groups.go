@@ -9,17 +9,17 @@ import (
 // Sub-communicator collectives for hybrid (spatial x data) parallelism: a
 // 2D process grid runs halo exchanges within each replica group and gradient
 // AllReduce within each shard group, so the primitives here operate on an
-// explicit ordered member list instead of the whole world. All data movement
-// rides the p2p mailbox fabric; per-(sender, receiver) FIFO delivery (see
-// recvMatch) sequences back-to-back collectives, so the tags are constants.
-//
-// Tags live far below the hierarchical collective tag space so the two
-// families can never alias.
+// explicit ordered member list instead of the whole world (the world
+// collectives pass the member list [0..Workers)). All data movement rides
+// the p2p mailboxes; per-(sender, receiver) FIFO delivery (see recvMatch)
+// sequences back-to-back collectives, so the tags are constants.
 const (
 	groupClockGatherTag  = -(1 << 30)
 	groupClockReleaseTag = -(1<<30 + 1)
 	groupRingTag         = -(1<<30 + 2)
 	haloTag              = -(1<<30 + 3)
+	hierReduceTag        = -(1<<30 + 4)
+	hierBcastTag         = -(1<<30 + 5)
 )
 
 // groupIndex returns w's position in the ordered member list.
@@ -33,57 +33,59 @@ func (w *Worker) groupIndex(group []int) int {
 }
 
 // GroupBarrier synchronizes the virtual clocks of the group's members to the
-// group maximum plus cost. All members must call it with the identical
-// ordered member list. Unlike Barrier it involves only the group: other
+// group maximum plus the largest of the members' costs, and returns that
+// charged cost. All members must call it with the identical ordered member
+// list. Like timeBarrier.wait it charges max(vt) + max(cost), so a degrade
+// window that scales some members' costs and not others' gives the same
+// clocks whoever leads. Unlike Barrier it involves only the group: other
 // workers proceed untouched.
-func (w *Worker) GroupBarrier(group []int, cost time.Duration) {
+func (w *Worker) GroupBarrier(group []int, cost time.Duration) time.Duration {
 	if len(group) <= 1 {
 		w.vt += cost
-		return
+		return cost
 	}
 	leader := group[0]
-	if w.rank == leader {
-		maxVT := w.vt
-		for _, r := range group[1:] {
-			in := w.rawRecv(r, groupClockGatherTag)
-			if d := time.Duration(in[0]); d > maxVT {
-				maxVT = d
-			}
-		}
-		w.vt = maxVT + cost
-		out := []float64{float64(w.vt)}
-		for _, r := range group[1:] {
-			w.rawSend(r, groupClockReleaseTag, out)
-		}
-	} else {
-		w.rawSend(leader, groupClockGatherTag, []float64{float64(w.vt)})
-		w.vt = time.Duration(w.rawRecv(leader, groupClockReleaseTag)[0])
+	if w.rank != leader {
+		w.rawSend(leader, groupClockGatherTag, []float64{float64(w.vt), float64(cost)})
+		in := w.rawRecv(leader, groupClockReleaseTag)
+		w.vt = time.Duration(in[0])
+		return time.Duration(in[1])
 	}
+	maxVT := w.vt
+	for _, r := range group[1:] {
+		in := w.rawRecv(r, groupClockGatherTag)
+		maxVT = max(maxVT, time.Duration(in[0]))
+		cost = max(cost, time.Duration(in[1]))
+	}
+	w.vt = maxVT + cost
+	out := []float64{float64(w.vt), float64(cost)}
+	for _, r := range group[1:] {
+		w.rawSend(r, groupClockReleaseTag, out)
+	}
+	return cost
 }
 
 // GroupRingAllReduceSized sums vec element-wise across the group's members,
-// in place, using a bandwidth-optimal ring over the p2p fabric, scaling by
-// 1/len(group) when mean is set. All members must call it together with the
-// identical ordered member list and equal-length vectors. The reduction
+// in place, using a bandwidth-optimal ring over the p2p mailboxes, scaling
+// by 1/len(group) when mean is set. All members must call it together with
+// the identical ordered member list and equal-length vectors. The reduction
 // order is a deterministic function of the group layout, so every member
 // ends with bitwise-identical contents. Clocks synchronize within the group
-// and advance by the modeled ring cost of wireBytes, priced on the link the
-// topology implies (NVLink-class when the whole group shares a node, fabric
-// otherwise); the cost is returned for the caller's comm accounting.
+// (GroupBarrier) and advance by the modeled ring cost of wireBytes, priced
+// on the link the topology implies (NVLink-class when the whole group
+// shares a node, fabric otherwise); the charged cost is returned for the
+// caller's comm accounting.
 func (w *Worker) GroupRingAllReduceSized(vec []float64, group []int, wireBytes int64, mean bool, topo Topology) time.Duration {
-	m := len(group)
-	if m > 1 {
+	if m := len(group); m > 1 {
 		w.groupRingExchange(vec, group)
-	}
-	if mean {
-		inv := 1 / float64(m)
-		for i := range vec {
-			vec[i] *= inv
+		if mean {
+			inv := 1 / float64(m)
+			for i := range vec {
+				vec[i] *= inv
+			}
 		}
 	}
-	cost := w.commScaled(w.groupLink(group, topo).RingAllReduceTime(wireBytes, m))
-	w.GroupBarrier(group, cost)
-	return cost
+	return w.GroupBarrier(group, w.commScaled(w.groupLink(group, topo).RingAllReduceTime(wireBytes, len(group))))
 }
 
 // groupLink returns the interconnect model a group collective rides: the
@@ -150,18 +152,19 @@ func (w *Worker) groupAllGather(vec []float64, group []int) {
 	}
 }
 
-// AsyncTwoStageAllReduce is the hybrid grid's gradient collective: vec is
-// summed element-wise across the replica group (the spatial reduction) and
-// averaged across the shard group (the data-parallel mean), in place, with
-// every member of the 2D grid ending bitwise identical. The caller's rank
-// must sit at the same index in both lists' intersection (rank layout
-// rep*S+sh guarantees it). Unlike the blocking two-ring schedule, the data
-// movement is chunked: reduce-scatter within the replica group, allreduce of
-// just the owned 1/S chunk across the shard group, then allgather within the
-// replica group — the inter-group stage moves S times fewer bytes. Clocks
-// are NOT advanced (clock-deferred, like the Async collectives): the modeled
-// cost is returned, priced per stage on the link its group implies, so
-// bucketed overlap can fold it into the step timeline.
+// AsyncTwoStageAllReduce is the grid's gradient collective: vec is summed
+// element-wise across the replica group (the spatial reduction) and averaged
+// across the shard group (the data-parallel mean), in place, with every
+// member of the 2D grid ending bitwise identical. The caller's rank must sit
+// at the same index in both lists' intersection (rank layout rep*S+sh
+// guarantees it). Unlike the blocking two-ring schedule, the data movement
+// is chunked: reduce-scatter within the replica group, allreduce of just the
+// owned 1/S chunk across the shard group, then allgather within the replica
+// group — the inter-group stage moves S times fewer bytes. On a 1xR grid the
+// replica groups have one member and only the middle stage runs: the ring
+// over the whole world. Clocks are NOT advanced (clock-deferred): the
+// modeled cost is returned, priced per stage on the link its group implies,
+// so bucketed overlap can fold it into the step timeline.
 func (w *Worker) AsyncTwoStageAllReduce(vec []float64, replicaGroup, shardGroup []int, wireBytes int64, topo Topology) time.Duration {
 	s, r := len(replicaGroup), len(shardGroup)
 	var cost time.Duration

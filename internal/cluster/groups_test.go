@@ -3,6 +3,8 @@ package cluster
 import (
 	"testing"
 	"time"
+
+	"pgti/internal/fault"
 )
 
 // TestGroupRingAllReduceSumAndMean: disjoint groups reduce concurrently and
@@ -71,6 +73,38 @@ func TestGroupBarrierSyncsOnlyTheGroup(t *testing.T) {
 	}
 	if vts[2] != 3*time.Millisecond {
 		t.Fatalf("outsider clock %v, want its own 3ms", vts[2])
+	}
+}
+
+// TestGroupBarrierChargesMaxCostWhoeverLeads: a link-degrade window that
+// covers one member's clock but not the leader's scales that member's cost
+// alone. The group charges max(vt) + max(cost), as the world Barrier does,
+// so every member lands on the same clock and returns the same charged
+// cost whichever rank leads.
+func TestGroupBarrierChargesMaxCostWhoeverLeads(t *testing.T) {
+	const wire = 8192 * 8
+	for _, group := range [][]int{{0, 1}, {1, 0}} {
+		clu, err := New(Config{Workers: 2, Faults: fault.New(1, fault.Degrade(3, 4*time.Millisecond, 10*time.Millisecond))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vts := make([]time.Duration, 2)
+		costs := make([]time.Duration, 2)
+		err = clu.Run(func(w *Worker) error {
+			w.AdvanceTime(time.Duration(w.Rank()) * 5 * time.Millisecond) // 0 (outside), 5ms (inside)
+			costs[w.Rank()] = w.GroupRingAllReduceSized(make([]float64, 8192), group, wire, true, Topology{})
+			vts[w.Rank()] = w.VirtualTime()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := time.Duration(float64(clu.Net().RingAllReduceTime(wire, 2)) * 3)
+		for r := range vts {
+			if costs[r] != want || vts[r] != 5*time.Millisecond+want {
+				t.Fatalf("leader %d, rank %d: charged %v, clock %v; want %v, %v", group[0], r, costs[r], vts[r], want, 5*time.Millisecond+want)
+			}
+		}
 	}
 }
 

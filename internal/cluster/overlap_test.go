@@ -144,3 +144,58 @@ func TestOverlapScheduleChannelsAgreesWithFinish(t *testing.T) {
 		t.Fatalf("single-channel timeline diverged from OverlapFinish")
 	}
 }
+
+// FuzzOverlap checks Overlap's contract on random timelines: the step is
+// max(compute, every span's finish); each channel's exposure is how far its
+// last finish runs past compute; spans on one channel are ordered, disjoint
+// and start as soon as both the engine and the event are ready; channels out
+// of range ride the fabric; and passing spans never changes the charge.
+// Each event is four bytes: ReadyAt and Cost in units of 10µs (one byte
+// each, so collisions and idle gaps are common) and a channel in [-2, 3].
+func FuzzOverlap(f *testing.F) {
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(500), []byte{1, 9, 0, 0, 2, 5, 1, 0, 2, 5, 3, 0})
+	f.Add(uint16(30), []byte{0, 200, 255, 0, 0, 1, 2, 7, 40, 40, 0, 0})
+	f.Fuzz(func(t *testing.T, computeUnits uint16, data []byte) {
+		const unit = 10 * time.Microsecond
+		compute := time.Duration(computeUnits) * unit
+		var events []CommEvent
+		for ; len(data) >= 4; data = data[4:] {
+			events = append(events, CommEvent{
+				ReadyAt: time.Duration(data[0]) * unit,
+				Cost:    time.Duration(data[1]) * unit,
+				Channel: Channel(int(data[2])%6 - 2),
+			})
+		}
+		spans := make([]CommSpan, len(events))
+		step, exposure := Overlap(compute, events, spans)
+		if s, e := Overlap(compute, events, nil); s != step || e != exposure {
+			t.Fatalf("spans changed the charge: %v %v vs %v %v", s, e, step, exposure)
+		}
+		wantStep := compute
+		var last [NumChannels]time.Duration // each channel's last finish so far
+		for i, sp := range spans {
+			e := events[i]
+			c := e.Channel
+			if c != ChannelIntra {
+				c = ChannelInter // the fabric, and every out-of-range channel
+			}
+			if sp.Event != e {
+				t.Fatalf("span %d carries %+v, want %+v", i, sp.Event, e)
+			}
+			if sp.Start != max(last[c], e.ReadyAt) || sp.Finish != sp.Start+e.Cost {
+				t.Fatalf("span %d on channel %d = [%v, %v), engine free at %v, event %+v", i, c, sp.Start, sp.Finish, last[c], e)
+			}
+			last[c] = sp.Finish
+			wantStep = max(wantStep, sp.Finish)
+		}
+		if step != wantStep {
+			t.Fatalf("step %v, want max(compute, finishes) %v", step, wantStep)
+		}
+		for c := range exposure {
+			if want := max(0, last[c]-compute); exposure[c] != want {
+				t.Fatalf("channel %d exposure %v, want %v", c, exposure[c], want)
+			}
+		}
+	})
+}

@@ -47,7 +47,11 @@ func (w *Worker) AsyncHierarchicalAllReduceMean(vec []float64, topo Topology) ti
 // ring transport internally for the actual data movement (numerically
 // identical); its virtual cost model is the serialized root pattern.
 func (w *Worker) NaiveAllReduceMean(vec []float64) {
-	w.ringExchange(vec)
+	w.groupRingExchange(vec, w.cluster.world)
+	inv := 1 / float64(w.Size())
+	for i := range vec {
+		vec[i] *= inv
+	}
 	w.synchronized(w.cluster.cfg.Net.NaiveAllReduceTime(int64(len(vec))*8, w.Size()))
 }
 

@@ -20,6 +20,54 @@ func (c *Cluster) Size() int { return c.cfg.Workers }
 // collectives.
 func (c *Cluster) IntraNet() NetworkModel { return c.cfg.IntraNet }
 
+// synchronized runs a collective: clocks align to the slowest participant
+// plus the modeled collective cost (inflated by any active link-degrade
+// window; the barrier takes the max across ranks, so clocks stay agreed
+// even when a window boundary splits the participants).
+func (w *Worker) synchronized(cost time.Duration) {
+	w.vt, _ = w.cluster.barrier.wait(w.rank, w.vt, w.commScaled(cost), 0, OpSum)
+}
+
+// RingAllReduceMeanSized is RingAllReduceMean with an explicit modeled wire
+// size, for payloads that ship compressed (fp16) while the in-memory
+// exchange stays float64.
+func (w *Worker) RingAllReduceMeanSized(vec []float64, wireBytes int64) {
+	w.GroupRingAllReduceSized(vec, w.cluster.world, wireBytes, true, Topology{})
+}
+
+// AsyncRingAllReduceMeanSized is the world ring as the 1xR grid's two-stage
+// collective with one-member replica groups: the in-place ring mean with
+// every virtual clock untouched, returning the modeled cost of wireBytes.
+func (w *Worker) AsyncRingAllReduceMeanSized(vec []float64, wireBytes int64) time.Duration {
+	return w.AsyncTwoStageAllReduce(vec, []int{w.rank}, w.cluster.world, wireBytes, Topology{})
+}
+
+// OverlapFinish is Overlap's step for a timeline whose events share one
+// channel.
+func OverlapFinish(compute time.Duration, events []CommEvent) time.Duration {
+	step, _ := Overlap(compute, events, nil)
+	return step
+}
+
+// OverlapFinishChannels is Overlap's step.
+func OverlapFinishChannels(compute time.Duration, events []CommEvent) time.Duration {
+	step, _ := Overlap(compute, events, nil)
+	return step
+}
+
+// OverlapScheduleChannels is Overlap's spans, with its step.
+func OverlapScheduleChannels(compute time.Duration, events []CommEvent) ([]CommSpan, time.Duration) {
+	spans := make([]CommSpan, len(events))
+	step, _ := Overlap(compute, events, spans)
+	return spans, step
+}
+
+// OverlapChannelExposure is Overlap's per-channel exposure.
+func OverlapChannelExposure(compute time.Duration, events []CommEvent) [NumChannels]time.Duration {
+	_, exposure := Overlap(compute, events, nil)
+	return exposure
+}
+
 // Send ships a copy of payload to the worker at rank `to` under a
 // non-negative tag, charging the transfer to this worker's virtual clock.
 func (w *Worker) Send(to, tag int, payload []float64) {
@@ -31,7 +79,7 @@ func (w *Worker) Send(to, tag int, payload []float64) {
 	}
 	buf := make([]float64, len(payload))
 	copy(buf, payload)
-	w.cluster.p2p()[to] <- message{from: w.rank, tag: tag, payload: buf}
+	w.cluster.mailboxes[to] <- message{from: w.rank, tag: tag, payload: buf}
 	w.vt += w.commScaled(w.cluster.cfg.Net.TransferTime(int64(len(payload)) * 8))
 }
 
@@ -49,7 +97,7 @@ func (w *Worker) Broadcast(vec []float64, root int) {
 			if r != root {
 				buf := make([]float64, len(vec))
 				copy(buf, vec)
-				c.p2p()[r] <- message{from: root, tag: broadcastTag, payload: buf}
+				c.mailboxes[r] <- message{from: root, tag: broadcastTag, payload: buf}
 			}
 		}
 	} else {

@@ -1,15 +1,15 @@
 package cluster
 
-import (
-	"time"
-)
+import "time"
 
-// Topology describes the simulated machine layout for hierarchical
-// collectives: Nodes physical nodes with GPUsPerNode workers each. Ranks map
-// onto nodes contiguously (rank r lives on node r/GPUsPerNode), matching the
-// usual launcher placement. A zero or one GPUsPerNode means a flat topology:
-// every worker is its own node and hierarchical collectives degenerate to the
-// plain inter-node ring.
+// Topology describes the simulated machine layout: Nodes physical nodes with
+// GPUsPerNode workers each. Ranks map onto nodes contiguously (rank r lives
+// on node r/GPUsPerNode), matching the usual launcher placement. A group
+// collective whose members share one node rides the intra-node link, and
+// the hierarchical algorithm reduces per node first. A zero or one
+// GPUsPerNode means a flat topology: every worker is its own node, every
+// collective rides the fabric, and the hierarchical algorithm degenerates
+// to the plain inter-node ring.
 //
 // The world size does not have to equal Nodes*GPUsPerNode: the last node may
 // be partially filled (odd world sizes), and Nodes is advisory — the number
@@ -44,8 +44,8 @@ func (t Topology) NumNodes(world int) int {
 // under this topology for the given world size: ChannelIntra when every
 // member shares one simulated node (the collective runs on the NVLink-class
 // engine, mirroring the link groupLink prices it on), ChannelInter otherwise.
-// Trainers stamp their CommEvents with this so OverlapFinishChannels can
-// pipeline on-node and cross-node collectives independently.
+// Trainers stamp their CommEvents with this so Overlap can pipeline on-node
+// and cross-node collectives independently.
 func (t Topology) GroupChannel(world int, group []int) Channel {
 	if t.Flat() || len(group) == 0 {
 		return ChannelInter
@@ -97,42 +97,13 @@ func HierarchicalAllReduceTime(bytes int64, world int, topo Topology, intra, int
 	return d
 }
 
-// Hierarchical collective tags. Each hierarchical collective call consumes
-// one sequence number per worker (matching across workers, since all workers
-// issue matching collectives in the same order); encoding the sequence in
-// the tag keeps messages of back-to-back collectives from ever aliasing.
-const (
-	hierPhaseReduce = 0
-	hierPhaseRing   = 1
-	hierPhaseBcast  = 2
-)
-
-func hierTag(seq, phase int) int {
-	return -(16 + seq*4 + phase)
-}
-
-// rawSend ships a copy of payload to rank `to` without touching any virtual
-// clock — the transport primitive under the clock-deferred hierarchical
-// collectives (their modeled cost is charged separately).
-func (w *Worker) rawSend(to, tag int, payload []float64) {
-	buf := make([]float64, len(payload))
-	copy(buf, payload)
-	w.cluster.p2p()[to] <- message{from: w.rank, tag: tag, payload: buf}
-}
-
-// rawRecv blocks for the message with the exact (from, tag) without touching
-// any virtual clock.
-func (w *Worker) rawRecv(from, tag int) []float64 {
-	return w.recvMatch(from, tag).payload
-}
-
 // AsyncHierarchicalAllReduceMeanSized averages vec element-wise across all
 // workers, in place, with the topology-aware three-phase algorithm: reduce
 // to the node leader (summing members in rank order, so the result is
-// deterministic), ring all-reduce across node leaders, broadcast back down,
-// then the 1/world mean scaling. It leaves every virtual clock untouched
-// and returns the modeled cost of wireBytes for the caller's overlap
-// accounting.
+// deterministic), the group ring across the node leaders, broadcast back
+// down, then the 1/world mean scaling. It leaves every virtual clock
+// untouched and returns the modeled cost of wireBytes for the caller's
+// overlap accounting.
 func (w *Worker) AsyncHierarchicalAllReduceMeanSized(vec []float64, topo Topology, wireBytes int64) time.Duration {
 	w.hierExchange(vec, topo)
 	return HierarchicalAllReduceTime(wireBytes, w.Size(), topo, w.cluster.cfg.IntraNet, w.cluster.cfg.Net)
@@ -146,76 +117,35 @@ func (w *Worker) hierExchange(vec []float64, topo Topology) {
 		return
 	}
 	g := topo.groupSize(world)
-	m := topo.NumNodes(world)
-	node := w.rank / g
-	leader := node * g
-	nodeSize := g
-	if leader+nodeSize > world {
-		nodeSize = world - leader
-	}
-	seq := w.hierSeq
-	w.hierSeq++
-
-	// Phase 1: reduce to the node leader, accumulating members in ascending
-	// rank order so the floating-point sum is deterministic.
+	leader := w.rank / g * g
+	end := min(leader+g, world)
 	if w.rank != leader {
-		w.rawSend(leader, hierTag(seq, hierPhaseReduce), vec)
+		w.rawSend(leader, hierReduceTag, vec)
+		copy(vec, w.rawRecv(leader, hierBcastTag))
 	} else {
-		for i := 1; i < nodeSize; i++ {
-			in := w.rawRecv(leader+i, hierTag(seq, hierPhaseReduce))
+		// Accumulate the node's members in ascending rank order so the
+		// floating-point sum is deterministic.
+		for r := leader + 1; r < end; r++ {
+			in := w.rawRecv(r, hierReduceTag)
 			for j := range vec {
 				vec[j] += in[j]
 			}
 		}
-		// Phase 2: ring all-reduce (sum) across the node leaders.
-		if m > 1 {
-			w.leaderRingSum(vec, node, m, g, seq)
+		if m := topo.NumNodes(world); m > 1 {
+			leaders := make([]int, m)
+			for i := range leaders {
+				leaders[i] = i * g
+			}
+			w.groupRingExchange(vec, leaders)
 		}
-	}
-
-	// Phase 3: broadcast the node-identical result back down and scale to
-	// the mean. All leaders hold bitwise-identical vectors after the ring's
-	// all-gather, so every rank converges to the same bytes.
-	if w.rank == leader {
-		for i := 1; i < nodeSize; i++ {
-			w.rawSend(leader+i, hierTag(seq, hierPhaseBcast), vec)
+		// Every leader holds the same bytes after the ring's all-gather, so
+		// every rank converges to them.
+		for r := leader + 1; r < end; r++ {
+			w.rawSend(r, hierBcastTag, vec)
 		}
-	} else {
-		copy(vec, w.rawRecv(leader, hierTag(seq, hierPhaseBcast)))
 	}
 	inv := 1 / float64(world)
 	for i := range vec {
 		vec[i] *= inv
-	}
-}
-
-// leaderRingSum runs a bandwidth-optimal ring all-reduce (sum, no scaling)
-// across the m node leaders over the p2p fabric. node is this leader's index
-// in the leader ring; g converts leader indices back to ranks.
-func (w *Worker) leaderRingSum(vec []float64, node, m, g, seq int) {
-	right := mod(node+1, m) * g
-	left := mod(node-1, m) * g
-	tag := hierTag(seq, hierPhaseRing)
-
-	bounds := make([]int, m+1)
-	for j := 0; j <= m; j++ {
-		bounds[j] = j * len(vec) / m
-	}
-	chunk := func(j int) []float64 { return vec[bounds[j]:bounds[j+1]] }
-
-	// Reduce-scatter: after m-1 steps, leader `node` owns the fully-reduced
-	// chunk (node+1) mod m.
-	for step := 0; step < m-1; step++ {
-		w.rawSend(right, tag, chunk(mod(node-step, m)))
-		in := w.rawRecv(left, tag)
-		dst := chunk(mod(node-step-1, m))
-		for i := range dst {
-			dst[i] += in[i]
-		}
-	}
-	// All-gather: circulate the reduced chunks.
-	for step := 0; step < m-1; step++ {
-		w.rawSend(right, tag, chunk(mod(node-step+1, m)))
-		copy(chunk(mod(node-step, m)), w.rawRecv(left, tag))
 	}
 }

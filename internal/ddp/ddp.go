@@ -194,9 +194,10 @@ type LaunchFunc func(vec []float64, wireBytes int64) time.Duration
 // pluggable LaunchFunc, recording the measured backward offset of the
 // launch; after backward the syncer scatters the reduced buckets back and
 // converts the measured launch timeline into the overlapped virtual-time
-// charge. shard.Train plugs in the world ring/hierarchical AllReduce at
-// Shards == 1 and the grouped two-stage (replica-sum then shard-mean)
-// collective on a sharded grid.
+// charge. shard.Train plugs in the grid's two-stage (replica-sum then
+// shard-mean) collective, which on a 1xR grid, whose replica groups have one
+// member, is the world ring; ddp.GradAlgoHierarchical plugs in the
+// node-aware world AllReduce instead.
 type OverlapSyncer struct {
 	launch  LaunchFunc
 	fp16    bool
@@ -391,7 +392,8 @@ func (s *OverlapSyncer) ModeledFinish(compute time.Duration) time.Duration {
 			Cost:    s.events[i].Cost,
 		}
 	}
-	return cluster.OverlapFinish(compute, events)
+	step, _ := cluster.Overlap(compute, events, nil)
+	return step
 }
 
 // CommWall returns the real wall time this step spent blocked inside

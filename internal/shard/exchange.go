@@ -22,7 +22,7 @@ import (
 // Under the overlapped schedule Stats also collects the step's exchange
 // launches as comm events: the trainer stamps their ready offsets onto the
 // step timeline and charges max(compute, pipelined comm) once per step via
-// cluster.OverlapFinish, instead of exposing every exchange's full cost.
+// cluster.Overlap, instead of exposing every exchange's full cost.
 type Stats struct {
 	Bytes int64
 	// Time is the total modeled halo-exchange cost (exposed + hidden).

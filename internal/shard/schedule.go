@@ -50,9 +50,9 @@ func newSchedule(wk *worker) gradSchedule {
 }
 
 // flatSchedule is the blocking baseline: one flattened exchange after
-// backward, fully exposed — the world ring unsharded, the replica-group sum
-// then shard-group mean sharded. Every worker ends with the
-// bitwise-identical global gradient.
+// backward, fully exposed — the replica-group sum (sharded grids only) then
+// the shard-group mean, which on a 1xR grid is the ring over the whole
+// world. Every worker ends with the bitwise-identical global gradient.
 type flatSchedule struct {
 	wk    *worker
 	buf   []float64
@@ -81,16 +81,15 @@ func (f *flatSchedule) apply() {
 		saved = wire - compressed
 		wire = compressed
 	}
-	if !wk.sharded {
-		// Book the modeled cost: the clock delta also holds straggler wait,
-		// which is compute imbalance, not communication.
-		wk.w.RingAllReduceMeanSized(f.buf, wire)
-		f.book("grad.flatten", wk.gradCh, wk.net.RingAllReduceTime(wire, wk.world), wire, saved)
-	} else {
+	name := "grad.flatten"
+	if wk.sharded {
 		f.book("grad.flatten.replica-sum", wk.stats.Channel, wk.w.GroupRingAllReduceSized(f.buf, wk.replicaGroup, wire, false, wk.cfg.Topology), wire, saved)
-		if wk.cfg.Replicas > 1 {
-			f.book("grad.flatten.shard-mean", wk.gradCh, wk.w.GroupRingAllReduceSized(f.buf, wk.shardGroup, wire, true, wk.cfg.Topology), wire, saved)
-		}
+		name = "grad.flatten.shard-mean"
+	}
+	// A sharded grid's lone replica has no shard-group stage; a lone worker
+	// still books the bytes it would ship.
+	if !wk.sharded || wk.cfg.Replicas > 1 {
+		f.book(name, wk.gradCh, wk.w.GroupRingAllReduceSized(f.buf, wk.shardGroup, wire, true, wk.cfg.Topology), wire, saved)
 	}
 	ddp.UnflattenGrads(wk.params, f.buf)
 	if wk.cfg.ClipNorm > 0 {
@@ -125,18 +124,16 @@ type bucketedSchedule struct {
 	fwdWall, bwdWall time.Duration // the measured split the timeline rescales
 }
 
-// newBucketedSchedule wires the syncer to the grid's collective: the world
-// ring (or its node-aware hierarchical form) unsharded, the two-stage
-// replica-group sum then shard-group mean sharded.
+// newBucketedSchedule wires the syncer to the grid's collective: the
+// two-stage replica-group sum then shard-group mean, which on a 1xR grid,
+// whose replica groups have one member, is the world ring; or the
+// node-aware hierarchical world AllReduce (unsharded only).
 func newBucketedSchedule(wk *worker) *bucketedSchedule {
 	w, topo := wk.w, wk.cfg.Topology
-	collective := w.AsyncRingAllReduceMeanSized
-	switch {
-	case wk.sharded:
-		collective = func(vec []float64, wireBytes int64) time.Duration {
-			return w.AsyncTwoStageAllReduce(vec, wk.replicaGroup, wk.shardGroup, wireBytes, topo)
-		}
-	case wk.cfg.Algo == ddp.GradAlgoHierarchical:
+	collective := func(vec []float64, wireBytes int64) time.Duration {
+		return w.AsyncTwoStageAllReduce(vec, wk.replicaGroup, wk.shardGroup, wireBytes, topo)
+	}
+	if wk.cfg.Algo == ddp.GradAlgoHierarchical {
 		collective = func(vec []float64, wireBytes int64) time.Duration {
 			return w.AsyncHierarchicalAllReduceMeanSized(vec, topo, wireBytes)
 		}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"pgti/internal/autograd"
@@ -66,7 +67,8 @@ type Config struct {
 	Net      cluster.NetworkModel
 	// Topology lays the grid onto simulated nodes: halo messages and group
 	// collectives between ranks on one node ride the NVLink-class intra
-	// link, and ddp.GradAlgoHierarchical reduces per node first.
+	// link (a 1xR grid's gradient ring too, when the world fits on one
+	// node), and ddp.GradAlgoHierarchical reduces per node first.
 	Topology cluster.Topology
 	// Feed selects the data path's per-batch transfer (see Feed; nil
 	// assembles locally for free).
@@ -114,10 +116,11 @@ type Config struct {
 	// Algo selects the gradient schedule with the world size and Staleness
 	// (see newSchedule). ddp.GradAlgoRing (default) launches size-capped
 	// bucket collectives mid-backward onto the step's overlap timeline — the
-	// world ring at Shards == 1, the two-stage replica-group sum then
-	// shard-group mean otherwise; ddp.GradAlgoHierarchical does so over the
-	// node-aware world AllReduce (Shards == 1 only); ddp.GradAlgoFlat is the
-	// blocking baseline, one flattened exchange after backward.
+	// two-stage replica-group sum then shard-group mean, which at Shards == 1
+	// (one-member replica groups) is the world ring; ddp.GradAlgoHierarchical
+	// does so over the node-aware world AllReduce (Shards == 1 only);
+	// ddp.GradAlgoFlat is the blocking baseline, one flattened exchange after
+	// backward over the same groups.
 	Algo ddp.GradAlgo
 	// HaloSync selects how halo exchanges are priced (default overlapped;
 	// see HaloSyncMode).
@@ -246,11 +249,12 @@ type Result struct {
 // cfg.Replicas data replicas spans one replica group of shard workers, halo
 // rows travel within replica groups during forward/backward, and gradients
 // are summed across each replica group then averaged across shard groups. At
-// Shards == 1 the spatial stages vanish and the collective is the world ring
-// (or hierarchical) AllReduce: plain DDP. A sharded run matches the
-// unsharded one within floating-point reassociation. By default both
-// communication legs overlap with compute and the clock charges each step
-// max(compute, pipelined comm); the blocking schedules remain for ablation.
+// Shards == 1 the replica groups have one member, the spatial stages vanish
+// and the shard-group mean is the world ring (or the hierarchical
+// AllReduce): plain DDP. A sharded run matches the unsharded one within
+// floating-point reassociation. By default both communication legs overlap
+// with compute and the clock charges each step max(compute, pipelined comm);
+// the blocking schedules remain for ablation.
 // Every worker must end with identical parameters; the Result is rank 0's.
 func Train(data batching.Source, split batching.Split, g *graph.Graph, supports []*sparse.CSR, factory ModelFactory, cfg Config) (*Result, error) {
 	j, err := newJob(data, split, g, supports, factory, cfg)
@@ -454,9 +458,11 @@ type stepState struct {
 	structural  bool
 	compute     time.Duration
 	t0, stepEnd time.Duration // on the virtual clock
-	// events is the overlap timeline (meta its trace labels when traced).
+	// events is the overlap timeline (meta its trace labels and spans its
+	// resolved windows when traced).
 	events               []cluster.CommEvent
 	meta                 []stepSpanMeta
+	spans                []cluster.CommSpan
 	exposed, haloExposed time.Duration
 }
 
@@ -498,10 +504,7 @@ func newWorker(j *job, w *cluster.Worker) (*worker, error) {
 	evalLo, evalHi := batching.PartitionRange(len(j.split.Val), cfg.Replicas, wk.rep)
 	wk.evalBatches = batching.Batches(j.split.Val[evalLo:evalHi], cfg.BatchSize)
 	wk.stats.Channel = cfg.Topology.GroupChannel(j.world, wk.replicaGroup)
-	wk.gradCh = cluster.ChannelInter
-	if j.sharded {
-		wk.gradCh = cfg.Topology.GroupChannel(j.world, wk.shardGroup)
-	}
+	wk.gradCh = cfg.Topology.GroupChannel(j.world, wk.shardGroup)
 	wk.sched = newSchedule(wk)
 	return wk, nil
 }
@@ -581,7 +584,7 @@ func (wk *worker) poll() (cancelled bool, err error) {
 // step trains batch idx, step s of steps this epoch.
 func (wk *worker) step(idx []int, s, steps int) error {
 	st := &wk.st
-	*st = stepState{idx: idx, s: s, steps: steps, events: st.events[:0], meta: st.meta[:0]}
+	*st = stepState{idx: idx, s: s, steps: steps, events: st.events[:0], meta: st.meta[:0], spans: st.spans}
 	if err := wk.fetch(); err != nil {
 		return err
 	}
@@ -660,7 +663,8 @@ func (wk *worker) chargeOverlap() {
 	for i := range hev {
 		hev[i].Channel = wk.stats.Channel
 	}
-	st.haloExposed = cluster.OverlapFinish(st.compute, hev) - st.compute
+	haloStep, _ := cluster.Overlap(st.compute, hev, nil)
+	st.haloExposed = haloStep - st.compute
 	st.events = append(st.events, hev...)
 	if tw != nil {
 		for i := range hev {
@@ -668,7 +672,12 @@ func (wk *worker) chargeOverlap() {
 		}
 	}
 	wk.sched.overlap()
-	step := cluster.OverlapFinishChannels(st.compute, st.events)
+	var spans []cluster.CommSpan
+	if tw != nil {
+		st.spans = slices.Grow(st.spans[:0], len(st.events))[:len(st.events)]
+		spans = st.spans
+	}
+	step, exposure := cluster.Overlap(st.compute, st.events, spans)
 	st.exposed = step - st.compute
 	if lead > 0 {
 		step += lead
@@ -678,7 +687,7 @@ func (wk *worker) chargeOverlap() {
 	}
 	st.stepEnd = st.t0 + step
 	wk.stats.Hidden += haloStepCost - st.haloExposed
-	for c, d := range cluster.OverlapChannelExposure(st.compute, st.events) {
+	for c, d := range exposure {
 		wk.chanExposed[c] += d
 	}
 	if tw == nil {
@@ -697,7 +706,6 @@ func (wk *worker) chargeOverlap() {
 		tw.Span(trace.KindAssemble, name, trace.StreamAssembly, st.t0, next, 0)
 	}
 	tw.Span(trace.KindCompute, "compute", trace.StreamCompute, base, st.compute, 0)
-	spans, _ := cluster.OverlapScheduleChannels(st.compute, st.events)
 	for i, sp := range spans {
 		m := st.meta[i]
 		tw.Span(m.kind, m.label, commStream(sp.Event.Channel), base+sp.Start, sp.Finish-sp.Start, m.bytes)
